@@ -95,7 +95,12 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
         cf.levels.push_back(std::move(ls));
     }
 
-    const auto e = static_cast<std::uint64_t>(ir.elem_bytes);
+    // Each surface at its stored width (A and B as stored, C at the
+    // accumulator width).
+    const OperandBytes w = ir.bytes.or_uniform(ir.elem_bytes);
+    const auto ea = static_cast<std::uint64_t>(w.a);
+    const auto eb = static_cast<std::uint64_t>(w.b);
+    const auto ec = static_cast<std::uint64_t>(w.c);
     const auto col_of = [&](const BlockCoord& c) { return c.m * ir.nb + c.n; };
 
     // Byte-weighted LRU stack over the combined surface stream; MRU at
@@ -152,9 +157,9 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
             clip(cur.n, ir.params.n_blk, ir.shape.n));
         const auto ki = static_cast<std::uint64_t>(
             clip(cur.k, ir.params.k_blk, ir.shape.k));
-        const std::uint64_t a_bytes = mi * ki * e;
-        const std::uint64_t b_bytes = ki * ni * e;
-        const std::uint64_t c_bytes = mi * ni * e;
+        const std::uint64_t a_bytes = mi * ki * ea;
+        const std::uint64_t b_bytes = ki * ni * eb;
+        const std::uint64_t c_bytes = mi * ni * ec;
 
         Transition tr;
         tr.step = static_cast<index_t>(i);
@@ -181,9 +186,9 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
                     clip(prev.m, ir.params.m_blk, ir.shape.m));
                 const auto pn = static_cast<std::uint64_t>(
                     clip(prev.n, ir.params.n_blk, ir.shape.n));
-                cf.predicted.c_write += pm * pn * e;
+                cf.predicted.c_write += pm * pn * ec;
                 if (entered_flushed || ir.beta_nonzero) {
-                    cf.predicted.c_rmw_read += pm * pn * e;
+                    cf.predicted.c_rmw_read += pm * pn * ec;
                 }
                 flushed[static_cast<std::size_t>(col_of(prev))] = 1;
             }
@@ -210,9 +215,9 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
             clip(last.m, ir.params.m_blk, ir.shape.m));
         const auto pn = static_cast<std::uint64_t>(
             clip(last.n, ir.params.n_blk, ir.shape.n));
-        cf.predicted.c_write += pm * pn * e;
+        cf.predicted.c_write += pm * pn * ec;
         if (entered_flushed || ir.beta_nonzero) {
-            cf.predicted.c_rmw_read += pm * pn * e;
+            cf.predicted.c_rmw_read += pm * pn * ec;
         }
     }
     return cf;

@@ -1,6 +1,7 @@
 #include "analysis/schedir.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -86,6 +87,7 @@ std::vector<Chunk> parallel_chunks(index_t total, int p)
 struct IrBuilder {
     ScheduleIR ir;
     bool phase_open = false;
+    std::string last_phase;
 
     void next_phase(const char* boundary_label)
     {
@@ -97,6 +99,13 @@ struct IrBuilder {
             phase_open = true;
             ir.num_phases = 1;
         }
+    }
+
+    /// Open a phase named `name`; its boundary is labelled "prev->name".
+    void phase(const char* name)
+    {
+        next_phase((last_phase + "->" + name).c_str());
+        last_phase = name;
     }
 
     TileOp& add_op(OpKind kind, index_t step, const BlockCoord& block,
@@ -133,10 +142,10 @@ TileSpan make_span(int buffer, int slot, index_t gen, Access access,
 }
 
 /// Emit the flush of the departing column recorded in `fl`'s flush_*
-/// fields as row-group (pipelined) or worker-chunk (serial) ops.
+/// fields as row-group ops.
 void emit_flush_ops(IrBuilder& b, const BlockStep& fl, index_t nr,
                     index_t m_blk, index_t n_blk, bool beta_nonzero,
-                    std::uint64_t elem, bool pipelined, int p)
+                    std::uint64_t elem)
 {
     const bool rmw = fl.flush_revisit || beta_nonzero;
     const index_t um0 = fl.flush_coord.m * m_blk;
@@ -155,16 +164,9 @@ void emit_flush_ops(IrBuilder& b, const BlockStep& fl, index_t nr,
         op.dram_write_bytes = bytes;
         if (rmw) op.dram_read_bytes = bytes;
     };
-    if (pipelined) {
-        const index_t items = ceil_div(fl.flush_mi, kRowGroup);
-        for (index_t i = 0; i < items; ++i) {
-            emit(i * kRowGroup, std::min(fl.flush_mi, (i + 1) * kRowGroup),
-                 -1);
-        }
-    } else {
-        for (const Chunk& c : parallel_chunks(fl.flush_mi, p)) {
-            emit(c.lo, c.hi, c.tid);
-        }
+    const index_t items = ceil_div(fl.flush_mi, kRowGroup);
+    for (index_t i = 0; i < items; ++i) {
+        emit(i * kRowGroup, std::min(fl.flush_mi, (i + 1) * kRowGroup), -1);
     }
 }
 
@@ -172,16 +174,19 @@ void emit_flush_ops(IrBuilder& b, const BlockStep& fl, index_t nr,
 
 ScheduleIR extract_cake_ir(const GemmShape& shape,
                            const CbBlockParams& params, ScheduleKind kind,
-                           Exec exec, bool use_prepacked, bool beta_nonzero)
+                           Exec exec, bool use_prepacked, bool beta_nonzero,
+                           OperandBytes bytes)
 {
     CAKE_CHECK_MSG(exec != Exec::kGoto,
                    "extract_cake_ir handles serial/pipelined only");
     CAKE_CHECK(shape.m >= 1 && shape.n >= 1 && shape.k >= 1);
-    const bool pipelined = exec == Exec::kPipelined;
-    const int p = params.p;
+    const bool overlap = exec == Exec::kPipelined;
     const index_t mr = params.mr;
     const index_t nr = params.nr;
-    const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
+    bytes = bytes.or_uniform(params.elem_bytes);
+    const auto a_elem = static_cast<std::uint64_t>(bytes.a);
+    const auto b_elem = static_cast<std::uint64_t>(bytes.b);
+    const auto c_elem = static_cast<std::uint64_t>(bytes.c);
 
     IrBuilder b;
     ScheduleIR& ir = b.ir;
@@ -189,18 +194,19 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     ir.schedule = kind;
     ir.shape = shape;
     ir.params = params;
-    ir.p = p;
+    ir.p = params.p;
     ir.mb = ceil_div(shape.m, params.m_blk);
     ir.nb = ceil_div(shape.n, params.n_blk);
     ir.kb = ceil_div(shape.k, params.k_blk);
     ir.elem_bytes = params.elem_bytes;
+    ir.bytes = bytes;
     ir.n_outermost = shape.n >= shape.m;
     ir.use_prepacked = use_prepacked;
     ir.beta_nonzero = beta_nonzero;
     ir.expected_accums = ir.kb;
     ir.order = build_schedule(kind, ir.mb, ir.nb, ir.kb, ir.n_outermost);
 
-    // The SAME plan the executors consume (core/block_plan.cpp).
+    // The SAME plan the executor consumes (core/block_plan.cpp).
     BlockPlanInputs pin;
     pin.params = params;
     pin.m = shape.m;
@@ -211,10 +217,11 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     pin.kb = ir.kb;
     pin.use_prepacked = use_prepacked;
     pin.beta_nonzero = beta_nonzero;
-    pin.double_buffer = pipelined;
+    pin.double_buffer = overlap;
+    pin.bytes = bytes;
     const BlockPlan plan = build_block_plan(ir.order, pin);
 
-    const int pack_slots = pipelined ? 2 : 1;
+    const int pack_slots = overlap ? 2 : 1;
     ir.buffers = {
         {"user A", BufKind::kUserA, 1},
         {"user B", BufKind::kUserB, 1},
@@ -254,7 +261,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
             kBufPackA, st.a_slot, a_gen_of[static_cast<std::size_t>(st.step)],
             Access::kWrite, s0, s1, 0, 1, /*creates=*/true));
         op.dram_read_bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(st.ki) * elem;
+            * static_cast<std::uint64_t>(st.ki) * a_elem;
     };
     auto emit_pack_b = [&](const BlockStep& st, index_t s0, index_t s1,
                            int worker) {
@@ -267,7 +274,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
             kBufPackB, st.b_slot, b_gen_of[static_cast<std::size_t>(st.step)],
             Access::kWrite, s0, s1, 0, 1, /*creates=*/true));
         op.dram_read_bytes = static_cast<std::uint64_t>(c1 - c0)
-            * static_cast<std::uint64_t>(st.ki) * elem;
+            * static_cast<std::uint64_t>(st.ki) * b_elem;
     };
     // Prepacked B: no pack work, but the panel still streams from
     // external memory once per fresh surface.
@@ -277,7 +284,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                                      st.k0 + st.ki, st.n0,
                                      st.n0 + st.ni));
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
-            * static_cast<std::uint64_t>(st.ni) * elem;
+            * static_cast<std::uint64_t>(st.ni) * b_elem;
     };
     // Zero a row range of the fresh local C surface; the first op of a
     // reloaded column carries the spilled-partial refetch bytes.
@@ -289,7 +296,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                                      /*creates=*/true));
         if (first && st.reload) {
             op.dram_read_bytes = static_cast<std::uint64_t>(st.mi)
-                * static_cast<std::uint64_t>(st.ni) * elem;
+                * static_cast<std::uint64_t>(st.ni) * c_elem;
         }
     };
     // One compute row band [r0, r1): reads the packed surfaces, RMWs the
@@ -311,145 +318,62 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                                      ceil_div(st.ni, nr)));
     };
 
-    if (!pipelined) {
-        // ---- serial executor: one fork-join pool dispatch per phase,
-        // pack -> (flush, zero) -> compute in strict sequence per step.
-        for (const BlockStep& st : plan.steps) {
-            if (st.pack_a) {
-                b.next_phase("join");
-                for (const Chunk& c :
-                     parallel_chunks(ceil_div(st.mi, mr), p)) {
-                    emit_pack_a(st, c.lo, c.hi, c.tid);
-                }
-            }
-            if (use_prepacked && st.b_fresh) {
-                b.next_phase("join");
-                emit_stream_b(st);
-            } else if (st.pack_b) {
-                b.next_phase("join");
-                for (const Chunk& c :
-                     parallel_chunks(ceil_div(st.ni, nr), p)) {
-                    emit_pack_b(st, c.lo, c.hi, c.tid);
-                }
-            }
-            if (st.c_change) {
-                if (st.step > 0) {
-                    b.next_phase("join");
-                    emit_flush_ops(b, st, nr, params.m_blk, params.n_blk,
-                                   beta_nonzero, elem, /*pipelined=*/false,
-                                   p);
-                }
-                b.next_phase("join");
-                bool first = true;
-                for (const Chunk& c : parallel_chunks(st.mi, p)) {
-                    emit_zero(st, c.lo, c.hi, c.tid, first);
-                    first = false;
-                }
-            }
-            b.next_phase("join");
-            const index_t band = round_up(ceil_div(st.mi, p), mr);
-            for (int tid = 0; tid < p; ++tid) {
-                const index_t r0 = std::min<index_t>(tid * band, st.mi);
-                const index_t r1 =
-                    std::min<index_t>((tid + 1) * band, st.mi);
-                if (r0 < r1) emit_compute(st, r0, r1, tid);
+    // Step st's fresh A/B surfaces as pack-group work items.
+    auto emit_packs = [&](const BlockStep& st) {
+        if (st.pack_a) {
+            const index_t slivers = ceil_div(st.mi, mr);
+            for (index_t s0 = 0; s0 < slivers; s0 += kPackAGroup) {
+                emit_pack_a(st, s0, std::min(slivers, s0 + kPackAGroup), -1);
             }
         }
-        b.next_phase("join");
-        emit_flush_ops(b, plan.final_flush, nr, params.m_blk, params.n_blk,
-                       beta_nonzero, elem, /*pipelined=*/false, p);
-        return std::move(b.ir);
+        if (st.pack_b) {
+            const index_t slivers = ceil_div(st.ni, nr);
+            for (index_t s0 = 0; s0 < slivers; s0 += kPackBGroup) {
+                emit_pack_b(st, s0, std::min(slivers, s0 + kPackBGroup), -1);
+            }
+        }
+    };
+    auto emit_zeros = [&](const BlockStep& st) {
+        for (index_t r0 = 0; r0 < st.mi; r0 += kRowGroup) {
+            emit_zero(st, r0, std::min(st.mi, r0 + kRowGroup), -1, r0 == 0);
+        }
+    };
+
+    // Persistent team, dynamically claimed work items (worker = -1),
+    // spin-barrier phase boundaries. Mirrors run_block_loop's phase
+    // structure exactly: pipeline fill, per-step [flush, zero] column
+    // turnovers, with overlap off a pack phase for step t, main phases
+    // computing step t (and, with overlap on, packing step t+1), and the
+    // final drain flush.
+    b.phase("fill");
+    emit_packs(plan.steps[0]);
+    emit_zeros(plan.steps[0]);
+    for (index_t t = 0; t < steps; ++t) {
+        const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
+        if (st.c_change && t > 0) {
+            b.phase("flush");
+            emit_flush_ops(b, st, nr, params.m_blk, params.n_blk,
+                           beta_nonzero, c_elem);
+            b.phase("zero");
+            emit_zeros(st);
+        }
+        if (!overlap && t > 0 && (st.pack_a || st.pack_b)) {
+            b.phase("pack");
+            emit_packs(st);
+        }
+        b.phase("main");
+        // Pack items first, as in the executor.
+        if (overlap && t + 1 < steps) {
+            emit_packs(plan.steps[static_cast<std::size_t>(t + 1)]);
+        }
+        if (use_prepacked && st.b_fresh) emit_stream_b(st);
+        for (index_t r0 = 0; r0 < st.mi; r0 += mr) {
+            emit_compute(st, r0, std::min(st.mi, r0 + mr), -1);
+        }
     }
-
-    // ---- pipelined executor: persistent team, dynamically claimed work
-    // items (worker = -1), spin-barrier phase boundaries. Mirrors
-    // run_pipelined's phase structure exactly: pipeline fill, per-step
-    // [flush, zero] column turnovers, main phases packing step t+1 while
-    // computing step t, and the final drain flush.
-    {
-        // Pipeline fill: pack block 0's surfaces + zero the first column.
-        b.next_phase("fill");
-        const BlockStep& s0 = plan.steps[0];
-        if (s0.pack_a) {
-            const index_t na = ceil_div(ceil_div(s0.mi, mr), kPackAGroup);
-            for (index_t i = 0; i < na; ++i) {
-                emit_pack_a(s0, i * kPackAGroup,
-                            std::min(ceil_div(s0.mi, mr),
-                                     (i + 1) * kPackAGroup),
-                            -1);
-            }
-        }
-        if (s0.pack_b) {
-            const index_t nbv = ceil_div(ceil_div(s0.ni, nr), kPackBGroup);
-            for (index_t i = 0; i < nbv; ++i) {
-                emit_pack_b(s0, i * kPackBGroup,
-                            std::min(ceil_div(s0.ni, nr),
-                                     (i + 1) * kPackBGroup),
-                            -1);
-            }
-        }
-        {
-            const index_t nzero = ceil_div(s0.mi, kRowGroup);
-            for (index_t i = 0; i < nzero; ++i) {
-                emit_zero(s0, i * kRowGroup,
-                          std::min(s0.mi, (i + 1) * kRowGroup), -1, i == 0);
-            }
-        }
-
-        for (index_t t = 0; t < steps; ++t) {
-            const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-            if (st.c_change && t > 0) {
-                b.next_phase("main->flush");
-                emit_flush_ops(b, st, nr, params.m_blk, params.n_blk,
-                               beta_nonzero, elem, /*pipelined=*/true, p);
-                b.next_phase("flush->zero");
-                const index_t nzero = ceil_div(st.mi, kRowGroup);
-                for (index_t i = 0; i < nzero; ++i) {
-                    emit_zero(st, i * kRowGroup,
-                              std::min(st.mi, (i + 1) * kRowGroup), -1,
-                              i == 0);
-                }
-                b.next_phase("zero->main");
-            } else {
-                b.next_phase(t == 0 ? "fill->main" : "main->main");
-            }
-            // Main phase: pack step t+1's fresh surfaces while computing
-            // step t (pack items first, as in the executor).
-            const BlockStep* next = t + 1 < steps
-                ? &plan.steps[static_cast<std::size_t>(t + 1)]
-                : nullptr;
-            if (next != nullptr && next->pack_a) {
-                const index_t na =
-                    ceil_div(ceil_div(next->mi, mr), kPackAGroup);
-                for (index_t i = 0; i < na; ++i) {
-                    emit_pack_a(*next, i * kPackAGroup,
-                                std::min(ceil_div(next->mi, mr),
-                                         (i + 1) * kPackAGroup),
-                                -1);
-                }
-            }
-            if (next != nullptr && next->pack_b) {
-                const index_t nbv =
-                    ceil_div(ceil_div(next->ni, nr), kPackBGroup);
-                for (index_t i = 0; i < nbv; ++i) {
-                    emit_pack_b(*next, i * kPackBGroup,
-                                std::min(ceil_div(next->ni, nr),
-                                         (i + 1) * kPackBGroup),
-                                -1);
-                }
-            }
-            if (use_prepacked && st.b_fresh) emit_stream_b(st);
-            const index_t bands = ceil_div(st.mi, mr);
-            for (index_t band = 0; band < bands; ++band) {
-                const index_t r0 = band * mr;
-                emit_compute(st, r0, std::min(st.mi, r0 + mr), -1);
-            }
-        }
-
-        b.next_phase("main->drain");
-        emit_flush_ops(b, plan.final_flush, nr, params.m_blk, params.n_blk,
-                       beta_nonzero, elem, /*pipelined=*/true, p);
-    }
+    b.phase("drain");
+    emit_flush_ops(b, plan.final_flush, nr, params.m_blk, params.n_blk,
+                   beta_nonzero, c_elem);
     return std::move(b.ir);
 }
 

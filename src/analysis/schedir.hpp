@@ -4,10 +4,11 @@
 // executing a single FMA.
 //
 // The extractors replay the exact decision data the runtime consumes:
-//   * CAKE (serial + pipelined): build_schedule + build_block_plan
-//     (src/core/block_plan.cpp), the same BlockPlan CakeGemmT's executors
-//     iterate, including double-buffer slot assignment and the work-item
-//     grouping constants (kPackAGroup/kPackBGroup/kRowGroup).
+//   * CAKE (overlap off or on): build_schedule + build_block_plan
+//     (src/core/block_plan.cpp), the same BlockPlan CakeGemmT's one
+//     executor iterates for every kernel family, including double-buffer
+//     slot assignment and the work-item grouping constants
+//     (kPackAGroup/kPackBGroup/kRowGroup).
 //   * GOTO: build_goto_passes (src/gotoblas/goto_gemm.cpp), the same pass
 //     list GotoGemmT::multiply iterates.
 // A property proven of this IR is therefore a property of the schedule
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/block_plan.hpp"
 #include "core/schedule.hpp"
 #include "core/tiling.hpp"
 #include "gotoblas/goto_gemm.hpp"
@@ -31,7 +33,8 @@
 namespace cake {
 namespace schedir {
 
-/// Which executor's operation stream the IR describes.
+/// Which operation stream the IR describes: the CAKE executor with
+/// pack/compute overlap off (kSerial) or on (kPipelined), or GOTO.
 enum class Exec { kSerial, kPipelined, kGoto };
 const char* exec_name(Exec exec);
 
@@ -94,6 +97,7 @@ struct ScheduleIR {
     int p = 0;              ///< worker count
     index_t mb = 0, nb = 0, kb = 0;  ///< CB-block grid (CAKE)
     index_t elem_bytes = 4;
+    OperandBytes bytes;  ///< stored A/B/C widths the traffic counts (CAKE)
     bool n_outermost = true;
     bool use_prepacked = false;
     bool beta_nonzero = false;
@@ -108,14 +112,18 @@ struct ScheduleIR {
     std::vector<BlockCoord> order;  ///< CAKE block order (empty for GOTO)
 };
 
-/// Extract the IR of a CAKE multiply: the serial executor's
-/// fork-join-per-phase stream, or the pipelined executor's persistent-team
-/// stream (pipeline fill, flush/zero column turnovers, pack(t+1)+compute(t)
-/// main phases, final drain) with double-buffered pack slots.
+/// Extract the IR of a CAKE multiply: the executor's persistent-team
+/// stream (pipeline fill, flush/zero column turnovers, main compute phases,
+/// final drain). Exec::kPipelined co-issues pack(t+1) with compute(t) into
+/// double-buffered pack slots; Exec::kSerial packs step t in a phase of
+/// its own before computing it, single-buffered. `bytes` gives the stored
+/// operand widths (zero fields: params.elem_bytes), e.g. {1, 1, 4} for the
+/// u8 x s8 -> s32 family.
 ScheduleIR extract_cake_ir(const GemmShape& shape,
                            const CbBlockParams& params, ScheduleKind kind,
                            Exec exec, bool use_prepacked = false,
-                           bool beta_nonzero = false);
+                           bool beta_nonzero = false,
+                           OperandBytes bytes = {});
 
 /// Extract the IR of a GOTO multiply: one packB + one compute phase per
 /// (jc, pc) pass, each worker's ic blocks in program order. `elem_bytes`

@@ -539,7 +539,12 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
             }
         }
     } else {
-        const auto e = static_cast<std::uint64_t>(ir.elem_bytes);
+        // Each surface at its stored width (A and B as stored, C at the
+        // accumulator width).
+        const OperandBytes w = ir.bytes.or_uniform(ir.elem_bytes);
+        const auto ea = static_cast<std::uint64_t>(w.a);
+        const auto eb = static_cast<std::uint64_t>(w.b);
+        const auto ec = static_cast<std::uint64_t>(w.c);
         const auto col_of = [&](const BlockCoord& c) {
             return c.m * ir.nb + c.n;
         };
@@ -558,8 +563,8 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
                 clip(cur.n, ir.params.n_blk, ir.shape.n));
             const auto ki = static_cast<std::uint64_t>(
                 clip(cur.k, ir.params.k_blk, ir.shape.k));
-            if (!sh.a) want.a_read += mi * ki * e;
-            if (!sh.b) want.b_read += ki * ni * e;
+            if (!sh.a) want.a_read += mi * ki * ea;
+            if (!sh.b) want.b_read += ki * ni * eb;
             if (!sh.c) {
                 if (i > 0) {
                     const BlockCoord& prev = ir.order[i - 1];
@@ -567,16 +572,16 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
                         clip(prev.m, ir.params.m_blk, ir.shape.m));
                     const auto pn = static_cast<std::uint64_t>(
                         clip(prev.n, ir.params.n_blk, ir.shape.n));
-                    want.c_write += pm * pn * e;
+                    want.c_write += pm * pn * ec;
                     if (entered_flushed || ir.beta_nonzero) {
-                        want.c_rmw_read += pm * pn * e;
+                        want.c_rmw_read += pm * pn * ec;
                     }
                     flushed[static_cast<std::size_t>(col_of(prev))] = 1;
                 }
                 entered_flushed =
                     flushed[static_cast<std::size_t>(col_of(cur))] != 0;
                 if (entered_flushed) {
-                    want.c_reload_read += mi * ni * e;
+                    want.c_reload_read += mi * ni * ec;
                     ++reloads;
                 }
             }
@@ -587,9 +592,9 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
                 clip(last.m, ir.params.m_blk, ir.shape.m));
             const auto pn = static_cast<std::uint64_t>(
                 clip(last.n, ir.params.n_blk, ir.shape.n));
-            want.c_write += pm * pn * e;
+            want.c_write += pm * pn * ec;
             if (entered_flushed || ir.beta_nonzero) {
-                want.c_rmw_read += pm * pn * e;
+                want.c_rmw_read += pm * pn * ec;
             }
         }
 
@@ -649,8 +654,8 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
 /// IR_IO_CONSTBW: on the fully-sharing schedules (serpentine, and the
 /// Hilbert traversal whose cells are always grid-adjacent with K carried
 /// across) every interior k-advancing step of a full-size column fetches
-/// exactly (m_blk + n_blk) * k_blk elements — the constant-bandwidth
-/// block property of §3.
+/// exactly (m_blk + n_blk) * k_blk elements (at A's and B's stored
+/// widths) — the constant-bandwidth block property of §3.
 void check_constbw(const ScheduleIR& ir, VerifyReport& report)
 {
     if (ir.exec == Exec::kGoto
@@ -666,10 +671,11 @@ void check_constbw(const ScheduleIR& ir, VerifyReport& report)
             fetch_of_step[op.step] += op.dram_read_bytes;
         }
     }
+    const OperandBytes w = ir.bytes.or_uniform(ir.elem_bytes);
     const std::uint64_t constant =
-        static_cast<std::uint64_t>(ir.params.m_blk + ir.params.n_blk)
-        * static_cast<std::uint64_t>(ir.params.k_blk)
-        * static_cast<std::uint64_t>(ir.elem_bytes);
+        static_cast<std::uint64_t>(ir.params.m_blk * w.a
+                                   + ir.params.n_blk * w.b)
+        * static_cast<std::uint64_t>(ir.params.k_blk);
     for (std::size_t i = 1; i < ir.order.size(); ++i) {
         if (sink.full()) return;
         const BlockCoord& prev = ir.order[i - 1];

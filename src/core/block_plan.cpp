@@ -14,7 +14,10 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     CAKE_CHECK(in.nb >= 1 && in.kb >= 1 && in.ldc >= in.n);
 
     const CbBlockParams& params = in.params;
-    const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
+    const OperandBytes bytes = in.bytes.or_uniform(params.elem_bytes);
+    const auto a_elem = static_cast<std::uint64_t>(bytes.a);
+    const auto b_elem = static_cast<std::uint64_t>(bytes.b);
+    const auto c_elem = static_cast<std::uint64_t>(bytes.c);
     const auto steps = static_cast<index_t>(order.size());
 
     BlockPlan plan;
@@ -50,13 +53,13 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         st.flush_partial = k_done[slot] < in.kb;
         flushed[slot] = 1;
         ++stats.c_flushes;
-        const auto bytes = static_cast<std::uint64_t>(mi)
-            * static_cast<std::uint64_t>(ni) * elem;
-        stats.dram_write_bytes += bytes;
+        const auto c_bytes = static_cast<std::uint64_t>(mi)
+            * static_cast<std::uint64_t>(ni) * c_elem;
+        stats.dram_write_bytes += c_bytes;
         // First visit applies the caller's beta (RMW read iff beta != 0);
         // revisits must accumulate, so they always read back.
         if (st.flush_revisit || in.beta_nonzero) {
-            stats.dram_read_bytes += bytes;
+            stats.dram_read_bytes += c_bytes;
         }
         if (st.flush_partial) ++stats.c_partial_spills;
     };
@@ -88,7 +91,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         if (st.pack_a) {
             ++stats.a_packs;
             stats.dram_read_bytes +=
-                static_cast<std::uint64_t>(st.mi) * st.ki * elem;
+                static_cast<std::uint64_t>(st.mi) * st.ki * a_elem;
         }
 
         st.b_slot = prev != nullptr ? prev->b_slot : 0;
@@ -99,7 +102,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             st.pack_b = false;
             if (st.b_fresh) {
                 stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.ki) * st.ni * elem;
+                    static_cast<std::uint64_t>(st.ki) * st.ni * b_elem;
             }
         } else {
             st.pack_b = st.b_fresh;
@@ -109,7 +112,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             if (st.pack_b) {
                 ++stats.b_packs;
                 stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.ki) * st.ni * elem;
+                    static_cast<std::uint64_t>(st.ki) * st.ni * b_elem;
             }
         }
 
@@ -126,7 +129,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                 // Revisiting a spilled surface: partials come back from
                 // external memory (non-K-first ablation schedules only).
                 stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.mi) * st.ni * elem;
+                    static_cast<std::uint64_t>(st.mi) * st.ni * c_elem;
             }
             cur_mi = st.mi;
             cur_ni = st.ni;

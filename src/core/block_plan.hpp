@@ -3,13 +3,14 @@
 // turns over and what it writes back) derived once, up front, as a pure
 // function of the block schedule and the tiling parameters.
 //
-// Both executors in src/core/cake_gemm.cpp consume this plan — the serial
-// path with double-buffering disabled (every slot stays 0), the pipelined
-// path with slots alternating on each fresh fetch — and the schedule-IR
-// extractor in src/analysis/schedir.cpp replays the *same* plan to emit
-// the tile operations it verifies. That sharing is the point: the verifier
-// proves properties of the data structure the runtime actually executes,
-// not of a parallel reimplementation that could drift.
+// The one block-loop executor in src/core/cake_gemm.cpp consumes this plan
+// for every kernel family — with double-buffering disabled (every slot
+// stays 0) when overlap is off, with slots alternating on each fresh fetch
+// when it is on — and the schedule-IR extractor in src/analysis/schedir.cpp
+// replays the *same* plan to emit the tile operations it verifies. That
+// sharing is the point: the verifier proves properties of the data
+// structure the runtime actually executes, not of a parallel
+// reimplementation that could drift.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +54,24 @@ struct BlockStep {
     bool flush_partial = false;  ///< fewer than Kb accumulations spilled
 };
 
+/// Stored width in bytes of each operand surface. The modelled traffic
+/// counts A and B at the width the caller stores them and C at its
+/// accumulator width (1, 1 and 4 for u8 x s8 -> s32). A zero field falls
+/// back to the solver's uniform params.elem_bytes, which is every
+/// operand's width for f32 and f64.
+struct OperandBytes {
+    index_t a = 0, b = 0, c = 0;
+
+    /// This record with every zero field replaced by `elem_bytes`.
+    [[nodiscard]] OperandBytes or_uniform(index_t elem_bytes) const
+    {
+        return {a > 0 ? a : elem_bytes, b > 0 ? b : elem_bytes,
+                c > 0 ? c : elem_bytes};
+    }
+};
+
 /// Modelled external-memory traffic and operation counts of a plan. The
-/// executors copy these into CakeStats verbatim instead of re-deriving
+/// executor copies these into CakeStats verbatim instead of re-deriving
 /// them step by step.
 struct BlockPlanStats {
     index_t blocks_executed = 0;
@@ -87,10 +104,11 @@ struct BlockPlanInputs {
     bool use_prepacked = false;  ///< B streams from panels, no pack ops
     bool beta_nonzero = false;   ///< first-visit flushes read-modify-write
     bool double_buffer = false;  ///< alternate pack slots on fresh fetches
+    OperandBytes bytes;          ///< stored operand widths (traffic model)
 };
 
-/// Derive the execution plan for `order`. Every decision the executors
-/// make per step — surface sharing, slot assignment, flush bookkeeping,
+/// Derive the execution plan for `order`. Every decision the executor
+/// makes per step — surface sharing, slot assignment, flush bookkeeping,
 /// DRAM traffic accounting — is resolved here, in schedule order.
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in);

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <sstream>
+#include <string>
 
 #include "analysis/racecheck.hpp"
 #include "analysis/schedshake.hpp"
@@ -11,10 +13,12 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/block_plan.hpp"
+#include "core/fperror.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "pack/pack.hpp"
+#include "pack/pack_int8.hpp"
 
 namespace cake {
 
@@ -75,22 +79,149 @@ void publish_cake_stats(const CakeStats& s)
 
 namespace detail {
 
-/// One multiply's resolved arguments, shared by both executors.
+/// Compile-time operations of a kernel family: micro-kernel lookup, pack
+/// layout, tile runner and solver width. The block loop is written once
+/// against this interface; f32 and f64 share the generic template, the
+/// quantized u8 x s8 -> s32 family specialises it below.
+template <typename T>
+struct FamilyOps : KernelFamily<T> {
+    using typename KernelFamily<T>::A;
+    using typename KernelFamily<T>::B;
+    using typename KernelFamily<T>::C;
+    using typename KernelFamily<T>::Kernel;
+
+    /// Element width the §4.3 solver sizes blocks with.
+    static constexpr index_t solver_elem_bytes = sizeof(T);
+    /// PlanRequest::elem_bytes: the tuning-cache dtype bucket.
+    static constexpr index_t plan_elem_bytes = sizeof(T);
+    /// Stored operand widths the modelled DRAM traffic counts.
+    static constexpr OperandBytes stored{sizeof(T), sizeof(T), sizeof(T)};
+    static constexpr bool transposable = true;
+
+    static const Kernel& best() { return best_microkernel_of<T>(); }
+    static const Kernel& for_isa(Isa isa) { return microkernel_for_of<T>(isa); }
+    static bool isa_ok(Isa isa) { return isa_supported(isa); }
+    /// Packed elements per sliver row of a ki-deep block.
+    static index_t depth(index_t ki) { return ki; }
+    /// No K limit: floating-point accumulators cannot overflow.
+    static void check_k(index_t) {}
+
+    /// Pack rows [r0, r0 + rows) x K [k0, k0 + ki) of op(A).
+    static void pack_a(bool ta, const A* a, index_t lda, index_t r0,
+                       index_t k0, index_t rows, index_t ki, index_t mr,
+                       A* dst)
+    {
+        if (ta) {
+            pack_a_panel_transposed(a + k0 * lda + r0, lda, rows, ki, mr,
+                                    dst);
+        } else {
+            pack_a_panel(a + r0 * lda + k0, lda, rows, ki, mr, dst);
+        }
+    }
+    /// Pack K [k0, k0 + ki) x columns [c0, c0 + cols) of op(B).
+    static void pack_b(bool tb, const B* b, index_t ldb, index_t k0,
+                       index_t c0, index_t ki, index_t cols, index_t nr,
+                       B* dst)
+    {
+        if (tb) {
+            pack_b_panel_transposed(b + c0 * ldb + k0, ldb, ki, cols, nr,
+                                    dst);
+        } else {
+            pack_b_panel(b + k0 * ldb + c0, ldb, ki, cols, nr, dst);
+        }
+    }
+    /// Accumulate one (possibly partial) m x n tile over a ki-deep block.
+    /// Kept out of line: run_microkernel_tile is an inline template, and
+    /// inlining it into the compute loop, its only caller here, cost 10%
+    /// on small f32 shapes and 3% on 1536^3 at p = 1 (bench/ledger).
+    [[gnu::noinline]] static void run_tile(const Kernel& kernel, index_t ki, const A* a,
+                         const B* b, C* c, index_t ldc, index_t m, index_t n,
+                         C* scratch)
+    {
+        run_microkernel_tile(kernel, ki, a, b, c, ldc, m, n,
+                             /*accumulate=*/true, scratch);
+    }
+};
+
+template <>
+struct FamilyOps<U8S8S32> : KernelFamily<U8S8S32> {
+    // Conservative sizing: the solver assumes a uniform element size and
+    // the s32 partial-result surface dominates the LLC budget, so blocks
+    // are sized as if every operand were 4 bytes (the 1-byte inputs give
+    // the real run extra headroom). The tuning cache is keyed by the
+    // stored input width, the i8 bucket.
+    static constexpr index_t solver_elem_bytes = sizeof(C);
+    static constexpr index_t plan_elem_bytes = sizeof(A);
+    static constexpr OperandBytes stored{sizeof(A), sizeof(B), sizeof(C)};
+    static constexpr bool transposable = false;
+
+    static const Kernel& best() { return best_int8_microkernel(); }
+    static const Kernel& for_isa(Isa isa)
+    {
+        for (const Int8MicroKernel& k : all_int8_microkernels()) {
+            if (k.isa == isa) {
+                CAKE_CHECK_MSG(int8_isa_supported(isa),
+                               "int8 ISA " << isa_name(isa)
+                                           << " not supported by CPU");
+                return k;
+            }
+        }
+        throw Error(std::string("no int8 micro-kernel compiled for ISA ")
+                    + isa_name(isa));
+    }
+    static bool isa_ok(Isa isa) { return int8_isa_supported(isa); }
+    /// k-quad layout: ki is padded to whole quads of 4.
+    static index_t depth(index_t ki) { return 4 * int8_kq(ki); }
+    /// |acc| <= K * 127^2 must fit the i32 accumulator.
+    static void check_k(index_t k)
+    {
+        if (k > int8_safe_k()) {
+            std::ostringstream os;
+            os << "[I8_ACC_RANGE] int8 multiply with K=" << k
+               << ": worst-case |i32 accumulator| " << int8_acc_range(k)
+               << " exceeds int32 range (safe K <= " << int8_safe_k()
+               << ")";
+            throw Error(os.str());
+        }
+    }
+
+    // Transposed operands are refused at construction, so ta/tb is false.
+    static void pack_a(bool, const A* a, index_t lda, index_t r0,
+                       index_t k0, index_t rows, index_t ki, index_t mr,
+                       A* dst)
+    {
+        pack_a_panel_int8(a + r0 * lda + k0, lda, rows, ki, mr, dst);
+    }
+    static void pack_b(bool, const B* b, index_t ldb, index_t k0, index_t c0,
+                       index_t ki, index_t cols, index_t nr, B* dst)
+    {
+        pack_b_panel_int8(b + k0 * ldb + c0, ldb, ki, cols, nr, dst);
+    }
+    static void run_tile(const Kernel& kernel, index_t ki, const A* a,
+                         const B* b, C* c, index_t ldc, index_t m, index_t n,
+                         C* scratch)
+    {
+        run_int8_tile(kernel, int8_kq(ki), a, b, c, ldc, m, n,
+                      /*accumulate=*/true, scratch);
+    }
+};
+
+/// One multiply's resolved arguments.
 template <typename T>
 struct GemmCall {
-    const T* a = nullptr;
+    using C = typename KernelFamily<T>::C;
+    const typename KernelFamily<T>::A* a = nullptr;
     index_t lda = 0;
-    const T* b = nullptr;
+    const typename KernelFamily<T>::B* b = nullptr;
     index_t ldb = 0;
-    T* c = nullptr;
+    C* c = nullptr;
     index_t ldc = 0;
-    index_t m = 0, n = 0, k = 0;
-    T alpha = T(1), beta = T(0);
+    index_t m = 0, n = 0;
+    C alpha = 1, beta = 0;
     const PackedB<T>* prepacked = nullptr;
     bool ta = false, tb = false;
+    bool overlap = true;  ///< co-issue pack(t+1) with compute(t)
     CbBlockParams params;
-    index_t mb = 0, nb = 0, kb = 0;
-    std::vector<BlockCoord> order;
     const BlockPlan* plan = nullptr;  ///< resolved per-step decisions
 };
 
@@ -113,34 +244,40 @@ CakeGemmT<T>::CakeGemmT(ThreadPool& pool, CakeOptions options)
     : pool_(pool), options_(std::move(options)),
       p_explicit_(options_.p > 0),
       machine_(options_.machine ? *options_.machine : host_machine()),
-      kernel_(options_.isa ? microkernel_for_of<T>(*options_.isa)
-                           : best_microkernel_of<T>())
+      kernel_(options_.isa ? detail::FamilyOps<T>::for_isa(*options_.isa)
+                           : detail::FamilyOps<T>::best())
 {
     if (options_.p <= 0 || options_.p > pool_.size())
         options_.p = pool_.size();
+    CAKE_CHECK_MSG(detail::FamilyOps<T>::transposable
+                       || (options_.op_a == Op::kNone
+                           && options_.op_b == Op::kNone),
+                   "transposed operands not supported on the int8 path");
 }
 
 template <typename T>
-void CakeGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
-                            T* c, index_t ldc, index_t m, index_t n,
+void CakeGemmT<T>::multiply(const A* a, index_t lda, const B* b, index_t ldb,
+                            C* c, index_t ldc, index_t m, index_t n,
                             index_t k)
 {
-    multiply_scaled(a, lda, b, ldb, c, ldc, m, n, k, T(1),
-                    options_.accumulate ? T(1) : T(0));
+    multiply_impl(a, lda, b, ldb, c, ldc, m, n, k, C(1),
+                  options_.accumulate ? C(1) : C(0), nullptr);
 }
 
 template <typename T>
-void CakeGemmT<T>::multiply_scaled(const T* a, index_t lda, const T* b,
-                                   index_t ldb, T* c, index_t ldc, index_t m,
-                                   index_t n, index_t k, T alpha_s, T beta_s)
+void CakeGemmT<T>::multiply_scaled(const A* a, index_t lda, const B* b,
+                                   index_t ldb, C* c, index_t ldc, index_t m,
+                                   index_t n, index_t k, C alpha_s, C beta_s)
+    requires std::floating_point<T>
 {
     multiply_impl(a, lda, b, ldb, c, ldc, m, n, k, alpha_s, beta_s, nullptr);
 }
 
 template <typename T>
-PackedB<T> CakeGemmT<T>::pack_weights(const T* b, index_t ldb, index_t k,
+PackedB<T> CakeGemmT<T>::pack_weights(const B* b, index_t ldb, index_t k,
                                       index_t n)
 {
+    using Ops = detail::FamilyOps<T>;
     CAKE_CHECK(k >= 1 && n >= 1);
     const bool tb = options_.op_b == Op::kTranspose;
     CAKE_CHECK_MSG(ldb >= (tb ? k : n), "ldb too small for op(B)");
@@ -150,7 +287,7 @@ PackedB<T> CakeGemmT<T>::pack_weights(const T* b, index_t ldb, index_t k,
     topts.kc = options_.kc;
     topts.nc = options_.nc;
     topts.alpha = options_.alpha;
-    topts.elem_bytes = sizeof(T);
+    topts.elem_bytes = Ops::solver_elem_bytes;
     PackedB<T> packed;
     packed.params_ =
         compute_cb_block(machine_, options_.p, kernel_.mr, kernel_.nr, topts);
@@ -159,29 +296,23 @@ PackedB<T> CakeGemmT<T>::pack_weights(const T* b, index_t ldb, index_t k,
     packed.kb_ = ceil_div(k, packed.params_.k_blk);
     packed.nb_ = ceil_div(n, packed.params_.n_blk);
     packed.stride_ = static_cast<std::size_t>(
-        packed_b_size(packed.params_.k_blk, packed.params_.n_blk, kernel_.nr));
-    packed.data_ = AlignedBuffer<T>(
+        Ops::depth(packed.params_.k_blk)
+        * round_up(packed.params_.n_blk, kernel_.nr));
+    packed.data_ = AlignedBuffer<B>(
         static_cast<std::size_t>(packed.kb_ * packed.nb_) * packed.stride_);
 
     const index_t total_panels = packed.kb_ * packed.nb_;
     pool_.parallel_for(0, total_panels, options_.p,
                        [&](index_t lo, index_t hi) {
         for (index_t slot = lo; slot < hi; ++slot) {
-            const index_t k_idx = slot / packed.nb_;
-            const index_t n_idx = slot % packed.nb_;
-            const index_t k0 = k_idx * packed.params_.k_blk;
-            const index_t n0 = n_idx * packed.params_.n_blk;
-            const index_t ki = std::min(packed.params_.k_blk, k - k0);
-            const index_t ni = std::min(packed.params_.n_blk, n - n0);
-            T* dst = packed.data_.data()
-                + static_cast<std::size_t>(slot) * packed.stride_;
-            if (tb) {
-                pack_b_panel_transposed(b + n0 * ldb + k0, ldb, ki, ni,
-                                        kernel_.nr, dst);
-            } else {
-                pack_b_panel(b + k0 * ldb + n0, ldb, ki, ni, kernel_.nr,
-                             dst);
-            }
+            const index_t k0 = (slot / packed.nb_) * packed.params_.k_blk;
+            const index_t n0 = (slot % packed.nb_) * packed.params_.n_blk;
+            Ops::pack_b(tb, b, ldb, k0, n0,
+                        std::min(packed.params_.k_blk, k - k0),
+                        std::min(packed.params_.n_blk, n - n0), kernel_.nr,
+                        packed.data_.data()
+                            + static_cast<std::size_t>(slot)
+                                * packed.stride_);
         }
     });
     packed.verify_canaries();
@@ -189,21 +320,22 @@ PackedB<T> CakeGemmT<T>::pack_weights(const T* b, index_t ldb, index_t k,
 }
 
 template <typename T>
-void CakeGemmT<T>::multiply_prepacked(const T* a, index_t lda,
-                                      const PackedB<T>& b, T* c, index_t ldc,
+void CakeGemmT<T>::multiply_prepacked(const A* a, index_t lda,
+                                      const PackedB<T>& b, C* c, index_t ldc,
                                       index_t m)
 {
     CAKE_CHECK_MSG(!b.empty(), "PackedB is empty");
-    multiply_impl(a, lda, nullptr, b.n(), c, ldc, m, b.n(), b.k(), T(1),
-                  options_.accumulate ? T(1) : T(0), &b);
+    multiply_impl(a, lda, nullptr, b.n(), c, ldc, m, b.n(), b.k(), C(1),
+                  options_.accumulate ? C(1) : C(0), &b);
 }
 
 template <typename T>
-void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
-                                 index_t ldb, T* c, index_t ldc, index_t m,
-                                 index_t n, index_t k, T alpha_s, T beta_s,
+void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
+                                 index_t ldb, C* c, index_t ldc, index_t m,
+                                 index_t n, index_t k, C alpha_s, C beta_s,
                                  const PackedB<T>* prepacked)
 {
+    using Ops = detail::FamilyOps<T>;
     CAKE_CHECK(m >= 0 && n >= 0 && k >= 0);
     const bool ta = options_.op_a == Op::kTranspose;
     const bool tb = options_.op_b == Op::kTranspose;
@@ -212,13 +344,14 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
         CAKE_CHECK_MSG(ldb >= (tb ? k : n), "ldb too small for op(B)");
     }
     CAKE_CHECK(ldc >= n);
+    Ops::check_k(k);
     if (m == 0 || n == 0) return;
-    if (k == 0 || alpha_s == T(0)) {
+    if (k == 0 || alpha_s == C(0)) {
         // Degenerate product contributes nothing: apply the beta epilogue.
         for (index_t i = 0; i < m; ++i) {
-            T* row = c + i * ldc;
-            if (beta_s == T(0)) std::fill(row, row + n, T(0));
-            else if (beta_s != T(1))
+            C* row = c + i * ldc;
+            if (beta_s == C(0)) std::fill(row, row + n, C(0));
+            else if (beta_s != C(1))
                 for (index_t j = 0; j < n; ++j) row[j] *= beta_s;
         }
         return;
@@ -233,7 +366,7 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     topts.kc = options_.kc;
     topts.nc = options_.nc;
     topts.alpha = options_.alpha;
-    topts.elem_bytes = sizeof(T);
+    topts.elem_bytes = Ops::solver_elem_bytes;
     ScheduleKind schedule = options_.schedule;
     CakeExec exec = options_.exec;
 
@@ -248,7 +381,7 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
         req.m = m;
         req.n = n;
         req.k = k;
-        req.elem_bytes = sizeof(T);
+        req.elem_bytes = Ops::plan_elem_bytes;
         req.p = p;
         if (const auto tuned = options_.plan_source->lookup(req)) {
             auto take = [&](auto& knob, const auto& src) {
@@ -278,15 +411,15 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
                 exec = *tuned->exec;
                 stats_.tuned = true;
             }
-            if (!options_.isa && tuned->isa && isa_supported(*tuned->isa)
+            if (!options_.isa && tuned->isa && Ops::isa_ok(*tuned->isa)
                 && *tuned->isa != kernel_.isa) {
-                kernel_ = microkernel_for_of<T>(*tuned->isa);
+                kernel_ = Ops::for_isa(*tuned->isa);
                 stats_.tuned = true;
             }
-        } else if (!options_.isa && kernel_.isa != best_microkernel_of<T>().isa) {
+        } else if (!options_.isa && kernel_.isa != Ops::best().isa) {
             // A previous multiply's tuned ISA must not leak into a shape
             // the oracle has no opinion about.
-            kernel_ = best_microkernel_of<T>();
+            kernel_ = Ops::best();
         }
     }
 
@@ -308,29 +441,26 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     call.ldc = ldc;
     call.m = m;
     call.n = n;
-    call.k = k;
     call.alpha = alpha_s;
     call.beta = beta_s;
     call.prepacked = prepacked;
     call.ta = ta;
     call.tb = tb;
+    call.overlap = exec != CakeExec::kSerial;
     call.params = params;
-    call.mb = ceil_div(m, params.m_blk);
-    call.nb = ceil_div(n, params.n_blk);
-    call.kb = ceil_div(k, params.k_blk);
-    stats_.grid_mb = call.mb;
-    stats_.grid_nb = call.nb;
-    stats_.grid_kb = call.kb;
+    stats_.grid_mb = ceil_div(m, params.m_blk);
+    stats_.grid_nb = ceil_div(n, params.n_blk);
+    stats_.grid_kb = ceil_div(k, params.k_blk);
 
     // §2.2: when M > N the M dimension runs outermost so the larger B
     // surface is reused before A.
-    const bool pipelined = exec != CakeExec::kSerial;
-    call.order = build_schedule(schedule, call.mb, call.nb, call.kb,
-                                /*n_outermost=*/n >= m);
+    const std::vector<BlockCoord> order =
+        build_schedule(schedule, stats_.grid_mb, stats_.grid_nb,
+                       stats_.grid_kb, /*n_outermost=*/n >= m);
 
     // Resolve the whole block loop up front: surface sharing, pack-slot
     // assignment, flush bookkeeping and the modelled DRAM traffic are pure
-    // functions of the schedule (src/core/block_plan.cpp). Both executors
+    // functions of the schedule (src/core/block_plan.cpp). The executor
     // and the schedule-IR extractor consume this same plan.
     BlockPlanInputs plan_in;
     plan_in.params = params;
@@ -338,12 +468,13 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     plan_in.n = n;
     plan_in.k = k;
     plan_in.ldc = ldc;
-    plan_in.nb = call.nb;
-    plan_in.kb = call.kb;
+    plan_in.nb = stats_.grid_nb;
+    plan_in.kb = stats_.grid_kb;
     plan_in.use_prepacked = prepacked != nullptr;
-    plan_in.beta_nonzero = beta_s != T(0);
-    plan_in.double_buffer = pipelined;
-    const BlockPlan plan = build_block_plan(call.order, plan_in);
+    plan_in.beta_nonzero = beta_s != C(0);
+    plan_in.double_buffer = call.overlap;
+    plan_in.bytes = Ops::stored;
+    const BlockPlan plan = build_block_plan(order, plan_in);
     call.plan = &plan;
     stats_.blocks_executed = plan.stats.blocks_executed;
     stats_.a_packs = plan.stats.a_packs;
@@ -353,13 +484,14 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     stats_.dram_read_bytes = plan.stats.dram_read_bytes;
     stats_.dram_write_bytes = plan.stats.dram_write_bytes;
 
+    const index_t depth = Ops::depth(params.k_blk);
     pack_a_[0].ensure(static_cast<std::size_t>(
-        packed_a_size(params.m_blk, params.k_blk, kernel_.mr)));
-    if (pipelined) pack_a_[1].ensure(pack_a_[0].size());
+        round_up(params.m_blk, kernel_.mr) * depth));
+    if (call.overlap) pack_a_[1].ensure(pack_a_[0].size());
     if (prepacked == nullptr) {
         pack_b_[0].ensure(static_cast<std::size_t>(
-            packed_b_size(params.k_blk, params.n_blk, kernel_.nr)));
-        if (pipelined) pack_b_[1].ensure(pack_b_[0].size());
+            depth * round_up(params.n_blk, kernel_.nr)));
+        if (call.overlap) pack_b_[1].ensure(pack_b_[0].size());
     }
     c_block_.ensure(static_cast<std::size_t>(params.m_blk)
                     * static_cast<std::size_t>(params.n_blk));
@@ -370,11 +502,7 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
         s.ensure(static_cast<std::size_t>(kernel_.mr * kernel_.nr));
     }
 
-    if (pipelined) {
-        run_pipelined(call);
-    } else {
-        run_serial(call);
-    }
+    run_block_loop(call);
 
     // CAKE_CHECKED: the multiply is flushed — every packed surface's
     // front/back canaries must still be intact, or some strided write ran
@@ -388,252 +516,33 @@ void CakeGemmT<T>::multiply_impl(const T* a, index_t lda, const T* b,
     if (prepacked != nullptr) prepacked->verify_canaries();
 
     stats_.total_seconds = total_timer.seconds();
-    if (!stats_.pipelined) {
-        stats_.stall_seconds =
-            std::max(0.0, stats_.total_seconds - stats_.pack_seconds
-                              - stats_.compute_seconds
-                              - stats_.flush_seconds);
-    }
     publish_cake_stats(stats_);
 }
 
 // ---------------------------------------------------------------------------
-// Serial executor: one pool dispatch per phase, pack -> compute -> flush in
-// strict sequence per block (the overlap-off baseline).
+// The block-loop executor: one persistent team for the whole block loop,
+// for every kernel family. With overlap on (CakeExec::kAuto/kPipelined),
+// while the team computes block i it also packs the surfaces of block i+1
+// that shared_surfaces() says are not carried over, into the other half of
+// the double-buffered panel storage — so after pipeline fill, packing IO
+// runs concurrently with compute instead of on the critical path (paper
+// §2, Fig. 7). With overlap off (CakeExec::kSerial, the Fig. 7 ablation)
+// block i's surfaces are packed in a phase of their own right before its
+// compute phase, single-buffered, so every fetch is exposed. Phases inside
+// the team are separated by spin barriers; work within a phase is claimed
+// in mr/nr-sliver items off an atomic counter so edge blocks never leave
+// cores idle.
 // ---------------------------------------------------------------------------
 template <typename T>
-void CakeGemmT<T>::run_serial(const detail::GemmCall<T>& call)
+void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
 {
-    const CbBlockParams& params = call.params;
-    const int p = params.p;
-    const index_t m = call.m, n = call.n;
-    const T alpha_s = call.alpha, beta_s = call.beta;
-    const T* a = call.a;
-    const T* b = call.b;
-    T* c = call.c;
-    const index_t lda = call.lda, ldb = call.ldb, ldc = call.ldc;
-    const bool ta = call.ta, tb = call.tb;
-    const PackedB<T>* prepacked = call.prepacked;
-    const BlockPlan& plan = *call.plan;
-
-    // CAKE_RACECHECK shadow regions: the packed panels at mr/nr-sliver
-    // granularity and the local C surface at row x nr-sliver granularity
-    // (flush/zero row chunks are not mr-aligned, so full mr x nr C tiles
-    // would alias across legitimate chunk boundaries). No-ops in other
-    // builds.
-    const index_t c_cols = ceil_div(params.n_blk, kernel_.nr);
-    detail::ScopedRegion rc_pa(racecheck::region_register(
-        "packed-A panel", ceil_div(params.m_blk, kernel_.mr)));
-    detail::ScopedRegion rc_pb(racecheck::region_register(
-        "packed-B panel", ceil_div(params.n_blk, kernel_.nr)));
-    detail::ScopedRegion rc_c(racecheck::region_register(
-        "local C surface", params.m_blk * c_cols, c_cols));
-
-    // Flush the departing column recorded in `fl`'s flush_* fields (a plan
-    // step opening a new column, or the final-drain pseudo-step).
-    auto flush_c = [&](const BlockStep& fl) {
-        // First visit applies the caller's beta; revisits (spilled partial
-        // surfaces under ablation schedules) must accumulate.
-        const T beta_eff = fl.flush_revisit ? T(1) : beta_s;
-        const index_t mi = fl.flush_mi, ni = fl.flush_ni;
-        const BlockCoord& coord = fl.flush_coord;
-        require_extent(fl.flush_dst, (mi - 1) * ldc + ni,
-                       static_cast<std::size_t>((m - 1) * ldc + n),
-                       "user C surface flush");
-        T* dst = c + fl.flush_dst;
-        pool_.parallel_for(0, mi, p, [&](index_t r0, index_t r1) {
-            obs::ScopedSpan span("flush.write", obs::Phase::kFlush, coord.m,
-                                 coord.n, coord.k, r0);
-            obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kFlush);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(ni, kernel_.nr),
-                racecheck::AccessKind::kRead,
-                {fl.step, coord.m, coord.n, coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * ni, (r1 - r0) * ni, c_block_.size(),
-                           "local C flush rows");
-            unpack_c_block_scaled(c_block_.data() + r0 * ni, r1 - r0, ni,
-                                  dst + r0 * ldc, ldc, alpha_s, beta_eff);
-        });
-    };
-
-    for (const BlockStep& st : plan.steps) {
-        const BlockCoord coord = st.coord;
-        const index_t mi = st.mi, ni = st.ni, ki = st.ki;
-        const index_t m0 = st.m0, n0 = st.n0, k0 = st.k0;
-        const index_t step_idx = st.step;
-
-        // --- surface sharing: only fetch (pack) surfaces that changed ---
-        Timer pack_timer;
-        if (st.pack_a) {
-            pool_.parallel_for(0, ceil_div(mi, kernel_.mr), p,
-                               [&](index_t s0, index_t s1) {
-                obs::ScopedSpan span("pack.A", obs::Phase::kPack, coord.m,
-                                     coord.n, coord.k, s0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kPack);
-                racecheck::region_access_range(
-                    rc_pa.id, s0, s1, racecheck::AccessKind::kWrite,
-                    {step_idx, coord.m, coord.n, coord.k,
-                     racecheck::Phase::kPack});
-                const index_t r0 = s0 * kernel_.mr;
-                const index_t r1 = std::min(mi, s1 * kernel_.mr);
-                if (ta) {
-                    pack_a_panel_transposed(a + k0 * lda + (m0 + r0), lda,
-                                            r1 - r0, ki, kernel_.mr,
-                                            pack_a_[0].data() + r0 * ki);
-                } else {
-                    pack_a_panel(a + (m0 + r0) * lda + k0, lda, r1 - r0, ki,
-                                 kernel_.mr, pack_a_[0].data() + r0 * ki);
-                }
-            });
-        }
-        const T* pb_block = pack_b_[0].data();
-        if (prepacked != nullptr) {
-            // Weights are already in panel format: no pack work; the
-            // stream into local memory is accounted in the plan.
-            pb_block = prepacked->panel(coord.k, coord.n);
-        } else if (st.pack_b) {
-            pool_.parallel_for(0, ceil_div(ni, kernel_.nr), p,
-                               [&](index_t s0, index_t s1) {
-                obs::ScopedSpan span("pack.B", obs::Phase::kPack, coord.m,
-                                     coord.n, coord.k, s0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kPack);
-                racecheck::region_access_range(
-                    rc_pb.id, s0, s1, racecheck::AccessKind::kWrite,
-                    {step_idx, coord.m, coord.n, coord.k,
-                     racecheck::Phase::kPack});
-                const index_t c0 = s0 * kernel_.nr;
-                const index_t c1 = std::min(ni, s1 * kernel_.nr);
-                if (tb) {
-                    pack_b_panel_transposed(b + (n0 + c0) * ldb + k0, ldb, ki,
-                                            c1 - c0, kernel_.nr,
-                                            pack_b_[0].data() + c0 * ki);
-                } else {
-                    pack_b_panel(b + k0 * ldb + (n0 + c0), ldb, ki, c1 - c0,
-                                 kernel_.nr, pack_b_[0].data() + c0 * ki);
-                }
-            });
-        }
-        stats_.pack_seconds += pack_timer.seconds();
-
-        if (st.c_change) {
-            Timer flush_timer;
-            if (st.step > 0) flush_c(st);
-            // Fresh local C surface for the new (m, n) column.
-            pool_.parallel_for(0, mi, p, [&](index_t r0, index_t r1) {
-                obs::ScopedSpan span("flush.zero", obs::Phase::kFlush,
-                                     coord.m, coord.n, coord.k, r0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kFlush);
-                racecheck::region_access_block(
-                    rc_c.id, r0, r1, 0, ceil_div(ni, kernel_.nr),
-                    racecheck::AccessKind::kWrite,
-                    {step_idx, coord.m, coord.n, coord.k,
-                     racecheck::Phase::kFlush});
-                std::memset(c_block_.data() + r0 * ni, 0,
-                            static_cast<std::size_t>((r1 - r0) * ni)
-                                * sizeof(T));
-            });
-            stats_.flush_seconds += flush_timer.seconds();
-        }
-
-        // --- block computation: p workers, one row band each. Full blocks
-        // give each core its mc-row band (one A sub-block per core,
-        // Fig. 6b); edge blocks split their rows evenly so no core idles
-        // (band == mc whenever mi == p*mc). ---
-        Timer compute_timer;
-        const MicroKernelT<T> kernel = kernel_;
-        // Span the packed panels and the local C surface: in CAKE_CHECKED
-        // builds every sliver slice below is validated against the panel
-        // capacity; in release builds these are the raw pointers.
-        const T* pb_raw = pb_block;
-        const std::size_t pb_cap = prepacked != nullptr
-            ? prepacked->panel_stride()
-            : pack_b_[0].size();
-        Span<const T> pa =
-            make_span(static_cast<const T*>(pack_a_[0].data()),
-                      pack_a_[0].size(), "packed-A panel");
-        Span<const T> pb = make_span(pb_raw, pb_cap, "packed-B panel");
-        Span<T> cb =
-            make_span(c_block_.data(), c_block_.size(), "local C surface");
-        const index_t band =
-            round_up(ceil_div(mi, static_cast<index_t>(p)), kernel_.mr);
-        const bool obs_tiles = obs::metrics_enabled();
-        pool_.run(p, [&, kernel, pa, pb, cb, mi, ni, ki, band](int tid) {
-            obs::ScopedSpan span("compute", obs::Phase::kCompute, coord.m,
-                                 coord.n, coord.k, tid);
-            obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kCompute);
-            const index_t r_begin = std::min<index_t>(tid * band, mi);
-            const index_t r_end = std::min<index_t>((tid + 1) * band, mi);
-            if (r_begin < r_end) {
-                const racecheck::AccessSite site{step_idx, coord.m, coord.n,
-                                                 coord.k,
-                                                 racecheck::Phase::kCompute};
-                racecheck::region_access_range(
-                    rc_pa.id, r_begin / kernel.mr,
-                    ceil_div(r_end, kernel.mr), racecheck::AccessKind::kRead,
-                    site);
-                if (prepacked == nullptr) {
-                    racecheck::region_access_range(
-                        rc_pb.id, 0, ceil_div(ni, kernel.nr),
-                        racecheck::AccessKind::kRead, site);
-                }
-                racecheck::region_access_block(
-                    rc_c.id, r_begin, r_end, 0, ceil_div(ni, kernel.nr),
-                    racecheck::AccessKind::kWrite, site);
-            }
-            T* scratch = scratch_[static_cast<std::size_t>(tid)].data();
-            for (index_t r = r_begin; r < r_end; r += kernel.mr) {
-                const index_t mrows = std::min(kernel.mr, r_end - r);
-                Span<const T> a_sliver = span_slice(
-                    pa, (r / kernel.mr) * kernel.mr * ki, kernel.mr * ki);
-                for (index_t j = 0; j < ni; j += kernel.nr) {
-                    const index_t ncols = std::min(kernel.nr, ni - j);
-                    Span<const T> b_sliver = span_slice(
-                        pb, (j / kernel.nr) * kernel.nr * ki,
-                        kernel.nr * ki);
-                    Span<T> c_tile = span_slice(
-                        cb, r * ni + j, (mrows - 1) * ni + ncols);
-                    const std::uint64_t tile_t0 =
-                        obs_tiles ? obs::now_ns() : 0;
-                    run_microkernel_tile(kernel, ki, span_data(a_sliver),
-                                         span_data(b_sliver),
-                                         span_data(c_tile), ni, mrows, ncols,
-                                         /*accumulate=*/true, scratch);
-                    if (obs_tiles) {
-                        obs::histogram_observe(
-                            tile_latency_hist(),
-                            static_cast<double>(obs::now_ns() - tile_t0));
-                    }
-                }
-            }
-        });
-        stats_.compute_seconds += compute_timer.seconds();
-    }
-    {
-        Timer flush_timer;
-        flush_c(plan.final_flush);
-        stats_.flush_seconds += flush_timer.seconds();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined executor: one persistent team for the whole block loop. While
-// the team computes block i it also packs the surfaces of block i+1 that
-// shared_surfaces() says are not carried over, into the other half of the
-// double-buffered panel storage — so after pipeline fill, packing IO runs
-// concurrently with compute instead of on the critical path (paper §2,
-// Fig. 7). Phases inside the team are separated by spin barriers; work
-// within a phase is claimed in mr/nr-sliver items off an atomic counter so
-// edge blocks never leave cores idle.
-// ---------------------------------------------------------------------------
-template <typename T>
-void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
-{
+    using Ops = detail::FamilyOps<T>;
     const CbBlockParams& params = call.params;
     const int p = params.p;
     const index_t mr = kernel_.mr;
     const index_t nr = kernel_.nr;
     const bool use_prepacked = call.prepacked != nullptr;
+    const bool overlap = call.overlap;
 
     // ---- Step plan (src/core/block_plan.cpp). Buffer slots, pack needs
     // and flush bookkeeping are pure functions of the schedule, resolved
@@ -644,10 +553,10 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
     const BlockStep& final_flush = plan.final_flush;
 
     // ---- Team execution.
-    const MicroKernelT<T> kernel = kernel_;
-    T* const cb = c_block_.data();
-    T* const pa_slots[2] = {pack_a_[0].data(), pack_a_[1].data()};
-    T* const pb_slots[2] = {pack_b_[0].data(), pack_b_[1].data()};
+    const typename Ops::Kernel kernel = kernel_;
+    C* const cb = c_block_.data();
+    A* const pa_slots[2] = {pack_a_[0].data(), pack_a_[1].data()};
+    B* const pb_slots[2] = {pack_b_[0].data(), pack_b_[1].data()};
     // Capacities for the CAKE_CHECKED extent checks in the work items
     // below (both halves of each double buffer are allocated equal).
     const std::size_t pa_cap = pack_a_[0].size();
@@ -697,7 +606,7 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
         using Clock = std::chrono::steady_clock;
         double pack_s = 0, compute_s = 0, flush_s = 0, hidden_s = 0;
         long phase = 0;
-        T* const scratch = scratch_[static_cast<std::size_t>(tid)].data();
+        C* const scratch = scratch_[static_cast<std::size_t>(tid)].data();
 
         // Claim items off the phase counter until exhausted, then cross
         // the phase barrier. Item errors are recorded (not thrown) so
@@ -758,20 +667,14 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
                 racecheck::AccessKind::kWrite,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kPack});
+            const index_t depth = Ops::depth(st.ki);
             for (index_t s = item * kPackAGroup; s < s_end; ++s) {
                 const index_t r0 = s * mr;
-                const index_t rows = std::min(mr, st.mi - r0);
-                require_extent(r0 * st.ki, mr * st.ki, pa_cap,
-                               "pipelined packed-A sliver");
-                T* dst = pa_slots[st.a_slot] + r0 * st.ki;
-                if (call.ta) {
-                    pack_a_panel_transposed(call.a + st.k0 * call.lda
-                                                + (st.m0 + r0),
-                                            call.lda, rows, st.ki, mr, dst);
-                } else {
-                    pack_a_panel(call.a + (st.m0 + r0) * call.lda + st.k0,
-                                 call.lda, rows, st.ki, mr, dst);
-                }
+                require_extent(r0 * depth, mr * depth, pa_cap,
+                               "packed-A sliver");
+                Ops::pack_a(call.ta, call.a, call.lda, st.m0 + r0, st.k0,
+                            std::min(mr, st.mi - r0), st.ki, mr,
+                            pa_slots[st.a_slot] + r0 * depth);
             }
         };
         // One group of nr slivers of step st's B surface into its half.
@@ -784,24 +687,18 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
                 racecheck::AccessKind::kWrite,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kPack});
+            const index_t depth = Ops::depth(st.ki);
             for (index_t s = item * kPackBGroup; s < s_end; ++s) {
                 const index_t c0 = s * nr;
-                const index_t cols = std::min(nr, st.ni - c0);
-                require_extent(c0 * st.ki, nr * st.ki, pb_cap,
-                               "pipelined packed-B sliver");
-                T* dst = pb_slots[st.b_slot] + c0 * st.ki;
-                if (call.tb) {
-                    pack_b_panel_transposed(call.b + (st.n0 + c0) * call.ldb
-                                                + st.k0,
-                                            call.ldb, st.ki, cols, nr, dst);
-                } else {
-                    pack_b_panel(call.b + st.k0 * call.ldb + (st.n0 + c0),
-                                 call.ldb, st.ki, cols, nr, dst);
-                }
+                require_extent(c0 * depth, nr * depth, pb_cap,
+                               "packed-B sliver");
+                Ops::pack_b(call.tb, call.b, call.ldb, st.k0, st.n0 + c0,
+                            st.ki, std::min(nr, st.ni - c0), nr,
+                            pb_slots[st.b_slot] + c0 * depth);
             }
         };
         // One mr row band of step st's block computation.
-        auto compute_item = [&](const BlockStep& st, const T* pb, index_t band) {
+        auto compute_item = [&](const BlockStep& st, const B* pb, index_t band) {
             const bool obs_tiles = obs::metrics_enabled();
             schedshake::interleave_point(schedshake::Point::kComputeItem);
             const index_t r = band * mr;
@@ -821,21 +718,22 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
                     rc_c.id, r, r + mrows, 0, ceil_div(st.ni, nr),
                     racecheck::AccessKind::kWrite, site);
             }
-            require_extent(r * st.ki, mr * st.ki, pa_cap,
-                           "pipelined compute A sliver");
-            const T* a_sliver = pa_slots[st.a_slot] + r * st.ki;
+            const index_t depth = Ops::depth(st.ki);
+            require_extent(r * depth, mr * depth, pa_cap,
+                           "compute A sliver");
+            const A* a_sliver = pa_slots[st.a_slot] + r * depth;
             for (index_t j = 0; j < st.ni; j += nr) {
                 const index_t ncols = std::min(nr, st.ni - j);
-                require_extent((j / nr) * nr * st.ki, nr * st.ki, pb_cap,
-                               "pipelined compute B sliver");
-                const T* b_sliver = pb + (j / nr) * nr * st.ki;
+                require_extent(j * depth, nr * depth, pb_cap,
+                               "compute B sliver");
+                const B* b_sliver = pb + j * depth;
                 require_extent(r * st.ni + j, (mrows - 1) * st.ni + ncols,
-                               cb_cap, "pipelined compute C tile");
+                               cb_cap, "compute C tile");
                 const std::uint64_t tile_t0 =
                     obs_tiles ? obs::now_ns() : 0;
-                run_microkernel_tile(kernel, st.ki, a_sliver, b_sliver,
-                                     cb + r * st.ni + j, st.ni, mrows, ncols,
-                                     /*accumulate=*/true, scratch);
+                Ops::run_tile(kernel, st.ki, a_sliver, b_sliver,
+                              cb + r * st.ni + j, st.ni, mrows, ncols,
+                              scratch);
                 if (obs_tiles) {
                     obs::histogram_observe(
                         tile_latency_hist(),
@@ -846,7 +744,7 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
         // One group of rows of a departing column's writeback to user C.
         auto flush_item = [&](const BlockStep& st, index_t item) {
             schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const T beta_eff = st.flush_revisit ? T(1) : call.beta;
+            const C beta_eff = st.flush_revisit ? C(1) : call.beta;
             const index_t r0 = item * kRowGroup;
             const index_t r1 = std::min(st.flush_mi, r0 + kRowGroup);
             racecheck::region_access_block(
@@ -855,10 +753,10 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kFlush});
             require_extent(r0 * st.flush_ni, (r1 - r0) * st.flush_ni,
-                           cb_cap, "pipelined flush source rows");
+                           cb_cap, "flush source rows");
             require_extent(st.flush_dst + r0 * call.ldc,
                            (r1 - r0 - 1) * call.ldc + st.flush_ni,
-                           user_c_cap, "pipelined flush into user C");
+                           user_c_cap, "flush into user C");
             unpack_c_block_scaled(cb + r0 * st.flush_ni, r1 - r0,
                                   st.flush_ni,
                                   call.c + st.flush_dst + r0 * call.ldc,
@@ -876,10 +774,10 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kFlush});
             require_extent(r0 * st.ni, (r1 - r0) * st.ni, cb_cap,
-                           "pipelined zero rows");
+                           "zero rows");
             std::memset(cb + r0 * st.ni, 0,
                         static_cast<std::size_t>((r1 - r0) * st.ni)
-                            * sizeof(T));
+                            * sizeof(C));
         };
 
         auto pack_items_of = [&](const BlockStep* st) {
@@ -894,6 +792,7 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
         // `co_issued`: the item runs in a phase that also carries compute
         // items, i.e. the pipeline kept this fetch off the critical path
         // (it overlaps with compute whenever spare hardware threads exist).
+        // Always false with overlap off.
         auto do_pack_item = [&](const BlockStep& st, index_t na, index_t item,
                                 bool co_issued) {
             const bool is_a = item < na;
@@ -945,17 +844,27 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
                                           [&] { zero_item(st, item); });
                 });
             }
-            // Main phase: compute block t while packing block t+1's
-            // non-shared surfaces into the other buffer halves. Pack items
-            // come first in the index space so the next block's DRAM fetch
-            // starts immediately and spreads over the block's compute time
-            // (the constant-bandwidth property, §3).
-            const BlockStep* next = t + 1 < steps
+            if (!overlap && t > 0) {
+                // Overlap off: fetch block t's own non-shared surfaces in
+                // a phase of their own, exposed on the critical path.
+                const auto [na, nbv] = pack_items_of(&st);
+                if (na + nbv > 0) {
+                    run_phase(na + nbv, [&](index_t item) {
+                        do_pack_item(st, na, item, /*co_issued=*/false);
+                    });
+                }
+            }
+            // Main phase: compute block t — with overlap on, while packing
+            // block t+1's non-shared surfaces into the other buffer halves.
+            // Pack items come first in the index space so the next block's
+            // DRAM fetch starts immediately and spreads over the block's
+            // compute time (the constant-bandwidth property, §3).
+            const BlockStep* next = overlap && t + 1 < steps
                 ? &plan.steps[static_cast<std::size_t>(t + 1)]
                 : nullptr;
             const auto [na, nbv] = pack_items_of(next);
             const index_t bands = ceil_div(st.mi, mr);
-            const T* pb = use_prepacked
+            const B* pb = use_prepacked
                 ? call.prepacked->panel(st.coord.k, st.coord.n)
                 : pb_slots[st.b_slot];
             run_phase(na + nbv + bands, [&](index_t item) {
@@ -1000,11 +909,12 @@ void CakeGemmT<T>::run_pipelined(const detail::GemmCall<T>& call)
         0.0, team_wall - (pack_total + compute_total + flush_total) / p);
     stats_.overlap_efficiency =
         pack_total > 0 ? hidden_total / pack_total : 0.0;
-    stats_.pipelined = true;
+    stats_.pipelined = overlap;
 }
 
 template class CakeGemmT<float>;
 template class CakeGemmT<double>;
+template class CakeGemmT<U8S8S32>;
 
 void cake_sgemm(const float* a, const float* b, float* c, index_t m,
                 index_t n, index_t k, ThreadPool& pool,

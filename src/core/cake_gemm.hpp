@@ -1,7 +1,9 @@
 // The CAKE GEMM driver: a drop-in matrix-multiply whose blocking and
 // scheduling come straight from the CB-block theory (no design-space
 // search). Supports float (sgemm) and double (dgemm) elements, transposed
-// operands, and the full BLAS epilogue C = alpha*op(A)*op(B) + beta*C.
+// operands, and the full BLAS epilogue C = alpha*op(A)*op(B) + beta*C. The
+// same executor, instantiated over the U8S8S32 kernel family, is the
+// quantized driver CakeGemmInt8 (core/cake_gemm_int8.hpp).
 //
 // Execution per CB block (paper Fig. 6):
 //   * the block's A surface is packed and split into p square mc x kc
@@ -16,6 +18,7 @@
 //     skipped when the block coordinate component is unchanged).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 
@@ -56,7 +59,7 @@ struct CakeOptions {
     std::optional<Isa> isa;   ///< force micro-kernel ISA
     Op op_a = Op::kNone;      ///< A is stored transposed (K x M)
     Op op_b = Op::kNone;      ///< B is stored transposed (N x K)
-    CakeExec exec = CakeExec::kAuto;  ///< block-loop executor
+    CakeExec exec = CakeExec::kAuto;  ///< pack/compute overlap on or off
     /// Plan oracle consulted per multiply before the analytic solver
     /// (typically tune::CachedPlanSource over the persisted tuning cache).
     /// Its overrides apply only to knobs left at their defaults above —
@@ -80,10 +83,10 @@ struct CakeStats {
     // Wall-clock phase attribution. The four components decompose the
     // block-loop wall time of one (average) core, so
     //   pack + compute + flush + stall ~= total_seconds.
-    // Serial executor: pack/compute/flush are phase wall times. Pipelined
-    // executor: phases overlap, so each is aggregate per-worker busy time
-    // divided by p (summing phase timers around overlapped parallel
-    // sections would double-count wall time).
+    // Each is the team's aggregate per-worker busy time in that phase
+    // divided by p, with overlap on or off (with overlap on, packing runs
+    // inside compute phases, so summing phase wall timers would
+    // double-count); stall is the team wall time left over.
     double pack_seconds = 0;     ///< A/B panel packing (DRAM fetch)
     double compute_seconds = 0;  ///< micro-kernel macro-loop
     double flush_seconds = 0;    ///< C-surface writeback + local C reset
@@ -95,9 +98,9 @@ struct CakeStats {
     /// compute items), i.e. the share of the paper's Fig. 7 IO cost taken
     /// off the critical path — it overlaps with compute whenever spare
     /// hardware threads exist. The pipeline-fill pack of the first block
-    /// is always exposed. 0 for the serial executor.
+    /// is always exposed. 0 with overlap off (CakeExec::kSerial).
     double overlap_efficiency = 0;
-    bool pipelined = false;  ///< which executor ran
+    bool pipelined = false;  ///< overlap was on (pack(i+1) beside compute(i))
     /// True when a TunedPlanSource supplied at least one override that
     /// this multiply actually applied (i.e. the plan deviates from the
     /// pure analytic §4.3 configuration because of the tuning cache).
@@ -120,37 +123,44 @@ struct CakeStats {
 
 /// Reusable GEMM context: owns the packed-panel and accumulation buffers
 /// so repeated multiplies (e.g. DNN inference layers) do not reallocate.
-/// Instantiated for float (CakeGemm) and double (CakeGemmD).
+/// Instantiated for float (CakeGemm), double (CakeGemmD) and the quantized
+/// u8 x s8 -> s32 family (CakeGemmInt8); A, B and C are the family's
+/// operand element types (core/kernel_family.hpp).
 template <typename T>
 class CakeGemmT {
 public:
+    using A = typename KernelFamily<T>::A;
+    using B = typename KernelFamily<T>::B;
+    using C = typename KernelFamily<T>::C;
+
     CakeGemmT(ThreadPool& pool, CakeOptions options = {});
 
     /// C (+)= op(A) * op(B) for row-major operands with explicit leading
     /// dims. With op_a == kTranspose, A is stored k x m (lda >= m); with
     /// op_b == kTranspose, B is stored n x k (ldb >= k).
     /// Accumulate semantics come from options().accumulate.
-    void multiply(const T* a, index_t lda, const T* b, index_t ldb, T* c,
+    void multiply(const A* a, index_t lda, const B* b, index_t ldb, C* c,
                   index_t ldc, index_t m, index_t n, index_t k);
 
     /// Full BLAS epilogue: C = alpha * op(A)*op(B) + beta * C.
     /// beta == 0 never reads C (it may hold garbage/NaN).
-    void multiply_scaled(const T* a, index_t lda, const T* b, index_t ldb,
-                         T* c, index_t ldc, index_t m, index_t n, index_t k,
-                         T alpha, T beta);
+    void multiply_scaled(const A* a, index_t lda, const B* b, index_t ldb,
+                         C* c, index_t ldc, index_t m, index_t n, index_t k,
+                         C alpha, C beta)
+        requires std::floating_point<T>;
 
     /// Pack a k x n B operand (weights) once into CB-block panel format
     /// for reuse across many multiplies — skips the per-call B pack
     /// entirely. Honours options().op_b at pack time (so a transposed
     /// weight matrix may be supplied); the returned PackedB is tied to
     /// this context's geometry.
-    PackedB<T> pack_weights(const T* b, index_t ldb, index_t k, index_t n);
+    PackedB<T> pack_weights(const B* b, index_t ldb, index_t k, index_t n);
 
     /// C (+)= op(A) * B using pre-packed weights; semantics otherwise
     /// identical to multiply(). Throws if `b` was packed under different
     /// CB geometry (other p / mc / alpha / kernel / machine).
-    void multiply_prepacked(const T* a, index_t lda, const PackedB<T>& b,
-                            T* c, index_t ldc, index_t m);
+    void multiply_prepacked(const A* a, index_t lda, const PackedB<T>& b,
+                            C* c, index_t ldc, index_t m);
 
     /// Stats of the most recent multiply().
     [[nodiscard]] const CakeStats& stats() const { return stats_; }
@@ -158,23 +168,22 @@ public:
     [[nodiscard]] const CakeOptions& options() const { return options_; }
 
 private:
-    void multiply_impl(const T* a, index_t lda, const T* b, index_t ldb,
-                       T* c, index_t ldc, index_t m, index_t n, index_t k,
-                       T alpha_s, T beta_s, const PackedB<T>* prepacked);
-    void run_serial(const detail::GemmCall<T>& call);
-    void run_pipelined(const detail::GemmCall<T>& call);
+    void multiply_impl(const A* a, index_t lda, const B* b, index_t ldb,
+                       C* c, index_t ldc, index_t m, index_t n, index_t k,
+                       C alpha_s, C beta_s, const PackedB<T>* prepacked);
+    void run_block_loop(const detail::GemmCall<T>& call);
 
     ThreadPool& pool_;
     CakeOptions options_;
     bool p_explicit_ = false;  ///< user set options.p (cache must not override)
     MachineSpec machine_;
-    MicroKernelT<T> kernel_;
+    typename KernelFamily<T>::Kernel kernel_;
     CakeStats stats_;
 
-    AlignedBuffer<T> pack_a_[2];  ///< double-buffered packed-A panels
-    AlignedBuffer<T> pack_b_[2];  ///< double-buffered packed-B panels
-    AlignedBuffer<T> c_block_;
-    std::vector<AlignedBuffer<T>> scratch_;
+    AlignedBuffer<A> pack_a_[2];  ///< double-buffered packed-A panels
+    AlignedBuffer<B> pack_b_[2];  ///< double-buffered packed-B panels
+    AlignedBuffer<C> c_block_;
+    std::vector<AlignedBuffer<C>> scratch_;
 };
 
 using CakeGemm = CakeGemmT<float>;
@@ -182,6 +191,7 @@ using CakeGemmD = CakeGemmT<double>;
 
 extern template class CakeGemmT<float>;
 extern template class CakeGemmT<double>;
+extern template class CakeGemmT<U8S8S32>;
 
 /// One-shot convenience wrappers.
 void cake_sgemm(const float* a, const float* b, float* c, index_t m,

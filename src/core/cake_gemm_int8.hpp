@@ -1,8 +1,18 @@
 // Quantized CAKE GEMM: C_s32 (+)= A_u8 * B_s8 with the same CB-block
-// partitioning, K-first serpentine schedule and in-local-memory partial
-// accumulation as the float driver — int8 arithmetic quadruples the
-// block's arithmetic intensity per byte, which is exactly the lever §3's
-// analysis pulls (elem_bytes enters the solver).
+// partitioning, schedule, pipelined team and in-local-memory partial
+// accumulation as the float driver — it IS the float driver's executor,
+// instantiated over the U8S8S32 kernel family (core/kernel_family.hpp).
+// int8 arithmetic quadruples the block's arithmetic intensity per byte,
+// which is exactly the lever §3's analysis pulls (elem_bytes enters the
+// solver).
+//
+// Differences from CakeGemm: the micro-kernel and the k-quad pack layout
+// are the int8 family's (kernel/kernel_int8.hpp, pack/pack_int8.hpp);
+// transposed operands are refused at construction; there is no
+// multiply_scaled (C = A*B, or C += A*B with options.accumulate); and a
+// multiply whose K exceeds int8_safe_k() (core/fperror.hpp), where the
+// i32 accumulator could overflow, throws a coded [I8_ACC_RANGE] Error
+// before any work.
 #pragma once
 
 #include <cstdint>
@@ -13,72 +23,14 @@
 
 namespace cake {
 
-class CakeGemmInt8;
+/// Reusable quantized GEMM context: C (+)= A * B with A u8 (m x k, lda),
+/// B s8 (k x n, ldb), C s32 (m x n, ldc). Exact integer arithmetic when A
+/// values are <= 127 (which quantize_unsigned guarantees).
+using CakeGemmInt8 = CakeGemmT<U8S8S32>;
 
 /// s8 weights packed once into per-CB-block k-quad panels (the int8
 /// analogue of PackedB); tied to the packing context's geometry.
-class PackedBInt8 {
-public:
-    PackedBInt8() = default;
-    [[nodiscard]] index_t k() const { return k_; }
-    [[nodiscard]] index_t n() const { return n_; }
-    [[nodiscard]] const CbBlockParams& params() const { return params_; }
-    [[nodiscard]] bool empty() const { return data_.empty(); }
-    [[nodiscard]] const std::int8_t* panel(index_t k_idx,
-                                           index_t n_idx) const
-    {
-        return data_.data()
-            + static_cast<std::size_t>(k_idx * nb_ + n_idx) * stride_;
-    }
-
-private:
-    friend class CakeGemmInt8;
-    CbBlockParams params_;
-    index_t k_ = 0, n_ = 0, kb_ = 0, nb_ = 0;
-    std::size_t stride_ = 0;
-    AlignedBuffer<std::int8_t> data_;
-};
-
-/// Reusable quantized GEMM context. Uses CakeOptions for p / mc / alpha /
-/// schedule; op_* and isa follow the int8 kernel family's own dispatch.
-class CakeGemmInt8 {
-public:
-    CakeGemmInt8(ThreadPool& pool, CakeOptions options = {});
-
-    /// C (+)= A * B with A u8 (m x k, lda), B s8 (k x n, ldb), C s32
-    /// (m x n, ldc). Exact integer arithmetic when A values are <= 127
-    /// (which quantize_unsigned guarantees).
-    void multiply(const std::uint8_t* a, index_t lda, const std::int8_t* b,
-                  index_t ldb, std::int32_t* c, index_t ldc, index_t m,
-                  index_t n, index_t k);
-
-    /// Pack s8 weights once for reuse across calls.
-    PackedBInt8 pack_weights(const std::int8_t* b, index_t ldb, index_t k,
-                             index_t n);
-
-    /// multiply() with pre-packed weights (no per-call B pack).
-    void multiply_prepacked(const std::uint8_t* a, index_t lda,
-                            const PackedBInt8& b, std::int32_t* c,
-                            index_t ldc, index_t m);
-
-    [[nodiscard]] const CakeStats& stats() const { return stats_; }
-
-private:
-    void multiply_impl(const std::uint8_t* a, index_t lda,
-                       const std::int8_t* b, index_t ldb, std::int32_t* c,
-                       index_t ldc, index_t m, index_t n, index_t k,
-                       const PackedBInt8* prepacked);
-
-    ThreadPool& pool_;
-    CakeOptions options_;
-    MachineSpec machine_;
-    CakeStats stats_;
-
-    AlignedBuffer<std::uint8_t> pack_a_;
-    AlignedBuffer<std::int8_t> pack_b_;
-    AlignedBuffer<std::int32_t> c_block_;
-    std::vector<AlignedBuffer<std::int32_t>> scratch_;
-};
+using PackedBInt8 = PackedB<U8S8S32>;
 
 /// One-shot raw-pointer wrapper (BLAS-style gemm_s8u8s32).
 void cake_gemm_s8u8s32(const std::uint8_t* a, const std::int8_t* b,

@@ -19,21 +19,21 @@
 
 namespace cake {
 
-/// Block-loop executor selection (consumed by CakeGemmT, defined here so
-/// plan overrides can carry it without depending on the driver header).
+/// Pack/compute overlap mode of CakeGemmT's one block-loop executor
+/// (defined here so plan overrides can carry it without depending on the
+/// driver header). Both modes run the same persistent worker team, which
+/// stays resident across the whole block loop with spin barriers between
+/// phases, and are bit-exact with each other.
 enum class CakeExec {
-    /// Pick the pipelined executor (it is bit-exact with the serial one
-    /// and strictly cheaper in synchronisation).
+    /// Overlap on (kPipelined).
     kAuto,
-    /// One pool dispatch per phase: pack -> compute -> flush strictly in
-    /// sequence per block, every DRAM fetch exposed on the critical path.
-    /// Kept as the overlap-off baseline for benches and bit-exactness
-    /// tests.
+    /// Overlap off: each block's non-shared surfaces are packed in a
+    /// phase of their own right before its compute phase, single-buffered,
+    /// so every DRAM fetch is exposed on the critical path. Kept as the
+    /// Fig. 7 overlap-off ablation for benches and bit-exactness tests.
     kSerial,
-    /// Software-pipelined: a persistent worker team stays resident across
-    /// the whole block loop (spin barriers between phases, no condvar
-    /// wakeups) and packs block i+1's non-shared surfaces while block i
-    /// computes, double-buffering the packed-A/packed-B panels.
+    /// Overlap on: the team packs block i+1's non-shared surfaces while
+    /// block i computes, double-buffering the packed-A/packed-B panels.
     kPipelined,
 };
 
@@ -41,7 +41,7 @@ enum class CakeExec {
 /// + the worker count the caller would otherwise use.
 struct PlanRequest {
     index_t m = 0, n = 0, k = 0;
-    index_t elem_bytes = 4;  ///< 4 = f32, 8 = f64
+    index_t elem_bytes = 4;  ///< stored width: 4 = f32, 8 = f64, 1 = i8
     int p = 0;               ///< pool-resolved worker count of the caller
 };
 

@@ -4,12 +4,16 @@
 // per-call overhead of skewed DNN shapes (§5.2.1).
 //
 // A PackedB is tied to the CB geometry it was packed for (machine, p, mc,
-// alpha, kernel); multiply_prepacked verifies the geometry matches.
+// alpha, kernel); multiply_prepacked verifies the geometry matches. It is
+// templated over the kernel family (core/kernel_family.hpp) and stores the
+// family's B element type: PackedB<float>, PackedB<double>, and
+// PackedBInt8 = PackedB<U8S8S32> holding s8 weights in k-quad panels.
 #pragma once
 
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "core/kernel_family.hpp"
 #include "core/tiling.hpp"
 
 namespace cake {
@@ -21,6 +25,8 @@ class CakeGemmT;
 template <typename T>
 class PackedB {
 public:
+    using Elem = typename KernelFamily<T>::B;
+
     PackedB() = default;
 
     [[nodiscard]] index_t k() const { return k_; }
@@ -28,7 +34,7 @@ public:
     [[nodiscard]] const CbBlockParams& params() const { return params_; }
 
     /// Packed panel for grid block (k_idx, n_idx).
-    [[nodiscard]] const T* panel(index_t k_idx, index_t n_idx) const
+    [[nodiscard]] const Elem* panel(index_t k_idx, index_t n_idx) const
     {
         const index_t slot = k_idx * nb_ + n_idx;
         require_extent(slot * static_cast<index_t>(stride_),
@@ -57,7 +63,7 @@ private:
     index_t kb_ = 0;  ///< grid blocks along K
     index_t nb_ = 0;  ///< grid blocks along N
     std::size_t stride_ = 0;  ///< elements per panel slot (max panel size)
-    AlignedBuffer<T> data_;
+    AlignedBuffer<Elem> data_;
 };
 
 using PackedBF = PackedB<float>;

@@ -262,6 +262,10 @@ template void unpack_c_block_scaled<float>(const float*, index_t, index_t,
                                            float*, index_t, float, float);
 template void unpack_c_block_scaled<double>(const double*, index_t, index_t,
                                             double*, index_t, double, double);
+template void unpack_c_block_scaled<std::int32_t>(const std::int32_t*,
+                                                  index_t, index_t,
+                                                  std::int32_t*, index_t,
+                                                  std::int32_t, std::int32_t);
 template float packed_a_at<float>(const float*, index_t, index_t, index_t,
                                   index_t, index_t);
 template double packed_a_at<double>(const double*, index_t, index_t, index_t,

@@ -130,6 +130,9 @@ extern template void unpack_c_block_scaled<float>(const float*, index_t,
 extern template void unpack_c_block_scaled<double>(const double*, index_t,
                                                    index_t, double*, index_t,
                                                    double, double);
+extern template void unpack_c_block_scaled<std::int32_t>(
+    const std::int32_t*, index_t, index_t, std::int32_t*, index_t,
+    std::int32_t, std::int32_t);
 extern template float packed_a_at<float>(const float*, index_t, index_t,
                                          index_t, index_t, index_t);
 extern template double packed_a_at<double>(const double*, index_t, index_t,

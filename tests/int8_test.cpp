@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "core/quant.hpp"
 #include "kernel/kernel_int8.hpp"
 #include "kernel/selftest.hpp"
+#include "machine/machine.hpp"
 #include "pack/pack_int8.hpp"
 #include "ref/naive_gemm.hpp"
 
@@ -153,24 +156,52 @@ class Int8GemmShapeTest : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(Int8GemmShapeTest, ExactAgainstIntegerOracle)
 {
+    // Every configuration of the one executor: overlap on and off, every
+    // registered schedule, p in {1, 2, 4}, per-call and pre-packed B.
     const auto [m, n, k] = GetParam();
     Rng rng(static_cast<std::uint64_t>(m * 7 + n * 11 + k * 13));
     std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
     std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
     fill_random_u8(a, rng);
     fill_random_s8(b, rng);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 999);
-
-    CakeOptions options;
-    options.mc = best_int8_microkernel().mr * 4;
-    cake_gemm_s8u8s32(a.data(), b.data(), c.data(), m, n, k, test_pool(),
-                      options);
-
     const auto oracle = int_oracle(a, b, m, n, k);
-    for (index_t i = 0; i < m * n; ++i) {
-        ASSERT_EQ(static_cast<std::int64_t>(c[static_cast<std::size_t>(i)]),
-                  oracle[static_cast<std::size_t>(i)])
-            << "m=" << m << " n=" << n << " k=" << k << " idx=" << i;
+
+    for (const CakeExec exec : {CakeExec::kPipelined, CakeExec::kSerial}) {
+        for (const ScheduleKind kind : all_schedule_kinds()) {
+            for (const int p : {1, 2, 4}) {
+                for (const bool prepacked : {false, true}) {
+                    CakeOptions options;
+                    options.mc = best_int8_microkernel().mr * 4;
+                    options.exec = exec;
+                    options.schedule = kind;
+                    options.p = p;
+                    CakeGemmInt8 gemm(test_pool(), options);
+                    std::vector<std::int32_t> c(
+                        static_cast<std::size_t>(m * n), 999);
+                    if (prepacked) {
+                        const PackedBInt8 packed =
+                            gemm.pack_weights(b.data(), n, k, n);
+                        gemm.multiply_prepacked(a.data(), k, packed,
+                                                c.data(), n, m);
+                    } else {
+                        gemm.multiply(a.data(), k, b.data(), n, c.data(), n,
+                                      m, n, k);
+                    }
+                    EXPECT_EQ(gemm.stats().pipelined,
+                              exec == CakeExec::kPipelined);
+                    for (index_t i = 0; i < m * n; ++i) {
+                        ASSERT_EQ(static_cast<std::int64_t>(
+                                      c[static_cast<std::size_t>(i)]),
+                                  oracle[static_cast<std::size_t>(i)])
+                            << "m=" << m << " n=" << n << " k=" << k
+                            << " idx=" << i << " overlap="
+                            << (exec == CakeExec::kPipelined)
+                            << " schedule=" << schedule_kind_name(kind)
+                            << " p=" << p << " prepacked=" << prepacked;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -235,6 +266,153 @@ TEST(Int8Gemm, PrepackedMatchesRegular)
     EXPECT_THROW(
         gemm2.multiply_prepacked(a.data(), k, packed, c_pre.data(), n, m),
         Error);
+}
+
+TEST(Int8Gemm, RefusesKPastSafeRangeAndStaysUsable)
+{
+    // Past int8_safe_k() the worst-case |i32 accumulator| K * 127^2 no
+    // longer fits int32: the multiply must refuse with a coded error
+    // before touching C, and the same context must still multiply exactly
+    // at the limit itself, where every accumulator lands on K * 127^2.
+    const index_t k = int8_safe_k() + 1;
+    const std::vector<std::uint8_t> a(static_cast<std::size_t>(k), 127);
+    const std::vector<std::int8_t> b(static_cast<std::size_t>(k), 127);
+    std::int32_t c = -5;
+    CakeGemmInt8 gemm(test_pool());
+    try {
+        gemm.multiply(a.data(), k, b.data(), 1, &c, 1, 1, 1, k);
+        FAIL() << "K past int8_safe_k() must be refused";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("[I8_ACC_RANGE]"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(c, -5) << "a refused multiply must not write C";
+
+    gemm.multiply(a.data(), k - 1, b.data(), 1, &c, 1, 1, 1, k - 1);
+    EXPECT_EQ(static_cast<std::int64_t>(c),
+              static_cast<std::int64_t>(k - 1) * 127 * 127);
+}
+
+TEST(Int8Gemm, ModelledTrafficAtStoredWidths)
+{
+    // A and B count at their stored 1-byte width and C at its 4-byte
+    // accumulator width, in both overlap modes. The expected values are
+    // pinned to what the dedicated int8 executor reported for this fixed
+    // machine and geometry, so running on the shared block plan changed
+    // none of them (mc, kc, nc are multiples of every int8 kernel's mr and
+    // nr, so the plan is the same on every host).
+    const index_t m = 200, n = 300, k = 250;
+    const std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k), 3);
+    const std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), -2);
+    struct Case {
+        bool accumulate;
+        bool prepacked;
+        index_t b_packs;
+        std::uint64_t dram_read_bytes;
+    };
+    for (const Case& cs : {Case{false, false, 39, 391392},
+                           Case{true, false, 39, 631392},
+                           Case{false, true, 0, 391392}}) {
+        for (const CakeExec exec : {CakeExec::kPipelined, CakeExec::kSerial}) {
+            CakeOptions options;
+            options.machine = intel_i9_10900k();
+            options.p = 1;
+            options.mc = 64;
+            options.kc = 64;
+            options.nc = 128;
+            options.accumulate = cs.accumulate;
+            options.exec = exec;
+            CakeGemmInt8 gemm(test_pool(), options);
+            std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
+            if (cs.prepacked) {
+                const PackedBInt8 packed =
+                    gemm.pack_weights(b.data(), n, k, n);
+                gemm.multiply_prepacked(a.data(), k, packed, c.data(), n, m);
+            } else {
+                gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n,
+                              k);
+            }
+            const CakeStats& s = gemm.stats();
+            EXPECT_EQ(s.blocks_executed, 48);
+            EXPECT_EQ(s.a_packs, 46);
+            EXPECT_EQ(s.b_packs, cs.b_packs);
+            EXPECT_EQ(s.c_flushes, 12);
+            EXPECT_EQ(s.c_partial_spills, 0);
+            EXPECT_EQ(s.dram_read_bytes, cs.dram_read_bytes)
+                << "accumulate=" << cs.accumulate
+                << " prepacked=" << cs.prepacked;
+            EXPECT_EQ(s.dram_write_bytes, 240000u);
+            EXPECT_EQ(c[0], 3 * -2 * k);
+        }
+    }
+}
+
+/// Records every request and answers each with the same overrides.
+class RecordingPlanSource : public TunedPlanSource {
+public:
+    explicit RecordingPlanSource(PlanOverrides plan) : plan_(plan) {}
+
+    std::optional<PlanOverrides> lookup(
+        const PlanRequest& request) const override
+    {
+        requests.push_back(request);
+        return plan_;
+    }
+
+    mutable std::vector<PlanRequest> requests;
+
+private:
+    PlanOverrides plan_;
+};
+
+TEST(Int8Gemm, TunedPlanKeyedByStoredWidthAndGatedByInt8Isa)
+{
+    // The tuning cache buckets entries by the request's element width: an
+    // int8 multiply must ask for the 1-byte i8 bucket, not the 4 bytes its
+    // blocks are sized with, or a tuned f32 winner could steer it. A tuned
+    // ISA applies only if the int8 kernel family can run it.
+    const index_t m = 40, n = 48, k = 36;
+    Rng rng(110);
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+    fill_random_u8(a, rng);
+    fill_random_s8(b, rng);
+    const auto oracle = int_oracle(a, b, m, n, k);
+    const Int8MicroKernel& best = best_int8_microkernel();
+
+    for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+        std::optional<Int8MicroKernel> runnable;
+        for (const Int8MicroKernel& kernel : supported_int8_microkernels()) {
+            if (kernel.isa == isa) runnable = kernel;
+        }
+        // Runnable CPU but kernel compiled out: the lookup would throw, as
+        // it does for the float families.
+        if (!runnable && int8_isa_supported(isa)) continue;
+
+        PlanOverrides plan;
+        plan.isa = isa;
+        const RecordingPlanSource source(plan);
+        CakeOptions options;
+        options.mc = 16;  // a multiple of every int8 kernel's mr
+        options.plan_source = &source;
+        CakeGemmInt8 gemm(test_pool(), options);
+        std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
+        gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+
+        ASSERT_EQ(source.requests.size(), 1u);
+        EXPECT_EQ(source.requests[0].elem_bytes, 1);
+        EXPECT_EQ(source.requests[0].m, m);
+        const Int8MicroKernel& ran = runnable ? *runnable : best;
+        EXPECT_EQ(gemm.stats().params.nr, ran.nr) << isa_name(isa);
+        EXPECT_EQ(gemm.stats().tuned, ran.isa != best.isa) << isa_name(isa);
+        for (index_t i = 0; i < m * n; ++i) {
+            ASSERT_EQ(static_cast<std::int64_t>(
+                          c[static_cast<std::size_t>(i)]),
+                      oracle[static_cast<std::size_t>(i)])
+                << isa_name(isa) << " idx=" << i;
+        }
+    }
 }
 
 TEST(Quant, UnsignedRoundTripWithinOneStep)

@@ -8,15 +8,17 @@
 // thread payload the diagnostic contract promises.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "analysis/racecheck.hpp"
 #include "analysis/schedshake.hpp"
 #include "common/checked.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
-#include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "kernel/registry.hpp"
 #include "threading/thread_pool.hpp"
 
@@ -277,6 +279,37 @@ TEST(RaceCheckExecutor, SchedshakePerturbsAndStaysBitExact)
                   0)
             << "seed " << seed;
     }
+}
+
+TEST(RaceCheckExecutor, Int8MultiplyIsRaceCleanInBothOverlapModes)
+{
+    // The u8 x s8 -> s32 family runs the same team and racecheck
+    // annotations as f32: both overlap modes stay race-clean, perturbed
+    // claims included, and agree bit for bit.
+    TrapGuard trap;
+    const index_t m = 96, n = 48, k = 48;
+    Rng rng(11);
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+    for (auto& x : a) x = static_cast<std::uint8_t>(rng.next_below(128));
+    for (auto& x : b) {
+        x = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255))
+                                     - 127);
+    }
+    const std::uint64_t races_before = racecheck::race_count();
+    std::vector<std::int32_t> c[2];
+    for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+        CakeOptions options = small_options(exec);
+        options.mc = best_int8_microkernel().mr * 2;
+        schedshake::configure(5, 85);
+        CakeGemmInt8 gemm(test_pool(), options);
+        std::vector<std::int32_t>& out = c[exec == CakeExec::kPipelined];
+        out.assign(static_cast<std::size_t>(m * n), 0);
+        gemm.multiply(a.data(), k, b.data(), n, out.data(), n, m, n, k);
+        schedshake::disable();
+    }
+    EXPECT_EQ(racecheck::race_count(), races_before);
+    EXPECT_EQ(c[0], c[1]);
 }
 
 #else  // !CAKE_RACECHECK_ENABLED

@@ -4,13 +4,15 @@
 // the runtime stats counters and the memsim address stream byte-exactly.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
+#include <vector>
 
 #include "analysis/schedir.hpp"
 #include "analysis/verify.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
-#include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "gotoblas/goto_gemm.hpp"
 #include "kernel/registry.hpp"
 #include "machine/machine.hpp"
@@ -123,6 +125,15 @@ struct MutationCase {
     const char* expected;
 };
 
+// Without this gtest prints the case as raw bytes, which include the
+// run-time address of `expected`, so the registered test names would
+// change from one build or run to the next.
+void PrintTo(const MutationCase& mc, std::ostream* os)
+{
+    *os << "{" << schedir::mutation_name(mc.mutation) << ", " << mc.expected
+        << "}";
+}
+
 class MutationTest : public ::testing::TestWithParam<MutationCase> {};
 
 TEST_P(MutationTest, RejectedWithItsSpecificCode)
@@ -178,34 +189,39 @@ TEST(MutationSites, InapplicableMutationThrows)
 
 /// Extract the IR with the exact geometry the runtime chose (its stats
 /// params) and require byte-exact agreement with the executed multiply's
-/// DRAM counters.
+/// DRAM counters. `T` is the kernel family; `bytes` its stored operand
+/// widths (zero fields: the solver's uniform element width).
+template <typename T = float>
 void expect_ir_matches_cake_stats(ScheduleKind kind, CakeExec exec,
-                                  bool accumulate)
+                                  bool accumulate, index_t mr,
+                                  OperandBytes bytes = {})
 {
-    Rng rng(1234);
+    using Gemm = CakeGemmT<T>;
     const index_t m = 150, n = 170, k = 90;
-    Matrix a(m, k), b(k, n), c(m, n);
-    a.fill_random(rng);
-    b.fill_random(rng);
-    c.fill_random(rng);
+    // Operand values do not enter the traffic model, only the geometry.
+    const std::vector<typename Gemm::A> a(static_cast<std::size_t>(m * k), 1);
+    const std::vector<typename Gemm::B> b(static_cast<std::size_t>(k * n), 1);
+    std::vector<typename Gemm::C> c(static_cast<std::size_t>(m * n), 1);
 
     CakeOptions options;
-    options.mc = best_microkernel().mr * 2;
+    options.mc = mr * 2;
     options.schedule = kind;
     options.exec = exec;
     options.accumulate = accumulate;
-    CakeGemm gemm(test_pool(), options);
+    Gemm gemm(test_pool(), options);
     gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
     const CakeStats& stats = gemm.stats();
 
     const ScheduleIR ir = schedir::extract_cake_ir(
         GemmShape{m, n, k}, stats.params, kind,
         stats.pipelined ? Exec::kPipelined : Exec::kSerial,
-        /*use_prepacked=*/false, /*beta_nonzero=*/accumulate);
-    ASSERT_TRUE(schedir::verify_schedule_ir(ir).ok());
+        /*use_prepacked=*/false, /*beta_nonzero=*/accumulate, bytes);
+    ASSERT_TRUE(schedir::verify_schedule_ir(ir).ok())
+        << schedir::verify_schedule_ir(ir).codes();
 
     const schedir::IoTotals io = schedir::io_totals(ir);
-    EXPECT_EQ(io.reads(), stats.dram_read_bytes);
+    EXPECT_EQ(io.reads(), stats.dram_read_bytes)
+        << schedule_kind_name(kind) << " overlap=" << stats.pipelined;
     EXPECT_EQ(io.writes(), stats.dram_write_bytes);
     EXPECT_EQ(static_cast<index_t>(ir.ops.size() > 0), 1);
 }
@@ -215,7 +231,8 @@ TEST(IoAgainstRuntime, SerialAllSchedules)
     for (const ScheduleKind kind :
          {ScheduleKind::kKFirstSerpentine, ScheduleKind::kKFirstNoFlip,
           ScheduleKind::kNInnermost}) {
-        expect_ir_matches_cake_stats(kind, CakeExec::kSerial, false);
+        expect_ir_matches_cake_stats(kind, CakeExec::kSerial, false,
+                                     best_microkernel().mr);
     }
 }
 
@@ -224,14 +241,33 @@ TEST(IoAgainstRuntime, PipelinedAllSchedules)
     for (const ScheduleKind kind :
          {ScheduleKind::kKFirstSerpentine, ScheduleKind::kKFirstNoFlip,
           ScheduleKind::kNInnermost}) {
-        expect_ir_matches_cake_stats(kind, CakeExec::kPipelined, false);
+        expect_ir_matches_cake_stats(kind, CakeExec::kPipelined, false,
+                                     best_microkernel().mr);
     }
 }
 
 TEST(IoAgainstRuntime, AccumulateAddsRmwTraffic)
 {
     expect_ir_matches_cake_stats(ScheduleKind::kKFirstSerpentine,
-                                 CakeExec::kPipelined, true);
+                                 CakeExec::kPipelined, true,
+                                 best_microkernel().mr);
+}
+
+TEST(IoAgainstRuntime, Int8StatsMatchIrAtStoredWidths)
+{
+    // The u8 x s8 -> s32 family runs the same executor on the same plan:
+    // its IR, extracted at the stored widths (A, B 1 byte; C 4), verifies
+    // and models exactly the traffic its CakeStats report.
+    const OperandBytes int8_bytes{1, 1, 4};
+    for (const ScheduleKind kind : all_schedule_kinds()) {
+        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+            expect_ir_matches_cake_stats<U8S8S32>(
+                kind, exec, false, best_int8_microkernel().mr, int8_bytes);
+        }
+    }
+    expect_ir_matches_cake_stats<U8S8S32>(
+        ScheduleKind::kKFirstSerpentine, CakeExec::kPipelined, true,
+        best_int8_microkernel().mr, int8_bytes);
 }
 
 TEST(IoAgainstRuntime, PrepackedSkipsNothingButPackOps)

@@ -1,30 +1,33 @@
-// cake_schedshake — deterministic schedule fuzzer for the pipelined
-// CB-block executor.
+// cake_schedshake — deterministic schedule fuzzer for the CB-block
+// executor.
 //
 // For each (shape, seed) pair this tool arms the schedshake perturbation
-// layer (src/analysis/schedshake.hpp) with the seed, runs the pipelined
-// executor, and checks that the result is bit-exact against the serial
-// executor and — in CAKE_RACECHECK builds — that the happens-before
-// auditor saw no ownership violation. Because the perturbation streams are
+// layer (src/analysis/schedshake.hpp) with the seed, runs the executor
+// with pack/compute overlap on, and checks that the result is bit-exact
+// against an unperturbed overlap-off run and — in CAKE_RACECHECK builds —
+// that the happens-before auditor saw no ownership violation. --f64 and
+// --i8 fuzz the double-precision and u8 x s8 -> s32 instantiations of the
+// same executor. Because the perturbation streams are
 // pure functions of (seed, team tid), any failure replays exactly; the
 // tool prints the one-line replay command for the failing point.
 //
 // Exit codes: 0 clean sweep, 1 usage error, 66 race/mismatch detected
 // (same convention as tools/run_tsan.sh: a real concurrency finding must
 // not be confusable with an ordinary failure).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/racecheck.hpp"
 #include "analysis/schedshake.hpp"
 #include "common/checked.hpp"
-#include "common/matrix.hpp"
 #include "common/rng.hpp"
-#include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "kernel/registry.hpp"
 #include "threading/thread_pool.hpp"
 
@@ -41,6 +44,7 @@ struct Config {
     int p = 4;
     int intensity = 60;
     bool f64 = false;
+    bool i8 = false;
 };
 
 /// The three schedule classes the paper evaluates (§5): near-square, one
@@ -59,14 +63,15 @@ Shape named_shape(const std::string& name)
     std::fprintf(
         stderr,
         "usage: %s [--seeds N | --seed S] [--shapes a,b,c | --shape MxNxK]\n"
-        "          [--p P] [--intensity PCT] [--f64]\n"
+        "          [--p P] [--intensity PCT] [--f64 | --i8]\n"
         "  --seeds N        fuzz seeds 0..N-1 (default 16)\n"
         "  --seed S         fuzz exactly seed S (replay mode)\n"
         "  --shapes LIST    comma list of square,skewed,panel (default all)\n"
         "  --shape MxNxK    one explicit GEMM shape\n"
         "  --p P            team width (default 4)\n"
         "  --intensity PCT  perturbation probability per point (default 60)\n"
-        "  --f64            fuzz the double-precision driver\n",
+        "  --f64            fuzz the double-precision driver\n"
+        "  --i8             fuzz the u8 x s8 -> s32 driver\n",
         argv0);
     std::exit(1);
 }
@@ -76,13 +81,39 @@ void throwing_trap(const char* kind, const std::string& message)
     throw cake::CheckedError(std::string(kind) + ": " + message);
 }
 
+/// Seeded operand values: uniform in [-1, 1) for float families; u8 A in
+/// [0, 127] and s8 B in [-127, 127] (the range the int8 kernels are exact
+/// on).
+template <typename E>
+std::vector<E> random_operand(cake::index_t size, cake::Rng& rng)
+{
+    std::vector<E> v(static_cast<std::size_t>(size));
+    for (E& x : v) {
+        if constexpr (std::is_floating_point_v<E>) {
+            x = E(-1) + static_cast<E>(rng.next_double()) * E(2);
+        } else if constexpr (std::is_unsigned_v<E>) {
+            x = static_cast<E>(rng.next_below(128));
+        } else {
+            x = static_cast<E>(static_cast<int>(rng.next_below(255)) - 127);
+        }
+    }
+    return v;
+}
+
 template <typename T>
 class SweepRunner {
 public:
+    using Gemm = cake::CakeGemmT<T>;
+    using C = typename Gemm::C;
+
     SweepRunner(const Config& cfg, cake::ThreadPool& pool)
         : cfg_(cfg), pool_(pool)
     {
-        options_.mc = cake::best_microkernel_of<T>().mr * 2;
+        if constexpr (std::is_same_v<T, cake::U8S8S32>) {
+            options_.mc = cake::best_int8_microkernel().mr * 2;
+        } else {
+            options_.mc = cake::best_microkernel_of<T>().mr * 2;
+        }
         options_.alpha = 1.0;
         options_.p = cfg.p;
     }
@@ -104,28 +135,26 @@ private:
         cake::Rng rng(0xCAFE0000ull + static_cast<std::uint64_t>(shape.m)
                       + 131ull * static_cast<std::uint64_t>(shape.n)
                       + 17161ull * static_cast<std::uint64_t>(shape.k));
-        cake::MatrixT<T> a(shape.m, shape.k);
-        cake::MatrixT<T> b(shape.k, shape.n);
-        a.fill_random(rng);
-        b.fill_random(rng);
+        const auto a = random_operand<typename Gemm::A>(shape.m * shape.k, rng);
+        const auto b = random_operand<typename Gemm::B>(shape.k * shape.n, rng);
 
-        // Serial reference, perturbation disarmed: the pipelined executor
-        // promises bit-exactness against this (same kernels, same K
-        // accumulation order), so any divergence under fuzzing is an
+        // Overlap-off reference, perturbation disarmed: the overlapped
+        // pipeline promises bit-exactness against this (same kernels, same
+        // K accumulation order), so any divergence under fuzzing is an
         // ordering bug, not roundoff.
         cake::schedshake::disable();
-        cake::MatrixT<T> c_ref(shape.m, shape.n);
+        std::vector<C> c_ref(static_cast<std::size_t>(shape.m * shape.n));
         multiply(cake::CakeExec::kSerial, a, b, c_ref, shape);
 
         bool clean = true;
-        cake::MatrixT<T> c(shape.m, shape.n);
+        std::vector<C> c(c_ref.size());
         for (const std::uint64_t seed : cfg_.seeds) {
             const std::uint64_t races_before = cake::racecheck::race_count();
             bool failed = false;
             std::string what;
             try {
                 cake::schedshake::configure(seed, cfg_.intensity);
-                c.fill(T(0));
+                std::fill(c.begin(), c.end(), C(0));
                 multiply(cake::CakeExec::kPipelined, a, b, c, shape);
             } catch (const std::exception& e) {
                 failed = true;
@@ -137,10 +166,7 @@ private:
                 what = "racecheck reported a violation (non-throwing path)";
             }
             if (!failed
-                && std::memcmp(c.data(), c_ref.data(),
-                               static_cast<std::size_t>(shape.m)
-                                   * static_cast<std::size_t>(shape.n)
-                                   * sizeof(T))
+                && std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(C))
                     != 0) {
                 failed = true;
                 what = "pipelined result not bit-exact vs serial";
@@ -163,7 +189,8 @@ private:
                              static_cast<long long>(shape.m),
                              static_cast<long long>(shape.n),
                              static_cast<long long>(shape.k), cfg_.p,
-                             cfg_.intensity, cfg_.f64 ? " --f64" : "");
+                             cfg_.intensity,
+                             cfg_.f64 ? " --f64" : cfg_.i8 ? " --i8" : "");
             }
         }
         if (clean) {
@@ -175,13 +202,13 @@ private:
         return clean;
     }
 
-    void multiply(cake::CakeExec exec, const cake::MatrixT<T>& a,
-                  const cake::MatrixT<T>& b, cake::MatrixT<T>& c,
+    void multiply(cake::CakeExec exec, const std::vector<typename Gemm::A>& a,
+                  const std::vector<typename Gemm::B>& b, std::vector<C>& c,
                   const Shape& shape)
     {
         cake::CakeOptions options = options_;
         options.exec = exec;
-        cake::CakeGemmT<T> gemm(pool_, options);
+        Gemm gemm(pool_, options);
         gemm.multiply(a.data(), shape.k, b.data(), shape.n, c.data(),
                       shape.n, shape.m, shape.n, shape.k);
     }
@@ -237,11 +264,14 @@ int main(int argc, char** argv)
             cfg.intensity = std::atoi(value());
         } else if (arg == "--f64") {
             cfg.f64 = true;
+        } else if (arg == "--i8") {
+            cfg.i8 = true;
         } else {
             usage(argv[0]);
         }
     }
-    if (cfg.p < 1 || cfg.intensity < 0 || cfg.intensity > 100) {
+    if (cfg.p < 1 || cfg.intensity < 0 || cfg.intensity > 100
+        || (cfg.f64 && cfg.i8)) {
         usage(argv[0]);
     }
 
@@ -282,6 +312,8 @@ int main(int argc, char** argv)
     bool clean = false;
     if (cfg.f64) {
         clean = SweepRunner<double>(cfg, pool).run();
+    } else if (cfg.i8) {
+        clean = SweepRunner<cake::U8S8S32>(cfg, pool).run();
     } else {
         clean = SweepRunner<float>(cfg, pool).run();
     }
