@@ -1,6 +1,7 @@
 // Structured bench telemetry: the BENCH_<name>.json schema every bench
-// emits, plus the parser and the baseline-gate comparator tools/bench_gate
-// and tests/perf_test.cpp run over it.
+// emits, its writer and schema reader (both over the shared JSON module,
+// common/json.hpp), and the baseline-gate comparator tools/bench_gate and
+// tests/perf_test.cpp run over it.
 //
 // GEMMbench (arXiv:1511.03742) argues GEMM numbers are unreproducible
 // without machine-annotated, machine-readable records; this header is that
@@ -35,7 +36,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cmath>
 #include <fstream>
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/json.hpp"
 
 namespace cake {
 namespace bench {
@@ -131,66 +132,35 @@ inline BenchRecord record_from_table(const Table& table,
 
 // --- writer -------------------------------------------------------------
 
-inline std::string bench_json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-/// %.17g — enough digits that parsing returns the identical double.
-inline std::string bench_json_number(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 inline void write_bench_json(const BenchRecord& record, std::ostream& os)
 {
-    os << "{\n  \"schema\": " << record.schema << ",\n  \"bench\": \""
-       << bench_json_escape(record.bench) << "\",\n  \"machine_key\": \""
-       << bench_json_escape(record.machine_key) << "\",\n  \"machine\": "
+    os << "{\n  \"schema\": " << record.schema
+       << ",\n  \"bench\": " << json::quote(record.bench)
+       << ",\n  \"machine_key\": " << json::quote(record.machine_key)
+       << ",\n  \"machine\": "
        << (record.machine_json.empty() ? "{}" : record.machine_json)
        << ",\n  \"context\": {";
     bool first = true;
     for (const auto& [key, value] : record.context) {
-        os << (first ? "" : ", ") << "\"" << bench_json_escape(key)
-           << "\": \"" << bench_json_escape(value) << "\"";
+        os << (first ? "" : ", ") << json::quote(key) << ": "
+           << json::quote(value);
         first = false;
     }
     os << "},\n  \"cases\": [\n";
     for (std::size_t i = 0; i < record.cases.size(); ++i) {
         const BenchCase& c = record.cases[i];
-        os << "    {\"name\": \"" << bench_json_escape(c.name)
-           << "\", \"metrics\": {";
+        os << "    {\"name\": " << json::quote(c.name) << ", \"metrics\": {";
         first = true;
         for (const auto& [key, value] : c.metrics) {
-            os << (first ? "" : ", ") << "\"" << bench_json_escape(key)
-               << "\": " << bench_json_number(value);
+            os << (first ? "" : ", ") << json::quote(key) << ": "
+               << json::number(value);
             first = false;
         }
         os << "}, \"labels\": {";
         first = true;
         for (const auto& [key, value] : c.labels) {
-            os << (first ? "" : ", ") << "\"" << bench_json_escape(key)
-               << "\": \"" << bench_json_escape(value) << "\"";
+            os << (first ? "" : ", ") << json::quote(key) << ": "
+               << json::quote(value);
             first = false;
         }
         os << "}}" << (i + 1 < record.cases.size() ? "," : "") << "\n";
@@ -209,329 +179,71 @@ inline bool write_bench_json_file(const BenchRecord& record,
 
 // --- parser -------------------------------------------------------------
 
-namespace detail_json {
-
-/// Minimal recursive-descent JSON value, just enough for the schema above
-/// (and the fingerprint object it embeds). Same dialect the obs exporter
-/// validates: no surrogate pairs, numbers as doubles.
-struct Value {
-    enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-    Type type = Type::kNull;
-    double number = 0;
-    bool boolean = false;
-    std::string string;
-    std::vector<Value> array;
-    std::vector<std::pair<std::string, Value>> object;
-
-    [[nodiscard]] const Value* find(const std::string& key) const
-    {
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
-    }
-};
-
-struct Parser {
-    const std::string& text;
-    std::size_t pos = 0;
-    std::string error;
-
-    explicit Parser(const std::string& t) : text(t) {}
-
-    void skip_ws()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-            ++pos;
-        }
-    }
-
-    bool fail(const std::string& why)
-    {
-        if (error.empty()) {
-            error = why + " at offset " + std::to_string(pos);
-        }
-        return false;
-    }
-
-    bool parse(Value& out)
-    {
-        skip_ws();
-        if (pos >= text.size()) return fail("unexpected end of input");
-        const char c = text[pos];
-        if (c == '{') return parse_object(out);
-        if (c == '[') return parse_array(out);
-        if (c == '"') {
-            out.type = Value::Type::kString;
-            return parse_string(out.string);
-        }
-        if (c == 't' || c == 'f') return parse_bool(out);
-        if (c == 'n') return parse_null(out);
-        return parse_number(out);
-    }
-
-    bool parse_object(Value& out)
-    {
-        out.type = Value::Type::kObject;
-        ++pos;
-        skip_ws();
-        if (pos < text.size() && text[pos] == '}') {
-            ++pos;
-            return true;
-        }
-        while (true) {
-            skip_ws();
-            std::string key;
-            if (pos >= text.size() || text[pos] != '"') {
-                return fail("expected object key");
-            }
-            if (!parse_string(key)) return false;
-            skip_ws();
-            if (pos >= text.size() || text[pos] != ':') {
-                return fail("expected ':'");
-            }
-            ++pos;
-            Value value;
-            if (!parse(value)) return false;
-            out.object.emplace_back(std::move(key), std::move(value));
-            skip_ws();
-            if (pos >= text.size()) return fail("unterminated object");
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool parse_array(Value& out)
-    {
-        out.type = Value::Type::kArray;
-        ++pos;
-        skip_ws();
-        if (pos < text.size() && text[pos] == ']') {
-            ++pos;
-            return true;
-        }
-        while (true) {
-            Value value;
-            if (!parse(value)) return false;
-            out.array.push_back(std::move(value));
-            skip_ws();
-            if (pos >= text.size()) return fail("unterminated array");
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool parse_string(std::string& out)
-    {
-        ++pos;
-        out.clear();
-        while (pos < text.size()) {
-            const char c = text[pos++];
-            if (c == '"') return true;
-            if (c == '\\') {
-                if (pos >= text.size()) return fail("bad escape");
-                const char e = text[pos++];
-                switch (e) {
-                    case '"': out += '"'; break;
-                    case '\\': out += '\\'; break;
-                    case '/': out += '/'; break;
-                    case 'n': out += '\n'; break;
-                    case 't': out += '\t'; break;
-                    case 'u':
-                        if (pos + 4 > text.size()) return fail("bad \\u");
-                        pos += 4;
-                        out += '?';
-                        break;
-                    default: return fail("unknown escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool parse_bool(Value& out)
-    {
-        out.type = Value::Type::kBool;
-        if (text.compare(pos, 4, "true") == 0) {
-            out.boolean = true;
-            pos += 4;
-            return true;
-        }
-        if (text.compare(pos, 5, "false") == 0) {
-            pos += 5;
-            return true;
-        }
-        return fail("bad keyword");
-    }
-
-    bool parse_null(Value& out)
-    {
-        out.type = Value::Type::kNull;
-        if (text.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            return true;
-        }
-        return fail("bad keyword");
-    }
-
-    bool parse_number(Value& out)
-    {
-        out.type = Value::Type::kNumber;
-        const std::size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) {
-            ++pos;
-        }
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '-' || text[pos] == '+')) {
-            ++pos;
-        }
-        if (pos == start) return fail("expected a value");
-        out.number = std::strtod(text.c_str() + start, nullptr);
-        return true;
-    }
-};
-
-/// Re-serialise a parsed value (used to preserve the machine object).
-inline void write_value(const Value& v, std::ostream& os)
-{
-    switch (v.type) {
-        case Value::Type::kNull: os << "null"; break;
-        case Value::Type::kBool: os << (v.boolean ? "true" : "false"); break;
-        case Value::Type::kNumber: os << bench_json_number(v.number); break;
-        case Value::Type::kString:
-            os << '"' << bench_json_escape(v.string) << '"';
-            break;
-        case Value::Type::kArray: {
-            os << '[';
-            for (std::size_t i = 0; i < v.array.size(); ++i) {
-                if (i != 0) os << ", ";
-                write_value(v.array[i], os);
-            }
-            os << ']';
-            break;
-        }
-        case Value::Type::kObject: {
-            os << '{';
-            for (std::size_t i = 0; i < v.object.size(); ++i) {
-                if (i != 0) os << ", ";
-                os << '"' << bench_json_escape(v.object[i].first) << "\": ";
-                write_value(v.object[i].second, os);
-            }
-            os << '}';
-            break;
-        }
-    }
-}
-
-}  // namespace detail_json
-
-/// Parse a BENCH_<name>.json document. False (with a one-line reason in
-/// `error` when non-null) on malformed JSON or a schema mismatch.
+/// Parse a BENCH_<name>.json document with the shared reader
+/// (common/json.hpp). False (with a one-line reason in `error` when
+/// non-null) on malformed JSON or a schema mismatch.
 inline bool parse_bench_json(const std::string& text, BenchRecord* out,
                              std::string* error = nullptr)
 {
+    using json::Value;
+    using Kind = Value::Kind;
     auto fail = [&](const std::string& why) {
         if (error != nullptr) *error = why;
         return false;
     };
-    detail_json::Parser parser(text);
-    detail_json::Value root;
-    if (!parser.parse(root)) return fail(parser.error);
-    parser.skip_ws();
-    if (parser.pos != text.size()) return fail("trailing data after JSON");
-    if (root.type != detail_json::Value::Type::kObject) {
-        return fail("top level is not an object");
-    }
+    Value root;
+    std::string parse_error;
+    if (!json::parse(text, root, &parse_error)) return fail(parse_error);
+    if (root.kind != Kind::kObject) return fail("top level is not an object");
     BenchRecord record;
-    const detail_json::Value* schema = root.find("schema");
-    if (schema == nullptr ||
-        schema->type != detail_json::Value::Type::kNumber) {
-        return fail("missing numeric schema");
-    }
+    const Value* schema = root.find("schema", Kind::kNumber);
+    if (schema == nullptr) return fail("missing numeric schema");
     record.schema = static_cast<int>(schema->number);
     if (record.schema != kBenchSchemaVersion) {
         return fail("unsupported schema version "
                     + std::to_string(record.schema));
     }
-    const detail_json::Value* name = root.find("bench");
-    if (name == nullptr || name->type != detail_json::Value::Type::kString) {
-        return fail("missing string bench");
-    }
+    const Value* name = root.find("bench", Kind::kString);
+    if (name == nullptr) return fail("missing string bench");
     record.bench = name->string;
-    if (const detail_json::Value* key = root.find("machine_key");
-        key != nullptr && key->type == detail_json::Value::Type::kString) {
+    if (const Value* key = root.find("machine_key", Kind::kString)) {
         record.machine_key = key->string;
     }
-    if (const detail_json::Value* machine = root.find("machine");
-        machine != nullptr &&
-        machine->type == detail_json::Value::Type::kObject) {
+    if (const Value* machine = root.find("machine", Kind::kObject)) {
         std::ostringstream os;
-        detail_json::write_value(*machine, os);
+        json::write(*machine, os);
         record.machine_json = os.str();
     }
-    if (const detail_json::Value* context = root.find("context");
-        context != nullptr &&
-        context->type == detail_json::Value::Type::kObject) {
+    if (const Value* context = root.find("context", Kind::kObject)) {
         for (const auto& [key, value] : context->object) {
-            if (value.type != detail_json::Value::Type::kString) {
+            if (value.kind != Kind::kString) {
                 return fail("context value for '" + key
                             + "' is not a string");
             }
             record.context[key] = value.string;
         }
     }
-    const detail_json::Value* cases = root.find("cases");
-    if (cases == nullptr ||
-        cases->type != detail_json::Value::Type::kArray) {
-        return fail("missing cases array");
-    }
+    const Value* cases = root.find("cases", Kind::kArray);
+    if (cases == nullptr) return fail("missing cases array");
     for (std::size_t i = 0; i < cases->array.size(); ++i) {
-        const detail_json::Value& cv = cases->array[i];
+        const Value& cv = cases->array[i];
         const std::string at = "cases[" + std::to_string(i) + "]";
-        if (cv.type != detail_json::Value::Type::kObject) {
-            return fail(at + " is not an object");
-        }
+        if (cv.kind != Kind::kObject) return fail(at + " is not an object");
         BenchCase c;
-        const detail_json::Value* cname = cv.find("name");
-        if (cname == nullptr ||
-            cname->type != detail_json::Value::Type::kString) {
-            return fail(at + " has no string name");
-        }
+        const Value* cname = cv.find("name", Kind::kString);
+        if (cname == nullptr) return fail(at + " has no string name");
         c.name = cname->string;
-        if (const detail_json::Value* metrics = cv.find("metrics");
-            metrics != nullptr &&
-            metrics->type == detail_json::Value::Type::kObject) {
+        if (const Value* metrics = cv.find("metrics", Kind::kObject)) {
             for (const auto& [key, value] : metrics->object) {
-                if (value.type != detail_json::Value::Type::kNumber) {
+                if (value.kind != Kind::kNumber) {
                     return fail(at + " metric '" + key + "' is not numeric");
                 }
                 c.metrics[key] = value.number;
             }
         }
-        if (const detail_json::Value* labels = cv.find("labels");
-            labels != nullptr &&
-            labels->type == detail_json::Value::Type::kObject) {
+        if (const Value* labels = cv.find("labels", Kind::kObject)) {
             for (const auto& [key, value] : labels->object) {
-                if (value.type != detail_json::Value::Type::kString) {
+                if (value.kind != Kind::kString) {
                     return fail(at + " label '" + key + "' is not a string");
                 }
                 c.labels[key] = value.string;

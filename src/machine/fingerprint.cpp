@@ -5,6 +5,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/json.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #endif
@@ -49,16 +51,6 @@ std::size_t level_bytes(const CacheHierarchy& caches, Pred&& pred)
     return 0;
 }
 
-void append_json_string(std::ostringstream& os, const std::string& s)
-{
-    os << '"';
-    for (const char ch : s) {
-        if (ch == '"' || ch == '\\') os << '\\';
-        os << ch;
-    }
-    os << '"';
-}
-
 }  // namespace
 
 std::string cpu_brand_string()
@@ -98,14 +90,13 @@ std::string MachineFingerprint::key() const
 std::string MachineFingerprint::json() const
 {
     std::ostringstream os;
-    os << "{\"cpu_brand\": ";
-    append_json_string(os, cpu_brand);
-    os << ", \"isa\": \"" << isa_name(best_isa) << "\""
+    // cake::json names the namespace, not this member function.
+    os << "{\"cpu_brand\": " << cake::json::quote(cpu_brand)
+       << ", \"isa\": \"" << isa_name(best_isa) << "\""
        << ", \"cores\": " << cores << ", \"l1_bytes\": " << l1_bytes
        << ", \"l2_bytes\": " << l2_bytes << ", \"llc_bytes\": " << llc_bytes
-       << ", \"dram_bw_gbs\": " << dram_bw_gbs << ", \"key\": ";
-    append_json_string(os, key());
-    os << "}";
+       << ", \"dram_bw_gbs\": " << dram_bw_gbs
+       << ", \"key\": " << cake::json::quote(key()) << "}";
     return os.str();
 }
 

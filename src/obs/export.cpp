@@ -4,13 +4,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
+
+#include "common/json.hpp"
 
 namespace cake {
 namespace obs {
@@ -23,29 +24,6 @@ std::int64_t lane_of(const TraceEvent& ev, std::uint64_t thread_index)
 {
     if (ev.worker >= 0) return ev.worker;
     return 1000 + static_cast<std::int64_t>(thread_index);
-}
-
-std::string json_escape(const char* s)
-{
-    std::string out;
-    for (const char* p = s; *p != '\0'; ++p) {
-        const char c = *p;
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 std::string us_string(std::uint64_t ns)
@@ -112,7 +90,7 @@ void write_perfetto_json(const TraceDump& dump, std::ostream& os)
                    << ",\"ts\":" << us_string(rel)
                    << ",\"dur\":" << us_string(ev.dur_ns);
             }
-            os << ",\"name\":\"" << json_escape(ev.name) << "\",\"cat\":\""
+            os << ",\"name\":\"" << json::escape(ev.name) << "\",\"cat\":\""
                << phase_name(ev.phase) << "\",\"args\":{\"mb\":" << ev.mb
                << ",\"nb\":" << ev.nb << ",\"kb\":" << ev.kb
                << ",\"tile\":" << ev.tile << ",\"worker\":" << ev.worker
@@ -130,252 +108,34 @@ bool write_perfetto_json_file(const TraceDump& dump, const std::string& path)
     return f.good();
 }
 
-// --- minimal JSON reader (validation only) ----------------------------
-
-namespace {
-
-/// Hand-rolled recursive-descent JSON parser: just enough to check the
-/// writer's output structurally. Numbers are not range-checked; strings
-/// only unescape what json_escape emits.
-struct JsonValue {
-    enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-    Type type = Type::kNull;
-    double number = 0;
-    bool boolean = false;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    [[nodiscard]] const JsonValue* find(const std::string& key) const
-    {
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
-    }
-};
-
-struct JsonParser {
-    const std::string& text;
-    std::size_t pos = 0;
-    std::string error;
-
-    explicit JsonParser(const std::string& t) : text(t) {}
-
-    void skip_ws()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-            ++pos;
-        }
-    }
-
-    bool fail(const std::string& why)
-    {
-        if (error.empty()) {
-            error = why + " at offset " + std::to_string(pos);
-        }
-        return false;
-    }
-
-    bool parse_value(JsonValue& out)
-    {
-        skip_ws();
-        if (pos >= text.size()) return fail("unexpected end of input");
-        const char c = text[pos];
-        if (c == '{') return parse_object(out);
-        if (c == '[') return parse_array(out);
-        if (c == '"') {
-            out.type = JsonValue::Type::kString;
-            return parse_string(out.string);
-        }
-        if (c == 't' || c == 'f') return parse_keyword(out);
-        if (c == 'n') return parse_null(out);
-        return parse_number(out);
-    }
-
-    bool parse_object(JsonValue& out)
-    {
-        out.type = JsonValue::Type::kObject;
-        ++pos;  // '{'
-        skip_ws();
-        if (pos < text.size() && text[pos] == '}') {
-            ++pos;
-            return true;
-        }
-        while (true) {
-            skip_ws();
-            std::string key;
-            if (pos >= text.size() || text[pos] != '"') {
-                return fail("expected object key");
-            }
-            if (!parse_string(key)) return false;
-            skip_ws();
-            if (pos >= text.size() || text[pos] != ':') {
-                return fail("expected ':'");
-            }
-            ++pos;
-            JsonValue value;
-            if (!parse_value(value)) return false;
-            out.object.emplace_back(std::move(key), std::move(value));
-            skip_ws();
-            if (pos >= text.size()) return fail("unterminated object");
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool parse_array(JsonValue& out)
-    {
-        out.type = JsonValue::Type::kArray;
-        ++pos;  // '['
-        skip_ws();
-        if (pos < text.size() && text[pos] == ']') {
-            ++pos;
-            return true;
-        }
-        while (true) {
-            JsonValue value;
-            if (!parse_value(value)) return false;
-            out.array.push_back(std::move(value));
-            skip_ws();
-            if (pos >= text.size()) return fail("unterminated array");
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool parse_string(std::string& out)
-    {
-        ++pos;  // '"'
-        out.clear();
-        while (pos < text.size()) {
-            const char c = text[pos++];
-            if (c == '"') return true;
-            if (c == '\\') {
-                if (pos >= text.size()) return fail("bad escape");
-                const char e = text[pos++];
-                switch (e) {
-                    case '"': out += '"'; break;
-                    case '\\': out += '\\'; break;
-                    case '/': out += '/'; break;
-                    case 'n': out += '\n'; break;
-                    case 't': out += '\t'; break;
-                    case 'u':
-                        if (pos + 4 > text.size()) return fail("bad \\u");
-                        pos += 4;
-                        out += '?';
-                        break;
-                    default: return fail("unknown escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool parse_keyword(JsonValue& out)
-    {
-        out.type = JsonValue::Type::kBool;
-        if (text.compare(pos, 4, "true") == 0) {
-            out.boolean = true;
-            pos += 4;
-            return true;
-        }
-        if (text.compare(pos, 5, "false") == 0) {
-            out.boolean = false;
-            pos += 5;
-            return true;
-        }
-        return fail("bad keyword");
-    }
-
-    bool parse_null(JsonValue& out)
-    {
-        out.type = JsonValue::Type::kNull;
-        if (text.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            return true;
-        }
-        return fail("bad keyword");
-    }
-
-    bool parse_number(JsonValue& out)
-    {
-        out.type = JsonValue::Type::kNumber;
-        const std::size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) {
-            ++pos;
-        }
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '-' || text[pos] == '+')) {
-            ++pos;
-        }
-        if (pos == start) return fail("expected a value");
-        out.number = std::stod(text.substr(start, pos - start));
-        return true;
-    }
-};
-
-}  // namespace
-
-bool validate_perfetto_json(const std::string& json, std::string* error)
+bool validate_perfetto_json(const std::string& text, std::string* error)
 {
     auto fail = [&](const std::string& why) {
         if (error != nullptr) *error = why;
         return false;
     };
-    JsonParser parser(json);
-    JsonValue root;
-    if (!parser.parse_value(root)) return fail(parser.error);
-    parser.skip_ws();
-    if (parser.pos != json.size()) return fail("trailing data after JSON");
-    if (root.type != JsonValue::Type::kObject) {
-        return fail("top level is not an object");
-    }
-    const JsonValue* events = root.find("traceEvents");
-    if (events == nullptr || events->type != JsonValue::Type::kArray) {
-        return fail("missing traceEvents array");
-    }
+    using Kind = json::Value::Kind;
+    json::Value root;
+    std::string parse_error;
+    if (!json::parse(text, root, &parse_error)) return fail(parse_error);
+    if (root.kind != Kind::kObject) return fail("top level is not an object");
+    const json::Value* events = root.find("traceEvents", Kind::kArray);
+    if (events == nullptr) return fail("missing traceEvents array");
     for (std::size_t i = 0; i < events->array.size(); ++i) {
-        const JsonValue& ev = events->array[i];
+        const json::Value& ev = events->array[i];
         const std::string at = "traceEvents[" + std::to_string(i) + "]";
-        if (ev.type != JsonValue::Type::kObject) {
-            return fail(at + " is not an object");
-        }
-        const JsonValue* ph = ev.find("ph");
-        if (ph == nullptr || ph->type != JsonValue::Type::kString) {
-            return fail(at + " has no string ph");
-        }
-        const JsonValue* name = ev.find("name");
-        if (name == nullptr || name->type != JsonValue::Type::kString) {
+        if (ev.kind != Kind::kObject) return fail(at + " is not an object");
+        const json::Value* ph = ev.find("ph", Kind::kString);
+        if (ph == nullptr) return fail(at + " has no string ph");
+        if (ev.find("name", Kind::kString) == nullptr) {
             return fail(at + " has no string name");
         }
         if (ev.find("pid") == nullptr || ev.find("tid") == nullptr) {
             return fail(at + " lacks pid/tid");
         }
         if (ph->string == "X") {
-            const JsonValue* ts = ev.find("ts");
-            const JsonValue* dur = ev.find("dur");
-            if (ts == nullptr || ts->type != JsonValue::Type::kNumber ||
-                dur == nullptr || dur->type != JsonValue::Type::kNumber) {
+            const json::Value* dur = ev.find("dur", Kind::kNumber);
+            if (ev.find("ts", Kind::kNumber) == nullptr || dur == nullptr) {
                 return fail(at + " X event lacks numeric ts/dur");
             }
             if (dur->number < 0) return fail(at + " negative dur");
@@ -406,7 +166,7 @@ void write_metrics_json(const std::vector<MetricSnapshot>& snapshots,
     os << "{\"metrics\":[\n";
     for (std::size_t i = 0; i < snapshots.size(); ++i) {
         const MetricSnapshot& s = snapshots[i];
-        os << "{\"name\":\"" << json_escape(s.name.c_str())
+        os << "{\"name\":\"" << json::escape(s.name)
            << "\",\"kind\":\"" << kind_name(s.kind)
            << "\",\"count\":" << s.count << ",\"value\":"
            << format_number(s.value, 12);

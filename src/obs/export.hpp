@@ -40,11 +40,12 @@ void write_perfetto_json(const TraceDump& dump, std::ostream& os);
 bool write_perfetto_json_file(const TraceDump& dump, const std::string& path);
 
 /// Structural validation of a Perfetto trace produced by the writer above:
-/// parses the JSON with a minimal reader and checks the trace-event
-/// contract ("traceEvents" array; every element has string "ph"; "X"
-/// events carry numeric ts/dur and pid/tid/name). On failure returns false
-/// and, when `error` is non-null, a one-line reason.
-bool validate_perfetto_json(const std::string& json,
+/// parses the JSON with the shared reader (common/json.hpp) and checks the
+/// trace-event contract ("traceEvents" array; every element has string
+/// "ph"; "X" events carry numeric ts/dur and pid/tid/name). Never throws:
+/// on failure returns false and, when `error` is non-null, a one-line
+/// reason.
+bool validate_perfetto_json(const std::string& text,
                             std::string* error = nullptr);
 
 // --- metrics ----------------------------------------------------------

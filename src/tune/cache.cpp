@@ -1,14 +1,11 @@
 #include "tune/cache.hpp"
 
-#include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "core/fperror.hpp"
 #include "core/schedule.hpp"
 #include "kernel/cpu_features.hpp"
@@ -19,246 +16,28 @@ namespace tune {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader. The container has no JSON dependency and none may be
-// added, so the cache file is read by this hand-rolled recursive-descent
-// parser: objects, arrays, strings (with \" and \\ escapes), numbers,
-// true/false/null. It never throws — failure surfaces as a flag + message
-// that load_cache converts into a CACHE_PARSE issue.
+// Schema mapping over the shared JSON reader (common/json.hpp), which never
+// throws; load_cache turns its failures into CACHE_PARSE issues.
 // ---------------------------------------------------------------------------
 
-struct JsonValue {
-    enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    double number = 0;
-    std::string string;
-    std::vector<std::pair<std::string, JsonValue>> object;
-    std::vector<JsonValue> array;
+using json::Value;
 
-    [[nodiscard]] const JsonValue* get(const std::string& key) const
-    {
-        if (kind != Kind::kObject) return nullptr;
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
-    }
-};
-
-class JsonParser {
-public:
-    explicit JsonParser(const std::string& text) : text_(text) {}
-
-    bool parse(JsonValue& out)
-    {
-        skip_ws();
-        if (!parse_value(out, 0)) return false;
-        skip_ws();
-        if (pos_ != text_.size()) return fail("trailing bytes after value");
-        return true;
-    }
-
-    [[nodiscard]] const std::string& error() const { return error_; }
-
-private:
-    static constexpr int kMaxDepth = 32;
-
-    bool fail(const std::string& what)
-    {
-        if (error_.empty()) {
-            std::ostringstream os;
-            os << what << " at byte " << pos_;
-            error_ = os.str();
-        }
-        return false;
-    }
-
-    void skip_ws()
-    {
-        while (pos_ < text_.size()
-               && std::isspace(static_cast<unsigned char>(text_[pos_]))
-                   != 0) {
-            ++pos_;
-        }
-    }
-
-    bool consume(char ch)
-    {
-        if (pos_ < text_.size() && text_[pos_] == ch) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool parse_value(JsonValue& out, int depth)
-    {
-        if (depth > kMaxDepth) return fail("nesting too deep");
-        if (pos_ >= text_.size()) return fail("unexpected end of input");
-        const char ch = text_[pos_];
-        if (ch == '{') return parse_object(out, depth);
-        if (ch == '[') return parse_array(out, depth);
-        if (ch == '"') {
-            out.kind = JsonValue::Kind::kString;
-            return parse_string(out.string);
-        }
-        if (ch == 't' || ch == 'f') return parse_keyword(out);
-        if (ch == 'n') return parse_keyword(out);
-        return parse_number(out);
-    }
-
-    bool parse_object(JsonValue& out, int depth)
-    {
-        out.kind = JsonValue::Kind::kObject;
-        ++pos_;  // '{'
-        skip_ws();
-        if (consume('}')) return true;
-        for (;;) {
-            skip_ws();
-            std::string key;
-            if (pos_ >= text_.size() || text_[pos_] != '"'
-                || !parse_string(key)) {
-                return fail("expected object key string");
-            }
-            skip_ws();
-            if (!consume(':')) return fail("expected ':'");
-            skip_ws();
-            JsonValue value;
-            if (!parse_value(value, depth + 1)) return false;
-            out.object.emplace_back(std::move(key), std::move(value));
-            skip_ws();
-            if (consume(',')) continue;
-            if (consume('}')) return true;
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool parse_array(JsonValue& out, int depth)
-    {
-        out.kind = JsonValue::Kind::kArray;
-        ++pos_;  // '['
-        skip_ws();
-        if (consume(']')) return true;
-        for (;;) {
-            skip_ws();
-            JsonValue value;
-            if (!parse_value(value, depth + 1)) return false;
-            out.array.push_back(std::move(value));
-            skip_ws();
-            if (consume(',')) continue;
-            if (consume(']')) return true;
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool parse_string(std::string& out)
-    {
-        ++pos_;  // opening quote
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char ch = text_[pos_++];
-            if (ch == '"') return true;
-            if (ch == '\\') {
-                if (pos_ >= text_.size()) break;
-                const char esc = text_[pos_++];
-                switch (esc) {
-                    case '"': out += '"'; break;
-                    case '\\': out += '\\'; break;
-                    case '/': out += '/'; break;
-                    case 'n': out += '\n'; break;
-                    case 't': out += '\t'; break;
-                    case 'r': out += '\r'; break;
-                    case 'b': out += '\b'; break;
-                    case 'f': out += '\f'; break;
-                    // \uXXXX is not produced by the writer; reject rather
-                    // than silently mangle.
-                    default: return fail("unsupported string escape");
-                }
-            } else {
-                out += ch;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool parse_keyword(JsonValue& out)
-    {
-        auto match = [&](const char* word) {
-            const std::size_t len = std::strlen(word);
-            if (text_.compare(pos_, len, word) == 0) {
-                pos_ += len;
-                return true;
-            }
-            return false;
-        };
-        if (match("true")) {
-            out.kind = JsonValue::Kind::kBool;
-            out.boolean = true;
-            return true;
-        }
-        if (match("false")) {
-            out.kind = JsonValue::Kind::kBool;
-            out.boolean = false;
-            return true;
-        }
-        if (match("null")) {
-            out.kind = JsonValue::Kind::kNull;
-            return true;
-        }
-        return fail("unknown keyword");
-    }
-
-    bool parse_number(JsonValue& out)
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0
-                   || text_[pos_] == '-' || text_[pos_] == '+'
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        if (pos_ == start) return fail("expected a value");
-        const std::string token = text_.substr(start, pos_ - start);
-        char* end = nullptr;
-        out.number = std::strtod(token.c_str(), &end);
-        if (end == nullptr || *end != '\0') return fail("malformed number");
-        out.kind = JsonValue::Kind::kNumber;
-        return true;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
-
-// ---------------------------------------------------------------------------
-// Schema mapping.
-// ---------------------------------------------------------------------------
-
-std::optional<index_t> as_index(const JsonValue* v)
+std::optional<index_t> as_index(const Value* v)
 {
-    if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return {};
+    if (v == nullptr || v->kind != Value::Kind::kNumber) return {};
     return static_cast<index_t>(v->number);
 }
 
-std::optional<double> as_double(const JsonValue* v)
+std::optional<double> as_double(const Value* v)
 {
-    if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return {};
+    if (v == nullptr || v->kind != Value::Kind::kNumber) return {};
     return v->number;
 }
 
-std::optional<std::string> as_string(const JsonValue* v)
+std::optional<std::string> as_string(const Value* v)
 {
-    if (v == nullptr || v->kind != JsonValue::Kind::kString) return {};
+    if (v == nullptr || v->kind != Value::Kind::kString) return {};
     return v->string;
-}
-
-std::optional<ScheduleKind> parse_schedule_name(const std::string& name)
-{
-    // Defers to the core registry round-trip so a kind added to
-    // all_schedule_kinds() parses here with no further change.
-    return parse_schedule_kind(name);
 }
 
 const char* exec_name(CakeExec exec)
@@ -289,14 +68,13 @@ std::optional<Isa> parse_isa_name(const std::string& name)
 
 /// Extract one entry; false (with *why) when required fields are missing
 /// or mistyped — the caller skips the entry and reports it.
-bool entry_from_json(const JsonValue& v, TunedEntry& out, std::string* why)
+bool entry_from_json(const Value& v, TunedEntry& out, std::string* why)
 {
-    const auto fingerprint = as_string(v.get("fingerprint"));
-    const auto dtype = as_string(v.get("dtype"));
-    const auto elem_bytes = as_index(v.get("elem_bytes"));
-    const JsonValue* bucket = v.get("bucket");
+    const auto fingerprint = as_string(v.find("fingerprint"));
+    const auto dtype = as_string(v.find("dtype"));
+    const auto elem_bytes = as_index(v.find("elem_bytes"));
+    const Value* bucket = v.find("bucket", Value::Kind::kArray);
     if (!fingerprint || !dtype || !elem_bytes || bucket == nullptr
-        || bucket->kind != JsonValue::Kind::kArray
         || bucket->array.size() != 3) {
         *why = "missing/mistyped fingerprint, dtype, elem_bytes or bucket[3]";
         return false;
@@ -319,103 +97,78 @@ bool entry_from_json(const JsonValue& v, TunedEntry& out, std::string* why)
     out.bucket_n = *bn;
     out.bucket_k = *bk;
 
-    if (const JsonValue* shape = v.get("shape");
-        shape != nullptr && shape->kind == JsonValue::Kind::kArray
-        && shape->array.size() == 3) {
+    if (const Value* shape = v.find("shape", Value::Kind::kArray);
+        shape != nullptr && shape->array.size() == 3) {
         out.tuned_shape.m = as_index(&shape->array[0]).value_or(0);
         out.tuned_shape.n = as_index(&shape->array[1]).value_or(0);
         out.tuned_shape.k = as_index(&shape->array[2]).value_or(0);
     }
-    out.measured_gflops = as_double(v.get("measured_gflops")).value_or(0);
-    out.analytic_gflops = as_double(v.get("analytic_gflops")).value_or(0);
-    out.predicted_gflops = as_double(v.get("predicted_gflops")).value_or(0);
-    out.rel_error_bound = as_double(v.get("rel_error_bound")).value_or(0);
+    out.measured_gflops = as_double(v.find("measured_gflops")).value_or(0);
+    out.analytic_gflops = as_double(v.find("analytic_gflops")).value_or(0);
+    out.predicted_gflops = as_double(v.find("predicted_gflops")).value_or(0);
+    out.rel_error_bound = as_double(v.find("rel_error_bound")).value_or(0);
 
-    const JsonValue* plan = v.get("plan");
-    if (plan == nullptr || plan->kind != JsonValue::Kind::kObject) {
+    const Value* plan = v.find("plan", Value::Kind::kObject);
+    if (plan == nullptr) {
         *why = "missing plan object";
         return false;
     }
-    if (const auto p = as_index(plan->get("p"))) {
+    if (const auto p = as_index(plan->find("p"))) {
         out.plan.p = static_cast<int>(*p);
     }
-    out.plan.mc = as_index(plan->get("mc"));
-    out.plan.kc = as_index(plan->get("kc"));
-    out.plan.nc = as_index(plan->get("nc"));
-    out.plan.alpha = as_double(plan->get("alpha"));
-    if (const auto name = as_string(plan->get("schedule"))) {
-        out.plan.schedule = parse_schedule_name(*name);
-        if (!out.plan.schedule) {
-            *why = "unknown schedule name '" + *name + "'";
-            return false;
+    out.plan.mc = as_index(plan->find("mc"));
+    out.plan.kc = as_index(plan->find("kc"));
+    out.plan.nc = as_index(plan->find("nc"));
+    out.plan.alpha = as_double(plan->find("alpha"));
+    // Named fields may be absent; a name this build does not know is an
+    // error. Schedule names defer to the core registry, so a kind added to
+    // all_schedule_kinds() parses here with no further change.
+    auto named = [&](const char* field, auto& slot, auto parse_name) {
+        const auto name = as_string(plan->find(field));
+        if (!name) return true;
+        slot = parse_name(*name);
+        if (!slot) {
+            *why = std::string("unknown ") + field + " name '" + *name + "'";
         }
-    }
-    if (const auto name = as_string(plan->get("exec"))) {
-        out.plan.exec = parse_exec_name(*name);
-        if (!out.plan.exec) {
-            *why = "unknown exec name '" + *name + "'";
-            return false;
-        }
-    }
-    if (const auto name = as_string(plan->get("isa"))) {
-        out.plan.isa = parse_isa_name(*name);
-        if (!out.plan.isa) {
-            *why = "unknown isa name '" + *name + "'";
-            return false;
-        }
-    }
-    return true;
-}
-
-void append_json_string(std::ostream& os, const std::string& s)
-{
-    os << '"';
-    for (const char ch : s) {
-        if (ch == '"' || ch == '\\') os << '\\';
-        os << ch;
-    }
-    os << '"';
+        return slot.has_value();
+    };
+    return named("schedule", out.plan.schedule, parse_schedule_kind)
+        && named("exec", out.plan.exec, parse_exec_name)
+        && named("isa", out.plan.isa, parse_isa_name);
 }
 
 void entry_to_json(std::ostream& os, const TunedEntry& e)
 {
-    // Doubles must survive a save/load round trip bit-exactly: the smoke
-    // check compares the reloaded winner's gflops against the in-memory
-    // one, and the default 6-digit precision fails that.
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "    {\"fingerprint\": ";
-    append_json_string(os, e.fingerprint);
-    os << ", \"dtype\": \"" << e.dtype << "\", \"elem_bytes\": "
+    // Doubles go through json::number (%.17g) so they survive a save/load
+    // round trip bit-exactly: the smoke check compares the reloaded
+    // winner's gflops against the in-memory one.
+    os << "    {\"fingerprint\": " << json::quote(e.fingerprint)
+       << ", \"dtype\": " << json::quote(e.dtype) << ", \"elem_bytes\": "
        << e.elem_bytes << ",\n     \"bucket\": ["
        << e.bucket_m << ", " << e.bucket_n << ", " << e.bucket_k
        << "], \"shape\": [" << e.tuned_shape.m << ", " << e.tuned_shape.n
        << ", " << e.tuned_shape.k << "],\n     \"plan\": {";
-    bool first = true;
-    auto field = [&](const char* name, auto&& write) {
-        if (!first) os << ", ";
-        first = false;
-        os << '"' << name << "\": ";
-        write();
+    const char* sep = "";
+    auto field = [&](const char* name, const std::string& value) {
+        os << sep << '"' << name << "\": " << value;
+        sep = ", ";
     };
-    if (e.plan.p) field("p", [&] { os << *e.plan.p; });
-    if (e.plan.mc) field("mc", [&] { os << *e.plan.mc; });
-    if (e.plan.kc) field("kc", [&] { os << *e.plan.kc; });
-    if (e.plan.nc) field("nc", [&] { os << *e.plan.nc; });
-    if (e.plan.alpha) field("alpha", [&] { os << *e.plan.alpha; });
+    if (e.plan.p) field("p", std::to_string(*e.plan.p));
+    if (e.plan.mc) field("mc", std::to_string(*e.plan.mc));
+    if (e.plan.kc) field("kc", std::to_string(*e.plan.kc));
+    if (e.plan.nc) field("nc", std::to_string(*e.plan.nc));
+    if (e.plan.alpha) field("alpha", json::number(*e.plan.alpha));
     if (e.plan.schedule) {
-        field("schedule",
-              [&] { os << '"' << schedule_kind_name(*e.plan.schedule) << '"'; });
+        field("schedule", json::quote(schedule_kind_name(*e.plan.schedule)));
     }
-    if (e.plan.exec) {
-        field("exec", [&] { os << '"' << exec_name(*e.plan.exec) << '"'; });
-    }
-    if (e.plan.isa) {
-        field("isa", [&] { os << '"' << isa_name(*e.plan.isa) << '"'; });
-    }
-    os << "},\n     \"measured_gflops\": " << e.measured_gflops
-       << ", \"analytic_gflops\": " << e.analytic_gflops
-       << ", \"predicted_gflops\": " << e.predicted_gflops
-       << ", \"rel_error_bound\": " << e.rel_error_bound << "}";
+    if (e.plan.exec) field("exec", json::quote(exec_name(*e.plan.exec)));
+    if (e.plan.isa) field("isa", json::quote(isa_name(*e.plan.isa)));
+    os << "},\n     \"measured_gflops\": "
+       << json::number(e.measured_gflops)
+       << ", \"analytic_gflops\": " << json::number(e.analytic_gflops)
+       << ", \"predicted_gflops\": " << json::number(e.predicted_gflops)
+       << ", \"rel_error_bound\": " << json::number(e.rel_error_bound)
+       << "}";
 }
 
 }  // namespace
@@ -500,17 +253,18 @@ CacheLoadResult load_cache(const std::string& path)
     }
     const std::string text = buf.str();
 
-    JsonValue root;
-    JsonParser parser(text);
-    if (!parser.parse(root) || root.kind != JsonValue::Kind::kObject) {
+    Value root;
+    std::string parse_error;
+    if (!json::parse(text, root, &parse_error)
+        || root.kind != Value::Kind::kObject) {
         result.issues.push_back(
             {"CACHE_PARSE", "'" + path + "' is not a JSON object: "
-                                + (parser.error().empty() ? "wrong root type"
-                                                          : parser.error())});
+                                + (parse_error.empty() ? "wrong root type"
+                                                       : parse_error)});
         return result;
     }
 
-    const auto version = as_index(root.get("version"));
+    const auto version = as_index(root.find("version"));
     if (!version) {
         result.issues.push_back(
             {"CACHE_PARSE", "'" + path + "' has no numeric 'version' field"});
@@ -525,8 +279,8 @@ CacheLoadResult load_cache(const std::string& path)
         return result;
     }
 
-    const JsonValue* entries = root.get("entries");
-    if (entries == nullptr || entries->kind != JsonValue::Kind::kArray) {
+    const Value* entries = root.find("entries", Value::Kind::kArray);
+    if (entries == nullptr) {
         result.issues.push_back(
             {"CACHE_PARSE", "'" + path + "' has no 'entries' array"});
         return result;

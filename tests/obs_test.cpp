@@ -276,6 +276,12 @@ TEST_F(ObsTraceTest, PerfettoValidatorRejectsMalformedTraces)
         "{\"traceEvents\":[]} trailing", &error));
     EXPECT_FALSE(obs::validate_perfetto_json(
         "{\"traceEvents\":[{\"ph\":\"X\"", &error));  // truncated
+    // Malformed numbers and hostile nesting return false, never throw or
+    // overflow the stack.
+    EXPECT_FALSE(obs::validate_perfetto_json("{\"traceEvents\":[-]}", &error));
+    EXPECT_FALSE(obs::validate_perfetto_json("[1e999]", &error));
+    EXPECT_FALSE(
+        obs::validate_perfetto_json(std::string(200000, '['), &error));
     EXPECT_TRUE(obs::validate_perfetto_json("{\"traceEvents\":[]}", &error))
         << error;
 }

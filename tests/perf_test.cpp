@@ -269,6 +269,14 @@ TEST(BenchJson, ParserRejectsMalformedDocuments)
     EXPECT_FALSE(bench::parse_bench_json(
         "{\"schema\": 1, \"bench\": \"x\", \"cases\": []} trailing", &out,
         &error));
+    // A bare sign or exponent is not a number (it must not gate as 0).
+    EXPECT_FALSE(bench::parse_bench_json(
+        "{\"schema\": 1, \"bench\": \"x\", \"cases\": [{\"name\": \"a\","
+        " \"metrics\": {\"gflops\":-,\"s\":e}}]}",
+        &out, &error));
+    // Hostile nesting is a parse error, not a stack overflow.
+    EXPECT_FALSE(
+        bench::parse_bench_json(std::string(200000, '['), &out, &error));
 }
 
 TEST(BenchJson, LoadDistinguishesMissingFromMalformed)

@@ -40,6 +40,9 @@
 #     reference, and statically proved by the kernel-IR checker
 #     (analysis/kernelcheck). An intrinsic elsewhere is an unregistered
 #     kernel no verifier ever sees.
+#   * a second JSON reader (struct JsonValue / JsonParser / detail_json)
+#     outside src/common/json.* — every consumer parses through that one
+#     module, so the depth cap and full-token number check cannot drift.
 #
 # Exit 0 iff clean; prints every violation as file:line:text.
 set -uo pipefail
@@ -175,6 +178,26 @@ if [[ "${1:-}" == "--probe-rule8" ]]; then
   exit 0
 fi
 
+# --probe-rule9: self-test that rule 9 (second-JSON-reader ban) fires
+# outside src/common/json.* and that the clean tree, which holds the one
+# reader, lints clean.
+if [[ "${1:-}" == "--probe-rule9" ]]; then
+  probe_bad="bench/lint_rule9_probe_tmp.hpp"
+  trap 'rm -f "${repo_root}/${probe_bad}"' EXIT
+  printf 'struct JsonValue { double number = 0; };\n' > "${probe_bad}"
+  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
+    echo "lint probe: FAILED (rule 9 did not flag ${probe_bad})"
+    exit 1
+  fi
+  rm -f "${probe_bad}"
+  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
+    echo "lint probe: FAILED (the clean tree was flagged)"
+    exit 1
+  fi
+  echo "lint probe: OK (rule 9 fires under bench/, the clean tree passes)"
+  exit 0
+fi
+
 # Scanned trees: everything we compile.
 mapfile -t files < <(find src tests tools bench examples \
   \( -name '*.cpp' -o -name '*.hpp' \) 2>/dev/null | sort)
@@ -300,6 +323,17 @@ done
 out="$(scan '(^|[^_[:alnum:]])_mm(256|512)_[a-z0-9_]+' "${simd_files[@]}")"
 [[ -z "${out}" ]] \
   || fail_rule "raw SIMD intrinsic outside src/kernel/ (register a micro-kernel so selftest and kernelcheck can see it)" "${out}"
+
+# 9. A second JSON reader outside src/common/json.*: schema mapping
+# belongs in the consumer, the grammar does not.
+json_allow='^src/common/json\.(hpp|cpp)$'
+json_files=()
+for f in "${files[@]}"; do
+  [[ "${f}" =~ ${json_allow} ]] || json_files+=("${f}")
+done
+out="$(scan 'struct[[:space:]]+JsonValue|JsonParser|detail_json' "${json_files[@]}")"
+[[ -z "${out}" ]] \
+  || fail_rule "second JSON reader outside src/common/json.* (parse with cake::json and keep only the schema mapping)" "${out}"
 
 if [[ ${failures} -ne 0 ]]; then
   echo "lint: FAILED"
