@@ -486,24 +486,6 @@ void fingerprint_i8(const KernelIr& ir, const Int8MicroKernel& kernel,
 
 }  // namespace
 
-bool KernelReport::has(const std::string& code) const
-{
-    for (const KernelIssue& issue : issues) {
-        if (issue.code == code) return true;
-    }
-    return false;
-}
-
-std::string KernelReport::codes() const
-{
-    std::string out;
-    for (const KernelIssue& issue : issues) {
-        if (!out.empty()) out += ",";
-        if (out.find(issue.code) == std::string::npos) out += issue.code;
-    }
-    return out;
-}
-
 KernelReport verify_kernel_ir(const KernelIr& ir)
 {
     KernelReport report;

@@ -52,17 +52,15 @@
 #include <string>
 #include <vector>
 
+#include "common/issue.hpp"
 #include "kernel/kernel_ir.hpp"
 
 namespace cake {
 namespace kernelcheck {
 
-struct KernelIssue {
-    std::string code;     ///< KIR_* (see header comment)
-    std::string message;  ///< names the kernel, lane and counts
-};
-
-struct KernelReport {
+/// Issue codes: KIR_* (see header comment); each message names the
+/// kernel, lane and counts.
+struct KernelReport : IssueList {
     std::string kernel;
     std::string family;
     Isa isa = Isa::kScalar;
@@ -73,11 +71,6 @@ struct KernelReport {
     int derived_chain = 0;          ///< chain depth re-derived from fmas
     double ops_per_cycle = 0;       ///< static peak (GFLOP/s per GHz)
     bool fingerprinted = false;     ///< binary cross-check ran (host ISA)
-    std::vector<KernelIssue> issues;
-
-    [[nodiscard]] bool ok() const { return issues.empty(); }
-    [[nodiscard]] bool has(const std::string& code) const;
-    [[nodiscard]] std::string codes() const;  ///< "KIR_A,KIR_B" for messages
 };
 
 /// Symbolic verification of one IR in isolation (no registry binding, no

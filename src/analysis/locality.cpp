@@ -11,24 +11,6 @@
 namespace cake {
 namespace locality {
 
-bool LocalityReport::has(const std::string& code) const
-{
-    for (const LocalityIssue& issue : issues) {
-        if (issue.code == code) return true;
-    }
-    return false;
-}
-
-std::string LocalityReport::codes() const
-{
-    std::string out;
-    for (const LocalityIssue& issue : issues) {
-        if (!out.empty()) out += ',';
-        out += issue.code;
-    }
-    return out;
-}
-
 namespace {
 
 using schedir::Access;
@@ -36,23 +18,6 @@ using schedir::OpKind;
 using schedir::ScheduleIR;
 using schedir::TileOp;
 using schedir::TileSpan;
-
-/// A corrupt IR yields its characteristic code a few times, not
-/// thousands of echoes (same cap discipline as verify.cpp).
-constexpr int kMaxIssuesPerCheck = 4;
-
-struct IssueSink {
-    LocalityReport& report;
-    int count = 0;
-
-    [[nodiscard]] bool full() const { return count >= kMaxIssuesPerCheck; }
-    void add(const char* code, std::string message)
-    {
-        if (full()) return;
-        report.issues.push_back({code, std::move(message)});
-        ++count;
-    }
-};
 
 index_t clip(index_t coord, index_t blk, index_t total)
 {

@@ -45,6 +45,7 @@
 
 #include "analysis/schedir.hpp"
 #include "cache/topology.hpp"
+#include "common/issue.hpp"
 
 namespace cake {
 namespace locality {
@@ -79,12 +80,9 @@ struct LevelStats {
     std::uint64_t cold = 0;
 };
 
-struct LocalityIssue {
-    std::string code;     ///< LOC_SURFACE | LOC_STACK | LOC_TRAFFIC
-    std::string message;  ///< names the step, surface and byte counts
-};
-
-struct LocalityReport {
+/// Issue codes: LOC_SURFACE | LOC_STACK | LOC_TRAFFIC; each message names
+/// the step, surface and byte counts.
+struct LocalityReport : IssueList {
     ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;
     index_t steps = 0;                ///< blocks in ir.order
     index_t shared_transitions = 0;   ///< transitions sharing >= 1 surface
@@ -93,11 +91,6 @@ struct LocalityReport {
     StackHistogram hist;
     std::vector<LevelStats> levels;      ///< one per analysed cache level
     std::vector<Transition> transitions; ///< per-step rows (steps entries)
-    std::vector<LocalityIssue> issues;
-
-    [[nodiscard]] bool ok() const { return issues.empty(); }
-    [[nodiscard]] bool has(const std::string& code) const;
-    [[nodiscard]] std::string codes() const;  ///< "LOC_A,LOC_B" for messages
 };
 
 /// Analyse a CAKE IR (serial or pipelined, any ScheduleKind) against the

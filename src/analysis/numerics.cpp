@@ -67,24 +67,6 @@ index_t runs_in_order(const std::vector<BlockCoord>& order, const Col& col)
 
 }  // namespace
 
-bool NumericsReport::has(const std::string& code) const
-{
-    for (const NumericsIssue& i : issues) {
-        if (i.code == code) return true;
-    }
-    return false;
-}
-
-std::string NumericsReport::codes() const
-{
-    std::string out;
-    for (const NumericsIssue& i : issues) {
-        if (!out.empty()) out += ',';
-        out += i.code;
-    }
-    return out;
-}
-
 NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
 {
     NumericsReport rep;

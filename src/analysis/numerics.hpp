@@ -37,26 +37,18 @@
 #include <vector>
 
 #include "analysis/schedir.hpp"
+#include "common/issue.hpp"
 #include "core/fperror.hpp"
 
 namespace cake {
 namespace numerics {
 
-struct NumericsIssue {
-    std::string code;     ///< NUM_DTYPE | NUM_CHAIN | NUM_TURNOVER | NUM_I8_RANGE
-    std::string message;  ///< human-readable diagnosis
-};
-
-struct NumericsReport {
+/// Issue codes: NUM_DTYPE | NUM_CHAIN | NUM_TURNOVER | NUM_I8_RANGE.
+struct NumericsReport : IssueList {
     /// The bound the plan promises (and, when ok(), provably realises).
     PlanErrorBound bound;
     index_t ir_fma_depth = 0;  ///< worst per-element FMA depth found in IR
     index_t ir_segments = 0;   ///< worst per-element accumulation segments
-    std::vector<NumericsIssue> issues;
-
-    [[nodiscard]] bool ok() const { return issues.empty(); }
-    [[nodiscard]] bool has(const std::string& code) const;
-    [[nodiscard]] std::string codes() const;  ///< "NUM_A,NUM_B" for messages
 };
 
 /// Verify `ir`'s accumulation structure against `dtype` and derive the

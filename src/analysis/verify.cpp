@@ -13,42 +13,7 @@
 namespace cake {
 namespace schedir {
 
-bool VerifyReport::has(std::string_view code) const
-{
-    for (const VerifyIssue& issue : issues) {
-        if (issue.code == code) return true;
-    }
-    return false;
-}
-
-std::string VerifyReport::codes() const
-{
-    std::string out;
-    for (const VerifyIssue& issue : issues) {
-        if (!out.empty()) out += ',';
-        out += issue.code;
-    }
-    return out;
-}
-
 namespace {
-
-/// Per-check issue cap: a corrupt IR yields its characteristic diagnosis,
-/// not thousands of echoes of the same root cause.
-constexpr std::size_t kMaxIssuesPerCheck = 4;
-
-struct IssueSink {
-    VerifyReport& report;
-    std::size_t count = 0;
-
-    bool full() const { return count >= kMaxIssuesPerCheck; }
-    void add(const char* code, const std::string& message)
-    {
-        if (count++ < kMaxIssuesPerCheck) {
-            report.issues.push_back({code, message});
-        }
-    }
-};
 
 std::string describe_op(const ScheduleIR& ir, const TileOp& op)
 {

@@ -3,8 +3,8 @@
 // verify_schedule_ir proves, by static analysis of the operation list —
 // no arithmetic, no execution, valid for every interleaving the barrier
 // structure permits — the properties the paper claims of the CAKE
-// schedule, reporting violations with coded diagnostics in the
-// AuditIssue style (src/core/audit.hpp):
+// schedule, reporting violations as coded cake::Issue diagnostics
+// (src/common/issue.hpp):
 //
 //   IR_MALFORMED   structural sanity: span indices in range, phases
 //                  monotone, barrier arrays sized to the phase count
@@ -32,29 +32,17 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/schedir.hpp"
+#include "common/issue.hpp"
 
 namespace cake {
 namespace schedir {
 
-/// One violated obligation: stable machine-greppable code + a precise
-/// human diagnostic naming the ops, buffers and byte counts involved.
-struct VerifyIssue {
-    std::string code;
-    std::string message;
-};
-
-struct VerifyReport {
-    std::vector<VerifyIssue> issues;
-
-    [[nodiscard]] bool ok() const { return issues.empty(); }
-    [[nodiscard]] bool has(std::string_view code) const;
-    /// All issue codes joined with ','; empty when ok. Handy for tests.
-    [[nodiscard]] std::string codes() const;
-};
+/// Violated obligations: each issue's message names the ops, buffers and
+/// byte counts involved.
+struct VerifyReport : IssueList {};
 
 /// Statically verify every obligation above except IR_IO_MEMSIM (which
 /// needs the memory simulator and is split out so verification itself

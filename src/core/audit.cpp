@@ -26,16 +26,6 @@ index_t edge_extent(index_t total, index_t blk)
 
 }  // namespace
 
-std::string AuditReport::codes() const
-{
-    std::string joined;
-    for (const AuditIssue& issue : issues) {
-        if (!joined.empty()) joined += ',';
-        joined += issue.code;
-    }
-    return joined;
-}
-
 AuditReport audit_cb_plan(const MachineSpec& machine, int p, index_t mr,
                           index_t nr, const GemmShape& shape,
                           const TilingOptions& opts, ScheduleKind schedule)

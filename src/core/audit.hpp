@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/issue.hpp"
 #include "common/types.hpp"
 #include "core/schedule.hpp"
 #include "core/tiling.hpp"
@@ -42,26 +43,14 @@
 
 namespace cake {
 
-/// One violated invariant: a stable machine-greppable code plus a human
-/// diagnostic carrying both sides of the violated inequality.
-struct AuditIssue {
-    std::string code;     ///< e.g. "L2_RESIDENCY"
-    std::string message;  ///< precise diagnostic with numbers
-};
-
-/// Outcome of auditing one (machine, p, kernel, shape) plan.
-struct AuditReport {
+/// Outcome of auditing one (machine, p, kernel, shape) plan. Each issue's
+/// message carries both sides of the violated inequality.
+struct AuditReport : IssueList {
     CbBlockParams params;          ///< solved CB geometry (if solvable)
     index_t grid_mb = 0;           ///< CB-block grid extents for the shape
     index_t grid_nb = 0;
     index_t grid_kb = 0;
     bool solver_ok = false;        ///< compute_cb_block did not throw
-    std::vector<AuditIssue> issues;
-
-    [[nodiscard]] bool ok() const { return issues.empty(); }
-
-    /// All issue codes joined with ','; empty when ok. Handy for tests.
-    [[nodiscard]] std::string codes() const;
 };
 
 /// Audit the full schedule/tiling plan CAKE would execute for `shape` on

@@ -141,11 +141,14 @@ std::vector<MachineSpec> table2_machines()
 
 MachineSpec machine_by_name(const std::string& name)
 {
-    if (name == "intel" || name == "i9" || name == "intel_i9_10900k")
+    if (name == "intel" || name == "i9" || name == "intel_i9_10900k"
+        || name == "intel-i9" || name == "intel-i9-10900k")
         return intel_i9_10900k();
-    if (name == "amd" || name == "5950x" || name == "amd_ryzen_5950x")
+    if (name == "amd" || name == "5950x" || name == "amd_ryzen_5950x"
+        || name == "amd-5950x")
         return amd_ryzen_5950x();
-    if (name == "arm" || name == "a53" || name == "arm_cortex_a53")
+    if (name == "arm" || name == "a53" || name == "arm_cortex_a53"
+        || name == "arm-a53")
         return arm_cortex_a53();
     if (name == "host") return host_machine();
     throw Error("unknown machine name: " + name);

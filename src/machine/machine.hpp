@@ -95,8 +95,9 @@ MachineSpec accelerator_64pe(bool hbm);
 /// All three paper presets, in Table 2 order.
 std::vector<MachineSpec> table2_machines();
 
-/// Preset lookup by name ("intel", "amd", "arm", "host");
-/// throws cake::Error on unknown names.
+/// Preset lookup by name ("intel", "amd", "arm", "host", or a Table-2
+/// spelling such as "intel-i9", "amd-5950x", "arm-a53"); throws
+/// cake::Error on unknown names.
 MachineSpec machine_by_name(const std::string& name);
 
 }  // namespace cake

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/issue.hpp"
 #include "common/types.hpp"
 #include "core/plan_source.hpp"
 
@@ -52,12 +53,6 @@ struct TunedEntry {
     double rel_error_bound = 0;   ///< static forward error bound of the plan
 };
 
-/// A coded problem encountered while loading a cache file.
-struct CacheIssue {
-    std::string code;     ///< CACHE_IO | CACHE_PARSE | CACHE_VERSION
-    std::string message;  ///< human diagnostic
-};
-
 /// In-memory cache image.
 struct TuneCache {
     std::vector<TunedEntry> entries;
@@ -76,14 +71,12 @@ struct TuneCache {
     void upsert(const TunedEntry& entry);
 };
 
-/// Result of load_cache: the usable cache plus any coded issues. `cache`
-/// is always safe to use — on any issue it is simply empty.
-struct CacheLoadResult {
+/// Result of load_cache: the usable cache plus any coded issues
+/// (CACHE_IO | CACHE_PARSE | CACHE_VERSION). `cache` is always safe to
+/// use — on any issue it is simply empty.
+struct CacheLoadResult : IssueList {
     TuneCache cache;
-    std::vector<CacheIssue> issues;
     bool file_existed = false;
-
-    [[nodiscard]] bool ok() const { return issues.empty(); }
 };
 
 /// Bucket one GEMM extent onto the tuner's geometric grid: powers of two

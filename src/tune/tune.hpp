@@ -103,7 +103,7 @@ struct TuneOutcome {
                                 ///< the analytic default's, vetoed untimed
     int budget_dropped = 0;  ///< candidates dropped by the budget cap
     bool cache_hit = false;  ///< served from the cache; nothing was timed
-    std::vector<CacheIssue> cache_issues;  ///< from loading (tune_with_cache)
+    std::vector<Issue> cache_issues;  ///< from loading (tune_with_cache)
 
     /// The analytic default's measured throughput (results[0]).
     [[nodiscard]] double analytic_gflops() const

@@ -50,7 +50,7 @@ TEST(AuditTest, OversizedMcFailsL2Residency)
         << report.codes();
     // The diagnostic must carry both sides of the violated inequality.
     bool found = false;
-    for (const AuditIssue& issue : report.issues) {
+    for (const Issue& issue : report.issues) {
         if (issue.code == "L2_RESIDENCY") {
             found = true;
             EXPECT_NE(issue.message.find("600"), std::string::npos);

@@ -11,6 +11,7 @@
 #include "common/csv.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/issue.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -240,6 +241,31 @@ TEST(Env, ParsesIntegers)
     EXPECT_FALSE(env_long("CAKE_TEST_ENV_INT").has_value());
     ::unsetenv("CAKE_TEST_ENV_INT");
     EXPECT_FALSE(env_string("CAKE_TEST_ENV_INT").has_value());
+}
+
+TEST(IssueList, CodesNameEachCodeOnceInFirstSeenOrder)
+{
+    IssueList list;
+    EXPECT_TRUE(list.ok());
+    EXPECT_EQ(list.codes(), "");
+    EXPECT_FALSE(list.has("KIR_COVER"));
+
+    list.issues = {{"KIR_COVER", "a"}, {"KIR_COVER", "b"}};
+    EXPECT_FALSE(list.ok());
+    EXPECT_EQ(list.codes(), "KIR_COVER");
+
+    // A code that prefixes another is still its own code.
+    list.issues = {{"KIR_COVER", "a"}, {"KIR_ACC", "b"}, {"KIR_COVER", "c"},
+                   {"KIR_AC", "d"}, {"KIR_ACC", "e"}};
+    EXPECT_EQ(list.codes(), "KIR_COVER,KIR_ACC,KIR_AC");
+    EXPECT_TRUE(list.has("KIR_ACC"));
+    EXPECT_TRUE(list.has("KIR_AC"));
+    EXPECT_FALSE(list.has("KIR_A"));
+    EXPECT_FALSE(list.has("KIR_DUP"));
+
+    std::ostringstream os;
+    print_issues(os, {{"IR_COVER", "gap"}, {"IR_RACE", "overlap"}});
+    EXPECT_EQ(os.str(), "  [IR_COVER] gap\n  [IR_RACE] overlap\n");
 }
 
 TEST(Types, GemmShapeVolume)

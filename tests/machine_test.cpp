@@ -68,9 +68,16 @@ TEST(Presets, IntelBwFlattensPastSixCores)
 
 TEST(MachineByName, Aliases)
 {
-    EXPECT_EQ(machine_by_name("intel").name, intel_i9_10900k().name);
-    EXPECT_EQ(machine_by_name("5950x").name, amd_ryzen_5950x().name);
-    EXPECT_EQ(machine_by_name("a53").name, arm_cortex_a53().name);
+    for (const char* name : {"intel", "i9", "intel_i9_10900k", "intel-i9",
+                             "intel-i9-10900k"}) {
+        EXPECT_EQ(machine_by_name(name).name, intel_i9_10900k().name) << name;
+    }
+    for (const char* name : {"amd", "5950x", "amd_ryzen_5950x", "amd-5950x"}) {
+        EXPECT_EQ(machine_by_name(name).name, amd_ryzen_5950x().name) << name;
+    }
+    for (const char* name : {"arm", "a53", "arm_cortex_a53", "arm-a53"}) {
+        EXPECT_EQ(machine_by_name(name).name, arm_cortex_a53().name) << name;
+    }
     EXPECT_EQ(machine_by_name("host").name, "host");
     EXPECT_THROW(machine_by_name("m1"), Error);
 }

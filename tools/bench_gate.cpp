@@ -27,11 +27,11 @@
 // Exit codes: 0 = pass, 1 = regression (or malformed/mismatched records),
 // 2 = baseline missing/unreadable (so CI can distinguish "never
 // baselined" from "got slower").
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "bench/bench_json.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -48,64 +48,45 @@ struct Options {
     bool quiet = false;
 };
 
-[[noreturn]] void usage_error(const std::string& msg)
-{
-    std::cerr << "bench_gate: " << msg << "\n"
-              << "usage: bench_gate --baseline FILE --run FILE\n"
-              << "                  [--default-tol X] [--tol METRIC=X]...\n"
-              << "                  [--quiet]\n";
-    std::exit(1);
-}
-
-double parse_tol(const std::string& value, const char* flag)
-{
-    try {
-        std::size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size() || v < 0) throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        usage_error(std::string(flag)
-                    + " expects a non-negative number, got '" + value + "'");
-    }
-}
+constexpr const char* kUsage =
+    "usage: bench_gate --baseline FILE --run FILE\n"
+    "                  [--default-tol X] [--tol METRIC=X]...\n"
+    "                  [--quiet]\n";
 
 Options parse_args(int argc, char** argv)
 {
+    // Usage errors exit 1: 2 is reserved for a missing baseline.
+    const cake::cli::Args cli{argc, argv, "bench_gate", kUsage,
+                              /*usage_exit=*/1};
     Options opt;
-    auto next = [&](int& i, const char* flag) -> std::string {
-        if (i + 1 >= argc) {
-            usage_error(std::string(flag) + " requires a value");
-        }
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--baseline") {
-            opt.baseline = next(i, "--baseline");
+            opt.baseline = cli.next(i, "--baseline");
         } else if (arg == "--run") {
-            opt.run = next(i, "--run");
+            opt.run = cli.next(i, "--run");
         } else if (arg == "--default-tol") {
-            opt.spec.default_tol =
-                parse_tol(next(i, "--default-tol"), "--default-tol");
+            opt.spec.default_tol = cli.number(cli.next(i, "--default-tol"),
+                                              "--default-tol",
+                                              /*non_negative=*/true);
         } else if (arg == "--tol") {
-            const std::string kv = next(i, "--tol");
+            const std::string kv = cli.next(i, "--tol");
             const std::size_t eq = kv.find('=');
             if (eq == std::string::npos || eq == 0) {
-                usage_error("--tol expects METRIC=X, got '" + kv + "'");
+                cli.error("--tol expects METRIC=X, got '" + kv + "'");
             }
             opt.spec.tol[kv.substr(0, eq)] =
-                parse_tol(kv.substr(eq + 1), "--tol");
+                cli.number(kv.substr(eq + 1), "--tol", /*non_negative=*/true);
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage_error("help requested");
+            cli.error("help requested");
         } else {
-            usage_error("unknown argument '" + arg + "'");
+            cli.error("unknown argument '" + arg + "'");
         }
     }
-    if (opt.baseline.empty()) usage_error("--baseline is required");
-    if (opt.run.empty()) usage_error("--run is required");
+    if (opt.baseline.empty()) cli.error("--baseline is required");
+    if (opt.run.empty()) cli.error("--run is required");
     return opt;
 }
 

@@ -13,12 +13,12 @@
 //   cake_audit --machine arm --p 4 --mr 6 --nr 16 --f64
 //   cake_audit --machine intel --mc 600 --shape 2000x2000x2000   (corrupt)
 //   cake_audit --sweep            (all Table-2 presets x shape classes)
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "cli.hpp"
+#include "common/issue.hpp"
 #include "core/audit.hpp"
 #include "machine/machine.hpp"
 
@@ -38,75 +38,39 @@ struct Options {
     bool sweep = false;
 };
 
-[[noreturn]] void usage_error(const std::string& msg)
-{
-    std::cerr << "cake_audit: " << msg << "\n"
-              << "usage: cake_audit [--machine intel|amd|arm|host] [--p N]\n"
-              << "                  [--mr N] [--nr N] [--shape MxNxK]\n"
-              << "                  [--f64] [--mc N] [--alpha X] [--sweep]\n";
-    std::exit(2);
-}
-
-index_t parse_index(const std::string& value, const char* flag)
-{
-    try {
-        std::size_t pos = 0;
-        const long long v = std::stoll(value, &pos);
-        if (pos != value.size() || v < 1) throw std::invalid_argument(value);
-        return static_cast<index_t>(v);
-    } catch (const std::exception&) {
-        usage_error(std::string(flag) + " expects a positive integer, got '"
-                    + value + "'");
-    }
-}
-
-cake::GemmShape parse_shape(const std::string& value)
-{
-    const std::size_t x1 = value.find('x');
-    const std::size_t x2 = value.find('x', x1 + 1);
-    if (x1 == std::string::npos || x2 == std::string::npos) {
-        usage_error("--shape expects MxNxK, got '" + value + "'");
-    }
-    cake::GemmShape s;
-    s.m = parse_index(value.substr(0, x1), "--shape");
-    s.n = parse_index(value.substr(x1 + 1, x2 - x1 - 1), "--shape");
-    s.k = parse_index(value.substr(x2 + 1), "--shape");
-    return s;
-}
+constexpr const char* kUsage =
+    "usage: cake_audit [--machine intel|amd|arm|host] [--p N]\n"
+    "                  [--mr N] [--nr N] [--shape MxNxK]\n"
+    "                  [--f64] [--mc N] [--alpha X] [--sweep]\n";
 
 Options parse_args(int argc, char** argv)
 {
+    const cake::cli::Args cli{argc, argv, "cake_audit", kUsage};
     Options opt;
-    auto next = [&](int& i, const char* flag) -> std::string {
-        if (i + 1 >= argc) {
-            usage_error(std::string(flag) + " requires a value");
-        }
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--machine") {
-            opt.machine = next(i, "--machine");
+            opt.machine = cli.next(i, "--machine");
         } else if (arg == "--p") {
-            opt.p = static_cast<int>(parse_index(next(i, "--p"), "--p"));
+            opt.p = cli.integer(cli.next(i, "--p"), "--p");
         } else if (arg == "--mr") {
-            opt.mr = parse_index(next(i, "--mr"), "--mr");
+            opt.mr = cli.index(cli.next(i, "--mr"), "--mr");
         } else if (arg == "--nr") {
-            opt.nr = parse_index(next(i, "--nr"), "--nr");
+            opt.nr = cli.index(cli.next(i, "--nr"), "--nr");
         } else if (arg == "--shape") {
-            opt.shape = parse_shape(next(i, "--shape"));
+            opt.shape = cli.shape(cli.next(i, "--shape"));
         } else if (arg == "--f64") {
             opt.f64 = true;
         } else if (arg == "--mc") {
-            opt.mc = parse_index(next(i, "--mc"), "--mc");
+            opt.mc = cli.index(cli.next(i, "--mc"), "--mc");
         } else if (arg == "--alpha") {
-            opt.alpha = std::stod(next(i, "--alpha"));
+            opt.alpha = cli.number(cli.next(i, "--alpha"), "--alpha");
         } else if (arg == "--sweep") {
             opt.sweep = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage_error("help requested");
+            cli.error("help requested");
         } else {
-            usage_error("unknown argument '" + arg + "'");
+            cli.error("unknown argument '" + arg + "'");
         }
     }
     return opt;
@@ -132,33 +96,24 @@ bool audit_one(const cake::MachineSpec& machine, int p, index_t mr,
                   << "x" << report.grid_kb;
     }
     std::cout << "\n";
-    for (const cake::AuditIssue& issue : report.issues) {
-        std::cout << "  [" << issue.code << "] " << issue.message << "\n";
-    }
+    cake::print_issues(std::cout, report.issues);
     return report.ok();
 }
 
-/// Audit all Table-2 presets across the shape classes the paper evaluates
-/// (square, K-skewed, N-panel) in both precisions. The kernel shapes are
-/// the repo's AVX2 register tiles; fixed (not host-dispatched) so the
-/// sweep is deterministic in CI.
+/// Audit all Table-2 presets across the sweep corpus (square, K-skewed,
+/// N-panel) in both precisions.
 bool run_sweep()
 {
-    const std::vector<cake::GemmShape> shapes = {
-        {2000, 2000, 2000},  // square (Fig. 10 protocol)
-        {8000, 256, 2048},   // M-heavy / narrow-N skewed
-        {3000, 3000, 96},    // shallow-K panel (DNN-style)
-    };
     bool all_ok = true;
     for (const cake::MachineSpec& machine : cake::table2_machines()) {
         for (const bool f64 : {false, true}) {
             cake::TilingOptions topts;
             topts.elem_bytes = f64 ? 8 : 4;
-            const index_t mr = 6;
-            const index_t nr = f64 ? 8 : 16;
-            for (const cake::GemmShape& shape : shapes) {
-                all_ok &= audit_one(machine, machine.cores, mr, nr, shape,
-                                    topts);
+            for (const cake::GemmShape& shape : cake::cli::kSweepShapes) {
+                all_ok &= audit_one(machine, machine.cores,
+                                    cake::cli::kSweepMr,
+                                    cake::cli::sweep_nr(topts.elem_bytes),
+                                    shape, topts);
             }
         }
     }

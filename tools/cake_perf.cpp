@@ -57,6 +57,7 @@ int main()
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/csv.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
@@ -68,8 +69,6 @@ int main()
 #include "threading/thread_pool.hpp"
 
 namespace {
-
-using cake::index_t;
 
 struct Options {
     std::string preset = "host";
@@ -84,102 +83,48 @@ struct Options {
     bool check = false;
 };
 
-[[noreturn]] void usage_error(const std::string& msg)
-{
-    std::cerr << "cake_perf: " << msg << "\n"
-              << "usage: cake_perf [--preset intel-i9|intel|amd|arm|host]\n"
-              << "                 [--shape square|skewed|panel|MxNxK]\n"
-              << "                 [--exec serial|pipelined] [--p N]\n"
-              << "                 [--f64] [--reps N] [--tol X]\n"
-              << "                 [--software] [--check]\n";
-    std::exit(2);
-}
-
-index_t parse_index(const std::string& value, const char* flag)
-{
-    try {
-        std::size_t pos = 0;
-        const long long v = std::stoll(value, &pos);
-        if (pos != value.size() || v < 1) throw std::invalid_argument(value);
-        return static_cast<index_t>(v);
-    } catch (const std::exception&) {
-        usage_error(std::string(flag) + " expects a positive integer, got '"
-                    + value + "'");
-    }
-}
-
-cake::GemmShape parse_shape(const std::string& value)
-{
-    if (value == "square") return {1024, 1024, 1024};
-    if (value == "skewed") return {2048, 2048, 64};
-    if (value == "panel") return {4096, 256, 256};
-    const std::size_t x1 = value.find('x');
-    const std::size_t x2 = value.find('x', x1 + 1);
-    if (x1 == std::string::npos || x2 == std::string::npos) {
-        usage_error("--shape expects square|skewed|panel|MxNxK, got '"
-                    + value + "'");
-    }
-    cake::GemmShape s;
-    s.m = parse_index(value.substr(0, x1), "--shape");
-    s.n = parse_index(value.substr(x1 + 1, x2 - x1 - 1), "--shape");
-    s.k = parse_index(value.substr(x2 + 1), "--shape");
-    return s;
-}
+constexpr const char* kUsage =
+    "usage: cake_perf [--preset intel-i9|intel|amd|arm|host]\n"
+    "                 [--shape square|skewed|panel|MxNxK]\n"
+    "                 [--exec serial|pipelined] [--p N]\n"
+    "                 [--f64] [--reps N] [--tol X]\n"
+    "                 [--software] [--check]\n";
 
 Options parse_args(int argc, char** argv)
 {
+    const cake::cli::Args cli{argc, argv, "cake_perf", kUsage};
     Options opt;
-    auto next = [&](int& i, const char* flag) -> std::string {
-        if (i + 1 >= argc) {
-            usage_error(std::string(flag) + " requires a value");
-        }
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--preset") {
-            opt.preset = next(i, "--preset");
+            opt.preset = cli.next(i, "--preset");
         } else if (arg == "--shape") {
-            opt.shape_name = next(i, "--shape");
-            opt.shape = parse_shape(opt.shape_name);
+            opt.shape_name = cli.next(i, "--shape");
+            opt.shape = cli.shape(opt.shape_name, cake::cli::kRunShapes);
         } else if (arg == "--exec") {
-            opt.exec = next(i, "--exec");
+            opt.exec = cli.next(i, "--exec");
             if (opt.exec != "serial" && opt.exec != "pipelined") {
-                usage_error("--exec expects serial|pipelined");
+                cli.error("--exec expects serial|pipelined");
             }
         } else if (arg == "--p") {
-            opt.p = static_cast<int>(parse_index(next(i, "--p"), "--p"));
+            opt.p = cli.integer(cli.next(i, "--p"), "--p");
         } else if (arg == "--f64") {
             opt.f64 = true;
         } else if (arg == "--reps") {
-            opt.reps =
-                static_cast<int>(parse_index(next(i, "--reps"), "--reps"));
+            opt.reps = cli.integer(cli.next(i, "--reps"), "--reps");
         } else if (arg == "--tol") {
-            try {
-                opt.tol = std::stod(next(i, "--tol"));
-            } catch (const std::exception&) {
-                usage_error("--tol expects a number");
-            }
+            opt.tol = cli.number(cli.next(i, "--tol"), "--tol");
         } else if (arg == "--software") {
             opt.software = true;
         } else if (arg == "--check") {
             opt.check = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage_error("help requested");
+            cli.error("help requested");
         } else {
-            usage_error("unknown argument '" + arg + "'");
+            cli.error("unknown argument '" + arg + "'");
         }
     }
     return opt;
-}
-
-/// "intel-i9" is the Table-2 spelling; machine_by_name speaks "intel".
-std::string preset_alias(const std::string& name)
-{
-    if (name == "intel-i9" || name == "intel-i9-10900k") return "intel";
-    if (name == "amd-5950x") return "amd";
-    if (name == "arm-a53") return "arm";
-    return name;
 }
 
 /// One templated driver so --f64 shares every code path.
@@ -188,8 +133,7 @@ int run(const Options& opt)
 {
     namespace perf = cake::obs::perf;
 
-    const cake::MachineSpec machine =
-        cake::machine_by_name(preset_alias(opt.preset));
+    const cake::MachineSpec machine = cake::machine_by_name(opt.preset);
     const int p = opt.p > 0 ? opt.p : cake::host_machine().cores;
     cake::ThreadPool pool(p);
     cake::Rng rng(1);

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <type_traits>
@@ -25,6 +24,7 @@
 
 #include "analysis/racecheck.hpp"
 #include "analysis/schedshake.hpp"
+#include "cli.hpp"
 #include "common/checked.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm_int8.hpp"
@@ -58,23 +58,18 @@ Shape named_shape(const std::string& name)
     return {"", 0, 0, 0};
 }
 
-[[noreturn]] void usage(const char* argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--seeds N | --seed S] [--shapes a,b,c | --shape MxNxK]\n"
-        "          [--p P] [--intensity PCT] [--f64 | --i8]\n"
-        "  --seeds N        fuzz seeds 0..N-1 (default 16)\n"
-        "  --seed S         fuzz exactly seed S (replay mode)\n"
-        "  --shapes LIST    comma list of square,skewed,panel (default all)\n"
-        "  --shape MxNxK    one explicit GEMM shape\n"
-        "  --p P            team width (default 4)\n"
-        "  --intensity PCT  perturbation probability per point (default 60)\n"
-        "  --f64            fuzz the double-precision driver\n"
-        "  --i8             fuzz the u8 x s8 -> s32 driver\n",
-        argv0);
-    std::exit(1);
-}
+constexpr const char* kUsage =
+    "usage: cake_schedshake [--seeds N | --seed S]\n"
+    "                       [--shapes a,b,c | --shape MxNxK]\n"
+    "                       [--p P] [--intensity PCT] [--f64 | --i8]\n"
+    "  --seeds N        fuzz seeds 0..N-1 (default 16)\n"
+    "  --seed S         fuzz exactly seed S (replay mode)\n"
+    "  --shapes LIST    comma list of square,skewed,panel (default all)\n"
+    "  --shape MxNxK    one explicit GEMM shape\n"
+    "  --p P            team width (default 4)\n"
+    "  --intensity PCT  perturbation probability per point (default 60)\n"
+    "  --f64            fuzz the double-precision driver\n"
+    "  --i8             fuzz the u8 x s8 -> s32 driver\n";
 
 void throwing_trap(const char* kind, const std::string& message)
 {
@@ -222,25 +217,23 @@ private:
 
 int main(int argc, char** argv)
 {
+    const cake::cli::Args cli{argc, argv, "cake_schedshake", kUsage,
+                              /*usage_exit=*/1};
     Config cfg;
     std::vector<std::string> shape_names;
     Shape explicit_shape;
     bool have_explicit_shape = false;
-    long n_seeds = 16;
-    long long single_seed = -1;
+    cake::index_t n_seeds = 16;
+    cake::index_t single_seed = -1;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&]() -> const char* {
-            if (i + 1 >= argc) usage(argv[0]);
-            return argv[++i];
-        };
         if (arg == "--seeds") {
-            n_seeds = std::atol(value());
+            n_seeds = cli.index(cli.next(i, "--seeds"), "--seeds");
         } else if (arg == "--seed") {
-            single_seed = std::atoll(value());
+            single_seed = cli.index(cli.next(i, "--seed"), "--seed", 0);
         } else if (arg == "--shapes") {
-            std::string list = value();
+            const std::string list = cli.next(i, "--shapes");
             std::size_t pos = 0;
             while (pos != std::string::npos) {
                 const std::size_t comma = list.find(',', pos);
@@ -249,37 +242,29 @@ int main(int argc, char** argv)
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else if (arg == "--shape") {
-            long long m = 0, n = 0, k = 0;
-            if (std::sscanf(value(), "%lldx%lldx%lld", &m, &n, &k) != 3
-                || m <= 0 || n <= 0 || k <= 0) {
-                usage(argv[0]);
-            }
-            explicit_shape = {"explicit", static_cast<cake::index_t>(m),
-                              static_cast<cake::index_t>(n),
-                              static_cast<cake::index_t>(k)};
+            const cake::GemmShape s = cli.shape(cli.next(i, "--shape"));
+            explicit_shape = {"explicit", s.m, s.n, s.k};
             have_explicit_shape = true;
         } else if (arg == "--p") {
-            cfg.p = std::atoi(value());
+            cfg.p = cli.integer(cli.next(i, "--p"), "--p");
         } else if (arg == "--intensity") {
-            cfg.intensity = std::atoi(value());
+            cfg.intensity =
+                cli.integer(cli.next(i, "--intensity"), "--intensity", 0);
         } else if (arg == "--f64") {
             cfg.f64 = true;
         } else if (arg == "--i8") {
             cfg.i8 = true;
         } else {
-            usage(argv[0]);
+            cli.error("unknown argument '" + arg + "'");
         }
     }
-    if (cfg.p < 1 || cfg.intensity < 0 || cfg.intensity > 100
-        || (cfg.f64 && cfg.i8)) {
-        usage(argv[0]);
-    }
+    if (cfg.intensity > 100) cli.error("--intensity expects 0..100");
+    if (cfg.f64 && cfg.i8) cli.error("--f64 and --i8 are exclusive");
 
     if (single_seed >= 0) {
         cfg.seeds.push_back(static_cast<std::uint64_t>(single_seed));
     } else {
-        if (n_seeds < 1) usage(argv[0]);
-        for (long s = 0; s < n_seeds; ++s) {
+        for (cake::index_t s = 0; s < n_seeds; ++s) {
             cfg.seeds.push_back(static_cast<std::uint64_t>(s));
         }
     }
@@ -292,8 +277,7 @@ int main(int argc, char** argv)
     for (const std::string& name : shape_names) {
         const Shape shape = named_shape(name);
         if (shape.name.empty()) {
-            std::fprintf(stderr, "unknown shape class '%s'\n", name.c_str());
-            usage(argv[0]);
+            cli.error("unknown shape class '" + name + "'");
         }
         cfg.shapes.push_back(shape);
     }

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
+#include "common/issue.hpp"
 #include "core/audit.hpp"
 #include "core/cake_gemm.hpp"
 #include "machine/fingerprint.hpp"
@@ -58,57 +60,21 @@ struct Options {
     std::string cache_path;  // empty = default_cache_path()
 };
 
-[[noreturn]] void usage_error(const std::string& msg)
-{
-    std::cerr << "cake_tune: " << msg << "\n"
-              << "usage: cake_tune --search|--smoke|--show|--evict\n"
-              << "                 [--shape MxNxK] [--dtype f32|f64]\n"
-              << "                 [--budget N] [--reps N] [--warmup N]\n"
-              << "                 [--cache PATH]\n";
-    std::exit(2);
-}
-
-index_t parse_index(const std::string& value, const char* flag)
-{
-    try {
-        std::size_t pos = 0;
-        const long long v = std::stoll(value, &pos);
-        if (pos != value.size() || v < 1) throw std::invalid_argument(value);
-        return static_cast<index_t>(v);
-    } catch (const std::exception&) {
-        usage_error(std::string(flag) + " expects a positive integer, got '"
-                    + value + "'");
-    }
-}
-
-cake::GemmShape parse_shape(const std::string& value)
-{
-    const std::size_t x1 = value.find('x');
-    const std::size_t x2 = value.find('x', x1 + 1);
-    if (x1 == std::string::npos || x2 == std::string::npos) {
-        usage_error("--shape expects MxNxK, got '" + value + "'");
-    }
-    cake::GemmShape s;
-    s.m = parse_index(value.substr(0, x1), "--shape");
-    s.n = parse_index(value.substr(x1 + 1, x2 - x1 - 1), "--shape");
-    s.k = parse_index(value.substr(x2 + 1), "--shape");
-    return s;
-}
+constexpr const char* kUsage =
+    "usage: cake_tune --search|--smoke|--show|--evict\n"
+    "                 [--shape MxNxK] [--dtype f32|f64]\n"
+    "                 [--budget N] [--reps N] [--warmup N]\n"
+    "                 [--cache PATH]\n";
 
 Options parse_args(int argc, char** argv)
 {
+    const cake::cli::Args cli{argc, argv, "cake_tune", kUsage};
     Options opt;
     auto set_mode = [&](Mode m) {
         if (opt.mode != Mode::kNone) {
-            usage_error("exactly one of --search/--smoke/--show/--evict");
+            cli.error("exactly one of --search/--smoke/--show/--evict");
         }
         opt.mode = m;
-    };
-    auto next = [&](int& i, const char* flag) -> std::string {
-        if (i + 1 >= argc) {
-            usage_error(std::string(flag) + " requires a value");
-        }
-        return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -121,31 +87,28 @@ Options parse_args(int argc, char** argv)
         } else if (arg == "--evict") {
             set_mode(Mode::kEvict);
         } else if (arg == "--shape") {
-            opt.shape = parse_shape(next(i, "--shape"));
+            opt.shape = cli.shape(cli.next(i, "--shape"));
         } else if (arg == "--dtype") {
-            opt.dtype = next(i, "--dtype");
+            opt.dtype = cli.next(i, "--dtype");
             if (opt.dtype != "f32" && opt.dtype != "f64") {
-                usage_error("--dtype expects f32 or f64");
+                cli.error("--dtype expects f32 or f64");
             }
         } else if (arg == "--budget") {
-            opt.budget =
-                static_cast<int>(parse_index(next(i, "--budget"), "--budget"));
+            opt.budget = cli.integer(cli.next(i, "--budget"), "--budget");
         } else if (arg == "--reps") {
-            opt.reps =
-                static_cast<int>(parse_index(next(i, "--reps"), "--reps"));
+            opt.reps = cli.integer(cli.next(i, "--reps"), "--reps");
         } else if (arg == "--warmup") {
-            opt.warmup = static_cast<int>(
-                parse_index(next(i, "--warmup"), "--warmup"));
+            opt.warmup = cli.integer(cli.next(i, "--warmup"), "--warmup");
         } else if (arg == "--cache") {
-            opt.cache_path = next(i, "--cache");
+            opt.cache_path = cli.next(i, "--cache");
         } else if (arg == "--help" || arg == "-h") {
-            usage_error("help requested");
+            cli.error("help requested");
         } else {
-            usage_error("unknown argument '" + arg + "'");
+            cli.error("unknown argument '" + arg + "'");
         }
     }
     if (opt.mode == Mode::kNone) {
-        usage_error("exactly one of --search/--smoke/--show/--evict");
+        cli.error("exactly one of --search/--smoke/--show/--evict");
     }
     return opt;
 }
@@ -154,13 +117,6 @@ std::string cache_path_of(const Options& opt)
 {
     return opt.cache_path.empty() ? cake::tune::default_cache_path()
                                   : opt.cache_path;
-}
-
-void print_cache_issues(const std::vector<cake::tune::CacheIssue>& issues)
-{
-    for (const auto& issue : issues) {
-        std::cout << "  [" << issue.code << "] " << issue.message << "\n";
-    }
 }
 
 /// The kernel admission gate the searches run under. With the analysis
@@ -231,9 +187,7 @@ bool verify_winner(const cake::MachineSpec& machine,
         return true;
     }
     std::cout << "  schedule-IR verify: FAIL\n";
-    for (const auto& issue : report.issues) {
-        std::cout << "    [" << issue.code << "] " << issue.message << "\n";
-    }
+    cake::print_issues(std::cout, report.issues, "    ");
     return false;
 #else
     (void)machine;
@@ -250,7 +204,7 @@ void print_outcome(const cake::GemmShape& shape, const TuneOutcome& outcome)
               << (outcome.cache_hit ? "  [cache hit — nothing re-timed]"
                                     : "")
               << "\n";
-    print_cache_issues(outcome.cache_issues);
+    cake::print_issues(std::cout, outcome.cache_issues);
     if (!outcome.cache_hit) {
         std::cout << "  " << std::left << std::setw(44) << "candidate"
                   << std::right << std::setw(12) << "measured"
@@ -395,7 +349,7 @@ int cmd_show(const Options& opt)
     std::cout << "fingerprint: " << cake::host_fingerprint().json() << "\n"
               << "cache: " << path
               << (loaded.file_existed ? "" : " (absent)") << "\n";
-    print_cache_issues(loaded.issues);
+    cake::print_issues(std::cout, loaded.issues);
     for (const auto& e : loaded.cache.entries) {
         std::cout << "  " << e.dtype << " bucket " << e.bucket_m << "x"
                   << e.bucket_n << "x" << e.bucket_k << " (tuned at "
@@ -416,7 +370,7 @@ int cmd_evict(const Options& opt)
     const std::string path = cache_path_of(opt);
     const std::string fingerprint = cake::host_fingerprint().key();
     cake::tune::CacheLoadResult loaded = cake::tune::load_cache(path);
-    print_cache_issues(loaded.issues);
+    cake::print_issues(std::cout, loaded.issues);
     auto& entries = loaded.cache.entries;
     const auto before = entries.size();
     std::erase_if(entries, [&](const cake::tune::TunedEntry& e) {

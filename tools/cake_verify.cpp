@@ -35,8 +35,9 @@
 // binary.
 //   cake_verify --kernels [--sweep]      (all registered kernels)
 //   cake_verify --kernels --mutations    (kernel-IR corruptions rejected)
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -47,6 +48,8 @@
 #include "analysis/numerics.hpp"
 #include "analysis/schedir.hpp"
 #include "analysis/verify.hpp"
+#include "cli.hpp"
+#include "common/issue.hpp"
 #include "core/fperror.hpp"
 #include "core/tiling.hpp"
 #include "gotoblas/goto_gemm.hpp"
@@ -57,11 +60,10 @@
 
 namespace {
 
+using cake::DtypeDesc;
 using cake::index_t;
 using cake::schedir::Exec;
-using cake::schedir::Mutation;
 using cake::schedir::ScheduleIR;
-using cake::schedir::VerifyReport;
 
 struct Options {
     std::string machine = "intel";
@@ -82,75 +84,37 @@ struct Options {
     std::string dtype;  // empty = follow --f64
 };
 
-[[noreturn]] void usage_error(const std::string& msg)
-{
-    std::cerr
-        << "cake_verify: " << msg << "\n"
-        << "usage: cake_verify [--machine intel|amd|arm|host] [--p N]\n"
-        << "                   [--mr N] [--nr N] [--shape MxNxK] [--f64]\n"
-        << "                   [--mc N]\n"
-        << "                   [--kind serpentine|noflip|ninner|hilbert|morton]\n"
-        << "                   [--exec serial|pipelined|goto] [--memsim]\n"
-        << "                   [--sweep] [--mutations]\n"
-        << "                   [--numerics [--dtype f32|f64|f16|bf16|i8]]\n"
-        << "                   [--locality] [--kernels]\n";
-    std::exit(2);
-}
+constexpr const char* kUsage =
+    "usage: cake_verify [--machine intel|amd|arm|host] [--p N]\n"
+    "                   [--mr N] [--nr N] [--shape MxNxK] [--f64]\n"
+    "                   [--mc N]\n"
+    "                   [--kind serpentine|noflip|ninner|hilbert|morton]\n"
+    "                   [--exec serial|pipelined|goto] [--memsim]\n"
+    "                   [--sweep] [--mutations]\n"
+    "                   [--numerics [--dtype f32|f64|f16|bf16|i8]]\n"
+    "                   [--locality] [--kernels]\n";
 
-index_t parse_index(const std::string& value, const char* flag)
-{
-    try {
-        std::size_t pos = 0;
-        const long long v = std::stoll(value, &pos);
-        if (pos != value.size() || v < 1) throw std::invalid_argument(value);
-        return static_cast<index_t>(v);
-    } catch (const std::exception&) {
-        usage_error(std::string(flag) + " expects a positive integer, got '"
-                    + value + "'");
-    }
-}
-
-cake::GemmShape parse_shape(const std::string& value)
-{
-    const std::size_t x1 = value.find('x');
-    const std::size_t x2 = value.find('x', x1 + 1);
-    if (x1 == std::string::npos || x2 == std::string::npos) {
-        usage_error("--shape expects MxNxK, got '" + value + "'");
-    }
-    cake::GemmShape s;
-    s.m = parse_index(value.substr(0, x1), "--shape");
-    s.n = parse_index(value.substr(x1 + 1, x2 - x1 - 1), "--shape");
-    s.k = parse_index(value.substr(x2 + 1), "--shape");
-    return s;
-}
-
-Options parse_args(int argc, char** argv)
+Options parse_args(const cake::cli::Args& cli)
 {
     Options opt;
-    auto next = [&](int& i, const char* flag) -> std::string {
-        if (i + 1 >= argc) {
-            usage_error(std::string(flag) + " requires a value");
-        }
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    for (int i = 1; i < cli.argc; ++i) {
+        const std::string arg = cli.argv[i];
         if (arg == "--machine") {
-            opt.machine = next(i, "--machine");
+            opt.machine = cli.next(i, "--machine");
         } else if (arg == "--p") {
-            opt.p = static_cast<int>(parse_index(next(i, "--p"), "--p"));
+            opt.p = cli.integer(cli.next(i, "--p"), "--p");
         } else if (arg == "--mr") {
-            opt.mr = parse_index(next(i, "--mr"), "--mr");
+            opt.mr = cli.index(cli.next(i, "--mr"), "--mr");
         } else if (arg == "--nr") {
-            opt.nr = parse_index(next(i, "--nr"), "--nr");
+            opt.nr = cli.index(cli.next(i, "--nr"), "--nr");
         } else if (arg == "--shape") {
-            opt.shape = parse_shape(next(i, "--shape"));
+            opt.shape = cli.shape(cli.next(i, "--shape"));
         } else if (arg == "--f64") {
             opt.f64 = true;
         } else if (arg == "--mc") {
-            opt.mc = parse_index(next(i, "--mc"), "--mc");
+            opt.mc = cli.index(cli.next(i, "--mc"), "--mc");
         } else if (arg == "--kind") {
-            const std::string v = next(i, "--kind");
+            const std::string v = cli.next(i, "--kind");
             // Registry names first (the canonical spelling every consumer
             // shares), then the historical shorthands.
             if (const auto kind = cake::parse_schedule_kind(v)) {
@@ -162,10 +126,10 @@ Options parse_args(int argc, char** argv)
             } else if (v == "ninner") {
                 opt.kind = cake::ScheduleKind::kNInnermost;
             } else {
-                usage_error("unknown --kind '" + v + "'");
+                cli.error("unknown --kind '" + v + "'");
             }
         } else if (arg == "--exec") {
-            const std::string v = next(i, "--exec");
+            const std::string v = cli.next(i, "--exec");
             if (v == "serial") {
                 opt.exec = Exec::kSerial;
             } else if (v == "pipelined") {
@@ -173,7 +137,7 @@ Options parse_args(int argc, char** argv)
             } else if (v == "goto") {
                 opt.exec = Exec::kGoto;
             } else {
-                usage_error("unknown --exec '" + v + "'");
+                cli.error("unknown --exec '" + v + "'");
             }
         } else if (arg == "--memsim") {
             opt.memsim = true;
@@ -188,47 +152,27 @@ Options parse_args(int argc, char** argv)
         } else if (arg == "--kernels") {
             opt.kernels = true;
         } else if (arg == "--dtype") {
-            opt.dtype = next(i, "--dtype");
+            opt.dtype = cli.next(i, "--dtype");
             if (cake::find_dtype(opt.dtype) == nullptr) {
-                usage_error("unknown --dtype '" + opt.dtype + "'");
+                cli.error("unknown --dtype '" + opt.dtype + "'");
             }
         } else if (arg == "--help" || arg == "-h") {
-            usage_error("help requested");
+            cli.error("help requested");
         } else {
-            usage_error("unknown argument '" + arg + "'");
+            cli.error("unknown argument '" + arg + "'");
         }
     }
     return opt;
 }
 
-/// Verify one IR (optionally also against the memsim address stream);
-/// print a PASS/FAIL line plus per-issue diagnostics.
-bool verify_one(const std::string& label, const ScheduleIR& ir,
-                bool with_memsim)
-{
-    VerifyReport report = cake::schedir::verify_schedule_ir(ir);
-    if (with_memsim) {
-        const VerifyReport mem = cake::schedir::cross_check_memsim(ir);
-        report.issues.insert(report.issues.end(), mem.issues.begin(),
-                             mem.issues.end());
-    }
-    const cake::schedir::IoTotals io = cake::schedir::io_totals(ir);
-    std::cout << (report.ok() ? "PASS" : "FAIL") << "  " << label << "  ops="
-              << ir.ops.size() << " phases=" << ir.num_phases
-              << " io(rd=" << io.reads() << ",wr=" << io.writes() << ")"
-              << (with_memsim ? "  [memsim]" : "") << "\n";
-    for (const cake::schedir::VerifyIssue& issue : report.issues) {
-        std::cout << "  [" << issue.code << "] " << issue.message << "\n";
-    }
-    return report.ok();
-}
-
-std::string config_label(const std::string& machine, bool f64,
-                         const cake::GemmShape& shape,
-                         cake::ScheduleKind kind, Exec exec)
+/// "<machine>  <dtype>  MxNxK  [<kind>  ]<exec>": the kind is omitted for
+/// GOTO, which has no CB-block order.
+std::string plan_label(const std::string& machine, const DtypeDesc& dtype,
+                       const cake::GemmShape& shape, cake::ScheduleKind kind,
+                       Exec exec)
 {
     std::string label = machine;
-    label += f64 ? "  f64  " : "  f32  ";
+    label += std::string("  ") + dtype.name + "  ";
     label += std::to_string(shape.m) + "x" + std::to_string(shape.n) + "x"
         + std::to_string(shape.k);
     if (exec != Exec::kGoto) {
@@ -238,59 +182,102 @@ std::string config_label(const std::string& machine, bool f64,
     return label;
 }
 
-/// Verify all Table-2 presets x shape classes x schedule kinds x executors
-/// (the shapes and kernel tiles mirror cake_audit --sweep). The memsim
-/// cross-check runs on the shallow-K shape, where the full address-stream
-/// replay is cheap; the analytic Eq.-2 check covers every config.
-bool run_sweep()
+// --- Per-IR checks: one PASS/FAIL line plus the coded issues -------------
+
+/// Dataflow: exact cover, race freedom, lifetimes and Eq.-2 IO totals,
+/// optionally also against the memsim address stream.
+bool verify_one(const std::string& label, const ScheduleIR& ir,
+                const DtypeDesc& /*dtype*/, bool with_memsim)
 {
-    const std::vector<cake::GemmShape> shapes = {
-        {2000, 2000, 2000},  // square (Fig. 10 protocol)
-        {8000, 256, 2048},   // M-heavy / narrow-N skewed
-        {3000, 3000, 96},    // shallow-K panel (DNN-style)
-    };
-    const std::vector<cake::ScheduleKind>& kinds = cake::all_schedule_kinds();
-    bool all_ok = true;
-    for (const cake::MachineSpec& machine : cake::table2_machines()) {
-        for (const bool f64 : {false, true}) {
-            cake::TilingOptions topts;
-            topts.elem_bytes = f64 ? 8 : 4;
-            const index_t mr = 6;
-            const index_t nr = f64 ? 8 : 16;
-            const cake::CbBlockParams params = cake::compute_cb_block(
-                machine, machine.cores, mr, nr, topts);
-            const cake::GotoBlocking blocking =
-                goto_default_blocking(machine, mr, nr);
-            for (const cake::GemmShape& shape : shapes) {
-                const bool memsim_here = !f64 && shape.k == 96;
-                for (const cake::ScheduleKind kind : kinds) {
-                    for (const Exec exec :
-                         {Exec::kSerial, Exec::kPipelined}) {
-                        const ScheduleIR ir = cake::schedir::extract_cake_ir(
-                            shape, params, kind, exec);
-                        // Trace replay once per plan: both executors model
-                        // identical byte totals by construction.
-                        all_ok &= verify_one(
-                            config_label(machine.name, f64, shape, kind,
-                                         exec),
-                            ir, memsim_here && exec == Exec::kSerial);
-                    }
-                }
-                if (!f64) {  // the GOTO trace layer is f32-fixed
-                    const ScheduleIR goto_ir =
-                        cake::schedir::extract_goto_ir(shape, blocking,
-                                                       machine.cores, mr,
-                                                       nr);
-                    all_ok &= verify_one(
-                        config_label(machine.name, f64, shape, kinds[0],
-                                     Exec::kGoto),
-                        goto_ir, memsim_here);
-                }
-            }
-        }
+    cake::schedir::VerifyReport report = cake::schedir::verify_schedule_ir(ir);
+    if (with_memsim) {
+        const cake::schedir::VerifyReport mem =
+            cake::schedir::cross_check_memsim(ir);
+        report.issues.insert(report.issues.end(), mem.issues.begin(),
+                             mem.issues.end());
     }
-    return all_ok;
+    const cake::schedir::IoTotals io = cake::schedir::io_totals(ir);
+    std::cout << (report.ok() ? "PASS" : "FAIL") << "  " << label << "  ops="
+              << ir.ops.size() << " phases=" << ir.num_phases
+              << " io(rd=" << io.reads() << ",wr=" << io.writes() << ")"
+              << (with_memsim ? "  [memsim]" : "") << "\n";
+    cake::print_issues(std::cout, report.issues);
+    return report.ok();
 }
+
+/// Numerics: the accumulation structure against `dtype`, printing the
+/// derived per-plan error bound.
+bool numerics_one(const std::string& label, const ScheduleIR& ir,
+                  const DtypeDesc& dtype, bool /*with_memsim*/)
+{
+    const cake::numerics::NumericsReport report =
+        cake::numerics::verify_numerics(ir, dtype);
+    char bound[96];
+    if (dtype.is_integer) {
+        std::snprintf(bound, sizeof bound, "acc_range=%.0f i32_safe=%s",
+                      report.bound.acc_range,
+                      report.bound.i32_safe ? "yes" : "NO");
+    } else {
+        std::snprintf(bound, sizeof bound, "rel_bound=%.3e",
+                      report.bound.rel_bound);
+    }
+    std::cout << (report.ok() ? "PASS" : "FAIL") << "  " << label
+              << "  depth=" << report.ir_fma_depth
+              << " segs=" << report.ir_segments << " " << bound << "\n";
+    cake::print_issues(std::cout, report.issues);
+    return report.ok();
+}
+
+/// Locality: one CAKE IR's reuse structure, printing the predicted
+/// traffic and LLC locality evidence. `with_memsim` chains the proof to
+/// the memsim address stream (predicted == io_totals by LOC_TRAFFIC,
+/// io_totals == trace by cross_check_memsim).
+bool locality_one(const std::string& label, const ScheduleIR& ir,
+                  const DtypeDesc& /*dtype*/, bool with_memsim)
+{
+    const cake::locality::LocalityReport rep =
+        cake::locality::analyze_locality(ir);
+    bool ok = rep.ok();
+    std::cout << (ok ? "PASS" : "FAIL") << "  " << label << "  steps="
+              << rep.steps << " shared=" << rep.shared_transitions << "/"
+              << (rep.steps > 0 ? rep.steps - 1 : 0)
+              << " rd=" << rep.predicted.reads()
+              << " wr=" << rep.predicted.writes();
+    if (!rep.levels.empty()) {
+        const cake::locality::LevelStats& llc = rep.levels.back();
+        std::cout << " " << llc.name << "(hit=" << llc.hits
+                  << ",miss=" << llc.misses << ",cold=" << llc.cold << ")";
+    }
+    std::cout << (with_memsim ? "  [memsim]" : "") << "\n";
+    cake::print_issues(std::cout, rep.issues);
+    if (with_memsim) {
+        const cake::schedir::VerifyReport mem =
+            cake::schedir::cross_check_memsim(ir);
+        ok &= mem.ok();
+        cake::print_issues(std::cout, mem.issues);
+    }
+    return ok;
+}
+
+/// A per-IR check: prints one PASS/FAIL line labelled `label`.
+using CheckFn = bool (*)(const std::string& label, const ScheduleIR& ir,
+                         const DtypeDesc& dtype, bool with_memsim);
+
+/// One IR-level verification pass: its per-IR check, its mutation gate
+/// and the three facts that shape its sweep.
+struct Pass {
+    CheckFn check;
+    bool (*mutations)();
+    /// Precisions the sweep covers on both CAKE executors ...
+    std::vector<const DtypeDesc*> dtypes;
+    /// ... and those that also get a GOTO plan (empty: CAKE-only pass).
+    std::vector<const DtypeDesc*> goto_dtypes;
+    /// Chain to the memsim address stream on the shallow-K f32 cells (the
+    /// CAKE serial plan and GOTO), where the full replay is cheap.
+    bool memsim = false;
+};
+
+// --- Mutation gates --------------------------------------------------------
 
 /// Small multi-column grid (forced mc) so every mutation has a site:
 /// several C columns (flush/zero turnovers), kb >= 2 (double-buffer
@@ -313,274 +300,192 @@ ScheduleIR mutation_subject(Exec exec)
                                           exec);
 }
 
-bool check_mutation(Exec exec, Mutation m)
+/// Corrupt `ir` with `mutate` (which returns the code it plants), re-check
+/// it and print one verdict line naming `subject` and the mutation. With
+/// `isolated`, the planted code must also be the only one reported.
+template <typename Ir, typename Mutate, typename Check>
+bool check_mutation(const std::string& subject, const char* mutation, Ir ir,
+                    Mutate mutate, Check check,
+                    const char* checker = "verifier", bool isolated = false)
 {
-    ScheduleIR ir = mutation_subject(exec);
-    const std::string expected = cake::schedir::apply_mutation(ir, m);
-    const VerifyReport report = cake::schedir::verify_schedule_ir(ir);
-    const bool rejected = report.has(expected);
-    std::cout << (rejected ? "PASS" : "FAIL") << "  "
-              << cake::schedir::exec_name(exec) << "  "
-              << cake::schedir::mutation_name(m) << " -> expects "
-              << expected << ", verifier reported ["
-              << (report.issues.empty() ? "clean" : report.codes()) << "]\n";
+    const std::string expected = mutate(ir);
+    const cake::IssueList report = check(ir);
+    const bool rejected =
+        report.has(expected) && (!isolated || report.codes() == expected);
+    std::cout << (rejected ? "PASS" : "FAIL") << "  " << subject << "  "
+              << mutation << " -> expects "
+              << (isolated ? "[" + expected + "] only" : expected) << ", "
+              << checker << " reported ["
+              << (report.ok() ? "clean" : report.codes()) << "]\n";
     return rejected;
 }
 
-/// Every mutation applied to a fresh pipelined IR (plus the exec-agnostic
-/// ones to serial and GOTO IRs), each rejected with its specific code —
-/// and the uncorrupted IRs verify clean.
-bool run_mutations()
+/// The uncorrupted subject IRs of `execs` must check clean under `check`.
+bool clean_subjects(CheckFn check, std::initializer_list<Exec> execs)
 {
     bool all_ok = true;
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined, Exec::kGoto}) {
-        all_ok &= verify_one(std::string("clean ")
-                                 + cake::schedir::exec_name(exec),
-                             mutation_subject(exec), false);
+    for (const Exec exec : execs) {
+        all_ok &= check(std::string("clean ") + cake::schedir::exec_name(exec),
+                        mutation_subject(exec), cake::dtype_f32(), false);
     }
-    const Mutation all[] = {
-        Mutation::kDropOp,           Mutation::kDupOp,
-        Mutation::kReorderAccum,     Mutation::kSeverZeroBarrier,
-        Mutation::kSeverFlushBarrier, Mutation::kShrinkGeneration,
-        Mutation::kDropFlush,
+    return all_ok;
+}
+
+/// Every dataflow mutation applied to a fresh pipelined IR (plus the
+/// exec-agnostic ones to serial and GOTO IRs), each rejected with its
+/// specific code.
+bool dataflow_mutations()
+{
+    using cake::schedir::Mutation;
+    bool all_ok = clean_subjects(
+        verify_one, {Exec::kSerial, Exec::kPipelined, Exec::kGoto});
+    auto check = [](Exec exec, Mutation m) {
+        return check_mutation(
+            cake::schedir::exec_name(exec), cake::schedir::mutation_name(m),
+            mutation_subject(exec),
+            [m](ScheduleIR& ir) {
+                return cake::schedir::apply_mutation(ir, m);
+            },
+            cake::schedir::verify_schedule_ir);
     };
-    for (const Mutation m : all) {
-        all_ok &= check_mutation(Exec::kPipelined, m);
+    for (const Mutation m :
+         {Mutation::kDropOp, Mutation::kDupOp, Mutation::kReorderAccum,
+          Mutation::kSeverZeroBarrier, Mutation::kSeverFlushBarrier,
+          Mutation::kShrinkGeneration, Mutation::kDropFlush}) {
+        all_ok &= check(Exec::kPipelined, m);
     }
     for (const Mutation m : {Mutation::kDropOp, Mutation::kDupOp}) {
-        all_ok &= check_mutation(Exec::kSerial, m);
-        all_ok &= check_mutation(Exec::kGoto, m);
+        all_ok &= check(Exec::kSerial, m);
+        all_ok &= check(Exec::kGoto, m);
     }
     return all_ok;
 }
 
-// --- Static numerics verification (--numerics) --------------------------
-
-/// Verify one IR's accumulation structure against `dtype` and print a
-/// PASS/FAIL line carrying the derived per-plan error bound.
-bool numerics_one(const std::string& label, const ScheduleIR& ir,
-                  const cake::DtypeDesc& dtype)
-{
-    const cake::numerics::NumericsReport report =
-        cake::numerics::verify_numerics(ir, dtype);
-    char bound[96];
-    if (dtype.is_integer) {
-        std::snprintf(bound, sizeof bound, "acc_range=%.0f i32_safe=%s",
-                      report.bound.acc_range,
-                      report.bound.i32_safe ? "yes" : "NO");
-    } else {
-        std::snprintf(bound, sizeof bound, "rel_bound=%.3e",
-                      report.bound.rel_bound);
-    }
-    std::cout << (report.ok() ? "PASS" : "FAIL") << "  " << label
-              << "  depth=" << report.ir_fma_depth
-              << " segs=" << report.ir_segments << " " << bound << "\n";
-    for (const cake::numerics::NumericsIssue& issue : report.issues) {
-        std::cout << "  [" << issue.code << "] " << issue.message << "\n";
-    }
-    return report.ok();
-}
-
-std::string numerics_label(const std::string& machine,
-                           const cake::DtypeDesc& dtype,
-                           const cake::GemmShape& shape,
-                           cake::ScheduleKind kind, Exec exec)
-{
-    std::string label = machine;
-    label += std::string("  ") + dtype.name + "  ";
-    label += std::to_string(shape.m) + "x" + std::to_string(shape.n) + "x"
-        + std::to_string(shape.k);
-    if (exec != Exec::kGoto) {
-        label += std::string("  ") + cake::schedule_kind_name(kind);
-    }
-    label += std::string("  ") + cake::schedir::exec_name(exec);
-    return label;
-}
-
-/// Numerics sweep: every Table-2 preset x shape class x precision path
-/// ({f32, f64, i8}) x schedule kind x executor (plus GOTO per precision).
-bool run_numerics_sweep()
-{
-    const std::vector<cake::GemmShape> shapes = {
-        {2000, 2000, 2000},
-        {8000, 256, 2048},
-        {3000, 3000, 96},
-    };
-    const cake::DtypeDesc* dtypes[] = {&cake::dtype_f32(), &cake::dtype_f64(),
-                                       &cake::dtype_i8()};
-    const std::vector<cake::ScheduleKind>& kinds = cake::all_schedule_kinds();
-    bool all_ok = true;
-    for (const cake::MachineSpec& machine : cake::table2_machines()) {
-        for (const cake::DtypeDesc* dtype : dtypes) {
-            cake::TilingOptions topts;
-            topts.elem_bytes = dtype->elem_bytes;
-            const index_t mr = 6;
-            const index_t nr = dtype->elem_bytes == 8 ? 8 : 16;
-            const cake::CbBlockParams params = cake::compute_cb_block(
-                machine, machine.cores, mr, nr, topts);
-            const cake::GotoBlocking blocking =
-                goto_default_blocking(machine, mr, nr);
-            for (const cake::GemmShape& shape : shapes) {
-                for (const cake::ScheduleKind kind : kinds) {
-                    for (const Exec exec :
-                         {Exec::kSerial, Exec::kPipelined}) {
-                        const ScheduleIR ir = cake::schedir::extract_cake_ir(
-                            shape, params, kind, exec);
-                        all_ok &= numerics_one(
-                            numerics_label(machine.name, *dtype, shape, kind,
-                                           exec),
-                            ir, *dtype);
-                    }
-                }
-                const ScheduleIR goto_ir = cake::schedir::extract_goto_ir(
-                    shape, blocking, machine.cores, mr, nr,
-                    /*accumulate=*/false, dtype->elem_bytes);
-                all_ok &= numerics_one(
-                    numerics_label(machine.name, *dtype, shape, kinds[0],
-                                   Exec::kGoto),
-                    goto_ir, *dtype);
-            }
-        }
-    }
-    return all_ok;
-}
-
-bool check_num_mutation(Exec exec, cake::numerics::NumMutation m)
-{
-    ScheduleIR ir = mutation_subject(exec);
-    const std::string expected =
-        cake::numerics::apply_numerics_mutation(ir, m);
-    const cake::numerics::NumericsReport report =
-        cake::numerics::verify_numerics(ir, cake::dtype_f32());
-    const bool rejected = report.has(expected);
-    std::cout << (rejected ? "PASS" : "FAIL") << "  "
-              << cake::schedir::exec_name(exec) << "  "
-              << cake::numerics::num_mutation_name(m) << " -> expects "
-              << expected << ", verifier reported ["
-              << (report.issues.empty() ? "clean" : report.codes()) << "]\n";
-    return rejected;
-}
-
-/// Numerics mutation gate: clean IRs verify clean, then every numerics
-/// corruption is rejected with its specific code on every executor that
-/// has a site for it.
-bool run_numerics_mutations()
+/// Every numerics corruption rejected with its specific code on every
+/// executor that has a site for it.
+bool numerics_mutations()
 {
     using cake::numerics::NumMutation;
-    bool all_ok = true;
+    bool all_ok = clean_subjects(
+        numerics_one, {Exec::kSerial, Exec::kPipelined, Exec::kGoto});
+    auto check = [](Exec exec, NumMutation m) {
+        return check_mutation(
+            cake::schedir::exec_name(exec),
+            cake::numerics::num_mutation_name(m),
+            mutation_subject(exec),
+            [m](ScheduleIR& ir) {
+                return cake::numerics::apply_numerics_mutation(ir, m);
+            },
+            [](const ScheduleIR& ir) {
+                return cake::numerics::verify_numerics(ir, cake::dtype_f32());
+            });
+    };
     for (const Exec exec : {Exec::kSerial, Exec::kPipelined, Exec::kGoto}) {
-        all_ok &= numerics_one(std::string("clean ")
-                                   + cake::schedir::exec_name(exec),
-                               mutation_subject(exec), cake::dtype_f32());
-    }
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined, Exec::kGoto}) {
-        all_ok &= check_num_mutation(exec, NumMutation::kDeepenAccum);
-        all_ok &= check_num_mutation(exec, NumMutation::kLyingDtype);
+        all_ok &= check(exec, NumMutation::kDeepenAccum);
+        all_ok &= check(exec, NumMutation::kLyingDtype);
     }
     // Generation turnover only exists on the CAKE executors (GOTO streams
     // C straight to the user surface — apply_numerics_mutation throws).
     for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
-        all_ok &= check_num_mutation(exec, NumMutation::kDropTurnover);
+        all_ok &= check(exec, NumMutation::kDropTurnover);
     }
     return all_ok;
 }
 
-bool run_numerics_single(const Options& opt)
+/// Every locality corruption rejected with its specific code on both CAKE
+/// executors (the analyzer is CAKE-only; GOTO has no block order).
+bool locality_mutations()
 {
-    const cake::MachineSpec machine = cake::machine_by_name(opt.machine);
-    const int p = opt.p > 0 ? opt.p : machine.cores;
-    const std::string name =
-        opt.dtype.empty() ? (opt.f64 ? "f64" : "f32") : opt.dtype;
-    const cake::DtypeDesc& dtype = *cake::find_dtype(name);
-    if (opt.exec == Exec::kGoto) {
-        const ScheduleIR ir = cake::schedir::extract_goto_ir(
-            opt.shape, goto_default_blocking(machine, opt.mr, opt.nr), p,
-            opt.mr, opt.nr, /*accumulate=*/false, dtype.elem_bytes);
-        return numerics_one(numerics_label(machine.name, dtype, opt.shape,
-                                           opt.kind, opt.exec),
-                            ir, dtype);
-    }
-    cake::TilingOptions topts;
-    topts.elem_bytes = dtype.elem_bytes;
-    topts.mc = opt.mc;
-    const cake::CbBlockParams params =
-        cake::compute_cb_block(machine, p, opt.mr, opt.nr, topts);
-    const ScheduleIR ir = cake::schedir::extract_cake_ir(
-        opt.shape, params, opt.kind, opt.exec);
-    return numerics_one(numerics_label(machine.name, dtype, opt.shape,
-                                       opt.kind, opt.exec),
-                        ir, dtype);
-}
-
-// --- Static locality verification (--locality) --------------------------
-
-/// Analyse one CAKE IR's reuse structure and print a PASS/FAIL line with
-/// the predicted traffic and LLC locality evidence. `with_memsim` chains
-/// the proof to the memsim address stream (predicted == io_totals by
-/// LOC_TRAFFIC, io_totals == trace by cross_check_memsim).
-bool locality_one(const std::string& label, const ScheduleIR& ir,
-                  bool with_memsim)
-{
-    const cake::locality::LocalityReport rep =
-        cake::locality::analyze_locality(ir);
-    bool ok = rep.ok();
-    std::cout << (ok ? "PASS" : "FAIL") << "  " << label << "  steps="
-              << rep.steps << " shared=" << rep.shared_transitions << "/"
-              << (rep.steps > 0 ? rep.steps - 1 : 0)
-              << " rd=" << rep.predicted.reads()
-              << " wr=" << rep.predicted.writes();
-    if (!rep.levels.empty()) {
-        const cake::locality::LevelStats& llc = rep.levels.back();
-        std::cout << " " << llc.name << "(hit=" << llc.hits
-                  << ",miss=" << llc.misses << ",cold=" << llc.cold << ")";
-    }
-    std::cout << (with_memsim ? "  [memsim]" : "") << "\n";
-    for (const cake::locality::LocalityIssue& issue : rep.issues) {
-        std::cout << "  [" << issue.code << "] " << issue.message << "\n";
-    }
-    if (with_memsim) {
-        const VerifyReport mem = cake::schedir::cross_check_memsim(ir);
-        ok &= mem.ok();
-        for (const cake::schedir::VerifyIssue& issue : mem.issues) {
-            std::cout << "  [" << issue.code << "] " << issue.message << "\n";
+    using cake::locality::LocMutation;
+    bool all_ok =
+        clean_subjects(locality_one, {Exec::kSerial, Exec::kPipelined});
+    for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
+        for (const LocMutation m :
+             {LocMutation::kTwistOrder, LocMutation::kSkewFetch,
+              LocMutation::kPhantomFetch, LocMutation::kInflateFlush}) {
+            all_ok &= check_mutation(
+                cake::schedir::exec_name(exec),
+                cake::locality::loc_mutation_name(m), mutation_subject(exec),
+                [m](ScheduleIR& ir) {
+                    return cake::locality::apply_locality_mutation(ir, m);
+                },
+                [](const ScheduleIR& ir) {
+                    return cake::locality::analyze_locality(ir);
+                },
+                "analyzer");
         }
     }
-    return ok;
+    return all_ok;
 }
 
-/// Locality sweep: Table-2 presets x {f32, f64} x shape classes x EVERY
-/// registered schedule kind x both CAKE executors. The memsim address-
-/// stream chain runs once per plan on the shallow-K f32 serial configs,
-/// completing the prediction -> simulation equality for every kind.
-bool run_locality_sweep()
+Pass dataflow_pass()
 {
-    const std::vector<cake::GemmShape> shapes = {
-        {2000, 2000, 2000},
-        {8000, 256, 2048},
-        {3000, 3000, 96},
-    };
+    return {verify_one, dataflow_mutations,
+            {&cake::dtype_f32(), &cake::dtype_f64()},
+            // the GOTO trace layer is f32-fixed
+            {&cake::dtype_f32()},
+            true};
+}
+
+Pass numerics_pass()
+{
+    const std::vector<const DtypeDesc*> all = {
+        &cake::dtype_f32(), &cake::dtype_f64(), &cake::dtype_i8()};
+    return {numerics_one, numerics_mutations, all, all, false};
+}
+
+Pass locality_pass()
+{
+    return {locality_one, locality_mutations,
+            {&cake::dtype_f32(), &cake::dtype_f64()}, {}, true};
+}
+
+// --- Sweep and single-plan mode ---------------------------------------------
+
+/// Every Table-2 preset x the pass's precisions x the sweep corpus x every
+/// registered schedule kind x both CAKE executors, plus one GOTO plan per
+/// shape for the precisions the pass runs GOTO on.
+bool run_sweep(const Pass& pass)
+{
+    const std::vector<cake::ScheduleKind>& kinds = cake::all_schedule_kinds();
     bool all_ok = true;
     for (const cake::MachineSpec& machine : cake::table2_machines()) {
-        for (const bool f64 : {false, true}) {
+        for (const DtypeDesc* dtype : pass.dtypes) {
             cake::TilingOptions topts;
-            topts.elem_bytes = f64 ? 8 : 4;
-            const index_t mr = 6;
-            const index_t nr = f64 ? 8 : 16;
+            topts.elem_bytes = dtype->elem_bytes;
+            const index_t mr = cake::cli::kSweepMr;
+            const index_t nr = cake::cli::sweep_nr(dtype->elem_bytes);
             const cake::CbBlockParams params = cake::compute_cb_block(
                 machine, machine.cores, mr, nr, topts);
-            for (const cake::GemmShape& shape : shapes) {
-                const bool memsim_here = !f64 && shape.k == 96;
-                for (const cake::ScheduleKind kind :
-                     cake::all_schedule_kinds()) {
+            const bool with_goto =
+                std::find(pass.goto_dtypes.begin(), pass.goto_dtypes.end(),
+                          dtype)
+                != pass.goto_dtypes.end();
+            for (const cake::GemmShape& shape : cake::cli::kSweepShapes) {
+                const bool memsim_here = pass.memsim
+                    && dtype == &cake::dtype_f32() && shape.k == 96;
+                for (const cake::ScheduleKind kind : kinds) {
                     for (const Exec exec :
                          {Exec::kSerial, Exec::kPipelined}) {
-                        const ScheduleIR ir = cake::schedir::extract_cake_ir(
-                            shape, params, kind, exec);
-                        all_ok &= locality_one(
-                            config_label(machine.name, f64, shape, kind,
-                                         exec),
-                            ir, memsim_here && exec == Exec::kSerial);
+                        // Trace replay once per plan: both executors model
+                        // identical byte totals by construction.
+                        all_ok &= pass.check(
+                            plan_label(machine.name, *dtype, shape, kind,
+                                       exec),
+                            cake::schedir::extract_cake_ir(shape, params,
+                                                           kind, exec),
+                            *dtype, memsim_here && exec == Exec::kSerial);
                     }
+                }
+                if (with_goto) {
+                    all_ok &= pass.check(
+                        plan_label(machine.name, *dtype, shape, kinds[0],
+                                   Exec::kGoto),
+                        cake::schedir::extract_goto_ir(
+                            shape, goto_default_blocking(machine, mr, nr),
+                            machine.cores, mr, nr, /*accumulate=*/false,
+                            dtype->elem_bytes),
+                        *dtype, memsim_here);
                 }
             }
         }
@@ -588,60 +493,35 @@ bool run_locality_sweep()
     return all_ok;
 }
 
-bool check_loc_mutation(Exec exec, cake::locality::LocMutation m)
+/// The one plan the flags select: --dtype (else --f64) picks the
+/// precision, --memsim chains f32 plans to the address stream.
+bool run_single(const Pass& pass, const Options& opt,
+                const cake::cli::Args& cli)
 {
-    ScheduleIR ir = mutation_subject(exec);
-    const std::string expected =
-        cake::locality::apply_locality_mutation(ir, m);
-    const cake::locality::LocalityReport report =
-        cake::locality::analyze_locality(ir);
-    const bool rejected = report.has(expected);
-    std::cout << (rejected ? "PASS" : "FAIL") << "  "
-              << cake::schedir::exec_name(exec) << "  "
-              << cake::locality::loc_mutation_name(m) << " -> expects "
-              << expected << ", analyzer reported ["
-              << (report.issues.empty() ? "clean" : report.codes()) << "]\n";
-    return rejected;
-}
-
-/// Locality mutation gate: clean CAKE IRs analyse clean, then every
-/// locality corruption is rejected with its specific code on both
-/// executors (the analyzer is CAKE-only; GOTO has no block order).
-bool run_locality_mutations()
-{
-    using cake::locality::LocMutation;
-    bool all_ok = true;
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
-        all_ok &= locality_one(std::string("clean ")
-                                   + cake::schedir::exec_name(exec),
-                               mutation_subject(exec), false);
-    }
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
-        all_ok &= check_loc_mutation(exec, LocMutation::kTwistOrder);
-        all_ok &= check_loc_mutation(exec, LocMutation::kSkewFetch);
-        all_ok &= check_loc_mutation(exec, LocMutation::kPhantomFetch);
-        all_ok &= check_loc_mutation(exec, LocMutation::kInflateFlush);
-    }
-    return all_ok;
-}
-
-bool run_locality_single(const Options& opt)
-{
-    if (opt.exec == Exec::kGoto) {
-        usage_error("--locality requires a CAKE exec (serial|pipelined)");
+    if (opt.exec == Exec::kGoto && pass.goto_dtypes.empty()) {
+        cli.error("--locality requires a CAKE exec (serial|pipelined)");
     }
     const cake::MachineSpec machine = cake::machine_by_name(opt.machine);
     const int p = opt.p > 0 ? opt.p : machine.cores;
-    cake::TilingOptions topts;
-    topts.elem_bytes = opt.f64 ? 8 : 4;
-    topts.mc = opt.mc;
-    const cake::CbBlockParams params =
-        cake::compute_cb_block(machine, p, opt.mr, opt.nr, topts);
-    const ScheduleIR ir = cake::schedir::extract_cake_ir(
-        opt.shape, params, opt.kind, opt.exec);
-    return locality_one(config_label(machine.name, opt.f64, opt.shape,
-                                     opt.kind, opt.exec),
-                        ir, opt.memsim && !opt.f64);
+    const DtypeDesc& dtype = *cake::find_dtype(
+        opt.dtype.empty() ? (opt.f64 ? "f64" : "f32") : opt.dtype);
+    ScheduleIR ir;
+    if (opt.exec == Exec::kGoto) {
+        ir = cake::schedir::extract_goto_ir(
+            opt.shape, goto_default_blocking(machine, opt.mr, opt.nr), p,
+            opt.mr, opt.nr, /*accumulate=*/false, dtype.elem_bytes);
+    } else {
+        cake::TilingOptions topts;
+        topts.elem_bytes = dtype.elem_bytes;
+        topts.mc = opt.mc;
+        const cake::CbBlockParams params =
+            cake::compute_cb_block(machine, p, opt.mr, opt.nr, topts);
+        ir = cake::schedir::extract_cake_ir(opt.shape, params, opt.kind,
+                                            opt.exec);
+    }
+    return pass.check(
+        plan_label(machine.name, dtype, opt.shape, opt.kind, opt.exec), ir,
+        dtype, pass.memsim && opt.memsim && &dtype == &cake::dtype_f32());
 }
 
 // --- Kernel-IR static verification (--kernels) --------------------------
@@ -659,9 +539,7 @@ bool kernels_one(const cake::kernelcheck::KernelReport& report)
               << " chain=" << report.derived_chain << " peak=" << peak
               << " ops/cycle"
               << (report.fingerprinted ? "  [fingerprint]" : "") << "\n";
-    for (const cake::kernelcheck::KernelIssue& issue : report.issues) {
-        std::cout << "  [" << issue.code << "] " << issue.message << "\n";
-    }
+    cake::print_issues(std::cout, report.issues);
     return report.ok();
 }
 
@@ -694,30 +572,13 @@ bool run_kernels_sweep()
     return all_ok;
 }
 
-bool check_kir_mutation(const cake::KernelIr& clean,
-                        cake::kernelcheck::KirMutation m)
-{
-    cake::KernelIr ir = clean;
-    const std::string expected =
-        cake::kernelcheck::apply_kernel_mutation(ir, m);
-    const cake::kernelcheck::KernelReport report =
-        cake::kernelcheck::verify_kernel_ir(ir);
-    // Isolation: the mutation must trip its specific code and nothing
-    // else — a second code firing would mean the obligations overlap.
-    const bool rejected = report.has(expected)
-        && report.codes() == expected;
-    std::cout << (rejected ? "PASS" : "FAIL") << "  " << clean.kernel << "  "
-              << cake::kernelcheck::kir_mutation_name(m) << " -> expects ["
-              << expected << "] only, verifier reported ["
-              << (report.issues.empty() ? "clean" : report.codes()) << "]\n";
-    return rejected;
-}
-
 /// Kernel mutation gate: every clean IR verifies clean, then every
 /// corruption is rejected on every registered kernel with its specific
-/// code and no other.
+/// code and no other — a second code firing would mean the obligations
+/// overlap.
 bool run_kernels_mutations()
 {
+    using cake::kernelcheck::KirMutation;
     bool all_ok = true;
     for (const cake::KernelIr& ir : cake::all_kernel_irs()) {
         const cake::kernelcheck::KernelReport clean =
@@ -726,43 +587,27 @@ bool run_kernels_mutations()
             all_ok &= kernels_one(clean);
             continue;
         }
-        for (int m = 0; m < cake::kernelcheck::kKirMutationCount; ++m) {
-            all_ok &= check_kir_mutation(
-                ir, static_cast<cake::kernelcheck::KirMutation>(m));
+        for (int i = 0; i < cake::kernelcheck::kKirMutationCount; ++i) {
+            const auto m = static_cast<KirMutation>(i);
+            all_ok &= check_mutation(
+                ir.kernel, cake::kernelcheck::kir_mutation_name(m), ir,
+                [m](cake::KernelIr& mutated) {
+                    return cake::kernelcheck::apply_kernel_mutation(mutated,
+                                                                    m);
+                },
+                cake::kernelcheck::verify_kernel_ir, "verifier",
+                /*isolated=*/true);
         }
     }
     return all_ok;
-}
-
-bool run_single(const Options& opt)
-{
-    const cake::MachineSpec machine = cake::machine_by_name(opt.machine);
-    const int p = opt.p > 0 ? opt.p : machine.cores;
-    if (opt.exec == Exec::kGoto) {
-        const ScheduleIR ir = cake::schedir::extract_goto_ir(
-            opt.shape, goto_default_blocking(machine, opt.mr, opt.nr), p,
-            opt.mr, opt.nr);
-        return verify_one(config_label(machine.name, opt.f64, opt.shape,
-                                       opt.kind, opt.exec),
-                          ir, opt.memsim && !opt.f64);
-    }
-    cake::TilingOptions topts;
-    topts.elem_bytes = opt.f64 ? 8 : 4;
-    topts.mc = opt.mc;
-    const cake::CbBlockParams params =
-        cake::compute_cb_block(machine, p, opt.mr, opt.nr, topts);
-    const ScheduleIR ir = cake::schedir::extract_cake_ir(
-        opt.shape, params, opt.kind, opt.exec);
-    return verify_one(config_label(machine.name, opt.f64, opt.shape,
-                                   opt.kind, opt.exec),
-                      ir, opt.memsim && !opt.f64);
 }
 
 }  // namespace
 
 int main(int argc, char** argv)
 {
-    const Options opt = parse_args(argc, argv);
+    const cake::cli::Args cli{argc, argv, "cake_verify", kUsage};
+    const Options opt = parse_args(cli);
 
     bool ok = false;
     try {
@@ -771,20 +616,13 @@ int main(int argc, char** argv)
             // kernel inventory is small enough to always verify whole.
             ok = opt.mutations ? run_kernels_mutations()
                                : run_kernels_sweep();
-        } else if (opt.locality) {
-            ok = opt.sweep        ? run_locality_sweep()
-                 : opt.mutations  ? run_locality_mutations()
-                                  : run_locality_single(opt);
-        } else if (opt.numerics) {
-            ok = opt.sweep        ? run_numerics_sweep()
-                 : opt.mutations  ? run_numerics_mutations()
-                                  : run_numerics_single(opt);
-        } else if (opt.sweep) {
-            ok = run_sweep();
-        } else if (opt.mutations) {
-            ok = run_mutations();
         } else {
-            ok = run_single(opt);
+            const Pass pass = opt.locality   ? locality_pass()
+                              : opt.numerics ? numerics_pass()
+                                             : dataflow_pass();
+            ok = opt.sweep        ? run_sweep(pass)
+                 : opt.mutations  ? pass.mutations()
+                                  : run_single(pass, opt, cli);
         }
     } catch (const std::exception& e) {
         std::cerr << "cake_verify: " << e.what() << "\n";

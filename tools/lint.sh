@@ -17,7 +17,7 @@
 #     auditor can see every edge. An ad-hoc atomic elsewhere is invisible
 #     to the auditor and unverifiable by the schedule fuzzer.
 #   * console IO (std::cout / std::cerr / printf) in src/ library code —
-#     the library reports through return values, CakeStats, AuditIssue
+#     the library reports through return values, CakeStats, cake::Issue
 #     lists and the obs tracer; stray prints corrupt tool output (the
 #     Perfetto exporter and cake_verify write machine-parsed streams to
 #     stdout). Drivers under tools/, bench/ and examples/ own the console.
@@ -50,153 +50,72 @@ set -uo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${repo_root}"
 
-# --probe-rule4: self-test that rule 4 (raw-atomic ban) still fires after
-# an allowlist edit. Plants a throwaway std::atomic use under src/core
-# (the lint MUST flag it) and then under the allowlisted src/obs (the lint
-# MUST NOT), cleaning up the probe files on every exit path.
-if [[ "${1:-}" == "--probe-rule4" ]]; then
-  probe_bad="src/core/lint_rule4_probe_tmp.hpp"
-  probe_ok="src/obs/lint_rule4_probe_tmp.hpp"
-  trap 'rm -f "${repo_root}/${probe_bad}" "${repo_root}/${probe_ok}"' EXIT
-  printf '#include <atomic>\ninline std::atomic<int> lint_probe{0};\n' \
-    > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 4 did not flag ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_bad}"
-  printf '#include <atomic>\ninline std::atomic<int> lint_probe{0};\n' \
-    > "${probe_ok}"
-  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (allowlisted ${probe_ok} was flagged)"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_ok}"
-  echo "lint probe: OK (rule 4 fires under src/core, allows src/obs)"
+# probe RULE SUMMARY [EXPECT FILE CONTENT]...: self-test that rule RULE
+# still fires after an allowlist edit. Each step plants FILE with CONTENT
+# (printf escapes) and requires the full lint to fail (EXPECT=flag) or to
+# pass (EXPECT=allow); an empty FILE lints the clean tree. The planted
+# file is removed after each step and on every exit path.
+probe() {
+  local rule="$1" summary="$2" expect content
+  shift 2
+  probe_file=""
+  trap '[[ -z "${probe_file}" ]] || rm -f "${repo_root}/${probe_file}"' EXIT
+  while [[ $# -gt 0 ]]; do
+    expect="$1" probe_file="$2" content="$3"
+    shift 3
+    [[ -n "${probe_file}" ]] && printf '%b' "${content}" > "${probe_file}"
+    if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
+      if [[ "${expect}" == flag ]]; then
+        echo "lint probe: FAILED (rule ${rule} did not flag ${probe_file})"
+        exit 1
+      fi
+    elif [[ "${expect}" == allow ]]; then
+      echo "lint probe: FAILED (${probe_file:-the clean tree} was flagged)"
+      exit 1
+    fi
+    [[ -n "${probe_file}" ]] && rm -f "${probe_file}"
+  done
+  echo "lint probe: OK (rule ${rule} ${summary})"
   exit 0
-fi
+}
 
-# --probe-rule5: self-test that rule 5 (console-IO ban) fires in library
-# code and stays silent in the driver trees.
-if [[ "${1:-}" == "--probe-rule5" ]]; then
-  probe_bad="src/core/lint_rule5_probe_tmp.hpp"
-  probe_ok="tools/lint_rule5_probe_tmp.hpp"
-  trap 'rm -f "${repo_root}/${probe_bad}" "${repo_root}/${probe_ok}"' EXIT
-  printf '#include <iostream>\ninline void lint_probe() { std::cout << 1; }\n' \
-    > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 5 did not flag ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_bad}"
-  printf '#include <iostream>\ninline void lint_probe() { std::cout << 1; }\n' \
-    > "${probe_ok}"
-  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (driver-tree ${probe_ok} was flagged)"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_ok}"
-  echo "lint probe: OK (rule 5 fires under src/core, allows tools/)"
-  exit 0
-fi
-
-# --probe-rule6: self-test that rule 6 (narrowing float-cast ban) fires in
-# library code outside the allowlist and stays silent inside it and in the
-# test tree.
-if [[ "${1:-}" == "--probe-rule6" ]]; then
-  probe_bad="src/core/lint_rule6_probe_tmp.hpp"
-  probe_ok="tests/lint_rule6_probe_tmp.hpp"
-  trap 'rm -f "${repo_root}/${probe_bad}" "${repo_root}/${probe_ok}"' EXIT
-  printf 'inline float lint_probe(double v) { return static_cast<float>(v); }\n' \
-    > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 6 did not flag ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_bad}"
-  printf 'inline float lint_probe(double v) { return (float)v; }\n' \
-    > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 6 did not flag the C-style cast in ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_bad}"
-  printf 'inline float lint_probe(double v) { return static_cast<float>(v); }\n' \
-    > "${probe_ok}"
-  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (test-tree ${probe_ok} was flagged)"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_ok}"
-  echo "lint probe: OK (rule 6 fires under src/core, allows tests/)"
-  exit 0
-fi
-
-# --probe-rule7: self-test that rule 7 (raw-syscall ban) fires outside
-# the perf_event_open wrapper and stays silent for src/obs/perf.cpp.
-if [[ "${1:-}" == "--probe-rule7" ]]; then
-  probe_bad="src/core/lint_rule7_probe_tmp.hpp"
-  trap 'rm -f "${repo_root}/${probe_bad}"' EXIT
-  printf '#include <unistd.h>\ninline long lint_probe() { return syscall(39); }\n' \
-    > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 7 did not flag ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${probe_bad}"
-  # The real perf_event_open wrapper must stay allowlisted: a clean tree
-  # (which contains src/obs/perf.cpp's syscall) must lint clean.
-  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (allowlisted src/obs/perf.cpp was flagged)"
-    exit 1
-  fi
-  echo "lint probe: OK (rule 7 fires under src/core, allows src/obs/perf.cpp)"
-  exit 0
-fi
-
-# --probe-rule8: self-test that rule 8 (raw-intrinsics ban) fires outside
-# src/kernel/ and stays silent inside it.
-if [[ "${1:-}" == "--probe-rule8" ]]; then
-  probe_bad="src/core/lint_rule8_probe_tmp.hpp"
-  probe_ok="src/kernel/lint_rule8_probe_tmp.hpp"
-  trap 'rm -f "${repo_root}/${probe_bad}" "${repo_root}/${probe_ok}"' EXIT
-  printf '#include <immintrin.h>\ninline __m256 lint_probe() { return _mm256_setzero_ps(); }\n' \
-    > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 8 did not flag ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_bad}"
-  printf '#include <immintrin.h>\ninline __m256 lint_probe() { return _mm256_setzero_ps(); }\n' \
-    > "${probe_ok}"
-  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (kernel-tree ${probe_ok} was flagged)"
-    exit 1
-  fi
-  rm -f "${repo_root}/${probe_ok}"
-  echo "lint probe: OK (rule 8 fires under src/core, allows src/kernel/)"
-  exit 0
-fi
-
-# --probe-rule9: self-test that rule 9 (second-JSON-reader ban) fires
-# outside src/common/json.* and that the clean tree, which holds the one
-# reader, lints clean.
-if [[ "${1:-}" == "--probe-rule9" ]]; then
-  probe_bad="bench/lint_rule9_probe_tmp.hpp"
-  trap 'rm -f "${repo_root}/${probe_bad}"' EXIT
-  printf 'struct JsonValue { double number = 0; };\n' > "${probe_bad}"
-  if "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (rule 9 did not flag ${probe_bad})"
-    exit 1
-  fi
-  rm -f "${probe_bad}"
-  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-    echo "lint probe: FAILED (the clean tree was flagged)"
-    exit 1
-  fi
-  echo "lint probe: OK (rule 9 fires under bench/, the clean tree passes)"
-  exit 0
-fi
+atomic_use='#include <atomic>\ninline std::atomic<int> lint_probe{0};\n'
+cout_use='#include <iostream>\ninline void lint_probe() { std::cout << 1; }\n'
+narrow_cast='inline float lint_probe(double v) { return static_cast<float>(v); }\n'
+c_cast='inline float lint_probe(double v) { return (float)v; }\n'
+syscall_use='#include <unistd.h>\ninline long lint_probe() { return syscall(39); }\n'
+simd_use='#include <immintrin.h>\ninline __m256 lint_probe() { return _mm256_setzero_ps(); }\n'
+json_reader='struct JsonValue { double number = 0; };\n'
+case "${1:-}" in
+  # Rule 4 (raw-atomic ban) fires under src/core, not in allowlisted src/obs.
+  --probe-rule4) probe 4 "fires under src/core, allows src/obs" \
+    flag src/core/lint_rule4_probe_tmp.hpp "${atomic_use}" \
+    allow src/obs/lint_rule4_probe_tmp.hpp "${atomic_use}" ;;
+  # Rule 5 (console-IO ban) fires in library code, not in the driver trees.
+  --probe-rule5) probe 5 "fires under src/core, allows tools/" \
+    flag src/core/lint_rule5_probe_tmp.hpp "${cout_use}" \
+    allow tools/lint_rule5_probe_tmp.hpp "${cout_use}" ;;
+  # Rule 6 (narrowing float-cast ban) fires on both cast spellings in
+  # library code and stays silent in the test tree.
+  --probe-rule6) probe 6 "fires under src/core, allows tests/" \
+    flag src/core/lint_rule6_probe_tmp.hpp "${narrow_cast}" \
+    flag src/core/lint_rule6_probe_tmp.hpp "${c_cast}" \
+    allow tests/lint_rule6_probe_tmp.hpp "${narrow_cast}" ;;
+  # Rule 7 (raw-syscall ban) fires outside the perf_event_open wrapper; the
+  # clean tree, which holds src/obs/perf.cpp's syscall, lints clean.
+  --probe-rule7) probe 7 "fires under src/core, allows src/obs/perf.cpp" \
+    flag src/core/lint_rule7_probe_tmp.hpp "${syscall_use}" \
+    allow "" "" ;;
+  # Rule 8 (raw-intrinsics ban) fires outside src/kernel/, not inside it.
+  --probe-rule8) probe 8 "fires under src/core, allows src/kernel/" \
+    flag src/core/lint_rule8_probe_tmp.hpp "${simd_use}" \
+    allow src/kernel/lint_rule8_probe_tmp.hpp "${simd_use}" ;;
+  # Rule 9 (second-JSON-reader ban) fires outside src/common/json.*; the
+  # clean tree, which holds the one reader, lints clean.
+  --probe-rule9) probe 9 "fires under bench/, the clean tree passes" \
+    flag bench/lint_rule9_probe_tmp.hpp "${json_reader}" \
+    allow "" "" ;;
+esac
 
 # Scanned trees: everything we compile.
 mapfile -t files < <(find src tests tools bench examples \
@@ -281,7 +200,7 @@ out="$(scan 'std::(cout|cerr)([^_[:alnum:]]|$)' "${lib_files[@]}")
 $(scan '(^|[^a-z_:])printf[[:space:]]*\(' "${lib_files[@]}")"
 out="$(echo "${out}" | sed '/^$/d')"
 [[ -z "${out}" ]] \
-  || fail_rule "console IO in library code (return data / stats / AuditIssue instead; printing belongs to tools/, bench/, examples/)" "${out}"
+  || fail_rule "console IO in library code (return data / stats / cake::Issue instead; printing belongs to tools/, bench/, examples/)" "${out}"
 
 # 6. Naked narrowing float casts in src/ library code. Every deliberate
 # double→float narrowing lives in the allowlist below; anywhere else it
