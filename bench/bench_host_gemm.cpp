@@ -21,7 +21,6 @@
 #include "core/cake_gemm_int8.hpp"
 #include "core/fperror.hpp"
 #include "gotoblas/goto_gemm.hpp"
-#include "kernel/kernel_int8.hpp"
 #include "kernel/registry.hpp"
 #include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
@@ -227,7 +226,7 @@ void BM_CakeInt8(benchmark::State& state)
     state.counters["GOP/s"] = benchmark::Counter(
         2.0 * size * size * size * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
-    state.SetLabel(best_int8_microkernel().name);
+    state.SetLabel(best_microkernel_of<U8S8S32>().name);
 }
 BENCHMARK(BM_CakeInt8)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 

@@ -8,7 +8,6 @@
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
-#include "kernel/kernel_int8.hpp"
 #include "kernel/microkernel.hpp"
 #include "kernel/registry.hpp"
 #include "model/kernel_peak.hpp"
@@ -188,151 +187,23 @@ void check_throughput(const KernelIr& ir, KernelReport& report)
 
 // --- lane-fingerprint equivalence ---------------------------------------
 
-// Exactly-representable unique-value inputs: small distinct integers, so
-// float accumulation is exact (sums stay far below 2^24) and any index
-// confusion in the IR or the binary shifts at least one lane's value.
+// Exactly-representable unique-value inputs, indexed by reduction element
+// r = q * k_step + d: small distinct integers, so float accumulation is
+// exact (sums stay far below 2^24) and any index confusion in the IR or
+// the binary shifts at least one lane's value.
 
-double f_a_val(index_t i, index_t p)
+double f_a_val(index_t i, index_t r)
 {
-    return 1.0 + 3.0 * static_cast<double>(i) + 37.0 * static_cast<double>(p);
+    return 1.0 + 3.0 * static_cast<double>(i) + 37.0 * static_cast<double>(r);
 }
-double f_b_val(index_t p, index_t j)
+double f_b_val(index_t r, index_t j)
 {
-    return 2.0 + 5.0 * static_cast<double>(j) + 41.0 * static_cast<double>(p);
-}
-
-/// The IR's symbolic result for C(row, col+l) at depth kc, evaluated over
-/// the term algebra in double (exact for these inputs).
-double ir_expected_float(const KernelIr& ir, const KirStore& s, int lane,
-                         index_t kc)
-{
-    double sum = 0;
-    for (index_t p = 0; p < kc; ++p) {
-        for (const KirFma& f : ir.fmas) {
-            if (f.acc != s.acc) continue;
-            sum += f_a_val(f.a_row, p) * f_b_val(p, f.b_col + lane);
-        }
-    }
-    return sum;
+    return 2.0 + 5.0 * static_cast<double>(j) + 41.0 * static_cast<double>(r);
 }
 
-template <typename T>
-void fingerprint_float(const KernelIr& ir, const MicroKernelT<T>& kernel,
-                       KernelReport& report)
-{
-    const index_t mr = ir.mr;
-    const index_t nr = ir.nr;
-    const T sentinel = static_cast<T>(-987654);
-    for (const index_t kc : {index_t{1}, index_t{3}, index_t{7}}) {
-        AlignedBuffer<T> a(static_cast<std::size_t>(mr * kc));
-        AlignedBuffer<T> b(static_cast<std::size_t>(nr * kc));
-        for (index_t p = 0; p < kc; ++p) {
-            for (index_t i = 0; i < mr; ++i)
-                a[static_cast<std::size_t>(p * mr + i)] =
-                    static_cast<T>(f_a_val(i, p));
-            for (index_t j = 0; j < nr; ++j)
-                b[static_cast<std::size_t>(p * nr + j)] =
-                    static_cast<T>(f_b_val(p, j));
-        }
-        // Expected tile from the IR's term algebra (cover is exact — the
-        // symbolic pass ran clean before fingerprinting).
-        std::vector<double> expected(static_cast<std::size_t>(mr * nr), 0);
-        for (const KirStore& s : ir.stores) {
-            for (int l = 0; l < ir.lanes; ++l) {
-                expected[static_cast<std::size_t>(s.row) * nr
-                         + static_cast<std::size_t>(s.col + l)] =
-                    ir_expected_float(ir, s, l, kc);
-            }
-        }
-
-        AlignedBuffer<T> c(static_cast<std::size_t>(mr * nr));
-        // Overwrite path: every lane must land exactly on the symbolic
-        // value, clobbering the sentinel.
-        for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
-        kernel.fn(kc, a.data(), b.data(), c.data(), nr, false);
-        for (index_t i = 0; i < mr && report.ok(); ++i) {
-            for (index_t j = 0; j < nr; ++j) {
-                const T want = static_cast<T>(
-                    expected[static_cast<std::size_t>(i * nr + j)]);
-                const T got = c[static_cast<std::size_t>(i * nr + j)];
-                if (got != want) {
-                    std::ostringstream msg;
-                    msg << "kernel '" << ir.kernel << "' binary disagrees"
-                        << " with its IR at C(" << i << "," << j
-                        << ") kc=" << kc << " (overwrite): binary " << got
-                        << ", symbolic " << want;
-                    add_issue(report, "KIR_BINARY", msg.str());
-                    break;
-                }
-            }
-        }
-        if (!report.ok()) return;
-
-        // Accumulate path: a distinct preload must survive the update.
-        for (index_t i = 0; i < mr; ++i)
-            for (index_t j = 0; j < nr; ++j)
-                c[static_cast<std::size_t>(i * nr + j)] =
-                    static_cast<T>(i * nr + j + 1);
-        kernel.fn(kc, a.data(), b.data(), c.data(), nr, true);
-        for (index_t i = 0; i < mr && report.ok(); ++i) {
-            for (index_t j = 0; j < nr; ++j) {
-                const T want = static_cast<T>(
-                    static_cast<double>(i * nr + j + 1)
-                    + expected[static_cast<std::size_t>(i * nr + j)]);
-                const T got = c[static_cast<std::size_t>(i * nr + j)];
-                if (got != want) {
-                    std::ostringstream msg;
-                    msg << "kernel '" << ir.kernel << "' binary disagrees"
-                        << " with its IR at C(" << i << "," << j
-                        << ") kc=" << kc << " (accumulate): binary " << got
-                        << ", symbolic " << want;
-                    add_issue(report, "KIR_BINARY", msg.str());
-                    break;
-                }
-            }
-        }
-        if (!report.ok()) return;
-
-        // Edge-tile path: an (mr-1) x (nr-1) tile through the scratch
-        // wrapper must write exactly the live region.
-        if (kc == 3 && mr > 1 && nr > 1) {
-            const index_t m = mr - 1;
-            const index_t n = nr - 1;
-            AlignedBuffer<T> scratch(static_cast<std::size_t>(mr * nr));
-            for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
-            run_microkernel_tile(kernel, kc, a.data(), b.data(), c.data(),
-                                 nr, m, n, /*accumulate=*/false,
-                                 scratch.data());
-            for (index_t i = 0; i < mr && report.ok(); ++i) {
-                for (index_t j = 0; j < nr; ++j) {
-                    const bool live = i < m && j < n;
-                    const T want = live
-                        ? static_cast<T>(
-                              expected[static_cast<std::size_t>(i * nr + j)])
-                        : sentinel;
-                    const T got = c[static_cast<std::size_t>(i * nr + j)];
-                    if (got != want) {
-                        std::ostringstream msg;
-                        msg << "kernel '" << ir.kernel
-                            << "' edge tile (m=" << m << ", n=" << n
-                            << ") " << (live ? "disagrees with the IR"
-                                             : "wrote outside the live"
-                                               " region")
-                            << " at C(" << i << "," << j << "): binary "
-                            << got << ", symbolic " << want;
-                        add_issue(report, "KIR_BINARY", msg.str());
-                        break;
-                    }
-                }
-            }
-            if (!report.ok()) return;
-        }
-    }
-}
-
-// int8 family: reduction index r = 4q + d. The saturation-edge round
-// drives the vpmaddubsw pairs to their extreme exact values (a = 127,
-// |b| <= 128: |pair| <= 32512 < 2^15, so the int16 stage never clips).
+// int8 family. The saturation-edge round drives the vpmaddubsw pairs to
+// their extreme exact values (a = 127, |b| <= 128: |pair| <= 32512 <
+// 2^15, so the int16 stage never clips).
 
 std::uint8_t i8_a_val(index_t i, index_t r, bool edge)
 {
@@ -348,140 +219,221 @@ std::int8_t i8_b_val(index_t r, index_t j, bool edge)
         static_cast<int>((2 + 7 * j + 13 * r) % 255) - 127);
 }
 
-std::int64_t ir_expected_i8(const KernelIr& ir, const KirStore& s, int lane,
-                            index_t kq, bool edge)
+/// One fingerprint round: kernel depth in k-steps, and whether the inputs
+/// take their saturation-edge values.
+struct Round {
+    index_t steps;
+    bool edge_values;
+};
+
+/// Per-family fingerprint inputs, the exact accumulator the IR is
+/// evaluated in, the depth rounds, and the round that also drives the
+/// edge-tile path.
+template <typename F>
+struct FingerprintFamily {
+    using Acc = double;
+    static constexpr Round rounds[] = {{1, false}, {3, false}, {7, false}};
+    static constexpr index_t edge_tile_steps = 3;
+    static F a_val(index_t i, index_t r, bool)
+    {
+        return static_cast<F>(f_a_val(i, r));
+    }
+    static F b_val(index_t r, index_t j, bool)
+    {
+        return static_cast<F>(f_b_val(r, j));
+    }
+};
+
+template <>
+struct FingerprintFamily<U8S8S32> {
+    using Acc = std::int64_t;
+    static constexpr Round rounds[] = {{1, false}, {2, true}, {5, false}};
+    static constexpr index_t edge_tile_steps = 2;
+    static std::uint8_t a_val(index_t i, index_t r, bool edge)
+    {
+        return i8_a_val(i, r, edge);
+    }
+    static std::int8_t b_val(index_t r, index_t j, bool edge)
+    {
+        return i8_b_val(r, j, edge);
+    }
+};
+
+/// The IR's symbolic result for C(row, col+l) at `steps` k-steps,
+/// evaluated over the term algebra in the family's exact accumulator.
+template <typename F>
+typename FingerprintFamily<F>::Acc ir_expected(const KernelIr& ir,
+                                               const KirStore& s, int lane,
+                                               index_t steps, bool edge)
 {
-    std::int64_t sum = 0;
-    for (index_t q = 0; q < kq; ++q) {
+    using Data = FingerprintFamily<F>;
+    typename Data::Acc sum = 0;
+    for (index_t q = 0; q < steps; ++q) {
         for (const KirFma& f : ir.fmas) {
             if (f.acc != s.acc) continue;
             for (index_t d = 0; d < static_cast<index_t>(ir.quad); ++d) {
                 const index_t r = q * ir.quad + d;
-                sum += static_cast<std::int64_t>(i8_a_val(f.a_row, r, edge))
-                    * i8_b_val(r, f.b_col + lane, edge);
+                sum += static_cast<typename Data::Acc>(
+                           Data::a_val(f.a_row, r, edge))
+                    * Data::b_val(r, f.b_col + lane, edge);
             }
         }
     }
     return sum;
 }
 
-void fingerprint_i8(const KernelIr& ir, const Int8MicroKernel& kernel,
-                    KernelReport& report)
+template <typename F>
+void fingerprint(const KernelIr& ir, const MicroKernelT<F>& kernel,
+                 KernelReport& report)
 {
+    using Fam = KernelFamily<F>;
+    using Data = FingerprintFamily<F>;
+    using C = typename Fam::C;
+    using Acc = typename Data::Acc;
     const index_t mr = ir.mr;
     const index_t nr = ir.nr;
-    const std::int32_t sentinel = -987654;
-    struct Round {
-        index_t kq;
-        bool edge_values;
-    };
-    for (const Round round : {Round{1, false}, Round{2, true},
-                              Round{5, false}}) {
-        const index_t kq = round.kq;
+    const index_t s = Fam::k_step;
+    const char* const depth_name = s == 1 ? "kc" : "kq";
+    const C sentinel = static_cast<C>(-987654);
+    for (const Round round : Data::rounds) {
+        const index_t steps = round.steps;
         const bool edge = round.edge_values;
-        AlignedBuffer<std::uint8_t> a(static_cast<std::size_t>(mr * kq * 4));
-        AlignedBuffer<std::int8_t> b(static_cast<std::size_t>(nr * kq * 4));
-        for (index_t q = 0; q < kq; ++q) {
+        AlignedBuffer<typename Fam::A> a(
+            static_cast<std::size_t>(mr * steps * s));
+        AlignedBuffer<typename Fam::B> b(
+            static_cast<std::size_t>(nr * steps * s));
+        for (index_t q = 0; q < steps; ++q) {
             for (index_t i = 0; i < mr; ++i)
-                for (index_t d = 0; d < 4; ++d)
-                    a[static_cast<std::size_t>(q * mr * 4 + i * 4 + d)] =
-                        i8_a_val(i, q * 4 + d, edge);
+                for (index_t d = 0; d < s; ++d)
+                    a[static_cast<std::size_t>(q * mr * s + i * s + d)] =
+                        Data::a_val(i, q * s + d, edge);
             for (index_t j = 0; j < nr; ++j)
-                for (index_t d = 0; d < 4; ++d)
-                    b[static_cast<std::size_t>(q * nr * 4 + j * 4 + d)] =
-                        i8_b_val(q * 4 + d, j, edge);
+                for (index_t d = 0; d < s; ++d)
+                    b[static_cast<std::size_t>(q * nr * s + j * s + d)] =
+                        Data::b_val(q * s + d, j, edge);
         }
-        std::vector<std::int64_t> expected(
-            static_cast<std::size_t>(mr * nr), 0);
-        for (const KirStore& s : ir.stores) {
+        // Expected tile from the IR's term algebra (cover is exact — the
+        // symbolic pass ran clean before fingerprinting).
+        std::vector<Acc> expected(static_cast<std::size_t>(mr * nr), 0);
+        for (const KirStore& st : ir.stores) {
             for (int l = 0; l < ir.lanes; ++l) {
-                expected[static_cast<std::size_t>(s.row) * nr
-                         + static_cast<std::size_t>(s.col + l)] =
-                    ir_expected_i8(ir, s, l, kq, edge);
+                expected[static_cast<std::size_t>(st.row) * nr
+                         + static_cast<std::size_t>(st.col + l)] =
+                    ir_expected<F>(ir, st, l, steps, edge);
             }
         }
 
-        AlignedBuffer<std::int32_t> c(static_cast<std::size_t>(mr * nr));
-        for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
-        kernel.fn(kq, a.data(), b.data(), c.data(), nr, false);
-        for (index_t i = 0; i < mr && report.ok(); ++i) {
-            for (index_t j = 0; j < nr; ++j) {
-                const std::int64_t want =
-                    expected[static_cast<std::size_t>(i * nr + j)];
-                const std::int32_t got =
-                    c[static_cast<std::size_t>(i * nr + j)];
-                if (got != want) {
+        // Compare the tile against `want(i, j)`; on the first mismatch
+        // report it, naming the path, and return false.
+        AlignedBuffer<C> c(static_cast<std::size_t>(mr * nr));
+        auto agrees = [&](const char* path, auto&& want) {
+            for (index_t i = 0; i < mr; ++i) {
+                for (index_t j = 0; j < nr; ++j) {
+                    const Acc w = want(i, j);
+                    const C got = c[static_cast<std::size_t>(i * nr + j)];
+                    if (static_cast<Acc>(got) == w) continue;
                     std::ostringstream msg;
                     msg << "kernel '" << ir.kernel << "' binary disagrees"
-                        << " with its IR at C(" << i << "," << j
-                        << ") kq=" << kq << (edge ? " (saturation edge)"
-                                                  : "")
-                        << ": binary " << got << ", symbolic " << want;
+                        << " with its IR at C(" << i << "," << j << ") "
+                        << depth_name << "=" << steps << " (" << path
+                        << "): binary " << got << ", symbolic " << w;
                     add_issue(report, "KIR_BINARY", msg.str());
-                    break;
+                    return false;
                 }
             }
-        }
-        if (!report.ok()) return;
+            return true;
+        };
+        auto expect = [&](index_t i, index_t j) {
+            return expected[static_cast<std::size_t>(i * nr + j)];
+        };
 
-        // Accumulate path.
+        // Overwrite path: every lane must land exactly on the symbolic
+        // value, clobbering the sentinel.
+        for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
+        kernel.fn(steps, a.data(), b.data(), c.data(), nr, false);
+        if (!agrees(edge ? "saturation edge" : "overwrite", expect)) return;
+
+        // Accumulate path: a distinct preload must survive the update.
         for (index_t i = 0; i < mr; ++i)
             for (index_t j = 0; j < nr; ++j)
                 c[static_cast<std::size_t>(i * nr + j)] =
-                    static_cast<std::int32_t>(i * nr + j + 1);
-        kernel.fn(kq, a.data(), b.data(), c.data(), nr, true);
-        for (index_t i = 0; i < mr && report.ok(); ++i) {
-            for (index_t j = 0; j < nr; ++j) {
-                const std::int64_t want = i * nr + j + 1
-                    + expected[static_cast<std::size_t>(i * nr + j)];
-                const std::int32_t got =
-                    c[static_cast<std::size_t>(i * nr + j)];
-                if (got != want) {
-                    std::ostringstream msg;
-                    msg << "kernel '" << ir.kernel << "' binary disagrees"
-                        << " with its IR at C(" << i << "," << j
-                        << ") kq=" << kq << " (accumulate): binary " << got
-                        << ", symbolic " << want;
-                    add_issue(report, "KIR_BINARY", msg.str());
-                    break;
-                }
-            }
+                    static_cast<C>(i * nr + j + 1);
+        kernel.fn(steps, a.data(), b.data(), c.data(), nr, true);
+        if (!agrees("accumulate", [&](index_t i, index_t j) {
+                return static_cast<Acc>(i * nr + j + 1) + expect(i, j);
+            })) {
+            return;
         }
-        if (!report.ok()) return;
 
-        // Edge-tile path through the scratch wrapper.
-        if (kq == 2 && mr > 1 && nr > 1) {
+        // Edge-tile path: an (mr-1) x (nr-1) tile through the scratch
+        // wrapper must write exactly the live region.
+        if (steps == Data::edge_tile_steps && mr > 1 && nr > 1) {
             const index_t m = mr - 1;
             const index_t n = nr - 1;
-            AlignedBuffer<std::int32_t> scratch(
-                static_cast<std::size_t>(mr * nr));
+            AlignedBuffer<C> scratch(static_cast<std::size_t>(mr * nr));
             for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
-            run_int8_tile(kernel, kq, a.data(), b.data(), c.data(), nr, m,
-                          n, /*accumulate=*/false, scratch.data());
-            for (index_t i = 0; i < mr && report.ok(); ++i) {
+            run_microkernel_tile(kernel, steps, a.data(), b.data(),
+                                 c.data(), nr, m, n, /*accumulate=*/false,
+                                 scratch.data());
+            for (index_t i = 0; i < mr; ++i) {
                 for (index_t j = 0; j < nr; ++j) {
                     const bool live = i < m && j < n;
-                    const std::int64_t want = live
-                        ? expected[static_cast<std::size_t>(i * nr + j)]
-                        : sentinel;
-                    const std::int32_t got =
-                        c[static_cast<std::size_t>(i * nr + j)];
-                    if (got != want) {
-                        std::ostringstream msg;
-                        msg << "kernel '" << ir.kernel
-                            << "' edge tile (m=" << m << ", n=" << n
-                            << ") " << (live ? "disagrees with the IR"
-                                             : "wrote outside the live"
-                                               " region")
-                            << " at C(" << i << "," << j << "): binary "
-                            << got << ", symbolic " << want;
-                        add_issue(report, "KIR_BINARY", msg.str());
-                        break;
-                    }
+                    const Acc want =
+                        live ? expect(i, j) : static_cast<Acc>(sentinel);
+                    const C got = c[static_cast<std::size_t>(i * nr + j)];
+                    if (static_cast<Acc>(got) == want) continue;
+                    std::ostringstream msg;
+                    msg << "kernel '" << ir.kernel
+                        << "' edge tile (m=" << m << ", n=" << n << ") "
+                        << (live ? "disagrees with the IR"
+                                 : "wrote outside the live region")
+                        << " at C(" << i << "," << j << "): binary " << got
+                        << ", symbolic " << want;
+                    add_issue(report, "KIR_BINARY", msg.str());
+                    return;
                 }
             }
         }
     }
+}
+
+/// Registry binding of an IR of family F, then (host permitting) its
+/// lane fingerprint.
+template <typename F>
+void bind_and_fingerprint(const KernelIr& ir, KernelReport& report)
+{
+    // The IR must describe a kernel that actually dispatches, with the
+    // geometry the registry declares.
+    const MicroKernelT<F>* kernel = nullptr;
+    for (const MicroKernelT<F>& k : all_microkernels_of<F>()) {
+        if (ir.kernel == k.name) kernel = &k;
+    }
+    if (kernel == nullptr) {
+        add_issue(report, "KIR_MALFORMED",
+                  "kernel '" + ir.kernel + "' (" + ir.family
+                      + ") is not in the registry — the IR describes"
+                        " nothing that dispatches");
+        return;
+    }
+    if (kernel->isa != ir.isa || kernel->mr != ir.mr
+        || kernel->nr != ir.nr) {
+        add_issue(report, "KIR_MALFORMED",
+                  "kernel '" + ir.kernel + "': IR geometry ("
+                      + isa_name(ir.isa) + " " + std::to_string(ir.mr) + "x"
+                      + std::to_string(ir.nr)
+                      + ") disagrees with the registry ("
+                      + isa_name(kernel->isa) + " "
+                      + std::to_string(kernel->mr) + "x"
+                      + std::to_string(kernel->nr) + ")");
+        return;
+    }
+
+    // Lane-fingerprint equivalence: only meaningful once the symbolic
+    // pass is clean (a broken store map has no well-defined expectation),
+    // and only runnable when the host can execute the kernel.
+    if (!report.ok() || !KernelFamily<F>::isa_ok(ir.isa)) return;
+    report.fingerprinted = true;
+    fingerprint(ir, *kernel, report);
 }
 
 }  // namespace
@@ -508,81 +460,17 @@ KernelReport verify_kernel_ir(const KernelIr& ir)
 KernelReport check_kernel(const KernelIr& ir)
 {
     KernelReport report = verify_kernel_ir(ir);
-
-    // Registry binding: the IR must describe a kernel that actually
-    // dispatches, with the geometry the registry declares.
-    Isa reg_isa = Isa::kScalar;
-    index_t reg_mr = 0;
-    index_t reg_nr = 0;
-    bool found = false;
-    const MicroKernel* f32 = nullptr;
-    const MicroKernelD* f64 = nullptr;
-    const Int8MicroKernel* i8 = nullptr;
-    if (ir.family == "f32") {
-        for (const MicroKernel& k : all_microkernels_of<float>()) {
-            if (ir.kernel == k.name) {
-                f32 = &k;
-                reg_isa = k.isa;
-                reg_mr = k.mr;
-                reg_nr = k.nr;
-                found = true;
-            }
-        }
-    } else if (ir.family == "f64") {
-        for (const MicroKernelD& k : all_microkernels_of<double>()) {
-            if (ir.kernel == k.name) {
-                f64 = &k;
-                reg_isa = k.isa;
-                reg_mr = k.mr;
-                reg_nr = k.nr;
-                found = true;
-            }
-        }
-    } else if (ir.family == "i8") {
-        for (const Int8MicroKernel& k : all_int8_microkernels()) {
-            if (ir.kernel == k.name) {
-                i8 = &k;
-                reg_isa = k.isa;
-                reg_mr = k.mr;
-                reg_nr = k.nr;
-                found = true;
-            }
-        }
-    } else {
+    bool known_family = false;
+    for_each_kernel_family([&]<typename F>() {
+        if (ir.family != KernelFamily<F>::name) return;
+        known_family = true;
+        bind_and_fingerprint<F>(ir, report);
+    });
+    if (!known_family) {
         add_issue(report, "KIR_MALFORMED",
                   "kernel '" + ir.kernel + "': unknown family '" + ir.family
                       + "' (expected f32|f64|i8)");
-        return report;
     }
-    if (!found) {
-        add_issue(report, "KIR_MALFORMED",
-                  "kernel '" + ir.kernel + "' (" + ir.family
-                      + ") is not in the registry — the IR describes"
-                        " nothing that dispatches");
-        return report;
-    }
-    if (reg_isa != ir.isa || reg_mr != ir.mr || reg_nr != ir.nr) {
-        add_issue(report, "KIR_MALFORMED",
-                  "kernel '" + ir.kernel + "': IR geometry ("
-                      + isa_name(ir.isa) + " " + std::to_string(ir.mr) + "x"
-                      + std::to_string(ir.nr)
-                      + ") disagrees with the registry ("
-                      + isa_name(reg_isa) + " " + std::to_string(reg_mr)
-                      + "x" + std::to_string(reg_nr) + ")");
-        return report;
-    }
-
-    // Lane-fingerprint equivalence: only meaningful once the symbolic
-    // pass is clean (a broken store map has no well-defined expectation),
-    // and only runnable when the host can execute the kernel.
-    if (!report.ok()) return report;
-    const bool runnable = ir.family == "i8" ? int8_isa_supported(ir.isa)
-                                            : isa_supported(ir.isa);
-    if (!runnable) return report;
-    report.fingerprinted = true;
-    if (f32 != nullptr) fingerprint_float(ir, *f32, report);
-    if (f64 != nullptr) fingerprint_float(ir, *f64, report);
-    if (i8 != nullptr) fingerprint_i8(ir, *i8, report);
     return report;
 }
 

@@ -37,8 +37,8 @@
 // The IR cannot lie: check_kernel runs the registered kernel *binary* on
 // exactly-representable unique-value panels and compares, lane by lane,
 // against the IR's symbolically evaluated result — overwrite and
-// accumulate paths, plus the edge-tile path through run_microkernel_tile /
-// run_int8_tile (KIR_BINARY on any mismatch). This is the same design as
+// accumulate paths, plus the edge-tile path through run_microkernel_tile
+// (KIR_BINARY on any mismatch). This is the same design as
 // schedir's cross_check_memsim: the symbolic object is only trusted
 // because it is pinned to the executable artifact.
 //

@@ -79,16 +79,16 @@ void publish_cake_stats(const CakeStats& s)
 
 namespace detail {
 
-/// Compile-time operations of a kernel family: micro-kernel lookup, pack
-/// layout, tile runner and solver width. The block loop is written once
-/// against this interface; f32 and f64 share the generic template, the
-/// quantized u8 x s8 -> s32 family specialises it below.
+/// Compile-time operations of a kernel family beyond its kernel: pack
+/// layout, solver width and K limit. Kernel lookup and the tile runner are
+/// the registry's, shared by every family (kernel/registry.hpp). The block
+/// loop is written once against this interface; f32 and f64 share the
+/// generic template, the quantized u8 x s8 -> s32 family specialises it
+/// below.
 template <typename T>
 struct FamilyOps : KernelFamily<T> {
     using typename KernelFamily<T>::A;
     using typename KernelFamily<T>::B;
-    using typename KernelFamily<T>::C;
-    using typename KernelFamily<T>::Kernel;
 
     /// Element width the §4.3 solver sizes blocks with.
     static constexpr index_t solver_elem_bytes = sizeof(T);
@@ -98,11 +98,6 @@ struct FamilyOps : KernelFamily<T> {
     static constexpr OperandBytes stored{sizeof(T), sizeof(T), sizeof(T)};
     static constexpr bool transposable = true;
 
-    static const Kernel& best() { return best_microkernel_of<T>(); }
-    static const Kernel& for_isa(Isa isa) { return microkernel_for_of<T>(isa); }
-    static bool isa_ok(Isa isa) { return isa_supported(isa); }
-    /// Packed elements per sliver row of a ki-deep block.
-    static index_t depth(index_t ki) { return ki; }
     /// No K limit: floating-point accumulators cannot overflow.
     static void check_k(index_t) {}
 
@@ -130,17 +125,6 @@ struct FamilyOps : KernelFamily<T> {
             pack_b_panel(b + k0 * ldb + c0, ldb, ki, cols, nr, dst);
         }
     }
-    /// Accumulate one (possibly partial) m x n tile over a ki-deep block.
-    /// Kept out of line: run_microkernel_tile is an inline template, and
-    /// inlining it into the compute loop, its only caller here, cost 10%
-    /// on small f32 shapes and 3% on 1536^3 at p = 1 (bench/ledger).
-    [[gnu::noinline]] static void run_tile(const Kernel& kernel, index_t ki, const A* a,
-                         const B* b, C* c, index_t ldc, index_t m, index_t n,
-                         C* scratch)
-    {
-        run_microkernel_tile(kernel, ki, a, b, c, ldc, m, n,
-                             /*accumulate=*/true, scratch);
-    }
 };
 
 template <>
@@ -155,23 +139,6 @@ struct FamilyOps<U8S8S32> : KernelFamily<U8S8S32> {
     static constexpr OperandBytes stored{sizeof(A), sizeof(B), sizeof(C)};
     static constexpr bool transposable = false;
 
-    static const Kernel& best() { return best_int8_microkernel(); }
-    static const Kernel& for_isa(Isa isa)
-    {
-        for (const Int8MicroKernel& k : all_int8_microkernels()) {
-            if (k.isa == isa) {
-                CAKE_CHECK_MSG(int8_isa_supported(isa),
-                               "int8 ISA " << isa_name(isa)
-                                           << " not supported by CPU");
-                return k;
-            }
-        }
-        throw Error(std::string("no int8 micro-kernel compiled for ISA ")
-                    + isa_name(isa));
-    }
-    static bool isa_ok(Isa isa) { return int8_isa_supported(isa); }
-    /// k-quad layout: ki is padded to whole quads of 4.
-    static index_t depth(index_t ki) { return 4 * int8_kq(ki); }
     /// |acc| <= K * 127^2 must fit the i32 accumulator.
     static void check_k(index_t k)
     {
@@ -197,14 +164,31 @@ struct FamilyOps<U8S8S32> : KernelFamily<U8S8S32> {
     {
         pack_b_panel_int8(b + k0 * ldb + c0, ldb, ki, cols, nr, dst);
     }
-    static void run_tile(const Kernel& kernel, index_t ki, const A* a,
-                         const B* b, C* c, index_t ldc, index_t m, index_t n,
-                         C* scratch)
-    {
-        run_int8_tile(kernel, int8_kq(ki), a, b, c, ldc, m, n,
-                      /*accumulate=*/true, scratch);
-    }
 };
+
+/// Packed elements per sliver row of a ki-deep block: ki padded to whole
+/// kernel k-steps (k-quads for int8).
+template <typename T>
+index_t packed_depth(index_t ki)
+{
+    return KernelFamily<T>::k_step * kernel_steps<T>(ki);
+}
+
+/// Accumulate one (possibly partial) m x n tile over a ki-deep block.
+/// Kept out of line: run_microkernel_tile is an inline template, and
+/// inlining it into the compute loop, its only caller here, cost 10%
+/// on small f32 shapes and 3% on 1536^3 at p = 1 (bench/ledger).
+template <typename T>
+[[gnu::noinline]] void run_tile(const MicroKernelT<T>& kernel, index_t ki,
+                                const typename KernelFamily<T>::A* a,
+                                const typename KernelFamily<T>::B* b,
+                                typename KernelFamily<T>::C* c, index_t ldc,
+                                index_t m, index_t n,
+                                typename KernelFamily<T>::C* scratch)
+{
+    run_microkernel_tile(kernel, kernel_steps<T>(ki), a, b, c, ldc, m, n,
+                         /*accumulate=*/true, scratch);
+}
 
 /// One multiply's resolved arguments.
 template <typename T>
@@ -244,8 +228,8 @@ CakeGemmT<T>::CakeGemmT(ThreadPool& pool, CakeOptions options)
     : pool_(pool), options_(std::move(options)),
       p_explicit_(options_.p > 0),
       machine_(options_.machine ? *options_.machine : host_machine()),
-      kernel_(options_.isa ? detail::FamilyOps<T>::for_isa(*options_.isa)
-                           : detail::FamilyOps<T>::best())
+      kernel_(options_.isa ? microkernel_for_of<T>(*options_.isa)
+                           : best_microkernel_of<T>())
 {
     if (options_.p <= 0 || options_.p > pool_.size())
         options_.p = pool_.size();
@@ -296,7 +280,7 @@ PackedB<T> CakeGemmT<T>::pack_weights(const B* b, index_t ldb, index_t k,
     packed.kb_ = ceil_div(k, packed.params_.k_blk);
     packed.nb_ = ceil_div(n, packed.params_.n_blk);
     packed.stride_ = static_cast<std::size_t>(
-        Ops::depth(packed.params_.k_blk)
+        detail::packed_depth<T>(packed.params_.k_blk)
         * round_up(packed.params_.n_blk, kernel_.nr));
     packed.data_ = AlignedBuffer<B>(
         static_cast<std::size_t>(packed.kb_ * packed.nb_) * packed.stride_);
@@ -411,15 +395,17 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
                 exec = *tuned->exec;
                 stats_.tuned = true;
             }
-            if (!options_.isa && tuned->isa && Ops::isa_ok(*tuned->isa)
+            if (!options_.isa && tuned->isa
+                && KernelFamily<T>::isa_ok(*tuned->isa)
                 && *tuned->isa != kernel_.isa) {
-                kernel_ = Ops::for_isa(*tuned->isa);
+                kernel_ = microkernel_for_of<T>(*tuned->isa);
                 stats_.tuned = true;
             }
-        } else if (!options_.isa && kernel_.isa != Ops::best().isa) {
+        } else if (!options_.isa
+                   && kernel_.isa != best_microkernel_of<T>().isa) {
             // A previous multiply's tuned ISA must not leak into a shape
             // the oracle has no opinion about.
-            kernel_ = Ops::best();
+            kernel_ = best_microkernel_of<T>();
         }
     }
 
@@ -484,7 +470,7 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     stats_.dram_read_bytes = plan.stats.dram_read_bytes;
     stats_.dram_write_bytes = plan.stats.dram_write_bytes;
 
-    const index_t depth = Ops::depth(params.k_blk);
+    const index_t depth = detail::packed_depth<T>(params.k_blk);
     pack_a_[0].ensure(static_cast<std::size_t>(
         round_up(params.m_blk, kernel_.mr) * depth));
     if (call.overlap) pack_a_[1].ensure(pack_a_[0].size());
@@ -553,7 +539,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     const BlockStep& final_flush = plan.final_flush;
 
     // ---- Team execution.
-    const typename Ops::Kernel kernel = kernel_;
+    const MicroKernelT<T> kernel = kernel_;
     C* const cb = c_block_.data();
     A* const pa_slots[2] = {pack_a_[0].data(), pack_a_[1].data()};
     B* const pb_slots[2] = {pack_b_[0].data(), pack_b_[1].data()};
@@ -667,7 +653,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 racecheck::AccessKind::kWrite,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kPack});
-            const index_t depth = Ops::depth(st.ki);
+            const index_t depth = detail::packed_depth<T>(st.ki);
             for (index_t s = item * kPackAGroup; s < s_end; ++s) {
                 const index_t r0 = s * mr;
                 require_extent(r0 * depth, mr * depth, pa_cap,
@@ -687,7 +673,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 racecheck::AccessKind::kWrite,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kPack});
-            const index_t depth = Ops::depth(st.ki);
+            const index_t depth = detail::packed_depth<T>(st.ki);
             for (index_t s = item * kPackBGroup; s < s_end; ++s) {
                 const index_t c0 = s * nr;
                 require_extent(c0 * depth, nr * depth, pb_cap,
@@ -718,7 +704,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                     rc_c.id, r, r + mrows, 0, ceil_div(st.ni, nr),
                     racecheck::AccessKind::kWrite, site);
             }
-            const index_t depth = Ops::depth(st.ki);
+            const index_t depth = detail::packed_depth<T>(st.ki);
             require_extent(r * depth, mr * depth, pa_cap,
                            "compute A sliver");
             const A* a_sliver = pa_slots[st.a_slot] + r * depth;
@@ -731,9 +717,9 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                                cb_cap, "compute C tile");
                 const std::uint64_t tile_t0 =
                     obs_tiles ? obs::now_ns() : 0;
-                Ops::run_tile(kernel, st.ki, a_sliver, b_sliver,
-                              cb + r * st.ni + j, st.ni, mrows, ncols,
-                              scratch);
+                detail::run_tile(kernel, st.ki, a_sliver, b_sliver,
+                                 cb + r * st.ni + j, st.ni, mrows, ncols,
+                                 scratch);
                 if (obs_tiles) {
                     obs::histogram_observe(
                         tile_latency_hist(),

@@ -125,7 +125,7 @@ struct CakeStats {
 /// so repeated multiplies (e.g. DNN inference layers) do not reallocate.
 /// Instantiated for float (CakeGemm), double (CakeGemmD) and the quantized
 /// u8 x s8 -> s32 family (CakeGemmInt8); A, B and C are the family's
-/// operand element types (core/kernel_family.hpp).
+/// operand element types (kernel/kernel_family.hpp).
 template <typename T>
 class CakeGemmT {
 public:
@@ -177,7 +177,7 @@ private:
     CakeOptions options_;
     bool p_explicit_ = false;  ///< user set options.p (cache must not override)
     MachineSpec machine_;
-    typename KernelFamily<T>::Kernel kernel_;
+    MicroKernelT<T> kernel_;
     CakeStats stats_;
 
     AlignedBuffer<A> pack_a_[2];  ///< double-buffered packed-A panels

@@ -1,7 +1,7 @@
 // Quantized CAKE GEMM: C_s32 (+)= A_u8 * B_s8 with the same CB-block
 // partitioning, schedule, pipelined team and in-local-memory partial
 // accumulation as the float driver — it IS the float driver's executor,
-// instantiated over the U8S8S32 kernel family (core/kernel_family.hpp).
+// instantiated over the U8S8S32 kernel family (kernel/kernel_family.hpp).
 // int8 arithmetic quadruples the block's arithmetic intensity per byte,
 // which is exactly the lever §3's analysis pulls (elem_bytes enters the
 // solver).

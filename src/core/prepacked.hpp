@@ -5,7 +5,7 @@
 //
 // A PackedB is tied to the CB geometry it was packed for (machine, p, mc,
 // alpha, kernel); multiply_prepacked verifies the geometry matches. It is
-// templated over the kernel family (core/kernel_family.hpp) and stores the
+// templated over the kernel family (kernel/kernel_family.hpp) and stores the
 // family's B element type: PackedB<float>, PackedB<double>, and
 // PackedBInt8 = PackedB<U8S8S32> holding s8 weights in k-quad panels.
 #pragma once
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "core/kernel_family.hpp"
+#include "kernel/kernel_family.hpp"
 #include "core/tiling.hpp"
 
 namespace cake {

@@ -1,7 +1,9 @@
 // Quantized (u8 x s8 -> s32) micro-kernels for DNN inference — the
 // deployment format of the CNN workloads the paper's introduction
-// motivates. Follows the x86 integer dot-product idiom (vpmaddubsw /
-// vpmaddwd): the reduction dimension is processed in groups of four.
+// motivates. The kernels are the MicroKernelT<U8S8S32> entries of the one
+// registry (kernel/registry.hpp). They follow the x86 integer dot-product
+// idiom (vpmaddubsw / vpmaddwd): the reduction dimension is processed in
+// groups of four, the family's k_step.
 //
 // Packed layouts (kq = round_up(kc, 4) / 4 k-quads):
 //   A (uint8): a[q*mr*4 + i*4 + j] = A(i, 4q + j), zero-padded in k and m.
@@ -15,55 +17,30 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/types.hpp"
-#include "kernel/cpu_features.hpp"
+#include "kernel/microkernel.hpp"
+#include "kernel/registry.hpp"
 
 namespace cake {
 
-/// Kernel contract: C(mr x nr) (+)= A_panel * B_panel over kq k-quads.
-using Int8KernelFn = void (*)(index_t kq, const std::uint8_t* a,
-                              const std::int8_t* b, std::int32_t* c,
-                              index_t ldc, bool accumulate);
+// Ledger-only names. bench/ledger/layers.cpp still spells the int8 kernel
+// with these, and the benchmark changes only in a change of its own, so
+// they stay until then. No other caller may use them (lint rule 10):
+// everything else uses MicroKernelT<U8S8S32>,
+// best_microkernel_of<U8S8S32>() and run_microkernel_tile.
+using Int8MicroKernel = MicroKernelT<U8S8S32>;
 
-struct Int8MicroKernel {
-    const char* name = "";
-    Isa isa = Isa::kScalar;
-    index_t mr = 0;
-    index_t nr = 0;
-    Int8KernelFn fn = nullptr;
-};
+inline const Int8MicroKernel& best_int8_microkernel()
+{
+    return best_microkernel_of<U8S8S32>();
+}
 
-Int8MicroKernel scalar_int8_microkernel();
-#if defined(CAKE_HAVE_AVX2_KERNEL)
-Int8MicroKernel avx2_int8_microkernel();  ///< 4x16, needs AVX2
-#endif
-#if defined(CAKE_HAVE_AVX512_KERNEL)
-Int8MicroKernel avx512_int8_microkernel();  ///< 4x32, needs AVX-512BW
-#endif
-
-/// All int8 kernels compiled into this binary (regardless of CPU
-/// support), scalar first — the int8 mirror of all_microkernels_of<T>().
-const std::vector<Int8MicroKernel>& all_int8_microkernels();
-
-/// True if the int8 kernel of `isa` can run on this CPU. Stricter than
-/// isa_supported for AVX-512: the 4x32 kernel needs AVX-512BW
-/// (vpmaddubsw on zmm), not just the F foundation.
-bool int8_isa_supported(Isa isa);
-
-/// Int8 kernels runnable on this CPU, widest first (name tie-break, same
-/// deterministic order as supported_microkernels_of).
-std::vector<Int8MicroKernel> supported_int8_microkernels();
-
-/// Best int8 kernel runnable on this CPU (honours CAKE_FORCE_ISA).
-const Int8MicroKernel& best_int8_microkernel();
-
-/// Run a (possibly partial) m x n tile through `k`; edges go via scratch
-/// (mr*nr int32, 64-byte aligned).
-void run_int8_tile(const Int8MicroKernel& k, index_t kq,
-                   const std::uint8_t* a, const std::int8_t* b,
-                   std::int32_t* c, index_t ldc, index_t m, index_t n,
-                   bool accumulate, std::int32_t* scratch);
+inline void run_int8_tile(const Int8MicroKernel& k, index_t kq,
+                          const std::uint8_t* a, const std::int8_t* b,
+                          std::int32_t* c, index_t ldc, index_t m, index_t n,
+                          bool accumulate, std::int32_t* scratch)
+{
+    run_microkernel_tile(k, kq, a, b, c, ldc, m, n, accumulate, scratch);
+}
 
 }  // namespace cake

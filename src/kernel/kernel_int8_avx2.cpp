@@ -2,7 +2,9 @@
 // Exact when A values fit [0, 127] (see kernel_int8.hpp range note).
 #include <immintrin.h>
 
-#include "kernel/kernel_int8.hpp"
+#include <cstdint>
+
+#include "kernel/microkernel.hpp"
 
 namespace cake {
 namespace {
@@ -57,7 +59,7 @@ void avx2_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
 
 }  // namespace
 
-Int8MicroKernel avx2_int8_microkernel()
+MicroKernelT<U8S8S32> avx2_int8_microkernel()
 {
     return {"avx2_int8_4x16", Isa::kAvx2, kMr, kNr, &avx2_int8_ukr};
 }

@@ -2,7 +2,9 @@
 // [0, 127] (see kernel_int8.hpp range note).
 #include <immintrin.h>
 
-#include "kernel/kernel_int8.hpp"
+#include <cstdint>
+
+#include "kernel/microkernel.hpp"
 
 namespace cake {
 namespace {
@@ -51,7 +53,7 @@ void avx512_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
 
 }  // namespace
 
-Int8MicroKernel avx512_int8_microkernel()
+MicroKernelT<U8S8S32> avx512_int8_microkernel()
 {
     return {"avx512_int8_4x32", Isa::kAvx512, kMr, kNr, &avx512_int8_ukr};
 }

@@ -1,12 +1,8 @@
-// Scalar u8 x s8 -> s32 micro-kernel (exact over the full input range)
-// plus the shared dispatch and edge-tile helpers.
-#include "kernel/kernel_int8.hpp"
+// Scalar u8 x s8 -> s32 micro-kernel (exact over the full input range).
+// Packed layouts: kernel/kernel_int8.hpp.
+#include <cstdint>
 
-#include <algorithm>
-#include <string_view>
-
-#include "common/env.hpp"
-#include "common/error.hpp"
+#include "kernel/microkernel.hpp"
 
 namespace cake {
 namespace {
@@ -43,96 +39,9 @@ void scalar_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
 
 }  // namespace
 
-Int8MicroKernel scalar_int8_microkernel()
+MicroKernelT<U8S8S32> scalar_int8_microkernel()
 {
     return {"scalar_int8_4x4", Isa::kScalar, kMr, kNr, &scalar_int8_ukr};
-}
-
-const std::vector<Int8MicroKernel>& all_int8_microkernels()
-{
-    static const std::vector<Int8MicroKernel> kernels = [] {
-        std::vector<Int8MicroKernel> v;
-        v.push_back(scalar_int8_microkernel());
-#if defined(CAKE_HAVE_AVX2_KERNEL)
-        v.push_back(avx2_int8_microkernel());
-#endif
-#if defined(CAKE_HAVE_AVX512_KERNEL)
-        v.push_back(avx512_int8_microkernel());
-#endif
-        return v;
-    }();
-    return kernels;
-}
-
-bool int8_isa_supported(Isa isa)
-{
-    switch (isa) {
-        case Isa::kScalar: return true;
-        case Isa::kAvx2: return cpu_features().avx2;
-        case Isa::kAvx512: return cpu_features().avx512bw;
-    }
-    return false;
-}
-
-std::vector<Int8MicroKernel> supported_int8_microkernels()
-{
-    std::vector<Int8MicroKernel> v;
-    for (const Int8MicroKernel& k : all_int8_microkernels()) {
-        if (int8_isa_supported(k.isa)) v.push_back(k);
-    }
-    std::sort(v.begin(), v.end(),
-              [](const Int8MicroKernel& a, const Int8MicroKernel& b) {
-                  if (a.isa != b.isa) {
-                      return static_cast<int>(a.isa)
-                          > static_cast<int>(b.isa);
-                  }
-                  return std::string_view(a.name) < std::string_view(b.name);
-              });
-    return v;
-}
-
-const Int8MicroKernel& best_int8_microkernel()
-{
-    static const Int8MicroKernel chosen = [] {
-        if (auto forced = env_string("CAKE_FORCE_ISA")) {
-            // Same coded [FORCE_ISA] contract as the float registry: an
-            // unknown value raises, never falls back to autodetection.
-            const Isa isa = parse_forced_isa(*forced);
-            for (const Int8MicroKernel& k : all_int8_microkernels()) {
-                if (k.isa == isa) {
-                    CAKE_CHECK_MSG(int8_isa_supported(isa),
-                                   "int8 ISA " << isa_name(isa)
-                                       << " not supported by CPU");
-                    return k;
-                }
-            }
-            throw Error(std::string("no int8 micro-kernel compiled for ISA ")
-                        + isa_name(isa));
-        }
-        return supported_int8_microkernels().front();
-    }();
-    return chosen;
-}
-
-void run_int8_tile(const Int8MicroKernel& k, index_t kq,
-                   const std::uint8_t* a, const std::int8_t* b,
-                   std::int32_t* c, index_t ldc, index_t m, index_t n,
-                   bool accumulate, std::int32_t* scratch)
-{
-    if (m == k.mr && n == k.nr) {
-        k.fn(kq, a, b, c, ldc, accumulate);
-        return;
-    }
-    k.fn(kq, a, b, scratch, k.nr, /*accumulate=*/false);
-    if (accumulate) {
-        for (index_t i = 0; i < m; ++i)
-            for (index_t j = 0; j < n; ++j)
-                c[i * ldc + j] += scratch[i * k.nr + j];
-    } else {
-        for (index_t i = 0; i < m; ++i)
-            for (index_t j = 0; j < n; ++j)
-                c[i * ldc + j] = scratch[i * k.nr + j];
-    }
 }
 
 }  // namespace cake

@@ -6,7 +6,6 @@
 // drifts from its kernel fails CI rather than quietly mis-modelling it.
 #include "kernel/kernel_ir.hpp"
 
-#include "kernel/kernel_int8.hpp"
 #include "kernel/registry.hpp"
 
 namespace cake {
@@ -98,31 +97,15 @@ std::vector<KernelIr> build_all_irs()
 bool registry_entry_for(const std::string& name, Isa* isa, index_t* mr,
                         index_t* nr)
 {
-    for (const MicroKernel& k : all_microkernels_of<float>()) {
-        if (name == k.name) {
-            *isa = k.isa;
-            *mr = k.mr;
-            *nr = k.nr;
-            return true;
-        }
-    }
-    for (const MicroKernelD& k : all_microkernels_of<double>()) {
-        if (name == k.name) {
-            *isa = k.isa;
-            *mr = k.mr;
-            *nr = k.nr;
-            return true;
-        }
-    }
-    for (const Int8MicroKernel& k : all_int8_microkernels()) {
-        if (name == k.name) {
-            *isa = k.isa;
-            *mr = k.mr;
-            *nr = k.nr;
-            return true;
-        }
-    }
-    return false;
+    bool found = false;
+    for_each_microkernel([&](const auto& k) {
+        if (found || name != k.name) return;
+        *isa = k.isa;
+        *mr = k.mr;
+        *nr = k.nr;
+        found = true;
+    });
+    return found;
 }
 
 }  // namespace

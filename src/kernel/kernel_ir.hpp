@@ -1,6 +1,6 @@
 // Kernel IR: a declarative register-level description of every micro-kernel
-// in the registry, registered beside its MicroKernelT / Int8MicroKernel
-// entry and verified by the static kernel checker (analysis/kernelcheck).
+// in the registry, registered beside its MicroKernelT entry and verified
+// by the static kernel checker (analysis/kernelcheck).
 //
 // A micro-kernel's inner loop is, structurally, one k-step repeated kc
 // times: load B slices, broadcast A elements, issue FMAs into a fixed set

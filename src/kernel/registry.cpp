@@ -1,101 +1,91 @@
 #include "kernel/registry.hpp"
 
-#include <algorithm>
-
 #include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace cake {
-namespace {
-
-template <typename T>
-const MicroKernelT<T>& microkernel_for_impl(Isa isa)
-{
-    for (const auto& k : all_microkernels_of<T>()) {
-        if (k.isa == isa) {
-            CAKE_CHECK_MSG(isa_supported(isa),
-                           "ISA " << isa_name(isa) << " not supported by CPU");
-            return k;
-        }
-    }
-    throw Error(std::string("no micro-kernel compiled for ISA ")
-                + isa_name(isa));
-}
-
-template <typename T>
-const MicroKernelT<T>& best_microkernel_impl()
-{
-    static const MicroKernelT<T> chosen = [] {
-        if (auto forced = env_string("CAKE_FORCE_ISA")) {
-            // parse_forced_isa raises a coded [FORCE_ISA] error on unknown
-            // values — an override typo must never fall back silently.
-            return microkernel_for_impl<T>(parse_forced_isa(*forced));
-        }
-        auto supported = supported_microkernels_of<T>();
-        CAKE_CHECK(!supported.empty());
-        return supported.front();
-    }();
-    return chosen;
-}
-
-}  // namespace
 
 template <>
 const std::vector<MicroKernel>& all_microkernels_of<float>()
 {
-    static const std::vector<MicroKernel> kernels = [] {
-        std::vector<MicroKernel> v;
-        v.push_back(scalar_microkernel());
+    static const std::vector<MicroKernel> kernels{
+        scalar_microkernel(),
 #if defined(CAKE_HAVE_AVX2_KERNEL)
-        v.push_back(avx2_microkernel());
+        avx2_microkernel(),
 #endif
 #if defined(CAKE_HAVE_AVX512_KERNEL)
-        v.push_back(avx512_microkernel());
+        avx512_microkernel(),
 #endif
-        return v;
-    }();
+    };
     return kernels;
 }
 
 template <>
 const std::vector<MicroKernelD>& all_microkernels_of<double>()
 {
-    static const std::vector<MicroKernelD> kernels = [] {
-        std::vector<MicroKernelD> v;
-        v.push_back(scalar_microkernel_f64());
+    static const std::vector<MicroKernelD> kernels{
+        scalar_microkernel_f64(),
 #if defined(CAKE_HAVE_AVX2_KERNEL)
-        v.push_back(avx2_microkernel_f64());
+        avx2_microkernel_f64(),
 #endif
 #if defined(CAKE_HAVE_AVX512_KERNEL)
-        v.push_back(avx512_microkernel_f64());
+        avx512_microkernel_f64(),
 #endif
-        return v;
-    }();
+    };
     return kernels;
 }
 
 template <>
-const MicroKernel& microkernel_for_of<float>(Isa isa)
+const std::vector<MicroKernelT<U8S8S32>>& all_microkernels_of<U8S8S32>()
 {
-    return microkernel_for_impl<float>(isa);
+    static const std::vector<MicroKernelT<U8S8S32>> kernels{
+        scalar_int8_microkernel(),
+#if defined(CAKE_HAVE_AVX2_KERNEL)
+        avx2_int8_microkernel(),
+#endif
+#if defined(CAKE_HAVE_AVX512_KERNEL)
+        avx512_int8_microkernel(),
+#endif
+    };
+    return kernels;
 }
 
-template <>
-const MicroKernelD& microkernel_for_of<double>(Isa isa)
+template <typename F>
+const MicroKernelT<F>& microkernel_for_of(Isa isa)
 {
-    return microkernel_for_impl<double>(isa);
+    for (const auto& k : all_microkernels_of<F>()) {
+        if (k.isa == isa) {
+            CAKE_CHECK_MSG(KernelFamily<F>::isa_ok(isa),
+                           KernelFamily<F>::name << " ISA " << isa_name(isa)
+                                                 << " not supported by CPU");
+            return k;
+        }
+    }
+    throw Error(std::string("no ") + KernelFamily<F>::name
+                + " micro-kernel compiled for ISA " + isa_name(isa));
 }
 
-template <>
-const MicroKernel& best_microkernel_of<float>()
+template <typename F>
+const MicroKernelT<F>& best_microkernel_of()
 {
-    return best_microkernel_impl<float>();
+    static const MicroKernelT<F> chosen = [] {
+        if (auto forced = env_string("CAKE_FORCE_ISA")) {
+            // parse_forced_isa raises a coded [FORCE_ISA] error on unknown
+            // values — an override typo must never fall back silently.
+            return microkernel_for_of<F>(parse_forced_isa(*forced));
+        }
+        auto supported = supported_microkernels_of<F>();
+        CAKE_CHECK(!supported.empty());
+        return supported.front();
+    }();
+    return chosen;
 }
 
-template <>
-const MicroKernelD& best_microkernel_of<double>()
-{
-    return best_microkernel_impl<double>();
-}
+template const MicroKernelT<float>& microkernel_for_of<float>(Isa);
+template const MicroKernelT<double>& microkernel_for_of<double>(Isa);
+template const MicroKernelT<U8S8S32>& microkernel_for_of<U8S8S32>(Isa);
+template const MicroKernelT<float>& best_microkernel_of<float>();
+template const MicroKernelT<double>& best_microkernel_of<double>();
+template const MicroKernelT<U8S8S32>& best_microkernel_of<U8S8S32>();
 
 }  // namespace cake

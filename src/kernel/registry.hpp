@@ -1,5 +1,6 @@
-// Kernel registry and runtime dispatch, for float (sgemm) and double
-// (dgemm) kernel families.
+// Kernel registry and runtime dispatch: one registry, keyed by kernel
+// family (f32, f64 and the quantized u8 x s8 -> s32 family; see
+// kernel/kernel_family.hpp).
 #pragma once
 
 #include <algorithm>
@@ -10,17 +11,23 @@
 
 namespace cake {
 
-/// All kernels of element type T compiled into this binary (regardless of
-/// CPU support). Specialised for float and double.
-template <typename T>
-const std::vector<MicroKernelT<T>>& all_microkernels_of();
+/// All kernels of family F compiled into this binary (regardless of CPU
+/// support), scalar first. Specialised in registry.cpp for each family.
+template <typename F>
+const std::vector<MicroKernelT<F>>& all_microkernels_of();
+template <>
+const std::vector<MicroKernel>& all_microkernels_of<float>();
+template <>
+const std::vector<MicroKernelD>& all_microkernels_of<double>();
+template <>
+const std::vector<MicroKernelT<U8S8S32>>& all_microkernels_of<U8S8S32>();
 
 /// Deterministic dispatch order: widest vector ISA first (avx512 > avx2 >
 /// scalar), ties broken by name. std::sort is not stable, so without the
 /// name tie-break two same-ISA kernels would dispatch in an order that
 /// depends on registry iteration — this comparator pins it.
-template <typename T>
-bool microkernel_before(const MicroKernelT<T>& a, const MicroKernelT<T>& b)
+template <typename F>
+bool microkernel_before(const MicroKernelT<F>& a, const MicroKernelT<F>& b)
 {
     if (a.isa != b.isa) {
         return static_cast<int>(a.isa) > static_cast<int>(b.isa);
@@ -28,42 +35,50 @@ bool microkernel_before(const MicroKernelT<T>& a, const MicroKernelT<T>& b)
     return std::string_view(a.name) < std::string_view(b.name);
 }
 
-/// Kernels of element type T runnable on the executing CPU, widest first.
-template <typename T>
-std::vector<MicroKernelT<T>> supported_microkernels_of()
+/// Kernels of family F runnable on the executing CPU (by the family's
+/// isa_ok rule), widest first.
+template <typename F>
+std::vector<MicroKernelT<F>> supported_microkernels_of()
 {
-    std::vector<MicroKernelT<T>> v;
-    for (const auto& k : all_microkernels_of<T>()) {
-        if (isa_supported(k.isa)) v.push_back(k);
+    std::vector<MicroKernelT<F>> v;
+    for (const auto& k : all_microkernels_of<F>()) {
+        if (KernelFamily<F>::isa_ok(k.isa)) v.push_back(k);
     }
-    std::sort(v.begin(), v.end(), &microkernel_before<T>);
+    std::sort(v.begin(), v.end(), &microkernel_before<F>);
     return v;
 }
 
-/// Kernel of element type T for a specific ISA; throws cake::Error if not
+/// Kernel of family F for a specific ISA; throws cake::Error if not
 /// compiled in or not supported by this CPU.
-template <typename T>
-const MicroKernelT<T>& microkernel_for_of(Isa isa);
+template <typename F>
+const MicroKernelT<F>& microkernel_for_of(Isa isa);
 
-/// The preferred kernel of element type T for this CPU. Honours the
+/// The preferred kernel of family F for this CPU. Honours the
 /// CAKE_FORCE_ISA environment variable ("scalar" | "avx2" | "avx512").
-template <typename T>
-const MicroKernelT<T>& best_microkernel_of();
+template <typename F>
+const MicroKernelT<F>& best_microkernel_of();
 
-// Explicit specialisations are defined in registry.cpp. They must be
-// declared before the inline wrappers below instantiate the templates.
-template <>
-const std::vector<MicroKernel>& all_microkernels_of<float>();
-template <>
-const std::vector<MicroKernelD>& all_microkernels_of<double>();
-template <>
-const MicroKernel& microkernel_for_of<float>(Isa isa);
-template <>
-const MicroKernelD& microkernel_for_of<double>(Isa isa);
-template <>
-const MicroKernel& best_microkernel_of<float>();
-template <>
-const MicroKernelD& best_microkernel_of<double>();
+/// Call `fn.template operator()<F>()` for every kernel family F, in the
+/// order f32, f64, i8: the one list of families every per-family sweep
+/// walks.
+template <typename Fn>
+void for_each_kernel_family(Fn&& fn)
+{
+    fn.template operator()<float>();
+    fn.template operator()<double>();
+    fn.template operator()<U8S8S32>();
+}
+
+/// Call `fn(kernel)` on every compiled kernel of every family, in family
+/// order and registry order within a family. `fn` is generic: the
+/// kernel's MicroKernelT<F>::Family names its family.
+template <typename Fn>
+void for_each_microkernel(Fn&& fn)
+{
+    for_each_kernel_family([&]<typename F>() {
+        for (const auto& k : all_microkernels_of<F>()) fn(k);
+    });
+}
 
 // ---- float-named convenience API (the original sgemm surface) ----
 

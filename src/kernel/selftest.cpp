@@ -1,100 +1,101 @@
 #include "kernel/selftest.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/aligned.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
-#include "kernel/kernel_int8.hpp"
 #include "kernel/registry.hpp"
-#include "pack/pack_int8.hpp"
 
 namespace cake {
 namespace {
 
-template <typename T>
-KernelSelfTestResult test_float_kernel(const MicroKernelT<T>& kernel,
-                                       const char* family, index_t kc,
-                                       Rng& rng)
-{
-    KernelSelfTestResult result;
-    result.kernel = kernel.name;
-    result.family = family;
-
-    AlignedBuffer<T> a(static_cast<std::size_t>(kernel.mr * kc));
-    AlignedBuffer<T> b(static_cast<std::size_t>(kernel.nr * kc));
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] = static_cast<T>(rng.next_double() * 2 - 1);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<T>(rng.next_double() * 2 - 1);
-
-    AlignedBuffer<T> c(static_cast<std::size_t>(kernel.mr * kernel.nr),
-                       true);
-    kernel.fn(kc, a.data(), b.data(), c.data(), kernel.nr, false);
-
-    double worst = 0;
-    for (index_t i = 0; i < kernel.mr; ++i) {
-        for (index_t j = 0; j < kernel.nr; ++j) {
-            long double acc = 0;
-            for (index_t p = 0; p < kc; ++p)
-                acc += static_cast<long double>(
-                           a[static_cast<std::size_t>(p * kernel.mr + i)])
-                    * b[static_cast<std::size_t>(p * kernel.nr + j)];
-            worst = std::max(
-                worst,
-                std::abs(static_cast<double>(
-                    c[static_cast<std::size_t>(i * kernel.nr + j)]
-                    - static_cast<T>(acc))));
-        }
+/// Per-family self-test data: the random packed-panel values, the
+/// reference accumulator type, and the error metric with its bound.
+template <typename F>
+struct SelfTestFamily {
+    using Ref = long double;
+    static F a_val(Rng& rng)
+    {
+        return static_cast<F>(rng.next_double() * 2 - 1);
     }
-    result.max_error = worst;
-    const double tol = sizeof(T) == 4 ? gemm_tolerance(kc)
-                                      : dgemm_tolerance(kc);
-    result.passed = worst <= tol;
-    return result;
-}
+    static F b_val(Rng& rng) { return a_val(rng); }
+    static double error(F got, Ref want)
+    {
+        return std::abs(static_cast<double>(got - static_cast<F>(want)));
+    }
+    static double tolerance(index_t kc)
+    {
+        return sizeof(F) == 4 ? gemm_tolerance(kc) : dgemm_tolerance(kc);
+    }
+};
 
-KernelSelfTestResult test_int8_kernel(const Int8MicroKernel& kernel,
-                                      index_t kc, Rng& rng)
-{
-    KernelSelfTestResult result;
-    result.kernel = kernel.name;
-    result.family = "int8";
-
-    const index_t kq = int8_kq(kc);
-    AlignedBuffer<std::uint8_t> a(
-        static_cast<std::size_t>(kernel.mr * kq * 4));
-    AlignedBuffer<std::int8_t> b(
-        static_cast<std::size_t>(kernel.nr * kq * 4));
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] = static_cast<std::uint8_t>(rng.next_below(128));
-    for (std::size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<std::int8_t>(
+template <>
+struct SelfTestFamily<U8S8S32> {
+    using Ref = std::int64_t;
+    static std::uint8_t a_val(Rng& rng)
+    {
+        return static_cast<std::uint8_t>(rng.next_below(128));
+    }
+    static std::int8_t b_val(Rng& rng)
+    {
+        return static_cast<std::int8_t>(
             static_cast<int>(rng.next_below(255)) - 127);
+    }
+    static double error(std::int32_t got, Ref want)
+    {
+        return std::abs(static_cast<double>(got - want));
+    }
+    static double tolerance(index_t) { return 0; }  // integer kernels are exact
+};
 
-    AlignedBuffer<std::int32_t> c(
+template <typename F>
+KernelSelfTestResult test_kernel(const MicroKernelT<F>& kernel, index_t kc,
+                                 Rng& rng)
+{
+    using Fam = KernelFamily<F>;
+    using Data = SelfTestFamily<F>;
+    KernelSelfTestResult result;
+    result.kernel = kernel.name;
+    result.family = Fam::name;
+
+    // K elements the packed slivers hold: kc padded to whole k-steps.
+    const index_t s = Fam::k_step;
+    const index_t steps = kernel_steps<F>(kc);
+    const index_t depth = steps * s;
+    AlignedBuffer<typename Fam::A> a(
+        static_cast<std::size_t>(kernel.mr * depth));
+    AlignedBuffer<typename Fam::B> b(
+        static_cast<std::size_t>(kernel.nr * depth));
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = Data::a_val(rng);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = Data::b_val(rng);
+
+    AlignedBuffer<typename Fam::C> c(
         static_cast<std::size_t>(kernel.mr * kernel.nr), true);
-    kernel.fn(kq, a.data(), b.data(), c.data(), kernel.nr, false);
+    kernel.fn(steps, a.data(), b.data(), c.data(), kernel.nr, false);
 
     double worst = 0;
     for (index_t i = 0; i < kernel.mr; ++i) {
         for (index_t j = 0; j < kernel.nr; ++j) {
-            std::int64_t acc = 0;
-            for (index_t q = 0; q < kq; ++q)
-                for (index_t d = 0; d < 4; ++d)
-                    acc += static_cast<std::int64_t>(
-                               a[static_cast<std::size_t>(q * kernel.mr * 4
-                                                          + i * 4 + d)])
-                        * b[static_cast<std::size_t>(q * kernel.nr * 4
-                                                     + j * 4 + d)];
+            typename Data::Ref acc = 0;
+            for (index_t r = 0; r < depth; ++r) {
+                const index_t q = r / s;
+                const index_t d = r % s;
+                acc += static_cast<typename Data::Ref>(
+                           a[static_cast<std::size_t>(q * kernel.mr * s
+                                                      + i * s + d)])
+                    * b[static_cast<std::size_t>(q * kernel.nr * s + j * s
+                                                 + d)];
+            }
             worst = std::max(
                 worst,
-                std::abs(static_cast<double>(
-                    c[static_cast<std::size_t>(i * kernel.nr + j)] - acc)));
+                Data::error(c[static_cast<std::size_t>(i * kernel.nr + j)],
+                            acc));
         }
     }
     result.max_error = worst;
-    result.passed = worst == 0.0;  // integer kernels must be exact
+    result.passed = worst <= Data::tolerance(kc);
     return result;
 }
 
@@ -105,14 +106,11 @@ std::vector<KernelSelfTestResult> run_kernel_selftest(index_t kc,
 {
     Rng rng(seed);
     std::vector<KernelSelfTestResult> results;
-    for (const auto& k : supported_microkernels_of<float>())
-        results.push_back(test_float_kernel(k, "f32", kc, rng));
-    for (const auto& k : supported_microkernels_of<double>())
-        results.push_back(test_float_kernel(k, "f64", kc, rng));
-    // int8 family: every compiled-and-supported variant, same contract as
-    // the float families (not just scalar + the dispatched best).
-    for (const Int8MicroKernel& k : supported_int8_microkernels())
-        results.push_back(test_int8_kernel(k, kc, rng));
+    // Every supported kernel of every family, in dispatch order.
+    for_each_kernel_family([&]<typename F>() {
+        for (const auto& k : supported_microkernels_of<F>())
+            results.push_back(test_kernel(k, kc, rng));
+    });
     return results;
 }
 

@@ -14,7 +14,7 @@ namespace cake {
 
 struct KernelSelfTestResult {
     std::string kernel;   ///< kernel name (e.g. "avx512_14x32")
-    std::string family;   ///< "f32" | "f64" | "int8"
+    std::string family;   ///< KernelFamily<F>::name: "f32" | "f64" | "i8"
     bool passed = false;
     double max_error = 0;  ///< worst |kernel - reference| observed
 };

@@ -1,4 +1,5 @@
 #include "pack/pack.hpp"
+#include "pack/pack_int8.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -8,12 +9,12 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
-// Every routine below is written against cake::Span: in CAKE_CHECKED
-// builds each sliver/column slice and element store is bounds-checked
-// against the packed-panel capacity contract (and source reads against the
-// extent the lda/ldb contract implies); in release builds Span<T> is T*
-// and the code compiles to exactly the raw pointer arithmetic it always
-// was.
+// Every routine below (the float/double templates and the int8 k-quad
+// packers) is written against cake::Span: in CAKE_CHECKED builds each
+// sliver/column slice and element store is bounds-checked against the
+// packed-panel capacity contract (and source reads against the extent the
+// lda/ldb contract implies); in release builds Span<T> is T* and the code
+// compiles to exactly the raw pointer arithmetic it always was.
 
 namespace cake {
 namespace {
@@ -233,6 +234,68 @@ T packed_b_at(const T* packed, index_t k, index_t n, index_t nr, index_t p,
     const index_t t = j / nr;
     const index_t jj = j % nr;
     return sp[t * nr * k + p * nr + jj];
+}
+
+void pack_a_panel_int8(const std::uint8_t* a, index_t lda, index_t m,
+                       index_t k, index_t mr, std::uint8_t* out)
+{
+    CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= k);
+    note_pack(/*is_a=*/true, m, k, sizeof(std::uint8_t));
+    const index_t slivers = ceil_div(m, mr);
+    const index_t kq = int8_kq(k);
+    Span<std::uint8_t> out_sp = make_span(
+        out, static_cast<std::size_t>(packed_a_int8_size(m, k, mr)),
+        "packed-A int8 panel");
+    Span<const std::uint8_t> a_sp =
+        make_span(a, strided_extent(m, k, lda), "A int8 block");
+    for (index_t s = 0; s < slivers; ++s) {
+        Span<std::uint8_t> dst = span_slice(out_sp, s * mr * kq * 4,
+                                            mr * kq * 4);
+        const index_t row0 = s * mr;
+        const index_t live = std::min(mr, m - row0);
+        for (index_t q = 0; q < kq; ++q) {
+            Span<std::uint8_t> quad = span_slice(dst, q * mr * 4, mr * 4);
+            for (index_t i = 0; i < mr; ++i) {
+                for (index_t j = 0; j < 4; ++j) {
+                    const index_t kk = 4 * q + j;
+                    quad[i * 4 + j] = (i < live && kk < k)
+                        ? a_sp[(row0 + i) * lda + kk]
+                        : std::uint8_t{0};
+                }
+            }
+        }
+    }
+}
+
+void pack_b_panel_int8(const std::int8_t* b, index_t ldb, index_t k,
+                       index_t n, index_t nr, std::int8_t* out)
+{
+    CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= n);
+    note_pack(/*is_a=*/false, k, n, sizeof(std::int8_t));
+    const index_t slivers = ceil_div(n, nr);
+    const index_t kq = int8_kq(k);
+    Span<std::int8_t> out_sp = make_span(
+        out, static_cast<std::size_t>(packed_b_int8_size(k, n, nr)),
+        "packed-B int8 panel");
+    Span<const std::int8_t> b_sp =
+        make_span(b, strided_extent(k, n, ldb), "B int8 block");
+    for (index_t t = 0; t < slivers; ++t) {
+        Span<std::int8_t> dst = span_slice(out_sp, t * nr * kq * 4,
+                                           nr * kq * 4);
+        const index_t col0 = t * nr;
+        const index_t live = std::min(nr, n - col0);
+        for (index_t q = 0; q < kq; ++q) {
+            Span<std::int8_t> quad = span_slice(dst, q * nr * 4, nr * 4);
+            for (index_t jj = 0; jj < nr; ++jj) {
+                for (index_t j = 0; j < 4; ++j) {
+                    const index_t kk = 4 * q + j;
+                    quad[jj * 4 + j] = (jj < live && kk < k)
+                        ? b_sp[kk * ldb + col0 + jj]
+                        : std::int8_t{0};
+                }
+            }
+        }
+    }
 }
 
 template void pack_a_panel<float>(const float*, index_t, index_t, index_t,

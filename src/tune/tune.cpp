@@ -25,14 +25,6 @@ std::pair<index_t, index_t> kernel_shape_of(const std::optional<Isa>& isa)
     return {k.mr, k.nr};
 }
 
-std::pair<index_t, index_t> kernel_shape_for(const std::string& dtype,
-                                             const std::optional<Isa>& isa)
-{
-    if (dtype == "f32") return kernel_shape_of<float>(isa);
-    if (dtype == "f64") return kernel_shape_of<double>(isa);
-    throw Error("unknown dtype '" + dtype + "' (expected f32 or f64)");
-}
-
 /// Registry name of the micro-kernel a dtype/ISA choice dispatches to —
 /// the key the kernel gate checks.
 template <typename T>
@@ -152,6 +144,28 @@ std::vector<index_t> scaled_multiples(index_t base, index_t unit,
 }
 
 }  // namespace
+
+std::pair<index_t, index_t> kernel_shape_for(const std::string& dtype,
+                                             const std::optional<Isa>& isa)
+{
+    if (dtype == "f32") return kernel_shape_of<float>(isa);
+    if (dtype == "f64") return kernel_shape_of<double>(isa);
+    throw Error("unknown dtype '" + dtype + "' (expected f32 or f64)");
+}
+
+CbBlockParams winner_params(const MachineSpec& machine,
+                            const TunedEntry& winner)
+{
+    TilingOptions topts;
+    topts.mc = winner.plan.mc;
+    topts.kc = winner.plan.kc;
+    topts.nc = winner.plan.nc;
+    if (!winner.plan.nc) topts.alpha = winner.plan.alpha;
+    topts.elem_bytes = elem_bytes_for(winner.dtype);
+    const int p = winner.plan.p ? *winner.plan.p : machine.cores;
+    const auto [mr, nr] = kernel_shape_for(winner.dtype, winner.plan.isa);
+    return compute_cb_block(machine, p, mr, nr, topts);
+}
 
 PlanOverrides TuneCandidate::overrides() const
 {

@@ -26,13 +26,16 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/timing.hpp"
 #include "common/types.hpp"
 #include "core/plan_source.hpp"
 #include "core/schedule.hpp"
+#include "core/tiling.hpp"
 #include "machine/machine.hpp"
 #include "model/planner.hpp"
 #include "threading/thread_pool.hpp"
@@ -126,6 +129,18 @@ using MeasureFn = std::function<double(const TuneCandidate&)>;
 std::vector<TuneCandidate> generate_candidates(const MachineSpec& machine,
                                                const GemmShape& shape,
                                                index_t elem_bytes, int p);
+
+/// Register tile (mr, nr) of the micro-kernel a dtype/ISA choice dispatches
+/// to: `isa`'s kernel, or the host's best when unset. The one registry
+/// lookup the candidate generator, the audit gate and winner_params share.
+/// Throws cake::Error for a dtype without kernels ("f32" | "f64" today).
+std::pair<index_t, index_t> kernel_shape_for(const std::string& dtype,
+                                             const std::optional<Isa>& isa);
+
+/// The CB geometry a tuned winner runs with: its plan overrides solved at
+/// the register tile of the kernel its dtype and ISA dispatch to.
+CbBlockParams winner_params(const MachineSpec& machine,
+                            const TunedEntry& winner);
 
 /// Run the guided search for one shape. Candidates failing audit_cb_plan
 /// are skipped untimed; remaining ones are measured under req.policy and

@@ -1,22 +1,26 @@
 // Negative-path tests for the CAKE_CHECKED instrumentation layer: each
 // test provokes one class of memory fault the instrumentation exists to
 // catch — out-of-bounds span access, pack-buffer overrun into a canary
-// guard, misaligned kernel operands — and asserts the trap fires with the
-// right diagnostic. A throwing trap handler is installed per-test so the
-// trap surfaces as a catchable CheckedError instead of an abort.
+// guard, misaligned kernel operands, for the float and int8 kernel
+// families alike — and asserts the trap fires with the right diagnostic.
+// A throwing trap handler is installed per-test so the trap surfaces as a
+// catchable CheckedError instead of an abort.
 //
 // In release builds (CAKE_CHECKED off) the instrumentation compiles away
 // entirely, so every test here skips.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 
 #include "common/aligned.hpp"
 #include "common/checked.hpp"
 #include "kernel/microkernel.hpp"
+#include "kernel/registry.hpp"
 #include "pack/pack.hpp"
+#include "pack/pack_int8.hpp"
 
 namespace cake {
 namespace {
@@ -134,9 +138,10 @@ TEST(CheckedTest, UndersizedPackBufferIsCaughtByCanary)
 {
     ScopedThrowingTraps traps;
     // pack_a_panel writes packed_a_size(mc, kc, mr) elements; hand it a
-    // buffer 8 floats short and the tail of the pack lands in the back
-    // guard (the 64-byte guard absorbs the 32-byte overrun, so this is
-    // safe to execute and deterministically detected on verify).
+    // buffer 8 elements short and the tail of the pack lands in the back
+    // guard (the 64-byte guard absorbs the overrun, so this is safe to
+    // execute and deterministically detected on verify). The int8 k-quad
+    // packer obeys the same contract.
     const index_t mc = 12, kc = 8, mr = 6;
     const index_t need = packed_a_size(mc, kc, mr);
     ASSERT_EQ(need, 96);
@@ -145,51 +150,88 @@ TEST(CheckedTest, UndersizedPackBufferIsCaughtByCanary)
     pack_a_panel(a.data(), /*lda=*/kc, mc, kc, mr, packed.data());
     EXPECT_THROW(packed.verify_canaries("undersized packed-A"),
                  CheckedError);
+
+    const index_t need_i8 = packed_a_int8_size(mc, kc, mr);
+    ASSERT_EQ(need_i8, 96);
+    AlignedBuffer<std::uint8_t> a_i8(static_cast<std::size_t>(mc * kc),
+                                     /*zero=*/true);
+    AlignedBuffer<std::uint8_t> packed_i8(
+        static_cast<std::size_t>(need_i8 - 8));
+    pack_a_panel_int8(a_i8.data(), /*lda=*/kc, mc, kc, mr, packed_i8.data());
+    EXPECT_THROW(packed_i8.verify_canaries("undersized int8 packed-A"),
+                 CheckedError);
 }
 
-TEST(CheckedTest, MisalignedScratchTileTraps)
+/// Zeroed packed panels, C tile and scratch for one `steps`-deep call of
+/// kernel `k`; the scratch carries `spare` extra elements.
+template <typename F>
+struct TileOperands {
+    using Fam = KernelFamily<F>;
+    TileOperands(const MicroKernelT<F>& k, index_t steps, std::size_t spare)
+        : a(static_cast<std::size_t>(k.mr * steps * Fam::k_step), true),
+          b(static_cast<std::size_t>(k.nr * steps * Fam::k_step), true),
+          c(static_cast<std::size_t>(k.mr * k.nr), true),
+          scratch(static_cast<std::size_t>(k.mr * k.nr) + spare, true)
+    {
+    }
+    AlignedBuffer<typename Fam::A> a;
+    AlignedBuffer<typename Fam::B> b;
+    AlignedBuffer<typename Fam::C> c;
+    AlignedBuffer<typename Fam::C> scratch;
+};
+
+template <typename F>
+void expect_misaligned_scratch_traps(const MicroKernelT<F>& k)
 {
-    ScopedThrowingTraps traps;
-    const MicroKernel k = scalar_microkernel();
-    const index_t kc = 4;
-    AlignedBuffer<float> a(static_cast<std::size_t>(k.mr * kc), true);
-    AlignedBuffer<float> b(static_cast<std::size_t>(k.nr * kc), true);
-    AlignedBuffer<float> c(static_cast<std::size_t>(k.mr * k.nr), true);
-    AlignedBuffer<float> scratch(
-        static_cast<std::size_t>(k.mr * k.nr) + 16, true);
+    SCOPED_TRACE(k.name);
+    const index_t steps = 4;
+    TileOperands<F> t(k, steps, 16);
     // Aligned scratch: runs clean (edge tile m = mr - 1 forces its use).
-    EXPECT_NO_THROW(run_microkernel_tile(k, kc, a.data(), b.data(), c.data(),
-                                         k.nr, k.mr - 1, k.nr, false,
-                                         scratch.data()));
+    EXPECT_NO_THROW(run_microkernel_tile(k, steps, t.a.data(), t.b.data(),
+                                         t.c.data(), k.nr, k.mr - 1, k.nr,
+                                         false, t.scratch.data()));
     // Knock the scratch pointer off 64-byte alignment by one element.
     const std::string msg = trap_message([&] {
-        run_microkernel_tile(k, kc, a.data(), b.data(), c.data(), k.nr,
-                             k.mr - 1, k.nr, false, scratch.data() + 1);
+        run_microkernel_tile(k, steps, t.a.data(), t.b.data(), t.c.data(),
+                             k.nr, k.mr - 1, k.nr, false,
+                             t.scratch.data() + 1);
     });
     EXPECT_NE(msg.find("misaligned"), std::string::npos) << msg;
     EXPECT_NE(msg.find("scratch"), std::string::npos) << msg;
 }
 
+TEST(CheckedTest, MisalignedScratchTileTraps)
+{
+    ScopedThrowingTraps traps;
+    expect_misaligned_scratch_traps(scalar_microkernel());
+    expect_misaligned_scratch_traps(best_microkernel_of<U8S8S32>());
+}
+
+template <typename F>
+void expect_bad_c_tile_traps(const MicroKernelT<F>& k)
+{
+    SCOPED_TRACE(k.name);
+    const index_t steps = 4;
+    TileOperands<F> t(k, steps, 0);
+    // ldc smaller than the tile width: rows would overlap.
+    EXPECT_THROW(run_microkernel_tile(k, steps, t.a.data(), t.b.data(),
+                                      t.c.data(), k.nr - 1, k.mr, k.nr,
+                                      false, t.scratch.data()),
+                 CheckedError);
+    // Null packed operand.
+    EXPECT_THROW(
+        run_microkernel_tile(
+            k, steps, static_cast<const typename KernelFamily<F>::A*>(nullptr),
+            t.b.data(), t.c.data(), k.nr, k.mr, k.nr, false,
+            t.scratch.data()),
+        CheckedError);
+}
+
 TEST(CheckedTest, BadCTileGeometryTraps)
 {
     ScopedThrowingTraps traps;
-    const MicroKernel k = scalar_microkernel();
-    const index_t kc = 4;
-    AlignedBuffer<float> a(static_cast<std::size_t>(k.mr * kc), true);
-    AlignedBuffer<float> b(static_cast<std::size_t>(k.nr * kc), true);
-    AlignedBuffer<float> c(static_cast<std::size_t>(k.mr * k.nr), true);
-    AlignedBuffer<float> scratch(static_cast<std::size_t>(k.mr * k.nr), true);
-    // ldc smaller than the tile width: rows would overlap.
-    EXPECT_THROW(run_microkernel_tile(k, kc, a.data(), b.data(), c.data(),
-                                      k.nr - 1, k.mr, k.nr, false,
-                                      scratch.data()),
-                 CheckedError);
-    // Null packed operand.
-    EXPECT_THROW(run_microkernel_tile(k, kc,
-                                      static_cast<const float*>(nullptr),
-                                      b.data(), c.data(), k.nr, k.mr, k.nr,
-                                      false, scratch.data()),
-                 CheckedError);
+    expect_bad_c_tile_traps(scalar_microkernel());
+    expect_bad_c_tile_traps(best_microkernel_of<U8S8S32>());
 }
 
 TEST(CheckedTest, RequireExtentTraps)

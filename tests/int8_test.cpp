@@ -13,7 +13,7 @@
 #include "core/cake_gemm_int8.hpp"
 #include "core/fperror.hpp"
 #include "core/quant.hpp"
-#include "kernel/kernel_int8.hpp"
+#include "kernel/registry.hpp"
 #include "kernel/selftest.hpp"
 #include "machine/machine.hpp"
 #include "pack/pack_int8.hpp"
@@ -21,6 +21,8 @@
 
 namespace cake {
 namespace {
+
+using Int8Kernel = MicroKernelT<U8S8S32>;
 
 ThreadPool& test_pool()
 {
@@ -107,8 +109,8 @@ TEST(Int8Pack, BQuadLayoutRoundTrip)
 
 TEST(Int8Kernel, BestKernelMatchesScalarExactly)
 {
-    const Int8MicroKernel& best = best_int8_microkernel();
-    const Int8MicroKernel scalar = scalar_int8_microkernel();
+    const Int8Kernel& best = best_microkernel_of<U8S8S32>();
+    const Int8Kernel scalar = scalar_int8_microkernel();
     Rng rng(103);
 
     for (index_t kq : {1, 2, 7, 48}) {
@@ -171,7 +173,7 @@ TEST_P(Int8GemmShapeTest, ExactAgainstIntegerOracle)
             for (const int p : {1, 2, 4}) {
                 for (const bool prepacked : {false, true}) {
                     CakeOptions options;
-                    options.mc = best_int8_microkernel().mr * 4;
+                    options.mc = best_microkernel_of<U8S8S32>().mr * 4;
                     options.exec = exec;
                     options.schedule = kind;
                     options.p = p;
@@ -248,7 +250,7 @@ TEST(Int8Gemm, PrepackedMatchesRegular)
     fill_random_s8(b, rng);
 
     CakeOptions options;
-    options.mc = best_int8_microkernel().mr * 4;
+    options.mc = best_microkernel_of<U8S8S32>().mr * 4;
     CakeGemmInt8 gemm(test_pool(), options);
     const PackedBInt8 packed = gemm.pack_weights(b.data(), n, k, n);
 
@@ -261,7 +263,7 @@ TEST(Int8Gemm, PrepackedMatchesRegular)
 
     // Geometry mismatch rejected.
     CakeOptions other = options;
-    other.mc = best_int8_microkernel().mr * 8;
+    other.mc = best_microkernel_of<U8S8S32>().mr * 8;
     CakeGemmInt8 gemm2(test_pool(), other);
     EXPECT_THROW(
         gemm2.multiply_prepacked(a.data(), k, packed, c_pre.data(), n, m),
@@ -379,16 +381,16 @@ TEST(Int8Gemm, TunedPlanKeyedByStoredWidthAndGatedByInt8Isa)
     fill_random_u8(a, rng);
     fill_random_s8(b, rng);
     const auto oracle = int_oracle(a, b, m, n, k);
-    const Int8MicroKernel& best = best_int8_microkernel();
+    const Int8Kernel& best = best_microkernel_of<U8S8S32>();
 
     for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
-        std::optional<Int8MicroKernel> runnable;
-        for (const Int8MicroKernel& kernel : supported_int8_microkernels()) {
+        std::optional<Int8Kernel> runnable;
+        for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
             if (kernel.isa == isa) runnable = kernel;
         }
         // Runnable CPU but kernel compiled out: the lookup would throw, as
         // it does for the float families.
-        if (!runnable && int8_isa_supported(isa)) continue;
+        if (!runnable && KernelFamily<U8S8S32>::isa_ok(isa)) continue;
 
         PlanOverrides plan;
         plan.isa = isa;
@@ -403,7 +405,7 @@ TEST(Int8Gemm, TunedPlanKeyedByStoredWidthAndGatedByInt8Isa)
         ASSERT_EQ(source.requests.size(), 1u);
         EXPECT_EQ(source.requests[0].elem_bytes, 1);
         EXPECT_EQ(source.requests[0].m, m);
-        const Int8MicroKernel& ran = runnable ? *runnable : best;
+        const Int8Kernel& ran = runnable ? *runnable : best;
         EXPECT_EQ(gemm.stats().params.nr, ran.nr) << isa_name(isa);
         EXPECT_EQ(gemm.stats().tuned, ran.isa != best.isa) << isa_name(isa);
         for (index_t i = 0; i < m * n; ++i) {
@@ -461,7 +463,7 @@ TEST(Int8Kernel, EverySupportedKernelInSelftest)
     // compiled-and-supported variant appears in the sweep and passes
     // exactly (max_error == 0 for integer kernels).
     const auto results = run_kernel_selftest();
-    for (const Int8MicroKernel& k : supported_int8_microkernels()) {
+    for (const Int8Kernel& k : supported_microkernels_of<U8S8S32>()) {
         bool found = false;
         for (const auto& r : results) {
             if (r.kernel == k.name) {
@@ -482,7 +484,7 @@ TEST(Int8Kernel, SaturationEdgeExactAtTileBoundaries)
     // Every supported kernel must match the int64 oracle bit-exactly and
     // leave the dead C region untouched.
     const index_t kq = 3;
-    for (const Int8MicroKernel& k : supported_int8_microkernels()) {
+    for (const Int8Kernel& k : supported_microkernels_of<U8S8S32>()) {
         const index_t mr = k.mr, nr = k.nr;
         AlignedBuffer<std::uint8_t> a(static_cast<std::size_t>(mr * kq * 4));
         AlignedBuffer<std::int8_t> b(static_cast<std::size_t>(nr * kq * 4));
@@ -502,8 +504,8 @@ TEST(Int8Kernel, SaturationEdgeExactAtTileBoundaries)
             static_cast<std::size_t>(mr * nr));
         const std::int32_t sentinel = -7777777;
         for (std::size_t i = 0; i < c.size(); ++i) c[i] = sentinel;
-        run_int8_tile(k, kq, a.data(), b.data(), c.data(), nr, m, n,
-                      /*accumulate=*/false, scratch.data());
+        run_microkernel_tile(k, kq, a.data(), b.data(), c.data(), nr, m, n,
+                             /*accumulate=*/false, scratch.data());
 
         for (index_t i = 0; i < mr; ++i) {
             for (index_t j = 0; j < nr; ++j) {
@@ -534,7 +536,7 @@ TEST(Quant, RequantRoundingExactAtTileBoundaries)
     // (m = 2*mr - 1, n = 2*nr - 1): the dequantized result of the real
     // int8 GEMM must stay inside the static requant error bound
     // (core/fperror.hpp) at every element, including the edge tiles.
-    const Int8MicroKernel& best = best_int8_microkernel();
+    const Int8Kernel& best = best_microkernel_of<U8S8S32>();
     const index_t m = 2 * best.mr - 1;
     const index_t n = 2 * best.nr - 1;
     const index_t k = 52;

@@ -2,6 +2,7 @@
 // oracle on packed panels, full and edge tiles, across kc depths.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -143,25 +144,35 @@ TEST(KernelEdge, PartialTilesMatchOracle)
     }
 }
 
+// The registry tests below run over every kernel family (f32, f64, i8)
+// through for_each_kernel_family: one registry, one set of properties.
+
 TEST(KernelRegistry, ScalarAlwaysPresent)
 {
-    const auto kernels = supported_microkernels();
-    ASSERT_FALSE(kernels.empty());
-    bool has_scalar = false;
-    for (const auto& k : kernels) has_scalar |= k.isa == Isa::kScalar;
-    EXPECT_TRUE(has_scalar);
+    for_each_kernel_family([]<typename F>() {
+        SCOPED_TRACE(KernelFamily<F>::name);
+        const auto kernels = supported_microkernels_of<F>();
+        ASSERT_FALSE(kernels.empty());
+        bool has_scalar = false;
+        for (const auto& k : kernels) has_scalar |= k.isa == Isa::kScalar;
+        EXPECT_TRUE(has_scalar);
+    });
 }
 
 TEST(KernelRegistry, BestIsWidestSupported)
 {
-    const auto kernels = supported_microkernels();
-    const MicroKernel& best = best_microkernel();
-    // Unless overridden by env, best must be the front (widest) entry.
-    if (!std::getenv("CAKE_FORCE_ISA")) {
-        EXPECT_EQ(std::string(best.name), std::string(kernels.front().name));
-    }
-    EXPECT_GE(best.mr, 1);
-    EXPECT_GE(best.nr, 1);
+    for_each_kernel_family([]<typename F>() {
+        SCOPED_TRACE(KernelFamily<F>::name);
+        const auto kernels = supported_microkernels_of<F>();
+        const MicroKernelT<F>& best = best_microkernel_of<F>();
+        // Unless overridden by env, best must be the front (widest) entry.
+        if (!std::getenv("CAKE_FORCE_ISA")) {
+            EXPECT_EQ(std::string(best.name),
+                      std::string(kernels.front().name));
+        }
+        EXPECT_GE(best.mr, 1);
+        EXPECT_GE(best.nr, 1);
+    });
 }
 
 TEST(KernelRegistry, IsaNamesRoundTrip)
@@ -174,18 +185,30 @@ TEST(KernelRegistry, IsaNamesRoundTrip)
 
 TEST(KernelRegistry, AllCompiledKernelsHaveDistinctNames)
 {
-    const auto& all = all_microkernels();
-    for (std::size_t i = 0; i < all.size(); ++i)
-        for (std::size_t j = i + 1; j < all.size(); ++j)
-            EXPECT_NE(std::string(all[i].name), std::string(all[j].name));
+    // Distinct across families too: kernel_ir_for binds an IR to its
+    // kernel by name alone.
+    std::vector<std::string> names;
+    for_each_microkernel([&](const auto& k) { names.push_back(k.name); });
+    EXPECT_GE(names.size(), 3u);  // scalar f32/f64/i8 always compiled
+    for (std::size_t i = 0; i < names.size(); ++i)
+        for (std::size_t j = i + 1; j < names.size(); ++j)
+            EXPECT_NE(names[i], names[j]);
 }
 
 TEST(CpuFeatures, ConsistentWithRegistry)
 {
-    // Every supported kernel's ISA must report as supported.
-    for (const auto& k : supported_microkernels()) {
-        EXPECT_TRUE(isa_supported(k.isa)) << k.name;
-    }
+    // Every supported kernel's ISA must satisfy its family's support rule,
+    // and that rule is never looser than isa_supported.
+    for_each_kernel_family([]<typename F>() {
+        for (const auto& k : supported_microkernels_of<F>()) {
+            EXPECT_TRUE(KernelFamily<F>::isa_ok(k.isa)) << k.name;
+            EXPECT_TRUE(isa_supported(k.isa)) << k.name;
+        }
+        EXPECT_TRUE(KernelFamily<F>::isa_ok(Isa::kScalar));
+    });
+    // The int8 AVX-512 kernel needs BW on top of F.
+    EXPECT_EQ(KernelFamily<U8S8S32>::isa_ok(Isa::kAvx512),
+              cpu_features().avx512f && cpu_features().avx512bw);
     EXPECT_TRUE(isa_supported(Isa::kScalar));
 }
 
@@ -214,20 +237,25 @@ TEST(KernelRegistry, SupportedOrderingHasDeterministicTieBreak)
     // supported_microkernels_of sorts widest ISA first with a name
     // tie-break, so two same-ISA kernels order lexicographically — the
     // dispatch winner cannot depend on registration order.
-    const MicroKernel a{"zeta_6x16", Isa::kAvx2, 6, 16, nullptr};
-    const MicroKernel b{"alpha_6x16", Isa::kAvx2, 6, 16, nullptr};
-    EXPECT_TRUE(microkernel_before(b, a));
-    EXPECT_FALSE(microkernel_before(a, b));
-    // Wider ISA always sorts ahead regardless of name.
-    const MicroKernel wide{"zzz_14x32", Isa::kAvx512, 14, 32, nullptr};
-    EXPECT_TRUE(microkernel_before(wide, b));
+    for_each_kernel_family([]<typename F>() {
+        SCOPED_TRACE(KernelFamily<F>::name);
+        const MicroKernelT<F> a{"zeta_6x16", Isa::kAvx2, 6, 16, nullptr};
+        const MicroKernelT<F> b{"alpha_6x16", Isa::kAvx2, 6, 16, nullptr};
+        EXPECT_TRUE(microkernel_before(b, a));
+        EXPECT_FALSE(microkernel_before(a, b));
+        // Wider ISA always sorts ahead regardless of name.
+        const MicroKernelT<F> wide{"zzz_14x32", Isa::kAvx512, 14, 32,
+                                   nullptr};
+        EXPECT_TRUE(microkernel_before(wide, b));
 
-    const auto& supported = supported_microkernels();
-    for (std::size_t i = 0; i + 1 < supported.size(); ++i) {
-        EXPECT_TRUE(microkernel_before(supported[i], supported[i + 1])
-                    || !microkernel_before(supported[i + 1], supported[i]))
-            << supported[i].name << " vs " << supported[i + 1].name;
-    }
+        const auto supported = supported_microkernels_of<F>();
+        for (std::size_t i = 0; i + 1 < supported.size(); ++i) {
+            EXPECT_TRUE(microkernel_before(supported[i], supported[i + 1])
+                        || !microkernel_before(supported[i + 1],
+                                               supported[i]))
+                << supported[i].name << " vs " << supported[i + 1].name;
+        }
+    });
 }
 
 }  // namespace

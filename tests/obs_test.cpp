@@ -6,6 +6,7 @@
 // nothing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "threading/thread_pool.hpp"
@@ -369,6 +371,31 @@ TEST_F(ObsTraceTest, ExecutorsPublishMetrics)
     EXPECT_TRUE(saw_multiplies);
     EXPECT_TRUE(saw_tiles);
     EXPECT_TRUE(saw_pack);
+
+    // The int8 packers report through the same pack.* counters: one
+    // multiply adds A and B panels and their source bytes (1 per element).
+    obs::metrics_reset();
+    std::vector<std::uint8_t> a8(
+        static_cast<std::size_t>(shape.m * shape.k), 1);
+    std::vector<std::int8_t> b8(
+        static_cast<std::size_t>(shape.k * shape.n), 1);
+    std::vector<std::int32_t> c8(
+        static_cast<std::size_t>(shape.m * shape.n), 0);
+    obs::metrics_enable();
+    CakeGemmInt8 gemm8(pool, opts);
+    gemm8.multiply(a8.data(), shape.k, b8.data(), shape.n, c8.data(),
+                   shape.n, shape.m, shape.n, shape.k);
+    obs::metrics_disable();
+    std::uint64_t a_panels = 0, b_panels = 0, src_bytes = 0;
+    for (const obs::MetricSnapshot& s : obs::metrics_snapshot()) {
+        if (s.name == "pack.a_panels") a_panels = s.count;
+        if (s.name == "pack.b_panels") b_panels = s.count;
+        if (s.name == "pack.src_bytes") src_bytes = s.count;
+    }
+    EXPECT_GT(a_panels, 0u);
+    EXPECT_GT(b_panels, 0u);
+    EXPECT_GE(src_bytes, static_cast<std::uint64_t>(
+                             shape.m * shape.k + shape.k * shape.n));
 }
 
 #else  // !CAKE_OBS_ENABLED

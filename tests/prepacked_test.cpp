@@ -167,7 +167,7 @@ TEST(KernelSelfTest, CoversEveryFamily)
     for (const auto& r : run_kernel_selftest()) {
         f32 |= r.family == "f32";
         f64 |= r.family == "f64";
-        i8 |= r.family == "int8";
+        i8 |= r.family == "i8";
     }
     EXPECT_TRUE(f32);
     EXPECT_TRUE(f64);

@@ -300,7 +300,7 @@ TEST(RaceCheckExecutor, Int8MultiplyIsRaceCleanInBothOverlapModes)
     std::vector<std::int32_t> c[2];
     for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
         CakeOptions options = small_options(exec);
-        options.mc = best_int8_microkernel().mr * 2;
+        options.mc = best_microkernel_of<U8S8S32>().mr * 2;
         schedshake::configure(5, 85);
         CakeGemmInt8 gemm(test_pool(), options);
         std::vector<std::int32_t>& out = c[exec == CakeExec::kPipelined];

@@ -262,12 +262,13 @@ TEST(IoAgainstRuntime, Int8StatsMatchIrAtStoredWidths)
     for (const ScheduleKind kind : all_schedule_kinds()) {
         for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
             expect_ir_matches_cake_stats<U8S8S32>(
-                kind, exec, false, best_int8_microkernel().mr, int8_bytes);
+                kind, exec, false, best_microkernel_of<U8S8S32>().mr,
+                int8_bytes);
         }
     }
     expect_ir_matches_cake_stats<U8S8S32>(
         ScheduleKind::kKFirstSerpentine, CakeExec::kPipelined, true,
-        best_int8_microkernel().mr, int8_bytes);
+        best_microkernel_of<U8S8S32>().mr, int8_bytes);
 }
 
 TEST(IoAgainstRuntime, PrepackedSkipsNothingButPackOps)

@@ -17,6 +17,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "kernel/registry.hpp"
 #include "machine/fingerprint.hpp"
 #include "machine/machine.hpp"
 #include "model/planner.hpp"
@@ -365,6 +366,31 @@ TEST(TuneSearch, MockTimerConvergesOnInjectedBest)
     EXPECT_EQ(outcome.winner.plan.mc, target_mc);
     // The winner can never measure worse than the analytic default.
     EXPECT_GE(outcome.winner.measured_gflops, outcome.analytic_gflops());
+}
+
+TEST(TuneSearch, WinnerParamsUseTheHostKernelTile)
+{
+    // cake_tune re-solves a winner's geometry before the schedule-IR
+    // proof; the tile must be the one the winner's kernel really runs
+    // (the tuner snaps a winner's mc to that kernel's mr).
+    const MachineSpec machine = test_machine();
+    auto expect_tile = [&](TunedEntry winner, const auto& kernel) {
+        SCOPED_TRACE(kernel.name);
+        winner.plan.mc = kernel.mr * 8;
+        const CbBlockParams params = winner_params(machine, winner);
+        EXPECT_EQ(params.mr, kernel.mr);
+        EXPECT_EQ(params.nr, kernel.nr);
+        EXPECT_EQ(params.mc, kernel.mr * 8);
+        EXPECT_EQ(params.p, 4);
+        EXPECT_EQ(params.elem_bytes, winner.elem_bytes);
+    };
+    TunedEntry winner = sample_entry("mock-host");
+    expect_tile(winner, microkernel_for_of<float>(Isa::kScalar));
+    winner.plan.isa.reset();
+    expect_tile(winner, best_microkernel_of<float>());
+    winner.dtype = "f64";
+    winner.elem_bytes = 8;
+    expect_tile(winner, best_microkernel_of<double>());
 }
 
 TEST(TuneSearch, NumericsGateRefusesAccuracyDegradingWinner)

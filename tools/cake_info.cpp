@@ -3,11 +3,11 @@
 // solver derives for this host, and runs the full kernel self-test.
 // Exit code 0 iff every kernel passes.
 #include <iostream>
+#include <string>
 
 #include "cache/topology.hpp"
 #include "common/csv.hpp"
 #include "core/tiling.hpp"
-#include "kernel/kernel_int8.hpp"
 #include "kernel/registry.hpp"
 #include "kernel/selftest.hpp"
 #include "machine/machine.hpp"
@@ -31,10 +31,12 @@ int main()
                   << " core(s)\n";
     }
 
-    std::cout << "\n=== Dispatched kernels ===\n"
-              << "  f32  : " << best_microkernel_of<float>().name << "\n"
-              << "  f64  : " << best_microkernel_of<double>().name << "\n"
-              << "  int8 : " << best_int8_microkernel().name << "\n";
+    std::cout << "\n=== Dispatched kernels ===\n";
+    for_each_kernel_family([]<typename F>() {
+        const std::string name = KernelFamily<F>::name;
+        std::cout << "  " << name << std::string(5 - name.size(), ' ')
+                  << ": " << best_microkernel_of<F>().name << "\n";
+    });
 
     const MachineSpec host = host_machine();
     const MicroKernel& k = best_microkernel();

@@ -105,7 +105,7 @@ public:
         : cfg_(cfg), pool_(pool)
     {
         if constexpr (std::is_same_v<T, cake::U8S8S32>) {
-            options_.mc = cake::best_int8_microkernel().mr * 2;
+            options_.mc = cake::best_microkernel_of<cake::U8S8S32>().mr * 2;
         } else {
             options_.mc = cake::best_microkernel_of<T>().mr * 2;
         }

@@ -159,17 +159,8 @@ bool verify_winner(const cake::MachineSpec& machine,
                    const cake::tune::TunedEntry& winner)
 {
 #if defined(CAKE_TUNE_HAS_SCHEDIR)
-    cake::TilingOptions topts;
-    topts.mc = winner.plan.mc;
-    topts.kc = winner.plan.kc;
-    topts.nc = winner.plan.nc;
-    if (!winner.plan.nc) topts.alpha = winner.plan.alpha;
-    topts.elem_bytes = winner.dtype == "f64" ? 8 : 4;
-    const int p = winner.plan.p ? *winner.plan.p : machine.cores;
-    const index_t mr = 6;
-    const index_t nr = winner.dtype == "f64" ? 8 : 16;
     const cake::CbBlockParams params =
-        cake::compute_cb_block(machine, p, mr, nr, topts);
+        cake::tune::winner_params(machine, winner);
     const cake::ScheduleKind kind = winner.plan.schedule
         ? *winner.plan.schedule
         : cake::ScheduleKind::kKFirstSerpentine;

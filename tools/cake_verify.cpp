@@ -53,7 +53,6 @@
 #include "core/fperror.hpp"
 #include "core/tiling.hpp"
 #include "gotoblas/goto_gemm.hpp"
-#include "kernel/kernel_int8.hpp"
 #include "kernel/kernel_ir.hpp"
 #include "kernel/registry.hpp"
 #include "machine/machine.hpp"
@@ -555,15 +554,9 @@ bool run_kernels_sweep()
     // Completeness: a kernel in the registry without an IR would silently
     // escape every obligation above.
     std::vector<std::string> unmodelled;
-    for (const cake::MicroKernel& k : cake::all_microkernels_of<float>()) {
+    cake::for_each_microkernel([&](const auto& k) {
         if (cake::kernel_ir_for(k.name) == nullptr) unmodelled.push_back(k.name);
-    }
-    for (const cake::MicroKernelD& k : cake::all_microkernels_of<double>()) {
-        if (cake::kernel_ir_for(k.name) == nullptr) unmodelled.push_back(k.name);
-    }
-    for (const cake::Int8MicroKernel& k : cake::all_int8_microkernels()) {
-        if (cake::kernel_ir_for(k.name) == nullptr) unmodelled.push_back(k.name);
-    }
+    });
     for (const std::string& name : unmodelled) {
         std::cout << "FAIL  " << name
                   << "  registered kernel has no IR descriptor\n";

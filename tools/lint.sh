@@ -43,6 +43,13 @@
 #   * a second JSON reader (struct JsonValue / JsonParser / detail_json)
 #     outside src/common/json.* — every consumer parses through that one
 #     module, so the depth cap and full-token number check cannot drift.
+#   * a second micro-kernel registry (a *MicroKernel struct, a kernel-fn
+#     typedef, an all_*_microkernels list) outside
+#     src/kernel/{microkernel.hpp,registry.*} — every kernel family is a
+#     MicroKernelT<F> in the one registry, so dispatch, the edge-tile
+#     runner and its checked-build operand contract cannot drift. The
+#     ledger-only int8 forwards of kernel/kernel_int8.hpp are also
+#     flagged anywhere but there and bench/ledger/.
 #
 # Exit 0 iff clean; prints every violation as file:line:text.
 set -uo pipefail
@@ -86,6 +93,9 @@ c_cast='inline float lint_probe(double v) { return (float)v; }\n'
 syscall_use='#include <unistd.h>\ninline long lint_probe() { return syscall(39); }\n'
 simd_use='#include <immintrin.h>\ninline __m256 lint_probe() { return _mm256_setzero_ps(); }\n'
 json_reader='struct JsonValue { double number = 0; };\n'
+kernel_struct='struct Fp16MicroKernel { int mr = 0; };\n'
+kernel_fn='using Fp16KernelFn = void (*)(long);\n'
+ledger_use='inline int lint_probe() { return best_int8_microkernel().mr; }\n'
 case "${1:-}" in
   # Rule 4 (raw-atomic ban) fires under src/core, not in allowlisted src/obs.
   --probe-rule4) probe 4 "fires under src/core, allows src/obs" \
@@ -114,6 +124,14 @@ case "${1:-}" in
   # clean tree, which holds the one reader, lints clean.
   --probe-rule9) probe 9 "fires under bench/, the clean tree passes" \
     flag bench/lint_rule9_probe_tmp.hpp "${json_reader}" \
+    allow "" "" ;;
+  # Rule 10 (one micro-kernel registry) fires on a kernel struct, a
+  # kernel-fn typedef and a ledger-forward use outside their files; the
+  # clean tree, which holds the one registry, lints clean.
+  --probe-rule10) probe 10 "fires under src/core and tools/, the clean tree passes" \
+    flag src/core/lint_rule10_probe_tmp.hpp "${kernel_struct}" \
+    flag src/core/lint_rule10_probe_tmp.hpp "${kernel_fn}" \
+    flag tools/lint_rule10_probe_tmp.hpp "${ledger_use}" \
     allow "" "" ;;
 esac
 
@@ -253,6 +271,26 @@ done
 out="$(scan 'struct[[:space:]]+JsonValue|JsonParser|detail_json' "${json_files[@]}")"
 [[ -z "${out}" ]] \
   || fail_rule "second JSON reader outside src/common/json.* (parse with cake::json and keep only the schema mapping)" "${out}"
+
+# 10. A second micro-kernel registry outside src/kernel/microkernel.hpp and
+# src/kernel/registry.*: every kernel family is a MicroKernelT<F> there.
+# The three ledger-only int8 names live in src/kernel/kernel_int8.hpp and
+# are used by bench/ledger/ alone.
+registry_allow='^src/kernel/microkernel\.hpp$|^src/kernel/registry\.(hpp|cpp)$'
+registry_files=()
+for f in "${files[@]}"; do
+  [[ "${f}" =~ ${registry_allow} ]] || registry_files+=("${f}")
+done
+ledger_allow='^src/kernel/kernel_int8\.hpp$|^bench/ledger/'
+ledger_files=()
+for f in "${files[@]}"; do
+  [[ "${f}" =~ ${ledger_allow} ]] || ledger_files+=("${f}")
+done
+out="$(scan 'struct[[:space:]]+[A-Za-z0-9_]*MicroKernel[A-Za-z0-9_]*([^A-Za-z0-9_]|$)|(using[[:space:]]+[A-Za-z0-9_]*KernelFn[A-Za-z0-9_]*[[:space:]]*=)|typedef[^;]*KernelFn|all_[a-z0-9_]+_microkernels([^A-Za-z0-9_]|$)' "${registry_files[@]}")
+$(scan '(^|[^A-Za-z0-9_])(Int8MicroKernel|best_int8_microkernel|run_int8_tile)([^A-Za-z0-9_]|$)' "${ledger_files[@]}")"
+out="$(echo "${out}" | sed '/^$/d')"
+[[ -z "${out}" ]] \
+  || fail_rule "second micro-kernel registry outside src/kernel/{microkernel.hpp,registry.*} (register a MicroKernelT<F> of a KernelFamily instead), or a ledger-only int8 forward outside bench/ledger/" "${out}"
 
 if [[ ${failures} -ne 0 ]]; then
   echo "lint: FAILED"
