@@ -166,7 +166,8 @@ void check_spill(const KernelIr& ir, KernelReport& report)
 }
 
 /// KIR_THROUGHPUT: the declared chain depth must equal the depth the FMA
-/// list actually implies, so the peak bound divides by the truth.
+/// list actually implies, and the declared µops per FMA slot the count
+/// the IR's registers imply, so the peak bound divides by the truth.
 void check_throughput(const KernelIr& ir, KernelReport& report)
 {
     std::map<int, int> updates;
@@ -181,6 +182,22 @@ void check_throughput(const KernelIr& ir, KernelReport& report)
                       + " sequential accumulator updates per k-step but its"
                         " FMA list implies "
                       + std::to_string(derived)
+                      + " — the static peak bound would be wrong");
+    }
+    // The only multi-µop FMA slot is the widening int8 idiom
+    // (vpmaddubsw + vpmaddwd + vpaddd), whose products and `ones` show as
+    // per-step temporaries and constants; every other slot is one FMA or
+    // one vpdpbusd.
+    const bool widening =
+        ir.quad > 1 && (ir.tmp_regs > 0 || ir.const_regs > 0);
+    const int uops = widening ? 3 : 1;
+    report.derived_fma_uops = uops;
+    if (ir.fma_uops != uops) {
+        add_issue(report, "KIR_THROUGHPUT",
+                  "kernel '" + ir.kernel + "': declares "
+                      + std::to_string(ir.fma_uops)
+                      + " vector µops per FMA slot but its registers imply "
+                      + std::to_string(uops)
                       + " — the static peak bound would be wrong");
     }
 }
@@ -201,9 +218,11 @@ double f_b_val(index_t r, index_t j)
     return 2.0 + 5.0 * static_cast<double>(j) + 41.0 * static_cast<double>(r);
 }
 
-// int8 family. The saturation-edge round drives the vpmaddubsw pairs to
-// their extreme exact values (a = 127, |b| <= 128: |pair| <= 32512 <
-// 2^15, so the int16 stage never clips).
+// int8 family. The saturation-edge round drives the inputs to the extremes
+// of the int8 A contract and of s8 B (a = 127, |b| <= 128): the AVX2
+// vpmaddubsw pairs reach their largest exact value (|pair| <= 32512 <
+// 2^15, so the int16 stage never clips) and each vpdpbusd lane folds the
+// largest quad sums the contract allows.
 
 std::uint8_t i8_a_val(index_t i, index_t r, bool edge)
 {

@@ -31,8 +31,12 @@
 //                  file (16 ymm / 32 zmm); scalar kernels' stack tile
 //                  fits the L1-trivial budget. Statically spill-free.
 //   KIR_THROUGHPUT the declared dependency-chain depth equals the one
-//                  re-derived from the FMA list, so the static peak bound
-//                  (model/kernel_peak.hpp) divides by the true depth.
+//                  re-derived from the FMA list, and the declared µops
+//                  per FMA slot (fma_uops) the count the IR's registers
+//                  imply: 3 for the widening int8 idiom (quad > 1 with
+//                  product temporaries or a `ones` constant), else 1. The
+//                  static peak bound (model/kernel_peak.hpp) therefore
+//                  divides by the true depth and issue cost.
 //
 // The IR cannot lie: check_kernel runs the registered kernel *binary* on
 // exactly-representable unique-value panels and compares, lane by lane,
@@ -69,6 +73,7 @@ struct KernelReport : IssueList {
     int regs_used = 0;
     int reg_budget = 0;
     int derived_chain = 0;          ///< chain depth re-derived from fmas
+    int derived_fma_uops = 0;       ///< µops per FMA slot the IR implies
     double ops_per_cycle = 0;       ///< static peak (GFLOP/s per GHz)
     bool fingerprinted = false;     ///< binary cross-check ran (host ISA)
 };

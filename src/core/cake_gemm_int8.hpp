@@ -13,6 +13,11 @@
 // multiply whose K exceeds int8_safe_k() (core/fperror.hpp), where the
 // i32 accumulator could overflow, throws a coded [I8_ACC_RANGE] Error
 // before any work.
+//
+// The A contract: every A value lies in [0, 127] (quantize_unsigned maps
+// into that range). A multiply that meets a larger A value throws a coded
+// [I8_A_RANGE] Error from the A packer, under every kernel; C is then
+// unspecified, and the context stays usable.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +29,9 @@
 namespace cake {
 
 /// Reusable quantized GEMM context: C (+)= A * B with A u8 (m x k, lda),
-/// B s8 (k x n, ldb), C s32 (m x n, ldc). Exact integer arithmetic when A
-/// values are <= 127 (which quantize_unsigned guarantees).
+/// B s8 (k x n, ldb), C s32 (m x n, ldc). Exact integer arithmetic; A
+/// values must be <= 127 (which quantize_unsigned guarantees), else the
+/// multiply throws [I8_A_RANGE].
 using CakeGemmInt8 = CakeGemmT<U8S8S32>;
 
 /// s8 weights packed once into per-CB-block k-quad panels (the int8

@@ -15,7 +15,8 @@
 //     column) plus one for beta != 0; pack-time conversions from a wider
 //     source add a 2*u_storage perturbation on each product.
 //   * int8 (u8 x s8 -> s32): accumulation is exact, so the analysis bounds
-//     the i32 accumulator range (quantize_unsigned guarantees A <= 127, so
+//     the i32 accumulator range (the int8 A contract, enforced by the A
+//     packer's [I8_A_RANGE] check, keeps A <= 127, so
 //     |acc| <= k * 127 * 127) and the requantization error a dequantized
 //     result inherits from the QuantParams scales.
 //

@@ -21,9 +21,9 @@ struct QuantParams {
     std::int32_t zero_point = 0;
 };
 
-/// Quantize `n` floats into u8 in [0, 127] (the range that keeps the
-/// vpmaddubsw kernels exact; see kernel_int8.hpp). Returns the params
-/// mapping q back to real values.
+/// Quantize `n` floats into u8 in [0, 127] (the int8 A contract every
+/// kernel shares; see kernel_int8.hpp). Returns the params mapping q back
+/// to real values.
 QuantParams quantize_unsigned(const float* src, index_t n, std::uint8_t* dst);
 
 /// Symmetric signed quantization into [-127, 127] with zero_point = 0.

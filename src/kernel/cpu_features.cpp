@@ -43,6 +43,7 @@ const CpuFeatures& cpu_features()
             && __builtin_cpu_supports("fma");
         f.avx512f = __builtin_cpu_supports("avx512f");
         f.avx512bw = __builtin_cpu_supports("avx512bw");
+        f.avx512vnni = __builtin_cpu_supports("avx512vnni");
 #endif
         return f;
     }();

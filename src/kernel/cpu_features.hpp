@@ -29,6 +29,7 @@ struct CpuFeatures {
     bool avx2 = false;      ///< AVX2 and FMA both present and OS-enabled
     bool avx512f = false;   ///< AVX-512 Foundation present and OS-enabled
     bool avx512bw = false;  ///< AVX-512 Byte/Word (int8 kernels)
+    bool avx512vnni = false;  ///< AVX-512 VNNI (vpdpbusd, int8 kernel)
 };
 
 /// Detected features of the executing CPU (cached after first call).

@@ -39,15 +39,19 @@ struct KernelFamily<U8S8S32> {
     using A = std::uint8_t;
     using B = std::int8_t;
     using C = std::int32_t;
-    /// k-quads: the vpmaddubsw/vpmaddwd idiom folds 4 K elements per step.
+    /// k-quads: vpdpbusd (and the AVX2 vpmaddubsw/vpmaddwd idiom) folds
+    /// 4 K elements per step.
     static constexpr index_t k_step = 4;
     static constexpr const char* name = "i8";
-    /// Stricter than isa_supported for AVX-512: the 4x32 kernel needs
-    /// AVX-512BW (vpmaddubsw on zmm), not just the F foundation.
+    /// Stricter than isa_supported for AVX-512: the 8x32 kernel is
+    /// vpdpbusd on zmm, so it needs AVX-512BW and AVX-512 VNNI, not just
+    /// the F foundation. An AVX-512BW host without VNNI (Skylake-SP/X)
+    /// runs int8 on the AVX2 kernel.
     static bool isa_ok(Isa isa)
     {
-        return isa == Isa::kAvx512 ? cpu_features().avx512bw
-                                   : isa_supported(isa);
+        return isa == Isa::kAvx512
+            ? cpu_features().avx512bw && cpu_features().avx512vnni
+            : isa_supported(isa);
     }
 };
 

@@ -2,18 +2,21 @@
 // deployment format of the CNN workloads the paper's introduction
 // motivates. The kernels are the MicroKernelT<U8S8S32> entries of the one
 // registry (kernel/registry.hpp). They follow the x86 integer dot-product
-// idiom (vpmaddubsw / vpmaddwd): the reduction dimension is processed in
-// groups of four, the family's k_step.
+// idiom: the reduction dimension is processed in groups of four, the
+// family's k_step. The AVX-512 kernel folds a k-quad with one vpdpbusd
+// (AVX-512 VNNI); the AVX2 kernel with vpmaddubsw + vpmaddwd + vpaddd.
 //
 // Packed layouts (kq = round_up(kc, 4) / 4 k-quads):
 //   A (uint8): a[q*mr*4 + i*4 + j] = A(i, 4q + j), zero-padded in k and m.
 //   B (int8):  b[q*nr*4 + jj*4 + j] = B(4q + j, jj), zero-padded.
 // C is int32, row-major with leading dimension ldc.
 //
-// Range note: the AVX2/AVX-512 kernels use vpmaddubsw, whose int16 pair
-// sums saturate. Results are exact whenever every A value is <= 127
-// (guaranteed by cake::quantize_unsigned, which maps into [0,127]); the
-// scalar kernel is exact over the full u8 range.
+// Range note: the AVX2 kernel's vpmaddubsw saturates its int16 pair sums,
+// so it is exact only while every A value is <= 127; vpdpbusd and the
+// scalar kernel are exact over the full u8 range. One contract holds for
+// every kernel, so results never depend on the ISA: A must lie in
+// [0, 127] (cake::quantize_unsigned maps into it), and the A packer
+// refuses anything larger with a coded [I8_A_RANGE] error.
 #pragma once
 
 #include <cstdint>

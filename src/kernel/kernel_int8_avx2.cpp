@@ -1,8 +1,10 @@
-// 4x16 AVX2 u8 x s8 -> s32 micro-kernel: vpmaddubsw + vpmaddwd idiom.
-// Exact when A values fit [0, 127] (see kernel_int8.hpp range note).
+// 4x16 AVX2 u8 x s8 -> s32 micro-kernel: vpmaddubsw + vpmaddwd + vpaddd
+// idiom. Exact when A values fit [0, 127], which the int8 A packer
+// enforces (see kernel_int8.hpp range note).
 #include <immintrin.h>
 
 #include <cstdint>
+#include <cstring>
 
 #include "kernel/microkernel.hpp"
 
@@ -30,8 +32,9 @@ void avx2_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
             reinterpret_cast<const __m256i*>(b + q * kNr * 4 + 32));
         const std::uint8_t* aq = a + q * kMr * 4;
         for (index_t i = 0; i < kMr; ++i) {
-            const __m256i ai = _mm256_set1_epi32(
-                *reinterpret_cast<const std::int32_t*>(aq + i * 4));
+            std::int32_t word;
+            std::memcpy(&word, aq + i * 4, sizeof word);
+            const __m256i ai = _mm256_set1_epi32(word);
             const __m256i p0 = _mm256_madd_epi16(
                 _mm256_maddubs_epi16(ai, b0), ones);
             const __m256i p1 = _mm256_madd_epi16(

@@ -16,7 +16,8 @@ namespace {
 KernelIr row_panel_ir(std::string name, std::string family, Isa isa,
                       index_t mr, index_t nr, int lanes, int quad,
                       KirAccStorage storage, int a_regs, int b_regs,
-                      int tmp_regs, int const_regs, int reg_budget)
+                      int tmp_regs, int const_regs, int reg_budget,
+                      int fma_uops = 1)
 {
     KernelIr ir;
     ir.kernel = std::move(name);
@@ -33,6 +34,7 @@ KernelIr row_panel_ir(std::string name, std::string family, Isa isa,
     ir.const_regs = const_regs;
     ir.reg_budget = reg_budget;
     ir.chain_updates = 1;  // each acc is updated once per k-step
+    ir.fma_uops = fma_uops;
     const int halves = static_cast<int>(nr) / lanes;
     ir.acc_regs = static_cast<int>(mr) * halves;
     for (int i = 0; i < static_cast<int>(mr); ++i) {
@@ -70,11 +72,12 @@ std::vector<KernelIr> build_all_irs()
     irs.push_back(row_panel_ir("avx2_6x8_f64", "f64", Isa::kAvx2, 6, 8,
                                /*lanes=*/4, 1, KirAccStorage::kRegisters,
                                1, 2, 0, 0, 16));
-    // 8 acc + 1 broadcast + 2 B + 2 madd products + `ones` = 14 of 16.
+    // 8 acc + 1 broadcast + 2 B + 2 madd products + `ones` = 14 of 16;
+    // vpmaddubsw + vpmaddwd + vpaddd = 3 µops per FMA slot.
     irs.push_back(row_panel_ir("avx2_int8_4x16", "i8", Isa::kAvx2, 4, 16,
                                /*lanes=*/8, /*quad=*/4,
                                KirAccStorage::kRegisters, 1, 2, /*tmp=*/2,
-                               /*const=*/1, 16));
+                               /*const=*/1, 16, /*fma_uops=*/3));
 #endif
 #if defined(CAKE_HAVE_AVX512_KERNEL)
     // 28 zmm accumulators + 1 broadcast + 2 B loads = 31 of 32.
@@ -84,10 +87,11 @@ std::vector<KernelIr> build_all_irs()
     irs.push_back(row_panel_ir("avx512_14x16_f64", "f64", Isa::kAvx512, 14,
                                16, /*lanes=*/8, 1,
                                KirAccStorage::kRegisters, 1, 2, 0, 0, 32));
-    irs.push_back(row_panel_ir("avx512_int8_4x32", "i8", Isa::kAvx512, 4,
-                               32, /*lanes=*/16, /*quad=*/4,
-                               KirAccStorage::kRegisters, 1, 2, /*tmp=*/2,
-                               /*const=*/1, 32));
+    // 16 acc + 1 broadcast + 2 B = 19 of 32; one vpdpbusd per FMA slot.
+    irs.push_back(row_panel_ir("avx512_vnni_int8_8x32", "i8", Isa::kAvx512,
+                               8, 32, /*lanes=*/16, /*quad=*/4,
+                               KirAccStorage::kRegisters, 1, 2, /*tmp=*/0,
+                               /*const=*/0, 32));
 #endif
     return irs;
 }

@@ -9,8 +9,7 @@
 //
 //   * geometry       — mr x nr tile, vector lanes per register, and the
 //                      reduction elements folded per symbolic step (`quad`:
-//                      1 for the float kernels, 4 for the vpmaddubsw int8
-//                      idiom);
+//                      1 for the float kernels, 4 for the int8 k-quads);
 //   * dataflow       — one KirFma{acc, a_row, b_col} per FMA of the k-step:
 //                      lane l of accumulator `acc` receives
 //                      a(a_row, p)·b(p, b_col + l) summed over the step's
@@ -25,7 +24,10 @@
 //                      (kKirStackTileBudgetBytes);
 //   * chain depth    — declared sequential updates per accumulator per
 //                      k-step, the quantity the static throughput bound
-//                      (model/kernel_peak.hpp) divides FMA latency by.
+//                      (model/kernel_peak.hpp) divides FMA latency by;
+//   * issue cost     — vector µops one FMA of the step issues (1 for an
+//                      FMA or vpdpbusd, 3 for the AVX2 int8
+//                      vpmaddubsw/vpmaddwd/vpaddd idiom).
 //
 // This header is release code, like core/fperror and model/planner: the
 // descriptors and the cheap structural gate below are what release-side
@@ -81,13 +83,17 @@ struct KernelIr {
     int acc_regs = 0;    ///< accumulator registers/slots live across k
     int a_regs = 0;      ///< A-broadcast registers live inside one step
     int b_regs = 0;      ///< B-stream registers live inside one step
-    int tmp_regs = 0;    ///< per-step temporaries (int8 madd products)
-    int const_regs = 0;  ///< loop-invariant constants (int8 `ones`)
+    int tmp_regs = 0;    ///< per-step temporaries (AVX2 int8 products)
+    int const_regs = 0;  ///< loop-invariant constants (AVX2 int8 `ones`)
     int reg_budget = 0;  ///< architectural vector registers of the ISA
     /// Declared sequential updates of one accumulator per k-step; the
     /// verifier re-derives this from `fmas` and rejects a mismatch
     /// (KIR_THROUGHPUT), so the throughput bound cannot be gamed.
     int chain_updates = 1;
+    /// Vector µops one KirFma issues: the throughput bound divides the
+    /// issue ports by it. The verifier checks it against the idiom the
+    /// registers imply (KIR_THROUGHPUT).
+    int fma_uops = 1;
     std::vector<KirFma> fmas;      ///< dataflow of ONE k-step
     std::vector<KirStore> stores;  ///< accumulator -> C mapping
 

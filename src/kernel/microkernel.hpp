@@ -61,7 +61,8 @@ MicroKernelT<U8S8S32> avx2_int8_microkernel();
 #endif
 
 #if defined(CAKE_HAVE_AVX512_KERNEL)
-/// 14x32 (float) and 14x16 (double) AVX-512F kernels; 4x32 AVX-512BW int8.
+/// 14x32 (float) and 14x16 (double) AVX-512F kernels; 8x32 AVX-512 VNNI
+/// int8.
 MicroKernel avx512_microkernel();
 MicroKernelD avx512_microkernel_f64();
 MicroKernelT<U8S8S32> avx512_int8_microkernel();

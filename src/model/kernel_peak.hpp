@@ -4,25 +4,27 @@
 // (bench_roofline) and committed as the host-independent
 // BENCH_kernel_peak.json baseline.
 //
-// The bound is the classical latency/parallelism argument. One k-step
-// updates each accumulator `chain_updates` times, so the loop carries
-// acc_regs / chain_updates independent dependency chains; with an FMA
-// latency of L cycles on P ports, the machine needs L * P chains in
-// flight to saturate the ports. Utilisation is therefore
+// The bound is the classical latency/parallelism argument. One FMA slot
+// (KirFma) issues `fma_uops` vector µops on P ports, so the machine
+// retires P / fma_uops slots per cycle. One k-step updates each
+// accumulator `chain_updates` times, so the loop carries
+// acc_regs / chain_updates independent dependency chains; with a
+// chain-op latency of L cycles the machine needs L * P / fma_uops chains
+// in flight to saturate the ports. Utilisation is therefore
 //
-//     min(1, (acc_regs / chain_updates) / (L * P))
+//     min(1, (acc_regs / chain_updates) / (L * P / fma_uops))
 //
 // and the per-core roof, in operations per cycle (= GFLOP/s per GHz), is
 //
-//     2 * lanes * quad * P * utilisation
+//     2 * lanes * quad * (P / fma_uops) * utilisation
 //
-// (2 for multiply+add; quad > 1 for the int8 dot-quad idiom, whose
-// "flops" are int ops). The pipe constants are a deliberate coarse model
-// (Skylake-class FMA latency 4, 2 ports; latency-1 integer adds carry the
-// int8 chains) — an upper bound, not a prediction: real kernels also pay
-// loads, broadcasts and loop overhead. The verifier (KIR_THROUGHPUT)
-// pins chain_updates to the IR's actual dataflow, so the bound cannot be
-// inflated by under-declaring the chain depth.
+// (2 for multiply+add; quad > 1 for the int8 dot-quad kernels, whose
+// "flops" are int ops). The pipe constants (kir_pipe_model) are a
+// deliberate coarse model, an upper bound, not a prediction: real kernels
+// also pay loads, broadcasts and loop overhead. The verifier
+// (KIR_THROUGHPUT) pins chain_updates to the IR's actual dataflow and
+// fma_uops to the idiom its registers imply, so the bound cannot be
+// inflated by under-declaring either.
 //
 // Release code, like the rest of src/model: the numbers feed benches and
 // the tuner report; the proof that they are honest lives in
@@ -37,15 +39,17 @@
 namespace cake {
 namespace model {
 
-/// Pipe model for one (family, ISA): FMA/accumulate latency and issue
-/// ports. Scalar kernels are modelled single-ported — their stack tile
-/// round-trips through L1, so the port-2 fast path is not theirs.
+/// Pipe model for one kernel IR: the latency of the accumulator-carried
+/// op and the vector ports that issue the kernel's µops (the IR declares
+/// how many µops one FMA slot costs, KernelIr::fma_uops). Scalar kernels
+/// are modelled single-ported — their stack tile round-trips through L1,
+/// so the multi-port fast path is not theirs.
 struct KirPipeModel {
     int latency = 1;
     int ports = 1;
 };
 
-KirPipeModel kir_pipe_model(const std::string& family, Isa isa);
+KirPipeModel kir_pipe_model(const KernelIr& ir);
 
 /// One roofline row: the static compute roof of one registered kernel.
 struct KernelPeakRow {
@@ -59,7 +63,7 @@ struct KernelPeakRow {
     int reg_budget = 0;
     int chain_updates = 1;
     double independent_chains = 0;  ///< acc_regs / chain_updates
-    double utilization = 0;         ///< min(1, chains / (latency * ports))
+    double utilization = 0;  ///< min(1, chains / (latency * issue rate))
     double ops_per_cycle = 0;       ///< per-core ops/cycle = GFLOP/s per GHz
 };
 

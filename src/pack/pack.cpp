@@ -43,6 +43,34 @@ void note_pack(bool is_a, index_t rows, index_t cols,
                                 * elem_bytes);
 }
 
+/// Whole k-quads of one int8 A sliver: a quad of a live row is one 4-byte
+/// word of the source row, so quad q of the sliver is `live` words stored
+/// contiguously at out + q * mr * 4, then zeros for the dead rows. Returns
+/// the OR of every word copied. Rows = 8 fixes live = mr = 8 at compile
+/// time for full slivers of the 8-row kernel: the row loop then unrolls
+/// and GCC vectorises across quads (about 6% end to end on square_i8 over
+/// the runtime count, Rows = 0, which serves every other sliver).
+template <index_t Rows>
+std::uint32_t copy_a_quads(const std::uint8_t* __restrict src, index_t lda,
+                           index_t live, index_t quads, index_t mr,
+                           std::uint8_t* __restrict out)
+{
+    const index_t n = Rows > 0 ? Rows : live;
+    const index_t rows = Rows > 0 ? Rows : mr;
+    std::uint32_t seen = 0;
+    for (index_t q = 0; q < quads; ++q) {
+        std::uint8_t* quad = out + q * rows * 4;
+        for (index_t i = 0; i < n; ++i) {
+            std::uint32_t word;
+            std::memcpy(&word, src + i * lda + 4 * q, 4);
+            seen |= word;
+            std::memcpy(quad + i * 4, &word, 4);
+        }
+        for (index_t i = n; i < rows; ++i) std::memset(quad + i * 4, 0, 4);
+    }
+    return seen;
+}
+
 }  // namespace
 
 template <typename T>
@@ -243,27 +271,49 @@ void pack_a_panel_int8(const std::uint8_t* a, index_t lda, index_t m,
     note_pack(/*is_a=*/true, m, k, sizeof(std::uint8_t));
     const index_t slivers = ceil_div(m, mr);
     const index_t kq = int8_kq(k);
+    const index_t full_quads = k / 4;
+    if (kq == 0) return;  // the packed panel is empty
     Span<std::uint8_t> out_sp = make_span(
         out, static_cast<std::size_t>(packed_a_int8_size(m, k, mr)),
         "packed-A int8 panel");
     Span<const std::uint8_t> a_sp =
         make_span(a, strided_extent(m, k, lda), "A int8 block");
+    // OR of every A byte read: bit 7 of any byte means a value > 127.
+    std::uint32_t seen = 0;
     for (index_t s = 0; s < slivers; ++s) {
         Span<std::uint8_t> dst = span_slice(out_sp, s * mr * kq * 4,
                                             mr * kq * 4);
         const index_t row0 = s * mr;
         const index_t live = std::min(mr, m - row0);
-        for (index_t q = 0; q < kq; ++q) {
-            Span<std::uint8_t> quad = span_slice(dst, q * mr * 4, mr * 4);
+        Span<const std::uint8_t> rows =
+            span_slice(a_sp, row0 * lda, (live - 1) * lda + k);
+        const std::uint8_t* src = span_data(
+            span_slice(rows, 0, (live - 1) * lda + 4 * full_quads));
+        std::uint8_t* whole = span_data(
+            span_slice(dst, 0, full_quads * mr * 4));
+        if (live == mr && mr == 8) {
+            seen |= copy_a_quads<8>(src, lda, live, full_quads, mr, whole);
+        } else {
+            seen |= copy_a_quads<0>(src, lda, live, full_quads, mr, whole);
+        }
+        if (full_quads < kq) {
+            Span<std::uint8_t> quad =
+                span_slice(dst, full_quads * mr * 4, mr * 4);
             for (index_t i = 0; i < mr; ++i) {
                 for (index_t j = 0; j < 4; ++j) {
-                    const index_t kk = 4 * q + j;
+                    const index_t kk = 4 * full_quads + j;
                     quad[i * 4 + j] = (i < live && kk < k)
-                        ? a_sp[(row0 + i) * lda + kk]
+                        ? rows[i * lda + kk]
                         : std::uint8_t{0};
+                    seen |= quad[i * 4 + j];
                 }
             }
         }
+    }
+    if ((seen & 0x80808080u) != 0) {
+        throw Error(
+            "[I8_A_RANGE] int8 multiply with an A value above 127: the u8 A "
+            "operand must lie in [0, 127] (quantize_unsigned maps into it)");
     }
 }
 
@@ -286,9 +336,32 @@ void pack_b_panel_int8(const std::int8_t* b, index_t ldb, index_t k,
         const index_t live = std::min(nr, n - col0);
         for (index_t q = 0; q < kq; ++q) {
             Span<std::int8_t> quad = span_slice(dst, q * nr * 4, nr * 4);
+            const index_t k0 = 4 * q;
+            if (live == nr && k0 + 4 <= k) {
+                // A full quad of a full sliver: interleave four source
+                // rows. The packed panel never aliases B, and saying so
+                // lets GCC drop its per-quad overlap checks (about twice
+                // the speed).
+                const std::int8_t* __restrict r0 =
+                    span_data(span_slice(b_sp, k0 * ldb + col0, nr));
+                const std::int8_t* __restrict r1 =
+                    span_data(span_slice(b_sp, (k0 + 1) * ldb + col0, nr));
+                const std::int8_t* __restrict r2 =
+                    span_data(span_slice(b_sp, (k0 + 2) * ldb + col0, nr));
+                const std::int8_t* __restrict r3 =
+                    span_data(span_slice(b_sp, (k0 + 3) * ldb + col0, nr));
+                std::int8_t* __restrict o = span_data(quad);
+                for (index_t jj = 0; jj < nr; ++jj) {
+                    o[jj * 4 + 0] = r0[jj];
+                    o[jj * 4 + 1] = r1[jj];
+                    o[jj * 4 + 2] = r2[jj];
+                    o[jj * 4 + 3] = r3[jj];
+                }
+                continue;
+            }
             for (index_t jj = 0; jj < nr; ++jj) {
                 for (index_t j = 0; j < 4; ++j) {
-                    const index_t kk = 4 * q + j;
+                    const index_t kk = k0 + j;
                     quad[jj * 4 + j] = (jj < live && kk < k)
                         ? b_sp[kk * ldb + col0 + jj]
                         : std::int8_t{0};

@@ -1,6 +1,6 @@
 // Packing for the quantized (u8 x s8 -> s32) path: the reduction
-// dimension is grouped into quads of 4 to match the vpmaddubsw/vpmaddwd
-// dot-product idiom (see kernel_int8.hpp for the exact layouts).
+// dimension is grouped into quads of 4 to match the kernels' dot-product
+// idiom (see kernel_int8.hpp for the exact layouts).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,9 @@ constexpr index_t packed_b_int8_size(index_t k, index_t n, index_t nr)
 
 /// Pack an m x k u8 sub-matrix (row-major, lda >= k) into mr-sliver
 /// k-quad format: out[s*mr*kq*4 + q*mr*4 + i*4 + j] = A(s*mr+i, 4q+j),
-/// zero-padded in both m and k.
+/// zero-padded in both m and k. Throws a coded [I8_A_RANGE] Error if any
+/// A value exceeds 127 (the int8 A contract, kernel_int8.hpp); `out` is
+/// then unspecified.
 void pack_a_panel_int8(const std::uint8_t* a, index_t lda, index_t m,
                        index_t k, index_t mr, std::uint8_t* out);
 

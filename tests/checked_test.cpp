@@ -160,6 +160,34 @@ TEST(CheckedTest, UndersizedPackBufferIsCaughtByCanary)
     pack_a_panel_int8(a_i8.data(), /*lda=*/kc, mc, kc, mr, packed_i8.data());
     EXPECT_THROW(packed_i8.verify_canaries("undersized int8 packed-A"),
                  CheckedError);
+
+    // The int8 shapes below take the packers' fast paths (k a multiple of
+    // 4, full slivers): the 8-row A word copy (the shape above has mr = 6
+    // and runs the runtime-count copy) and the B four-row interleave, so
+    // an overrun there still lands in the guard.
+    const index_t m8 = 16, mr8 = 8;
+    const index_t need_a8_i8 = packed_a_int8_size(m8, kc, mr8);
+    ASSERT_EQ(need_a8_i8, 128);
+    AlignedBuffer<std::uint8_t> a8_i8(static_cast<std::size_t>(m8 * kc),
+                                      /*zero=*/true);
+    AlignedBuffer<std::uint8_t> packed_a8_i8(
+        static_cast<std::size_t>(need_a8_i8 - 8));
+    pack_a_panel_int8(a8_i8.data(), /*lda=*/kc, m8, kc, mr8,
+                      packed_a8_i8.data());
+    EXPECT_THROW(packed_a8_i8.verify_canaries("undersized 8-row packed-A"),
+                 CheckedError);
+
+    const index_t kb = 8, nb = 32, nr = 16;
+    const index_t need_b_i8 = packed_b_int8_size(kb, nb, nr);
+    ASSERT_EQ(need_b_i8, 256);
+    AlignedBuffer<std::int8_t> b_i8(static_cast<std::size_t>(kb * nb),
+                                    /*zero=*/true);
+    AlignedBuffer<std::int8_t> packed_b_i8(
+        static_cast<std::size_t>(need_b_i8 - 8));
+    pack_b_panel_int8(b_i8.data(), /*ldb=*/nb, kb, nb, nr,
+                      packed_b_i8.data());
+    EXPECT_THROW(packed_b_i8.verify_canaries("undersized int8 packed-B"),
+                 CheckedError);
 }
 
 /// Zeroed packed panels, C tile and scratch for one `steps`-deep call of

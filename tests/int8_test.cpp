@@ -59,26 +59,48 @@ void fill_random_s8(std::vector<std::int8_t>& v, Rng& rng)
             static_cast<int>(rng.next_below(255)) - 127);  // [-127,127]
 }
 
+// The pack round trips cover every branch of the k-quad packers: whole
+// quads (the word-copy / four-row interleave fast paths), the k % 4 tail
+// quad, dead rows / partial slivers, and padded leading dimensions.
+constexpr index_t kRoundTripDepths[] = {1, 3, 12, 13, 14, 15};
+
 TEST(Int8Pack, QuadLayoutRoundTrip)
 {
     Rng rng(101);
-    const index_t m = 11, k = 14, mr = 4;
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
-    fill_random_u8(a, rng);
-    std::vector<std::uint8_t> packed(
-        static_cast<std::size_t>(packed_a_int8_size(m, k, mr)), 0xEE);
-    pack_a_panel_int8(a.data(), k, m, k, mr, packed.data());
+    for (const index_t mr : {4, 8}) {
+        for (const index_t k : kRoundTripDepths) {
+            for (const index_t m : {2 * mr, 2 * mr + 3}) {
+                for (const index_t pad : {0, 5}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "mr=" << mr << " m=" << m << " k=" << k
+                                 << " lda=" << k + pad);
+                    const index_t lda = k + pad;
+                    std::vector<std::uint8_t> a(
+                        static_cast<std::size_t>(m * lda));
+                    fill_random_u8(a, rng);
+                    std::vector<std::uint8_t> packed(
+                        static_cast<std::size_t>(packed_a_int8_size(m, k, mr)),
+                        0xEE);
+                    pack_a_panel_int8(a.data(), lda, m, k, mr, packed.data());
 
-    const index_t kq = int8_kq(k);
-    for (index_t i = 0; i < round_up(m, mr); ++i) {
-        for (index_t kk = 0; kk < kq * 4; ++kk) {
-            const index_t s = i / mr, ii = i % mr, q = kk / 4, j = kk % 4;
-            const std::uint8_t got = packed[static_cast<std::size_t>(
-                s * mr * kq * 4 + q * mr * 4 + ii * 4 + j)];
-            const std::uint8_t expected = (i < m && kk < k)
-                ? a[static_cast<std::size_t>(i * k + kk)]
-                : 0;
-            ASSERT_EQ(got, expected) << "i=" << i << " k=" << kk;
+                    const index_t kq = int8_kq(k);
+                    for (index_t i = 0; i < round_up(m, mr); ++i) {
+                        for (index_t kk = 0; kk < kq * 4; ++kk) {
+                            const index_t s = i / mr, ii = i % mr,
+                                          q = kk / 4, j = kk % 4;
+                            const std::uint8_t got =
+                                packed[static_cast<std::size_t>(
+                                    s * mr * kq * 4 + q * mr * 4 + ii * 4
+                                    + j)];
+                            const std::uint8_t expected = (i < m && kk < k)
+                                ? a[static_cast<std::size_t>(i * lda + kk)]
+                                : 0;
+                            ASSERT_EQ(got, expected)
+                                << "i=" << i << " k=" << kk;
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -86,23 +108,63 @@ TEST(Int8Pack, QuadLayoutRoundTrip)
 TEST(Int8Pack, BQuadLayoutRoundTrip)
 {
     Rng rng(102);
-    const index_t k = 10, n = 19, nr = 16;
-    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-    fill_random_s8(b, rng);
-    std::vector<std::int8_t> packed(
-        static_cast<std::size_t>(packed_b_int8_size(k, n, nr)), 0x7E);
-    pack_b_panel_int8(b.data(), n, k, n, nr, packed.data());
+    for (const index_t nr : {16, 32}) {
+        for (const index_t k : kRoundTripDepths) {
+            for (const index_t n : {2 * nr, 2 * nr + 3}) {
+                for (const index_t pad : {0, 7}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "nr=" << nr << " n=" << n << " k=" << k
+                                 << " ldb=" << n + pad);
+                    const index_t ldb = n + pad;
+                    std::vector<std::int8_t> b(
+                        static_cast<std::size_t>(k * ldb));
+                    fill_random_s8(b, rng);
+                    std::vector<std::int8_t> packed(
+                        static_cast<std::size_t>(packed_b_int8_size(k, n, nr)),
+                        0x7E);
+                    pack_b_panel_int8(b.data(), ldb, k, n, nr, packed.data());
 
-    const index_t kq = int8_kq(k);
-    for (index_t jj = 0; jj < round_up(n, nr); ++jj) {
-        for (index_t kk = 0; kk < kq * 4; ++kk) {
-            const index_t t = jj / nr, j2 = jj % nr, q = kk / 4, j = kk % 4;
-            const std::int8_t got = packed[static_cast<std::size_t>(
-                t * nr * kq * 4 + q * nr * 4 + j2 * 4 + j)];
-            const std::int8_t expected = (jj < n && kk < k)
-                ? b[static_cast<std::size_t>(kk * n + jj)]
-                : 0;
-            ASSERT_EQ(got, expected) << "j=" << jj << " k=" << kk;
+                    const index_t kq = int8_kq(k);
+                    for (index_t jj = 0; jj < round_up(n, nr); ++jj) {
+                        for (index_t kk = 0; kk < kq * 4; ++kk) {
+                            const index_t t = jj / nr, j2 = jj % nr,
+                                          q = kk / 4, j = kk % 4;
+                            const std::int8_t got =
+                                packed[static_cast<std::size_t>(
+                                    t * nr * kq * 4 + q * nr * 4 + j2 * 4
+                                    + j)];
+                            const std::int8_t expected = (jj < n && kk < k)
+                                ? b[static_cast<std::size_t>(kk * ldb + jj)]
+                                : 0;
+                            ASSERT_EQ(got, expected)
+                                << "j=" << jj << " k=" << kk;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Int8Pack, RefusesAAbove127InWholeAndTailQuads)
+{
+    // [I8_A_RANGE]: the A packer refuses a value past 127 wherever it sits,
+    // in a whole quad (the word-copy path) or in the k % 4 tail quad.
+    const index_t m = 5, k = 14, mr = 4;
+    for (const int bad : {128, 255}) {
+        for (const index_t at : {index_t{2 * k + 5}, index_t{4 * k + 13}}) {
+            std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k), 127);
+            a[static_cast<std::size_t>(at)] = static_cast<std::uint8_t>(bad);
+            std::vector<std::uint8_t> packed(
+                static_cast<std::size_t>(packed_a_int8_size(m, k, mr)));
+            try {
+                pack_a_panel_int8(a.data(), k, m, k, mr, packed.data());
+                FAIL() << "A = " << bad << " at " << at << " must be refused";
+            } catch (const Error& e) {
+                EXPECT_NE(std::string(e.what()).find("[I8_A_RANGE]"),
+                          std::string::npos)
+                    << e.what();
+            }
         }
     }
 }
@@ -294,6 +356,53 @@ TEST(Int8Gemm, RefusesKPastSafeRangeAndStaysUsable)
     gemm.multiply(a.data(), k - 1, b.data(), 1, &c, 1, 1, 1, k - 1);
     EXPECT_EQ(static_cast<std::int64_t>(c),
               static_cast<std::int64_t>(k - 1) * 127 * 127);
+}
+
+TEST(Int8Gemm, RefusesAAbove127UnderEveryKernelAndStaysUsable)
+{
+    // One A contract for every kernel, so results never depend on the ISA:
+    // A past 127 (where the AVX2 vpmaddubsw pairs saturate) is a coded
+    // [I8_A_RANGE] error under each supported int8 kernel, and the same
+    // context then multiplies valid input exactly.
+    Rng rng(109);
+    const index_t m = 37, n = 70, k = 30;
+    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+    fill_random_u8(a, rng);
+    fill_random_s8(b, rng);
+    const auto oracle = int_oracle(a, b, m, n, k);
+
+    for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
+        CakeOptions options;
+        options.isa = kernel.isa;
+        CakeGemmInt8 gemm(test_pool(), options);
+        // 128 in a whole quad of the first (full) sliver, 255 in the
+        // k % 4 tail quad of the last row (a partial sliver).
+        for (const int bad : {128, 255}) {
+            std::vector<std::uint8_t> a_bad = a;
+            const index_t at = bad == 128 ? 17 : (m - 1) * k + k - 1;
+            a_bad[static_cast<std::size_t>(at)] =
+                static_cast<std::uint8_t>(bad);
+            std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
+            try {
+                gemm.multiply(a_bad.data(), k, b.data(), n, c.data(), n, m, n,
+                              k);
+                FAIL() << kernel.name << ": A = " << bad
+                       << " must be refused";
+            } catch (const Error& e) {
+                EXPECT_NE(std::string(e.what()).find("[I8_A_RANGE]"),
+                          std::string::npos)
+                    << kernel.name << ": " << e.what();
+            }
+        }
+        std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), -1);
+        gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+        for (index_t i = 0; i < m * n; ++i) {
+            ASSERT_EQ(static_cast<std::int64_t>(c[static_cast<std::size_t>(i)]),
+                      oracle[static_cast<std::size_t>(i)])
+                << kernel.name << " idx=" << i;
+        }
+    }
 }
 
 TEST(Int8Gemm, ModelledTrafficAtStoredWidths)

@@ -206,9 +206,11 @@ TEST(CpuFeatures, ConsistentWithRegistry)
         }
         EXPECT_TRUE(KernelFamily<F>::isa_ok(Isa::kScalar));
     });
-    // The int8 AVX-512 kernel needs BW on top of F.
+    // The int8 AVX-512 kernel is vpdpbusd: it needs BW and VNNI on top
+    // of F.
     EXPECT_EQ(KernelFamily<U8S8S32>::isa_ok(Isa::kAvx512),
-              cpu_features().avx512f && cpu_features().avx512bw);
+              cpu_features().avx512f && cpu_features().avx512bw
+                  && cpu_features().avx512vnni);
     EXPECT_TRUE(isa_supported(Isa::kScalar));
 }
 

@@ -76,6 +76,7 @@ TEST(KernelCheck, EveryRegisteredIrVerifiesClean)
             << ir.kernel << " reported [" << report.codes() << "]";
         EXPECT_GT(report.ops_per_cycle, 0.0) << ir.kernel;
         EXPECT_EQ(report.derived_chain, ir.chain_updates) << ir.kernel;
+        EXPECT_EQ(report.derived_fma_uops, ir.fma_uops) << ir.kernel;
     }
 }
 
@@ -221,6 +222,31 @@ TEST(KernelCheck, ThroughputChainIsDerivedFromTheFmaList)
     EXPECT_FALSE(honest.has("KIR_THROUGHPUT"));
 
     ir.chain_updates = 1;  // lie: claims full accumulator parallelism
+    EXPECT_TRUE(verify_kernel_ir(ir).has("KIR_THROUGHPUT"));
+}
+
+TEST(KernelCheck, FmaUopsAreDerivedFromTheIdiom)
+{
+    // A quad kernel with product temporaries and a `ones` constant is the
+    // three-µop widening idiom.
+    KernelIr ir = synthetic_ir();
+    ir.family = "i8";
+    ir.quad = 4;
+    ir.tmp_regs = 2;
+    ir.const_regs = 1;
+    ir.fma_uops = 3;
+    const KernelReport honest = verify_kernel_ir(ir);
+    EXPECT_EQ(honest.derived_fma_uops, 3);
+    EXPECT_FALSE(honest.has("KIR_THROUGHPUT"));
+
+    ir.fma_uops = 1;  // lie: claims one vpdpbusd per slot, a 3x roof
+    EXPECT_TRUE(verify_kernel_ir(ir).has("KIR_THROUGHPUT"));
+
+    // Without temporaries the quad slot is one vpdpbusd.
+    ir.tmp_regs = 0;
+    ir.const_regs = 0;
+    EXPECT_FALSE(verify_kernel_ir(ir).has("KIR_THROUGHPUT"));
+    ir.fma_uops = 3;  // over-declared: the roof would be understated
     EXPECT_TRUE(verify_kernel_ir(ir).has("KIR_THROUGHPUT"));
 }
 

@@ -20,7 +20,9 @@ int main()
     const CpuFeatures& f = cpu_features();
     std::cout << "  avx2+fma : " << (f.avx2 ? "yes" : "no") << "\n"
               << "  avx512f  : " << (f.avx512f ? "yes" : "no") << "\n"
-              << "  avx512bw : " << (f.avx512bw ? "yes" : "no") << "\n\n";
+              << "  avx512bw : " << (f.avx512bw ? "yes" : "no") << "\n"
+              << "  avx512_vnni : " << (f.avx512vnni ? "yes" : "no")
+              << "\n\n";
 
     std::cout << "=== Cache hierarchy (detected) ===\n";
     for (const CacheLevel& l : detect_host_caches().levels) {
