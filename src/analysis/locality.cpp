@@ -224,14 +224,15 @@ IrEvents collect_ir_events(const ScheduleIR& ir)
             ev.b_stream_steps.insert(op.step);
             ++ev.b_stream_ops;
             break;
-        case OpKind::kZeroC:
+        case OpKind::kCompute:
+            // A compute reads DRAM only to reload a spilled partial.
             if (op.dram_read_bytes > 0) {
                 ev.fetch_of_step[op.step] += op.dram_read_bytes;
                 ev.reload_steps.insert(op.step);
             }
             break;
-        default:
-            break;  // compute has no DRAM traffic; flush is write-side
+        case OpKind::kFlush:
+            break;  // write-side
         }
     }
     return ev;

@@ -164,8 +164,8 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
             std::ostringstream os;
             os << "accumulator generation " << gen << " mixes "
                << cols.size()
-               << " distinct C columns: a column turnover (flush + zero) "
-               << "between them was dropped";
+               << " distinct C columns: a column turnover (write-back + "
+               << "overwrite) between them was dropped";
             add_issue(rep, "NUM_TURNOVER", os.str());
         }
     }
@@ -243,8 +243,9 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         throw Error("apply_numerics_mutation: no compute op in this IR");
     }
     case NumMutation::kDropTurnover: {
-        // Merge accumulator generation G into G-1: delete the zero ops
-        // that opened G and the flushes that retired G-1, then relabel.
+        // Merge accumulator generation G into G-1: delete the write-backs
+        // that retired G-1, then relabel G's accesses (its opening
+        // overwrites included) as accumulations into G-1.
         // The merged generation now spans two schedule runs (usually two
         // distinct C columns) with no flush between them.
         if (ir.exec == Exec::kGoto) {
@@ -276,7 +277,6 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         kept.reserve(ir.ops.size());
         for (TileOp& op : ir.ops) {
             const index_t g = acc_gen_of(op);
-            if (op.kind == OpKind::kZeroC && g == target) continue;
             if (op.kind == OpKind::kFlush && g == target - 1) continue;
             for (TileSpan& s : op.spans) {
                 if (is_acc_span(ir, s) && s.gen == target) {

@@ -16,10 +16,9 @@
 //     before B" is decidable for any two annotated events.
 //   * a shadow-ownership map. Each multiply registers its shared surfaces
 //     as *regions* divided into tiles: the four pack-buffer halves at
-//     mr/nr-sliver granularity and the local C surface at row x nr-sliver
-//     granularity (flush/zero row groups are not mr-aligned, so full mr x nr
-//     C tiles would alias across legitimate item boundaries). Every pack,
-//     compute, flush and zero work item declares its accesses; an access
+//     mr/nr-sliver granularity and the local C surface in mr x nr tiles
+//     (every access to it is one compute item's mr band). Every pack item,
+//     compute item and band write-back declares its accesses; an access
 //     pair on the same tile without a happens-before edge traps through
 //     checked::fail() with a diagnostic naming the region, tile, schedule
 //     step, CB-block coordinate, executor phase and both threads.

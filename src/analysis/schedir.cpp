@@ -27,7 +27,6 @@ const char* op_kind_name(OpKind kind)
     case OpKind::kPackA: return "packA";
     case OpKind::kPackB: return "packB";
     case OpKind::kStreamB: return "streamB";
-    case OpKind::kZeroC: return "zeroC";
     case OpKind::kCompute: return "compute";
     case OpKind::kFlush: return "flush";
     }
@@ -40,8 +39,8 @@ const char* mutation_name(Mutation m)
     case Mutation::kDropOp: return "drop-op";
     case Mutation::kDupOp: return "dup-op";
     case Mutation::kReorderAccum: return "reorder-accum";
-    case Mutation::kSeverZeroBarrier: return "sever-zero-barrier";
-    case Mutation::kSeverFlushBarrier: return "sever-flush-barrier";
+    case Mutation::kOverlapBands: return "overlap-bands";
+    case Mutation::kSplitWriteback: return "split-writeback";
     case Mutation::kShrinkGeneration: return "shrink-generation";
     case Mutation::kDropFlush: return "drop-flush";
     }
@@ -81,32 +80,11 @@ std::vector<Chunk> parallel_chunks(index_t total, int p)
     return chunks;
 }
 
-/// Builds phases/ops/barriers in emission order. A barrier boundary is
-/// recorded between every pair of consecutive phases, labelled by the
-/// transition it enforces (mutations look boundaries up by label).
+/// Builds phases and ops in emission order; a barrier ends every phase.
 struct IrBuilder {
     ScheduleIR ir;
-    bool phase_open = false;
-    std::string last_phase;
 
-    void next_phase(const char* boundary_label)
-    {
-        if (phase_open) {
-            ir.barrier_intact.push_back(1);
-            ir.barrier_label.emplace_back(boundary_label);
-            ++ir.num_phases;
-        } else {
-            phase_open = true;
-            ir.num_phases = 1;
-        }
-    }
-
-    /// Open a phase named `name`; its boundary is labelled "prev->name".
-    void phase(const char* name)
-    {
-        next_phase((last_phase + "->" + name).c_str());
-        last_phase = name;
-    }
+    void next_phase() { ++ir.num_phases; }
 
     TileOp& add_op(OpKind kind, index_t step, const BlockCoord& block,
                    int worker, index_t seq = 0)
@@ -139,35 +117,6 @@ TileSpan make_span(int buffer, int slot, index_t gen, Access access,
     s.creates_gen = creates;
     s.closes_gen = closes;
     return s;
-}
-
-/// Emit the flush of the departing column recorded in `fl`'s flush_*
-/// fields as row-group ops.
-void emit_flush_ops(IrBuilder& b, const BlockStep& fl, index_t nr,
-                    index_t m_blk, index_t n_blk, bool beta_nonzero,
-                    std::uint64_t elem)
-{
-    const bool rmw = fl.flush_revisit || beta_nonzero;
-    const index_t um0 = fl.flush_coord.m * m_blk;
-    const index_t un0 = fl.flush_coord.n * n_blk;
-    auto emit = [&](index_t r0, index_t r1, int worker) {
-        TileOp& op =
-            b.add_op(OpKind::kFlush, fl.step, fl.flush_coord, worker);
-        op.spans.push_back(make_span(
-            kBufAccC, 0, fl.flush_gen, Access::kRead, r0, r1, 0,
-            ceil_div(fl.flush_ni, nr), /*creates=*/false, /*closes=*/true));
-        op.spans.push_back(make_span(
-            kBufUserC, 0, 0, rmw ? Access::kReadWrite : Access::kWrite,
-            um0 + r0, um0 + r1, un0, un0 + fl.flush_ni));
-        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(fl.flush_ni) * elem;
-        op.dram_write_bytes = bytes;
-        if (rmw) op.dram_read_bytes = bytes;
-    };
-    const index_t items = ceil_div(fl.flush_mi, kRowGroup);
-    for (index_t i = 0; i < items; ++i) {
-        emit(i * kRowGroup, std::min(fl.flush_mi, (i + 1) * kRowGroup), -1);
-    }
 }
 
 }  // namespace
@@ -286,36 +235,54 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
             * static_cast<std::uint64_t>(st.ni) * b_elem;
     };
-    // Zero a row range of the fresh local C surface; the first op of a
-    // reloaded column carries the spilled-partial refetch bytes.
-    auto emit_zero = [&](const BlockStep& st, index_t r0, index_t r1,
-                         int worker, bool first) {
-        TileOp& op = b.add_op(OpKind::kZeroC, st.step, st.coord, worker);
-        op.spans.push_back(make_span(kBufAccC, 0, st.c_gen, Access::kWrite,
-                                     r0, r1, 0, ceil_div(st.ni, nr),
-                                     /*creates=*/true));
-        if (first && st.reload) {
-            op.dram_read_bytes = static_cast<std::uint64_t>(st.mi)
-                * static_cast<std::uint64_t>(st.ni) * c_elem;
-        }
-    };
-    // One compute row band [r0, r1): reads the packed surfaces, RMWs the
-    // local accumulator.
-    auto emit_compute = [&](const BlockStep& st, index_t r0, index_t r1,
-                            int worker) {
-        TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord, worker);
+    // Compute band `band` of step st: reads the packed surfaces and
+    // overwrites (first K block of a column, opening its local-C
+    // generation) or accumulates into the band's local-C rows. The first
+    // band of a reloaded column carries the spilled-partial refetch bytes.
+    auto emit_compute = [&](const BlockStep& st, index_t band) {
+        const index_t r0 = band * mr;
+        const index_t r1 = std::min(st.mi, r0 + mr);
+        TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord, -1);
+        op.item = band;
         op.spans.push_back(make_span(
             kBufPackA, st.a_slot, a_gen_of[static_cast<std::size_t>(st.step)],
-            Access::kRead, r0 / mr, ceil_div(r1, mr), 0, 1));
+            Access::kRead, band, band + 1, 0, 1));
         if (!use_prepacked) {
             op.spans.push_back(make_span(
                 kBufPackB, st.b_slot,
                 b_gen_of[static_cast<std::size_t>(st.step)], Access::kRead,
                 0, ceil_div(st.ni, nr), 0, 1));
         }
-        op.spans.push_back(make_span(kBufAccC, 0, st.c_gen,
-                                     Access::kReadWrite, r0, r1, 0,
-                                     ceil_div(st.ni, nr)));
+        op.spans.push_back(make_span(
+            kBufAccC, 0, st.c_gen,
+            st.c_change ? Access::kWrite : Access::kReadWrite, r0, r1, 0,
+            ceil_div(st.ni, nr), /*creates=*/st.c_change));
+        if (st.reload && band == 0) {
+            op.dram_read_bytes = static_cast<std::uint64_t>(st.mi)
+                * static_cast<std::uint64_t>(st.ni) * c_elem;
+        }
+    };
+    // Write band `band` of a retiring column back to user C, in the same
+    // work item as its compute and after it: the closing read of the
+    // band's local-C rows plus the user-C write (read-modify-write when
+    // beta != 0 or the column was spilled before).
+    auto emit_writeback = [&](const BlockStep& st, index_t band) {
+        const index_t r0 = band * mr;
+        const index_t r1 = std::min(st.mi, r0 + mr);
+        const bool rmw = st.flush_revisit || beta_nonzero;
+        TileOp& op =
+            b.add_op(OpKind::kFlush, st.step, st.coord, -1, /*seq=*/1);
+        op.item = band;
+        op.spans.push_back(make_span(kBufAccC, 0, st.c_gen, Access::kRead,
+                                     r0, r1, 0, ceil_div(st.ni, nr),
+                                     /*creates=*/false, /*closes=*/true));
+        op.spans.push_back(make_span(
+            kBufUserC, 0, 0, rmw ? Access::kReadWrite : Access::kWrite,
+            st.m0 + r0, st.m0 + r1, st.n0, st.n0 + st.ni));
+        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
+            * static_cast<std::uint64_t>(st.ni) * c_elem;
+        op.dram_write_bytes = bytes;
+        if (rmw) op.dram_read_bytes = bytes;
     };
 
     // Step st's fresh A/B surfaces as pack-group work items.
@@ -333,47 +300,32 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
             }
         }
     };
-    auto emit_zeros = [&](const BlockStep& st) {
-        for (index_t r0 = 0; r0 < st.mi; r0 += kRowGroup) {
-            emit_zero(st, r0, std::min(st.mi, r0 + kRowGroup), -1, r0 == 0);
-        }
-    };
 
     // Persistent team, dynamically claimed work items (worker = -1),
     // spin-barrier phase boundaries. Mirrors run_block_loop's phase
-    // structure exactly: pipeline fill, per-step [flush, zero] column
-    // turnovers, with overlap off a pack phase for step t, main phases
-    // computing step t (and, with overlap on, packing step t+1), and the
-    // final drain flush.
-    b.phase("fill");
+    // structure exactly: the pipeline fill, then per step, with overlap
+    // off, a pack phase for step t and a main phase computing step t
+    // (and, with overlap on, packing step t+1). A step that retires its
+    // column writes each band back inside the band's compute item.
+    b.next_phase();  // pipeline fill
     emit_packs(plan.steps[0]);
-    emit_zeros(plan.steps[0]);
     for (index_t t = 0; t < steps; ++t) {
         const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-        if (st.c_change && t > 0) {
-            b.phase("flush");
-            emit_flush_ops(b, st, nr, params.m_blk, params.n_blk,
-                           beta_nonzero, c_elem);
-            b.phase("zero");
-            emit_zeros(st);
-        }
         if (!overlap && t > 0 && (st.pack_a || st.pack_b)) {
-            b.phase("pack");
+            b.next_phase();  // overlap off: pack step t
             emit_packs(st);
         }
-        b.phase("main");
+        b.next_phase();  // main: compute step t
         // Pack items first, as in the executor.
         if (overlap && t + 1 < steps) {
             emit_packs(plan.steps[static_cast<std::size_t>(t + 1)]);
         }
         if (use_prepacked && st.b_fresh) emit_stream_b(st);
-        for (index_t r0 = 0; r0 < st.mi; r0 += mr) {
-            emit_compute(st, r0, std::min(st.mi, r0 + mr), -1);
+        for (index_t band = 0; band < ceil_div(st.mi, mr); ++band) {
+            emit_compute(st, band);
+            if (st.c_last) emit_writeback(st, band);
         }
     }
-    b.phase("drain");
-    emit_flush_ops(b, plan.final_flush, nr, params.m_blk, params.n_blk,
-                   beta_nonzero, c_elem);
     return std::move(b.ir);
 }
 
@@ -420,7 +372,7 @@ ScheduleIR extract_goto_ir(const GemmShape& shape,
          build_goto_passes(shape.n, shape.k, nc, kc, accumulate)) {
         const BlockCoord pc_coord{-1, pass.jc / nc, pass.pc / kc};
         ++b_gen;
-        b.next_phase(pass_idx == 0 ? "start" : "pass");
+        b.next_phase();  // pack B
         for (const Chunk& c : parallel_chunks(ceil_div(pass.ncur, nr), p)) {
             const index_t c0 = c.lo * nr;
             const index_t c1 = std::min(pass.ncur, c.hi * nr);
@@ -436,7 +388,7 @@ ScheduleIR extract_goto_ir(const GemmShape& shape,
                 * static_cast<std::uint64_t>(pass.kcur) * elem;
         }
 
-        b.next_phase("packB->compute");
+        b.next_phase();  // pack A + compute
         for (int tid = 0; tid < p; ++tid) {
             index_t seq = 0;
             for (index_t ic = tid * mc; ic < shape.m;
@@ -498,10 +450,15 @@ IoTotals io_totals(const ScheduleIR& ir)
         case OpKind::kStreamB:
             t.b_read += op.dram_read_bytes;
             break;
-        case OpKind::kZeroC:
-            t.c_reload_read += op.dram_read_bytes;
-            break;
         case OpKind::kCompute:
+            if (ir.exec != Exec::kGoto) {
+                // CAKE computes touch external memory only to reload a
+                // spilled partial surface.
+                t.c_reload_read += op.dram_read_bytes;
+                break;
+            }
+            // GOTO streams C straight to user memory.
+            [[fallthrough]];
         case OpKind::kFlush:
             t.c_write += op.dram_write_bytes;
             t.c_rmw_read += op.dram_read_bytes;
@@ -520,17 +477,6 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         throw Error(std::string("apply_mutation: no ")
                         + op_kind_name(kind) + " op in this IR");
     };
-    auto sever_boundary = [&](const char* label) {
-        for (std::size_t i = 0; i < ir.barrier_label.size(); ++i) {
-            if (ir.barrier_label[i] == label) {
-                ir.barrier_intact[i] = 0;
-                return;
-            }
-        }
-        throw Error(std::string("apply_mutation: IR has no '") + label
-                        + "' boundary");
-    };
-
     switch (m) {
     case Mutation::kDropOp: {
         // Lose one accumulation: the affected C elements fall short.
@@ -545,21 +491,21 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         return "IR_COVER";
     }
     case Mutation::kReorderAccum: {
-        // Move an accumulation after the flush that retires its
-        // generation: the closing read no longer follows every write.
+        // Move an accumulation after the write-back that retires its rows:
+        // the closing read no longer follows every write.
         for (const TileOp& f : ir.ops) {
             if (f.kind != OpKind::kFlush || f.phase + 1 >= ir.num_phases) {
                 continue;
             }
-            index_t gen = -1;
-            for (const TileSpan& s : f.spans) {
-                if (s.closes_gen) gen = s.gen;
-            }
-            if (gen < 0) continue;
+            const auto closed = std::find_if(
+                f.spans.begin(), f.spans.end(),
+                [](const TileSpan& s) { return s.closes_gen; });
+            if (closed == f.spans.end()) continue;
             for (TileOp& c : ir.ops) {
                 if (c.kind != OpKind::kCompute) continue;
                 for (const TileSpan& s : c.spans) {
-                    if (s.buffer == kBufAccC && s.gen == gen) {
+                    if (s.buffer == kBufAccC && s.gen == closed->gen
+                        && s.r0 < closed->r1 && closed->r0 < s.r1) {
                         c.phase = f.phase + 1;
                         return "IR_ORDER";
                     }
@@ -569,14 +515,41 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         throw Error(
             "apply_mutation: no mid-schedule flush to reorder past");
     }
-    case Mutation::kSeverZeroBarrier:
-        // Zeroing the new column races the computes accumulating into it.
-        sever_boundary("zero->main");
-        return "IR_RACE_WW";
-    case Mutation::kSeverFlushBarrier:
-        // The flush reads the surface while the last block still writes.
-        sever_boundary("main->flush");
-        return "IR_RACE_RW";
+    case Mutation::kOverlapBands: {
+        // Reach one compute band a row into its neighbour's local-C rows:
+        // the two band items of one phase now write a shared row.
+        auto acc_span = [](TileOp& op) -> TileSpan* {
+            for (TileSpan& s : op.spans) {
+                if (s.buffer == kBufAccC) return &s;
+            }
+            return nullptr;
+        };
+        for (TileOp& c : ir.ops) {
+            TileSpan* s = c.kind == OpKind::kCompute ? acc_span(c) : nullptr;
+            if (s == nullptr) continue;
+            for (TileOp& d : ir.ops) {
+                const TileSpan* n =
+                    d.kind == OpKind::kCompute ? acc_span(d) : nullptr;
+                if (n != nullptr && d.phase == c.phase && n->gen == s->gen
+                    && n->r0 == s->r1) {
+                    ++s->r1;
+                    return "IR_RACE_WW";
+                }
+            }
+        }
+        throw Error("apply_mutation: no step computes two bands");
+    }
+    case Mutation::kSplitWriteback: {
+        // Claim a band write-back as an item of its own: it reads the
+        // local-C rows while their compute may still write them.
+        for (TileOp& f : ir.ops) {
+            if (f.kind == OpKind::kFlush && f.item >= 0) {
+                f.item = -1;
+                return "IR_RACE_RW";
+            }
+        }
+        throw Error("apply_mutation: no band write-back in this IR");
+    }
     case Mutation::kShrinkGeneration: {
         // Collapse the double buffers: pack(t+1) recycles the very slot
         // compute(t) is still reading.

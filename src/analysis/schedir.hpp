@@ -8,7 +8,7 @@
 //     (src/core/block_plan.cpp), the same BlockPlan CakeGemmT's one
 //     executor iterates for every kernel family, including double-buffer
 //     slot assignment and the work-item grouping constants
-//     (kPackAGroup/kPackBGroup/kRowGroup).
+//     (kPackAGroup/kPackBGroup).
 //   * GOTO: build_goto_passes (src/gotoblas/goto_gemm.cpp), the same pass
 //     list GotoGemmT::multiply iterates.
 // A property proven of this IR is therefore a property of the schedule
@@ -40,8 +40,7 @@ const char* exec_name(Exec exec);
 
 /// Storage a tile operation can touch. User surfaces are element-indexed
 /// (rows x cols of the operand); pack panels are sliver-indexed (one row
-/// per mr/nr sliver); the local accumulator is row x nr-sliver indexed,
-/// matching the runtime racecheck granularity.
+/// per mr/nr sliver); the local accumulator is row x nr-sliver indexed.
 enum class BufKind { kUserA, kUserB, kUserC, kPackA, kPackB, kAccC };
 
 struct Buffer {
@@ -67,9 +66,10 @@ struct TileSpan {
 };
 
 /// What the operation does; one op is one runtime work item (a pack
-/// sliver group, an mr compute band, a flush/zero row group) or one
-/// statically assigned worker chunk.
-enum class OpKind { kPackA, kPackB, kStreamB, kZeroC, kCompute, kFlush };
+/// sliver group, an mr compute band) or one statically assigned worker
+/// chunk. A band write-back (kFlush) runs inside its compute band's work
+/// item, straight after the compute.
+enum class OpKind { kPackA, kPackB, kStreamB, kCompute, kFlush };
 const char* op_kind_name(OpKind kind);
 
 struct TileOp {
@@ -78,16 +78,20 @@ struct TileOp {
     index_t step = 0;   ///< schedule step it serves (diagnostics)
     BlockCoord block;   ///< CB-block (or GOTO pass) coordinates
     int worker = -1;    ///< static worker id; -1 = dynamically claimed
-    index_t seq = 0;    ///< program order within (phase, worker >= 0)
+    /// Dynamically claimed work item the op shares with other ops of its
+    /// phase (-1: an item of its own). One thread runs a whole item.
+    index_t item = -1;
+    index_t seq = 0;    ///< program order within (phase, worker or item)
     std::uint64_t dram_read_bytes = 0;   ///< modelled external reads
     std::uint64_t dram_write_bytes = 0;  ///< modelled external writes
     std::vector<TileSpan> spans;
 };
 
-/// The extracted schedule of one multiply. Two operations are ordered iff
-/// an intact barrier boundary lies between their phases, or they share a
-/// static worker inside one phase (seq order). Everything else is
-/// concurrent — exactly the executor's synchronisation structure.
+/// The extracted schedule of one multiply. A barrier separates every pair
+/// of consecutive phases, so two operations are ordered iff their phases
+/// differ, or they share a static worker or a work item inside one phase
+/// (seq order). Everything else is concurrent — exactly the executor's
+/// synchronisation structure.
 struct ScheduleIR {
     Exec exec = Exec::kPipelined;
     ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;
@@ -105,16 +109,13 @@ struct ScheduleIR {
     index_t num_phases = 0;
     std::vector<Buffer> buffers;
     std::vector<TileOp> ops;
-    /// barrier_intact[i] guards the boundary between phase i and i + 1.
-    /// Extraction emits every boundary intact; mutations sever them.
-    std::vector<char> barrier_intact;
-    std::vector<std::string> barrier_label;
     std::vector<BlockCoord> order;  ///< CAKE block order (empty for GOTO)
 };
 
 /// Extract the IR of a CAKE multiply: the executor's persistent-team
-/// stream (pipeline fill, flush/zero column turnovers, main compute phases,
-/// final drain). Exec::kPipelined co-issues pack(t+1) with compute(t) into
+/// stream (pipeline fill, then one main compute phase per step whose
+/// bands write themselves back when the step retires its column).
+/// Exec::kPipelined co-issues pack(t+1) with compute(t) into
 /// double-buffered pack slots; Exec::kSerial packs step t in a phase of
 /// its own before computing it, single-buffered. `bytes` gives the stored
 /// operand widths (zero fields: params.elem_bytes), e.g. {1, 1, 4} for the
@@ -141,8 +142,8 @@ ScheduleIR extract_goto_ir(const GemmShape& shape,
 struct IoTotals {
     std::uint64_t a_read = 0;         ///< user-A fetches (packing)
     std::uint64_t b_read = 0;         ///< user-B fetches (pack or stream)
-    std::uint64_t c_write = 0;        ///< flush writebacks
-    std::uint64_t c_rmw_read = 0;     ///< flush read-modify-write reads
+    std::uint64_t c_write = 0;        ///< band write-backs to user C
+    std::uint64_t c_rmw_read = 0;     ///< write-back read-modify-write reads
     std::uint64_t c_reload_read = 0;  ///< spilled-partial reloads (CAKE)
 
     [[nodiscard]] std::uint64_t reads() const
@@ -161,8 +162,8 @@ enum class Mutation {
     kDropOp,            ///< delete one compute op -> IR_COVER (lost update)
     kDupOp,             ///< duplicate one compute op -> IR_COVER
     kReorderAccum,      ///< move an accumulation past its flush -> IR_ORDER
-    kSeverZeroBarrier,  ///< zero->compute boundary -> IR_RACE_WW
-    kSeverFlushBarrier, ///< compute->flush boundary -> IR_RACE_RW
+    kOverlapBands,      ///< a band reaches into the next one -> IR_RACE_WW
+    kSplitWriteback,    ///< write-back leaves its band's item -> IR_RACE_RW
     kShrinkGeneration,  ///< collapse double buffers to one slot -> IR_LIFETIME
     kDropFlush,         ///< delete a flush op -> IR_COVER
 };
@@ -171,7 +172,7 @@ constexpr int kMutationCount = 7;
 
 /// Corrupt `ir` in place; returns the diagnostic code the verifier must
 /// now emit. Throws cake::Error if the IR has no site for this mutation
-/// (e.g. kSeverZeroBarrier on an IR with a single column).
+/// (e.g. kShrinkGeneration on a serial IR, which is single-buffered).
 std::string apply_mutation(ScheduleIR& ir, Mutation m);
 
 }  // namespace schedir

@@ -22,41 +22,23 @@ std::string describe_op(const ScheduleIR& ir, const TileOp& op)
        << op.block.m << ',' << op.block.n << ',' << op.block.k
        << "), phase " << op.phase;
     if (op.worker >= 0) os << ", worker " << op.worker << " seq " << op.seq;
+    if (op.item >= 0) os << ", item " << op.item << " seq " << op.seq;
     os << ')';
     (void)ir;
     return os.str();
 }
 
-/// The happens-before structure the barrier skeleton induces: two ops are
-/// ordered iff an intact boundary separates their phases, or they share a
-/// statically assigned worker inside one phase (program order).
-struct OrderCtx {
-    std::vector<index_t> epoch_of_phase;
-
-    explicit OrderCtx(const ScheduleIR& ir)
-    {
-        epoch_of_phase.resize(static_cast<std::size_t>(ir.num_phases), 0);
-        index_t epoch = 0;
-        for (index_t ph = 1; ph < ir.num_phases; ++ph) {
-            if (ir.barrier_intact[static_cast<std::size_t>(ph - 1)] != 0) {
-                ++epoch;
-            }
-            epoch_of_phase[static_cast<std::size_t>(ph)] = epoch;
-        }
-    }
-
-    index_t epoch(const TileOp& op) const
-    {
-        return epoch_of_phase[static_cast<std::size_t>(op.phase)];
-    }
-
-    bool before(const TileOp& a, const TileOp& b) const
-    {
-        if (epoch(a) != epoch(b)) return epoch(a) < epoch(b);
-        return a.phase == b.phase && a.worker >= 0 && a.worker == b.worker
-            && a.seq < b.seq;
-    }
-};
+/// The happens-before structure the barrier skeleton induces: a barrier
+/// separates every pair of consecutive phases, so two ops are ordered iff
+/// their phases differ, or they share a statically assigned worker or a
+/// work item inside one phase (program order).
+bool ordered_before(const TileOp& a, const TileOp& b)
+{
+    if (a.phase != b.phase) return a.phase < b.phase;
+    if (a.seq >= b.seq) return false;
+    return (a.worker >= 0 && a.worker == b.worker)
+        || (a.item >= 0 && a.item == b.item);
+}
 
 /// One (op, span) pair inside a generation group.
 struct GroupEntry {
@@ -96,13 +78,6 @@ void check_malformed(const ScheduleIR& ir, VerifyReport& report)
     if (ir.num_phases < 1 || ir.ops.empty() || ir.buffers.empty()) {
         sink.add("IR_MALFORMED", "IR has no phases, ops or buffers");
     }
-    const auto boundaries = static_cast<std::size_t>(
-        ir.num_phases > 0 ? ir.num_phases - 1 : 0);
-    if (ir.barrier_intact.size() != boundaries
-        || ir.barrier_label.size() != boundaries) {
-        sink.add("IR_MALFORMED",
-                 "barrier arrays not sized to the phase count");
-    }
     for (const TileOp& op : ir.ops) {
         if (sink.full()) return;
         if (op.phase < 0 || op.phase >= ir.num_phases) {
@@ -130,63 +105,74 @@ void check_malformed(const ScheduleIR& ir, VerifyReport& report)
     }
 }
 
+bool spans_overlap(const TileSpan& a, const TileSpan& b)
+{
+    return a.r0 < b.r1 && b.r0 < a.r1 && a.c0 < b.c1 && b.c0 < a.c1;
+}
+
 /// IR_ORDER: creating writes strictly precede every other access of their
-/// generation; closing reads strictly follow every write.
+/// generation's elements; closing reads strictly follow every write of the
+/// elements they retire.
 void check_order(const ScheduleIR& ir, const GenGroups& groups,
-                 const OrderCtx& ord, VerifyReport& report)
+                 VerifyReport& report)
 {
     IssueSink sink{report};
     for (const auto& [key, entries] : groups) {
-        std::vector<std::size_t> creators, closers, writers, others;
+        std::vector<GroupEntry> creators, closers, writers, others;
         for (const GroupEntry& e : entries) {
             const TileSpan& s = ir.ops[e.op].spans[e.span];
             if (s.creates_gen) {
-                creators.push_back(e.op);
+                creators.push_back(e);
             } else {
-                others.push_back(e.op);
+                others.push_back(e);
             }
-            if (s.closes_gen) closers.push_back(e.op);
+            if (s.closes_gen) closers.push_back(e);
             if (!s.creates_gen && !s.closes_gen
                 && s.access != Access::kRead) {
-                writers.push_back(e.op);
+                writers.push_back(e);
             }
         }
         const Buffer& buf =
             ir.buffers[static_cast<std::size_t>(std::get<0>(key))];
-        for (const std::size_t c : creators) {
-            for (const std::size_t o : others) {
+        auto span_of = [&](const GroupEntry& e) -> const TileSpan& {
+            return ir.ops[e.op].spans[e.span];
+        };
+        for (const GroupEntry& c : creators) {
+            for (const GroupEntry& o : others) {
                 if (sink.full()) return;
-                if (!ord.before(ir.ops[c], ir.ops[o])) {
+                if (!spans_overlap(span_of(c), span_of(o))) continue;
+                if (!ordered_before(ir.ops[c.op], ir.ops[o.op])) {
                     sink.add("IR_ORDER",
                              buf.name + " slot "
                                  + std::to_string(std::get<1>(key)) + " gen "
                                  + std::to_string(std::get<2>(key)) + ": "
-                                 + describe_op(ir, ir.ops[o])
+                                 + describe_op(ir, ir.ops[o.op])
                                  + " not ordered after creating "
-                                 + describe_op(ir, ir.ops[c]));
+                                 + describe_op(ir, ir.ops[c.op]));
                 }
             }
         }
-        for (const std::size_t x : closers) {
-            for (const std::size_t w : writers) {
+        for (const GroupEntry& x : closers) {
+            for (const GroupEntry& w : writers) {
                 if (sink.full()) return;
-                if (!ord.before(ir.ops[w], ir.ops[x])) {
+                if (!spans_overlap(span_of(x), span_of(w))) continue;
+                if (!ordered_before(ir.ops[w.op], ir.ops[x.op])) {
                     sink.add("IR_ORDER",
                              buf.name + " gen "
                                  + std::to_string(std::get<2>(key))
-                                 + ": closing " + describe_op(ir, ir.ops[x])
+                                 + ": closing " + describe_op(ir, ir.ops[x.op])
                                  + " not ordered after "
-                                 + describe_op(ir, ir.ops[w]));
+                                 + describe_op(ir, ir.ops[w.op]));
                 }
             }
         }
     }
 }
 
-/// IR_RACE_WW / IR_RACE_RW: within one epoch, two unordered ops touch an
+/// IR_RACE_WW / IR_RACE_RW: within one phase, two unordered ops touch an
 /// overlapping rect of the same generation and at least one writes.
 void check_races(const ScheduleIR& ir, const GenGroups& groups,
-                 const OrderCtx& ord, VerifyReport& report)
+                 VerifyReport& report)
 {
     IssueSink sink{report};
     struct RectRef {
@@ -195,22 +181,22 @@ void check_races(const ScheduleIR& ir, const GenGroups& groups,
         std::size_t op;
     };
     for (const auto& [key, entries] : groups) {
-        // Bucket by epoch: cross-epoch pairs are barrier-ordered.
-        std::map<index_t, std::vector<RectRef>> by_epoch;
+        // Bucket by phase: cross-phase pairs are barrier-ordered.
+        std::map<index_t, std::vector<RectRef>> by_phase;
         bool any_write = false;
         for (const GroupEntry& e : entries) {
             const TileOp& op = ir.ops[e.op];
             const TileSpan& s = op.spans[e.span];
             const bool w = s.access != Access::kRead;
             any_write = any_write || w;
-            by_epoch[ord.epoch(op)].push_back(
+            by_phase[op.phase].push_back(
                 {s.r0, s.r1, s.c0, s.c1, w, e.op});
         }
         if (!any_write) continue;
         const Buffer& buf =
             ir.buffers[static_cast<std::size_t>(std::get<0>(key))];
-        for (auto& [epoch, rects] : by_epoch) {
-            (void)epoch;
+        for (auto& [phase, rects] : by_phase) {
+            (void)phase;
             if (rects.size() < 2) continue;
             std::sort(rects.begin(), rects.end(),
                       [](const RectRef& a, const RectRef& b) {
@@ -228,7 +214,9 @@ void check_races(const ScheduleIR& ir, const GenGroups& groups,
                     if (a.op == bq.op) continue;
                     const TileOp& oa = ir.ops[a.op];
                     const TileOp& ob = ir.ops[bq.op];
-                    if (ord.before(oa, ob) || ord.before(ob, oa)) continue;
+                    if (ordered_before(oa, ob) || ordered_before(ob, oa)) {
+                        continue;
+                    }
                     const char* code = (a.writes && bq.writes)
                         ? "IR_RACE_WW"
                         : "IR_RACE_RW";
@@ -247,7 +235,7 @@ void check_races(const ScheduleIR& ir, const GenGroups& groups,
 /// that recycle its slot (the next generation's creators). Adjacent
 /// generations suffice: ordering is transitive along the chain.
 void check_lifetimes(const ScheduleIR& ir, const GenGroups& groups,
-                     const OrderCtx& ord, VerifyReport& report)
+                     VerifyReport& report)
 {
     IssueSink sink{report};
     // (buffer, slot) -> sorted list of generations present.
@@ -270,7 +258,7 @@ void check_lifetimes(const ScheduleIR& ir, const GenGroups& groups,
                 for (const GroupEntry& ce : cur) {
                     if (sink.full()) return;
                     if (ce.op == ne.op) continue;
-                    if (!ord.before(ir.ops[ce.op], ir.ops[ne.op])) {
+                    if (!ordered_before(ir.ops[ce.op], ir.ops[ne.op])) {
                         sink.add(
                             "IR_LIFETIME",
                             buf.name + " slot "
@@ -360,9 +348,10 @@ private:
 };
 
 /// IR_COVER: every user-C element receives exactly expected_accums
-/// accumulations. CAKE accumulations land in local-C generations and reach
-/// user C through the flush that closes the generation; GOTO compute ops
-/// write user C directly.
+/// accumulations. CAKE accumulations (one per compute write, overwrite or
+/// accumulate) land in local-C generations and reach user C through the
+/// band write-backs that close the generation; GOTO compute ops write user
+/// C directly.
 void check_cover(const ScheduleIR& ir, VerifyReport& report)
 {
     IssueSink sink{report};
@@ -395,7 +384,8 @@ void check_cover(const ScheduleIR& ir, VerifyReport& report)
     }
 
     if (acc_buf >= 0) {
-        // Local-C accumulations, transferred through the closing flushes.
+        // Local-C accumulations, transferred through the closing
+        // write-backs.
         struct Closer {
             index_t fr0, fr1;  ///< local-C rows the flush op retires
             index_t ur0, uc0;  ///< user-C destination of local row fr0
@@ -425,8 +415,7 @@ void check_cover(const ScheduleIR& ir, VerifyReport& report)
                 }
             } else if (op.kind == OpKind::kCompute) {
                 for (const TileSpan& s : op.spans) {
-                    if (s.buffer == acc_buf
-                        && s.access == Access::kReadWrite) {
+                    if (s.buffer == acc_buf && s.access != Access::kRead) {
                         // Columns are nr slivers; widths resolve at
                         // transfer time when the flush supplies ni.
                         accum_of_gen[s.gen].add(s.r0, s.r1, s.c0 * nr,
@@ -570,7 +559,7 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
             index_t max_a = -1, max_b = -1;
             for (const TileOp& op : ir.ops) {
                 if (op.kind == OpKind::kStreamB) ++b_events;
-                if (op.kind == OpKind::kZeroC && op.dram_read_bytes > 0) {
+                if (op.kind == OpKind::kCompute && op.dram_read_bytes > 0) {
                     ++reload_events;
                 }
                 for (const TileSpan& s : op.spans) {
@@ -673,11 +662,10 @@ VerifyReport verify_schedule_ir(const ScheduleIR& ir)
     check_malformed(ir, report);
     if (!report.ok()) return report;  // don't analyse a broken structure
 
-    const OrderCtx ord(ir);
     const GenGroups groups = group_by_generation(ir);
-    check_order(ir, groups, ord, report);
-    check_races(ir, groups, ord, report);
-    check_lifetimes(ir, groups, ord, report);
+    check_order(ir, groups, report);
+    check_races(ir, groups, report);
+    check_lifetimes(ir, groups, report);
     check_cover(ir, report);
     check_io_model(ir, report);
     check_constbw(ir, report);

@@ -40,31 +40,6 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     auto block_extent = [](index_t idx, index_t blk, index_t total) {
         return std::min(blk, total - idx * blk);
     };
-    auto note_flush = [&](BlockStep& st, const BlockCoord& col, index_t mi,
-                          index_t ni, index_t gen) {
-        const std::size_t slot =
-            static_cast<std::size_t>(col.m * in.nb + col.n);
-        st.flush_coord = col;
-        st.flush_mi = mi;
-        st.flush_ni = ni;
-        st.flush_dst = col.m * params.m_blk * in.ldc + col.n * params.n_blk;
-        st.flush_gen = gen;
-        st.flush_revisit = flushed[slot] != 0;
-        st.flush_partial = k_done[slot] < in.kb;
-        flushed[slot] = 1;
-        ++stats.c_flushes;
-        const auto c_bytes = static_cast<std::uint64_t>(mi)
-            * static_cast<std::uint64_t>(ni) * c_elem;
-        stats.dram_write_bytes += c_bytes;
-        // First visit applies the caller's beta (RMW read iff beta != 0);
-        // revisits must accumulate, so they always read back.
-        if (st.flush_revisit || in.beta_nonzero) {
-            stats.dram_read_bytes += c_bytes;
-        }
-        if (st.flush_partial) ++stats.c_partial_spills;
-    };
-
-    index_t cur_mi = 0, cur_ni = 0;
     index_t gen = -1;  // current local-C lifetime ordinal
     for (index_t t = 0; t < steps; ++t) {
         BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
@@ -117,13 +92,10 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         }
 
         st.c_change = !shared.c;
+        const std::size_t slot =
+            static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n);
         if (st.c_change) {
             ++gen;
-            if (prev != nullptr) {
-                note_flush(st, prev->coord, cur_mi, cur_ni, gen - 1);
-            }
-            const std::size_t slot =
-                static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n);
             st.reload = flushed[slot] != 0;
             if (st.reload) {
                 // Revisiting a spilled surface: partials come back from
@@ -131,23 +103,32 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                 stats.dram_read_bytes +=
                     static_cast<std::uint64_t>(st.mi) * st.ni * c_elem;
             }
-            cur_mi = st.mi;
-            cur_ni = st.ni;
         }
         st.c_gen = gen;
-        ++k_done[static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n)];
+        ++k_done[slot];
         ++stats.blocks_executed;
-    }
 
-    // Final flush of the last live column.
-    const BlockStep& last = plan.steps[static_cast<std::size_t>(steps - 1)];
-    plan.final_flush.coord = last.coord;
-    plan.final_flush.step = steps;
-    plan.final_flush.mi = last.mi;
-    plan.final_flush.ni = last.ni;
-    plan.final_flush.c_gen = gen;
-    note_flush(plan.final_flush, last.coord, cur_mi, cur_ni, gen);
-    plan.c_generations = gen + 1;
+        // The column retires after this step: its write-back to user C.
+        st.c_last = t + 1 == steps
+            || !shared_surfaces(st.coord,
+                                order[static_cast<std::size_t>(t + 1)])
+                    .c;
+        if (!st.c_last) continue;
+        st.flush_dst = st.m0 * in.ldc + st.n0;
+        st.flush_revisit = flushed[slot] != 0;
+        st.flush_partial = k_done[slot] < in.kb;
+        flushed[slot] = 1;
+        ++stats.c_flushes;
+        const auto c_bytes = static_cast<std::uint64_t>(st.mi)
+            * static_cast<std::uint64_t>(st.ni) * c_elem;
+        stats.dram_write_bytes += c_bytes;
+        // First visit applies the caller's beta (RMW read iff beta != 0);
+        // revisits must accumulate, so they always read back.
+        if (st.flush_revisit || in.beta_nonzero) {
+            stats.dram_read_bytes += c_bytes;
+        }
+        if (st.flush_partial) ++stats.c_partial_spills;
+    }
     return plan;
 }
 

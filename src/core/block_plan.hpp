@@ -1,7 +1,8 @@
 // The CB-block execution plan: the per-step decisions (which surfaces to
-// fetch, which double-buffer half holds them, when the local C surface
-// turns over and what it writes back) derived once, up front, as a pure
-// function of the block schedule and the tiling parameters.
+// fetch, which double-buffer half holds them, whether a step opens its C
+// column by overwriting the local C surface and whether it retires the
+// column by writing it back) derived once, up front, as a pure function
+// of the block schedule and the tiling parameters.
 //
 // The one block-loop executor in src/core/cake_gemm.cpp consumes this plan
 // for every kernel family — with double-buffering disabled (every slot
@@ -24,12 +25,12 @@ namespace cake {
 
 // Work-item granularity shared by the pipelined executor and the IR
 // extractor. Compute items stay one mr band each — the load-balancing unit
-// that keeps every core busy on edge blocks. IO items (pack slivers,
-// flush/zero rows) are grouped coarser: they are short memcpy-like bodies,
-// and per-item counter and clock overhead would otherwise be measurable.
+// that keeps every core busy on edge blocks — and write their own band
+// back when the step retires its column. Pack items are grouped coarser:
+// they are short memcpy-like bodies, and per-item counter and clock
+// overhead would otherwise be measurable.
 inline constexpr index_t kPackAGroup = 4;  ///< mr slivers per pack-A item
 inline constexpr index_t kPackBGroup = 8;  ///< nr slivers per pack-B item
-inline constexpr index_t kRowGroup = 16;   ///< C rows per flush/zero item
 
 /// One schedule step's resolved execution decisions.
 struct BlockStep {
@@ -41,15 +42,16 @@ struct BlockStep {
     bool pack_a = false;  ///< A not shared with the previous step: fetch it
     bool pack_b = false;  ///< B not shared: pack it (never set prepacked)
     bool b_fresh = false;  ///< B surface newly streamed (pack or prepacked)
-    bool c_change = false;  ///< a new (m, n) column starts at this step
+    /// A new (m, n) column starts at this step: its compute overwrites
+    /// the local C surface instead of accumulating into it.
+    bool c_change = false;
     bool reload = false;  ///< entering column was spilled before: refetch
     index_t c_gen = 0;  ///< ordinal of the local-C lifetime this step uses
-    // Departing-column flush, executed at entry of this step (valid when
-    // c_change && step > 0; also used for the final drain pseudo-step).
-    BlockCoord flush_coord;     ///< grid column being written back
-    index_t flush_mi = 0, flush_ni = 0;
-    index_t flush_dst = 0;       ///< element offset into user C
-    index_t flush_gen = 0;       ///< local-C lifetime being retired
+    /// The column retires after this step: each compute band writes its
+    /// rows back to user C right after computing them. The flush_* fields
+    /// below are valid only then.
+    bool c_last = false;
+    index_t flush_dst = 0;       ///< element offset of the column in user C
     bool flush_revisit = false;  ///< surface spilled before: beta = 1
     bool flush_partial = false;  ///< fewer than Kb accumulations spilled
 };
@@ -83,14 +85,11 @@ struct BlockPlanStats {
     std::uint64_t dram_write_bytes = 0;
 };
 
-/// The resolved plan for one multiply. `final_flush` is a pseudo-step
-/// whose flush_* fields retire the last live column (its coord/extent
-/// fields mirror the last schedule step).
+/// The resolved plan for one multiply. The last step always has c_last
+/// set: it retires the last live column.
 struct BlockPlan {
     std::vector<BlockStep> steps;
-    BlockStep final_flush;
     BlockPlanStats stats;
-    index_t c_generations = 0;  ///< total local-C lifetimes (column visits)
 };
 
 /// Inputs `build_block_plan` needs beyond the schedule itself. Only shape

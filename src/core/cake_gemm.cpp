@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -174,20 +173,21 @@ index_t packed_depth(index_t ki)
     return KernelFamily<T>::k_step * kernel_steps<T>(ki);
 }
 
-/// Accumulate one (possibly partial) m x n tile over a ki-deep block.
-/// Kept out of line: run_microkernel_tile is an inline template, and
-/// inlining it into the compute loop, its only caller here, cost 10%
-/// on small f32 shapes and 3% on 1536^3 at p = 1 (bench/ledger).
+/// Compute one (possibly partial) m x n tile over a ki-deep block,
+/// overwriting C or accumulating into it. Kept out of line:
+/// run_microkernel_tile is an inline template, and inlining it into the
+/// compute loop, its only caller here, cost 10% on small f32 shapes and 3%
+/// on 1536^3 at p = 1 (bench/ledger).
 template <typename T>
 [[gnu::noinline]] void run_tile(const MicroKernelT<T>& kernel, index_t ki,
                                 const typename KernelFamily<T>::A* a,
                                 const typename KernelFamily<T>::B* b,
                                 typename KernelFamily<T>::C* c, index_t ldc,
-                                index_t m, index_t n,
+                                index_t m, index_t n, bool accumulate,
                                 typename KernelFamily<T>::C* scratch)
 {
     run_microkernel_tile(kernel, kernel_steps<T>(ki), a, b, c, ldc, m, n,
-                         /*accumulate=*/true, scratch);
+                         accumulate, scratch);
 }
 
 /// One multiply's resolved arguments.
@@ -514,10 +514,13 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 // runs concurrently with compute instead of on the critical path (paper
 // §2, Fig. 7). With overlap off (CakeExec::kSerial, the Fig. 7 ablation)
 // block i's surfaces are packed in a phase of their own right before its
-// compute phase, single-buffered, so every fetch is exposed. Phases inside
-// the team are separated by spin barriers; work within a phase is claimed
-// in mr/nr-sliver items off an atomic counter so edge blocks never leave
-// cores idle.
+// compute phase, single-buffered, so every fetch is exposed. The local C
+// surface takes no phase of its own: a column's first K block overwrites
+// it and its last K block writes each band back to user C inside the
+// compute item that produced the band (paper §3: partial C is written out
+// once, when its K range is done). Phases inside the team are separated
+// by spin barriers; work within a phase is claimed in mr/nr-sliver items
+// off an atomic counter so edge blocks never leave cores idle.
 // ---------------------------------------------------------------------------
 template <typename T>
 void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
@@ -536,7 +539,6 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     // executes work items.
     const BlockPlan& plan = *call.plan;
     const auto steps = static_cast<index_t>(plan.steps.size());
-    const BlockStep& final_flush = plan.final_flush;
 
     // ---- Team execution.
     const MicroKernelT<T> kernel = kernel_;
@@ -557,9 +559,9 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     // region, so the intended pack(i+1)/compute(i) overlap on *opposite*
     // halves stays silent while any same-half access pair without a
     // barrier edge between its phases traps. The local C surface is tiled
-    // at row x nr-sliver granularity because flush/zero row groups
-    // (kRowGroup) are not mr-aligned. All of this compiles to nothing in
-    // non-racecheck builds.
+    // in mr x nr tiles: every access to it is one compute item's band.
+    // All of this compiles to nothing in non-racecheck builds.
+    const index_t c_bands = ceil_div(params.m_blk, mr);
     const index_t c_cols = ceil_div(params.n_blk, nr);
     detail::ScopedRegion rc_pa0(racecheck::region_register(
         "packed-A half 0", ceil_div(params.m_blk, mr)));
@@ -570,11 +572,11 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     detail::ScopedRegion rc_pb1(racecheck::region_register(
         "packed-B half 1", ceil_div(params.n_blk, nr)));
     detail::ScopedRegion rc_c(racecheck::region_register(
-        "local C surface", params.m_blk * c_cols, c_cols));
+        "local C surface", c_bands * c_cols, c_cols));
     const racecheck::RegionId rc_pa_ids[2] = {rc_pa0.id, rc_pa1.id};
     const racecheck::RegionId rc_pb_ids[2] = {rc_pb0.id, rc_pb1.id};
 
-    // Work-item granularity: kPackAGroup / kPackBGroup / kRowGroup from
+    // Work-item granularity: kPackAGroup / kPackBGroup from
     // core/block_plan.hpp, shared with the schedule-IR extractor so the
     // verified operation stream is item-for-item the one dispatched here.
 
@@ -586,12 +588,13 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     std::vector<double> worker_compute(static_cast<std::size_t>(p), 0.0);
     std::vector<double> worker_flush(static_cast<std::size_t>(p), 0.0);
     std::vector<double> worker_hidden(static_cast<std::size_t>(p), 0.0);
+    int phases = 0;
 
     Timer team_timer;
     pool_.run_team(p, [&](TeamContext& team, int tid) {
         using Clock = std::chrono::steady_clock;
         double pack_s = 0, compute_s = 0, flush_s = 0, hidden_s = 0;
-        long phase = 0;
+        index_t phase = 0;
         C* const scratch = scratch_[static_cast<std::size_t>(tid)].data();
 
         // Claim items off the phase counter until exhausted, then cross
@@ -623,8 +626,8 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
         // Each work item is timed ONCE with a shared Clock::now() pair that
         // feeds both the phase stats and the emitted trace span, so the
         // per-worker span totals and CakeStats phase seconds agree exactly
-        // (a second clock pair would skew short flush/zero items by its own
-        // cost). The obs push happens after the end reading — ring costs
+        // (a second clock pair would skew short band write-backs by its
+        // own cost). The obs push happens after the end reading — ring costs
         // stay outside both measurements.
         const bool tracing = obs::enabled();
         auto timed_item = [&](const char* span_name, obs::Phase obs_phase,
@@ -683,7 +686,9 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                             pb_slots[st.b_slot] + c0 * depth);
             }
         };
-        // One mr row band of step st's block computation.
+        // One mr row band of step st's block computation. The first K
+        // block of a column overwrites the local C band; later ones
+        // accumulate into it.
         auto compute_item = [&](const BlockStep& st, const B* pb, index_t band) {
             const bool obs_tiles = obs::metrics_enabled();
             schedshake::interleave_point(schedshake::Point::kComputeItem);
@@ -701,7 +706,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                         racecheck::AccessKind::kRead, site);
                 }
                 racecheck::region_access_block(
-                    rc_c.id, r, r + mrows, 0, ceil_div(st.ni, nr),
+                    rc_c.id, band, band + 1, 0, ceil_div(st.ni, nr),
                     racecheck::AccessKind::kWrite, site);
             }
             const index_t depth = detail::packed_depth<T>(st.ki);
@@ -719,7 +724,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                     obs_tiles ? obs::now_ns() : 0;
                 detail::run_tile(kernel, st.ki, a_sliver, b_sliver,
                                  cb + r * st.ni + j, st.ni, mrows, ncols,
-                                 scratch);
+                                 /*accumulate=*/!st.c_change, scratch);
                 if (obs_tiles) {
                     obs::histogram_observe(
                         tile_latency_hist(),
@@ -727,43 +732,26 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 }
             }
         };
-        // One group of rows of a departing column's writeback to user C.
-        auto flush_item = [&](const BlockStep& st, index_t item) {
+        // Write one just-computed band of a retiring column back to user
+        // C: alpha * acc + beta * C, with beta = 1 on a revisit.
+        auto flush_item = [&](const BlockStep& st, index_t band) {
             schedshake::interleave_point(schedshake::Point::kFlushItem);
             const C beta_eff = st.flush_revisit ? C(1) : call.beta;
-            const index_t r0 = item * kRowGroup;
-            const index_t r1 = std::min(st.flush_mi, r0 + kRowGroup);
+            const index_t r0 = band * mr;
+            const index_t rows = std::min(mr, st.mi - r0);
             racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(st.flush_ni, nr),
+                rc_c.id, band, band + 1, 0, ceil_div(st.ni, nr),
                 racecheck::AccessKind::kRead,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kFlush});
-            require_extent(r0 * st.flush_ni, (r1 - r0) * st.flush_ni,
-                           cb_cap, "flush source rows");
+            require_extent(r0 * st.ni, rows * st.ni, cb_cap,
+                           "flush source rows");
             require_extent(st.flush_dst + r0 * call.ldc,
-                           (r1 - r0 - 1) * call.ldc + st.flush_ni,
-                           user_c_cap, "flush into user C");
-            unpack_c_block_scaled(cb + r0 * st.flush_ni, r1 - r0,
-                                  st.flush_ni,
+                           (rows - 1) * call.ldc + st.ni, user_c_cap,
+                           "flush into user C");
+            unpack_c_block_scaled(cb + r0 * st.ni, rows, st.ni,
                                   call.c + st.flush_dst + r0 * call.ldc,
                                   call.ldc, call.alpha, beta_eff);
-        };
-        // One group of rows of the fresh local C surface zeroed for a new
-        // column.
-        auto zero_item = [&](const BlockStep& st, index_t item) {
-            schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const index_t r0 = item * kRowGroup;
-            const index_t r1 = std::min(st.mi, r0 + kRowGroup);
-            racecheck::region_access_block(
-                rc_c.id, r0, r1, 0, ceil_div(st.ni, nr),
-                racecheck::AccessKind::kWrite,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * st.ni, (r1 - r0) * st.ni, cb_cap,
-                           "zero rows");
-            std::memset(cb + r0 * st.ni, 0,
-                        static_cast<std::size_t>((r1 - r0) * st.ni)
-                            * sizeof(C));
         };
 
         auto pack_items_of = [&](const BlockStep* st) {
@@ -795,41 +783,17 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
             if (co_issued) hidden_s += d;
         };
 
-        // Pipeline fill: pack block 0's surfaces and zero the first local
-        // C surface.
+        // Pipeline fill: pack block 0's surfaces.
         {
             const BlockStep& s0 = plan.steps[0];
             const auto [na, nbv] = pack_items_of(&s0);
-            const index_t nzero = ceil_div(s0.mi, kRowGroup);
-            run_phase(na + nbv + nzero, [&](index_t item) {
-                if (item < na + nbv) {
-                    do_pack_item(s0, na, item, /*co_issued=*/false);
-                } else {
-                    const index_t zi = item - na - nbv;
-                    flush_s += timed_item("flush.zero", obs::Phase::kFlush,
-                                          s0, zi, [&] { zero_item(s0, zi); });
-                }
+            run_phase(na + nbv, [&](index_t item) {
+                do_pack_item(s0, na, item, /*co_issued=*/false);
             });
         }
 
         for (index_t t = 0; t < steps; ++t) {
             const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-            if (st.c_change && t > 0) {
-                // Column boundary: write the departing surface back, then
-                // reset the local surface for the new column. Two phases —
-                // the flush must read the buffer before the zero scrubs it.
-                run_phase(ceil_div(st.flush_mi, kRowGroup),
-                          [&](index_t item) {
-                    flush_s += timed_item("flush.write", obs::Phase::kFlush,
-                                          st, item,
-                                          [&] { flush_item(st, item); });
-                });
-                run_phase(ceil_div(st.mi, kRowGroup), [&](index_t item) {
-                    flush_s += timed_item("flush.zero", obs::Phase::kFlush,
-                                          st, item,
-                                          [&] { zero_item(st, item); });
-                });
-            }
             if (!overlap && t > 0) {
                 // Overlap off: fetch block t's own non-shared surfaces in
                 // a phase of their own, exposed on the critical path.
@@ -844,7 +808,9 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
             // block t+1's non-shared surfaces into the other buffer halves.
             // Pack items come first in the index space so the next block's
             // DRAM fetch starts immediately and spreads over the block's
-            // compute time (the constant-bandwidth property, §3).
+            // compute time (the constant-bandwidth property, §3). When
+            // block t retires its column, each compute item writes its own
+            // band back straight after computing it.
             const BlockStep* next = overlap && t + 1 < steps
                 ? &plan.steps[static_cast<std::size_t>(t + 1)]
                 : nullptr;
@@ -856,23 +822,21 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
             run_phase(na + nbv + bands, [&](index_t item) {
                 if (item < na + nbv) {
                     do_pack_item(*next, na, item, /*co_issued=*/true);
-                } else {
-                    const index_t band = item - na - nbv;
-                    compute_s +=
-                        timed_item("compute", obs::Phase::kCompute, st, band,
-                                   [&] { compute_item(st, pb, band); });
+                    return;
+                }
+                const index_t band = item - na - nbv;
+                compute_s +=
+                    timed_item("compute", obs::Phase::kCompute, st, band,
+                               [&] { compute_item(st, pb, band); });
+                if (st.c_last) {
+                    flush_s +=
+                        timed_item("flush.write", obs::Phase::kFlush, st,
+                                   band, [&] { flush_item(st, band); });
                 }
             });
         }
 
-        // Pipeline drain: flush the last live column.
-        run_phase(ceil_div(final_flush.flush_mi, kRowGroup),
-                  [&](index_t item) {
-            flush_s += timed_item("flush.write", obs::Phase::kFlush,
-                                  final_flush, item,
-                                  [&] { flush_item(final_flush, item); });
-        });
-
+        if (tid == 0) phases = static_cast<int>(phase);
         worker_pack[static_cast<std::size_t>(tid)] = pack_s;
         worker_compute[static_cast<std::size_t>(tid)] = compute_s;
         worker_flush[static_cast<std::size_t>(tid)] = flush_s;
@@ -896,6 +860,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     stats_.overlap_efficiency =
         pack_total > 0 ? hidden_total / pack_total : 0.0;
     stats_.pipelined = overlap;
+    stats_.phases = phases;
 }
 
 template class CakeGemmT<float>;

@@ -89,7 +89,7 @@ struct CakeStats {
     // double-count); stall is the team wall time left over.
     double pack_seconds = 0;     ///< A/B panel packing (DRAM fetch)
     double compute_seconds = 0;  ///< micro-kernel macro-loop
-    double flush_seconds = 0;    ///< C-surface writeback + local C reset
+    double flush_seconds = 0;    ///< band write-backs of retiring columns
     double stall_seconds = 0;    ///< barrier waits / idle / dispatch cost
     double total_seconds = 0;
 
@@ -105,6 +105,11 @@ struct CakeStats {
     /// this multiply actually applied (i.e. the plan deviates from the
     /// pure analytic §4.3 configuration because of the tuning cache).
     bool tuned = false;
+    /// Barrier-delimited team phases the block loop ran: the pipeline
+    /// fill, one main phase per step and, with overlap off, a pack phase
+    /// per later step that fetches. The schedule IR's num_phases. An int
+    /// in the tail padding after the flags, so CakeStats keeps its size.
+    int phases = 0;
 
     /// Achieved throughput for `shape` in GFLOP/s.
     [[nodiscard]] double gflops(const GemmShape& shape) const

@@ -38,44 +38,34 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
         build_schedule(kind, mb, nb, kb, /*n_outermost=*/shape.n >= shape.m);
 
     std::vector<char> flushed(static_cast<std::size_t>(mb * nb), 0);
-    BlockCoord last{-1, -1, -1};
-    bool have_last = false;
-    index_t cur_mi = 0, cur_ni = 0;
 
     auto core_for_row = [&](index_t r) {
         return static_cast<int>(std::min<index_t>(r / params.mc, p - 1));
     };
 
-    auto flush = [&](const BlockCoord& coord, index_t mi, index_t ni) {
-        const std::size_t slot =
-            static_cast<std::size_t>(coord.m * nb + coord.n);
-        const bool acc = flushed[slot] != 0;
-        const index_t m0 = coord.m * params.m_blk;
-        const index_t n0 = coord.n * params.n_blk;
-        for (index_t r = 0; r < mi; ++r) {
-            const int core = core_for_row(r);
-            sink.access(core, map.c_block + static_cast<std::uint64_t>(r * ni) * kF,
-                        static_cast<std::uint32_t>(ni * kF), false);
-            const std::uint64_t crow =
-                map.c + static_cast<std::uint64_t>((m0 + r) * shape.n + n0) * kF;
-            if (acc)
-                sink.access(core, crow, static_cast<std::uint32_t>(ni * kF),
-                            false);
-            sink.access(core, crow, static_cast<std::uint32_t>(ni * kF), true);
-        }
-        flushed[slot] = 1;
-    };
-
-    for (const BlockCoord& coord : order) {
+    for (std::size_t t = 0; t < order.size(); ++t) {
+        const BlockCoord& coord = order[t];
+        const BlockCoord* prev = t == 0 ? nullptr : &order[t - 1];
+        const BlockCoord* next =
+            t + 1 == order.size() ? nullptr : &order[t + 1];
         const index_t mi = block_extent(coord.m, params.m_blk, shape.m);
         const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
         const index_t ki = block_extent(coord.k, params.k_blk, shape.k);
         const index_t m0 = coord.m * params.m_blk;
         const index_t n0 = coord.n * params.n_blk;
         const index_t k0 = coord.k * params.k_blk;
+        // The column's first K block overwrites the local C surface; its
+        // last writes each band back to user C right after computing it.
+        const bool c_first =
+            prev == nullptr || prev->m != coord.m || prev->n != coord.n;
+        const bool c_last =
+            next == nullptr || next->m != coord.m || next->n != coord.n;
+        const std::size_t slot =
+            static_cast<std::size_t>(coord.m * nb + coord.n);
+        const bool revisit = flushed[slot] != 0;
 
         // --- A surface fetch + pack (skipped when shared, §2.2) ---
-        if (!(have_last && last.m == coord.m && last.k == coord.k)) {
+        if (prev == nullptr || prev->m != coord.m || prev->k != coord.k) {
             for (index_t r = 0; r < mi; ++r) {
                 const int core = core_for_row(r);
                 sink.access(core,
@@ -90,7 +80,7 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
             }
         }
         // --- B surface fetch + pack ---
-        if (!(have_last && last.k == coord.k && last.n == coord.n)) {
+        if (prev == nullptr || prev->k != coord.k || prev->n != coord.n) {
             for (index_t q = 0; q < ki; ++q) {
                 const int core = static_cast<int>(q % p);
                 sink.access(core,
@@ -103,17 +93,6 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                             map.pack_b + static_cast<std::uint64_t>(q * ni) * kF,
                             static_cast<std::uint32_t>(ni * kF), true);
             }
-        }
-        // --- C surface turnover ---
-        if (!(have_last && last.m == coord.m && last.n == coord.n)) {
-            if (have_last) flush(last, cur_mi, cur_ni);
-            for (index_t r = 0; r < mi; ++r) {
-                sink.access(core_for_row(r),
-                            map.c_block + static_cast<std::uint64_t>(r * ni) * kF,
-                            static_cast<std::uint32_t>(ni * kF), true);
-            }
-            cur_mi = mi;
-            cur_ni = ni;
         }
 
         // --- block computation: per-core micro-kernel sweep (edge blocks
@@ -140,21 +119,36 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                     for (index_t i = 0; i < mrows; ++i) {
                         const std::uint64_t crow = map.c_block
                             + static_cast<std::uint64_t>((r + i) * ni + j) * kF;
-                        sink.access(core, crow,
-                                    static_cast<std::uint32_t>(ncols * kF),
-                                    false);
+                        if (!c_first) {
+                            sink.access(core, crow,
+                                        static_cast<std::uint32_t>(ncols * kF),
+                                        false);
+                        }
                         sink.access(core, crow,
                                     static_cast<std::uint32_t>(ncols * kF),
                                     true);
                     }
                 }
+                if (!c_last) continue;
+                // Band write-back: a revisit accumulates into user C.
+                for (index_t i = r; i < r + mrows; ++i) {
+                    sink.access(core,
+                                map.c_block
+                                    + static_cast<std::uint64_t>(i * ni) * kF,
+                                static_cast<std::uint32_t>(ni * kF), false);
+                    const std::uint64_t crow = map.c
+                        + static_cast<std::uint64_t>((m0 + i) * shape.n + n0)
+                            * kF;
+                    if (revisit)
+                        sink.access(core, crow,
+                                    static_cast<std::uint32_t>(ni * kF), false);
+                    sink.access(core, crow, static_cast<std::uint32_t>(ni * kF),
+                                true);
+                }
             }
         }
-
-        last = coord;
-        have_last = true;
+        if (c_last) flushed[slot] = 1;
     }
-    if (have_last) flush(last, cur_mi, cur_ni);
 }
 
 void trace_goto(const GemmShape& shape, const GotoBlocking& blocking, int p,

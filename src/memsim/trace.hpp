@@ -50,8 +50,10 @@ private:
 };
 
 /// Emit the access stream of a CAKE run (packing, per-core micro-kernel
-/// sweeps, local C accumulation, completed-surface flushes). Every access
-/// is scaled by params.elem_bytes, so the trace is dtype-width-aware.
+/// sweeps that overwrite the local C surface on a column's first K block
+/// and accumulate into it after, and the band write-backs of each
+/// column's last K block). Every access is scaled by params.elem_bytes, so
+/// the trace is dtype-width-aware.
 void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                 ScheduleKind kind, TraceSink& sink,
                 const AddressMap& map = {});

@@ -61,7 +61,7 @@ enum class Phase : std::uint8_t {
     kNone = 0,
     kPack,     ///< A/B panel packing (the DRAM fetch of a surface)
     kCompute,  ///< micro-kernel macro-loop work
-    kFlush,    ///< local-C writeback / zeroing
+    kFlush,    ///< band write-back of local C to user C
     kBarrier,  ///< SpinBarrier wait (per-worker stall attribution)
     kOther,    ///< anything else (tool-defined)
 };

@@ -2,11 +2,16 @@
 // C = alpha*op(A)*op(B) + beta*C, plus the transposed packing routines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <vector>
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/fperror.hpp"
 #include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
 
@@ -172,51 +177,135 @@ TEST(ScaledEpilogue, UnpackScaledBlockSemantics)
     EXPECT_EQ(nan_c[5], 6.0f);
 }
 
+/// Blocks small enough that the epilogue shapes below span several CB
+/// blocks in M, N and K (kb >= 2) and end in edge tiles in every
+/// dimension, under schedule `kind` with overlap on or off.
+CakeOptions multi_block(ScheduleKind kind, CakeExec exec)
+{
+    CakeOptions options = small_blocks();
+    options.kc = 16;
+    options.nc = best_microkernel().nr;
+    options.schedule = kind;
+    options.exec = exec;
+    return options;
+}
+
+/// Check C = alpha * A * B + beta * C0, written by `gemm` into an m x n
+/// window of leading dimension ldc, element by element against the
+/// error bound of the plan it ran (core/fperror.hpp) with one more
+/// rounding for alpha's multiply. beta == 0 never reads C0; the padding
+/// columns past n must come back bit-identical.
+void expect_epilogue_within_plan_bound(const CakeGemm& gemm, const Matrix& a,
+                                       const Matrix& b,
+                                       const std::vector<float>& c0,
+                                       const std::vector<float>& c,
+                                       index_t ldc, float alpha, float beta)
+{
+    const GemmShape shape{a.rows(), b.cols(), a.cols()};
+    const PlanErrorBound plan =
+        plan_error_bound(shape, gemm.stats().params, gemm.options().schedule,
+                         dtype_f32(), beta != 0.0f);
+    AccumChain chain = plan.chain;
+    ++chain.extra_adds;  // alpha's multiply
+    const double rel = bound_for_chain(chain, dtype_f32()).rel_bound;
+    std::ostringstream where;
+    where << schedule_kind_name(gemm.options().schedule)
+          << (gemm.stats().pipelined ? "/pipelined" : "/serial")
+          << " kb=" << gemm.stats().grid_kb;
+    ASSERT_GE(gemm.stats().grid_kb, 2) << where.str();
+
+    double worst = 0;  // largest error as a fraction of its bound
+    for (index_t i = 0; i < shape.m; ++i) {
+        for (index_t j = 0; j < ldc; ++j) {
+            const auto at = static_cast<std::size_t>(i * ldc + j);
+            if (j >= shape.n) {
+                ASSERT_EQ(std::memcmp(&c[at], &c0[at], sizeof(float)), 0)
+                    << where.str() << ": padding (" << i << ", " << j
+                    << ") written";
+                continue;
+            }
+            double ab = 0, mag = 0;
+            for (index_t p = 0; p < shape.k; ++p) {
+                ab += static_cast<double>(a.at(i, p)) * b.at(p, j);
+                mag += std::abs(static_cast<double>(a.at(i, p)) * b.at(p, j));
+            }
+            double expected = alpha * ab;
+            double denom = std::abs(alpha) * mag;
+            if (beta != 0.0f) {
+                expected += static_cast<double>(beta) * c0[at];
+                denom += std::abs(static_cast<double>(beta) * c0[at]);
+            }
+            const double err = std::abs(static_cast<double>(c[at]) - expected);
+            ASSERT_FALSE(std::isnan(err))
+                << where.str() << ": (" << i << ", " << j << ") is NaN";
+            if (denom > 0) worst = std::max(worst, err / (rel * denom));
+        }
+    }
+    EXPECT_LE(worst, 1.0) << where.str();
+}
+
 TEST(ScaledEpilogue, FullBlasSemantics)
 {
+    // First-visit beta, beta = 1 on the revisits of non-K-first
+    // schedules, alpha at every band write-back and edge tiles that
+    // overwrite on a column's first K block, under every schedule with
+    // overlap on and off.
     Rng rng(37);
-    const index_t m = 72, n = 95, k = 58;
+    const index_t m = 72, n = 95, k = 58, ldc = n + 5;
     Matrix a(m, k);
     Matrix b(k, n);
     a.fill_random(rng);
     b.fill_random(rng);
-    Matrix c(m, n);
-    c.fill_with([](index_t r, index_t cc) {
-        return 0.01f * static_cast<float>(r - cc);
-    });
-    Matrix c0(m, n);
+    std::vector<float> c0(static_cast<std::size_t>(m * ldc));
     for (index_t i = 0; i < m; ++i)
-        for (index_t j = 0; j < n; ++j) c0.at(i, j) = c.at(i, j);
+        for (index_t j = 0; j < ldc; ++j)
+            c0[static_cast<std::size_t>(i * ldc + j)] =
+                0.01f * static_cast<float>(i - j);
 
     const float alpha = -1.5f;
     const float beta = 0.25f;
-    CakeGemm gemm(test_pool(), small_blocks());
-    gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(), n, m, n, k,
-                         alpha, beta);
-
-    Matrix expected = oracle_gemm(a, b);
-    for (index_t i = 0; i < m; ++i)
-        for (index_t j = 0; j < n; ++j)
-            expected.at(i, j) =
-                alpha * expected.at(i, j) + beta * c0.at(i, j);
-    EXPECT_LE(max_abs_diff(c, expected), 2 * gemm_tolerance(k));
+    bool revisited = false;
+    for (const ScheduleKind kind : all_schedule_kinds()) {
+        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+            std::vector<float> c = c0;
+            CakeGemm gemm(test_pool(), multi_block(kind, exec));
+            gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(), ldc, m,
+                                 n, k, alpha, beta);
+            expect_epilogue_within_plan_bound(gemm, a, b, c0, c, ldc, alpha,
+                                              beta);
+            revisited = revisited || gemm.stats().c_partial_spills > 0;
+        }
+    }
+    EXPECT_TRUE(revisited) << "no schedule wrote a column back twice";
 }
 
 TEST(ScaledEpilogue, BetaZeroIgnoresNanGarbage)
 {
+    // beta = 0 overwrites NaN garbage on a column's first write-back, and
+    // revisits (beta = 1) add onto what the first one wrote, never onto
+    // the garbage.
     Rng rng(38);
-    const index_t m = 25, n = 33, k = 17;
+    const index_t m = 25, n = 33, k = 17, ldc = n + 3;
     Matrix a(m, k);
     Matrix b(k, n);
     a.fill_random(rng);
     b.fill_random(rng);
-    Matrix c(m, n);
-    c.fill(std::nanf(""));
+    const std::vector<float> c0(static_cast<std::size_t>(m * ldc),
+                                std::nanf(""));
 
-    CakeGemm gemm(test_pool(), small_blocks());
-    gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(), n, m, n, k,
-                         1.0f, 0.0f);
-    EXPECT_LE(max_abs_diff(c, oracle_gemm(a, b)), gemm_tolerance(k));
+    bool revisited = false;
+    for (const ScheduleKind kind : all_schedule_kinds()) {
+        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+            std::vector<float> c = c0;
+            CakeGemm gemm(test_pool(), multi_block(kind, exec));
+            gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(), ldc, m,
+                                 n, k, 1.0f, 0.0f);
+            expect_epilogue_within_plan_bound(gemm, a, b, c0, c, ldc, 1.0f,
+                                              0.0f);
+            revisited = revisited || gemm.stats().c_partial_spills > 0;
+        }
+    }
+    EXPECT_TRUE(revisited) << "no schedule wrote a column back twice";
 }
 
 TEST(ScaledEpilogue, AlphaZeroScalesCOnly)

@@ -4,8 +4,12 @@
 // the runtime stats counters and the memsim address stream byte-exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <ostream>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/schedir.hpp"
@@ -157,8 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
         MutationCase{Mutation::kDropOp, "IR_COVER"},
         MutationCase{Mutation::kDupOp, "IR_COVER"},
         MutationCase{Mutation::kReorderAccum, "IR_ORDER"},
-        MutationCase{Mutation::kSeverZeroBarrier, "IR_RACE_WW"},
-        MutationCase{Mutation::kSeverFlushBarrier, "IR_RACE_RW"},
+        MutationCase{Mutation::kOverlapBands, "IR_RACE_WW"},
+        MutationCase{Mutation::kSplitWriteback, "IR_RACE_RW"},
         MutationCase{Mutation::kShrinkGeneration, "IR_LIFETIME"},
         MutationCase{Mutation::kDropFlush, "IR_COVER"}));
 
@@ -324,6 +328,83 @@ TEST(IoAgainstRuntime, GotoStatsMatchIr)
     EXPECT_EQ(io.reads(), stats.dram_read_bytes);
     EXPECT_EQ(io.writes(), stats.dram_write_bytes);
 }
+
+// ------------------------------------- executor phases vs the IR's phases
+
+/// (schedule, overlap on, u8 x s8 -> s32 family, prepacked B)
+using PhaseConfig = std::tuple<ScheduleKind, bool, bool, bool>;
+
+class PhaseAgreementTest : public ::testing::TestWithParam<PhaseConfig> {};
+
+/// Run one multiply of family T and extract the IR of the plan it ran.
+template <typename T>
+std::pair<CakeStats, ScheduleIR> run_and_extract(ScheduleKind kind,
+                                                 bool overlap, bool prepacked,
+                                                 OperandBytes bytes)
+{
+    using Gemm = CakeGemmT<T>;
+    const index_t m = 150, n = 170, k = 90;
+    const std::vector<typename Gemm::A> a(static_cast<std::size_t>(m * k), 1);
+    const std::vector<typename Gemm::B> b(static_cast<std::size_t>(k * n), 1);
+    std::vector<typename Gemm::C> c(static_cast<std::size_t>(m * n), 0);
+
+    CakeOptions options;
+    options.mc = best_microkernel_of<T>().mr * 2;
+    options.kc = 32;
+    options.schedule = kind;
+    options.exec = overlap ? CakeExec::kPipelined : CakeExec::kSerial;
+    Gemm gemm(test_pool(), options);
+    if (prepacked) {
+        const PackedB<T> packed = gemm.pack_weights(b.data(), n, k, n);
+        gemm.multiply_prepacked(a.data(), k, packed, c.data(), n, m);
+    } else {
+        gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+    }
+    return {gemm.stats(),
+            schedir::extract_cake_ir(
+                GemmShape{m, n, k}, gemm.stats().params, kind,
+                overlap ? Exec::kPipelined : Exec::kSerial, prepacked,
+                /*beta_nonzero=*/false, bytes)};
+}
+
+TEST_P(PhaseAgreementTest, ExecutorRunsTheIrPhases)
+{
+    // The IR the verifiers check must have the executor's barrier
+    // structure: the fill, one main phase per step and, with overlap
+    // off, a pack phase per later step that fetches.
+    const auto [kind, overlap, int8, prepacked] = GetParam();
+    const auto [stats, ir] = int8
+        ? run_and_extract<U8S8S32>(kind, overlap, prepacked, {1, 1, 4})
+        : run_and_extract<float>(kind, overlap, prepacked, {});
+    ASSERT_GE(stats.blocks_executed, 2);
+    EXPECT_EQ(stats.phases, ir.num_phases);
+    if (overlap) EXPECT_EQ(ir.num_phases, 1 + stats.blocks_executed);
+    else EXPECT_GT(ir.num_phases, 1 + stats.blocks_executed);
+    EXPECT_TRUE(schedir::verify_schedule_ir(ir).ok())
+        << schedir::verify_schedule_ir(ir).codes();
+}
+
+std::string phase_config_name(const ::testing::TestParamInfo<PhaseConfig>& info)
+{
+    const auto [kind, overlap, int8, prepacked] = info.param;
+    std::string name = std::string(schedule_kind_name(kind))
+        + (overlap ? "_overlap" : "_serial") + (int8 ? "_i8" : "_f32")
+        + (prepacked ? "_prepacked" : "_plain");
+    std::replace_if(
+        name.begin(), name.end(),
+        [](char ch) {
+            return std::isalnum(static_cast<unsigned char>(ch)) == 0;
+        },
+        '_');
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryScheduleExecAndFamily, PhaseAgreementTest,
+    ::testing::Combine(::testing::ValuesIn(all_schedule_kinds()),
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()),
+    phase_config_name);
 
 // ------------------------------------------------------- memsim agreement
 

@@ -3,9 +3,12 @@
 //
 // For each (shape, seed) pair this tool arms the schedshake perturbation
 // layer (src/analysis/schedshake.hpp) with the seed, runs the executor
-// with pack/compute overlap on, and checks that the result is bit-exact
-// against an unperturbed overlap-off run and — in CAKE_RACECHECK builds —
-// that the happens-before auditor saw no ownership violation. --f64 and
+// with pack/compute overlap on under block schedule
+// all_schedule_kinds()[seed % n] — so a sweep also fuzzes the beta = 1
+// write-backs of the schedules that revisit a C column — and checks that
+// the result is bit-exact against an unperturbed overlap-off run of the
+// same schedule and — in CAKE_RACECHECK builds — that the happens-before
+// auditor saw no ownership violation. --f64 and
 // --i8 fuzz the double-precision and u8 x s8 -> s32 instantiations of the
 // same executor. Because the perturbation streams are
 // pure functions of (seed, team tid), any failure replays exactly; the
@@ -62,7 +65,8 @@ constexpr const char* kUsage =
     "usage: cake_schedshake [--seeds N | --seed S]\n"
     "                       [--shapes a,b,c | --shape MxNxK]\n"
     "                       [--p P] [--intensity PCT] [--f64 | --i8]\n"
-    "  --seeds N        fuzz seeds 0..N-1 (default 16)\n"
+    "  --seeds N        fuzz seeds 0..N-1 (default 16); seed S runs\n"
+    "                   schedule S mod (number of schedule kinds)\n"
     "  --seed S         fuzz exactly seed S (replay mode)\n"
     "  --shapes LIST    comma list of square,skewed,panel (default all)\n"
     "  --shape MxNxK    one explicit GEMM shape\n"
@@ -133,24 +137,31 @@ private:
         const auto a = random_operand<typename Gemm::A>(shape.m * shape.k, rng);
         const auto b = random_operand<typename Gemm::B>(shape.k * shape.n, rng);
 
-        // Overlap-off reference, perturbation disarmed: the overlapped
-        // pipeline promises bit-exactness against this (same kernels, same
-        // K accumulation order), so any divergence under fuzzing is an
-        // ordering bug, not roundoff.
-        cake::schedshake::disable();
-        std::vector<C> c_ref(static_cast<std::size_t>(shape.m * shape.n));
-        multiply(cake::CakeExec::kSerial, a, b, c_ref, shape);
+        // Overlap-off reference per schedule, perturbation disarmed: the
+        // overlapped pipeline promises bit-exactness against it (same
+        // kernels, same K accumulation order), so any divergence under
+        // fuzzing is an ordering bug, not roundoff.
+        const std::vector<cake::ScheduleKind>& kinds =
+            cake::all_schedule_kinds();
+        std::vector<std::vector<C>> refs(kinds.size());
 
         bool clean = true;
-        std::vector<C> c(c_ref.size());
+        std::vector<C> c(static_cast<std::size_t>(shape.m * shape.n));
         for (const std::uint64_t seed : cfg_.seeds) {
+            const std::size_t kind_at = seed % kinds.size();
+            const cake::ScheduleKind kind = kinds[kind_at];
+            std::vector<C>& c_ref = refs[kind_at];
+            if (c_ref.empty()) {
+                c_ref.resize(c.size());
+                multiply(kind, cake::CakeExec::kSerial, a, b, c_ref, shape);
+            }
             const std::uint64_t races_before = cake::racecheck::race_count();
             bool failed = false;
             std::string what;
             try {
                 cake::schedshake::configure(seed, cfg_.intensity);
                 std::fill(c.begin(), c.end(), C(0));
-                multiply(cake::CakeExec::kPipelined, a, b, c, shape);
+                multiply(kind, cake::CakeExec::kPipelined, a, b, c, shape);
             } catch (const std::exception& e) {
                 failed = true;
                 what = e.what();
@@ -179,13 +190,14 @@ private:
                 std::fprintf(stderr,
                              "replay: cake_schedshake --seed %llu "
                              "--shape %lldx%lldx%lld --p %d --intensity %d%s"
-                             "\n",
+                             "  # schedule %s\n",
                              static_cast<unsigned long long>(seed),
                              static_cast<long long>(shape.m),
                              static_cast<long long>(shape.n),
                              static_cast<long long>(shape.k), cfg_.p,
                              cfg_.intensity,
-                             cfg_.f64 ? " --f64" : cfg_.i8 ? " --i8" : "");
+                             cfg_.f64 ? " --f64" : cfg_.i8 ? " --i8" : "",
+                             cake::schedule_kind_name(kind));
             }
         }
         if (clean) {
@@ -197,11 +209,13 @@ private:
         return clean;
     }
 
-    void multiply(cake::CakeExec exec, const std::vector<typename Gemm::A>& a,
+    void multiply(cake::ScheduleKind kind, cake::CakeExec exec,
+                  const std::vector<typename Gemm::A>& a,
                   const std::vector<typename Gemm::B>& b, std::vector<C>& c,
                   const Shape& shape)
     {
         cake::CakeOptions options = options_;
+        options.schedule = kind;
         options.exec = exec;
         Gemm gemm(pool_, options);
         gemm.multiply(a.data(), shape.k, b.data(), shape.n, c.data(),

@@ -279,8 +279,8 @@ struct Pass {
 // --- Mutation gates --------------------------------------------------------
 
 /// Small multi-column grid (forced mc) so every mutation has a site:
-/// several C columns (flush/zero turnovers), kb >= 2 (double-buffer
-/// handoffs) and p workers.
+/// several C columns (write-back turnovers), several bands per step,
+/// kb >= 2 (double-buffer handoffs) and p workers.
 ScheduleIR mutation_subject(Exec exec)
 {
     const cake::MachineSpec machine = cake::intel_i9_10900k();
@@ -349,7 +349,7 @@ bool dataflow_mutations()
     };
     for (const Mutation m :
          {Mutation::kDropOp, Mutation::kDupOp, Mutation::kReorderAccum,
-          Mutation::kSeverZeroBarrier, Mutation::kSeverFlushBarrier,
+          Mutation::kOverlapBands, Mutation::kSplitWriteback,
           Mutation::kShrinkGeneration, Mutation::kDropFlush}) {
         all_ok &= check(Exec::kPipelined, m);
     }
