@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -194,7 +195,8 @@ CakeOptions multi_block(ScheduleKind kind, CakeExec exec)
 /// window of leading dimension ldc, element by element against the
 /// error bound of the plan it ran (core/fperror.hpp) with one more
 /// rounding for alpha's multiply. beta == 0 never reads C0; the padding
-/// columns past n must come back bit-identical.
+/// columns past n must come back bit-identical. A cell whose exact result
+/// is NaN or infinite (a non-finite operand) must come back the same.
 void expect_epilogue_within_plan_bound(const CakeGemm& gemm, const Matrix& a,
                                        const Matrix& b,
                                        const std::vector<float>& c0,
@@ -234,6 +236,17 @@ void expect_epilogue_within_plan_bound(const CakeGemm& gemm, const Matrix& a,
             if (beta != 0.0f) {
                 expected += static_cast<double>(beta) * c0[at];
                 denom += std::abs(static_cast<double>(beta) * c0[at]);
+            }
+            if (std::isnan(expected)) {
+                ASSERT_TRUE(std::isnan(c[at]))
+                    << where.str() << ": (" << i << ", " << j << ") = "
+                    << c[at] << ", expected NaN";
+                continue;
+            }
+            if (std::isinf(expected)) {
+                ASSERT_EQ(c[at], expected)
+                    << where.str() << ": (" << i << ", " << j << ")";
+                continue;
             }
             const double err = std::abs(static_cast<double>(c[at]) - expected);
             ASSERT_FALSE(std::isnan(err))
@@ -306,6 +319,43 @@ TEST(ScaledEpilogue, BetaZeroIgnoresNanGarbage)
         }
     }
     EXPECT_TRUE(revisited) << "no schedule wrote a column back twice";
+}
+
+TEST(ScaledEpilogue, NonFinitePropagatesWithBetaNonzero)
+{
+    // beta != 0 reads C0, so a NaN or +Inf there must survive the first
+    // write-back and every revisit; a NaN in A, entering at an inner K
+    // block, must poison its whole row. The helper checks those cells
+    // against their exact non-finite result, every other cell against
+    // the plan's bound.
+    Rng rng(40);
+    const index_t m = 72, n = 95, k = 58, ldc = n + 5;
+    Matrix a(m, k);
+    Matrix b(k, n);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    a.at(41, 37) = std::nanf("");
+    std::vector<float> c0(static_cast<std::size_t>(m * ldc));
+    for (index_t i = 0; i < m; ++i)
+        for (index_t j = 0; j < ldc; ++j)
+            c0[static_cast<std::size_t>(i * ldc + j)] =
+                0.01f * static_cast<float>(i - j);
+    c0[static_cast<std::size_t>(3 * ldc + 90)] = std::nanf("");
+    c0[static_cast<std::size_t>(70 * ldc + 17)] =
+        std::numeric_limits<float>::infinity();
+
+    const float alpha = -1.5f;
+    const float beta = 0.25f;
+    for (const ScheduleKind kind : all_schedule_kinds()) {
+        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+            std::vector<float> c = c0;
+            CakeGemm gemm(test_pool(), multi_block(kind, exec));
+            gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(), ldc, m,
+                                 n, k, alpha, beta);
+            expect_epilogue_within_plan_bound(gemm, a, b, c0, c, ldc, alpha,
+                                              beta);
+        }
+    }
 }
 
 TEST(ScaledEpilogue, AlphaZeroScalesCOnly)
