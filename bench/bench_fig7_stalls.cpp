@@ -120,8 +120,7 @@ int main(int argc, char** argv)
                 {map.b, span, "B"},
                 {map.c, span, "C"},
                 {map.pack_a, span, "packed A"},
-                {map.pack_b, span, "packed B"},
-                {map.c_block, span, "C block"}};
+                {map.pack_b, span, "packed B"}};
         };
 
         memsim::HierarchySim cake_sim(intel, 4);

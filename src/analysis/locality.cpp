@@ -225,14 +225,13 @@ IrEvents collect_ir_events(const ScheduleIR& ir)
             ++ev.b_stream_ops;
             break;
         case OpKind::kCompute:
-            // A compute reads DRAM only to reload a spilled partial.
-            if (op.dram_read_bytes > 0) {
-                ev.fetch_of_step[op.step] += op.dram_read_bytes;
+            // A compute fetches only to reload a spilled partial; its
+            // write-back read-modify-write read is write-side traffic.
+            if (op.dram_reload_bytes > 0) {
+                ev.fetch_of_step[op.step] += op.dram_reload_bytes;
                 ev.reload_steps.insert(op.step);
             }
             break;
-        case OpKind::kFlush:
-            break;  // write-side
         }
     }
     return ev;
@@ -465,16 +464,16 @@ std::string apply_locality_mutation(schedir::ScheduleIR& ir, LocMutation m)
         return "LOC_STACK";
     }
     case LocMutation::kInflateFlush: {
-        // One flush writes one extra element: io_totals' C writebacks
-        // drift from the closed form (and from memsim) by elem_bytes.
+        // One retiring compute writes one extra element back: io_totals'
+        // C writebacks drift from the closed form by elem_bytes.
         for (TileOp& op : ir.ops) {
-            if (op.kind == OpKind::kFlush && op.dram_write_bytes > 0) {
+            if (op.kind == OpKind::kCompute && op.dram_write_bytes > 0) {
                 op.dram_write_bytes +=
                     static_cast<std::uint64_t>(ir.elem_bytes);
                 return "LOC_TRAFFIC";
             }
         }
-        throw Error("kInflateFlush: IR has no flush op");
+        throw Error("kInflateFlush: IR has no retiring compute op");
     }
     }
     throw Error("apply_locality_mutation: unknown mutation");

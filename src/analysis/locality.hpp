@@ -8,7 +8,7 @@
 // paper's Eq.-2 traffic model; this pass goes one level deeper and proves
 // the IR obeys the *cache-theoretic law* that generates that model: a
 // surface is refetched iff its typed LRU stack distance since last use is
-// nonzero (A and B), or it was evicted by an earlier flush (partial C).
+// nonzero (A and B), or it was retired to memory earlier (partial C).
 // Three obligations, each with a coded diagnostic:
 //
 //   LOC_SURFACE  per-transition byte law — the bytes the IR's pack/stream/
@@ -108,7 +108,7 @@ enum class LocMutation {
     kTwistOrder,    ///< swap blocks across a column boundary -> LOC_SURFACE
     kSkewFetch,     ///< move fetch bytes between two steps -> LOC_SURFACE
     kPhantomFetch,  ///< extra zero-byte B fetch event -> LOC_STACK
-    kInflateFlush,  ///< one flush writes an extra element -> LOC_TRAFFIC
+    kInflateFlush,  ///< a retiring compute over-writes back -> LOC_TRAFFIC
 };
 const char* loc_mutation_name(LocMutation m);
 constexpr int kLocMutationCount = 4;

@@ -24,12 +24,14 @@ namespace {
 
 using Col = std::pair<index_t, index_t>;  // (m, n) block column
 
+/// A CAKE compute's user-C span: its generation is the column visit
+/// (accumulation segment) the compute belongs to.
 bool is_acc_span(const ScheduleIR& ir, const TileSpan& s)
 {
-    return s.buffer >= 0
+    return ir.exec != Exec::kGoto && s.buffer >= 0
         && static_cast<std::size_t>(s.buffer) < ir.buffers.size()
         && ir.buffers[static_cast<std::size_t>(s.buffer)].kind
-        == BufKind::kAccC;
+        == BufKind::kUserC;
 }
 
 void add_issue(NumericsReport& rep, const char* code, std::string message)
@@ -40,7 +42,7 @@ void add_issue(NumericsReport& rep, const char* code, std::string message)
 /// Per-column accumulation structure reconstructed from the op stream.
 struct ColumnWalk {
     std::set<index_t> kcoords;  ///< distinct K-block coordinates touched
-    std::set<index_t> gens;     ///< accumulator generations used (CAKE)
+    std::set<index_t> gens;     ///< column visits accumulated in (CAKE)
 };
 
 /// K extent of block coordinate `kc` in a grid of `kb` blocks of width
@@ -97,26 +99,18 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
     std::map<Col, ColumnWalk> columns;
     std::map<index_t, std::set<Col>> gen_columns;  // CAKE: gen -> columns
     std::set<index_t> compute_gens;                // gens that accumulated
-    std::set<index_t> closed_gens;                 // gens a flush retired
+    std::set<index_t> closed_gens;                 // gens a compute retired
     for (const TileOp& op : ir.ops) {
-        if (op.kind == OpKind::kCompute) {
-            const Col col{op.block.m, op.block.n};
-            ColumnWalk& w = columns[col];
-            w.kcoords.insert(op.block.k);
-            if (!is_goto) {
-                for (const TileSpan& s : op.spans) {
-                    if (!is_acc_span(ir, s)) continue;
-                    w.gens.insert(s.gen);
-                    gen_columns[s.gen].insert(col);
-                    compute_gens.insert(s.gen);
-                }
-            }
-        } else if (op.kind == OpKind::kFlush && !is_goto) {
-            for (const TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s) && s.closes_gen) {
-                    closed_gens.insert(s.gen);
-                }
-            }
+        if (op.kind != OpKind::kCompute) continue;
+        const Col col{op.block.m, op.block.n};
+        ColumnWalk& w = columns[col];
+        w.kcoords.insert(op.block.k);
+        for (const TileSpan& s : op.spans) {
+            if (!is_acc_span(ir, s)) continue;
+            w.gens.insert(s.gen);
+            gen_columns[s.gen].insert(col);
+            compute_gens.insert(s.gen);
+            if (s.closes_gen) closed_gens.insert(s.gen);
         }
     }
 
@@ -162,19 +156,18 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
     for (const auto& [gen, cols] : gen_columns) {
         if (cols.size() > 1) {
             std::ostringstream os;
-            os << "accumulator generation " << gen << " mixes "
-               << cols.size()
-               << " distinct C columns: a column turnover (write-back + "
-               << "overwrite) between them was dropped";
+            os << "column visit " << gen << " mixes " << cols.size()
+               << " distinct C columns: a column turnover (retire + beta "
+               << "apply) between them was dropped";
             add_issue(rep, "NUM_TURNOVER", os.str());
         }
     }
     for (const index_t gen : compute_gens) {
         if (closed_gens.count(gen) == 0) {
             std::ostringstream os;
-            os << "accumulator generation " << gen
-               << " receives accumulations but no flush retires it: the "
-               << "chain's result never reaches C";
+            os << "column visit " << gen
+               << " receives accumulations but no compute retires it: the "
+               << "chain's end is missing";
             add_issue(rep, "NUM_TURNOVER", os.str());
         }
     }
@@ -243,15 +236,15 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         throw Error("apply_numerics_mutation: no compute op in this IR");
     }
     case NumMutation::kDropTurnover: {
-        // Merge accumulator generation G into G-1: delete the write-backs
-        // that retired G-1, then relabel G's accesses (its opening
-        // overwrites included) as accumulations into G-1.
-        // The merged generation now spans two schedule runs (usually two
-        // distinct C columns) with no flush between them.
+        // Merge column visit G into G-1: relabel G's user-C accesses (its
+        // opening ones included) as accumulations into G-1, and G-1's
+        // retiring accesses as plain ones. The merged visit now spans two
+        // schedule runs (usually two distinct C columns) with no turnover
+        // between them.
         if (ir.exec == Exec::kGoto) {
             throw Error(
                 "apply_numerics_mutation: drop-turnover needs a CAKE IR "
-                "(GOTO has no local accumulator)");
+                "(GOTO accumulates in K passes, not column visits)");
         }
         index_t target = -1;
         for (const TileOp& op : ir.ops) {
@@ -264,29 +257,19 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         }
         if (target < 0) {
             throw Error(
-                "apply_numerics_mutation: IR has a single accumulator "
-                "generation (needs >= 2 columns)");
+                "apply_numerics_mutation: IR has a single column visit "
+                "(needs >= 2 columns)");
         }
-        auto acc_gen_of = [&ir](const TileOp& op) -> index_t {
-            for (const TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s)) return s.gen;
-            }
-            return -1;
-        };
-        std::vector<TileOp> kept;
-        kept.reserve(ir.ops.size());
         for (TileOp& op : ir.ops) {
-            const index_t g = acc_gen_of(op);
-            if (op.kind == OpKind::kFlush && g == target - 1) continue;
             for (TileSpan& s : op.spans) {
-                if (is_acc_span(ir, s) && s.gen == target) {
+                if (!is_acc_span(ir, s)) continue;
+                if (s.gen == target - 1) s.closes_gen = false;
+                if (s.gen == target) {
                     s.gen = target - 1;
                     s.creates_gen = false;
                 }
             }
-            kept.push_back(std::move(op));
         }
-        ir.ops = std::move(kept);
         return "NUM_TURNOVER";
     }
     case NumMutation::kLyingDtype: {

@@ -16,9 +16,9 @@
 //     before B" is decidable for any two annotated events.
 //   * a shadow-ownership map. Each multiply registers its shared surfaces
 //     as *regions* divided into tiles: the four pack-buffer halves at
-//     mr/nr-sliver granularity and the local C surface in mr x nr tiles
-//     (every access to it is one compute item's mr band). Every pack item,
-//     compute item and band write-back declares its accesses; an access
+//     mr/nr-sliver granularity and user C in mr x nr tiles per CB block
+//     (every access to it is one compute item's mr band). Every pack item
+//     and compute item declares its accesses; an access
 //     pair on the same tile without a happens-before edge traps through
 //     checked::fail() with a diagnostic naming the region, tile, schedule
 //     step, CB-block coordinate, executor phase and both threads.
@@ -47,7 +47,7 @@ namespace cake {
 namespace racecheck {
 
 /// Executor phase an annotated access belongs to; part of the diagnostic.
-enum class Phase : int { kNone = 0, kPack, kCompute, kFlush };
+enum class Phase : int { kNone = 0, kPack, kCompute };
 
 enum class AccessKind : int { kRead = 0, kWrite };
 

@@ -28,7 +28,6 @@ const char* op_kind_name(OpKind kind)
     case OpKind::kPackB: return "packB";
     case OpKind::kStreamB: return "streamB";
     case OpKind::kCompute: return "compute";
-    case OpKind::kFlush: return "flush";
     }
     return "?";
 }
@@ -55,7 +54,6 @@ constexpr int kBufUserB = 1;
 constexpr int kBufUserC = 2;
 constexpr int kBufPackA = 3;
 constexpr int kBufPackB = 4;
-constexpr int kBufAccC = 5;
 
 /// One ThreadPool::parallel_for worker chunk, mirroring the runtime's
 /// contiguous split (thread_pool.cpp): width = min(p, total), chunk =
@@ -177,21 +175,24 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         {"user C", BufKind::kUserC, 1},
         {"packed A", BufKind::kPackA, pack_slots},
         {"packed B", BufKind::kPackB, pack_slots},
-        {"local C", BufKind::kAccC, 1},
     };
 
-    // Pack-generation ordinals per step, in plan order.
+    // Pack-generation and column-visit (user-C generation) ordinals per
+    // step, in plan order.
     const auto steps = static_cast<index_t>(plan.steps.size());
     std::vector<index_t> a_gen_of(static_cast<std::size_t>(steps), 0);
     std::vector<index_t> b_gen_of(static_cast<std::size_t>(steps), 0);
+    std::vector<index_t> c_gen_of(static_cast<std::size_t>(steps), 0);
     {
-        index_t ag = -1, bg = -1;
+        index_t ag = -1, bg = -1, cg = -1;
         for (index_t t = 0; t < steps; ++t) {
             const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
             if (st.pack_a) ++ag;
             if (st.pack_b) ++bg;
+            if (st.c_change) ++cg;
             a_gen_of[static_cast<std::size_t>(t)] = std::max<index_t>(ag, 0);
             b_gen_of[static_cast<std::size_t>(t)] = std::max<index_t>(bg, 0);
+            c_gen_of[static_cast<std::size_t>(t)] = cg;
         }
     }
 
@@ -235,10 +236,13 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         op.dram_read_bytes = static_cast<std::uint64_t>(st.ki)
             * static_cast<std::uint64_t>(st.ni) * b_elem;
     };
-    // Compute band `band` of step st: reads the packed surfaces and
-    // overwrites (first K block of a column, opening its local-C
-    // generation) or accumulates into the band's local-C rows. The first
-    // band of a reloaded column carries the spilled-partial refetch bytes.
+    // Compute band `band` of step st: reads the packed surfaces and writes
+    // the band's rows of user C in place. The first K block of a column
+    // visit opens the visit's generation (a plain write on a first visit
+    // with beta = 0, else a read-modify-write); the last closes it and
+    // carries the band's modelled write-back (read back as well when beta
+    // != 0 or the column was visited before). The first band of a revisit
+    // carries the spilled-partial refetch bytes.
     auto emit_compute = [&](const BlockStep& st, index_t band) {
         const index_t r0 = band * mr;
         const index_t r1 = std::min(st.mi, r0 + mr);
@@ -253,36 +257,22 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                 b_gen_of[static_cast<std::size_t>(st.step)], Access::kRead,
                 0, ceil_div(st.ni, nr), 0, 1));
         }
+        const bool overwrite = st.c_change && !st.revisit && !beta_nonzero;
         op.spans.push_back(make_span(
-            kBufAccC, 0, st.c_gen,
-            st.c_change ? Access::kWrite : Access::kReadWrite, r0, r1, 0,
-            ceil_div(st.ni, nr), /*creates=*/st.c_change));
-        if (st.reload && band == 0) {
-            op.dram_read_bytes = static_cast<std::uint64_t>(st.mi)
+            kBufUserC, 0, c_gen_of[static_cast<std::size_t>(st.step)],
+            overwrite ? Access::kWrite : Access::kReadWrite, st.m0 + r0,
+            st.m0 + r1, st.n0, st.n0 + st.ni, /*creates=*/st.c_change,
+            /*closes=*/st.c_last));
+        if (st.c_change && st.revisit && band == 0) {
+            op.dram_reload_bytes = static_cast<std::uint64_t>(st.mi)
                 * static_cast<std::uint64_t>(st.ni) * c_elem;
         }
-    };
-    // Write band `band` of a retiring column back to user C, in the same
-    // work item as its compute and after it: the closing read of the
-    // band's local-C rows plus the user-C write (read-modify-write when
-    // beta != 0 or the column was spilled before).
-    auto emit_writeback = [&](const BlockStep& st, index_t band) {
-        const index_t r0 = band * mr;
-        const index_t r1 = std::min(st.mi, r0 + mr);
-        const bool rmw = st.flush_revisit || beta_nonzero;
-        TileOp& op =
-            b.add_op(OpKind::kFlush, st.step, st.coord, -1, /*seq=*/1);
-        op.item = band;
-        op.spans.push_back(make_span(kBufAccC, 0, st.c_gen, Access::kRead,
-                                     r0, r1, 0, ceil_div(st.ni, nr),
-                                     /*creates=*/false, /*closes=*/true));
-        op.spans.push_back(make_span(
-            kBufUserC, 0, 0, rmw ? Access::kReadWrite : Access::kWrite,
-            st.m0 + r0, st.m0 + r1, st.n0, st.n0 + st.ni));
-        const auto bytes = static_cast<std::uint64_t>(r1 - r0)
-            * static_cast<std::uint64_t>(st.ni) * c_elem;
-        op.dram_write_bytes = bytes;
-        if (rmw) op.dram_read_bytes = bytes;
+        if (st.c_last) {
+            const auto bytes = static_cast<std::uint64_t>(r1 - r0)
+                * static_cast<std::uint64_t>(st.ni) * c_elem;
+            op.dram_write_bytes = bytes;
+            if (st.revisit || beta_nonzero) op.dram_read_bytes = bytes;
+        }
     };
 
     // Step st's fresh A/B surfaces as pack-group work items.
@@ -305,8 +295,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // spin-barrier phase boundaries. Mirrors run_block_loop's phase
     // structure exactly: the pipeline fill, then per step, with overlap
     // off, a pack phase for step t and a main phase computing step t
-    // (and, with overlap on, packing step t+1). A step that retires its
-    // column writes each band back inside the band's compute item.
+    // (and, with overlap on, packing step t+1).
     b.next_phase();  // pipeline fill
     emit_packs(plan.steps[0]);
     for (index_t t = 0; t < steps; ++t) {
@@ -323,7 +312,6 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         if (use_prepacked && st.b_fresh) emit_stream_b(st);
         for (index_t band = 0; band < ceil_div(st.mi, mr); ++band) {
             emit_compute(st, band);
-            if (st.c_last) emit_writeback(st, band);
         }
     }
     return std::move(b.ir);
@@ -451,17 +439,9 @@ IoTotals io_totals(const ScheduleIR& ir)
             t.b_read += op.dram_read_bytes;
             break;
         case OpKind::kCompute:
-            if (ir.exec != Exec::kGoto) {
-                // CAKE computes touch external memory only to reload a
-                // spilled partial surface.
-                t.c_reload_read += op.dram_read_bytes;
-                break;
-            }
-            // GOTO streams C straight to user memory.
-            [[fallthrough]];
-        case OpKind::kFlush:
             t.c_write += op.dram_write_bytes;
             t.c_rmw_read += op.dram_read_bytes;
+            t.c_reload_read += op.dram_reload_bytes;
             break;
         }
     }
@@ -470,6 +450,16 @@ IoTotals io_totals(const ScheduleIR& ir)
 
 std::string apply_mutation(ScheduleIR& ir, Mutation m)
 {
+    // The user-C span of `op` that satisfies `pred`, or nullptr. Only
+    // compute ops touch user C.
+    auto user_c_span = [](TileOp& op, auto pred) -> TileSpan* {
+        for (TileSpan& s : op.spans) {
+            if (s.buffer == kBufUserC && pred(s)) return &s;
+        }
+        return nullptr;
+    };
+    const auto any = [](const TileSpan&) { return true; };
+    const auto closes = [](const TileSpan& s) { return s.closes_gen; };
     auto find_op = [&](OpKind kind) -> std::size_t {
         for (std::size_t i = 0; i < ir.ops.size(); ++i) {
             if (ir.ops[i].kind == kind) return i;
@@ -491,45 +481,34 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         return "IR_COVER";
     }
     case Mutation::kReorderAccum: {
-        // Move an accumulation after the write-back that retires its rows:
-        // the closing read no longer follows every write.
-        for (const TileOp& f : ir.ops) {
-            if (f.kind != OpKind::kFlush || f.phase + 1 >= ir.num_phases) {
-                continue;
-            }
-            const auto closed = std::find_if(
-                f.spans.begin(), f.spans.end(),
-                [](const TileSpan& s) { return s.closes_gen; });
-            if (closed == f.spans.end()) continue;
+        // Move an accumulation after the compute that retires its rows:
+        // the closing access no longer follows every write.
+        for (TileOp& f : ir.ops) {
+            const TileSpan* closed = user_c_span(f, closes);
+            if (closed == nullptr || f.phase + 1 >= ir.num_phases) continue;
             for (TileOp& c : ir.ops) {
-                if (c.kind != OpKind::kCompute) continue;
-                for (const TileSpan& s : c.spans) {
-                    if (s.buffer == kBufAccC && s.gen == closed->gen
-                        && s.r0 < closed->r1 && closed->r0 < s.r1) {
-                        c.phase = f.phase + 1;
-                        return "IR_ORDER";
-                    }
+                const TileSpan* s = user_c_span(c, [](const TileSpan& x) {
+                    return !x.creates_gen && !x.closes_gen;
+                });
+                if (s != nullptr && s->gen == closed->gen
+                    && s->r0 < closed->r1 && closed->r0 < s->r1) {
+                    c.phase = f.phase + 1;
+                    return "IR_ORDER";
                 }
             }
         }
         throw Error(
-            "apply_mutation: no mid-schedule flush to reorder past");
+            "apply_mutation: no mid-schedule band retirement to reorder "
+            "past");
     }
     case Mutation::kOverlapBands: {
-        // Reach one compute band a row into its neighbour's local-C rows:
+        // Reach one compute band a row into its neighbour's user-C rows:
         // the two band items of one phase now write a shared row.
-        auto acc_span = [](TileOp& op) -> TileSpan* {
-            for (TileSpan& s : op.spans) {
-                if (s.buffer == kBufAccC) return &s;
-            }
-            return nullptr;
-        };
         for (TileOp& c : ir.ops) {
-            TileSpan* s = c.kind == OpKind::kCompute ? acc_span(c) : nullptr;
+            TileSpan* s = user_c_span(c, any);
             if (s == nullptr) continue;
             for (TileOp& d : ir.ops) {
-                const TileSpan* n =
-                    d.kind == OpKind::kCompute ? acc_span(d) : nullptr;
+                const TileSpan* n = user_c_span(d, any);
                 if (n != nullptr && d.phase == c.phase && n->gen == s->gen
                     && n->r0 == s->r1) {
                     ++s->r1;
@@ -540,15 +519,25 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         throw Error("apply_mutation: no step computes two bands");
     }
     case Mutation::kSplitWriteback: {
-        // Claim a band write-back as an item of its own: it reads the
-        // local-C rows while their compute may still write them.
-        for (TileOp& f : ir.ops) {
-            if (f.kind == OpKind::kFlush && f.item >= 0) {
-                f.item = -1;
-                return "IR_RACE_RW";
-            }
+        // Claim a retiring band's closing read of user C as an item of its
+        // own: it reads the rows while their compute may still write them.
+        for (std::size_t i = 0; i < ir.ops.size(); ++i) {
+            TileOp& f = ir.ops[i];
+            TileSpan* closed = f.item >= 0 ? user_c_span(f, closes) : nullptr;
+            if (closed == nullptr) continue;
+            TileOp writeback = f;
+            writeback.item = -1;
+            writeback.dram_reload_bytes = 0;
+            writeback.spans.assign(1, *closed);
+            writeback.spans[0].access = Access::kRead;
+            writeback.spans[0].creates_gen = false;
+            closed->closes_gen = false;
+            f.dram_read_bytes = 0;
+            f.dram_write_bytes = 0;
+            ir.ops.push_back(std::move(writeback));
+            return "IR_RACE_RW";
         }
-        throw Error("apply_mutation: no band write-back in this IR");
+        throw Error("apply_mutation: no band retirement in this IR");
     }
     case Mutation::kShrinkGeneration: {
         // Collapse the double buffers: pack(t+1) recycles the very slot
@@ -579,10 +568,15 @@ std::string apply_mutation(ScheduleIR& ir, Mutation m)
         return "IR_LIFETIME";
     }
     case Mutation::kDropFlush: {
-        // Lose a writeback: the flushed elements never reach user C.
-        const std::size_t i = find_op(OpKind::kFlush);
-        ir.ops.erase(ir.ops.begin() + static_cast<std::ptrdiff_t>(i));
-        return "IR_COVER";
+        // Lose a retiring compute: its band misses its last accumulation
+        // and its write-back.
+        for (std::size_t i = 0; i < ir.ops.size(); ++i) {
+            if (user_c_span(ir.ops[i], closes) != nullptr) {
+                ir.ops.erase(ir.ops.begin() + static_cast<std::ptrdiff_t>(i));
+                return "IR_COVER";
+            }
+        }
+        throw Error("apply_mutation: no band retirement in this IR");
     }
     }
     throw Error("apply_mutation: unknown mutation");

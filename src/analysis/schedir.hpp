@@ -40,8 +40,8 @@ const char* exec_name(Exec exec);
 
 /// Storage a tile operation can touch. User surfaces are element-indexed
 /// (rows x cols of the operand); pack panels are sliver-indexed (one row
-/// per mr/nr sliver); the local accumulator is row x nr-sliver indexed.
-enum class BufKind { kUserA, kUserB, kUserC, kPackA, kPackB, kAccC };
+/// per mr/nr sliver).
+enum class BufKind { kUserA, kUserB, kUserC, kPackA, kPackB };
 
 struct Buffer {
     std::string name;
@@ -54,7 +54,9 @@ enum class Access { kRead, kWrite, kReadWrite };
 /// One rectangular read/write set of an operation: a half-open rect
 /// [r0, r1) x [c0, c1) of generation `gen` living in `slot` of `buffer`.
 /// A generation is one lifetime of the slot's contents; writing a later
-/// generation recycles the slot and destroys every earlier one.
+/// generation recycles the slot and destroys every earlier one. In a CAKE
+/// IR, a user-C generation is one visit of one C column (one uninterrupted
+/// accumulation run): its first K block creates it and its last closes it.
 struct TileSpan {
     int buffer = -1;  ///< index into ScheduleIR::buffers
     int slot = 0;
@@ -62,14 +64,13 @@ struct TileSpan {
     Access access = Access::kRead;
     index_t r0 = 0, r1 = 0, c0 = 0, c1 = 0;
     bool creates_gen = false;  ///< this write opens generation `gen`
-    bool closes_gen = false;   ///< this read retires generation `gen`
+    bool closes_gen = false;   ///< this access retires generation `gen`
 };
 
 /// What the operation does; one op is one runtime work item (a pack
 /// sliver group, an mr compute band) or one statically assigned worker
-/// chunk. A band write-back (kFlush) runs inside its compute band's work
-/// item, straight after the compute.
-enum class OpKind { kPackA, kPackB, kStreamB, kCompute, kFlush };
+/// chunk. Compute ops read the packed surfaces and write user C.
+enum class OpKind { kPackA, kPackB, kStreamB, kCompute };
 const char* op_kind_name(OpKind kind);
 
 struct TileOp {
@@ -82,8 +83,13 @@ struct TileOp {
     /// phase (-1: an item of its own). One thread runs a whole item.
     index_t item = -1;
     index_t seq = 0;    ///< program order within (phase, worker or item)
-    std::uint64_t dram_read_bytes = 0;   ///< modelled external reads
+    /// Modelled external reads: the fetch of a pack or stream op, the C
+    /// read-modify-write read of a compute op that retires its band.
+    std::uint64_t dram_read_bytes = 0;
     std::uint64_t dram_write_bytes = 0;  ///< modelled external writes
+    /// Modelled refetch of a spilled partial C surface (a CAKE compute op
+    /// opening a revisit), counted apart from dram_read_bytes.
+    std::uint64_t dram_reload_bytes = 0;
     std::vector<TileSpan> spans;
 };
 
@@ -114,7 +120,7 @@ struct ScheduleIR {
 
 /// Extract the IR of a CAKE multiply: the executor's persistent-team
 /// stream (pipeline fill, then one main compute phase per step whose
-/// bands write themselves back when the step retires its column).
+/// bands accumulate in place in user C).
 /// Exec::kPipelined co-issues pack(t+1) with compute(t) into
 /// double-buffered pack slots; Exec::kSerial packs step t in a phase of
 /// its own before computing it, single-buffered. `bytes` gives the stored
@@ -142,7 +148,7 @@ ScheduleIR extract_goto_ir(const GemmShape& shape,
 struct IoTotals {
     std::uint64_t a_read = 0;         ///< user-A fetches (packing)
     std::uint64_t b_read = 0;         ///< user-B fetches (pack or stream)
-    std::uint64_t c_write = 0;        ///< band write-backs to user C
+    std::uint64_t c_write = 0;        ///< C write-backs to external memory
     std::uint64_t c_rmw_read = 0;     ///< write-back read-modify-write reads
     std::uint64_t c_reload_read = 0;  ///< spilled-partial reloads (CAKE)
 
@@ -161,18 +167,23 @@ IoTotals io_totals(const ScheduleIR& ir);
 enum class Mutation {
     kDropOp,            ///< delete one compute op -> IR_COVER (lost update)
     kDupOp,             ///< duplicate one compute op -> IR_COVER
-    kReorderAccum,      ///< move an accumulation past its flush -> IR_ORDER
+    /// move an accumulation past the compute that retires its band
+    /// -> IR_ORDER
+    kReorderAccum,
     kOverlapBands,      ///< a band reaches into the next one -> IR_RACE_WW
-    kSplitWriteback,    ///< write-back leaves its band's item -> IR_RACE_RW
+    /// a retiring band's closing read of user C leaves the band's item
+    /// -> IR_RACE_RW
+    kSplitWriteback,
     kShrinkGeneration,  ///< collapse double buffers to one slot -> IR_LIFETIME
-    kDropFlush,         ///< delete a flush op -> IR_COVER
+    kDropFlush,         ///< delete a retiring compute op -> IR_COVER
 };
 const char* mutation_name(Mutation m);
 constexpr int kMutationCount = 7;
 
 /// Corrupt `ir` in place; returns the diagnostic code the verifier must
 /// now emit. Throws cake::Error if the IR has no site for this mutation
-/// (e.g. kShrinkGeneration on a serial IR, which is single-buffered).
+/// (e.g. kShrinkGeneration on a serial IR, which is single-buffered, or
+/// the retiring-band mutations on GOTO, which never retires a band).
 std::string apply_mutation(ScheduleIR& ir, Mutation m);
 
 }  // namespace schedir

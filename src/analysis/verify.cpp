@@ -348,18 +348,13 @@ private:
 };
 
 /// IR_COVER: every user-C element receives exactly expected_accums
-/// accumulations. CAKE accumulations (one per compute write, overwrite or
-/// accumulate) land in local-C generations and reach user C through the
-/// band write-backs that close the generation; GOTO compute ops write user
-/// C directly.
+/// accumulations: one per compute write into user C (an overwrite or an
+/// accumulate; both executors compute C in place).
 void check_cover(const ScheduleIR& ir, VerifyReport& report)
 {
     IssueSink sink{report};
-    int acc_buf = -1, user_c = -1;
+    int user_c = -1;
     for (std::size_t i = 0; i < ir.buffers.size(); ++i) {
-        if (ir.buffers[i].kind == BufKind::kAccC) {
-            acc_buf = static_cast<int>(i);
-        }
         if (ir.buffers[i].kind == BufKind::kUserC) {
             user_c = static_cast<int>(i);
         }
@@ -368,78 +363,14 @@ void check_cover(const ScheduleIR& ir, VerifyReport& report)
         sink.add("IR_MALFORMED", "IR has no user-C buffer");
         return;
     }
-    const index_t nr = ir.params.nr > 0 ? ir.params.nr : 1;
 
     CoverMap user_map;
     user_map.add(0, ir.shape.m, 0, ir.shape.n, 0);  // pin the full domain
-
-    // Direct accumulations (GOTO): compute writes into user C.
     for (const TileOp& op : ir.ops) {
         if (op.kind != OpKind::kCompute) continue;
         for (const TileSpan& s : op.spans) {
             if (s.buffer == user_c && s.access != Access::kRead) {
                 user_map.add(s.r0, s.r1, s.c0, s.c1, 1);
-            }
-        }
-    }
-
-    if (acc_buf >= 0) {
-        // Local-C accumulations, transferred through the closing
-        // write-backs.
-        struct Closer {
-            index_t fr0, fr1;  ///< local-C rows the flush op retires
-            index_t ur0, uc0;  ///< user-C destination of local row fr0
-            index_t ni;        ///< flushed column width (elements)
-        };
-        std::map<index_t, std::vector<Closer>> closers_of_gen;
-        std::map<index_t, CoverMap> accum_of_gen;
-        for (const TileOp& op : ir.ops) {
-            if (op.kind == OpKind::kFlush) {
-                Closer cl{};
-                index_t gen = -1;
-                bool have_user = false;
-                for (const TileSpan& s : op.spans) {
-                    if (s.buffer == acc_buf && s.closes_gen) {
-                        gen = s.gen;
-                        cl.fr0 = s.r0;
-                        cl.fr1 = s.r1;
-                    } else if (s.buffer == user_c) {
-                        cl.ur0 = s.r0;
-                        cl.uc0 = s.c0;
-                        cl.ni = s.c1 - s.c0;
-                        have_user = true;
-                    }
-                }
-                if (gen >= 0 && have_user) {
-                    closers_of_gen[gen].push_back(cl);
-                }
-            } else if (op.kind == OpKind::kCompute) {
-                for (const TileSpan& s : op.spans) {
-                    if (s.buffer == acc_buf && s.access != Access::kRead) {
-                        // Columns are nr slivers; widths resolve at
-                        // transfer time when the flush supplies ni.
-                        accum_of_gen[s.gen].add(s.r0, s.r1, s.c0 * nr,
-                                                s.c1 * nr, 1);
-                    }
-                }
-            }
-        }
-        for (auto& [gen, gmap] : accum_of_gen) {
-            const auto it = closers_of_gen.find(gen);
-            if (it == closers_of_gen.end()) continue;  // never flushed:
-                                                       // shortfall below
-            for (const CoverMap::Cell& cell : gmap.resolve()) {
-                if (cell.count == 0) continue;
-                for (const Closer& cl : it->second) {
-                    const index_t r0 = std::max(cell.r0, cl.fr0);
-                    const index_t r1 = std::min(cell.r1, cl.fr1);
-                    if (r0 >= r1) continue;
-                    const index_t c0 = std::min(cell.c0, cl.ni);
-                    const index_t c1 = std::min(cell.c1, cl.ni);
-                    user_map.add(cl.ur0 + (r0 - cl.fr0),
-                                 cl.ur0 + (r1 - cl.fr0), cl.uc0 + c0,
-                                 cl.uc0 + c1, cell.count);
-                }
             }
         }
     }
@@ -559,7 +490,7 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
             index_t max_a = -1, max_b = -1;
             for (const TileOp& op : ir.ops) {
                 if (op.kind == OpKind::kStreamB) ++b_events;
-                if (op.kind == OpKind::kCompute && op.dram_read_bytes > 0) {
+                if (op.kind == OpKind::kCompute && op.dram_reload_bytes > 0) {
                     ++reload_events;
                 }
                 for (const TileSpan& s : op.spans) {
@@ -675,7 +606,7 @@ VerifyReport verify_schedule_ir(const ScheduleIR& ir)
 namespace {
 
 /// Classifies each traced access by AddressMap region and totals the
-/// external-surface bytes; staging-buffer traffic is local memory.
+/// user-surface bytes; pack-panel traffic is local memory.
 class CountingSink final : public memsim::TraceSink {
 public:
     std::uint64_t a_read = 0, b_read = 0, c_read = 0, c_write = 0;
@@ -695,7 +626,7 @@ public:
             (write ? c_write : c_read) += bytes;
             break;
         default:
-            break;  // pack_a / pack_b / c_block: on-chip staging
+            break;  // pack_a / pack_b: on-chip staging
         }
     }
 };
@@ -720,18 +651,37 @@ VerifyReport cross_check_memsim(const ScheduleIR& ir)
         memsim::trace_cake(ir.shape, ir.params, ir.schedule, counts);
     }
     const IoTotals io = io_totals(ir);
+    // The kernels read and write user C in place, so C is compared access
+    // for access: the bytes of the IR's user-C spans (a read-modify-write
+    // span reads and writes its whole rect) against the trace's user-C
+    // accesses.
+    const auto c_elem = static_cast<std::uint64_t>(
+        ir.bytes.or_uniform(ir.elem_bytes).c);
+    std::uint64_t c_read = 0, c_write = 0;
+    for (const TileOp& op : ir.ops) {
+        for (const TileSpan& s : op.spans) {
+            if (ir.buffers[static_cast<std::size_t>(s.buffer)].kind
+                != BufKind::kUserC) {
+                continue;
+            }
+            const auto bytes = static_cast<std::uint64_t>(s.r1 - s.r0)
+                * static_cast<std::uint64_t>(s.c1 - s.c0) * c_elem;
+            if (s.access != Access::kWrite) c_read += bytes;
+            if (s.access != Access::kRead) c_write += bytes;
+        }
+    }
     const auto cmp = [&](const char* name, std::uint64_t ir_bytes,
                          std::uint64_t trace_bytes) {
         if (ir_bytes == trace_bytes || sink.full()) return;
         std::ostringstream os;
-        os << name << ": IR models " << ir_bytes
-           << " bytes, memsim trace issues " << trace_bytes;
+        os << name << ": IR " << ir_bytes << " bytes, memsim trace issues "
+           << trace_bytes;
         sink.add("IR_IO_MEMSIM", os.str());
     };
     cmp("A reads", io.a_read, counts.a_read);
     cmp("B reads", io.b_read, counts.b_read);
-    cmp("C writebacks", io.c_write, counts.c_write);
-    cmp("C RMW reads", io.c_rmw_read, counts.c_read);
+    cmp("C writes", c_write, counts.c_write);
+    cmp("C reads", c_read, counts.c_read);
     return report;
 }
 

@@ -9,12 +9,11 @@
 //   IR_MALFORMED   structural sanity: span indices in range, phases
 //                  monotone, barrier arrays sized to the phase count
 //   IR_COVER       exact cover — every user-C element receives exactly
-//                  `expected_accums` accumulations, delivered through
-//                  totally ordered flush chains (no lost or duplicated
+//                  `expected_accums` accumulations (no lost or duplicated
 //                  update anywhere in the schedule)
 //   IR_ORDER       generation discipline — creating writes strictly
 //                  precede every other access of their generation, and
-//                  closing reads strictly follow every write
+//                  closing accesses strictly follow every write
 //   IR_RACE_WW     two unordered ops write an overlapping rect of the
 //                  same buffer generation
 //   IR_RACE_RW     an op reads what an unordered op writes
@@ -27,8 +26,8 @@
 //                  (serpentine or Hilbert) fetches a different byte count
 //                  than the constant (m_blk + n_blk) * k_blk * elem the
 //                  constant-bandwidth claim promises
-//   IR_IO_MEMSIM   the IR totals disagree with the src/memsim address
-//                  stream for the same plan (cross_check_memsim)
+//   IR_IO_MEMSIM   the IR's surface accesses disagree with the src/memsim
+//                  address stream for the same plan (cross_check_memsim)
 #pragma once
 
 #include <string>
@@ -53,9 +52,9 @@ VerifyReport verify_schedule_ir(const ScheduleIR& ir);
 /// Replay the same plan through src/memsim's address-stream generator
 /// (trace_cake / trace_goto) with a counting sink, classify each access
 /// by surface, and require exact byte agreement with io_totals(ir) for
-/// a_read / b_read / c_write / c_rmw_read. Reload reads are excluded:
-/// the trace generator recomputes spilled partials rather than reloading
-/// them (documented asymmetry). The trace layer is dtype-width-aware
+/// a_read / b_read, and with the bytes of the IR's user-C spans for the C
+/// reads and writes (the kernels accumulate in place, so every compute
+/// touches user C). The trace layer is dtype-width-aware
 /// (scaled by ir.elem_bytes), so any element width cross-checks; only
 /// prepacked or beta != 0 IRs report IR_MALFORMED.
 VerifyReport cross_check_memsim(const ScheduleIR& ir);

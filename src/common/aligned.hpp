@@ -4,9 +4,16 @@
 // 64-byte canary guard precedes and follows the payload, and the payload
 // itself is filled with signaling NaNs (byte poison for integral elements)
 // at allocation. verify_canaries() traps if either guard was overwritten —
-// the flush points of the GEMM drivers call it so a strided pack overrun
-// is caught at the multiply that caused it, not crashes later. Release
-// builds allocate exactly the payload and all of this compiles away.
+// the end of each GEMM driver's multiply calls it so a strided pack
+// overrun is caught at the multiply that caused it, not crashes later.
+// Release builds allocate exactly the payload and all of this compiles
+// away.
+//
+// An allocation of 128 KiB or more maps its own pages and unmaps them on
+// free, so a freed panel leaves the process's resident set at once. Left
+// to malloc, freed large blocks stay resident in the heap (glibc raises
+// its mmap threshold to the size of each freed mapping), and peak RSS
+// then depends on heap placement rather than on what is live.
 #pragma once
 
 #include <cstddef>
@@ -18,11 +25,13 @@
 namespace cake {
 
 /// Allocates `bytes` rounded up to a multiple of `alignment`, aligned to
-/// `alignment`. Throws std::bad_alloc on failure.
+/// `alignment` (at most a page); 128 KiB or more get pages of their own.
+/// Throws std::bad_alloc on failure.
 void* aligned_malloc(std::size_t bytes, std::size_t alignment = kPanelAlignment);
 
-/// Frees memory from aligned_malloc. Null-safe.
-void aligned_free(void* p) noexcept;
+/// Frees memory from aligned_malloc; `bytes` is the size it was asked
+/// for. Null-safe.
+void aligned_free(void* p, std::size_t bytes) noexcept;
 
 /// Owning, 64-byte-aligned, zero-initialisable array of trivially copyable T.
 /// Move-only; used for packed A/B/C panels where alignment matters for SIMD.
@@ -122,10 +131,10 @@ private:
     void release() noexcept
     {
 #if CAKE_CHECKED_ENABLED
-        aligned_free(raw_);
+        aligned_free(raw_, size_ * sizeof(T) + 2 * checked::kGuardBytes);
         raw_ = nullptr;
 #else
-        aligned_free(data_);
+        aligned_free(data_, size_ * sizeof(T));
 #endif
         data_ = nullptr;
         size_ = 0;

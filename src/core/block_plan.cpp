@@ -25,9 +25,8 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     BlockPlanStats& stats = plan.stats;
 
     // Per-(m, n) column bookkeeping, evolved in schedule order: how many K
-    // blocks have accumulated, whether the column's surface already visited
-    // user memory (possible only under non-K-first ablation schedules), and
-    // which local-C lifetime last served it.
+    // blocks have accumulated and whether a visit of the column already
+    // retired (possible only under non-K-first ablation schedules).
     std::vector<index_t> k_done;
     std::vector<char> flushed;
     {
@@ -40,7 +39,6 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     auto block_extent = [](index_t idx, index_t blk, index_t total) {
         return std::min(blk, total - idx * blk);
     };
-    index_t gen = -1;  // current local-C lifetime ordinal
     for (index_t t = 0; t < steps; ++t) {
         BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
         st.coord = order[static_cast<std::size_t>(t)];
@@ -94,40 +92,30 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         st.c_change = !shared.c;
         const std::size_t slot =
             static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n);
-        if (st.c_change) {
-            ++gen;
-            st.reload = flushed[slot] != 0;
-            if (st.reload) {
-                // Revisiting a spilled surface: partials come back from
-                // external memory (non-K-first ablation schedules only).
-                stats.dram_read_bytes +=
-                    static_cast<std::uint64_t>(st.mi) * st.ni * c_elem;
-            }
+        st.revisit = flushed[slot] != 0;
+        const auto c_bytes = static_cast<std::uint64_t>(st.mi)
+            * static_cast<std::uint64_t>(st.ni) * c_elem;
+        if (st.c_change && st.revisit) {
+            // Revisiting a retired column: its partial sum comes back from
+            // external memory (non-K-first ablation schedules only).
+            stats.dram_read_bytes += c_bytes;
         }
-        st.c_gen = gen;
         ++k_done[slot];
         ++stats.blocks_executed;
 
-        // The column retires after this step: its write-back to user C.
+        // The column's visit ends after this step: its write-back.
         st.c_last = t + 1 == steps
             || !shared_surfaces(st.coord,
                                 order[static_cast<std::size_t>(t + 1)])
                     .c;
         if (!st.c_last) continue;
-        st.flush_dst = st.m0 * in.ldc + st.n0;
-        st.flush_revisit = flushed[slot] != 0;
-        st.flush_partial = k_done[slot] < in.kb;
         flushed[slot] = 1;
         ++stats.c_flushes;
-        const auto c_bytes = static_cast<std::uint64_t>(st.mi)
-            * static_cast<std::uint64_t>(st.ni) * c_elem;
         stats.dram_write_bytes += c_bytes;
-        // First visit applies the caller's beta (RMW read iff beta != 0);
-        // revisits must accumulate, so they always read back.
-        if (st.flush_revisit || in.beta_nonzero) {
-            stats.dram_read_bytes += c_bytes;
-        }
-        if (st.flush_partial) ++stats.c_partial_spills;
+        // A first visit applies the caller's beta (a read-back iff beta !=
+        // 0); a revisit accumulates, so it always reads back.
+        if (st.revisit || in.beta_nonzero) stats.dram_read_bytes += c_bytes;
+        if (k_done[slot] < in.kb) ++stats.c_partial_spills;
     }
     return plan;
 }

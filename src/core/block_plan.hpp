@@ -1,8 +1,8 @@
 // The CB-block execution plan: the per-step decisions (which surfaces to
-// fetch, which double-buffer half holds them, whether a step opens its C
-// column by overwriting the local C surface and whether it retires the
-// column by writing it back) derived once, up front, as a pure function
-// of the block schedule and the tiling parameters.
+// fetch, which double-buffer half holds them, whether a step opens a visit
+// of its C column, applying beta to user C, and whether it retires the
+// column) derived once, up front, as a pure function of the block
+// schedule and the tiling parameters.
 //
 // The one block-loop executor in src/core/cake_gemm.cpp consumes this plan
 // for every kernel family — with double-buffering disabled (every slot
@@ -25,8 +25,8 @@ namespace cake {
 
 // Work-item granularity shared by the pipelined executor and the IR
 // extractor. Compute items stay one mr band each — the load-balancing unit
-// that keeps every core busy on edge blocks — and write their own band
-// back when the step retires its column. Pack items are grouped coarser:
+// that keeps every core busy on edge blocks — and accumulate straight into
+// their band of user C. Pack items are grouped coarser:
 // they are short memcpy-like bodies, and per-item counter and clock
 // overhead would otherwise be measurable.
 inline constexpr index_t kPackAGroup = 4;  ///< mr slivers per pack-A item
@@ -42,18 +42,17 @@ struct BlockStep {
     bool pack_a = false;  ///< A not shared with the previous step: fetch it
     bool pack_b = false;  ///< B not shared: pack it (never set prepacked)
     bool b_fresh = false;  ///< B surface newly streamed (pack or prepacked)
-    /// A new (m, n) column starts at this step: its compute overwrites
-    /// the local C surface instead of accumulating into it.
+    /// A visit of an (m, n) column starts at this step: its compute
+    /// applies beta to the column's user-C rows (the caller's beta, or 1
+    /// on a revisit) instead of accumulating into them.
     bool c_change = false;
-    bool reload = false;  ///< entering column was spilled before: refetch
-    index_t c_gen = 0;  ///< ordinal of the local-C lifetime this step uses
-    /// The column retires after this step: each compute band writes its
-    /// rows back to user C right after computing them. The flush_* fields
-    /// below are valid only then.
+    /// The column was visited and retired before this visit, so user C
+    /// already holds its partial sum and the visit's beta is 1. Only the
+    /// non-K-first ablation schedules revisit a column.
+    bool revisit = false;
+    /// The column's visit ends with this step: the modelled traffic
+    /// counts its write-back to external memory here.
     bool c_last = false;
-    index_t flush_dst = 0;       ///< element offset of the column in user C
-    bool flush_revisit = false;  ///< surface spilled before: beta = 1
-    bool flush_partial = false;  ///< fewer than Kb accumulations spilled
 };
 
 /// Stored width in bytes of each operand surface. The modelled traffic
@@ -79,8 +78,8 @@ struct BlockPlanStats {
     index_t blocks_executed = 0;
     index_t a_packs = 0;
     index_t b_packs = 0;
-    index_t c_flushes = 0;
-    index_t c_partial_spills = 0;
+    index_t c_flushes = 0;         ///< column retirements (one per visit)
+    index_t c_partial_spills = 0;  ///< retirements before the last K block
     std::uint64_t dram_read_bytes = 0;
     std::uint64_t dram_write_bytes = 0;
 };
@@ -97,17 +96,17 @@ struct BlockPlan {
 struct BlockPlanInputs {
     CbBlockParams params;
     index_t m = 0, n = 0, k = 0;
-    index_t ldc = 0;   ///< user-C leading dimension (flush destinations)
+    index_t ldc = 0;   ///< user-C leading dimension (validated: >= n)
     index_t nb = 0;    ///< grid width, for (m, n) -> column-slot mapping
     index_t kb = 0;    ///< grid depth, for partial-spill detection
     bool use_prepacked = false;  ///< B streams from panels, no pack ops
-    bool beta_nonzero = false;   ///< first-visit flushes read-modify-write
+    bool beta_nonzero = false;   ///< first visits read user C back
     bool double_buffer = false;  ///< alternate pack slots on fresh fetches
     OperandBytes bytes;          ///< stored operand widths (traffic model)
 };
 
 /// Derive the execution plan for `order`. Every decision the executor
-/// makes per step — surface sharing, slot assignment, flush bookkeeping,
+/// makes per step — surface sharing, slot assignment, column visits,
 /// DRAM traffic accounting — is resolved here, in schedule order.
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -53,7 +54,6 @@ void publish_cake_stats(const CakeStats& s)
     static const obs::MetricId pack_s = obs::gauge("cake.gemm.pack_s");
     static const obs::MetricId compute_s =
         obs::gauge("cake.gemm.compute_s");
-    static const obs::MetricId flush_s = obs::gauge("cake.gemm.flush_s");
     static const obs::MetricId stall_s = obs::gauge("cake.gemm.stall_s");
     static const obs::MetricId total_s = obs::gauge("cake.gemm.total_s");
     static const obs::MetricId overlap =
@@ -68,7 +68,6 @@ void publish_cake_stats(const CakeStats& s)
     obs::counter_add(dram_wr, s.dram_write_bytes);
     obs::gauge_set(pack_s, s.pack_seconds);
     obs::gauge_set(compute_s, s.compute_seconds);
-    obs::gauge_set(flush_s, s.flush_seconds);
     obs::gauge_set(stall_s, s.stall_seconds);
     obs::gauge_set(total_s, s.total_seconds);
     obs::gauge_set(overlap, s.overlap_efficiency);
@@ -173,21 +172,78 @@ index_t packed_depth(index_t ki)
     return KernelFamily<T>::k_step * kernel_steps<T>(ki);
 }
 
-/// Compute one (possibly partial) m x n tile over a ki-deep block,
-/// overwriting C or accumulating into it. Kept out of line:
-/// run_microkernel_tile is an inline template, and inlining it into the
-/// compute loop, its only caller here, cost 10% on small f32 shapes and 3%
-/// on 1536^3 at p = 1 (bench/ledger).
+/// C = alpha * A*B + beta * C for one (possibly partial) m x n tile of
+/// user C over a ki-deep block. alpha = 1 with beta 0 or 1 — every int8
+/// multiply and every unscaled float one — is the kernel's own overwrite
+/// or accumulate; any other pair computes the tile into `scratch` (mr x
+/// nr) and then writes alpha * s + beta * c. beta = 0 never reads C. Kept
+/// out of line: run_microkernel_tile is an inline template, and inlining
+/// it into the compute loop, its only caller here, cost 10% on small f32
+/// shapes and 3% on 1536^3 at p = 1 (bench/ledger).
 template <typename T>
 [[gnu::noinline]] void run_tile(const MicroKernelT<T>& kernel, index_t ki,
                                 const typename KernelFamily<T>::A* a,
                                 const typename KernelFamily<T>::B* b,
                                 typename KernelFamily<T>::C* c, index_t ldc,
-                                index_t m, index_t n, bool accumulate,
+                                index_t m, index_t n,
+                                typename KernelFamily<T>::C alpha,
+                                typename KernelFamily<T>::C beta,
                                 typename KernelFamily<T>::C* scratch)
 {
-    run_microkernel_tile(kernel, kernel_steps<T>(ki), a, b, c, ldc, m, n,
-                         accumulate, scratch);
+    using C = typename KernelFamily<T>::C;
+    const index_t steps = kernel_steps<T>(ki);
+    if (alpha == C(1) && (beta == C(0) || beta == C(1))) {
+        run_microkernel_tile(kernel, steps, a, b, c, ldc, m, n,
+                             /*accumulate=*/beta == C(1), scratch);
+        return;
+    }
+    run_microkernel_tile(kernel, steps, a, b, scratch, kernel.nr, kernel.mr,
+                         kernel.nr, /*accumulate=*/false, scratch);
+    for (index_t i = 0; i < m; ++i) {
+        const C* s = scratch + i * kernel.nr;
+        C* row = c + i * ldc;
+        if (beta == C(0)) {
+            for (index_t j = 0; j < n; ++j) row[j] = alpha * s[j];
+        } else {
+            for (index_t j = 0; j < n; ++j)
+                row[j] = alpha * s[j] + beta * row[j];
+        }
+    }
+}
+
+/// Byte range [lo, hi) a rows x cols row-major operand with leading
+/// dimension ld occupies.
+struct ByteExtent {
+    const unsigned char* lo = nullptr;
+    const unsigned char* hi = nullptr;
+
+    template <typename E>
+    ByteExtent(const E* p, index_t rows, index_t cols, index_t ld)
+        : lo(static_cast<const unsigned char*>(static_cast<const void*>(p))),
+          hi(lo + static_cast<std::size_t>((rows - 1) * ld + cols) * sizeof(E))
+    {
+    }
+
+    [[nodiscard]] bool overlaps(const ByteExtent& o) const
+    {
+        const std::less<const unsigned char*> before;
+        return before(lo, o.hi) && before(o.lo, hi);
+    }
+};
+
+/// [C_ALIAS]: the multiply writes user C while later blocks still pack A
+/// and B, so C must share no byte with either operand's storage.
+inline void check_c_alias(const ByteExtent& c, const ByteExtent& operand,
+                          const char* name)
+{
+    if (!c.overlaps(operand)) return;
+    std::ostringstream os;
+    os << "[C_ALIAS] C's storage [" << static_cast<const void*>(c.lo) << ", "
+       << static_cast<const void*>(c.hi) << ") overlaps " << name
+       << "'s storage [" << static_cast<const void*>(operand.lo) << ", "
+       << static_cast<const void*>(operand.hi)
+       << "): C must not alias an input";
+    throw Error(os.str());
 }
 
 /// One multiply's resolved arguments.
@@ -330,6 +386,19 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     CAKE_CHECK(ldc >= n);
     Ops::check_k(k);
     if (m == 0 || n == 0) return;
+    if (k > 0) {
+        const detail::ByteExtent c_ext(c, m, n, ldc);
+        detail::check_c_alias(c_ext,
+                              ta ? detail::ByteExtent(a, k, m, lda)
+                                 : detail::ByteExtent(a, m, k, lda),
+                              "op(A)");
+        if (prepacked == nullptr) {
+            detail::check_c_alias(c_ext,
+                                  tb ? detail::ByteExtent(b, n, k, ldb)
+                                     : detail::ByteExtent(b, k, n, ldb),
+                                  "op(B)");
+        }
+    }
     if (k == 0 || alpha_s == C(0)) {
         // Degenerate product contributes nothing: apply the beta epilogue.
         for (index_t i = 0; i < m; ++i) {
@@ -445,7 +514,7 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
                        stats_.grid_kb, /*n_outermost=*/n >= m);
 
     // Resolve the whole block loop up front: surface sharing, pack-slot
-    // assignment, flush bookkeeping and the modelled DRAM traffic are pure
+    // assignment, column visits and the modelled DRAM traffic are pure
     // functions of the schedule (src/core/block_plan.cpp). The executor
     // and the schedule-IR extractor consume this same plan.
     BlockPlanInputs plan_in;
@@ -479,8 +548,6 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
             depth * round_up(params.n_blk, kernel_.nr)));
         if (call.overlap) pack_b_[1].ensure(pack_b_[0].size());
     }
-    c_block_.ensure(static_cast<std::size_t>(params.m_blk)
-                    * static_cast<std::size_t>(params.n_blk));
     if (scratch_.size() < static_cast<std::size_t>(p)) {
         scratch_.resize(static_cast<std::size_t>(p));
     }
@@ -490,14 +557,13 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 
     run_block_loop(call);
 
-    // CAKE_CHECKED: the multiply is flushed — every packed surface's
+    // CAKE_CHECKED: the multiply is done — every packed surface's
     // front/back canaries must still be intact, or some strided write ran
     // outside its panel. No-ops in release builds.
     pack_a_[0].verify_canaries("packed-A buffer[0]");
     pack_a_[1].verify_canaries("packed-A buffer[1]");
     pack_b_[0].verify_canaries("packed-B buffer[0]");
     pack_b_[1].verify_canaries("packed-B buffer[1]");
-    c_block_.verify_canaries("local C surface");
     for (const auto& s : scratch_) s.verify_canaries("kernel scratch tile");
     if (prepacked != nullptr) prepacked->verify_canaries();
 
@@ -514,11 +580,12 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 // runs concurrently with compute instead of on the critical path (paper
 // §2, Fig. 7). With overlap off (CakeExec::kSerial, the Fig. 7 ablation)
 // block i's surfaces are packed in a phase of their own right before its
-// compute phase, single-buffered, so every fetch is exposed. The local C
-// surface takes no phase of its own: a column's first K block overwrites
-// it and its last K block writes each band back to user C inside the
-// compute item that produced the band (paper §3: partial C is written out
-// once, when its K range is done). Phases inside the team are separated
+// compute phase, single-buffered, so every fetch is exposed. C takes no
+// phase of its own: every compute item runs the kernel on its band of
+// user C, the column's first K block applying beta and later blocks
+// accumulating (paper §3: partial C stays in local memory until its K
+// range is done — on a CPU that is the cache, where the block's user-C
+// rows already sit). Phases inside the team are separated
 // by spin barriers; work within a phase is claimed in mr/nr-sliver items
 // off an atomic counter so edge blocks never leave cores idle.
 // ---------------------------------------------------------------------------
@@ -534,7 +601,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     const bool overlap = call.overlap;
 
     // ---- Step plan (src/core/block_plan.cpp). Buffer slots, pack needs
-    // and flush bookkeeping are pure functions of the schedule, resolved
+    // and column visits are pure functions of the schedule, resolved
     // up front by build_block_plan; the team below only claims and
     // executes work items.
     const BlockPlan& plan = *call.plan;
@@ -542,7 +609,6 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
 
     // ---- Team execution.
     const MicroKernelT<T> kernel = kernel_;
-    C* const cb = c_block_.data();
     A* const pa_slots[2] = {pack_a_[0].data(), pack_a_[1].data()};
     B* const pb_slots[2] = {pack_b_[0].data(), pack_b_[1].data()};
     // Capacities for the CAKE_CHECKED extent checks in the work items
@@ -551,18 +617,19 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     const std::size_t pb_cap = use_prepacked
         ? call.prepacked->panel_stride()
         : pack_b_[0].size();
-    const std::size_t cb_cap = c_block_.size();
     const std::size_t user_c_cap =
         static_cast<std::size_t>((call.m - 1) * call.ldc + call.n);
 
     // CAKE_RACECHECK shadow regions. Each double-buffer half is its own
     // region, so the intended pack(i+1)/compute(i) overlap on *opposite*
     // halves stays silent while any same-half access pair without a
-    // barrier edge between its phases traps. The local C surface is tiled
+    // barrier edge between its phases traps. User C is tiled per CB block
     // in mr x nr tiles: every access to it is one compute item's band.
     // All of this compiles to nothing in non-racecheck builds.
     const index_t c_bands = ceil_div(params.m_blk, mr);
     const index_t c_cols = ceil_div(params.n_blk, nr);
+    const index_t c_tile_rows = ceil_div(call.m, params.m_blk) * c_bands;
+    const index_t c_tile_cols = ceil_div(call.n, params.n_blk) * c_cols;
     detail::ScopedRegion rc_pa0(racecheck::region_register(
         "packed-A half 0", ceil_div(params.m_blk, mr)));
     detail::ScopedRegion rc_pa1(racecheck::region_register(
@@ -572,7 +639,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     detail::ScopedRegion rc_pb1(racecheck::region_register(
         "packed-B half 1", ceil_div(params.n_blk, nr)));
     detail::ScopedRegion rc_c(racecheck::region_register(
-        "local C surface", c_bands * c_cols, c_cols));
+        "user C", c_tile_rows * c_tile_cols, c_tile_cols));
     const racecheck::RegionId rc_pa_ids[2] = {rc_pa0.id, rc_pa1.id};
     const racecheck::RegionId rc_pb_ids[2] = {rc_pb0.id, rc_pb1.id};
 
@@ -586,14 +653,13 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     std::atomic<index_t> counters[2] = {};
     std::vector<double> worker_pack(static_cast<std::size_t>(p), 0.0);
     std::vector<double> worker_compute(static_cast<std::size_t>(p), 0.0);
-    std::vector<double> worker_flush(static_cast<std::size_t>(p), 0.0);
     std::vector<double> worker_hidden(static_cast<std::size_t>(p), 0.0);
     int phases = 0;
 
     Timer team_timer;
     pool_.run_team(p, [&](TeamContext& team, int tid) {
         using Clock = std::chrono::steady_clock;
-        double pack_s = 0, compute_s = 0, flush_s = 0, hidden_s = 0;
+        double pack_s = 0, compute_s = 0, hidden_s = 0;
         index_t phase = 0;
         C* const scratch = scratch_[static_cast<std::size_t>(tid)].data();
 
@@ -626,8 +692,8 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
         // Each work item is timed ONCE with a shared Clock::now() pair that
         // feeds both the phase stats and the emitted trace span, so the
         // per-worker span totals and CakeStats phase seconds agree exactly
-        // (a second clock pair would skew short band write-backs by its
-        // own cost). The obs push happens after the end reading — ring costs
+        // (a second clock pair would skew short items by its own cost).
+        // The obs push happens after the end reading — ring costs
         // stay outside both measurements.
         const bool tracing = obs::enabled();
         auto timed_item = [&](const char* span_name, obs::Phase obs_phase,
@@ -686,9 +752,9 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                             pb_slots[st.b_slot] + c0 * depth);
             }
         };
-        // One mr row band of step st's block computation. The first K
-        // block of a column overwrites the local C band; later ones
-        // accumulate into it.
+        // One mr row band of step st's block computation, in place in
+        // user C: the first K block of a column visit applies beta (the
+        // caller's, or 1 on a revisit); later ones accumulate.
         auto compute_item = [&](const BlockStep& st, const B* pb, index_t band) {
             const bool obs_tiles = obs::metrics_enabled();
             schedshake::interleave_point(schedshake::Point::kComputeItem);
@@ -705,10 +771,15 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                         rc_pb_ids[st.b_slot], 0, ceil_div(st.ni, nr),
                         racecheck::AccessKind::kRead, site);
                 }
+                const index_t col0 = st.coord.n * c_cols;
                 racecheck::region_access_block(
-                    rc_c.id, band, band + 1, 0, ceil_div(st.ni, nr),
-                    racecheck::AccessKind::kWrite, site);
+                    rc_c.id, st.coord.m * c_bands + band,
+                    st.coord.m * c_bands + band + 1, col0,
+                    col0 + ceil_div(st.ni, nr), racecheck::AccessKind::kWrite,
+                    site);
             }
+            const C beta = st.c_change && !st.revisit ? call.beta : C(1);
+            const index_t c_band = (st.m0 + r) * call.ldc + st.n0;
             const index_t depth = detail::packed_depth<T>(st.ki);
             require_extent(r * depth, mr * depth, pa_cap,
                            "compute A sliver");
@@ -718,40 +789,19 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 require_extent(j * depth, nr * depth, pb_cap,
                                "compute B sliver");
                 const B* b_sliver = pb + j * depth;
-                require_extent(r * st.ni + j, (mrows - 1) * st.ni + ncols,
-                               cb_cap, "compute C tile");
+                require_extent(c_band + j, (mrows - 1) * call.ldc + ncols,
+                               user_c_cap, "compute C tile");
                 const std::uint64_t tile_t0 =
                     obs_tiles ? obs::now_ns() : 0;
                 detail::run_tile(kernel, st.ki, a_sliver, b_sliver,
-                                 cb + r * st.ni + j, st.ni, mrows, ncols,
-                                 /*accumulate=*/!st.c_change, scratch);
+                                 call.c + c_band + j, call.ldc, mrows, ncols,
+                                 call.alpha, beta, scratch);
                 if (obs_tiles) {
                     obs::histogram_observe(
                         tile_latency_hist(),
                         static_cast<double>(obs::now_ns() - tile_t0));
                 }
             }
-        };
-        // Write one just-computed band of a retiring column back to user
-        // C: alpha * acc + beta * C, with beta = 1 on a revisit.
-        auto flush_item = [&](const BlockStep& st, index_t band) {
-            schedshake::interleave_point(schedshake::Point::kFlushItem);
-            const C beta_eff = st.flush_revisit ? C(1) : call.beta;
-            const index_t r0 = band * mr;
-            const index_t rows = std::min(mr, st.mi - r0);
-            racecheck::region_access_block(
-                rc_c.id, band, band + 1, 0, ceil_div(st.ni, nr),
-                racecheck::AccessKind::kRead,
-                {st.step, st.coord.m, st.coord.n, st.coord.k,
-                 racecheck::Phase::kFlush});
-            require_extent(r0 * st.ni, rows * st.ni, cb_cap,
-                           "flush source rows");
-            require_extent(st.flush_dst + r0 * call.ldc,
-                           (rows - 1) * call.ldc + st.ni, user_c_cap,
-                           "flush into user C");
-            unpack_c_block_scaled(cb + r0 * st.ni, rows, st.ni,
-                                  call.c + st.flush_dst + r0 * call.ldc,
-                                  call.ldc, call.alpha, beta_eff);
         };
 
         auto pack_items_of = [&](const BlockStep* st) {
@@ -808,9 +858,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
             // block t+1's non-shared surfaces into the other buffer halves.
             // Pack items come first in the index space so the next block's
             // DRAM fetch starts immediately and spreads over the block's
-            // compute time (the constant-bandwidth property, §3). When
-            // block t retires its column, each compute item writes its own
-            // band back straight after computing it.
+            // compute time (the constant-bandwidth property, §3).
             const BlockStep* next = overlap && t + 1 < steps
                 ? &plan.steps[static_cast<std::size_t>(t + 1)]
                 : nullptr;
@@ -828,35 +876,26 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 compute_s +=
                     timed_item("compute", obs::Phase::kCompute, st, band,
                                [&] { compute_item(st, pb, band); });
-                if (st.c_last) {
-                    flush_s +=
-                        timed_item("flush.write", obs::Phase::kFlush, st,
-                                   band, [&] { flush_item(st, band); });
-                }
             });
         }
 
         if (tid == 0) phases = static_cast<int>(phase);
         worker_pack[static_cast<std::size_t>(tid)] = pack_s;
         worker_compute[static_cast<std::size_t>(tid)] = compute_s;
-        worker_flush[static_cast<std::size_t>(tid)] = flush_s;
         worker_hidden[static_cast<std::size_t>(tid)] = hidden_s;
     });
     const double team_wall = team_timer.seconds();
 
-    double pack_total = 0, compute_total = 0, flush_total = 0,
-           hidden_total = 0;
+    double pack_total = 0, compute_total = 0, hidden_total = 0;
     for (int i = 0; i < p; ++i) {
         pack_total += worker_pack[static_cast<std::size_t>(i)];
         compute_total += worker_compute[static_cast<std::size_t>(i)];
-        flush_total += worker_flush[static_cast<std::size_t>(i)];
         hidden_total += worker_hidden[static_cast<std::size_t>(i)];
     }
     stats_.pack_seconds = pack_total / p;
     stats_.compute_seconds = compute_total / p;
-    stats_.flush_seconds = flush_total / p;
-    stats_.stall_seconds = std::max(
-        0.0, team_wall - (pack_total + compute_total + flush_total) / p);
+    stats_.stall_seconds =
+        std::max(0.0, team_wall - (pack_total + compute_total) / p);
     stats_.overlap_efficiency =
         pack_total > 0 ? hidden_total / pack_total : 0.0;
     stats_.pipelined = overlap;

@@ -9,9 +9,11 @@
 //   * the block's A surface is packed and split into p square mc x kc
 //     sub-blocks, one per worker ("core"), standing in for L2 residency;
 //   * the B surface is packed once and streamed by every worker;
-//   * the partial-result C surface lives in a local accumulation buffer
-//     (standing in for L3 residency) until its K reduction completes —
-//     partial results never travel to external memory;
+//   * the partial-result C surface accumulates in place in user C: the
+//     kernel writes the block's user-C rows, which stay cache-resident
+//     (standing in for L3 residency) until the K reduction completes —
+//     partial results never travel to external memory on the K-first
+//     schedules;
 //   * blocks execute in the K-first serpentine order of Algorithm 2, so
 //     consecutive blocks always share a surface and the shared surface is
 //     never re-packed (surface sharing made literal: the pack step is
@@ -75,21 +77,25 @@ struct CakeStats {
     index_t blocks_executed = 0;
     index_t a_packs = 0;  ///< A surfaces actually fetched (reuse skips these)
     index_t b_packs = 0;
-    index_t c_flushes = 0;       ///< C-surface writebacks (1 per (m,n) if K-first)
-    index_t c_partial_spills = 0;  ///< writebacks of *incomplete* surfaces
+    /// Modelled C-column retirements: one per column visit (1 per (m,n)
+    /// if K-first), each a write-back of the surface to external memory.
+    index_t c_flushes = 0;
+    index_t c_partial_spills = 0;  ///< retirements of *incomplete* surfaces
     std::uint64_t dram_read_bytes = 0;
     std::uint64_t dram_write_bytes = 0;
 
-    // Wall-clock phase attribution. The four components decompose the
+    // Wall-clock phase attribution. The components decompose the
     // block-loop wall time of one (average) core, so
-    //   pack + compute + flush + stall ~= total_seconds.
+    //   pack + compute + stall ~= total_seconds.
     // Each is the team's aggregate per-worker busy time in that phase
     // divided by p, with overlap on or off (with overlap on, packing runs
     // inside compute phases, so summing phase wall timers would
     // double-count); stall is the team wall time left over.
     double pack_seconds = 0;     ///< A/B panel packing (DRAM fetch)
-    double compute_seconds = 0;  ///< micro-kernel macro-loop
-    double flush_seconds = 0;    ///< band write-backs of retiring columns
+    double compute_seconds = 0;  ///< micro-kernel macro-loop, C in place
+    /// Always 0: the kernel writes user C itself, so no phase writes C
+    /// back. Kept only because the benchmark ledger reads it.
+    double flush_seconds = 0;
     double stall_seconds = 0;    ///< barrier waits / idle / dispatch cost
     double total_seconds = 0;
 
@@ -126,8 +132,9 @@ struct CakeStats {
     }
 };
 
-/// Reusable GEMM context: owns the packed-panel and accumulation buffers
-/// so repeated multiplies (e.g. DNN inference layers) do not reallocate.
+/// Reusable GEMM context: owns the packed-panel buffers and kernel scratch
+/// tiles so repeated multiplies (e.g. DNN inference layers) do not
+/// reallocate.
 /// Instantiated for float (CakeGemm), double (CakeGemmD) and the quantized
 /// u8 x s8 -> s32 family (CakeGemmInt8); A, B and C are the family's
 /// operand element types (kernel/kernel_family.hpp).
@@ -143,7 +150,9 @@ public:
     /// C (+)= op(A) * op(B) for row-major operands with explicit leading
     /// dims. With op_a == kTranspose, A is stored k x m (lda >= m); with
     /// op_b == kTranspose, B is stored n x k (ldb >= k).
-    /// Accumulate semantics come from options().accumulate.
+    /// Accumulate semantics come from options().accumulate. C must share
+    /// no byte with A's or B's storage: an overlap throws [C_ALIAS] before
+    /// any work.
     void multiply(const A* a, index_t lda, const B* b, index_t ldb, C* c,
                   index_t ldc, index_t m, index_t n, index_t k);
 
@@ -187,8 +196,7 @@ private:
 
     AlignedBuffer<A> pack_a_[2];  ///< double-buffered packed-A panels
     AlignedBuffer<B> pack_b_[2];  ///< double-buffered packed-B panels
-    AlignedBuffer<C> c_block_;
-    std::vector<AlignedBuffer<C>> scratch_;
+    std::vector<AlignedBuffer<C>> scratch_;  ///< per-worker mr x nr tiles
 };
 
 using CakeGemm = CakeGemmT<float>;

@@ -37,7 +37,7 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
     const auto order =
         build_schedule(kind, mb, nb, kb, /*n_outermost=*/shape.n >= shape.m);
 
-    std::vector<char> flushed(static_cast<std::size_t>(mb * nb), 0);
+    std::vector<char> visited(static_cast<std::size_t>(mb * nb), 0);
 
     auto core_for_row = [&](index_t r) {
         return static_cast<int>(std::min<index_t>(r / params.mc, p - 1));
@@ -46,23 +46,19 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
     for (std::size_t t = 0; t < order.size(); ++t) {
         const BlockCoord& coord = order[t];
         const BlockCoord* prev = t == 0 ? nullptr : &order[t - 1];
-        const BlockCoord* next =
-            t + 1 == order.size() ? nullptr : &order[t + 1];
         const index_t mi = block_extent(coord.m, params.m_blk, shape.m);
         const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
         const index_t ki = block_extent(coord.k, params.k_blk, shape.k);
         const index_t m0 = coord.m * params.m_blk;
         const index_t n0 = coord.n * params.n_blk;
         const index_t k0 = coord.k * params.k_blk;
-        // The column's first K block overwrites the local C surface; its
-        // last writes each band back to user C right after computing it.
-        const bool c_first =
-            prev == nullptr || prev->m != coord.m || prev->n != coord.n;
-        const bool c_last =
-            next == nullptr || next->m != coord.m || next->n != coord.n;
+        // The kernels compute C in place: a column's first K block
+        // overwrites user C (beta = 0); every later block, revisits
+        // included, reads it back and accumulates.
         const std::size_t slot =
             static_cast<std::size_t>(coord.m * nb + coord.n);
-        const bool revisit = flushed[slot] != 0;
+        const bool overwrite = visited[slot] == 0;
+        visited[slot] = 1;
 
         // --- A surface fetch + pack (skipped when shared, §2.2) ---
         if (prev == nullptr || prev->m != coord.m || prev->k != coord.k) {
@@ -117,9 +113,11 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                                 static_cast<std::uint32_t>(nr * ki * kF),
                                 false);
                     for (index_t i = 0; i < mrows; ++i) {
-                        const std::uint64_t crow = map.c_block
-                            + static_cast<std::uint64_t>((r + i) * ni + j) * kF;
-                        if (!c_first) {
+                        const std::uint64_t crow = map.c
+                            + static_cast<std::uint64_t>(
+                                  (m0 + r + i) * shape.n + n0 + j)
+                                * kF;
+                        if (!overwrite) {
                             sink.access(core, crow,
                                         static_cast<std::uint32_t>(ncols * kF),
                                         false);
@@ -129,25 +127,8 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                                     true);
                     }
                 }
-                if (!c_last) continue;
-                // Band write-back: a revisit accumulates into user C.
-                for (index_t i = r; i < r + mrows; ++i) {
-                    sink.access(core,
-                                map.c_block
-                                    + static_cast<std::uint64_t>(i * ni) * kF,
-                                static_cast<std::uint32_t>(ni * kF), false);
-                    const std::uint64_t crow = map.c
-                        + static_cast<std::uint64_t>((m0 + i) * shape.n + n0)
-                            * kF;
-                    if (revisit)
-                        sink.access(core, crow,
-                                    static_cast<std::uint32_t>(ni * kF), false);
-                    sink.access(core, crow, static_cast<std::uint32_t>(ni * kF),
-                                true);
-                }
             }
         }
-        if (c_last) flushed[slot] = 1;
     }
 }
 

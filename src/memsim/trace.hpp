@@ -16,7 +16,7 @@
 namespace cake {
 namespace memsim {
 
-/// Virtual base addresses of the matrices and staging buffers. Regions are
+/// Virtual base addresses of the matrices and pack panels. Regions are
 /// spaced 4 GiB apart so they never alias.
 struct AddressMap {
     std::uint64_t a = 1ULL << 32;
@@ -24,7 +24,6 @@ struct AddressMap {
     std::uint64_t c = 3ULL << 32;
     std::uint64_t pack_a = 4ULL << 32;
     std::uint64_t pack_b = 5ULL << 32;
-    std::uint64_t c_block = 6ULL << 32;
 };
 
 /// Receives the generated access stream.
@@ -49,11 +48,11 @@ private:
     HierarchySim& sim_;
 };
 
-/// Emit the access stream of a CAKE run (packing, per-core micro-kernel
-/// sweeps that overwrite the local C surface on a column's first K block
-/// and accumulate into it after, and the band write-backs of each
-/// column's last K block). Every access is scaled by params.elem_bytes, so
-/// the trace is dtype-width-aware.
+/// Emit the access stream of a CAKE run with beta = 0 (packing, and
+/// per-core micro-kernel sweeps that compute C in place: the first K block
+/// of a column's first visit overwrites its user-C rows, every later block
+/// reads them back and accumulates). Every access is scaled by
+/// params.elem_bytes, so the trace is dtype-width-aware.
 void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                 ScheduleKind kind, TraceSink& sink,
                 const AddressMap& map = {});

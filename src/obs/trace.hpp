@@ -61,7 +61,8 @@ enum class Phase : std::uint8_t {
     kNone = 0,
     kPack,     ///< A/B panel packing (the DRAM fetch of a surface)
     kCompute,  ///< micro-kernel macro-loop work
-    kFlush,    ///< band write-back of local C to user C
+    kFlush,    ///< C write-back (the CAKE executor emits none: its kernel
+               ///< writes user C during compute)
     kBarrier,  ///< SpinBarrier wait (per-worker stall attribution)
     kOther,    ///< anything else (tool-defined)
 };

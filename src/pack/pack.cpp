@@ -213,32 +213,6 @@ void unpack_c_block(const T* cbuf, index_t m, index_t n, T* c, index_t ldc,
 }
 
 template <typename T>
-void unpack_c_block_scaled(const T* cbuf, index_t m, index_t n, T* c,
-                           index_t ldc, T alpha, T beta)
-{
-    CAKE_CHECK(m >= 0 && n >= 0 && ldc >= n);
-    Span<const T> src_sp = make_span(
-        cbuf, static_cast<std::size_t>(m) * static_cast<std::size_t>(n),
-        "C block buffer");
-    Span<T> dst_sp = make_span(c, strided_extent(m, n, ldc), "user C");
-    if (beta == T(0)) {
-        // Overwrite: never read c (it may hold garbage or NaN).
-        for (index_t i = 0; i < m; ++i) {
-            Span<const T> src = span_slice(src_sp, i * n, n);
-            Span<T> dst = span_slice(dst_sp, i * ldc, n);
-            for (index_t j = 0; j < n; ++j) dst[j] = alpha * src[j];
-        }
-    } else {
-        for (index_t i = 0; i < m; ++i) {
-            Span<const T> src = span_slice(src_sp, i * n, n);
-            Span<T> dst = span_slice(dst_sp, i * ldc, n);
-            for (index_t j = 0; j < n; ++j)
-                dst[j] = alpha * src[j] + beta * dst[j];
-        }
-    }
-}
-
-template <typename T>
 T packed_a_at(const T* packed, index_t m, index_t k, index_t mr, index_t i,
               index_t p)
 {
@@ -394,14 +368,6 @@ template void unpack_c_block<std::int32_t>(const std::int32_t*, index_t,
                                            bool);
 template void unpack_c_block<double>(const double*, index_t, index_t, double*,
                                      index_t, bool);
-template void unpack_c_block_scaled<float>(const float*, index_t, index_t,
-                                           float*, index_t, float, float);
-template void unpack_c_block_scaled<double>(const double*, index_t, index_t,
-                                            double*, index_t, double, double);
-template void unpack_c_block_scaled<std::int32_t>(const std::int32_t*,
-                                                  index_t, index_t,
-                                                  std::int32_t*, index_t,
-                                                  std::int32_t, std::int32_t);
 template float packed_a_at<float>(const float*, index_t, index_t, index_t,
                                   index_t, index_t);
 template double packed_a_at<double>(const double*, index_t, index_t, index_t,

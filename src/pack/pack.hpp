@@ -78,11 +78,6 @@ template <typename T>
 void unpack_c_block(const T* cbuf, index_t m, index_t n, T* c, index_t ldc,
                     bool accumulate);
 
-/// BLAS-style epilogue: c = alpha * cbuf + beta * c over an m x n block.
-/// beta == 0 overwrites (c may contain NaN/garbage); beta == 1 accumulates.
-template <typename T>
-void unpack_c_block_scaled(const T* cbuf, index_t m, index_t n, T* c,
-                           index_t ldc, T alpha, T beta);
 
 /// Inverse of pack_a_panel for testing: reconstructs A(i, p) from a packed
 /// panel. Returns 0 for zero-padded positions.
@@ -124,15 +119,6 @@ extern template void unpack_c_block<std::int32_t>(const std::int32_t*,
                                                   bool);
 extern template void unpack_c_block<double>(const double*, index_t, index_t,
                                             double*, index_t, bool);
-extern template void unpack_c_block_scaled<float>(const float*, index_t,
-                                                  index_t, float*, index_t,
-                                                  float, float);
-extern template void unpack_c_block_scaled<double>(const double*, index_t,
-                                                   index_t, double*, index_t,
-                                                   double, double);
-extern template void unpack_c_block_scaled<std::int32_t>(
-    const std::int32_t*, index_t, index_t, std::int32_t*, index_t,
-    std::int32_t, std::int32_t);
 extern template float packed_a_at<float>(const float*, index_t, index_t,
                                          index_t, index_t, index_t);
 extern template double packed_a_at<double>(const double*, index_t, index_t,

@@ -6,8 +6,10 @@
 // alternatives (mc / kc / nc geometry, schedule, executor, worker count,
 // micro-kernel ISA) on the real host and records where measurement and
 // model disagree. The analytic plan is ALWAYS candidate 0 and always
-// timed, so the recorded winner can never measure worse than it; on most
-// shapes the search simply confirms the paper.
+// timed, so the recorded winner can never measure worse than it, and a
+// non-default plan is recorded only if it beats the default again in an
+// interleaved re-timing; on most shapes the search simply confirms the
+// paper.
 //
 // Discipline:
 //   * every candidate must pass audit_cb_plan() before it is ever timed —
@@ -105,6 +107,10 @@ struct TuneOutcome {
     int numerics_rejected = 0;  ///< candidates whose error bound exceeds
                                 ///< the analytic default's, vetoed untimed
     int budget_dropped = 0;  ///< candidates dropped by the budget cap
+    /// Interleaved re-timing of the fastest non-default candidate against
+    /// the analytic default, in order default, candidate, default,
+    /// candidate (seconds); empty when the default was fastest outright.
+    std::vector<double> confirm_seconds;
     bool cache_hit = false;  ///< served from the cache; nothing was timed
     std::vector<Issue> cache_issues;  ///< from loading (tune_with_cache)
 
@@ -143,8 +149,10 @@ CbBlockParams winner_params(const MachineSpec& machine,
                             const TunedEntry& winner);
 
 /// Run the guided search for one shape. Candidates failing audit_cb_plan
-/// are skipped untimed; remaining ones are measured under req.policy and
-/// the best measured plan becomes the winner. `fingerprint` keys the
+/// are skipped untimed; remaining ones are measured under req.policy. The
+/// fastest becomes the winner only if it also beats the analytic default
+/// in both pairs of an interleaved re-timing; otherwise the timing noise
+/// picked it and the default wins. `fingerprint` keys the
 /// returned entry. Throws cake::Error only on caller errors (unknown
 /// dtype, empty budget after audit gating).
 TuneOutcome tune_shape(ThreadPool& pool, const MachineSpec& machine,

@@ -2,8 +2,11 @@
 // statistics, tables and environment parsing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -63,6 +66,37 @@ TEST(Aligned, EmptyBufferIsSafe)
     EXPECT_TRUE(buf.empty());
     AlignedBuffer<float> moved = std::move(buf);
     EXPECT_TRUE(moved.empty());
+}
+
+/// Resident set size of this process in bytes (/proc/self/statm).
+std::size_t resident_bytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages_total = 0, pages_resident = 0;
+    statm >> pages_total >> pages_resident;
+    return pages_resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Aligned, FreedLargeBufferLeavesResidentSet)
+{
+    // A large panel maps its own pages, so freeing it returns them at
+    // once. Left to malloc, the 24 MiB free below would raise glibc's mmap
+    // threshold to 24 MiB, and the 16 MiB buffer after it would come from
+    // the heap and stay resident once freed.
+    constexpr std::size_t kMiB = std::size_t{1} << 20;
+    constexpr std::size_t kSlack = 4 * kMiB;
+    for (const std::size_t bytes : {64 * kMiB, 24 * kMiB, 16 * kMiB}) {
+        const std::size_t before = resident_bytes();
+        ASSERT_GT(before, 0u) << "/proc/self/statm unreadable";
+        {
+            AlignedBuffer<unsigned char> buf(bytes);
+            for (std::size_t i = 0; i < bytes; i += 4096) buf[i] = 1;
+            EXPECT_GE(resident_bytes() + kSlack, before + bytes)
+                << bytes / kMiB << " MiB: touched buffer is not resident";
+        }
+        EXPECT_LE(resident_bytes(), before + kSlack)
+            << bytes / kMiB << " MiB: freed buffer is still resident";
+    }
 }
 
 TEST(Error, CheckThrowsWithContext)

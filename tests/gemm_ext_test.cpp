@@ -12,6 +12,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
+#include "core/cake_gemm_int8.hpp"
 #include "core/fperror.hpp"
 #include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
@@ -159,25 +160,6 @@ TEST(TransposeOps, GramMatrixUseCase)
     EXPECT_LE(asym, 2 * gemm_tolerance(rows));
 }
 
-TEST(ScaledEpilogue, UnpackScaledBlockSemantics)
-{
-    const index_t m = 3, n = 4;
-    std::vector<float> cbuf(static_cast<std::size_t>(m * n));
-    for (index_t i = 0; i < m * n; ++i)
-        cbuf[static_cast<std::size_t>(i)] = static_cast<float>(i + 1);
-    std::vector<float> c(static_cast<std::size_t>(m * n), 10.0f);
-
-    unpack_c_block_scaled(cbuf.data(), m, n, c.data(), n, 2.0f, 0.5f);
-    EXPECT_EQ(c[0], 2.0f * 1 + 0.5f * 10);
-    EXPECT_EQ(c[11], 2.0f * 12 + 0.5f * 10);
-
-    // beta = 0 must overwrite even NaN garbage.
-    std::vector<float> nan_c(static_cast<std::size_t>(m * n),
-                             std::nanf(""));
-    unpack_c_block_scaled(cbuf.data(), m, n, nan_c.data(), n, 1.0f, 0.0f);
-    EXPECT_EQ(nan_c[5], 6.0f);
-}
-
 /// Blocks small enough that the epilogue shapes below span several CB
 /// blocks in M, N and K (kb >= 2) and end in edge tiles in every
 /// dimension, under schedule `kind` with overlap on or off.
@@ -260,42 +242,50 @@ void expect_epilogue_within_plan_bound(const CakeGemm& gemm, const Matrix& a,
 TEST(ScaledEpilogue, FullBlasSemantics)
 {
     // First-visit beta, beta = 1 on the revisits of non-K-first
-    // schedules, alpha at every band write-back and edge tiles that
-    // overwrite on a column's first K block, under every schedule with
-    // overlap on and off.
+    // schedules, alpha on every K block and edge tiles that overwrite on
+    // a column's first K block, under every schedule with overlap on and
+    // off: the kernel's own overwrite / accumulate (alpha = 1, beta 0 or
+    // 1) and the scratch-tile epilogue (every other pair). beta = 0 meets
+    // NaN garbage in C.
     Rng rng(37);
     const index_t m = 72, n = 95, k = 58, ldc = n + 5;
     Matrix a(m, k);
     Matrix b(k, n);
     a.fill_random(rng);
     b.fill_random(rng);
-    std::vector<float> c0(static_cast<std::size_t>(m * ldc));
-    for (index_t i = 0; i < m; ++i)
-        for (index_t j = 0; j < ldc; ++j)
-            c0[static_cast<std::size_t>(i * ldc + j)] =
-                0.01f * static_cast<float>(i - j);
-
-    const float alpha = -1.5f;
-    const float beta = 0.25f;
     bool revisited = false;
-    for (const ScheduleKind kind : all_schedule_kinds()) {
-        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
-            std::vector<float> c = c0;
-            CakeGemm gemm(test_pool(), multi_block(kind, exec));
-            gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(), ldc, m,
-                                 n, k, alpha, beta);
-            expect_epilogue_within_plan_bound(gemm, a, b, c0, c, ldc, alpha,
-                                              beta);
-            revisited = revisited || gemm.stats().c_partial_spills > 0;
+    for (const float alpha : {1.0f, 0.5f, -1.5f}) {
+        for (const float beta : {0.0f, 1.0f, -2.0f, 0.25f}) {
+            std::vector<float> c0(static_cast<std::size_t>(m * ldc));
+            for (index_t i = 0; i < m; ++i)
+                for (index_t j = 0; j < ldc; ++j)
+                    c0[static_cast<std::size_t>(i * ldc + j)] = beta == 0.0f
+                        ? std::nanf("")
+                        : 0.01f * static_cast<float>(i - j);
+            for (const ScheduleKind kind : all_schedule_kinds()) {
+                for (const CakeExec exec :
+                     {CakeExec::kSerial, CakeExec::kPipelined}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "alpha " << alpha << " beta " << beta);
+                    std::vector<float> c = c0;
+                    CakeGemm gemm(test_pool(), multi_block(kind, exec));
+                    gemm.multiply_scaled(a.data(), k, b.data(), n, c.data(),
+                                         ldc, m, n, k, alpha, beta);
+                    expect_epilogue_within_plan_bound(gemm, a, b, c0, c, ldc,
+                                                      alpha, beta);
+                    revisited =
+                        revisited || gemm.stats().c_partial_spills > 0;
+                }
+            }
         }
     }
-    EXPECT_TRUE(revisited) << "no schedule wrote a column back twice";
+    EXPECT_TRUE(revisited) << "no schedule visited a column twice";
 }
 
 TEST(ScaledEpilogue, BetaZeroIgnoresNanGarbage)
 {
-    // beta = 0 overwrites NaN garbage on a column's first write-back, and
-    // revisits (beta = 1) add onto what the first one wrote, never onto
+    // beta = 0 overwrites NaN garbage on a column's first K block, and
+    // revisits (beta = 1) add onto what the first visit wrote, never onto
     // the garbage.
     Rng rng(38);
     const index_t m = 25, n = 33, k = 17, ldc = n + 3;
@@ -356,6 +346,97 @@ TEST(ScaledEpilogue, NonFinitePropagatesWithBetaNonzero)
                                               beta);
         }
     }
+}
+
+/// C aliasing A, then C aliasing B, must each throw [C_ALIAS] before any
+/// work; the same context must then run an exact multiply. Operand values
+/// are small integers, so every family's result is exact.
+template <typename T>
+void expect_c_alias_refused()
+{
+    using Gemm = CakeGemmT<T>;
+    using A = typename Gemm::A;
+    using B = typename Gemm::B;
+    using C = typename Gemm::C;
+    const index_t m = 40, n = 36, k = 30, ldc = n + 4;
+    std::vector<A> a(static_cast<std::size_t>(m * k));
+    std::vector<B> b(static_cast<std::size_t>(k * n));
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = A(i % 5);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = B(int(i % 7) - 3);
+    std::vector<C> c(static_cast<std::size_t>(m * ldc), C(0));
+
+    CakeOptions options;
+    options.mc = best_microkernel_of<T>().mr * 2;
+    Gemm gemm(test_pool(), options);
+    // A C window that starts inside A's storage.
+    std::vector<C> shared(static_cast<std::size_t>(m * ldc) + a.size(), C(0));
+    const auto* a_in_c = static_cast<const A*>(
+        static_cast<const void*>(shared.data() + 3));
+    auto expect_alias = [&](auto&& call, const char* what) {
+        try {
+            call();
+            ADD_FAILURE() << what << ": no error";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("[C_ALIAS]"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+    };
+    expect_alias(
+        [&] {
+            gemm.multiply(a_in_c, k, b.data(), n, shared.data(), ldc, m, n,
+                          k);
+        },
+        "C aliases A");
+    const auto* b_in_c = static_cast<const B*>(
+        static_cast<const void*>(shared.data() + (m - 1) * ldc));
+    expect_alias(
+        [&] {
+            gemm.multiply(a.data(), k, b_in_c, n, shared.data(), ldc, m, n,
+                          k);
+        },
+        "C aliases B");
+
+    gemm.multiply(a.data(), k, b.data(), n, c.data(), ldc, m, n, k);
+    for (index_t i = 0; i < m; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+            long long want = 0;
+            for (index_t p = 0; p < k; ++p) {
+                want += static_cast<long long>(a[static_cast<std::size_t>(
+                            i * k + p)])
+                    * static_cast<long long>(
+                            b[static_cast<std::size_t>(p * n + j)]);
+            }
+            ASSERT_EQ(c[static_cast<std::size_t>(i * ldc + j)], C(want))
+                << "(" << i << ", " << j << ")";
+        }
+    }
+}
+
+TEST(CAlias, RefusedBeforeAnyWorkForEveryFamily)
+{
+    expect_c_alias_refused<float>();
+    expect_c_alias_refused<double>();
+    expect_c_alias_refused<U8S8S32>();
+}
+
+TEST(CAlias, PaddedAndTransposedExtentsCount)
+{
+    // op(A) = A^T stored k x m with padded lda: C starting inside A's last
+    // stored row overlaps it even though it starts past m * k elements.
+    const index_t m = 8, n = 8, k = 8, lda = m + 6;
+    std::vector<float> buf(static_cast<std::size_t>(k * lda + m * n), 1.0f);
+    std::vector<float> b(static_cast<std::size_t>(k * n), 1.0f);
+    CakeOptions options = small_blocks();
+    options.op_a = Op::kTranspose;
+    CakeGemm gemm(test_pool(), options);
+    float* c = buf.data() + (k - 1) * lda + m - 1;
+    EXPECT_THROW(gemm.multiply(buf.data(), lda, b.data(), n, c, n, m, n, k),
+                 Error);
+    // One element further, C starts right past A's extent: no overlap.
+    c = buf.data() + (k - 1) * lda + m;
+    gemm.multiply(buf.data(), lda, b.data(), n, c, n, m, n, k);
+    EXPECT_EQ(c[0], static_cast<float>(k));
 }
 
 TEST(ScaledEpilogue, AlphaZeroScalesCOnly)

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -337,16 +339,31 @@ using PhaseConfig = std::tuple<ScheduleKind, bool, bool, bool>;
 class PhaseAgreementTest : public ::testing::TestWithParam<PhaseConfig> {};
 
 /// Run one multiply of family T and extract the IR of the plan it ran.
+/// The shape spans several blocks in M, N and K (kb = 3) with edge tiles
+/// in each, and C has padded rows. The multiply (beta = 0, over garbage:
+/// NaN for f32) and a second, accumulating one (beta = 1) on a context of
+/// the same geometry must leave exactly 2*A*B — the small integer
+/// operands make every family's result exact — and the padding
+/// bit-identical.
 template <typename T>
 std::pair<CakeStats, ScheduleIR> run_and_extract(ScheduleKind kind,
                                                  bool overlap, bool prepacked,
                                                  OperandBytes bytes)
 {
     using Gemm = CakeGemmT<T>;
-    const index_t m = 150, n = 170, k = 90;
-    const std::vector<typename Gemm::A> a(static_cast<std::size_t>(m * k), 1);
-    const std::vector<typename Gemm::B> b(static_cast<std::size_t>(k * n), 1);
-    std::vector<typename Gemm::C> c(static_cast<std::size_t>(m * n), 0);
+    using C = typename Gemm::C;
+    const index_t m = 150, n = 170, k = 90, ldc = n + 3;
+    std::vector<typename Gemm::A> a(static_cast<std::size_t>(m * k));
+    std::vector<typename Gemm::B> b(static_cast<std::size_t>(k * n));
+    for (index_t i = 0; i < m * k; ++i)
+        a[static_cast<std::size_t>(i)] = typename Gemm::A((i * 7) % 5);
+    for (index_t i = 0; i < k * n; ++i)
+        b[static_cast<std::size_t>(i)] = typename Gemm::B((i * 5) % 7 - 3);
+    const C garbage = std::numeric_limits<C>::has_quiet_NaN
+        ? std::numeric_limits<C>::quiet_NaN()
+        : C(0x5a5a5a5a);
+    const std::vector<C> c0(static_cast<std::size_t>(m * ldc), garbage);
+    std::vector<C> c = c0;
 
     CakeOptions options;
     options.mc = best_microkernel_of<T>().mr * 2;
@@ -354,11 +371,40 @@ std::pair<CakeStats, ScheduleIR> run_and_extract(ScheduleKind kind,
     options.schedule = kind;
     options.exec = overlap ? CakeExec::kPipelined : CakeExec::kSerial;
     Gemm gemm(test_pool(), options);
+    options.accumulate = true;
+    Gemm accumulating(test_pool(), options);
     if (prepacked) {
         const PackedB<T> packed = gemm.pack_weights(b.data(), n, k, n);
-        gemm.multiply_prepacked(a.data(), k, packed, c.data(), n, m);
+        gemm.multiply_prepacked(a.data(), k, packed, c.data(), ldc, m);
+        accumulating.multiply_prepacked(a.data(), k, packed, c.data(), ldc,
+                                        m);
     } else {
-        gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+        gemm.multiply(a.data(), k, b.data(), n, c.data(), ldc, m, n, k);
+        accumulating.multiply(a.data(), k, b.data(), n, c.data(), ldc, m, n,
+                              k);
+    }
+    EXPECT_EQ(gemm.stats().grid_kb, 3);
+    for (index_t i = 0; i < m; ++i) {
+        for (index_t j = 0; j < ldc; ++j) {
+            const auto at = static_cast<std::size_t>(i * ldc + j);
+            if (j >= n) {
+                EXPECT_EQ(std::memcmp(&c[at], &c0[at], sizeof(C)), 0)
+                    << "padding (" << i << ", " << j << ") written";
+                continue;
+            }
+            long long ab = 0;
+            for (index_t p = 0; p < k; ++p) {
+                ab += static_cast<long long>(a[static_cast<std::size_t>(
+                          i * k + p)])
+                    * static_cast<long long>(
+                          b[static_cast<std::size_t>(p * n + j)]);
+            }
+            if (c[at] != C(2 * ab)) {
+                ADD_FAILURE() << "(" << i << ", " << j << ") = " << c[at]
+                              << ", expected " << 2 * ab;
+                return {gemm.stats(), ScheduleIR{}};
+            }
+        }
     }
     return {gemm.stats(),
             schedir::extract_cake_ir(
@@ -371,7 +417,8 @@ TEST_P(PhaseAgreementTest, ExecutorRunsTheIrPhases)
 {
     // The IR the verifiers check must have the executor's barrier
     // structure: the fill, one main phase per step and, with overlap
-    // off, a pack phase per later step that fetches.
+    // off, a pack phase per later step that fetches. The values are
+    // checked on the way (run_and_extract).
     const auto [kind, overlap, int8, prepacked] = GetParam();
     const auto [stats, ir] = int8
         ? run_and_extract<U8S8S32>(kind, overlap, prepacked, {1, 1, 4})

@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
@@ -366,6 +368,54 @@ TEST(TuneSearch, MockTimerConvergesOnInjectedBest)
     EXPECT_EQ(outcome.winner.plan.mc, target_mc);
     // The winner can never measure worse than the analytic default.
     EXPECT_GE(outcome.winner.measured_gflops, outcome.analytic_gflops());
+    // It beat the default again in the interleaved re-timing.
+    ASSERT_EQ(outcome.confirm_seconds.size(), 4u);
+    EXPECT_LT(outcome.confirm_seconds[1], outcome.confirm_seconds[0]);
+    EXPECT_LT(outcome.confirm_seconds[3], outcome.confirm_seconds[2]);
+}
+
+TEST(TuneSearch, NoiseWinnerThatTiesTheDefaultIsNotCached)
+{
+    // The search times one candidate fast once (noise); re-timed beside
+    // the default, interleaved, it ties. The default must be cached.
+    const MachineSpec machine = test_machine();
+    ThreadPool pool(machine.cores);
+    TuneRequest req;
+    req.shape = {512, 512, 512};
+    req.budget = 64;  // time every candidate
+
+    const auto candidates = generate_candidates(
+        machine, req.shape, 4, machine.cores);
+    std::optional<index_t> lucky_kc;
+    for (const auto& c : candidates) {
+        if (c.kc) {
+            lucky_kc = c.kc;
+            break;
+        }
+    }
+    ASSERT_TRUE(lucky_kc.has_value());
+
+    const double flops = req.shape.flops();
+    int lucky_timings = 0;
+    std::vector<bool> timed_default;
+    auto mock = [&](const TuneCandidate& c) {
+        timed_default.push_back(c.analytic_default);
+        if (c.kc == lucky_kc && lucky_timings++ == 0) return flops / 100e9;
+        return flops / 10e9;  // the default and every other plan tie
+    };
+    const TuneOutcome outcome =
+        tune_shape(pool, machine, req, "mock-host", mock);
+
+    EXPECT_EQ(lucky_timings, 3);  // the search, then two re-timings
+    ASSERT_EQ(outcome.confirm_seconds.size(), 4u);
+    ASSERT_GE(timed_default.size(), 4u);
+    const std::vector<bool> interleaved(timed_default.end() - 4,
+                                        timed_default.end());
+    EXPECT_EQ(interleaved, (std::vector<bool>{true, false, true, false}));
+    EXPECT_FALSE(outcome.winner.plan.kc.has_value())
+        << "a noise winner was cached";
+    EXPECT_NEAR(outcome.winner.measured_gflops, 10.0, 1e-6);
+    EXPECT_NEAR(outcome.winner.analytic_gflops, 10.0, 1e-6);
 }
 
 TEST(TuneSearch, WinnerParamsUseTheHostKernelTile)

@@ -213,6 +213,12 @@ void print_outcome(const cake::GemmShape& shape, const TuneOutcome& outcome)
                   << ", kernelcheck-rejected: "
                   << outcome.kernelcheck_rejected
                   << ", budget-dropped: " << outcome.budget_dropped << "\n";
+        if (!outcome.confirm_seconds.empty()) {
+            const std::vector<double>& t = outcome.confirm_seconds;
+            std::cout << "  re-timed default/fastest: " << std::setprecision(3)
+                      << t[0] * 1e3 << "/" << t[1] * 1e3 << " ms, "
+                      << t[2] * 1e3 << "/" << t[3] * 1e3 << " ms\n";
+        }
         if (outcome.disagreement.agree()) {
             std::cout
                 << "  model agreement: analytic ranking matches hardware\n";
