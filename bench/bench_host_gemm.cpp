@@ -4,9 +4,7 @@
 // figures come from the bench_fig* harnesses.)
 //
 // Custom main (not benchmark_main): wires the persisted tuning cache into
-// the CAKE benches (`--no-tune` reverts to analytic plans) and mirrors
-// every run into BENCH_host_gemm.json through the shared bench telemetry
-// writer, so bench_gate can diff these numbers against a baseline.
+// the CAKE benches (`--no-tune` reverts to analytic plans).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -292,45 +290,6 @@ void BM_PackB(benchmark::State& state)
 }
 BENCHMARK(BM_PackB)->Arg(512)->Arg(1024);
 
-/// ConsoleReporter that also mirrors every per-iteration run into a
-/// common/csv Table, so main() can hand the results to the shared BENCH
-/// JSON writer. Counters the run did not report become "-" labels.
-class TelemetryReporter : public benchmark::ConsoleReporter {
-public:
-    Table table{{"benchmark", "real s per iter", "cpu s per iter",
-                 "iterations", "GFLOP/s", "max_rel_err", "err_bound"}};
-
-    void ReportRuns(const std::vector<Run>& reports) override
-    {
-        benchmark::ConsoleReporter::ReportRuns(reports);
-        for (const Run& run : reports) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred) {
-                continue;
-            }
-            const double iters =
-                run.iterations > 0 ? static_cast<double>(run.iterations)
-                                   : 1.0;
-            auto counter = [&](const char* name) -> std::string {
-                const auto it = run.counters.find(name);
-                return it != run.counters.end()
-                           ? format_number(it->second.value, 6)
-                           : std::string("-");
-            };
-            // BM_CakeInt8 reports GOP/s; same column, same unit scale.
-            const auto gops = run.counters.find("GOP/s");
-            table.add_row(
-                {run.benchmark_name(),
-                 format_number(run.real_accumulated_time / iters, 6),
-                 format_number(run.cpu_accumulated_time / iters, 6),
-                 std::to_string(run.iterations),
-                 gops != run.counters.end()
-                     ? format_number(gops->second.value, 6)
-                     : counter("GFLOP/s"),
-                 counter("max_rel_err"), counter("err_bound")});
-        }
-    }
-};
-
 }  // namespace
 
 int main(int argc, char** argv)
@@ -339,13 +298,7 @@ int main(int argc, char** argv)
         cake::bench::PlanSourceOption::from_args(argc, argv);
     g_plan_source = plans.get();
     benchmark::Initialize(&argc, argv);
-    TelemetryReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    const std::string json_path =
-        cake::bench::write_bench_table_json(reporter.table, "host_gemm");
-    if (!json_path.empty()) {
-        std::cout << "[json saved: " << json_path << "]\n";
-    }
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
 }

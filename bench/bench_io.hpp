@@ -13,22 +13,14 @@
 //     run of a bench case with the src/obs tracer and writes
 //     <dir>/<name>.trace.json plus a per-run stall summary. Off by
 //     default; benches print "-" in the trace columns when disarmed.
-//   * BENCH_<name>.json telemetry: print_table also serialises every table
-//     through bench_json.hpp into $CAKE_BENCH_JSON_DIR (falling back to
-//     $CAKE_BENCH_CSV_DIR, then "."), unless CAKE_BENCH_JSON=0. The
-//     records carry the machine fingerprint plus the bench_context() map,
-//     and tools/bench_gate diffs them against committed baselines.
 //   * PlanSourceOption: opt-out `--no-tune` wiring of the persisted tuning
-//     cache (tune::CachedPlanSource) into CakeOptions::plan_source, with
-//     the on/off decision recorded in the telemetry context.
+//     cache (tune::CachedPlanSource) into CakeOptions::plan_source.
 #pragma once
 
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 
-#include "bench_json.hpp"
 #include "common/csv.hpp"
 #include "common/env.hpp"
 #include "common/timing.hpp"
@@ -47,7 +39,7 @@
 namespace cake {
 namespace bench {
 
-/// The bench JSON header: which experiment, on which machine.
+/// The .meta.json header of a CSV: which experiment, on which machine.
 inline std::string bench_meta_json(const std::string& name)
 {
     return "{\"bench\": \"" + name
@@ -59,42 +51,6 @@ inline std::string bench_meta_json(const std::string& name)
 inline void print_machine_banner()
 {
     std::cout << "machine: " << host_fingerprint().json() << "\n\n";
-}
-
-/// Free-form key/value pairs recorded in every BENCH_<name>.json this
-/// process writes (e.g. "tuned_plans" -> "on", "counters" -> "denied").
-/// Benches add to it before their first print_table call.
-inline std::map<std::string, std::string>& bench_context()
-{
-    static std::map<std::string, std::string> context;
-    return context;
-}
-
-/// Serialise one printed table as BENCH_<name>.json. Directory policy:
-/// $CAKE_BENCH_JSON_DIR, else $CAKE_BENCH_CSV_DIR (JSON rides along with
-/// the CSVs), else the working directory; CAKE_BENCH_JSON=0 disables the
-/// writer entirely. Returns the written path, or "" when disabled/failed.
-inline std::string write_bench_table_json(const Table& table,
-                                          const std::string& name)
-{
-    if (env_long("CAKE_BENCH_JSON").value_or(1) == 0) return {};
-    std::string dir = ".";
-    if (auto json_dir = env_string("CAKE_BENCH_JSON_DIR")) {
-        dir = *json_dir;
-    } else if (auto csv_dir = env_string("CAKE_BENCH_CSV_DIR")) {
-        dir = *csv_dir;
-    }
-    BenchRecord record = record_from_table(table, name);
-    const MachineFingerprint fp = host_fingerprint();
-    record.machine_key = fp.key();
-    record.machine_json = fp.json();
-    record.context = bench_context();
-    const std::string path = dir + "/BENCH_" + name + ".json";
-    if (!write_bench_json_file(record, path)) {
-        std::cerr << "warning: cannot write " << path << "\n";
-        return {};
-    }
-    return path;
 }
 
 inline void print_table(const Table& table, const std::string& name)
@@ -117,17 +73,11 @@ inline void print_table(const Table& table, const std::string& name)
             std::cerr << "warning: cannot write " << meta_path << "\n";
         }
     }
-    const std::string json_path = write_bench_table_json(table, name);
-    if (!json_path.empty()) {
-        std::cout << "[json saved: " << json_path << "]\n";
-    }
 }
 
 /// Opt-out wiring of the persisted tuning cache into a bench's
 /// CakeOptions. Default ON (the bench measures what a tuned production
-/// call would get); `--no-tune` reverts to pure analytic planning. Either
-/// way the decision lands in bench_context()["tuned_plans"] so the
-/// BENCH_*.json record says which planner produced its numbers. When the
+/// call would get); `--no-tune` reverts to pure analytic planning. When the
 /// tuner is compiled out (-DCAKE_TUNE_DISABLED=ON) the option degrades to
 /// "off" and `--no-tune` is accepted but redundant.
 class PlanSourceOption {
@@ -147,7 +97,6 @@ public:
 #else
         (void)no_tune;
 #endif
-        bench_context()["tuned_plans"] = option.on_ ? "on" : "off";
         return option;
     }
 

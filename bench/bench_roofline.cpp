@@ -4,26 +4,19 @@
 // arithmetic intensity always lands in (or beyond) the compute-bound
 // region, which is the whole point of CB shaping (Fig. 4).
 //
-// Second table: the MEASURED operating point of this host. One multiply
-// runs with the src/obs perf counter layer armed and the counter-derived
-// AI (flops / LLC-load-miss bytes) lands beside the analytic CAKE point.
-// Where counters are denied (perf_event_paranoid, containers, no PMU) the
-// measured columns print "-" — same graceful degradation as cake_perf.
-#include <chrono>
+// Second table: the static compute roof of every compiled micro-kernel
+// (model/kernel_peak). Traffic measured on a simulated hierarchy is
+// memsim's job (bench_fig7_stalls, bench_schedule_traffic).
 #include <iostream>
 
 #include "bench_io.hpp"
 #include "common/csv.hpp"
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
-#include "core/cake_gemm.hpp"
 #include "core/tiling.hpp"
 #include "gotoblas/goto_gemm.hpp"
 #include "kernel/registry.hpp"
 #include "machine/machine.hpp"
 #include "model/kernel_peak.hpp"
 #include "model/throughput.hpp"
-#include "obs/perf.hpp"
 
 namespace {
 
@@ -49,11 +42,9 @@ double cake_ai(const MachineSpec& m, index_t size)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
     using namespace cake;
-    const bench::PlanSourceOption plans =
-        bench::PlanSourceOption::from_args(argc, argv);
     std::cout << "=== Roofline operating points (whole-problem arithmetic "
                  "intensity) ===\n\n";
 
@@ -76,66 +67,9 @@ int main(int argc, char** argv)
     }
     bench::print_table(table, "roofline_points");
 
-    // Measured operating point on THIS host: arm the counter layer around
-    // one multiply and derive AI from LLC-load-miss bytes instead of the
-    // traffic model. Analytic row alongside for the model-vs-silicon gap.
-    {
-        const MachineSpec host = host_machine();
-        const index_t size = 1024;
-        const GemmShape shape{size, size, size};
-        ThreadPool pool(host.cores);
-        Rng rng(3);
-        Matrix a(size, size), b(size, size), c(size, size);
-        a.fill_random(rng);
-        b.fill_random(rng);
-        CakeOptions opts;
-        opts.plan_source = plans.get();
-        CakeGemm gemm(pool, opts);
-        auto multiply = [&] {
-            gemm.multiply(a.data(), size, b.data(), size, c.data(), size,
-                          size, size, size);
-        };
-        multiply();  // warm-up, untimed and uncounted
-        obs::perf::reset();
-        obs::perf::enable();
-        const auto t0 = std::chrono::steady_clock::now();
-        multiply();
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        obs::perf::disable();
-        const obs::perf::PerfDump dump = obs::perf::collect();
-        const obs::perf::OperatingPoint op =
-            obs::perf::operating_point(dump, shape.flops(), dt.count());
-        bench::bench_context()["counters"] =
-            op.measured ? "ok" : "denied";
-
-        std::cout << "\n=== Measured host operating point (" << size
-                  << "^3, counter-derived AI) ===\n\n";
-        Table measured({"host", "source", "AI (flop/B)", "GFLOP/s",
-                        "DRAM read (MB)"});
-        measured.add_row(
-            {host.name, "analytic CAKE",
-             format_number(cake_ai(host, size), 4), "-",
-             format_number(shape.flops() / cake_ai(host, size) / 1e6, 4)});
-        measured.add_row(
-            {host.name, "measured (LLC misses)",
-             op.measured ? format_number(op.ai, 4) : "-",
-             format_number(op.gflops, 4),
-             op.measured ? format_number(op.dram_bytes / 1e6, 4) : "-"});
-        bench::print_table(measured, "roofline_measured");
-        if (!op.measured) {
-            std::cout << "\n[counters denied: "
-                      << (dump.availability.reason.empty()
-                              ? "perf layer compiled out"
-                              : dump.availability.reason)
-                      << " — measured columns degrade to \"-\"]\n";
-        }
-    }
-
     // Static per-kernel compute roofs from the verified kernel IRs
     // (model/kernel_peak): pure descriptor arithmetic, identical on every
-    // host that compiled the same kernel set, so the table doubles as the
-    // host-independent BENCH_kernel_peak.json baseline.
+    // host that compiled the same kernel set (kernelcheck_test pins it).
     {
         std::cout << "\n=== Static kernel peaks (from verified kernel IRs, "
                      "ops/cycle/core) ===\n\n";
@@ -153,8 +87,6 @@ int main(int argc, char** argv)
         }
         bench::print_table(peaks, "kernel_peak");
 
-        // The measured operating point above must sit under the static
-        // roof of the kernel the host actually dispatches.
         const MachineSpec host = host_machine();
         const MicroKernel& best = best_microkernel_of<float>();
         if (const KernelIr* ir = kernel_ir_for(best.name)) {
@@ -166,8 +98,7 @@ int main(int argc, char** argv)
                       << host.cores << " core(s) = "
                       << format_number(core_peak * host.cores, 5)
                       << " GFLOP/s at " << format_number(host.freq_ghz, 3)
-                      << " GHz (measured multiply above must not exceed "
-                         "this roof)\n";
+                      << " GHz\n";
         }
     }
 

@@ -1,6 +1,6 @@
-// The repo's one JSON reader and writer. The tuning cache, the Perfetto
-// trace validator and the BENCH_<name>.json baselines all parse through
-// here; each keeps its own schema mapping and error codes on top.
+// The repo's one JSON reader and writer. The tuning cache and the Perfetto
+// trace validator parse through here; each keeps its own schema mapping
+// and error codes on top.
 //
 // Reader: never throws on malformed input, returning false with a
 // one-line "<what> at byte N". Numbers are doubles; a number token (a run

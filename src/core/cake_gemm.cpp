@@ -15,7 +15,6 @@
 #include "core/block_plan.hpp"
 #include "core/fperror.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "pack/pack.hpp"
 #include "pack/pack_int8.hpp"
@@ -501,7 +500,7 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     call.prepacked = prepacked;
     call.ta = ta;
     call.tb = tb;
-    call.overlap = exec != CakeExec::kSerial;
+    call.overlap = exec_overlaps(exec, params.p);
     call.params = params;
     stats_.grid_mb = ceil_div(m, params.m_blk);
     stats_.grid_nb = ceil_div(n, params.n_blk);
@@ -573,12 +572,13 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 
 // ---------------------------------------------------------------------------
 // The block-loop executor: one persistent team for the whole block loop,
-// for every kernel family. With overlap on (CakeExec::kAuto/kPipelined),
-// while the team computes block i it also packs the surfaces of block i+1
-// that shared_surfaces() says are not carried over, into the other half of
-// the double-buffered panel storage — so after pipeline fill, packing IO
-// runs concurrently with compute instead of on the critical path (paper
-// §2, Fig. 7). With overlap off (CakeExec::kSerial, the Fig. 7 ablation)
+// for every kernel family. With overlap on (CakeExec::kPipelined, or kAuto
+// with p >= 2), while the team computes block i it also packs the surfaces
+// of block i+1 that shared_surfaces() says are not carried over, into the
+// other half of the double-buffered panel storage — so after pipeline
+// fill, packing IO runs concurrently with compute instead of on the
+// critical path (paper §2, Fig. 7). With overlap off (CakeExec::kSerial,
+// the Fig. 7 ablation, or kAuto with p = 1)
 // block i's surfaces are packed in a phase of their own right before its
 // compute phase, single-buffered, so every fetch is exposed. C takes no
 // phase of its own: every compute item runs the kernel on its band of
@@ -698,9 +698,6 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
         const bool tracing = obs::enabled();
         auto timed_item = [&](const char* span_name, obs::Phase obs_phase,
                               const BlockStep& st, index_t item, auto&& body) {
-            // Counter reads bracket the clock pair so the perf syscalls
-            // never contaminate the phase seconds or the span duration.
-            obs::perf::ScopedPhaseDelta perf_scope(obs_phase);
             const auto t0 = Clock::now();
             body();
             const auto t1 = Clock::now();

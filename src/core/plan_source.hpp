@@ -25,7 +25,9 @@ namespace cake {
 /// stays resident across the whole block loop with spin barriers between
 /// phases, and are bit-exact with each other.
 enum class CakeExec {
-    /// Overlap on (kPipelined).
+    /// Overlap on (kPipelined) with two or more workers; overlap off
+    /// (kSerial) with one, where there is nothing to overlap with and one
+    /// pack buffer suffices. A tuned `exec` replaces it.
     kAuto,
     /// Overlap off: each block's non-shared surfaces are packed in a
     /// phase of their own right before its compute phase, single-buffered,
@@ -36,6 +38,12 @@ enum class CakeExec {
     /// block i computes, double-buffering the packed-A/packed-B panels.
     kPipelined,
 };
+
+/// Whether `exec` runs pack/compute overlap on a team of `p` workers.
+constexpr bool exec_overlaps(CakeExec exec, int p)
+{
+    return exec == CakeExec::kPipelined || (exec == CakeExec::kAuto && p > 1);
+}
 
 /// What a plan source is asked about: one multiply, shape + element width
 /// + the worker count the caller would otherwise use.

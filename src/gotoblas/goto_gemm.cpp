@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "pack/pack.hpp"
 
@@ -181,7 +180,6 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
                                [&](index_t s0, index_t s1) {
                 obs::ScopedSpan span("pack.B", obs::Phase::kPack, -1,
                                      jc / nc, pc / kc, s0);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kPack);
                 const index_t c0 = s0 * kernel.nr;
                 const index_t c1 = std::min(ncur, s1 * kernel.nr);
                 pack_b_panel(bsrc + c0, ldb, kcur, c1 - c0, kernel.nr,
@@ -202,7 +200,6 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
             pool_.run(p, [&, kernel, pb, acc](int tid) {
                 obs::ScopedSpan span("compute", obs::Phase::kCompute, -1,
                                      jc / nc, pc / kc, tid);
-                obs::perf::ScopedPhaseDelta perf_scope(obs::Phase::kCompute);
                 AlignedBuffer<T>& pa_buf =
                     pack_a_[static_cast<std::size_t>(tid)];
                 Span<const T> pa =
@@ -216,8 +213,6 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
                         obs::ScopedSpan pack_span("pack.A",
                                                   obs::Phase::kPack, ic / mc,
                                                   jc / nc, pc / kc, tid);
-                        obs::perf::ScopedPhaseDelta pack_perf(
-                            obs::Phase::kPack);
                         pack_a_panel(a + ic * lda + pc, lda, mcur, kcur,
                                      kernel.mr, pa_buf.data());
                     }

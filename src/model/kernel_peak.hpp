@@ -1,8 +1,7 @@
 // Static per-kernel throughput bounds derived from the kernel IR
 // (kernel/kernel_ir.hpp): the compute roof each micro-kernel's dataflow
-// permits, published on the roofline beside the measured operating point
-// (bench_roofline) and committed as the host-independent
-// BENCH_kernel_peak.json baseline.
+// permits, published on the roofline (bench_roofline), read by the ledger's
+// kernel roof, and pinned for every compiled kernel by kernelcheck_test.
 //
 // The bound is the classical latency/parallelism argument. One FMA slot
 // (KirFma) issues `fma_uops` vector µops on P ports, so the machine

@@ -273,124 +273,7 @@ ProfileReport profile(const TraceDump& dump)
               [](const SpanStat& a, const SpanStat& b) {
                   return a.total_s > b.total_s;
               });
-#if CAKE_PERF_ENABLED
-    if (perf::enabled()) report.perf = perf::collect();
-#endif
     return report;
-}
-
-namespace {
-
-/// Phases worth a row in the counter tables, in pipeline order.
-constexpr Phase kTablePhases[] = {Phase::kPack, Phase::kCompute,
-                                  Phase::kFlush, Phase::kBarrier,
-                                  Phase::kOther};
-
-std::vector<std::string> perf_header(const perf::PerfDump& dump,
-                                     const std::string& first)
-{
-    std::vector<std::string> header{first};
-    for (const perf::CounterSpec& spec : dump.specs) {
-        header.emplace_back(spec.name);
-    }
-    header.emplace_back("ipc");
-    header.emplace_back("miss_mb");
-    return header;
-}
-
-/// One table row from a CounterSet: raw counts (or "-"), derived IPC and
-/// LLC-miss megabytes where the inputs scheduled.
-std::vector<std::string> perf_row(const perf::PerfDump& dump,
-                                  const perf::CounterSet& set,
-                                  const std::string& label)
-{
-    std::vector<std::string> row{label};
-    for (std::size_t i = 0; i < dump.specs.size(); ++i) {
-        row.push_back(i < set.n && set.available[i]
-                          ? std::to_string(set.value[i])
-                          : "-");
-    }
-    auto slot_value = [&](const char* name, std::uint64_t* out) {
-        const int s = dump.slot(name);
-        if (s < 0) return false;
-        const auto i = static_cast<std::size_t>(s);
-        if (i >= set.n || !set.available[i]) return false;
-        *out = set.value[i];
-        return true;
-    };
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    if (slot_value("cycles", &cycles) &&
-        slot_value("instructions", &instructions) && cycles > 0) {
-        row.push_back(format_number(static_cast<double>(instructions) /
-                                        static_cast<double>(cycles),
-                                    4));
-    } else {
-        row.emplace_back("-");
-    }
-    std::uint64_t misses = 0;
-    if (slot_value("llc-load-misses", &misses)) {
-        row.push_back(format_number(
-            static_cast<double>(misses) *
-                static_cast<double>(dump.line_bytes) * 1e-6,
-            6));
-    } else {
-        row.emplace_back("-");
-    }
-    return row;
-}
-
-}  // namespace
-
-Table perf_phase_table(const ProfileReport& report)
-{
-    const perf::PerfDump& dump = report.perf;
-    Table table(perf_header(dump, "phase"));
-    perf::CounterSet total;
-    for (const Phase phase : kTablePhases) {
-        perf::CounterSet sum;
-        for (const perf::WorkerPerf& w : report.perf.workers) {
-            sum += w.phase[static_cast<std::size_t>(phase)];
-        }
-        total += sum;
-        table.add_row(perf_row(dump, sum, phase_name(phase)));
-    }
-    table.add_row(perf_row(dump, total, "total"));
-    return table;
-}
-
-Table perf_worker_table(const ProfileReport& report)
-{
-    const perf::PerfDump& dump = report.perf;
-    Table table(perf_header(dump, "worker"));
-    for (const perf::WorkerPerf& w : dump.workers) {
-        table.add_row(perf_row(
-            dump, w.total(),
-            w.worker >= 0 ? std::to_string(w.worker) : "-"));
-    }
-    return table;
-}
-
-Table operating_point_table(const ProfileReport& report, double flops,
-                            double seconds, double modelled_dram_bytes)
-{
-    Table table({"source", "dram_gb", "ai_flop_per_byte", "gflops"});
-    const double gflops =
-        seconds > 0 ? flops / seconds * 1e-9 : 0;
-    table.add_row({"modelled",
-                   format_number(modelled_dram_bytes * 1e-9, 6),
-                   modelled_dram_bytes > 0
-                       ? format_number(flops / modelled_dram_bytes, 6)
-                       : "-",
-                   format_number(gflops, 6)});
-    const perf::OperatingPoint op =
-        perf::operating_point(report.perf, flops, seconds);
-    table.add_row({"measured",
-                   op.measured ? format_number(op.dram_bytes * 1e-9, 6)
-                               : "-",
-                   op.measured && op.ai > 0 ? format_number(op.ai, 6) : "-",
-                   format_number(op.gflops, 6)});
-    return table;
 }
 
 Table worker_table(const ProfileReport& report)

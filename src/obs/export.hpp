@@ -24,7 +24,6 @@
 
 #include "common/csv.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 
 namespace cake {
 namespace obs {
@@ -94,22 +93,13 @@ struct ProfileReport {
     double t_begin_s = 0;  ///< earliest span start on the trace clock
     double t_end_s = 0;    ///< latest span end
 
-    /// Hardware-counter deltas attributed to the same (worker, phase)
-    /// cells as the spans above — filled by profile() when the perf layer
-    /// is still armed at profiling time, empty otherwise (compiled out,
-    /// disarmed, or counters denied; perf.workers is then empty and
-    /// perf.availability says why).
-    perf::PerfDump perf;
-
     [[nodiscard]] double wall_s() const { return t_end_s - t_begin_s; }
 
     /// Sum of a phase across workers, seconds.
     [[nodiscard]] double phase_total_s(Phase phase) const;
 };
 
-/// Aggregate a dump into per-worker / per-span statistics. When the perf
-/// counter layer is armed (perf::enabled()), also snapshots its per-phase
-/// accumulators into `.perf` — call profile() BEFORE perf::disable().
+/// Aggregate a dump into per-worker / per-span statistics.
 ProfileReport profile(const TraceDump& dump);
 
 /// worker | pack_s | compute_s | flush_s | barrier_s | other_s | events
@@ -126,24 +116,6 @@ Table stall_table(const ProfileReport& report);
 /// wide. Each cell shows the dominant phase in its slice: P=pack,
 /// C=compute, F=flush, b=barrier-wait, o=other, '.'=idle.
 std::string overlap_timeline(const TraceDump& dump, int columns = 72);
-
-/// Per-phase hardware-counter columns (summed over workers): phase |
-/// <one column per counter spec> | ipc | miss_mb, with a trailing total
-/// row. Counters that never opened/scheduled render "-"; when the whole
-/// group was denied every cell is "-" (the degraded mode cake_perf and CI
-/// exercise).
-Table perf_phase_table(const ProfileReport& report);
-
-/// Per-worker counter totals: worker | <counter columns> | ipc.
-Table perf_worker_table(const ProfileReport& report);
-
-/// Modelled vs measured roofline operating point for a run of `flops`
-/// over `seconds`: source | dram_gb | ai_flop_per_byte | gflops. The
-/// modelled row uses `modelled_dram_bytes` (Eq.-2 / schedule-IR); the
-/// measured row derives bytes from LLC-load-misses and renders "-" when
-/// counters were unavailable.
-Table operating_point_table(const ProfileReport& report, double flops,
-                            double seconds, double modelled_dram_bytes);
 
 }  // namespace obs
 }  // namespace cake

@@ -6,7 +6,6 @@
 #include "analysis/schedshake.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 #include "obs/trace.hpp"
 
 namespace cake {
@@ -25,9 +24,6 @@ obs::MetricId barrier_wait_hist()
 /// broken) is attributed. Compiles to nothing in CAKE_TRACE_DISABLED
 /// builds; costs two relaxed flag loads when tracing is disarmed.
 struct BarrierWaitObs {
-    /// Counter delta for the wait, attributed to the barrier (stall)
-    /// phase — gives the cake_perf stall row its cycles/instructions.
-    obs::perf::ScopedPhaseDelta perf{obs::Phase::kBarrier};
     std::uint64_t t0 = 0;
     bool armed = false;
 

@@ -5,7 +5,6 @@
 #include "analysis/racecheck.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
 #include "obs/trace.hpp"
 
 namespace cake {
@@ -25,17 +24,13 @@ obs::MetricId pool_jobs_counter()
 
 /// Tag the current thread with its team tid for the obs tracer, restoring
 /// the previous attribution on scope exit (nested dispatch keeps the outer
-/// job's id after the inner one completes). Also pre-opens the thread's
-/// perf counter group when the counter layer is armed, so the
-/// perf_event_open/ioctl setup cost lands here — at job dispatch — instead
-/// of inside the first timed phase scope of the job body.
+/// job's id after the inner one completes).
 struct ScopedWorkerId {
     int prev;
 
     explicit ScopedWorkerId(int tid) : prev(obs::thread_worker())
     {
         obs::set_thread_worker(tid);
-        obs::perf::ensure_thread_counters();
     }
     ScopedWorkerId(const ScopedWorkerId&) = delete;
     ScopedWorkerId& operator=(const ScopedWorkerId&) = delete;

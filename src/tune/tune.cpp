@@ -77,6 +77,7 @@ std::string describe(const TuneCandidate& c)
         os << " sched=" << schedule_kind_name(c.schedule);
     }
     if (c.exec == CakeExec::kSerial) os << " exec=serial";
+    if (c.exec == CakeExec::kPipelined) os << " exec=pipelined";
     if (c.isa) os << " isa=" << isa_name(*c.isa);
     return os.str();
 }
@@ -239,10 +240,12 @@ std::vector<TuneCandidate> generate_candidates(const MachineSpec& machine,
     }
 
     // --- Stage 2: execution strategy at the analytic geometry. ----------
+    // The overlap mode kAuto does not pick at this p.
     {
         TuneCandidate c = base;
         c.analytic_default = false;
-        c.exec = CakeExec::kSerial;
+        c.exec = exec_overlaps(CakeExec::kAuto, p) ? CakeExec::kSerial
+                                                   : CakeExec::kPipelined;
         c.label = "executor";
         out.push_back(c);
     }

@@ -129,9 +129,10 @@ using MeasureFn = std::function<double(const TuneCandidate&)>;
 
 /// The candidate neighbourhood the search times, in order: the analytic
 /// default, then geometry variations around it (mc / kc / nc), then
-/// execution variations (serial executor, reduced worker counts,
-/// alternative schedules, other supported ISAs) applied to the analytic
-/// geometry. Exposed so tests can pin the search space.
+/// execution variations (the overlap mode kAuto does not pick at p,
+/// reduced worker counts, alternative schedules, other supported ISAs)
+/// applied to the analytic geometry. Exposed so tests can pin the search
+/// space.
 std::vector<TuneCandidate> generate_candidates(const MachineSpec& machine,
                                                const GemmShape& shape,
                                                index_t elem_bytes, int p);

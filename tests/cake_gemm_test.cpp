@@ -313,6 +313,35 @@ void expect_pipelined_bit_exact(CakeOptions base, index_t m, index_t n,
     EXPECT_EQ(s0.dram_write_bytes, s1.dram_write_bytes);
 }
 
+TEST(CakeExecAuto, OverlapOffForOneWorkerOnForTwoOrMore)
+{
+    // kAuto overlaps only when a second worker can pack while another
+    // computes; the explicit modes win at every p.
+    Rng rng(77);
+    Matrix a(96, 80), b(80, 112), c(96, 112);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    const Matrix expected = oracle_gemm(a, b);
+    for (const int p : {1, 2, 4}) {
+        for (const CakeExec exec :
+             {CakeExec::kAuto, CakeExec::kSerial, CakeExec::kPipelined}) {
+            CakeOptions options = tiny_block_options();
+            options.p = p;
+            options.exec = exec;
+            CakeGemm gemm(test_pool(), options);
+            gemm.multiply(a.data(), a.cols(), b.data(), b.cols(), c.data(),
+                          c.cols(), a.rows(), b.cols(), a.cols());
+            ASSERT_EQ(gemm.stats().params.p, p);
+            const bool want = exec == CakeExec::kPipelined
+                              || (exec == CakeExec::kAuto && p > 1);
+            EXPECT_EQ(gemm.stats().pipelined, want)
+                << "p=" << p << " exec=" << static_cast<int>(exec);
+            EXPECT_LE(max_abs_diff(c, expected), gemm_tolerance(80))
+                << "p=" << p;
+        }
+    }
+}
+
 class PipelinedScheduleTest
     : public ::testing::TestWithParam<ScheduleKind> {};
 

@@ -2,9 +2,10 @@
 // verifies clean and lane-fingerprints against its binary, every KIR_*
 // mutation is rejected in isolation, the spill and throughput arithmetic
 // is pinned on synthetic IRs, and the static peak table obeys its own
-// invariants (the roofline consumes it).
+// invariants and matches its pinned rows (the roofline consumes it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -270,6 +271,66 @@ TEST(KernelPeak, TableInvariantsHold)
     // may leave some at 0 = absent).
     if (avx2_f32 > 0) EXPECT_GE(avx2_f32, scalar_f32);
     if (avx512_f32 > 0 && avx2_f32 > 0) EXPECT_GE(avx512_f32, avx2_f32);
+}
+
+/// One committed kernel_peak_table() row: the static roof of one kernel.
+struct KernelPeakPin {
+    const char* kernel;
+    Isa isa;
+    int lanes;
+    int regs_used;
+    int chain_updates;
+    double utilization;
+    double ops_per_cycle;
+};
+
+TEST(KernelPeak, EveryCompiledKernelRowIsPinned)
+{
+    // Pure IR-descriptor arithmetic, identical on every host that compiled
+    // the same kernels: a changed IR or pipe model must update this table.
+    constexpr KernelPeakPin kPins[] = {
+        {"scalar_8x8", Isa::kScalar, 1, 66, 1, 1, 2},
+        {"scalar_8x8_f64", Isa::kScalar, 1, 66, 1, 1, 2},
+        {"scalar_int8_4x4", Isa::kScalar, 1, 18, 1, 1, 8},
+        {"avx2_6x16", Isa::kAvx2, 8, 15, 1, 1, 32},
+        {"avx2_6x8_f64", Isa::kAvx2, 4, 15, 1, 1, 16},
+        {"avx2_int8_4x16", Isa::kAvx2, 8, 14, 1, 1, 64},
+        {"avx512_14x32", Isa::kAvx512, 16, 31, 1, 1, 64},
+        {"avx512_14x16_f64", Isa::kAvx512, 8, 31, 1, 1, 32},
+        {"avx512_vnni_int8_8x32", Isa::kAvx512, 16, 19, 1, 1, 256},
+    };
+    const std::vector<cake::model::KernelPeakRow> rows =
+        cake::model::kernel_peak_table();
+    std::vector<Isa> compiled_isas;
+    for (const auto& row : rows) {
+        compiled_isas.push_back(row.isa);
+        const KernelPeakPin* pin = nullptr;
+        for (const KernelPeakPin& p : kPins) {
+            if (row.kernel == p.kernel) pin = &p;
+        }
+        ASSERT_NE(pin, nullptr) << row.kernel << " has no pinned row";
+        EXPECT_EQ(row.isa, pin->isa) << row.kernel;
+        EXPECT_EQ(row.lanes, pin->lanes) << row.kernel;
+        EXPECT_EQ(row.regs_used, pin->regs_used) << row.kernel;
+        EXPECT_EQ(row.chain_updates, pin->chain_updates) << row.kernel;
+        EXPECT_DOUBLE_EQ(row.utilization, pin->utilization) << row.kernel;
+        EXPECT_DOUBLE_EQ(row.ops_per_cycle, pin->ops_per_cycle)
+            << row.kernel;
+    }
+    // Every pinned kernel of a compiled ISA is in the table (scalar always
+    // is), so a kernel cannot drop out of the roofline unnoticed.
+    for (const KernelPeakPin& pin : kPins) {
+        if (std::find(compiled_isas.begin(), compiled_isas.end(), pin.isa)
+            == compiled_isas.end()) {
+            EXPECT_NE(pin.isa, Isa::kScalar) << pin.kernel;
+            continue;
+        }
+        EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                                [&](const cake::model::KernelPeakRow& row) {
+                                    return row.kernel == pin.kernel;
+                                }))
+            << pin.kernel << " is pinned but absent";
+    }
 }
 
 TEST(KernelPeak, GflopsScalesLinearlyWithFrequency)

@@ -2,12 +2,16 @@
 // prediction engine, and the extrapolation protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/schedule.hpp"
 #include "core/tiling.hpp"
 #include "gotoblas/goto_gemm.hpp"
+#include "machine/machine.hpp"
 #include "model/analysis.hpp"
 #include "model/extrapolate.hpp"
 #include "model/planner.hpp"
@@ -149,6 +153,70 @@ TEST(Traffic, CakeBeatsGotoOnDramBytes)
     const GotoBlocking blocking = goto_default_blocking(intel, 6, 16);
     const auto gto = model::goto_traffic(shape, blocking.mc, blocking.nc);
     EXPECT_LT(cake.total_bytes(), gto.total_bytes());
+}
+
+/// One Table-2 row of bench_roofline: whole-problem arithmetic intensity
+/// (flops / modelled DRAM bytes) of GOTO and CAKE at the 6x16 tile, and
+/// the attainable rate min(peak, AI * DRAM bandwidth).
+struct RooflinePin {
+    const char* machine;
+    double peak_gflops;
+    double dram_gbs;
+    double ridge_ai;
+    double goto_ai;
+    double goto_attainable;
+    double cake_ai;
+    double cake_attainable;
+};
+
+TEST(Roofline, Table2OperatingPointsArePinned)
+{
+    // The model is pure arithmetic over MachineSpec constants, so these
+    // points are the same on every host. Values carry bench_roofline's
+    // four significant digits, hence the 0.1% relative tolerance.
+    constexpr RooflinePin kPins[] = {
+        {"Intel i9-10900K", 1250, 40, 31.25, 44.82, 1250, 428.3, 1250},
+        {"AMD Ryzen 9 5950X", 1200, 47, 25.53, 62.27, 1200, 769.8, 1200},
+        {"ARM Cortex-A53", 10.8, 2, 5.4, 10.27, 10.8, 40.74, 10.8},
+    };
+    auto near = [](double got, double want, const char* what,
+                   const char* machine) {
+        EXPECT_NEAR(got, want, 1e-3 * want) << machine << " " << what;
+    };
+    const std::vector<MachineSpec> machines = table2_machines();
+    ASSERT_EQ(machines.size(), std::size(kPins));
+    for (const RooflinePin& pin : kPins) {
+        const auto it = std::find_if(
+            machines.begin(), machines.end(),
+            [&](const MachineSpec& m) { return m.name == pin.machine; });
+        ASSERT_NE(it, machines.end()) << pin.machine;
+        const MachineSpec& m = *it;
+        // bench_roofline's problem size: DRAM-resident on every machine.
+        const index_t size = m.dram_gib < 2 ? 3000 : 23040;
+        const GemmShape shape{size, size, size};
+        const GotoBlocking blocking = goto_default_blocking(m, 6, 16);
+        const double goto_ai =
+            shape.flops()
+            / static_cast<double>(
+                model::goto_traffic(shape, blocking.mc, blocking.nc)
+                    .total_bytes());
+        const double cake_ai =
+            shape.flops()
+            / static_cast<double>(
+                model::cake_traffic(shape,
+                                    compute_cb_block(m, m.cores, 6, 16))
+                    .total_bytes());
+        const double peak = m.peak_gflops(m.cores);
+        near(peak, pin.peak_gflops, "peak", pin.machine);
+        near(m.dram_bw_gbs, pin.dram_gbs, "dram", pin.machine);
+        near(peak / m.dram_bw_gbs, pin.ridge_ai, "ridge", pin.machine);
+        near(goto_ai, pin.goto_ai, "goto_ai", pin.machine);
+        near(std::min(peak, goto_ai * m.dram_bw_gbs), pin.goto_attainable,
+             "goto_attainable", pin.machine);
+        near(cake_ai, pin.cake_ai, "cake_ai", pin.machine);
+        near(std::min(peak, cake_ai * m.dram_bw_gbs), pin.cake_attainable,
+             "cake_attainable", pin.machine);
+    }
 }
 
 TEST(Predict, CakeDramBandwidthConstantInP)

@@ -331,6 +331,26 @@ TEST(TuneSearch, CandidatesCoverEveryRegisteredSchedule)
     }
 }
 
+TEST(TuneSearch, ExecutorCandidateIsTheModeAutoDoesNotPick)
+{
+    // kAuto overlaps only with two or more workers, so the executor stage
+    // tries overlap off at p >= 2 and overlap on at p = 1 — never a second
+    // timing of the default.
+    const MachineSpec machine = test_machine();
+    for (const int p : {1, 2}) {
+        int executor_candidates = 0;
+        for (const auto& c :
+             generate_candidates(machine, {512, 512, 512}, 4, p)) {
+            if (c.label != "executor") continue;
+            ++executor_candidates;
+            EXPECT_EQ(c.exec,
+                      p > 1 ? CakeExec::kSerial : CakeExec::kPipelined)
+                << "p=" << p;
+        }
+        EXPECT_EQ(executor_candidates, 1) << "p=" << p;
+    }
+}
+
 TEST(TuneSearch, MockTimerConvergesOnInjectedBest)
 {
     const MachineSpec machine = test_machine();

@@ -26,7 +26,7 @@ struct NamedShape {
     GemmShape shape;
 };
 
-/// cake_perf / cake_trace --shape classes.
+/// cake_trace --shape classes.
 inline constexpr NamedShape kRunShapes[] = {
     {"square", {1024, 1024, 1024}},
     {"skewed", {2048, 2048, 64}},

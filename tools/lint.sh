@@ -30,10 +30,9 @@
 #     accounted for. The allowlist names every deliberate narrowing site
 #     (quantizers, RNG, probe timers, reference kernels); extending it is
 #     a review decision, not a convenience.
-#   * raw syscall(...) — the one sanctioned raw syscall in the tree is the
-#     perf_event_open wrapper in src/obs/perf.cpp (glibc exports no
-#     wrapper for it). Anywhere else, a direct syscall bypasses both the
-#     portability layer and every sanitizer interceptor.
+#   * raw syscall(...) — banned everywhere, with no exemption. A direct
+#     syscall bypasses both the portability layer and every sanitizer
+#     interceptor; use the libc wrapper.
 #   * raw SIMD intrinsics (_mm256_* / _mm512_*) outside src/kernel/ — the
 #     micro-kernel layer is the only code allowed to speak vector ISA:
 #     every kernel there is registered, selftested against the scalar
@@ -114,10 +113,11 @@ case "${1:-}" in
     flag src/core/lint_rule6_probe_tmp.hpp "${narrow_cast}" \
     flag src/core/lint_rule6_probe_tmp.hpp "${c_cast}" \
     allow tests/lint_rule6_probe_tmp.hpp "${narrow_cast}" ;;
-  # Rule 7 (raw-syscall ban) fires outside the perf_event_open wrapper; the
-  # clean tree, which holds src/obs/perf.cpp's syscall, lints clean.
-  --probe-rule7) probe 7 "fires under src/core, allows src/obs/perf.cpp" \
+  # Rule 7 (raw-syscall ban) has no exemption: it fires under src/core and
+  # under src/obs alike, and the clean tree lints clean.
+  --probe-rule7) probe 7 "fires under src/core and src/obs, the clean tree passes" \
     flag src/core/lint_rule7_probe_tmp.hpp "${syscall_use}" \
+    flag src/obs/lint_rule7_probe_tmp.hpp "${syscall_use}" \
     allow "" "" ;;
   # Rule 8 (raw-intrinsics ban) fires outside src/kernel/, not inside it.
   --probe-rule8) probe 8 "fires under src/core, allows src/kernel/" \
@@ -259,17 +259,10 @@ out="$(echo "${out}" | sed '/^$/d')"
 [[ -z "${out}" ]] \
   || fail_rule "naked narrowing float cast in library code (the numerics bounds cannot see it; add the file to the rule-6 allowlist only for a deliberate, documented narrowing)" "${out}"
 
-# 7. Raw syscall(...) outside the sanctioned perf_event_open wrapper.
-# glibc exports no perf_event_open wrapper, so src/obs/perf.cpp calls
-# syscall(SYS_perf_event_open, ...) directly — and ONLY it may.
-syscall_allow='^src/obs/perf\.cpp$'
-syscall_files=()
-for f in "${files[@]}"; do
-  [[ "${f}" =~ ${syscall_allow} ]] || syscall_files+=("${f}")
-done
-out="$(scan '(^|[^_[:alnum:]])syscall[[:space:]]*\(' "${syscall_files[@]}")"
+# 7. Raw syscall(...) anywhere. No file is exempt.
+out="$(scan '(^|[^_[:alnum:]])syscall[[:space:]]*\(' "${files[@]}")"
 [[ -z "${out}" ]] \
-  || fail_rule "raw syscall() outside src/obs/perf.cpp (the perf_event_open wrapper is the only sanctioned direct syscall)" "${out}"
+  || fail_rule "raw syscall() (use the libc wrapper; no file may call syscall directly)" "${out}"
 
 # 8. Raw SIMD intrinsics outside src/kernel/. The micro-kernel layer is
 # the only code allowed to speak vector ISA — everything there is
