@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -301,6 +303,84 @@ typename FingerprintFamily<F>::Acc ir_expected(const KernelIr& ir,
     return sum;
 }
 
+/// The entry's own sliver packers must reproduce the formula-built slivers
+/// `a` (mr lanes) and `b` (nr lanes) byte for byte from a padded source:
+/// A and B^T through gather_sliver, A^T and B through copy_sliver, each
+/// with every lane live and with the last lane dead (zero-padded), and
+/// must leave a sentinel tail past the sliver untouched. The first
+/// mismatch raises KIR_BINARY naming the packer; returns false then.
+template <typename T>
+bool packers_agree(const KernelIr& ir, const MicroKernelT<T>& kernel,
+                   index_t steps, const AlignedBuffer<T>& a,
+                   const AlignedBuffer<T>& b, KernelReport& report)
+{
+    struct Packer {
+        const char* name;
+        SliverFnT<T> fn;
+        bool lanes_strided;
+        index_t width;
+        const AlignedBuffer<T>& image;
+    };
+    const Packer packers[] = {
+        {"gather_sliver (A)", kernel.gather_sliver, true, ir.mr, a},
+        {"copy_sliver (A^T)", kernel.copy_sliver, false, ir.mr, a},
+        {"copy_sliver (B)", kernel.copy_sliver, false, ir.nr, b},
+        {"gather_sliver (B^T)", kernel.gather_sliver, true, ir.nr, b},
+    };
+    for (const Packer& pk : packers) {
+        if (pk.fn == nullptr) {
+            add_issue(report, "KIR_BINARY",
+                      "kernel '" + ir.kernel + "' has no " + pk.name
+                          + " packer");
+            return false;
+        }
+        const index_t width = pk.width;
+        const index_t ld = (pk.lanes_strided ? steps : width) + 3;
+        const index_t lane_step = pk.lanes_strided ? ld : 1;
+        const index_t depth_step = pk.lanes_strided ? 1 : ld;
+        std::vector<T> src(
+            static_cast<std::size_t>((pk.lanes_strided ? width : steps) * ld),
+            T(-1));
+        for (index_t p = 0; p < steps; ++p)
+            for (index_t i = 0; i < width; ++i)
+                src[static_cast<std::size_t>(i * lane_step + p * depth_step)] =
+                    pk.image[static_cast<std::size_t>(p * width + i)];
+        // One zmm of sentinels past the sliver catches a full-vector store
+        // where fewer lanes are meant.
+        constexpr index_t kTail = 64 / sizeof(T);
+        const T sentinel = T(-987654);
+        const index_t size = width * steps;
+        AlignedBuffer<T> out(static_cast<std::size_t>(size + kTail));
+        for (const index_t live : {width, width - 1}) {
+            std::fill(out.data(), out.data() + size + kTail, sentinel);
+            pk.fn(src.data(), ld, live, steps, width, out.data());
+            for (index_t e = 0; e < size + kTail; ++e) {
+                const index_t p = e / width;
+                const index_t i = e % width;
+                const auto at = static_cast<std::size_t>(e);
+                const T want = e >= size ? sentinel
+                    : i < live           ? pk.image[at]
+                                         : T(0);
+                if (std::memcmp(&out[at], &want, sizeof(T)) == 0) continue;
+                std::ostringstream msg;
+                msg << "kernel '" << ir.kernel << "' packer " << pk.name;
+                if (e >= size) {
+                    msg << " wrote element " << e - size
+                        << " past the sliver end";
+                } else {
+                    msg << " disagrees with the layout formula at lane " << i
+                        << ", depth " << p;
+                }
+                msg << " (live=" << live << ", kc=" << steps << "): packed "
+                    << out[at] << ", want " << want;
+                add_issue(report, "KIR_BINARY", msg.str());
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 template <typename F>
 void fingerprint(const KernelIr& ir, const MicroKernelT<F>& kernel,
                  KernelReport& report)
@@ -330,6 +410,9 @@ void fingerprint(const KernelIr& ir, const MicroKernelT<F>& kernel,
                 for (index_t d = 0; d < s; ++d)
                     b[static_cast<std::size_t>(q * nr * s + j * s + d)] =
                         Data::b_val(q * s + d, j, edge);
+        }
+        if constexpr (std::is_floating_point_v<F>) {
+            if (!packers_agree(ir, kernel, steps, a, b, report)) return;
         }
         // Expected tile from the IR's term algebra (cover is exact — the
         // symbolic pass ran clean before fingerprinting).

@@ -42,7 +42,11 @@
 // exactly-representable unique-value panels and compares, lane by lane,
 // against the IR's symbolically evaluated result — overwrite and
 // accumulate paths, plus the edge-tile path through run_microkernel_tile
-// (KIR_BINARY on any mismatch). This is the same design as
+// (KIR_BINARY on any mismatch). The float and double entries' sliver
+// packers are pinned the same way: the fingerprint's source panels, packed
+// through gather_sliver (A, B^T) and copy_sliver (A^T, B), must equal the
+// layout-formula slivers byte for byte, also with a dead last lane
+// (KIR_BINARY naming the packer). This is the same design as
 // schedir's cross_check_memsim: the symbolic object is only trusted
 // because it is pinned to the executable artifact.
 //

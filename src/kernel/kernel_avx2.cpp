@@ -1,7 +1,7 @@
 // AVX2+FMA micro-kernels: 6x16 float and 6x8 double. Both use 12 ymm
 // accumulators, 2 ymm B loads per k-step, and broadcasts of A elements.
 // Compiled with -mavx2 -mfma; only executed after runtime dispatch
-// confirms support.
+// confirms support. Both pack with the scalar default sliver packers.
 #include <immintrin.h>
 
 #include "kernel/microkernel.hpp"
@@ -79,12 +79,14 @@ void avx2_ukr_6x8_f64(index_t kc, const double* a, const double* b, double* c,
 
 MicroKernel avx2_microkernel()
 {
-    return {"avx2_6x16", Isa::kAvx2, kMr, 16, &avx2_ukr_6x16};
+    return {"avx2_6x16", Isa::kAvx2, kMr, 16, &avx2_ukr_6x16,
+            &gather_sliver_scalar<float>, &copy_sliver_scalar<float>};
 }
 
 MicroKernelD avx2_microkernel_f64()
 {
-    return {"avx2_6x8_f64", Isa::kAvx2, kMr, 8, &avx2_ukr_6x8_f64};
+    return {"avx2_6x8_f64", Isa::kAvx2, kMr, 8, &avx2_ukr_6x8_f64,
+            &gather_sliver_scalar<double>, &copy_sliver_scalar<double>};
 }
 
 }  // namespace cake

@@ -12,6 +12,18 @@
 //   * C is an mr x nr tile inside a row-major matrix with leading dim ldc.
 // For s = 1 these are a[p*mr + i] = A(i, p) and b[p*nr + j] = B(p, j).
 //
+// The float and double entries also own the packing of those slivers
+// (BLIS's packm-per-kernel design): src/pack walks a panel sliver by sliver
+// and hands each one to the dispatched entry's gather_sliver or
+// copy_sliver, so SIMD packers live next to the kernels they feed. Both
+// write one sliver of `width` lanes and `k` depth steps,
+//   out[p*width + i] = source lane i at depth p   (i < live, p < k),
+// and zero for live <= i < width. gather_sliver reads lane i from the
+// strided source row src[i*ld + p] (op(A) = A, and op(B) = B^T);
+// copy_sliver reads it from the contiguous row src[p*ld + i] (op(B) = B,
+// and op(A) = A^T). The int8 entries leave both null: their k-quad
+// layout is packed by pack_*_panel_int8 (pack/pack_int8.hpp).
+//
 // Full tiles hit the SIMD kernels; partial edge tiles are computed into an
 // aligned scratch tile and copied out (see run_microkernel_tile). Kernels
 // exist for every family at every ISA level.
@@ -33,6 +45,14 @@ using MicroKernelFnT = void (*)(index_t steps,
                                 typename KernelFamily<F>::C* c, index_t ldc,
                                 bool accumulate);
 
+/// Signature shared by the sliver packers (see the header comment):
+/// pack `live` source lanes (lane step `ld` for gather_sliver, depth step
+/// `ld` for copy_sliver) over `k` depth steps into `out`, zero-padded to
+/// `width` lanes. `out` holds width*k elements.
+template <typename T>
+using SliverFnT = void (*)(const T* src, index_t ld, index_t live, index_t k,
+                           index_t width, T* out);
+
 /// A registered micro-kernel variant with its register-tile dimensions.
 template <typename F>
 struct MicroKernelT {
@@ -42,7 +62,20 @@ struct MicroKernelT {
     index_t mr = 0;  ///< register-tile rows (paper's m_r)
     index_t nr = 0;  ///< register-tile cols (paper's n_r)
     MicroKernelFnT<F> fn = nullptr;
+    /// Sliver packers (null for int8): lanes strided / contiguous in the
+    /// source.
+    SliverFnT<typename KernelFamily<F>::A> gather_sliver = nullptr;
+    SliverFnT<typename KernelFamily<F>::A> copy_sliver = nullptr;
 };
+
+/// The portable sliver packers: the defaults every float and double entry
+/// names unless its ISA has its own. Defined for float and double.
+template <typename T>
+void gather_sliver_scalar(const T* src, index_t ld, index_t live, index_t k,
+                          index_t width, T* out);
+template <typename T>
+void copy_sliver_scalar(const T* src, index_t ld, index_t live, index_t k,
+                        index_t width, T* out);
 
 using MicroKernel = MicroKernelT<float>;
 using MicroKernelD = MicroKernelT<double>;

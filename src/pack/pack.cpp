@@ -7,14 +7,18 @@
 
 #include "common/checked.hpp"
 #include "common/error.hpp"
+#include "kernel/registry.hpp"
 #include "obs/metrics.hpp"
 
 // Every routine below (the float/double templates and the int8 k-quad
 // packers) is written against cake::Span: in CAKE_CHECKED builds each
-// sliver/column slice and element store is bounds-checked against the
-// packed-panel capacity contract (and source reads against the extent the
-// lda/ldb contract implies); in release builds Span<T> is T* and the code
-// compiles to exactly the raw pointer arithmetic it always was.
+// sliver slice is bounds-checked against the packed-panel capacity
+// contract (and source reads against the extent the lda/ldb contract
+// implies); in release builds Span<T> is T* and the code compiles to
+// exactly the raw pointer arithmetic it always was. The float/double
+// slivers themselves are written by the dispatched kernel's packers
+// (best_microkernel_of<T>(), which honours CAKE_FORCE_ISA); the int8
+// k-quad loops stay here.
 
 namespace cake {
 namespace {
@@ -41,6 +45,38 @@ void note_pack(bool is_a, index_t rows, index_t cols,
     obs::counter_add(bytes, static_cast<std::uint64_t>(rows)
                                 * static_cast<std::uint64_t>(cols)
                                 * elem_bytes);
+}
+
+/// The sliver walk shared by the four float/double panel packers: cut
+/// `lanes` source lanes into ceil(lanes / width) slivers of `width` lanes
+/// and `k` depth steps, and hand each to the kernel-owned packer `fn`
+/// (kernel/microkernel.hpp). Lane i at depth p of the source is
+/// src[i*ld + p] when `lanes_strided` (gather_sliver), else src[p*ld + i]
+/// (copy_sliver). Sliver s fills out[s*width*k, (s+1)*width*k).
+template <typename T>
+void pack_slivers(SliverFnT<T> fn, const T* src, index_t ld,
+                  bool lanes_strided, index_t lanes, index_t k, index_t width,
+                  T* out, const char* src_what, const char* out_what)
+{
+    if (k == 0) return;  // the packed panel is empty
+    const index_t lane_step = lanes_strided ? ld : 1;
+    const index_t depth_step = lanes_strided ? 1 : ld;
+    Span<T> out_sp = make_span(
+        out, static_cast<std::size_t>(round_up(lanes, width) * k), out_what);
+    Span<const T> src_sp = make_span(
+        src,
+        lanes_strided ? strided_extent(lanes, k, ld)
+                      : strided_extent(k, lanes, ld),
+        src_what);
+    for (index_t s = 0; s < ceil_div(lanes, width); ++s) {
+        const index_t lane0 = s * width;
+        const index_t live = std::min(width, lanes - lane0);
+        Span<T> dst = span_slice(out_sp, s * width * k, width * k);
+        Span<const T> sliver =
+            span_slice(src_sp, lane0 * lane_step,
+                       (live - 1) * lane_step + (k - 1) * depth_step + 1);
+        fn(span_data(sliver), ld, live, k, width, span_data(dst));
+    }
 }
 
 /// Whole k-quads of one int8 A sliver: a quad of a live row is one 4-byte
@@ -79,24 +115,9 @@ void pack_a_panel(const T* a, index_t lda, index_t m, index_t k, index_t mr,
 {
     CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= k);
     note_pack(/*is_a=*/true, m, k, sizeof(T));
-    const index_t slivers = ceil_div(m, mr);
-    Span<T> out_sp = make_span(
-        out, static_cast<std::size_t>(packed_a_size(m, k, mr)),
-        "packed-A panel");
-    Span<const T> a_sp = make_span(a, strided_extent(m, k, lda), "A block");
-    for (index_t s = 0; s < slivers; ++s) {
-        Span<T> dst = span_slice(out_sp, s * mr * k, mr * k);
-        const index_t row0 = s * mr;
-        const index_t live = std::min(mr, m - row0);
-        for (index_t p = 0; p < k; ++p) {
-            Span<T> col = span_slice(dst, p * mr, mr);
-            Span<const T> src = span_slice(
-                a_sp, row0 * lda + p, (live - 1) * lda + 1);
-            index_t i = 0;
-            for (; i < live; ++i) col[i] = src[i * lda];
-            for (; i < mr; ++i) col[i] = T(0);
-        }
-    }
+    pack_slivers(best_microkernel_of<T>().gather_sliver, a, lda,
+                 /*lanes_strided=*/true, m, k, mr, out, "A block",
+                 "packed-A panel");
 }
 
 template <typename T>
@@ -108,24 +129,9 @@ void pack_a_panel_transposed(const T* a, index_t lda, index_t m, index_t k,
     // transposed pack is actually the cheap direction for A.
     CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= m);
     note_pack(/*is_a=*/true, m, k, sizeof(T));
-    const index_t slivers = ceil_div(m, mr);
-    Span<T> out_sp = make_span(
-        out, static_cast<std::size_t>(packed_a_size(m, k, mr)),
-        "packed-A panel (transposed source)");
-    Span<const T> a_sp =
-        make_span(a, strided_extent(k, m, lda), "A^T block");
-    for (index_t s = 0; s < slivers; ++s) {
-        Span<T> dst = span_slice(out_sp, s * mr * k, mr * k);
-        const index_t row0 = s * mr;
-        const index_t live = std::min(mr, m - row0);
-        for (index_t p = 0; p < k; ++p) {
-            Span<T> col = span_slice(dst, p * mr, mr);
-            Span<const T> src = span_slice(a_sp, p * lda + row0, live);
-            std::memcpy(span_data(col), span_data(src),
-                        static_cast<std::size_t>(live) * sizeof(T));
-            std::fill(span_data(col) + live, span_data(col) + mr, T(0));
-        }
-    }
+    pack_slivers(best_microkernel_of<T>().copy_sliver, a, lda,
+                 /*lanes_strided=*/false, m, k, mr, out, "A^T block",
+                 "packed-A panel (transposed source)");
 }
 
 template <typename T>
@@ -134,28 +140,9 @@ void pack_b_panel(const T* b, index_t ldb, index_t k, index_t n, index_t nr,
 {
     CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= n);
     note_pack(/*is_a=*/false, k, n, sizeof(T));
-    const index_t slivers = ceil_div(n, nr);
-    Span<T> out_sp = make_span(
-        out, static_cast<std::size_t>(packed_b_size(k, n, nr)),
-        "packed-B panel");
-    Span<const T> b_sp = make_span(b, strided_extent(k, n, ldb), "B block");
-    for (index_t t = 0; t < slivers; ++t) {
-        Span<T> dst = span_slice(out_sp, t * nr * k, nr * k);
-        const index_t col0 = t * nr;
-        const index_t live = std::min(nr, n - col0);
-        for (index_t p = 0; p < k; ++p) {
-            Span<T> row = span_slice(dst, p * nr, nr);
-            Span<const T> src = span_slice(b_sp, p * ldb + col0, live);
-            if (live == nr) {
-                std::memcpy(span_data(row), span_data(src),
-                            static_cast<std::size_t>(nr) * sizeof(T));
-            } else {
-                std::memcpy(span_data(row), span_data(src),
-                            static_cast<std::size_t>(live) * sizeof(T));
-                std::fill(span_data(row) + live, span_data(row) + nr, T(0));
-            }
-        }
-    }
+    pack_slivers(best_microkernel_of<T>().copy_sliver, b, ldb,
+                 /*lanes_strided=*/false, n, k, nr, out, "B block",
+                 "packed-B panel");
 }
 
 template <typename T>
@@ -166,25 +153,9 @@ void pack_b_panel_transposed(const T* b, index_t ldb, index_t k, index_t n,
     // B block reads b[j * ldb + p] — strided in j, the expensive direction.
     CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= k);
     note_pack(/*is_a=*/false, k, n, sizeof(T));
-    const index_t slivers = ceil_div(n, nr);
-    Span<T> out_sp = make_span(
-        out, static_cast<std::size_t>(packed_b_size(k, n, nr)),
-        "packed-B panel (transposed source)");
-    Span<const T> b_sp =
-        make_span(b, strided_extent(n, k, ldb), "B^T block");
-    for (index_t t = 0; t < slivers; ++t) {
-        Span<T> dst = span_slice(out_sp, t * nr * k, nr * k);
-        const index_t col0 = t * nr;
-        const index_t live = std::min(nr, n - col0);
-        for (index_t p = 0; p < k; ++p) {
-            Span<T> row = span_slice(dst, p * nr, nr);
-            Span<const T> src = span_slice(
-                b_sp, col0 * ldb + p, live > 0 ? (live - 1) * ldb + 1 : 0);
-            index_t j = 0;
-            for (; j < live; ++j) row[j] = src[j * ldb];
-            for (; j < nr; ++j) row[j] = T(0);
-        }
-    }
+    pack_slivers(best_microkernel_of<T>().gather_sliver, b, ldb,
+                 /*lanes_strided=*/true, n, k, nr, out, "B^T block",
+                 "packed-B panel (transposed source)");
 }
 
 template <typename T>

@@ -12,7 +12,12 @@
 // out[t*nr*k + p*nr + j] = B(p, t*nr + j). Columns past n are zero.
 //
 // Every routine is templated over the element type (float for sgemm,
-// double for dgemm) with explicit instantiations in pack.cpp.
+// double for dgemm) with explicit instantiations in pack.cpp. This module
+// owns the panel walk and its checks; the sliver layout loops are the
+// dispatched micro-kernel's own gather_sliver / copy_sliver
+// (kernel/microkernel.hpp), so the SIMD packers live beside the kernels
+// and one mr / nr never has two packing paths. The layout is the same
+// whichever entry packs, so any mr / nr may be passed here.
 #pragma once
 
 #include <cstdint>

@@ -269,8 +269,12 @@ TEST(KernelPeak, TableInvariantsHold)
     }
     // Wider ISAs must never bound BELOW narrower ones (compiled subsets
     // may leave some at 0 = absent).
-    if (avx2_f32 > 0) EXPECT_GE(avx2_f32, scalar_f32);
-    if (avx512_f32 > 0 && avx2_f32 > 0) EXPECT_GE(avx512_f32, avx2_f32);
+    if (avx2_f32 > 0) {
+        EXPECT_GE(avx2_f32, scalar_f32);
+    }
+    if (avx512_f32 > 0 && avx2_f32 > 0) {
+        EXPECT_GE(avx512_f32, avx2_f32);
+    }
 }
 
 /// One committed kernel_peak_table() row: the static roof of one kernel.

@@ -51,7 +51,8 @@
 #     flagged anywhere but there and bench/ledger/.
 #   * a stale allowlist entry — every ^path alternative of every *_allow
 #     regex below must match a tracked file, so an exemption cannot
-#     outlive the code it was granted for.
+#     outlive the code it was granted for. An empty regex, or an empty
+#     '|' alternative, fails too: [[ f =~ "" ]] is true for every path.
 #
 # Exit 0 iff clean; prints every violation as file:line:text.
 set -uo pipefail
@@ -85,6 +86,32 @@ probe() {
     [[ -n "${probe_file}" ]] && rm -f "${probe_file}"
   done
   echo "lint probe: OK (rule ${rule} ${summary})"
+  exit 0
+}
+
+# allow_probe SUMMARY MESSAGE VALUE...: self-test of rule 11. For each
+# VALUE, a copy of this script that also defines probe_allow='VALUE' must
+# fail with MESSAGE; then the clean tree must pass.
+allow_probe() {
+  local summary="$1" message="$2" value out rc
+  shift 2
+  local copy="tools/lint_allow_probe_tmp.sh"
+  trap 'rm -f "${repo_root}/tools/lint_allow_probe_tmp.sh"' EXIT
+  for value in "$@"; do
+    { sed '/^set -uo pipefail$/q' tools/lint.sh
+      echo "probe_allow='${value}'"
+      sed '1,/^set -uo pipefail$/d' tools/lint.sh; } > "${copy}"
+    out="$(bash "${copy}")" && rc=0 || rc=$?
+    if [[ ${rc} -eq 0 || "${out}" != *"${message}"* ]]; then
+      echo "lint probe: FAILED (rule 11 did not flag probe_allow='${value}')"
+      exit 1
+    fi
+  done
+  if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
+    echo "lint probe: FAILED (the clean tree was flagged)"
+    exit 1
+  fi
+  echo "lint probe: OK (rule 11 fires on ${summary}, the clean tree passes)"
   exit 0
 }
 
@@ -138,23 +165,14 @@ case "${1:-}" in
     allow "" "" ;;
   # Rule 11 (stale allowlist entries) fires on a copy of this script that
   # carries an entry naming no file; the clean tree lints clean.
-  --probe-stale-allow)
-    stale_copy="tools/lint_stale_allow_probe_tmp.sh"
-    trap 'rm -f "${repo_root}/${stale_copy}"' EXIT
-    { sed '/^set -uo pipefail$/q' tools/lint.sh
-      echo "probe_allow='^src/core/lint_stale_allow_probe_tmp\\.cpp\$'"
-      sed '1,/^set -uo pipefail$/d' tools/lint.sh; } > "${stale_copy}"
-    out="$(bash "${stale_copy}")" && rc=0 || rc=$?
-    if [[ ${rc} -eq 0 || "${out}" != *"stale allowlist entry"* ]]; then
-      echo "lint probe: FAILED (rule 11 did not flag a stale entry)"
-      exit 1
-    fi
-    if ! "${repo_root}/tools/lint.sh" >/dev/null 2>&1; then
-      echo "lint probe: FAILED (the clean tree was flagged)"
-      exit 1
-    fi
-    echo "lint probe: OK (rule 11 fires on a stale entry, the clean tree passes)"
-    exit 0 ;;
+  --probe-stale-allow) allow_probe "a stale entry" "stale allowlist entry" \
+    '^src/core/lint_stale_allow_probe_tmp\.cpp$' ;;
+  # Rule 11 also fires on an empty allowlist and on an empty alternative
+  # (leading, trailing or doubled '|'), each of which bash's =~ would
+  # match against every path.
+  --probe-empty-allow) allow_probe "an empty allowlist or alternative" \
+    "empty allowlist" '' '^tools/lint\.sh$|' '|^tools/lint\.sh$' \
+    '^tools/lint\.sh$||^tools/cli\.hpp$' ;;
 esac
 
 # Scanned trees: everything we compile.
@@ -310,13 +328,19 @@ out="$(echo "${out}" | sed '/^$/d')"
 # 11. Stale allowlist entries: every ^path alternative of every *_allow
 # regex above must match a tracked file (outside a git checkout, a
 # scanned file). Alternatives split at top-level '|' only, so a group
-# such as json\.(hpp|cpp) stays one entry.
+# such as json\.(hpp|cpp) stays one entry. An empty alternative (or an
+# empty regex) is reported apart: it matches every path.
 if ! tracked="$(git ls-files 2>/dev/null)" || [[ -z "${tracked}" ]]; then
   tracked="$(printf '%s\n' "${files[@]}")"
 fi
 out=""
+empty=""
 for var in $(compgen -v -X '!*_allow'); do
   while IFS= read -r alt; do
+    if [[ -z "${alt}" ]]; then
+      empty+="${var}='${!var}'"$'\n'
+      continue
+    fi
     grep -qE -- "${alt}" <<<"${tracked}" || out+="${var}: ${alt}"$'\n'
   done < <(awk '{
     depth = 0; alt = ""
@@ -331,6 +355,9 @@ done
 out="$(echo "${out}" | sed '/^$/d')"
 [[ -z "${out}" ]] \
   || fail_rule "stale allowlist entry (it matches no tracked file: drop it)" "${out}"
+empty="$(echo "${empty}" | sed '/^$/d')"
+[[ -z "${empty}" ]] \
+  || fail_rule "empty allowlist or empty '|' alternative (an empty regex matches every path, so it would exempt every file)" "${empty}"
 
 if [[ ${failures} -ne 0 ]]; then
   echo "lint: FAILED"
