@@ -381,6 +381,78 @@ bool packers_agree(const KernelIr& ir, const MicroKernelT<T>& kernel,
     return true;
 }
 
+/// The fingerprint's edge-tile path, through the runner: every row count
+/// m and the column counts at the store-mask boundaries, overwrite and
+/// accumulate, into a C of leading dimension nr + lanes. Every element
+/// outside the live m x n corner, the gap columns past nr included, holds
+/// the sentinel and must keep it: a table entry with a row too few
+/// disagrees, and a store mask one lane too wide writes over the sentinel.
+/// `expect(i, j)` is the IR's value of C(i, j). False after reporting the
+/// first disagreement as KIR_BINARY.
+template <typename F, typename Expect>
+bool edge_tiles_agree(const KernelIr& ir, const MicroKernelT<F>& kernel,
+                      index_t steps, const typename KernelFamily<F>::A* a,
+                      const typename KernelFamily<F>::B* b,
+                      typename KernelFamily<F>::C sentinel,
+                      const Expect& expect, KernelReport& report)
+{
+    using C = typename KernelFamily<F>::C;
+    using Acc = typename FingerprintFamily<F>::Acc;
+    const index_t mr = ir.mr;
+    const index_t nr = ir.nr;
+    const index_t lanes = ir.lanes;
+    const index_t ldc = nr + lanes;
+    std::vector<index_t> widths;
+    for (const index_t n :
+         {index_t{1}, lanes - 1, lanes, lanes + 1, nr - 1, nr}) {
+        if (n >= 1 && n <= nr
+            && std::find(widths.begin(), widths.end(), n) == widths.end()) {
+            widths.push_back(n);
+        }
+    }
+    auto preload = [&](index_t i, index_t j) {
+        return static_cast<C>(i * nr + j + 1);
+    };
+    AlignedBuffer<C> c(static_cast<std::size_t>(mr * ldc));
+    for (index_t m = 1; m <= mr; ++m) {
+        for (const index_t n : widths) {
+            for (const bool acc : {false, true}) {
+                for (index_t i = 0; i < mr; ++i)
+                    for (index_t j = 0; j < ldc; ++j)
+                        c[static_cast<std::size_t>(i * ldc + j)] =
+                            acc && i < m && j < n ? preload(i, j) : sentinel;
+                run_microkernel_tile(kernel, steps, a, b, c.data(), ldc, m, n,
+                                     acc, nullptr);
+                for (index_t i = 0; i < mr; ++i) {
+                    for (index_t j = 0; j < ldc; ++j) {
+                        const bool live = i < m && j < n;
+                        Acc want = static_cast<Acc>(sentinel);
+                        if (live) {
+                            want = expect(i, j)
+                                + (acc ? static_cast<Acc>(preload(i, j))
+                                       : Acc{0});
+                        }
+                        const C got = c[static_cast<std::size_t>(i * ldc + j)];
+                        if (static_cast<Acc>(got) == want) continue;
+                        std::ostringstream msg;
+                        msg << "kernel '" << ir.kernel << "' edge tile (m="
+                            << m << ", n=" << n << ", "
+                            << (acc ? "accumulate" : "overwrite")
+                            << ", ldc=" << ldc << ") "
+                            << (live ? "disagrees with the IR"
+                                     : "wrote outside the live region")
+                            << " at C(" << i << "," << j << "): binary "
+                            << got << ", symbolic " << want;
+                        add_issue(report, "KIR_BINARY", msg.str());
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+    return true;
+}
+
 template <typename F>
 void fingerprint(const KernelIr& ir, const MicroKernelT<F>& kernel,
                  KernelReport& report)
@@ -467,34 +539,10 @@ void fingerprint(const KernelIr& ir, const MicroKernelT<F>& kernel,
             return;
         }
 
-        // Edge-tile path: an (mr-1) x (nr-1) tile through the scratch
-        // wrapper must write exactly the live region.
-        if (steps == Data::edge_tile_steps && mr > 1 && nr > 1) {
-            const index_t m = mr - 1;
-            const index_t n = nr - 1;
-            AlignedBuffer<C> scratch(static_cast<std::size_t>(mr * nr));
-            for (std::size_t e = 0; e < c.size(); ++e) c[e] = sentinel;
-            run_microkernel_tile(kernel, steps, a.data(), b.data(),
-                                 c.data(), nr, m, n, /*accumulate=*/false,
-                                 scratch.data());
-            for (index_t i = 0; i < mr; ++i) {
-                for (index_t j = 0; j < nr; ++j) {
-                    const bool live = i < m && j < n;
-                    const Acc want =
-                        live ? expect(i, j) : static_cast<Acc>(sentinel);
-                    const C got = c[static_cast<std::size_t>(i * nr + j)];
-                    if (static_cast<Acc>(got) == want) continue;
-                    std::ostringstream msg;
-                    msg << "kernel '" << ir.kernel
-                        << "' edge tile (m=" << m << ", n=" << n << ") "
-                        << (live ? "disagrees with the IR"
-                                 : "wrote outside the live region")
-                        << " at C(" << i << "," << j << "): binary " << got
-                        << ", symbolic " << want;
-                    add_issue(report, "KIR_BINARY", msg.str());
-                    return;
-                }
-            }
+        if (steps == Data::edge_tile_steps
+            && !edge_tiles_agree(ir, kernel, steps, a.data(), b.data(),
+                                 sentinel, expect, report)) {
+            return;
         }
     }
 }

@@ -41,8 +41,11 @@
 // The IR cannot lie: check_kernel runs the registered kernel *binary* on
 // exactly-representable unique-value panels and compares, lane by lane,
 // against the IR's symbolically evaluated result — overwrite and
-// accumulate paths, plus the edge-tile path through run_microkernel_tile
-// (KIR_BINARY on any mismatch). The float and double entries' sliver
+// accumulate paths, plus the edge-tile path through run_microkernel_tile:
+// every m in 1..mr, n at the store-mask boundaries (1, lanes - 1, lanes,
+// lanes + 1, nr - 1, nr), overwrite and accumulate, into a C whose gap
+// columns past nr hold a sentinel (KIR_BINARY on any mismatch, or on any
+// write outside the live tile). The float and double entries' sliver
 // packers are pinned the same way: the fingerprint's source panels, packed
 // through gather_sliver (A, B^T) and copy_sliver (A^T, B), must equal the
 // layout-formula slivers byte for byte, also with a dead last lane

@@ -174,11 +174,13 @@ index_t packed_depth(index_t ki)
 /// C = alpha * A*B + beta * C for one (possibly partial) m x n tile of
 /// user C over a ki-deep block. alpha = 1 with beta 0 or 1 — every int8
 /// multiply and every unscaled float one — is the kernel's own overwrite
-/// or accumulate; any other pair computes the tile into `scratch` (mr x
-/// nr) and then writes alpha * s + beta * c. beta = 0 never reads C. Kept
-/// out of line: run_microkernel_tile is an inline template, and inlining
-/// it into the compute loop, its only caller here, cost 10% on small f32
-/// shapes and 3% on 1536^3 at p = 1 (bench/ledger).
+/// or accumulate, straight into user C: a full tile through the kernel's
+/// `fn`, an edge tile through its `edge` entry. Any other pair computes
+/// the live m x n tile into `scratch` (mr x nr, leading dimension nr) and
+/// then writes alpha * s + beta * c. beta = 0 never reads C. Kept out of
+/// line: run_microkernel_tile is an inline template, and inlining it into
+/// the compute loop, its only caller here, cost 10% on small f32 shapes
+/// and 3% on 1536^3 at p = 1 (bench/ledger).
 template <typename T>
 [[gnu::noinline]] void run_tile(const MicroKernelT<T>& kernel, index_t ki,
                                 const typename KernelFamily<T>::A* a,
@@ -193,11 +195,11 @@ template <typename T>
     const index_t steps = kernel_steps<T>(ki);
     if (alpha == C(1) && (beta == C(0) || beta == C(1))) {
         run_microkernel_tile(kernel, steps, a, b, c, ldc, m, n,
-                             /*accumulate=*/beta == C(1), scratch);
+                             /*accumulate=*/beta == C(1), nullptr);
         return;
     }
-    run_microkernel_tile(kernel, steps, a, b, scratch, kernel.nr, kernel.mr,
-                         kernel.nr, /*accumulate=*/false, scratch);
+    run_microkernel_tile(kernel, steps, a, b, scratch, kernel.nr, m, n,
+                         /*accumulate=*/false, nullptr);
     for (index_t i = 0; i < m; ++i) {
         const C* s = scratch + i * kernel.nr;
         C* row = c + i * ldc;

@@ -196,7 +196,9 @@ private:
 
     AlignedBuffer<A> pack_a_[2];  ///< double-buffered packed-A panels
     AlignedBuffer<B> pack_b_[2];  ///< double-buffered packed-B panels
-    std::vector<AlignedBuffer<C>> scratch_;  ///< per-worker mr x nr tiles
+    /// Per-worker mr x nr tiles for alpha/beta pairs the kernel cannot
+    /// apply itself (run_tile); edge tiles do not use them.
+    std::vector<AlignedBuffer<C>> scratch_;
 };
 
 using CakeGemm = CakeGemmT<float>;

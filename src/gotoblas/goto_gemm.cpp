@@ -151,14 +151,10 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
         static_cast<std::size_t>(packed_b_size(kc, nc, kernel_.nr)));
     if (pack_a_.size() < static_cast<std::size_t>(p)) {
         pack_a_.resize(static_cast<std::size_t>(p));
-        scratch_.resize(static_cast<std::size_t>(p));
     }
     for (auto& buf : pack_a_) {
         buf.ensure(
             static_cast<std::size_t>(packed_a_size(mc, kc, kernel_.mr)));
-    }
-    for (auto& s : scratch_) {
-        s.ensure(static_cast<std::size_t>(kernel_.mr * kernel_.nr));
     }
 
     const MicroKernelT<T> kernel = kernel_;
@@ -205,7 +201,6 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
                 Span<const T> pa =
                     make_span(static_cast<const T*>(pa_buf.data()),
                               pa_buf.size(), "GOTO packed-A panel");
-                T* scratch = scratch_[static_cast<std::size_t>(tid)].data();
                 for (index_t ic = tid * mc; ic < m;
                      ic += static_cast<index_t>(p) * mc) {
                     const index_t mcur = std::min(mc, m - ic);
@@ -231,7 +226,7 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
                                 kernel, kcur, span_data(a_sliver),
                                 span_data(b_sliver),
                                 c + (ic + ir) * ldc + jc + jr, ldc, mrows,
-                                ncols, acc, scratch);
+                                ncols, acc, nullptr);
                         }
                     }
                 }
@@ -258,9 +253,6 @@ void GotoGemmT<T>::multiply(const T* a, index_t lda, const T* b, index_t ldb,
     pack_b_.verify_canaries("GOTO packed-B buffer");
     for (const auto& buf : pack_a_) {
         buf.verify_canaries("GOTO packed-A buffer");
-    }
-    for (const auto& s : scratch_) {
-        s.verify_canaries("GOTO kernel scratch tile");
     }
 
     stats_.total_seconds = total_timer.seconds();

@@ -121,8 +121,7 @@ private:
     GotoStats stats_;
 
     AlignedBuffer<T> pack_b_;
-    std::vector<AlignedBuffer<T>> pack_a_;   // one A block per worker
-    std::vector<AlignedBuffer<T>> scratch_;  // edge-tile scratch
+    std::vector<AlignedBuffer<T>> pack_a_;  // one A block per worker
 };
 
 using GotoGemm = GotoGemmT<float>;

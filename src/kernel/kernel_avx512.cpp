@@ -1,15 +1,17 @@
 // AVX-512F micro-kernels: 14x32 float and 14x16 double. Both use 28 zmm
 // accumulators + 2 zmm B loads + 1 broadcast register = 31 of 32
-// architectural registers. The float entry also owns two SIMD sliver
-// packers: a 16x16 register transpose for strided lanes (A, B^T) and a
-// masked zmm row copy for contiguous ones (B, A^T). The double entry packs
-// with the scalar defaults. Compiled with -mavx512f; only executed after
-// runtime dispatch confirms support.
+// architectural registers. Their edge entries are kernel/simd_edge.hpp's
+// body on zmm, with C masked by __mmask16 / __mmask8. The float entry also
+// owns two SIMD sliver packers: a 16x16 register transpose for strided
+// lanes (A, B^T) and a masked zmm row copy for contiguous ones (B, A^T).
+// The double entry packs with the scalar defaults. Compiled with
+// -mavx512f; only executed after runtime dispatch confirms support.
 #include <immintrin.h>
 
 #include <cstdint>
 
 #include "kernel/microkernel.hpp"
+#include "kernel/simd_edge.hpp"
 
 namespace cake {
 namespace {
@@ -123,6 +125,60 @@ void avx512_copy_sliver(const float* src, index_t ld, index_t live,
     }
 }
 
+/// simd_edge traits of one zmm of float (16 lanes) or double (8 lanes).
+struct ZmmF32 {
+    using A = float;
+    using B = float;
+    using C = float;
+    using Reg = __m512;
+    using Mask = __mmask16;
+    static constexpr index_t mr = kMr, lanes = 16, k_step = 1;
+    static Reg zero() { return _mm512_setzero_ps(); }
+    static Reg load(const float* p) { return _mm512_load_ps(p); }
+    static Reg bcast(const float* p) { return _mm512_set1_ps(*p); }
+    static Reg fma(Reg x, Reg y, Reg z) { return _mm512_fmadd_ps(x, y, z); }
+    static Reg add(Reg x, Reg y) { return _mm512_add_ps(x, y); }
+    static Reg loadu(const float* p) { return _mm512_loadu_ps(p); }
+    static void storeu(float* p, Reg v) { _mm512_storeu_ps(p, v); }
+    static Mask mask(index_t n) { return lanes_mask(n); }
+    static Reg load_mask(Mask m, const float* p)
+    {
+        return _mm512_maskz_loadu_ps(m, p);
+    }
+    static void store_mask(float* p, Mask m, Reg v)
+    {
+        _mm512_mask_storeu_ps(p, m, v);
+    }
+};
+
+struct ZmmF64 {
+    using A = double;
+    using B = double;
+    using C = double;
+    using Reg = __m512d;
+    using Mask = __mmask8;
+    static constexpr index_t mr = kMr, lanes = 8, k_step = 1;
+    static Reg zero() { return _mm512_setzero_pd(); }
+    static Reg load(const double* p) { return _mm512_load_pd(p); }
+    static Reg bcast(const double* p) { return _mm512_set1_pd(*p); }
+    static Reg fma(Reg x, Reg y, Reg z) { return _mm512_fmadd_pd(x, y, z); }
+    static Reg add(Reg x, Reg y) { return _mm512_add_pd(x, y); }
+    static Reg loadu(const double* p) { return _mm512_loadu_pd(p); }
+    static void storeu(double* p, Reg v) { _mm512_storeu_pd(p, v); }
+    static Mask mask(index_t n)
+    {
+        return static_cast<__mmask8>(lanes_mask(n < 8 ? n : 8));
+    }
+    static Reg load_mask(Mask m, const double* p)
+    {
+        return _mm512_maskz_loadu_pd(m, p);
+    }
+    static void store_mask(double* p, Mask m, Reg v)
+    {
+        _mm512_mask_storeu_pd(p, m, v);
+    }
+};
+
 void avx512_ukr_14x32(index_t kc, const float* a, const float* b, float* c,
                       index_t ldc, bool accumulate)
 {
@@ -192,13 +248,15 @@ void avx512_ukr_14x16_f64(index_t kc, const double* a, const double* b,
 MicroKernel avx512_microkernel()
 {
     return {"avx512_14x32", Isa::kAvx512, kMr, 32, &avx512_ukr_14x32,
-            &avx512_gather_sliver, &avx512_copy_sliver};
+            &simd_edge::kernel<ZmmF32>, &avx512_gather_sliver,
+            &avx512_copy_sliver};
 }
 
 MicroKernelD avx512_microkernel_f64()
 {
     return {"avx512_14x16_f64", Isa::kAvx512, kMr, 16, &avx512_ukr_14x16_f64,
-            &gather_sliver_scalar<double>, &copy_sliver_scalar<double>};
+            &simd_edge::kernel<ZmmF64>, &gather_sliver_scalar<double>,
+            &copy_sliver_scalar<double>};
 }
 
 }  // namespace cake

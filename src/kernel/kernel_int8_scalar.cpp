@@ -10,8 +10,11 @@ namespace {
 constexpr index_t kMr = 4;
 constexpr index_t kNr = 4;
 
-void scalar_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
-                     std::int32_t* c, index_t ldc, bool accumulate)
+/// The edge entry: the full tile is computed, and only its live m x n
+/// corner is stored.
+void scalar_int8_edge(index_t kq, const std::uint8_t* a,
+                      const std::int8_t* b, std::int32_t* c, index_t ldc,
+                      index_t m, index_t n, bool accumulate)
 {
     std::int32_t acc[kMr][kNr] = {};
     for (index_t q = 0; q < kq; ++q) {
@@ -29,19 +32,26 @@ void scalar_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
         }
     }
     if (accumulate) {
-        for (index_t i = 0; i < kMr; ++i)
-            for (index_t j = 0; j < kNr; ++j) c[i * ldc + j] += acc[i][j];
+        for (index_t i = 0; i < m; ++i)
+            for (index_t j = 0; j < n; ++j) c[i * ldc + j] += acc[i][j];
     } else {
-        for (index_t i = 0; i < kMr; ++i)
-            for (index_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
+        for (index_t i = 0; i < m; ++i)
+            for (index_t j = 0; j < n; ++j) c[i * ldc + j] = acc[i][j];
     }
+}
+
+void scalar_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
+                     std::int32_t* c, index_t ldc, bool accumulate)
+{
+    scalar_int8_edge(kq, a, b, c, ldc, kMr, kNr, accumulate);
 }
 
 }  // namespace
 
 MicroKernelT<U8S8S32> scalar_int8_microkernel()
 {
-    return {"scalar_int8_4x4", Isa::kScalar, kMr, kNr, &scalar_int8_ukr};
+    return {"scalar_int8_4x4", Isa::kScalar, kMr, kNr, &scalar_int8_ukr,
+            &scalar_int8_edge};
 }
 
 }  // namespace cake

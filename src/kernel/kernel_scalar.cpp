@@ -9,9 +9,11 @@
 namespace cake {
 namespace {
 
+/// The edge entry: the full tile is computed, and only its live m x n
+/// corner is stored.
 template <typename T, index_t kMr, index_t kNr>
-void scalar_ukr(index_t kc, const T* a, const T* b, T* c, index_t ldc,
-                bool accumulate)
+void scalar_edge(index_t kc, const T* a, const T* b, T* c, index_t ldc,
+                 index_t m, index_t n, bool accumulate)
 {
     // Local accumulator tile; compilers vectorise this reliably.
     T acc[kMr][kNr] = {};
@@ -24,12 +26,19 @@ void scalar_ukr(index_t kc, const T* a, const T* b, T* c, index_t ldc,
         }
     }
     if (accumulate) {
-        for (index_t i = 0; i < kMr; ++i)
-            for (index_t j = 0; j < kNr; ++j) c[i * ldc + j] += acc[i][j];
+        for (index_t i = 0; i < m; ++i)
+            for (index_t j = 0; j < n; ++j) c[i * ldc + j] += acc[i][j];
     } else {
-        for (index_t i = 0; i < kMr; ++i)
-            for (index_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
+        for (index_t i = 0; i < m; ++i)
+            for (index_t j = 0; j < n; ++j) c[i * ldc + j] = acc[i][j];
     }
+}
+
+template <typename T, index_t kMr, index_t kNr>
+void scalar_ukr(index_t kc, const T* a, const T* b, T* c, index_t ldc,
+                bool accumulate)
+{
+    scalar_edge<T, kMr, kNr>(kc, a, b, c, ldc, kMr, kNr, accumulate);
 }
 
 }  // namespace
@@ -70,13 +79,15 @@ template void copy_sliver_scalar<double>(const double*, index_t, index_t,
 MicroKernel scalar_microkernel()
 {
     return {"scalar_8x8", Isa::kScalar, 8, 8, &scalar_ukr<float, 8, 8>,
-            &gather_sliver_scalar<float>, &copy_sliver_scalar<float>};
+            &scalar_edge<float, 8, 8>, &gather_sliver_scalar<float>,
+            &copy_sliver_scalar<float>};
 }
 
 MicroKernelD scalar_microkernel_f64()
 {
     return {"scalar_8x8_f64", Isa::kScalar, 8, 8, &scalar_ukr<double, 8, 8>,
-            &gather_sliver_scalar<double>, &copy_sliver_scalar<double>};
+            &scalar_edge<double, 8, 8>, &gather_sliver_scalar<double>,
+            &copy_sliver_scalar<double>};
 }
 
 }  // namespace cake

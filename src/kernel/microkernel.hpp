@@ -24,9 +24,14 @@
 // and op(A) = A^T). The int8 entries leave both null: their k-quad
 // layout is packed by pack_*_panel_int8 (pack/pack_int8.hpp).
 //
-// Full tiles hit the SIMD kernels; partial edge tiles are computed into an
-// aligned scratch tile and copied out (see run_microkernel_tile). Kernels
-// exist for every family at every ISA level.
+// Every entry has two compute entry points on the same packed slivers:
+// `fn` updates the full mr x nr tile, and `edge` only its live m x n
+// corner (1 <= m <= mr, 1 <= n <= nr), reading and writing no C element
+// outside it. The SIMD edge entries are the kernel's body with M = m
+// accumulator rows fixed at compile time (a table indexed by m - 1) and
+// C loads and stores masked to n columns, so an edge tile runs at the
+// kernel's rate instead of as a full tile plus a copy. run_microkernel_tile
+// picks one of the two. Kernels exist for every family at every ISA level.
 #pragma once
 
 #include "common/checked.hpp"
@@ -45,6 +50,15 @@ using MicroKernelFnT = void (*)(index_t steps,
                                 typename KernelFamily<F>::C* c, index_t ldc,
                                 bool accumulate);
 
+/// Signature shared by the edge entries of family F: the same update as
+/// MicroKernelFnT on the live m x n corner of the tile only.
+template <typename F>
+using EdgeKernelFnT = void (*)(index_t steps,
+                               const typename KernelFamily<F>::A* a,
+                               const typename KernelFamily<F>::B* b,
+                               typename KernelFamily<F>::C* c, index_t ldc,
+                               index_t m, index_t n, bool accumulate);
+
 /// Signature shared by the sliver packers (see the header comment):
 /// pack `live` source lanes (lane step `ld` for gather_sliver, depth step
 /// `ld` for copy_sliver) over `k` depth steps into `out`, zero-padded to
@@ -62,6 +76,8 @@ struct MicroKernelT {
     index_t mr = 0;  ///< register-tile rows (paper's m_r)
     index_t nr = 0;  ///< register-tile cols (paper's n_r)
     MicroKernelFnT<F> fn = nullptr;
+    /// Partial tiles: C is read and written only in the live m x n corner.
+    EdgeKernelFnT<F> edge = nullptr;
     /// Sliver packers (null for int8): lanes strided / contiguous in the
     /// source.
     SliverFnT<typename KernelFamily<F>::A> gather_sliver = nullptr;
@@ -102,8 +118,9 @@ MicroKernelT<U8S8S32> avx512_int8_microkernel();
 #endif
 
 /// Run a (possibly partial) m x n tile, m <= mr, n <= nr, `steps` deep:
-/// full tiles call the kernel directly; edges go through a scratch tile.
-/// `scratch` must hold at least mr*nr elements, 64-byte aligned.
+/// full tiles call the kernel's `fn`, partial ones its `edge`. `scratch`
+/// is unused; it stays in the signature for bench/ledger, which still
+/// passes one. CAKE_CHECKED builds check its alignment when it is given.
 template <typename F>
 void run_microkernel_tile(const MicroKernelT<F>& k, index_t steps,
                           const typename KernelFamily<F>::A* a,
@@ -116,9 +133,8 @@ void run_microkernel_tile(const MicroKernelT<F>& k, index_t steps,
     // Kernel dispatch boundary: validate the operand contract the SIMD
     // kernels silently rely on before handing them raw pointers. The
     // packed a/b slivers only guarantee element alignment (slivers start
-    // at mr*kc / nr*kc element offsets); the scratch tile must carry full
-    // vector-store alignment because edge tiles are computed there with
-    // aligned stores.
+    // at mr*kc / nr*kc element offsets); a caller's scratch tile must
+    // carry full vector-store alignment.
     using Fam = KernelFamily<F>;
     if (m > 0 && n > 0) {
         if (a == nullptr || b == nullptr) {
@@ -128,8 +144,10 @@ void run_microkernel_tile(const MicroKernelT<F>& k, index_t steps,
                         "micro-kernel packed-A sliver");
         require_aligned(b, alignof(typename Fam::B),
                         "micro-kernel packed-B sliver");
-        require_aligned(scratch, kPanelAlignment,
-                        "micro-kernel scratch tile");
+        if (scratch != nullptr) {
+            require_aligned(scratch, kPanelAlignment,
+                            "micro-kernel scratch tile");
+        }
         // The C tile is an m x n window of a row-major buffer with leading
         // dimension ldc; TileView traps on inconsistent geometry
         // (ld < cols, null base, misaligned base).
@@ -139,24 +157,17 @@ void run_microkernel_tile(const MicroKernelT<F>& k, index_t steps,
         if (steps <= 0) {
             checked::fail("bad-tile", "micro-kernel depth must be positive");
         }
+        if (m > k.mr || n > k.nr) {
+            checked::fail("bad-tile", "micro-kernel tile exceeds mr x nr");
+        }
     }
+#else
+    (void)scratch;
 #endif
     if (m == k.mr && n == k.nr) {
         k.fn(steps, a, b, c, ldc, accumulate);
-        return;
-    }
-    // Edge tile: compute the full mr x nr tile into scratch (packed panels
-    // are zero-padded, so the extra rows/cols are zero), then copy the live
-    // m x n region.
-    k.fn(steps, a, b, scratch, k.nr, /*accumulate=*/false);
-    if (accumulate) {
-        for (index_t i = 0; i < m; ++i)
-            for (index_t j = 0; j < n; ++j)
-                c[i * ldc + j] += scratch[i * k.nr + j];
-    } else {
-        for (index_t i = 0; i < m; ++i)
-            for (index_t j = 0; j < n; ++j)
-                c[i * ldc + j] = scratch[i * k.nr + j];
+    } else if (m > 0 && n > 0) {
+        k.edge(steps, a, b, c, ldc, m, n, accumulate);
     }
 }
 

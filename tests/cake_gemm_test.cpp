@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
 #include "ref/naive_gemm.hpp"
+#include "test_names.hpp"
 
 namespace cake {
 namespace {
@@ -72,11 +73,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Mid-size square and rectangles
         ShapeParam{100, 100, 100}, ShapeParam{150, 75, 33},
         ShapeParam{75, 150, 201}, ShapeParam{201, 33, 150}),
-    [](const auto& info) {
-        return "m" + std::to_string(std::get<0>(info.param)) + "n"
-            + std::to_string(std::get<1>(info.param)) + "k"
-            + std::to_string(std::get<2>(info.param));
-    });
+    [](const auto& info) { return mnk_name(info.param); });
 
 TEST(CakeGemm, AccumulateAddsToExistingC)
 {

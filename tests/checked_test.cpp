@@ -214,7 +214,9 @@ void expect_misaligned_scratch_traps(const MicroKernelT<F>& k)
     SCOPED_TRACE(k.name);
     const index_t steps = 4;
     TileOperands<F> t(k, steps, 16);
-    // Aligned scratch: runs clean (edge tile m = mr - 1 forces its use).
+    // Aligned scratch: runs clean. The edge tile (m = mr - 1) runs through
+    // the kernel's edge entry and never touches the scratch; the runner
+    // still checks the alignment of any scratch a caller passes.
     EXPECT_NO_THROW(run_microkernel_tile(k, steps, t.a.data(), t.b.data(),
                                          t.c.data(), k.nr, k.mr - 1, k.nr,
                                          false, t.scratch.data()));

@@ -10,6 +10,7 @@
 #include "gotoblas/goto_gemm.hpp"
 #include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
+#include "test_names.hpp"
 
 namespace cake {
 namespace {
@@ -110,11 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{64, 64, 64}, ShapeParam{97, 89, 83},
                       ShapeParam{128, 16, 16}, ShapeParam{16, 128, 16},
                       ShapeParam{16, 16, 128}, ShapeParam{120, 60, 33}),
-    [](const auto& info) {
-        return "m" + std::to_string(std::get<0>(info.param)) + "n"
-            + std::to_string(std::get<1>(info.param)) + "k"
-            + std::to_string(std::get<2>(info.param));
-    });
+    [](const auto& info) { return mnk_name(info.param); });
 
 TEST(CakeDgemm, ElementSizeReachesSolver)
 {

@@ -8,6 +8,7 @@
 #include "gotoblas/goto_gemm.hpp"
 #include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
+#include "test_names.hpp"
 
 namespace cake {
 namespace {
@@ -51,11 +52,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{256, 8, 8}, ShapeParam{8, 256, 8},
                       ShapeParam{8, 8, 256}, ShapeParam{150, 75, 33},
                       ShapeParam{100, 100, 100}),
-    [](const auto& info) {
-        return "m" + std::to_string(std::get<0>(info.param)) + "n"
-            + std::to_string(std::get<1>(info.param)) + "k"
-            + std::to_string(std::get<2>(info.param));
-    });
+    [](const auto& info) { return mnk_name(info.param); });
 
 TEST(GotoGemm, AccumulateSemantics)
 {

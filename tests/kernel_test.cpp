@@ -1,8 +1,12 @@
 // Micro-kernel tests: every compiled ISA variant against a double-precision
-// oracle on packed panels, full and edge tiles, across kc depths.
+// oracle on packed panels, full tiles across kc depths, and every edge
+// tile of every family's edge entry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -101,47 +105,116 @@ INSTANTIATE_TEST_SUITE_P(
             + "_kc" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(KernelEdge, PartialTilesMatchOracle)
+/// Packed slivers of family F at values its kernels take exactly: floats
+/// in [-1, 1); int8 A in [0, 127] (the packer's contract) and B in
+/// [-128, 127].
+template <typename F>
+void fill_slivers(AlignedBuffer<typename KernelFamily<F>::A>& a,
+                  AlignedBuffer<typename KernelFamily<F>::B>& b, Rng& rng)
 {
-    const MicroKernel& k = best_microkernel();
-    const index_t kc = 33;
-    Rng rng(77);
-    AlignedBuffer<float> a(static_cast<std::size_t>(k.mr * kc), true);
-    AlignedBuffer<float> b(static_cast<std::size_t>(k.nr * kc), true);
-    AlignedBuffer<float> scratch(static_cast<std::size_t>(k.mr * k.nr));
+    if constexpr (std::is_floating_point_v<F>) {
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a[i] = static_cast<F>(rng.next_float(-1, 1));
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] = static_cast<F>(rng.next_float(-1, 1));
+    } else {
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a[i] = static_cast<std::uint8_t>(rng.next_below(128));
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] = static_cast<std::int8_t>(
+                static_cast<int>(rng.next_below(256)) - 128);
+    }
+}
 
-    for (index_t m = 1; m <= k.mr; ++m) {
-        for (index_t n = 1; n <= k.nr; n += 3) {
-            // Zero-pad rows >= m and cols >= n as the packers would.
-            for (index_t p = 0; p < kc; ++p) {
-                for (index_t i = 0; i < k.mr; ++i)
-                    a[static_cast<std::size_t>(p * k.mr + i)] =
-                        i < m ? rng.next_float(-1, 1) : 0.0f;
-                for (index_t j = 0; j < k.nr; ++j)
-                    b[static_cast<std::size_t>(p * k.nr + j)] =
-                        j < n ? rng.next_float(-1, 1) : 0.0f;
+/// First disagreement of an edge-entry call with the oracle, or "": the
+/// live m x n corner must hold oracle (+ the preload when accumulating),
+/// exact for int8; every other element of the mr x ldc buffer, the gap
+/// columns past nr included, must still hold the sentinel.
+template <typename F>
+std::string edge_mismatch(const MicroKernelT<F>& k,
+                          const std::vector<double>& oracle,
+                          const AlignedBuffer<typename KernelFamily<F>::C>& c,
+                          index_t ldc, index_t m, index_t n, bool accumulate,
+                          double tol)
+{
+    using C = typename KernelFamily<F>::C;
+    for (index_t i = 0; i < k.mr; ++i) {
+        for (index_t j = 0; j < ldc; ++j) {
+            const C got = c[static_cast<std::size_t>(i * ldc + j)];
+            const bool live = i < m && j < n;
+            double want = -9.0;
+            if (live) {
+                want = oracle[static_cast<std::size_t>(i * k.nr + j)]
+                    + (accumulate ? static_cast<double>((i + j) % 7 - 3) : 0);
             }
-            // C region sized exactly m x n with sentinel guard band after.
-            std::vector<float> c(static_cast<std::size_t>(m * n + 64), -9.0f);
-            for (index_t i = 0; i < m * n; ++i)
-                c[static_cast<std::size_t>(i)] = 0.0f;
-            run_microkernel_tile(k, kc, a.data(), b.data(), c.data(), n, m, n,
-                                 /*accumulate=*/false, scratch.data());
-
-            const auto oracle = oracle_tile(a.data(), b.data(), k.mr, k.nr, kc);
-            const double tol = gemm_tolerance(kc);
-            for (index_t i = 0; i < m; ++i)
-                for (index_t j = 0; j < n; ++j)
-                    EXPECT_NEAR(c[static_cast<std::size_t>(i * n + j)],
-                                oracle[static_cast<std::size_t>(i * k.nr + j)],
-                                tol)
-                        << "m=" << m << " n=" << n;
-            // Guard band untouched.
-            for (std::size_t g = static_cast<std::size_t>(m * n);
-                 g < c.size(); ++g)
-                EXPECT_EQ(c[g], -9.0f) << "guard overwritten at " << g;
+            const double err = static_cast<double>(got) - want;
+            if (live ? (err <= tol && err >= -tol) : err == 0) continue;
+            std::ostringstream os;
+            os << "m=" << m << " n=" << n << " accumulate=" << accumulate
+               << (live ? " live" : " dead") << " C(" << i << "," << j
+               << "): got " << static_cast<double>(got) << ", want " << want;
+            return os.str();
         }
     }
+    return "";
+}
+
+TEST(KernelEdge, PartialTilesMatchOracle)
+{
+    // Every supported entry of every family, every m x n tile (the full
+    // one too), overwrite and accumulate, through the edge entry itself.
+    // C has ldc = nr + 3 and holds a sentinel everywhere outside the live
+    // corner, so a row or a store mask one lane too wide shows.
+    for_each_kernel_family([]<typename F>() {
+        using Fam = KernelFamily<F>;
+        using C = typename Fam::C;
+        const index_t steps = 9;
+        const index_t depth = steps * Fam::k_step;
+        const double tol =
+            std::is_floating_point_v<F> ? gemm_tolerance(depth) : 0.0;
+        for (const MicroKernelT<F>& k : supported_microkernels_of<F>()) {
+            SCOPED_TRACE(k.name);
+            ASSERT_NE(k.edge, nullptr);
+            Rng rng(77);
+            AlignedBuffer<typename Fam::A> a(
+                static_cast<std::size_t>(k.mr * depth));
+            AlignedBuffer<typename Fam::B> b(
+                static_cast<std::size_t>(k.nr * depth));
+            fill_slivers<F>(a, b, rng);
+            // Packed layout: a[q*mr*s + i*s + d], b[q*nr*s + j*s + d].
+            std::vector<double> oracle(static_cast<std::size_t>(k.mr * k.nr));
+            for (index_t i = 0; i < k.mr; ++i)
+                for (index_t j = 0; j < k.nr; ++j)
+                    for (index_t q = 0; q < steps; ++q)
+                        for (index_t d = 0; d < Fam::k_step; ++d)
+                            oracle[static_cast<std::size_t>(i * k.nr + j)] +=
+                                static_cast<double>(a[static_cast<std::size_t>(
+                                    (q * k.mr + i) * Fam::k_step + d)])
+                                * static_cast<double>(
+                                    b[static_cast<std::size_t>(
+                                        (q * k.nr + j) * Fam::k_step + d)]);
+
+            const index_t ldc = k.nr + 3;
+            AlignedBuffer<C> c(static_cast<std::size_t>(k.mr * ldc));
+            for (index_t m = 1; m <= k.mr; ++m) {
+                for (index_t n = 1; n <= k.nr; ++n) {
+                    for (const bool acc : {false, true}) {
+                        for (index_t i = 0; i < k.mr; ++i)
+                            for (index_t j = 0; j < ldc; ++j)
+                                c[static_cast<std::size_t>(i * ldc + j)] =
+                                    static_cast<C>(acc && i < m && j < n
+                                                       ? (i + j) % 7 - 3
+                                                       : -9);
+                        k.edge(steps, a.data(), b.data(), c.data(), ldc, m,
+                               n, acc);
+                        ASSERT_EQ(edge_mismatch<F>(k, oracle, c, ldc, m, n,
+                                                   acc, tol),
+                                  "");
+                    }
+                }
+            }
+        }
+    });
 }
 
 // The registry tests below run over every kernel family (f32, f64, i8)
@@ -172,6 +245,16 @@ TEST(KernelRegistry, BestIsWidestSupported)
         }
         EXPECT_GE(best.mr, 1);
         EXPECT_GE(best.nr, 1);
+    });
+}
+
+TEST(KernelRegistry, EveryEntryNamesBothComputeEntries)
+{
+    // run_microkernel_tile has no fallback: a full tile calls fn, any
+    // other tile edge, for every compiled entry of every family.
+    for_each_microkernel([](const auto& k) {
+        EXPECT_NE(k.fn, nullptr) << k.name;
+        EXPECT_NE(k.edge, nullptr) << k.name;
     });
 }
 

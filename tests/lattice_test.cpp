@@ -11,6 +11,7 @@
 #include "gotoblas/goto_gemm.hpp"
 #include "ref/naive_gemm.hpp"
 #include "sim/machine_sim.hpp"
+#include "test_names.hpp"
 
 namespace cake {
 namespace {
@@ -82,11 +83,7 @@ TEST_P(LatticeTest, AllEnginesMatchOracle)
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, LatticeTest, ::testing::ValuesIn(lattice()),
-    [](const auto& info) {
-        return "m" + std::to_string(std::get<0>(info.param)) + "n"
-            + std::to_string(std::get<1>(info.param)) + "k"
-            + std::to_string(std::get<2>(info.param));
-    });
+    [](const auto& info) { return mnk_name(info.param); });
 
 TEST(FunctionalSim, PipelineCarriesRealDataCorrectly)
 {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/schedule.hpp"
+#include "test_names.hpp"
 
 namespace cake {
 namespace {
@@ -125,11 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Grid{5, 1, 1}, Grid{2, 2, 2}, Grid{3, 4, 5},
                       Grid{4, 3, 2}, Grid{7, 1, 3}, Grid{1, 7, 3},
                       Grid{6, 6, 6}),
-    [](const auto& info) {
-        return "m" + std::to_string(std::get<0>(info.param)) + "n"
-            + std::to_string(std::get<1>(info.param)) + "k"
-            + std::to_string(std::get<2>(info.param));
-    });
+    [](const auto& info) { return mnk_name(info.param); });
 
 TEST(Schedule, MOutermostWhenRequested)
 {
