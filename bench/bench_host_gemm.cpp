@@ -34,7 +34,7 @@ ThreadPool& pool()
 }
 
 /// Plan oracle for the CAKE benches; set once in main() before any
-/// benchmark runs, nullptr when --no-tune (or the tuner is compiled out).
+/// benchmark runs, nullptr when --no-tune.
 const TunedPlanSource* g_plan_source = nullptr;
 
 CakeOptions tuned_options()

@@ -28,13 +28,7 @@
 #include "machine/fingerprint.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-
-#if !defined(CAKE_TUNE_DISABLED) || !CAKE_TUNE_DISABLED
-#define CAKE_BENCH_HAS_TUNE 1
 #include "tune/cache.hpp"
-#else
-#define CAKE_BENCH_HAS_TUNE 0
-#endif
 
 namespace cake {
 namespace bench {
@@ -77,9 +71,7 @@ inline void print_table(const Table& table, const std::string& name)
 
 /// Opt-out wiring of the persisted tuning cache into a bench's
 /// CakeOptions. Default ON (the bench measures what a tuned production
-/// call would get); `--no-tune` reverts to pure analytic planning. When the
-/// tuner is compiled out (-DCAKE_TUNE_DISABLED=ON) the option degrades to
-/// "off" and `--no-tune` is accepted but redundant.
+/// call would get); `--no-tune` reverts to pure analytic planning.
 class PlanSourceOption {
 public:
     static PlanSourceOption from_args(int argc, char** argv)
@@ -89,14 +81,10 @@ public:
         for (int i = 1; i < argc; ++i) {
             if (std::string(argv[i]) == "--no-tune") no_tune = true;
         }
-#if CAKE_BENCH_HAS_TUNE
         if (!no_tune) {
             option.source_ = tune::CachedPlanSource::for_host();
             option.on_ = true;
         }
-#else
-        (void)no_tune;
-#endif
         return option;
     }
 
@@ -104,19 +92,13 @@ public:
     /// then plans analytically, exactly as before this option existed).
     [[nodiscard]] const TunedPlanSource* get() const
     {
-#if CAKE_BENCH_HAS_TUNE
         return on_ ? &source_ : nullptr;
-#else
-        return nullptr;
-#endif
     }
 
     [[nodiscard]] bool on() const { return on_; }
 
 private:
-#if CAKE_BENCH_HAS_TUNE
     tune::CachedPlanSource source_ = tune::CachedPlanSource({}, "");
-#endif
     bool on_ = false;
 };
 
@@ -133,8 +115,6 @@ struct TraceResult {
 /// Opt-in bench tracing. Benches run their timed reps UNtraced, then — when
 /// `--trace-dir DIR` was passed — bracket one extra run per case with
 /// begin()/end() so the measured numbers stay free of tracing overhead.
-/// When tracing is compiled out (-DCAKE_TRACE_DISABLED=ON) the flag warns
-/// and stays off.
 class TraceCapture {
 public:
     static TraceCapture from_args(int argc, char** argv)
@@ -145,13 +125,6 @@ public:
                 capture.dir_ = argv[i + 1];
             }
         }
-#if !CAKE_OBS_ENABLED
-        if (!capture.dir_.empty()) {
-            std::cerr << "warning: --trace-dir ignored (tracing compiled "
-                         "out by CAKE_TRACE_DISABLED)\n";
-            capture.dir_.clear();
-        }
-#endif
         return capture;
     }
 
@@ -175,7 +148,6 @@ public:
         obs::disable();
         obs::metrics_disable();
         const obs::TraceDump dump = obs::collect();
-#if CAKE_OBS_ENABLED
         const obs::ProfileReport report = obs::profile(dump);
         result.events = report.total_events;
         result.dropped = report.total_dropped;
@@ -190,9 +162,6 @@ public:
         if (!result.captured) {
             std::cerr << "warning: cannot write " << result.path << "\n";
         }
-#else
-        (void)dump;
-#endif
         return result;
     }
 

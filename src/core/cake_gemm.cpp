@@ -24,8 +24,7 @@ namespace cake {
 namespace {
 
 /// Per-tile micro-kernel latency histogram (src/obs). The id is resolved
-/// once; calls are dead code in CAKE_TRACE_DISABLED builds because
-/// metrics_enabled() is constexpr false at every use site.
+/// once.
 obs::MetricId tile_latency_hist()
 {
     static const obs::MetricId id =
@@ -171,37 +170,27 @@ index_t packed_depth(index_t ki)
     return KernelFamily<T>::k_step * kernel_steps<T>(ki);
 }
 
-/// C = alpha * A*B + beta * C for one (possibly partial) m x n tile of
-/// user C over a ki-deep block. alpha = 1 with beta 0 or 1 — every int8
-/// multiply and every unscaled float one — is the kernel's own overwrite
-/// or accumulate, straight into user C: a full tile through the kernel's
-/// `fn`, an edge tile through its `edge` entry. Any other pair computes
-/// the live m x n tile into `scratch` (mr x nr, leading dimension nr) and
-/// then writes alpha * s + beta * c. beta = 0 never reads C. Kept out of
-/// line: run_microkernel_tile is an inline template, and inlining it into
-/// the compute loop, its only caller here, cost 10% on small f32 shapes
-/// and 3% on 1536^3 at p = 1 (bench/ledger).
+/// run_tile for the alpha/beta pairs the kernel cannot apply itself: the
+/// live m x n tile is computed into a stack tile (leading dimension nr,
+/// sized by kMaxTileElems) and then alpha * s + beta * c is written to C.
+/// beta = 0 never reads C. Out of line so the kernel-applied path of
+/// run_tile keeps no stack frame.
 template <typename T>
-[[gnu::noinline]] void run_tile(const MicroKernelT<T>& kernel, index_t ki,
-                                const typename KernelFamily<T>::A* a,
-                                const typename KernelFamily<T>::B* b,
-                                typename KernelFamily<T>::C* c, index_t ldc,
-                                index_t m, index_t n,
-                                typename KernelFamily<T>::C alpha,
-                                typename KernelFamily<T>::C beta,
-                                typename KernelFamily<T>::C* scratch)
+[[gnu::noinline]] void run_scaled_tile(const MicroKernelT<T>& kernel,
+                                       index_t steps,
+                                       const typename KernelFamily<T>::A* a,
+                                       const typename KernelFamily<T>::B* b,
+                                       typename KernelFamily<T>::C* c,
+                                       index_t ldc, index_t m, index_t n,
+                                       typename KernelFamily<T>::C alpha,
+                                       typename KernelFamily<T>::C beta)
 {
     using C = typename KernelFamily<T>::C;
-    const index_t steps = kernel_steps<T>(ki);
-    if (alpha == C(1) && (beta == C(0) || beta == C(1))) {
-        run_microkernel_tile(kernel, steps, a, b, c, ldc, m, n,
-                             /*accumulate=*/beta == C(1), nullptr);
-        return;
-    }
-    run_microkernel_tile(kernel, steps, a, b, scratch, kernel.nr, m, n,
+    alignas(kPanelAlignment) C tile[kMaxTileElems];
+    run_microkernel_tile(kernel, steps, a, b, tile, kernel.nr, m, n,
                          /*accumulate=*/false, nullptr);
     for (index_t i = 0; i < m; ++i) {
-        const C* s = scratch + i * kernel.nr;
+        const C* s = tile + i * kernel.nr;
         C* row = c + i * ldc;
         if (beta == C(0)) {
             for (index_t j = 0; j < n; ++j) row[j] = alpha * s[j];
@@ -210,6 +199,34 @@ template <typename T>
                 row[j] = alpha * s[j] + beta * row[j];
         }
     }
+}
+
+/// C = alpha * A*B + beta * C for one (possibly partial) m x n tile of
+/// user C over a ki-deep block. alpha = 1 with beta 0 or 1 — every int8
+/// multiply and every unscaled float one — is the kernel's own overwrite
+/// or accumulate, straight into user C: a full tile through the kernel's
+/// `fn`, an edge tile through its `edge` entry. Any other pair goes
+/// through run_scaled_tile. Kept out of line: run_microkernel_tile is an
+/// inline template, and inlining it into the compute loop, its only
+/// caller here, cost 10% on small f32 shapes and 3% on 1536^3 at p = 1
+/// (bench/ledger).
+template <typename T>
+[[gnu::noinline]] void run_tile(const MicroKernelT<T>& kernel, index_t ki,
+                                const typename KernelFamily<T>::A* a,
+                                const typename KernelFamily<T>::B* b,
+                                typename KernelFamily<T>::C* c, index_t ldc,
+                                index_t m, index_t n,
+                                typename KernelFamily<T>::C alpha,
+                                typename KernelFamily<T>::C beta)
+{
+    using C = typename KernelFamily<T>::C;
+    const index_t steps = kernel_steps<T>(ki);
+    if (alpha == C(1) && (beta == C(0) || beta == C(1))) {
+        run_microkernel_tile(kernel, steps, a, b, c, ldc, m, n,
+                             /*accumulate=*/beta == C(1), nullptr);
+        return;
+    }
+    run_scaled_tile(kernel, steps, a, b, c, ldc, m, n, alpha, beta);
 }
 
 /// Byte range [lo, hi) a rows x cols row-major operand with leading
@@ -549,12 +566,6 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
             depth * round_up(params.n_blk, kernel_.nr)));
         if (call.overlap) pack_b_[1].ensure(pack_b_[0].size());
     }
-    if (scratch_.size() < static_cast<std::size_t>(p)) {
-        scratch_.resize(static_cast<std::size_t>(p));
-    }
-    for (auto& s : scratch_) {
-        s.ensure(static_cast<std::size_t>(kernel_.mr * kernel_.nr));
-    }
 
     run_block_loop(call);
 
@@ -565,7 +576,6 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     pack_a_[1].verify_canaries("packed-A buffer[1]");
     pack_b_[0].verify_canaries("packed-B buffer[0]");
     pack_b_[1].verify_canaries("packed-B buffer[1]");
-    for (const auto& s : scratch_) s.verify_canaries("kernel scratch tile");
     if (prepacked != nullptr) prepacked->verify_canaries();
 
     stats_.total_seconds = total_timer.seconds();
@@ -663,7 +673,6 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
         using Clock = std::chrono::steady_clock;
         double pack_s = 0, compute_s = 0, hidden_s = 0;
         index_t phase = 0;
-        C* const scratch = scratch_[static_cast<std::size_t>(tid)].data();
 
         // Claim items off the phase counter until exhausted, then cross
         // the phase barrier. Item errors are recorded (not thrown) so
@@ -794,7 +803,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                     obs_tiles ? obs::now_ns() : 0;
                 detail::run_tile(kernel, st.ki, a_sliver, b_sliver,
                                  call.c + c_band + j, call.ldc, mrows, ncols,
-                                 call.alpha, beta, scratch);
+                                 call.alpha, beta);
                 if (obs_tiles) {
                     obs::histogram_observe(
                         tile_latency_hist(),

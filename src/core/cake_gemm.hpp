@@ -132,9 +132,8 @@ struct CakeStats {
     }
 };
 
-/// Reusable GEMM context: owns the packed-panel buffers and kernel scratch
-/// tiles so repeated multiplies (e.g. DNN inference layers) do not
-/// reallocate.
+/// Reusable GEMM context: owns the packed-panel buffers so repeated
+/// multiplies (e.g. DNN inference layers) do not reallocate.
 /// Instantiated for float (CakeGemm), double (CakeGemmD) and the quantized
 /// u8 x s8 -> s32 family (CakeGemmInt8); A, B and C are the family's
 /// operand element types (kernel/kernel_family.hpp).
@@ -196,9 +195,6 @@ private:
 
     AlignedBuffer<A> pack_a_[2];  ///< double-buffered packed-A panels
     AlignedBuffer<B> pack_b_[2];  ///< double-buffered packed-B panels
-    /// Per-worker mr x nr tiles for alpha/beta pairs the kernel cannot
-    /// apply itself (run_tile); edge tiles do not use them.
-    std::vector<AlignedBuffer<C>> scratch_;
 };
 
 using CakeGemm = CakeGemmT<float>;

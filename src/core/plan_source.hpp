@@ -4,11 +4,11 @@
 // before the analytic §4.3 solver runs.
 //
 // The interface lives in src/core (not src/tune) so the driver carries no
-// tuner dependency: release builds with -DCAKE_TUNE_DISABLED=ON keep this
-// header, the hook simply stays null. A tuned plan is overrides, not a
-// finished CbBlockParams — the solver still resolves the geometry, so a
-// tuned plan passes through exactly the same compute_cb_block validation,
-// audit_cb_plan gating and schedule-IR verification as an analytic one.
+// tuner dependency: the hook stays null unless a caller sets it. A tuned
+// plan is overrides, not a finished CbBlockParams — the solver still
+// resolves the geometry, so a tuned plan passes through exactly the same
+// compute_cb_block validation, audit_cb_plan gating and schedule-IR
+// verification as an analytic one.
 #pragma once
 
 #include <optional>

@@ -96,6 +96,10 @@ void copy_sliver_scalar(const T* src, index_t ld, index_t live, index_t k,
 using MicroKernel = MicroKernelT<float>;
 using MicroKernelD = MicroKernelT<double>;
 
+/// Upper bound on mr * nr over every kernel of every family (the AVX-512
+/// f32 kernel's 14 x 32), so a caller can hold one C tile on the stack.
+inline constexpr index_t kMaxTileElems = 14 * 32;
+
 /// Scalar reference kernels (always available). The int8 one is exact
 /// over the full u8 x s8 input range.
 MicroKernel scalar_microkernel();

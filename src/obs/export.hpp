@@ -7,15 +7,7 @@
 //   * Flat metrics JSON and a common/csv Table for terminal / CSV reuse.
 //   * ProfileReport: per-worker phase totals, top spans, barrier-stall
 //     attribution and an ASCII overlap timeline for tools/cake_trace.
-//
-// The whole header is gated on CAKE_OBS_ENABLED: in compiled-out builds
-// (-DCAKE_TRACE_DISABLED=ON) export.cpp is an empty TU and callers must be
-// gated too (tools/cake_trace and the obs tests are).
 #pragma once
-
-#include "obs/trace.hpp"
-
-#if CAKE_OBS_ENABLED
 
 #include <cstdint>
 #include <iosfwd>
@@ -24,6 +16,7 @@
 
 #include "common/csv.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace cake {
 namespace obs {
@@ -64,14 +57,13 @@ struct WorkerProfile {
     std::int32_t worker = -1;  ///< team tid; -1 = outside any team job
     double pack_s = 0;
     double compute_s = 0;
-    double flush_s = 0;
     double barrier_s = 0;  ///< stall: SpinBarrier waits
     double other_s = 0;
     std::uint64_t events = 0;
 
     [[nodiscard]] double busy_s() const
     {
-        return pack_s + compute_s + flush_s + other_s;
+        return pack_s + compute_s + other_s;
     }
 };
 
@@ -102,7 +94,7 @@ struct ProfileReport {
 /// Aggregate a dump into per-worker / per-span statistics.
 ProfileReport profile(const TraceDump& dump);
 
-/// worker | pack_s | compute_s | flush_s | barrier_s | other_s | events
+/// worker | pack_s | compute_s | barrier_s | other_s | events
 Table worker_table(const ProfileReport& report);
 
 /// span | phase | count | total_s | mean_ns | max_ns (top `top_n`).
@@ -114,10 +106,8 @@ Table stall_table(const ProfileReport& report);
 
 /// ASCII overlap timeline, one row per worker lane, `columns` time slices
 /// wide. Each cell shows the dominant phase in its slice: P=pack,
-/// C=compute, F=flush, b=barrier-wait, o=other, '.'=idle.
+/// C=compute, b=barrier-wait, o=other, '.'=idle.
 std::string overlap_timeline(const TraceDump& dump, int columns = 72);
 
 }  // namespace obs
 }  // namespace cake
-
-#endif  // CAKE_OBS_ENABLED

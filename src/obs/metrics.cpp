@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#if CAKE_OBS_ENABLED
-
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -207,5 +205,3 @@ std::vector<double> latency_bounds_ns()
 
 }  // namespace obs
 }  // namespace cake
-
-#endif  // CAKE_OBS_ENABLED

@@ -19,18 +19,12 @@
 //     runtime switch).
 //   * Snapshots are taken at quiescent points; per-metric totals are
 //     internally consistent, cross-metric consistency needs quiescence.
-//
-// Compile-out: -DCAKE_TRACE_DISABLED=ON turns every function below into a
-// constexpr no-op (see trace.hpp); metrics.cpp becomes an empty TU and no
-// cake::obs symbol reaches release objects.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/trace.hpp"  // CAKE_OBS_ENABLED
 
 namespace cake {
 namespace obs {
@@ -55,8 +49,6 @@ struct MetricSnapshot {
     /// holding bucket (bucket b spans (bounds[b-1], bounds[b]]; the first
     /// bucket spans [0, bounds[0]]; the overflow bucket is clamped to its
     /// lower bound). Exact whenever the data is uniform within buckets.
-    /// Defined inline so disabled builds (-DCAKE_TRACE_DISABLED=ON) leave
-    /// no cake::obs symbol in library objects.
     [[nodiscard]] double quantile(double q) const
     {
         if (buckets.empty() || count == 0) return 0.0;
@@ -80,8 +72,6 @@ struct MetricSnapshot {
         return bounds.empty() ? 0.0 : bounds.back();
     }
 };
-
-#if CAKE_OBS_ENABLED
 
 /// Arm / disarm metric updates (tracing's enable()/disable() also arm and
 /// disarm metrics; these switch metrics alone).
@@ -108,36 +98,6 @@ void histogram_observe(MetricId id, double value);
 /// Upper bucket bounds suited to nanosecond latencies: 1 us .. 100 ms in
 /// 1-2-5 decades (the micro-kernel tile and barrier-wait scales).
 [[nodiscard]] std::vector<double> latency_bounds_ns();
-
-#else  // !CAKE_OBS_ENABLED
-
-constexpr void metrics_enable() {}
-constexpr void metrics_disable() {}
-[[nodiscard]] constexpr bool metrics_enabled() noexcept { return false; }
-constexpr void metrics_reset() {}
-
-[[nodiscard]] constexpr MetricId counter(const char* /*name*/)
-{
-    return {};
-}
-[[nodiscard]] constexpr MetricId gauge(const char* /*name*/) { return {}; }
-[[nodiscard]] inline MetricId histogram(const char* /*name*/,
-                                        std::vector<double> /*bounds*/)
-{
-    return {};
-}
-
-constexpr void counter_add(MetricId /*id*/, std::uint64_t /*delta*/) {}
-constexpr void gauge_set(MetricId /*id*/, double /*value*/) {}
-constexpr void histogram_observe(MetricId /*id*/, double /*value*/) {}
-
-[[nodiscard]] inline std::vector<MetricSnapshot> metrics_snapshot()
-{
-    return {};
-}
-[[nodiscard]] inline std::vector<double> latency_bounds_ns() { return {}; }
-
-#endif  // CAKE_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace cake

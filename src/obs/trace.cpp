@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if CAKE_OBS_ENABLED
-
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -233,5 +231,3 @@ TraceDump collect()
 
 }  // namespace obs
 }  // namespace cake
-
-#endif  // CAKE_OBS_ENABLED

@@ -26,13 +26,8 @@
 //     ThreadPool join that ends a multiply provides the happens-before
 //     edge that makes collection race-free).
 //
-// Build modes follow the checked.hpp pattern, inverted: tracing is
-// ALWAYS-COMPILABLE and dormant until the CAKE_TRACE environment variable
-// (or obs::enable()) arms it; configuring with -DCAKE_TRACE_DISABLED=ON
-// compiles the whole subsystem out — every entry point below becomes a
-// constexpr no-op, trace.cpp/metrics.cpp/export.cpp become empty
-// translation units, and release objects carry no cake::obs symbol at all
-// (enforced by the nm gate in .github/workflows/analysis.yml).
+// Tracing is always compiled in and dormant until the CAKE_TRACE
+// environment variable (or obs::enable()) arms it.
 //
 // Runtime knobs:
 //   CAKE_TRACE           nonzero: arm tracing + metrics at first use
@@ -46,23 +41,20 @@
 
 #include "common/types.hpp"
 
-#if defined(CAKE_TRACE_DISABLED) && CAKE_TRACE_DISABLED
-#define CAKE_OBS_ENABLED 0
-#else
+// Always 1: src/obs has one build. Kept only because bench/ledger/ledger.cpp
+// still tests it with #if; it goes with that check.
 #define CAKE_OBS_ENABLED 1
-#endif
 
 namespace cake {
 namespace obs {
 
-/// Execution phase a span belongs to (the paper's pack / compute /
-/// writeback decomposition, plus the synchronisation time between them).
+/// Execution phase a span belongs to (the paper's pack / compute
+/// decomposition, plus the synchronisation time between them). There is no
+/// write-back phase: the micro-kernel writes user C during compute.
 enum class Phase : std::uint8_t {
     kNone = 0,
     kPack,     ///< A/B panel packing (the DRAM fetch of a surface)
     kCompute,  ///< micro-kernel macro-loop work
-    kFlush,    ///< C write-back (the CAKE executor emits none: its kernel
-               ///< writes user C during compute)
     kBarrier,  ///< SpinBarrier wait (per-worker stall attribution)
     kOther,    ///< anything else (tool-defined)
 };
@@ -74,7 +66,6 @@ constexpr const char* phase_name(Phase phase) noexcept
         case Phase::kNone: return "none";
         case Phase::kPack: return "pack";
         case Phase::kCompute: return "compute";
-        case Phase::kFlush: return "flush";
         case Phase::kBarrier: return "barrier";
         case Phase::kOther: return "other";
     }
@@ -121,8 +112,6 @@ struct TraceDump {
         return n;
     }
 };
-
-#if CAKE_OBS_ENABLED
 
 // --- runtime control (quiescent points only) ----------------------------
 
@@ -217,54 +206,6 @@ private:
     Phase phase_ = Phase::kNone;
     bool armed_ = false;
 };
-
-#else  // !CAKE_OBS_ENABLED
-
-// Compiled-out build (-DCAKE_TRACE_DISABLED=ON): every entry point is a
-// constexpr no-op the optimiser deletes at the call site; trace.cpp is an
-// empty translation unit, so no cake::obs symbol reaches release objects.
-
-constexpr void enable(std::size_t /*capacity_per_thread*/ = 0) {}
-constexpr void disable() {}
-constexpr void reset() {}
-[[nodiscard]] constexpr bool enabled() noexcept { return false; }
-[[nodiscard]] inline TraceDump collect() { return {}; }
-[[nodiscard]] constexpr std::uint64_t now_ns() noexcept { return 0; }
-[[nodiscard]] constexpr std::uint64_t to_trace_ns(
-    std::chrono::steady_clock::time_point /*tp*/) noexcept
-{
-    return 0;
-}
-constexpr void ensure_thread_ring() {}
-[[nodiscard]] constexpr std::size_t ring_capacity() noexcept { return 0; }
-
-constexpr void set_thread_worker(int /*tid*/) noexcept {}
-[[nodiscard]] constexpr int thread_worker() noexcept { return -1; }
-
-constexpr void emit_span(const char* /*name*/, Phase /*phase*/,
-                         std::uint64_t /*start_ns*/, std::uint64_t /*end_ns*/,
-                         index_t /*mb*/ = -1, index_t /*nb*/ = -1,
-                         index_t /*kb*/ = -1, index_t /*tile*/ = -1)
-{
-}
-constexpr void emit_instant(const char* /*name*/, Phase /*phase*/,
-                            index_t /*mb*/ = -1, index_t /*nb*/ = -1,
-                            index_t /*kb*/ = -1, index_t /*tile*/ = -1)
-{
-}
-
-class ScopedSpan {
-public:
-    explicit constexpr ScopedSpan(const char* /*name*/, Phase /*phase*/,
-                                  index_t /*mb*/ = -1, index_t /*nb*/ = -1,
-                                  index_t /*kb*/ = -1, index_t /*tile*/ = -1)
-    {
-    }
-    ScopedSpan(const ScopedSpan&) = delete;
-    ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // CAKE_OBS_ENABLED
 
 }  // namespace obs
 }  // namespace cake

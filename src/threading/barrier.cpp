@@ -21,8 +21,8 @@ obs::MetricId barrier_wait_hist()
 
 /// One barrier crossing's span + wait-latency observation. RAII so every
 /// return path in arrive_and_wait (fast, last-arriver, spin, sleep,
-/// broken) is attributed. Compiles to nothing in CAKE_TRACE_DISABLED
-/// builds; costs two relaxed flag loads when tracing is disarmed.
+/// broken) is attributed. Costs two relaxed flag loads when tracing is
+/// disarmed.
 struct BarrierWaitObs {
     std::uint64_t t0 = 0;
     bool armed = false;

@@ -258,6 +258,15 @@ TEST(KernelRegistry, EveryEntryNamesBothComputeEntries)
     });
 }
 
+TEST(KernelRegistry, EveryEntryFitsTheStackTile)
+{
+    // The executor computes alpha/beta-scaled tiles into a stack array of
+    // kMaxTileElems elements, for every compiled entry of every family.
+    for_each_microkernel([](const auto& k) {
+        EXPECT_LE(k.mr * k.nr, kMaxTileElems) << k.name;
+    });
+}
+
 TEST(KernelRegistry, IsaNamesRoundTrip)
 {
     for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {

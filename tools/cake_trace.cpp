@@ -8,7 +8,7 @@
 //   * prints a self-profile: per-worker phase seconds, top spans, a
 //     barrier-wait stall table, and an ASCII overlap timeline,
 //   * cross-checks the trace against CakeStats: per-worker
-//     pack/compute/flush span totals divided by p must agree with the
+//     pack/compute span totals divided by p must agree with the
 //     stats' phase seconds (the executors time the same windows).
 //
 // Usage:
@@ -28,31 +28,13 @@
 //   --metrics FILE  also write the flat metrics JSON
 //   --check       exit nonzero unless spans > 0, drops == 0 and the
 //                 emitted JSON validates (the CI gate)
-//
-// With -DCAKE_TRACE_DISABLED=ON the tool still builds; it reports that
-// tracing is compiled out and exits 2.
-#include <cstdlib>
-#include <iostream>
-#include <string>
-
-#include "obs/trace.hpp"
-
-#if !CAKE_OBS_ENABLED
-
-int main()
-{
-    std::cerr << "cake_trace: tracing is compiled out in this build "
-                 "(CAKE_TRACE_DISABLED); reconfigure without "
-                 "-DCAKE_TRACE_DISABLED=ON to use this tool.\n";
-    return 2;
-}
-
-#else  // CAKE_OBS_ENABLED
-
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli.hpp"
@@ -234,8 +216,6 @@ int run(const Options& opt)
              report.phase_total_s(cake::obs::Phase::kPack) / workers},
             {"compute", st.compute_seconds,
              report.phase_total_s(cake::obs::Phase::kCompute) / workers},
-            {"flush", st.flush_seconds,
-             report.phase_total_s(cake::obs::Phase::kFlush) / workers},
         };
         cake::Table cmp({"phase", "stats_s", "trace_s/p", "rel_err"});
         for (const PhaseAgreement& row : rows) {
@@ -318,5 +298,3 @@ int main(int argc, char** argv)
         return 1;
     }
 }
-
-#endif  // CAKE_OBS_ENABLED
