@@ -1,6 +1,7 @@
 // GOTO baseline correctness and stats tests.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/matrix.hpp"
@@ -157,6 +158,68 @@ TEST(GotoGemm, StatsInvariants)
     EXPECT_EQ(stats.dram_write_bytes,
               static_cast<std::uint64_t>(m) * n * pc_steps * sizeof(float));
     EXPECT_GT(stats.total_seconds, 0.0);
+}
+
+/// One pinned GOTO run: shape, worker count, accumulate, and the modelled
+/// counts GotoStats reported for it. mc = kc = 168 and nc = 96 are
+/// multiples of every registered f32 kernel's mr (14, 6, 8) and nr (32,
+/// 16, 8), so the pins hold under every forced ISA.
+struct GotoPin {
+    index_t m, n, k;
+    int p;
+    bool accumulate;
+    index_t c_passes, a_packs, b_packs;
+    std::uint64_t dram_read_bytes, dram_write_bytes;
+};
+
+TEST(GotoGemm, PinnedStatsPerShape)
+{
+    // Covers m <= p*mc (C would stay resident across K under a K-first
+    // rule), k <= kc with n > nc (A would not be re-packed per jc), n <=
+    // nc, edge remainders in m, n and k, accumulate on and off, p = 1 and
+    // 4. Values were recorded from the GOTO loop before it became a plan
+    // of the CAKE executor; they must not be edited.
+    const GotoPin pins[] = {
+        {100, 80, 60, 4, false, 1, 1, 1, 43200, 32000},
+        {100, 80, 60, 4, true, 1, 1, 1, 75200, 32000},
+        {500, 96, 170, 4, false, 2, 6, 2, 597280, 384000},
+        {500, 96, 170, 4, true, 2, 6, 2, 789280, 384000},
+        {300, 300, 150, 4, false, 4, 8, 4, 900000, 360000},
+        {300, 300, 150, 4, true, 4, 8, 4, 1260000, 360000},
+        {700, 200, 400, 4, false, 9, 45, 9, 4800000, 1680000},
+        {700, 200, 400, 4, true, 9, 45, 9, 5360000, 1680000},
+        {100, 50, 100, 1, false, 1, 1, 1, 60000, 20000},
+        {100, 50, 100, 1, true, 1, 1, 1, 80000, 20000},
+        {170, 150, 340, 1, false, 6, 12, 6, 870400, 306000},
+        {170, 150, 340, 1, true, 6, 12, 6, 972400, 306000},
+    };
+    for (const GotoPin& pin : pins) {
+        Matrix a(pin.m, pin.k);
+        Matrix b(pin.k, pin.n);
+        Matrix c(pin.m, pin.n);
+        c.fill(1.0f);
+        GotoOptions options;
+        options.p = pin.p;
+        options.mc = 168;
+        options.nc = 96;
+        options.accumulate = pin.accumulate;
+        GotoGemm gemm(test_pool(), options);
+        gemm.multiply(a.data(), pin.k, b.data(), pin.n, c.data(), pin.n,
+                      pin.m, pin.n, pin.k);
+        const GotoStats& s = gemm.stats();
+        std::string at = mnk_name(std::tuple{pin.m, pin.n, pin.k});
+        at += " p=";
+        at += std::to_string(pin.p);
+        if (pin.accumulate) at += " accumulate";
+        EXPECT_EQ(s.mc, 168) << at;
+        EXPECT_EQ(s.kc, 168) << at;
+        EXPECT_EQ(s.nc, 96) << at;
+        EXPECT_EQ(s.c_passes, pin.c_passes) << at;
+        EXPECT_EQ(s.a_packs, pin.a_packs) << at;
+        EXPECT_EQ(s.b_packs, pin.b_packs) << at;
+        EXPECT_EQ(s.dram_read_bytes, pin.dram_read_bytes) << at;
+        EXPECT_EQ(s.dram_write_bytes, pin.dram_write_bytes) << at;
+    }
 }
 
 TEST(GotoGemm, ZeroKZeroesOrPreserves)
