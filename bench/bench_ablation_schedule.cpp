@@ -57,7 +57,7 @@ int main()
          {ScheduleKind::kKFirstSerpentine, ScheduleKind::kKFirstNoFlip,
           ScheduleKind::kNInnermost}) {
         const auto order = build_schedule(kind, mb, nb, kb);
-        const auto st = schedule_traffic(order);
+        const auto st = schedule_traffic(kind, order);
         const auto traffic = model::cake_traffic(shape, params, kind);
 
         CakeOptions options;

@@ -13,9 +13,9 @@
 // simulator at proportionally scaled sizes (the hierarchy is simulated at
 // full size, so per-level hit *shares* are preserved).
 // Section (d) complements the simulation with *measured* host numbers: the
-// wall-clock phase attribution (pack / compute / flush / stall seconds)
-// reported by CakeStats and GotoStats, with CAKE's packing overlap off and
-// on — the stall column is the time the block loop spent neither fetching
+// wall-clock phase attribution (pack / compute / stall seconds) reported
+// by CakeStats and GotoStats, with CAKE's packing overlap off and on and
+// GOTO run as a plan of the same executor — the stall column is the time the block loop spent neither fetching
 // nor computing, i.e. the host-visible analogue of the memory stalls above.
 //
 // Flags:
@@ -170,8 +170,8 @@ int main(int argc, char** argv)
         std::cout << "Problem: " << shape.m << " x " << shape.n << " x "
                   << shape.k << ", p = " << p << ".\n\n";
 
-        Table table({"engine", "pack (ms)", "compute (ms)", "flush (ms)",
-                     "stall (ms)", "total (ms)", "overlap eff",
+        Table table({"engine", "pack (ms)", "compute (ms)", "stall (ms)",
+                     "total (ms)", "overlap eff",
                      "barrier/p (ms)", "trace"});
         // The measured run stays untraced; --trace-dir adds one traced
         // re-run per engine for the stall-attribution columns.
@@ -201,7 +201,6 @@ int main(int argc, char** argv)
             const auto [barrier, path] = trace_cols(trace);
             table.add_row({label, format_number(s.pack_seconds * 1e3, 4),
                            format_number(s.compute_seconds * 1e3, 4),
-                           format_number(s.flush_seconds * 1e3, 4),
                            format_number(s.stall_seconds * 1e3, 4),
                            format_number(s.total_seconds * 1e3, 4),
                            format_number(s.overlap_efficiency, 3), barrier,
@@ -227,7 +226,7 @@ int main(int argc, char** argv)
             const auto [barrier, path] = trace_cols(trace);
             table.add_row({"GOTO (MKL stand-in)",
                            format_number(s.pack_seconds * 1e3, 4),
-                           format_number(s.compute_seconds * 1e3, 4), "-",
+                           format_number(s.compute_seconds * 1e3, 4),
                            format_number(s.stall_seconds * 1e3, 4),
                            format_number(s.total_seconds * 1e3, 4),
                            format_number(s.overlap_efficiency, 3), barrier,
@@ -235,8 +234,8 @@ int main(int argc, char** argv)
         }
         bench::print_table(table, "fig7d_phase_attribution");
         std::cout
-            << "\nShape check: the four CAKE phase columns decompose the "
-               "wall time\n(pack + compute + flush + stall ~= total); with "
+            << "\nShape check: the three phase columns decompose the "
+               "wall time\n(pack + compute + stall ~= total); with "
                "overlap on, overlap eff > 0\nreports the share of packing "
                "co-issued with compute (hidden from the\ncritical path "
                "when spare hardware threads exist); see bench_pipeline "

@@ -115,7 +115,7 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
         const BlockCoord& cur = ir.order[i];
         const SurfaceSharing sh = i == 0
             ? SurfaceSharing{}
-            : shared_surfaces(ir.order[i - 1], cur);
+            : carried_surfaces(ir.schedule, ir.order[i - 1], cur);
         const auto mi = static_cast<std::uint64_t>(
             clip(cur.m, ir.params.m_blk, ir.shape.m));
         const auto ni = static_cast<std::uint64_t>(
@@ -152,7 +152,7 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
                 const auto pn = static_cast<std::uint64_t>(
                     clip(prev.n, ir.params.n_blk, ir.shape.n));
                 cf.predicted.c_write += pm * pn * ec;
-                if (entered_flushed || ir.beta_nonzero) {
+                if (!entered_flushed && ir.beta_nonzero) {
                     cf.predicted.c_rmw_read += pm * pn * ec;
                 }
                 flushed[static_cast<std::size_t>(col_of(prev))] = 1;
@@ -181,7 +181,7 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
         const auto pn = static_cast<std::uint64_t>(
             clip(last.n, ir.params.n_blk, ir.shape.n));
         cf.predicted.c_write += pm * pn * ec;
-        if (entered_flushed || ir.beta_nonzero) {
+        if (!entered_flushed && ir.beta_nonzero) {
             cf.predicted.c_rmw_read += pm * pn * ec;
         }
     }
@@ -268,9 +268,6 @@ void diff_event_steps(const char* what, const std::set<index_t>& want,
 LocalityReport analyze_locality(const schedir::ScheduleIR& ir,
                                 const CacheHierarchy& caches)
 {
-    CAKE_CHECK_MSG(ir.exec != schedir::Exec::kGoto,
-                   "analyze_locality: CAKE IR required (the reuse law is "
-                   "defined over ir.order, which GOTO does not populate)");
     LocalityReport rep;
     rep.schedule = ir.schedule;
     rep.steps = static_cast<index_t>(ir.order.size());
@@ -384,8 +381,6 @@ const char* loc_mutation_name(LocMutation m)
 
 std::string apply_locality_mutation(schedir::ScheduleIR& ir, LocMutation m)
 {
-    CAKE_CHECK_MSG(ir.exec != schedir::Exec::kGoto,
-                   "apply_locality_mutation: CAKE IR required");
     switch (m) {
     case LocMutation::kTwistOrder: {
         // Swap the last block of one column with the first of the next.

@@ -93,10 +93,9 @@ struct LocalityReport : IssueList {
     std::vector<Transition> transitions; ///< per-step rows (steps entries)
 };
 
-/// Analyse a CAKE IR (serial or pipelined, any ScheduleKind) against the
-/// given cache hierarchy. Throws cake::Error for GOTO IRs — the reuse
-/// law analysed here is defined over the CB-block order (ir.order),
-/// which GOTO extraction does not populate.
+/// Analyse an IR (serial or pipelined, any ScheduleKind, GOTO's included)
+/// against the given cache hierarchy. The reuse law is defined over the
+/// CB-block order (ir.order) and the kind's carry-over rule.
 LocalityReport analyze_locality(const schedir::ScheduleIR& ir,
                                 const CacheHierarchy& caches);
 

@@ -7,14 +7,12 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "pack/pack.hpp"
 
 namespace cake {
 namespace numerics {
 
 using schedir::Access;
 using schedir::BufKind;
-using schedir::Exec;
 using schedir::OpKind;
 using schedir::ScheduleIR;
 using schedir::TileOp;
@@ -24,11 +22,11 @@ namespace {
 
 using Col = std::pair<index_t, index_t>;  // (m, n) block column
 
-/// A CAKE compute's user-C span: its generation is the column visit
+/// A compute's user-C span: its generation is the column visit
 /// (accumulation segment) the compute belongs to.
 bool is_acc_span(const ScheduleIR& ir, const TileSpan& s)
 {
-    return ir.exec != Exec::kGoto && s.buffer >= 0
+    return s.buffer >= 0
         && static_cast<std::size_t>(s.buffer) < ir.buffers.size()
         && ir.buffers[static_cast<std::size_t>(s.buffer)].kind
         == BufKind::kUserC;
@@ -42,7 +40,7 @@ void add_issue(NumericsReport& rep, const char* code, std::string message)
 /// Per-column accumulation structure reconstructed from the op stream.
 struct ColumnWalk {
     std::set<index_t> kcoords;  ///< distinct K-block coordinates touched
-    std::set<index_t> gens;     ///< column visits accumulated in (CAKE)
+    std::set<index_t> gens;     ///< column visits accumulated in
 };
 
 /// K extent of block coordinate `kc` in a grid of `kb` blocks of width
@@ -54,15 +52,17 @@ index_t k_extent(index_t kc, index_t kb, index_t k_blk, index_t k)
     return std::min(k_blk, k - kc * k_blk);
 }
 
-/// Number of maximal consecutive runs of column `col` in the block order.
-index_t runs_in_order(const std::vector<BlockCoord>& order, const Col& col)
+/// Number of accumulation runs of column `col` in a block order of
+/// schedule `kind`: a run goes on while each step carries C over.
+index_t runs_in_order(ScheduleKind kind, const std::vector<BlockCoord>& order,
+                      const Col& col)
 {
     index_t runs = 0;
-    bool inside = false;
-    for (const BlockCoord& bc : order) {
-        const bool here = bc.m == col.first && bc.n == col.second;
-        if (here && !inside) ++runs;
-        inside = here;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        if (order[i].m != col.first || order[i].n != col.second) continue;
+        if (i == 0 || !carried_surfaces(kind, order[i - 1], order[i]).c) {
+            ++runs;
+        }
     }
     return runs;
 }
@@ -72,7 +72,6 @@ index_t runs_in_order(const std::vector<BlockCoord>& order, const Col& col)
 NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
 {
     NumericsReport rep;
-    const bool is_goto = ir.exec == Exec::kGoto;
 
     // --- dtype consistency --------------------------------------------
     if (dtype.elem_bytes != ir.elem_bytes) {
@@ -92,12 +91,11 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
 
     // --- reconstruct every column's accumulation chain ----------------
     const index_t k = ir.shape.k;
-    const index_t k_blk = is_goto ? ir.blocking.kc : ir.params.k_blk;
-    const index_t kb =
-        is_goto ? (k_blk > 0 ? ceil_div(k, k_blk) : 1) : ir.kb;
+    const index_t k_blk = ir.params.k_blk;
+    const index_t kb = ir.kb;
 
     std::map<Col, ColumnWalk> columns;
-    std::map<index_t, std::set<Col>> gen_columns;  // CAKE: gen -> columns
+    std::map<index_t, std::set<Col>> gen_columns;  // gen -> columns
     std::set<index_t> compute_gens;                // gens that accumulated
     std::set<index_t> closed_gens;                 // gens a compute retired
     for (const TileOp& op : ir.ops) {
@@ -133,13 +131,10 @@ NumericsReport verify_numerics(const ScheduleIR& ir, const DtypeDesc& dtype)
         }
 
         // --- NUM_TURNOVER: spill structure must match the schedule ----
-        const index_t expected = is_goto
-            ? kb
-            : std::max<index_t>(runs_in_order(ir.order, col), 1);
-        const index_t segments = is_goto
-            ? static_cast<index_t>(walk.kcoords.size())
-            : std::max<index_t>(
-                  static_cast<index_t>(walk.gens.size()), 1);
+        const index_t expected =
+            std::max<index_t>(runs_in_order(ir.schedule, ir.order, col), 1);
+        const index_t segments =
+            std::max<index_t>(static_cast<index_t>(walk.gens.size()), 1);
         rep.ir_segments = std::max(rep.ir_segments, segments);
         worst_expected_segments =
             std::max(worst_expected_segments, expected);
@@ -224,12 +219,7 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         for (std::size_t i = 0; i < ir.ops.size(); ++i) {
             if (ir.ops[i].kind != OpKind::kCompute) continue;
             TileOp extra = ir.ops[i];
-            const index_t k_blk = ir.exec == Exec::kGoto
-                ? ir.blocking.kc
-                : ir.params.k_blk;
-            extra.block.k = k_blk > 0
-                ? ceil_div(ir.shape.k, k_blk)  // first out-of-grid coord
-                : ir.kb;
+            extra.block.k = ir.kb;  // the first out-of-grid coordinate
             ir.ops.push_back(std::move(extra));
             return "NUM_CHAIN";
         }
@@ -241,11 +231,6 @@ std::string apply_numerics_mutation(ScheduleIR& ir, NumMutation m)
         // retiring accesses as plain ones. The merged visit now spans two
         // schedule runs (usually two distinct C columns) with no turnover
         // between them.
-        if (ir.exec == Exec::kGoto) {
-            throw Error(
-                "apply_numerics_mutation: drop-turnover needs a CAKE IR "
-                "(GOTO accumulates in K passes, not column visits)");
-        }
         index_t target = -1;
         for (const TileOp& op : ir.ops) {
             for (const TileSpan& s : op.spans) {

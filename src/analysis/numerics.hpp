@@ -53,8 +53,7 @@ struct NumericsReport : IssueList {
 };
 
 /// Verify `ir`'s accumulation structure against `dtype` and derive the
-/// plan's error bound. Works for all three executors (serial, pipelined,
-/// GOTO).
+/// plan's error bound, for overlap off or on and every schedule kind.
 NumericsReport verify_numerics(const schedir::ScheduleIR& ir,
                                const DtypeDesc& dtype);
 
@@ -74,7 +73,7 @@ constexpr int kNumMutationCount = 3;
 /// Corrupt `ir` in place; returns the diagnostic code verify_numerics
 /// MUST now emit (and never emits for the clean IR). Throws cake::Error
 /// when the IR has no site for the mutation (e.g. kDropTurnover on a
-/// single-column or GOTO IR).
+/// single-visit IR).
 std::string apply_numerics_mutation(schedir::ScheduleIR& ir, NumMutation m);
 
 }  // namespace numerics

@@ -16,7 +16,6 @@ const char* exec_name(Exec exec)
     switch (exec) {
     case Exec::kSerial: return "serial";
     case Exec::kPipelined: return "pipelined";
-    case Exec::kGoto: return "goto";
     }
     return "?";
 }
@@ -54,29 +53,6 @@ constexpr int kBufUserB = 1;
 constexpr int kBufUserC = 2;
 constexpr int kBufPackA = 3;
 constexpr int kBufPackB = 4;
-
-/// One ThreadPool::parallel_for worker chunk, mirroring the runtime's
-/// contiguous split (thread_pool.cpp): width = min(p, total), chunk =
-/// ceil(total / width), worker tid owns [tid*chunk, min(total, +chunk)).
-struct Chunk {
-    int tid = 0;
-    index_t lo = 0, hi = 0;
-};
-
-std::vector<Chunk> parallel_chunks(index_t total, int p)
-{
-    std::vector<Chunk> chunks;
-    if (total <= 0) return chunks;
-    const auto width =
-        static_cast<int>(std::min<index_t>(p, std::max<index_t>(total, 1)));
-    const index_t chunk = ceil_div(total, width);
-    for (int tid = 0; tid < width; ++tid) {
-        const index_t lo = tid * chunk;
-        const index_t hi = std::min(total, lo + chunk);
-        if (lo < hi) chunks.push_back({tid, lo, hi});
-    }
-    return chunks;
-}
 
 /// Builds phases and ops in emission order; a barrier ends every phase.
 struct IrBuilder {
@@ -124,8 +100,6 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                            Exec exec, bool use_prepacked, bool beta_nonzero,
                            OperandBytes bytes)
 {
-    CAKE_CHECK_MSG(exec != Exec::kGoto,
-                   "extract_cake_ir handles serial/pipelined only");
     CAKE_CHECK(shape.m >= 1 && shape.n >= 1 && shape.k >= 1);
     const bool overlap = exec == Exec::kPipelined;
     const index_t mr = params.mr;
@@ -156,6 +130,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // The SAME plan the executor consumes (core/block_plan.cpp).
     BlockPlanInputs pin;
     pin.params = params;
+    pin.schedule = kind;
     pin.m = shape.m;
     pin.n = shape.n;
     pin.k = shape.k;
@@ -240,9 +215,9 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // the band's rows of user C in place. The first K block of a column
     // visit opens the visit's generation (a plain write on a first visit
     // with beta = 0, else a read-modify-write); the last closes it and
-    // carries the band's modelled write-back (read back as well when beta
-    // != 0 or the column was visited before). The first band of a revisit
-    // carries the spilled-partial refetch bytes.
+    // carries the band's modelled write-back (read back as well on a first
+    // visit with beta != 0). The first band of a revisit carries the
+    // spilled-partial refetch bytes, the revisit's one read of C.
     auto emit_compute = [&](const BlockStep& st, index_t band) {
         const index_t r0 = band * mr;
         const index_t r1 = std::min(st.mi, r0 + mr);
@@ -271,7 +246,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
             const auto bytes = static_cast<std::uint64_t>(r1 - r0)
                 * static_cast<std::uint64_t>(st.ni) * c_elem;
             op.dram_write_bytes = bytes;
-            if (st.revisit || beta_nonzero) op.dram_read_bytes = bytes;
+            if (!st.revisit && beta_nonzero) op.dram_read_bytes = bytes;
         }
     };
 
@@ -313,115 +288,6 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         for (index_t band = 0; band < ceil_div(st.mi, mr); ++band) {
             emit_compute(st, band);
         }
-    }
-    return std::move(b.ir);
-}
-
-ScheduleIR extract_goto_ir(const GemmShape& shape,
-                           const GotoBlocking& blocking, int p, index_t mr,
-                           index_t nr, bool accumulate, index_t elem_bytes)
-{
-    CAKE_CHECK(shape.m >= 1 && shape.n >= 1 && shape.k >= 1);
-    CAKE_CHECK(p >= 1 && mr >= 1 && nr >= 1);
-    CAKE_CHECK(elem_bytes >= 1);
-    const index_t mc = blocking.mc;
-    const index_t kc = blocking.kc;
-    const index_t nc = blocking.nc;
-    const auto elem = static_cast<std::uint64_t>(elem_bytes);
-
-    IrBuilder b;
-    ScheduleIR& ir = b.ir;
-    ir.exec = Exec::kGoto;
-    ir.shape = shape;
-    ir.blocking = blocking;
-    ir.p = p;
-    ir.params.mr = mr;  // kernel shape, for the memsim cross-check
-    ir.params.nr = nr;
-    ir.params.elem_bytes = elem_bytes;  // keep the dtype fields consistent
-    ir.elem_bytes = elem_bytes;
-    ir.beta_nonzero = accumulate;
-    ir.expected_accums = ceil_div(shape.k, kc);
-    ir.buffers = {
-        {"user A", BufKind::kUserA, 1},
-        {"user B", BufKind::kUserB, 1},
-        {"user C", BufKind::kUserC, 1},
-        {"packed A (per-core)", BufKind::kPackA, p},
-        {"packed B", BufKind::kPackB, 1},
-    };
-
-    // Per-slot (= per-core) A generation counters; one B generation per
-    // (jc, pc) pass.
-    std::vector<index_t> a_gen(static_cast<std::size_t>(p), -1);
-    index_t b_gen = -1;
-    index_t pass_idx = 0;
-
-    // The SAME pass list GotoGemmT::multiply iterates.
-    for (const GotoPass& pass :
-         build_goto_passes(shape.n, shape.k, nc, kc, accumulate)) {
-        const BlockCoord pc_coord{-1, pass.jc / nc, pass.pc / kc};
-        ++b_gen;
-        b.next_phase();  // pack B
-        for (const Chunk& c : parallel_chunks(ceil_div(pass.ncur, nr), p)) {
-            const index_t c0 = c.lo * nr;
-            const index_t c1 = std::min(pass.ncur, c.hi * nr);
-            TileOp& op =
-                b.add_op(OpKind::kPackB, pass_idx, pc_coord, c.tid);
-            op.spans.push_back(make_span(
-                kBufUserB, 0, 0, Access::kRead, pass.pc,
-                pass.pc + pass.kcur, pass.jc + c0, pass.jc + c1));
-            op.spans.push_back(make_span(kBufPackB, 0, b_gen,
-                                         Access::kWrite, c.lo, c.hi, 0, 1,
-                                         /*creates=*/true));
-            op.dram_read_bytes = static_cast<std::uint64_t>(c1 - c0)
-                * static_cast<std::uint64_t>(pass.kcur) * elem;
-        }
-
-        b.next_phase();  // pack A + compute
-        for (int tid = 0; tid < p; ++tid) {
-            index_t seq = 0;
-            for (index_t ic = tid * mc; ic < shape.m;
-                 ic += static_cast<index_t>(p) * mc) {
-                const index_t mcur = std::min(mc, shape.m - ic);
-                BlockCoord blk = pc_coord;
-                blk.m = ic / mc;
-                ++a_gen[static_cast<std::size_t>(tid)];
-                const index_t ag = a_gen[static_cast<std::size_t>(tid)];
-                {
-                    TileOp& op =
-                        b.add_op(OpKind::kPackA, pass_idx, blk, tid, seq++);
-                    op.spans.push_back(make_span(
-                        kBufUserA, 0, 0, Access::kRead, ic, ic + mcur,
-                        pass.pc, pass.pc + pass.kcur));
-                    op.spans.push_back(make_span(
-                        kBufPackA, tid, ag, Access::kWrite, 0,
-                        ceil_div(mcur, mr), 0, 1, /*creates=*/true));
-                    op.dram_read_bytes = static_cast<std::uint64_t>(mcur)
-                        * static_cast<std::uint64_t>(pass.kcur) * elem;
-                }
-                {
-                    TileOp& op = b.add_op(OpKind::kCompute, pass_idx, blk,
-                                          tid, seq++);
-                    op.spans.push_back(make_span(kBufPackA, tid, ag,
-                                                 Access::kRead, 0,
-                                                 ceil_div(mcur, mr), 0, 1));
-                    op.spans.push_back(make_span(
-                        kBufPackB, 0, b_gen, Access::kRead, 0,
-                        ceil_div(pass.ncur, nr), 0, 1));
-                    // GOTO streams partial C straight to user memory:
-                    // a plain write on the first reduction pass, RMW on
-                    // every later one.
-                    op.spans.push_back(make_span(
-                        kBufUserC, 0, 0,
-                        pass.acc ? Access::kReadWrite : Access::kWrite, ic,
-                        ic + mcur, pass.jc, pass.jc + pass.ncur));
-                    const auto c_bytes = static_cast<std::uint64_t>(mcur)
-                        * static_cast<std::uint64_t>(pass.ncur) * elem;
-                    op.dram_write_bytes = c_bytes;
-                    if (pass.acc) op.dram_read_bytes = c_bytes;
-                }
-            }
-        }
-        ++pass_idx;
     }
     return std::move(b.ir);
 }

@@ -3,14 +3,12 @@
 // it reads and writes, and the DRAM traffic it models — extracted WITHOUT
 // executing a single FMA.
 //
-// The extractors replay the exact decision data the runtime consumes:
-//   * CAKE (overlap off or on): build_schedule + build_block_plan
-//     (src/core/block_plan.cpp), the same BlockPlan CakeGemmT's one
-//     executor iterates for every kernel family, including double-buffer
-//     slot assignment and the work-item grouping constants
-//     (kPackAGroup/kPackBGroup).
-//   * GOTO: build_goto_passes (src/gotoblas/goto_gemm.cpp), the same pass
-//     list GotoGemmT::multiply iterates.
+// The extractor replays the exact decision data the runtime consumes:
+// build_schedule + build_block_plan (src/core/block_plan.cpp), the same
+// BlockPlan CakeGemmT's one executor iterates for every kernel family and
+// every schedule kind (GOTO is ScheduleKind::kGoto run with overlap off),
+// including double-buffer slot assignment and the work-item grouping
+// constants (kPackAGroup/kPackBGroup).
 // A property proven of this IR is therefore a property of the schedule
 // the runtime executes, for ALL interleavings — not just the ones a
 // fuzzer happened to run. The verifier lives in src/analysis/verify.hpp.
@@ -28,14 +26,13 @@
 #include "core/block_plan.hpp"
 #include "core/schedule.hpp"
 #include "core/tiling.hpp"
-#include "gotoblas/goto_gemm.hpp"
 
 namespace cake {
 namespace schedir {
 
 /// Which operation stream the IR describes: the CAKE executor with
-/// pack/compute overlap off (kSerial) or on (kPipelined), or GOTO.
-enum class Exec { kSerial, kPipelined, kGoto };
+/// pack/compute overlap off (kSerial) or on (kPipelined).
+enum class Exec { kSerial, kPipelined };
 const char* exec_name(Exec exec);
 
 /// Storage a tile operation can touch. User surfaces are element-indexed
@@ -77,7 +74,7 @@ struct TileOp {
     OpKind kind = OpKind::kCompute;
     index_t phase = 0;  ///< barrier-delimited phase the op runs in
     index_t step = 0;   ///< schedule step it serves (diagnostics)
-    BlockCoord block;   ///< CB-block (or GOTO pass) coordinates
+    BlockCoord block;   ///< CB-block coordinates
     int worker = -1;    ///< static worker id; -1 = dynamically claimed
     /// Dynamically claimed work item the op shares with other ops of its
     /// phase (-1: an item of its own). One thread runs a whole item.
@@ -102,12 +99,11 @@ struct ScheduleIR {
     Exec exec = Exec::kPipelined;
     ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;
     GemmShape shape;
-    CbBlockParams params;   ///< CAKE tiling (default-initialised for GOTO)
-    GotoBlocking blocking;  ///< GOTO blocking (default for CAKE)
+    CbBlockParams params;   ///< CB-block tiling
     int p = 0;              ///< worker count
-    index_t mb = 0, nb = 0, kb = 0;  ///< CB-block grid (CAKE)
+    index_t mb = 0, nb = 0, kb = 0;  ///< CB-block grid
     index_t elem_bytes = 4;
-    OperandBytes bytes;  ///< stored A/B/C widths the traffic counts (CAKE)
+    OperandBytes bytes;  ///< stored A/B/C widths the traffic counts
     bool n_outermost = true;
     bool use_prepacked = false;
     bool beta_nonzero = false;
@@ -115,12 +111,13 @@ struct ScheduleIR {
     index_t num_phases = 0;
     std::vector<Buffer> buffers;
     std::vector<TileOp> ops;
-    std::vector<BlockCoord> order;  ///< CAKE block order (empty for GOTO)
+    std::vector<BlockCoord> order;  ///< block order
 };
 
 /// Extract the IR of a CAKE multiply: the executor's persistent-team
 /// stream (pipeline fill, then one main compute phase per step whose
-/// bands accumulate in place in user C).
+/// bands accumulate in place in user C). A GOTO IR is this extraction of
+/// the GOTO plan: goto_plan_params, ScheduleKind::kGoto, Exec::kSerial.
 /// Exec::kPipelined co-issues pack(t+1) with compute(t) into
 /// double-buffered pack slots; Exec::kSerial packs step t in a phase of
 /// its own before computing it, single-buffered. `bytes` gives the stored
@@ -132,17 +129,6 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
                            bool beta_nonzero = false,
                            OperandBytes bytes = {});
 
-/// Extract the IR of a GOTO multiply: one packB + one compute phase per
-/// (jc, pc) pass, each worker's ic blocks in program order. `elem_bytes`
-/// scales the modelled traffic and is recorded in the IR's dtype fields
-/// (both ir.elem_bytes and ir.params.elem_bytes) so width-dependent
-/// passes — cake_verify --numerics in particular — see one consistent
-/// descriptor for every executor.
-ScheduleIR extract_goto_ir(const GemmShape& shape,
-                           const GotoBlocking& blocking, int p, index_t mr,
-                           index_t nr, bool accumulate = false,
-                           index_t elem_bytes = 4);
-
 /// Surface-level external traffic summed over the IR's operations,
 /// decomposed the way the runtime stats and src/memsim decompose it.
 struct IoTotals {
@@ -150,7 +136,7 @@ struct IoTotals {
     std::uint64_t b_read = 0;         ///< user-B fetches (pack or stream)
     std::uint64_t c_write = 0;        ///< C write-backs to external memory
     std::uint64_t c_rmw_read = 0;     ///< write-back read-modify-write reads
-    std::uint64_t c_reload_read = 0;  ///< spilled-partial reloads (CAKE)
+    std::uint64_t c_reload_read = 0;  ///< spilled-partial reloads
 
     [[nodiscard]] std::uint64_t reads() const
     {
@@ -182,8 +168,7 @@ constexpr int kMutationCount = 7;
 
 /// Corrupt `ir` in place; returns the diagnostic code the verifier must
 /// now emit. Throws cake::Error if the IR has no site for this mutation
-/// (e.g. kShrinkGeneration on a serial IR, which is single-buffered, or
-/// the retiring-band mutations on GOTO, which never retires a band).
+/// (e.g. kShrinkGeneration on a serial IR, which is single-buffered).
 std::string apply_mutation(ScheduleIR& ir, Mutation m);
 
 }  // namespace schedir

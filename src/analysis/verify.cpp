@@ -406,119 +406,97 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
     const IoTotals got = io_totals(ir);
     IoTotals want;
 
-    if (ir.exec == Exec::kGoto) {
-        const auto e = static_cast<std::uint64_t>(ir.elem_bytes);
-        const auto m = static_cast<std::uint64_t>(ir.shape.m);
-        for (index_t jc = 0; jc < ir.shape.n; jc += ir.blocking.nc) {
-            const auto ncur = static_cast<std::uint64_t>(
-                std::min(ir.blocking.nc, ir.shape.n - jc));
-            for (index_t pc = 0; pc < ir.shape.k; pc += ir.blocking.kc) {
-                const auto kcur = static_cast<std::uint64_t>(
-                    std::min(ir.blocking.kc, ir.shape.k - pc));
-                want.b_read += kcur * ncur * e;
-                want.a_read += m * kcur * e;
-                want.c_write += m * ncur * e;
-                if (ir.beta_nonzero || pc > 0) {
-                    want.c_rmw_read += m * ncur * e;
+    // Each surface at its stored width (A and B as stored, C at the
+    // accumulator width).
+    const OperandBytes width = ir.bytes.or_uniform(ir.elem_bytes);
+    const auto ea = static_cast<std::uint64_t>(width.a);
+    const auto eb = static_cast<std::uint64_t>(width.b);
+    const auto ec = static_cast<std::uint64_t>(width.c);
+    const auto col_of = [&](const BlockCoord& c) { return c.m * ir.nb + c.n; };
+    std::vector<char> flushed(static_cast<std::size_t>(ir.mb * ir.nb), 0);
+    bool entered_flushed = false;
+    index_t reloads = 0;
+    for (std::size_t i = 0; i < ir.order.size(); ++i) {
+        const BlockCoord& cur = ir.order[i];
+        const SurfaceSharing sh = i == 0
+            ? SurfaceSharing{}
+            : carried_surfaces(ir.schedule, ir.order[i - 1], cur);
+        const auto mi = static_cast<std::uint64_t>(
+            clip(cur.m, ir.params.m_blk, ir.shape.m));
+        const auto ni = static_cast<std::uint64_t>(
+            clip(cur.n, ir.params.n_blk, ir.shape.n));
+        const auto ki = static_cast<std::uint64_t>(
+            clip(cur.k, ir.params.k_blk, ir.shape.k));
+        if (!sh.a) want.a_read += mi * ki * ea;
+        if (!sh.b) want.b_read += ki * ni * eb;
+        if (!sh.c) {
+            if (i > 0) {
+                const BlockCoord& prev = ir.order[i - 1];
+                const auto pm = static_cast<std::uint64_t>(
+                    clip(prev.m, ir.params.m_blk, ir.shape.m));
+                const auto pn = static_cast<std::uint64_t>(
+                    clip(prev.n, ir.params.n_blk, ir.shape.n));
+                want.c_write += pm * pn * ec;
+                if (!entered_flushed && ir.beta_nonzero) {
+                    want.c_rmw_read += pm * pn * ec;
                 }
+                flushed[static_cast<std::size_t>(col_of(prev))] = 1;
+            }
+            entered_flushed =
+                flushed[static_cast<std::size_t>(col_of(cur))] != 0;
+            if (entered_flushed) {
+                want.c_reload_read += mi * ni * ec;
+                ++reloads;
             }
         }
-    } else {
-        // Each surface at its stored width (A and B as stored, C at the
-        // accumulator width).
-        const OperandBytes w = ir.bytes.or_uniform(ir.elem_bytes);
-        const auto ea = static_cast<std::uint64_t>(w.a);
-        const auto eb = static_cast<std::uint64_t>(w.b);
-        const auto ec = static_cast<std::uint64_t>(w.c);
-        const auto col_of = [&](const BlockCoord& c) {
-            return c.m * ir.nb + c.n;
-        };
-        std::vector<char> flushed(
-            static_cast<std::size_t>(ir.mb * ir.nb), 0);
-        bool entered_flushed = false;
-        index_t reloads = 0;
-        for (std::size_t i = 0; i < ir.order.size(); ++i) {
-            const BlockCoord& cur = ir.order[i];
-            const SurfaceSharing sh = i == 0
-                ? SurfaceSharing{}
-                : shared_surfaces(ir.order[i - 1], cur);
-            const auto mi = static_cast<std::uint64_t>(
-                clip(cur.m, ir.params.m_blk, ir.shape.m));
-            const auto ni = static_cast<std::uint64_t>(
-                clip(cur.n, ir.params.n_blk, ir.shape.n));
-            const auto ki = static_cast<std::uint64_t>(
-                clip(cur.k, ir.params.k_blk, ir.shape.k));
-            if (!sh.a) want.a_read += mi * ki * ea;
-            if (!sh.b) want.b_read += ki * ni * eb;
-            if (!sh.c) {
-                if (i > 0) {
-                    const BlockCoord& prev = ir.order[i - 1];
-                    const auto pm = static_cast<std::uint64_t>(
-                        clip(prev.m, ir.params.m_blk, ir.shape.m));
-                    const auto pn = static_cast<std::uint64_t>(
-                        clip(prev.n, ir.params.n_blk, ir.shape.n));
-                    want.c_write += pm * pn * ec;
-                    if (entered_flushed || ir.beta_nonzero) {
-                        want.c_rmw_read += pm * pn * ec;
-                    }
-                    flushed[static_cast<std::size_t>(col_of(prev))] = 1;
-                }
-                entered_flushed =
-                    flushed[static_cast<std::size_t>(col_of(cur))] != 0;
-                if (entered_flushed) {
-                    want.c_reload_read += mi * ni * ec;
-                    ++reloads;
-                }
-            }
+    }
+    if (!ir.order.empty()) {
+        const BlockCoord& last = ir.order.back();
+        const auto pm = static_cast<std::uint64_t>(
+            clip(last.m, ir.params.m_blk, ir.shape.m));
+        const auto pn = static_cast<std::uint64_t>(
+            clip(last.n, ir.params.n_blk, ir.shape.n));
+        want.c_write += pm * pn * ec;
+        if (!entered_flushed && ir.beta_nonzero) {
+            want.c_rmw_read += pm * pn * ec;
         }
-        if (!ir.order.empty()) {
-            const BlockCoord& last = ir.order.back();
-            const auto pm = static_cast<std::uint64_t>(
-                clip(last.m, ir.params.m_blk, ir.shape.m));
-            const auto pn = static_cast<std::uint64_t>(
-                clip(last.n, ir.params.n_blk, ir.shape.n));
-            want.c_write += pm * pn * ec;
-            if (entered_flushed || ir.beta_nonzero) {
-                want.c_rmw_read += pm * pn * ec;
-            }
-        }
+    }
 
-        // Fetch-EVENT counts against the abstract schedule ranking.
-        const ScheduleTraffic traffic = schedule_traffic(ir.order);
-        index_t a_events = 0, b_events = 0, reload_events = 0;
-        {
-            index_t max_a = -1, max_b = -1;
-            for (const TileOp& op : ir.ops) {
-                if (op.kind == OpKind::kStreamB) ++b_events;
-                if (op.kind == OpKind::kCompute && op.dram_reload_bytes > 0) {
-                    ++reload_events;
+    // Fetch-EVENT counts against the abstract schedule ranking.
+    const ScheduleTraffic traffic = schedule_traffic(ir.schedule, ir.order);
+    index_t a_events = 0, b_events = 0, reload_events = 0;
+    {
+        index_t max_a = -1, max_b = -1;
+        for (const TileOp& op : ir.ops) {
+            if (op.kind == OpKind::kStreamB) ++b_events;
+            if (op.kind == OpKind::kCompute && op.dram_reload_bytes > 0) {
+                ++reload_events;
+            }
+            for (const TileSpan& s : op.spans) {
+                if (!s.creates_gen) continue;
+                if (op.kind == OpKind::kPackA) {
+                    max_a = std::max(max_a, s.gen);
                 }
-                for (const TileSpan& s : op.spans) {
-                    if (!s.creates_gen) continue;
-                    if (op.kind == OpKind::kPackA) {
-                        max_a = std::max(max_a, s.gen);
-                    }
-                    if (op.kind == OpKind::kPackB) {
-                        max_b = std::max(max_b, s.gen);
-                    }
+                if (op.kind == OpKind::kPackB) {
+                    max_b = std::max(max_b, s.gen);
                 }
             }
-            a_events = max_a + 1;
-            if (!ir.use_prepacked) b_events = max_b + 1;
         }
-        if (a_events != traffic.a_fetches || b_events != traffic.b_fetches
-            || reload_events != traffic.c_spills) {
-            std::ostringstream os;
-            os << "fetch events (A " << a_events << ", B " << b_events
-               << ", C spills " << reload_events
-               << ") disagree with schedule_traffic (A "
-               << traffic.a_fetches << ", B " << traffic.b_fetches
-               << ", C " << traffic.c_spills << ')';
-            sink.add("IR_IO_MODEL", os.str());
-        }
-        if (reloads != reload_events && sink.count == 0) {
-            sink.add("IR_IO_MODEL", "reload walk disagrees with IR events");
-        }
+        a_events = max_a + 1;
+        if (!ir.use_prepacked) b_events = max_b + 1;
+    }
+    if (a_events != traffic.a_fetches || b_events != traffic.b_fetches
+        || reload_events != traffic.c_spills) {
+        std::ostringstream os;
+        os << "fetch events (A " << a_events << ", B " << b_events
+           << ", C spills " << reload_events
+           << ") disagree with schedule_traffic (A "
+           << traffic.a_fetches << ", B " << traffic.b_fetches
+           << ", C " << traffic.c_spills << ')';
+        sink.add("IR_IO_MODEL", os.str());
+    }
+    if (reloads != reload_events && sink.count == 0) {
+        sink.add("IR_IO_MODEL", "reload walk disagrees with IR events");
     }
 
     const auto cmp = [&](const char* name, std::uint64_t g,
@@ -543,9 +521,8 @@ void check_io_model(const ScheduleIR& ir, VerifyReport& report)
 /// widths) — the constant-bandwidth block property of §3.
 void check_constbw(const ScheduleIR& ir, VerifyReport& report)
 {
-    if (ir.exec == Exec::kGoto
-        || (ir.schedule != ScheduleKind::kKFirstSerpentine
-            && ir.schedule != ScheduleKind::kHilbert)) {
+    if (ir.schedule != ScheduleKind::kKFirstSerpentine
+        && ir.schedule != ScheduleKind::kHilbert) {
         return;
     }
     IssueSink sink{report};
@@ -644,12 +621,7 @@ VerifyReport cross_check_memsim(const ScheduleIR& ir)
         return report;
     }
     CountingSink counts;
-    if (ir.exec == Exec::kGoto) {
-        memsim::trace_goto(ir.shape, ir.blocking, ir.p, ir.params.mr,
-                           ir.params.nr, ir.elem_bytes, counts);
-    } else {
-        memsim::trace_cake(ir.shape, ir.params, ir.schedule, counts);
-    }
+    memsim::trace_cake(ir.shape, ir.params, ir.schedule, counts);
     const IoTotals io = io_totals(ir);
     // The kernels read and write user C in place, so C is compared access
     // for access: the bytes of the IR's user-C spans (a read-modify-write

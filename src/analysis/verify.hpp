@@ -50,7 +50,7 @@ struct VerifyReport : IssueList {};
 VerifyReport verify_schedule_ir(const ScheduleIR& ir);
 
 /// Replay the same plan through src/memsim's address-stream generator
-/// (trace_cake / trace_goto) with a counting sink, classify each access
+/// (trace_cake) with a counting sink, classify each access
 /// by surface, and require exact byte agreement with io_totals(ir) for
 /// a_read / b_read, and with the bytes of the IR's user-C spans for the C
 /// reads and writes (the kernels accumulate in place, so every compute

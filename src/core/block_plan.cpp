@@ -54,7 +54,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             t == 0 ? nullptr : &plan.steps[static_cast<std::size_t>(t - 1)];
         const SurfaceSharing shared = prev == nullptr
             ? SurfaceSharing{}
-            : shared_surfaces(prev->coord, st.coord);
+            : carried_surfaces(in.schedule, prev->coord, st.coord);
 
         st.a_slot = prev != nullptr ? prev->a_slot : 0;
         st.pack_a = !shared.a;
@@ -97,7 +97,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             * static_cast<std::uint64_t>(st.ni) * c_elem;
         if (st.c_change && st.revisit) {
             // Revisiting a retired column: its partial sum comes back from
-            // external memory (non-K-first ablation schedules only).
+            // external memory, once (N-innermost and GOTO only).
             stats.dram_read_bytes += c_bytes;
         }
         ++k_done[slot];
@@ -105,16 +105,17 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
 
         // The column's visit ends after this step: its write-back.
         st.c_last = t + 1 == steps
-            || !shared_surfaces(st.coord,
-                                order[static_cast<std::size_t>(t + 1)])
+            || !carried_surfaces(in.schedule, st.coord,
+                                 order[static_cast<std::size_t>(t + 1)])
                     .c;
         if (!st.c_last) continue;
         flushed[slot] = 1;
         ++stats.c_flushes;
         stats.dram_write_bytes += c_bytes;
-        // A first visit applies the caller's beta (a read-back iff beta !=
-        // 0); a revisit accumulates, so it always reads back.
-        if (st.revisit || in.beta_nonzero) stats.dram_read_bytes += c_bytes;
+        // A first visit applies the caller's beta: a read-back iff beta
+        // != 0. A revisit's one read-back is its reload above: the kernel
+        // accumulates in place, so C is read once per visit.
+        if (!st.revisit && in.beta_nonzero) stats.dram_read_bytes += c_bytes;
         if (k_done[slot] < in.kb) ++stats.c_partial_spills;
     }
     return plan;

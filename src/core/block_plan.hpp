@@ -47,8 +47,8 @@ struct BlockStep {
     /// on a revisit) instead of accumulating into them.
     bool c_change = false;
     /// The column was visited and retired before this visit, so user C
-    /// already holds its partial sum and the visit's beta is 1. Only the
-    /// non-K-first ablation schedules revisit a column.
+    /// already holds its partial sum and the visit's beta is 1. Only
+    /// N-innermost and GOTO revisit a column.
     bool revisit = false;
     /// The column's visit ends with this step: the modelled traffic
     /// counts its write-back to external memory here.
@@ -95,6 +95,9 @@ struct BlockPlan {
 /// and policy — no pointers, so the same plan describes a dry run.
 struct BlockPlanInputs {
     CbBlockParams params;
+    /// The kind `order` was built for: its carry-over rule
+    /// (carried_surfaces) decides what each step fetches and retires.
+    ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;
     index_t m = 0, n = 0, k = 0;
     index_t ldc = 0;   ///< user-C leading dimension (validated: >= n)
     index_t nb = 0;    ///< grid width, for (m, n) -> column-slot mapping

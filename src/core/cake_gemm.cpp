@@ -537,6 +537,7 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     // and the schedule-IR extractor consume this same plan.
     BlockPlanInputs plan_in;
     plan_in.params = params;
+    plan_in.schedule = schedule;
     plan_in.m = m;
     plan_in.n = n;
     plan_in.k = k;
@@ -584,9 +585,10 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 
 // ---------------------------------------------------------------------------
 // The block-loop executor: one persistent team for the whole block loop,
-// for every kernel family. With overlap on (CakeExec::kPipelined, or kAuto
-// with p >= 2), while the team computes block i it also packs the surfaces
-// of block i+1 that shared_surfaces() says are not carried over, into the
+// for every kernel family and every schedule kind, GOTO's included. With
+// overlap on (CakeExec::kPipelined, or kAuto with p >= 2), while the team
+// computes block i it also packs the surfaces of block i+1 that
+// carried_surfaces() says are not carried over, into the
 // other half of the double-buffered panel storage — so after pipeline
 // fill, packing IO runs concurrently with compute instead of on the
 // critical path (paper §2, Fig. 7). With overlap off (CakeExec::kSerial,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <utility>
 
 namespace cake {
 
@@ -63,32 +65,21 @@ double gamma_n(index_t n, double u)
     return nu / (1.0 - nu);
 }
 
-index_t max_schedule_segments(const std::vector<BlockCoord>& order)
+index_t max_schedule_segments(ScheduleKind kind,
+                              const std::vector<BlockCoord>& order)
 {
-    // A "column" is one (m, n) coordinate; a segment is a maximal run of
-    // consecutive steps on the same column. Partial C stays in cache only
-    // within a run — every run boundary is a spill + later join-add.
-    if (order.empty()) return 1;
+    // A segment is a run of consecutive steps that carry the column's
+    // partial C over. Partial C stays in cache only within a run — every
+    // run boundary is a spill + later join-add.
+    std::map<std::pair<index_t, index_t>, index_t> runs;
     index_t worst = 1;
-    // Count runs per column in one pass: a run starts at step i when the
-    // previous step touched a different column.
-    std::vector<std::pair<std::pair<index_t, index_t>, index_t>> runs;
     for (std::size_t i = 0; i < order.size(); ++i) {
-        const std::pair<index_t, index_t> col{order[i].m, order[i].n};
-        if (i == 0 || col != std::pair<index_t, index_t>{order[i - 1].m,
-                                                         order[i - 1].n}) {
-            bool found = false;
-            for (auto& r : runs) {
-                if (r.first == col) {
-                    ++r.second;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) runs.emplace_back(col, 1);
+        if (i > 0 && carried_surfaces(kind, order[i - 1], order[i]).c) {
+            continue;
         }
+        const index_t r = ++runs[{order[i].m, order[i].n}];
+        worst = std::max(worst, r);
     }
-    for (const auto& r : runs) worst = std::max(worst, r.second);
     return worst;
 }
 
@@ -130,7 +121,7 @@ PlanErrorBound plan_error_bound(const GemmShape& shape,
         grid(shape.k, params.k_blk), /*n_outermost=*/shape.n >= shape.m);
     AccumChain chain;
     chain.fma_depth = shape.k;
-    chain.segments = max_schedule_segments(order);
+    chain.segments = max_schedule_segments(schedule, order);
     chain.extra_adds = (chain.segments - 1) + (beta_nonzero ? 1 : 0);
     return bound_for_chain(chain, dtype);
 }
@@ -138,12 +129,9 @@ PlanErrorBound plan_error_bound(const GemmShape& shape,
 PlanErrorBound goto_error_bound(const GemmShape& shape, index_t kc,
                                 const DtypeDesc& dtype, bool accumulate)
 {
-    AccumChain chain;
-    chain.fma_depth = shape.k;
-    chain.segments = kc > 0 ? (shape.k + kc - 1) / kc : 1;
-    if (chain.segments < 1) chain.segments = 1;
-    chain.extra_adds = (chain.segments - 1) + (accumulate ? 1 : 0);
-    return bound_for_chain(chain, dtype);
+    // Only the K extent shapes GOTO's chain: one segment per kc pass.
+    return plan_error_bound(shape, CbBlockParams{.k_blk = kc},
+                            ScheduleKind::kGoto, dtype, accumulate);
 }
 
 index_t int8_safe_k()

@@ -93,10 +93,13 @@ struct PlanErrorBound {
     bool i32_safe = true;  ///< acc_range fits an int32 accumulator
 };
 
-/// Worst per-(m, n) column count of maximal consecutive runs in a block
-/// order: 1 for any K-first schedule, ceil(K / kc) when K is innermost-
-/// hostile (each revisit spills the partial column and rejoins later).
-index_t max_schedule_segments(const std::vector<BlockCoord>& order);
+/// Worst per-(m, n) column count of accumulation runs in a block order of
+/// schedule `kind`: a run goes on while each step carries C over
+/// (carried_surfaces). 1 for any K-first schedule, ceil(K / kc) for
+/// N-innermost and GOTO (each revisit spills the partial column and
+/// rejoins later).
+index_t max_schedule_segments(ScheduleKind kind,
+                              const std::vector<BlockCoord>& order);
 
 /// Bound for an explicit chain — the shared kernel of the plan-level and
 /// IR-level (src/analysis/numerics) derivations.
@@ -110,8 +113,8 @@ PlanErrorBound plan_error_bound(const GemmShape& shape,
                                 ScheduleKind schedule, const DtypeDesc& dtype,
                                 bool beta_nonzero = false);
 
-/// Bound of a GOTO plan: C streams to user memory every (jc, pc) pass, so
-/// segments = ceil(K / kc) regardless of schedule.
+/// Bound of a GOTO plan (ScheduleKind::kGoto): C streams to user memory
+/// every (jc, pc) pass, so segments = ceil(K / kc).
 PlanErrorBound goto_error_bound(const GemmShape& shape, index_t kc,
                                 const DtypeDesc& dtype,
                                 bool accumulate = false);

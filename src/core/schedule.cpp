@@ -165,6 +165,7 @@ const char* schedule_kind_name(ScheduleKind kind)
         case ScheduleKind::kNInnermost: return "n-innermost";
         case ScheduleKind::kHilbert: return "hilbert";
         case ScheduleKind::kMorton: return "morton";
+        case ScheduleKind::kGoto: return "goto";
     }
     return "unknown";
 }
@@ -174,7 +175,7 @@ const std::vector<ScheduleKind>& all_schedule_kinds()
     static const std::vector<ScheduleKind> kinds = {
         ScheduleKind::kKFirstSerpentine, ScheduleKind::kKFirstNoFlip,
         ScheduleKind::kNInnermost,       ScheduleKind::kHilbert,
-        ScheduleKind::kMorton,
+        ScheduleKind::kMorton,           ScheduleKind::kGoto,
     };
     return kinds;
 }
@@ -195,7 +196,8 @@ std::vector<BlockCoord> build_schedule(ScheduleKind kind, index_t mb,
     std::vector<BlockCoord> result;
     result.reserve(static_cast<std::size_t>(mb * nb * kb));
 
-    const bool serpentine = kind != ScheduleKind::kKFirstNoFlip;
+    const bool serpentine = kind != ScheduleKind::kKFirstNoFlip
+        && kind != ScheduleKind::kGoto;
     std::vector<std::array<index_t, 3>> raw;
 
     switch (kind) {
@@ -217,6 +219,12 @@ std::vector<BlockCoord> build_schedule(ScheduleKind kind, index_t mb,
             // K-first schedule is designed to avoid.
             raw = boustrophedon({mb, kb, nb}, serpentine);
             for (const auto& r : raw) result.push_back({r[0], r[2], r[1]});
+            break;
+        case ScheduleKind::kGoto:
+            // jc, then pc, then ic, each restarting at 0: the loop nest
+            // is fixed, so the §2.2 orientation does not apply.
+            raw = boustrophedon({nb, kb, mb}, serpentine);
+            for (const auto& r : raw) result.push_back({r[2], r[0], r[1]});
             break;
         case ScheduleKind::kHilbert:
         case ScheduleKind::kMorton: {
@@ -278,6 +286,17 @@ SurfaceSharing shared_surfaces(const BlockCoord& prev, const BlockCoord& next)
     return s;
 }
 
+SurfaceSharing carried_surfaces(ScheduleKind kind, const BlockCoord& prev,
+                                const BlockCoord& next)
+{
+    SurfaceSharing s = shared_surfaces(prev, next);
+    if (kind == ScheduleKind::kGoto) {
+        s.a = false;
+        s.c = false;
+    }
+    return s;
+}
+
 index_t count_shared_steps(const std::vector<BlockCoord>& order)
 {
     index_t shared = 0;
@@ -288,7 +307,8 @@ index_t count_shared_steps(const std::vector<BlockCoord>& order)
     return shared;
 }
 
-ScheduleTraffic schedule_traffic(const std::vector<BlockCoord>& order)
+ScheduleTraffic schedule_traffic(ScheduleKind kind,
+                                 const std::vector<BlockCoord>& order)
 {
     ScheduleTraffic t;
     if (order.empty()) return t;
@@ -301,8 +321,9 @@ ScheduleTraffic schedule_traffic(const std::vector<BlockCoord>& order)
     std::map<std::pair<index_t, index_t>, index_t> c_progress;
     for (std::size_t i = 0; i < order.size(); ++i) {
         const auto& cur = order[i];
-        const SurfaceSharing s =
-            i == 0 ? SurfaceSharing{} : shared_surfaces(order[i - 1], cur);
+        const SurfaceSharing s = i == 0
+            ? SurfaceSharing{}
+            : carried_surfaces(kind, order[i - 1], cur);
         if (!s.a) ++t.a_fetches;
         if (!s.b) ++t.b_fetches;
         if (i > 0 && !s.c) {

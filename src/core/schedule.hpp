@@ -52,6 +52,12 @@ enum class ScheduleKind {
     /// power-of-two boundaries: those transitions share nothing and
     /// refetch both A and B. Kept as the SFC ablation baseline.
     kMorton,
+    /// The GOTO loop nest (§4.1, Fig. 5; Goto and van de Geijn): N
+    /// outermost (jc), K middle (pc), M innermost (ic), every loop
+    /// restarting at 0. Only the B panel is carried over from step to
+    /// step (it fills the LLC): A is re-packed every pass and partial C
+    /// goes back to user memory once per kc pass (carried_surfaces).
+    kGoto,
 };
 
 const char* schedule_kind_name(ScheduleKind kind);
@@ -88,6 +94,14 @@ std::vector<BlockCoord> build_layered_schedule(ScheduleKind kind, index_t mb,
 /// Surfaces shared between consecutive schedule entries `prev` and `next`.
 SurfaceSharing shared_surfaces(const BlockCoord& prev, const BlockCoord& next);
 
+/// Surfaces a step of schedule `kind` carries over from the step before
+/// it: the shared ones, except that a GOTO step keeps only the B panel
+/// (its A block is private to one pass, and partial C streams to user
+/// memory after every kc pass). THE carry-over rule: the block plan, the
+/// traffic model and every verifier take it from here.
+SurfaceSharing carried_surfaces(ScheduleKind kind, const BlockCoord& prev,
+                                const BlockCoord& next);
+
 /// Count of consecutive pairs in `order` sharing at least one surface.
 /// For the serpentine schedule this equals order.size() - 1 (every step
 /// reuses something); the no-flip variant falls short by the number of
@@ -96,13 +110,15 @@ index_t count_shared_steps(const std::vector<BlockCoord>& order);
 
 /// Total IO surface traffic of a schedule in *block surfaces* fetched from
 /// (A, B) or written+refetched to (partial C) external memory, assuming one
-/// surface of each kind fits in local memory at a time. Used by tests and
-/// the ablation bench to rank schedules exactly as §2.2 argues.
+/// surface of each kind fits in local memory at a time and `kind`'s
+/// carry-over rule. Used by tests and the verifier to rank schedules
+/// exactly as §2.2 argues.
 struct ScheduleTraffic {
     index_t a_fetches = 0;
     index_t b_fetches = 0;
     index_t c_spills = 0;  ///< partial-C writeback+refetch round trips
 };
-ScheduleTraffic schedule_traffic(const std::vector<BlockCoord>& order);
+ScheduleTraffic schedule_traffic(ScheduleKind kind,
+                                 const std::vector<BlockCoord>& order);
 
 }  // namespace cake

@@ -1,23 +1,28 @@
 // The GOTO algorithm (Goto & van de Geijn, "Anatomy of High-Performance
 // Matrix Multiplication") as analysed in the paper's §4.1 — the baseline
-// that MKL / ARMPL / OpenBLAS implement. Built on the same micro-kernels
-// and packing as CAKE so benchmarks isolate the scheduling difference:
-// GOTO streams partial C results to external memory every kc-panel pass,
-// whereas CAKE accumulates them in local memory.
+// that MKL / ARMPL / OpenBLAS implement. GOTO and CAKE differ only in their
+// schedule, so GOTO is a plan of the one CAKE executor
+// (src/core/cake_gemm.cpp): ScheduleKind::kGoto over (p*mc) x kc x nc
+// blocks, overlap off. It runs on the same kernels, packers and team as
+// CAKE, and every verifier checks it as a CAKE plan. Where CAKE keeps
+// partial C in local memory across K, GOTO streams it to user memory after
+// every kc pass.
 //
-// Loop structure (paper Fig. 5):
+// Loop structure (paper Fig. 5), as the kGoto block order:
 //   jc over N in nc   : B panel (kc x nc) packed into the LLC
 //     pc over K in kc : reduction panels; C is read+written per pass
-//       ic over M in mc (parallel over p cores): A block (mc x kc) per core
+//       ic over M in p*mc : A re-packed every pass, one mc x kc block per
+//                           core (the team claims its mr bands)
 //         macro-kernel: mr x nr micro-kernel writes DIRECTLY to user C
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/matrix.hpp"
 #include "common/types.hpp"
+#include "core/cake_gemm.hpp"
+#include "core/tiling.hpp"
 #include "kernel/registry.hpp"
 #include "machine/machine.hpp"
 #include "threading/thread_pool.hpp"
@@ -36,23 +41,11 @@ struct GotoBlocking {
 GotoBlocking goto_default_blocking(const MachineSpec& machine, index_t mr,
                                    index_t nr);
 
-/// One (jc, pc) panel pass of the GOTO loop nest: the B panel packed into
-/// the LLC stand-in, then p workers streaming partial C tiles to user
-/// memory. Materialised as data so the executor and the schedule-IR
-/// extractor (src/analysis/schedir.cpp) walk the identical pass list.
-struct GotoPass {
-    index_t jc = 0;    ///< N-panel element origin
-    index_t pc = 0;    ///< K-panel element origin
-    index_t ncur = 0;  ///< panel width (edge-clipped)
-    index_t kcur = 0;  ///< panel depth (edge-clipped)
-    bool acc = false;  ///< macro-kernel accumulates into C (RMW traffic)
-};
-
-/// The (jc outer, pc inner) pass order GotoGemmT::multiply executes.
-/// `acc` is options.accumulate for the first reduction pass of each panel
-/// and true for every later one (partial C results stream back in).
-std::vector<GotoPass> build_goto_passes(index_t n, index_t k, index_t nc,
-                                        index_t kc, bool accumulate);
+/// The CB-block geometry of the default GOTO plan on `machine`: blocks of
+/// (p*mc) x kc x nc from goto_default_blocking, for an mr x nr kernel and
+/// `elem_bytes`-wide elements. Run with ScheduleKind::kGoto.
+CbBlockParams goto_plan_params(const MachineSpec& machine, int p, index_t mr,
+                               index_t nr, index_t elem_bytes = 4);
 
 /// Tuning knobs for the GOTO baseline.
 struct GotoOptions {
@@ -64,26 +57,31 @@ struct GotoOptions {
     std::optional<Isa> isa;
 };
 
-/// Execution statistics mirroring CakeStats so benches compare like for
-/// like. `dram_*_bytes` model the algorithm's external traffic: A and B
-/// packing reads plus the per-pass C streaming that CAKE eliminates.
+/// The CAKE options of the GOTO plan for kernel family T (float or
+/// double): mc = kc and nc from the overrides or goto_default_blocking,
+/// ScheduleKind::kGoto, overlap off, no plan source. Throws cake::Error
+/// if an nc override is not a positive multiple of the kernel's nr.
+template <typename T>
+CakeOptions goto_cake_options(const GotoOptions& options);
+
+/// Execution statistics in GOTO's terms, filled from the CAKE executor's
+/// CakeStats of the GOTO plan. `dram_*_bytes` model the algorithm's
+/// external traffic: A and B packing reads plus the per-pass C streaming
+/// that CAKE eliminates.
 struct GotoStats {
     index_t mc = 0, kc = 0, nc = 0;
-    index_t a_packs = 0;
-    index_t b_packs = 0;
+    index_t a_packs = 0;   ///< mc x kc A blocks packed (one per core row)
+    index_t b_packs = 0;   ///< kc x nc B panels packed (one per pass)
     index_t c_passes = 0;  ///< C panel read+write rounds (K/kc per panel)
     std::uint64_t dram_read_bytes = 0;
     std::uint64_t dram_write_bytes = 0;
-    // Wall-clock phase attribution (same decomposition as CakeStats, so
-    // benches can put the two algorithms in one table):
+    // Wall-clock phase attribution, as in CakeStats:
     //   pack + compute + stall ~= total_seconds.
-    // GOTO streams C tiles straight to user memory inside the macro-kernel
-    // and packs each worker's A block inside the compute pass, so there is
-    // no separate flush phase, pack_seconds covers the shared B panel only,
-    // and nothing overlaps (overlap_efficiency stays 0).
-    double pack_seconds = 0;     ///< shared B-panel packing (DRAM fetch)
-    double compute_seconds = 0;  ///< per-worker A pack + macro-kernel
-    double stall_seconds = 0;    ///< dispatch / residual outside the phases
+    // The plan runs with overlap off, so every pack is exposed and
+    // overlap_efficiency stays 0.
+    double pack_seconds = 0;     ///< A block and B panel packing
+    double compute_seconds = 0;  ///< macro-kernel, C in user memory
+    double stall_seconds = 0;    ///< barrier waits / dispatch
     double total_seconds = 0;
     double overlap_efficiency = 0;  ///< always 0: GOTO exposes all IO
 
@@ -100,7 +98,7 @@ struct GotoStats {
     }
 };
 
-/// Reusable GOTO GEMM context (buffers persist across calls).
+/// Reusable GOTO GEMM context: a CAKE context fixed to the GOTO plan.
 /// Instantiated for float (GotoGemm) and double (GotoGemmD).
 template <typename T>
 class GotoGemmT {
@@ -114,14 +112,8 @@ public:
     [[nodiscard]] const GotoStats& stats() const { return stats_; }
 
 private:
-    ThreadPool& pool_;
-    GotoOptions options_;
-    MachineSpec machine_;
-    MicroKernelT<T> kernel_;
+    CakeGemmT<T> cake_;
     GotoStats stats_;
-
-    AlignedBuffer<T> pack_b_;
-    std::vector<AlignedBuffer<T>> pack_a_;  // one A block per worker
 };
 
 using GotoGemm = GotoGemmT<float>;

@@ -45,7 +45,9 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
 
     for (std::size_t t = 0; t < order.size(); ++t) {
         const BlockCoord& coord = order[t];
-        const BlockCoord* prev = t == 0 ? nullptr : &order[t - 1];
+        const SurfaceSharing carried = t == 0
+            ? SurfaceSharing{}
+            : carried_surfaces(kind, order[t - 1], coord);
         const index_t mi = block_extent(coord.m, params.m_blk, shape.m);
         const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
         const index_t ki = block_extent(coord.k, params.k_blk, shape.k);
@@ -60,8 +62,8 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
         const bool overwrite = visited[slot] == 0;
         visited[slot] = 1;
 
-        // --- A surface fetch + pack (skipped when shared, §2.2) ---
-        if (prev == nullptr || prev->m != coord.m || prev->k != coord.k) {
+        // --- A surface fetch + pack (skipped when carried over, §2.2) ---
+        if (!carried.a) {
             for (index_t r = 0; r < mi; ++r) {
                 const int core = core_for_row(r);
                 sink.access(core,
@@ -76,7 +78,7 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
             }
         }
         // --- B surface fetch + pack ---
-        if (prev == nullptr || prev->k != coord.k || prev->n != coord.n) {
+        if (!carried.b) {
             for (index_t q = 0; q < ki; ++q) {
                 const int core = static_cast<int>(q % p);
                 sink.access(core,

@@ -1,6 +1,8 @@
-// Memory-access trace generation: walks the exact loop nests of the CAKE
-// and GOTO drivers (same schedules, same packing, same micro-kernel tile
-// order) emitting the address stream each worker core would issue, and
+// Memory-access trace generation: walks the CAKE executor's block loop
+// (any schedule kind and its carry-over rule, the same packing and
+// micro-kernel tile order) and the GOTO algorithm's loop nest as the
+// paper describes it (one private A block per core), emitting the
+// address stream each worker core would issue, and
 // replays it through the cache-hierarchy simulator. This reproduces what
 // the paper measures with PMU counters: per-level hits, DRAM accesses and
 // stall attribution (Fig. 7) and average DRAM bandwidth (Figs. 10a-12a).
@@ -57,10 +59,15 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                 ScheduleKind kind, TraceSink& sink,
                 const AddressMap& map = {});
 
-/// Emit the access stream of a GOTO run with `p` cores (B panel packing,
-/// per-core A packing, micro-kernel sweeps streaming C to user memory).
-/// `mr` x `nr` is the register-tile shape of the micro-kernel;
-/// `elem_bytes` is the element width the addresses are scaled by.
+/// Emit the access stream of the GOTO algorithm with `p` cores (B panel
+/// packing, per-core A packing, micro-kernel sweeps streaming C to user
+/// memory): each core packs and computes its own ic blocks back to back
+/// in a private A region. `mr` x `nr` is the register-tile shape of the
+/// micro-kernel; `elem_bytes` is the element width the addresses are
+/// scaled by. The CAKE executor's run of the GOTO plan is
+/// trace_cake(..., ScheduleKind::kGoto, ...); it hands the short last M
+/// block to the whole team and interleaves the cores' blocks, so its
+/// cache behaviour differs from this stream.
 void trace_goto(const GemmShape& shape, const GotoBlocking& blocking, int p,
                 index_t mr, index_t nr, index_t elem_bytes, TraceSink& sink,
                 const AddressMap& map = {});

@@ -36,15 +36,17 @@ TrafficSummary cake_traffic(const GemmShape& shape,
     bool have_last = false;
     index_t cur_mi = 0, cur_ni = 0;
 
+    // A visit reads C back once: a revisit at its start (the reload
+    // below), a first visit with accumulate at its write-back.
     auto flush = [&](const BlockCoord& coord, index_t mi, index_t ni) {
         const std::size_t slot =
             static_cast<std::size_t>(coord.m * nb + coord.n);
-        const bool acc = accumulate || flushed[slot] != 0;
+        const bool revisit = flushed[slot] != 0;
         const auto bytes = static_cast<std::uint64_t>(mi)
             * static_cast<std::uint64_t>(ni) * sizeof(float);
         t.dram_write_bytes += bytes;
-        if (acc) {
-            t.dram_read_bytes += bytes;
+        if (accumulate && !revisit) t.dram_read_bytes += bytes;
+        if (accumulate || revisit) {
             t.c_rmw_bytes += 2 * bytes;  // read + write round trip
         }
         flushed[slot] = 1;
@@ -56,23 +58,20 @@ TrafficSummary cake_traffic(const GemmShape& shape,
         const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
         const index_t ki = block_extent(coord.k, params.k_blk, shape.k);
 
-        const bool a_shared =
-            have_last && last.m == coord.m && last.k == coord.k;
-        if (!a_shared) {
+        const SurfaceSharing carried = have_last
+            ? carried_surfaces(kind, last, coord)
+            : SurfaceSharing{};
+        if (!carried.a) {
             ++t.a_packs;
             t.dram_read_bytes +=
                 static_cast<std::uint64_t>(mi) * ki * sizeof(float);
         }
-        const bool b_shared =
-            have_last && last.k == coord.k && last.n == coord.n;
-        if (!b_shared) {
+        if (!carried.b) {
             ++t.b_packs;
             t.dram_read_bytes +=
                 static_cast<std::uint64_t>(ki) * ni * sizeof(float);
         }
-        const bool c_shared =
-            have_last && last.m == coord.m && last.n == coord.n;
-        if (!c_shared) {
+        if (!carried.c) {
             if (have_last) flush(last, cur_mi, cur_ni);
             const std::size_t slot =
                 static_cast<std::size_t>(coord.m * nb + coord.n);

@@ -135,7 +135,8 @@ TEST_P(FuzzSeedTest, RandomGridScheduleProperties)
     // Every consecutive pair one grid step apart; no partial-C spills.
     EXPECT_EQ(count_shared_steps(order),
               static_cast<index_t>(order.size()) - 1);
-    EXPECT_EQ(schedule_traffic(order).c_spills, 0);
+    EXPECT_EQ(schedule_traffic(ScheduleKind::kKFirstSerpentine, order).c_spills,
+              0);
 }
 
 TEST_P(FuzzSeedTest, RandomPackRoundTrip)

@@ -15,6 +15,7 @@
 #include "analysis/verify.hpp"
 #include "cache/topology.hpp"
 #include "core/tiling.hpp"
+#include "gotoblas/goto_gemm.hpp"
 #include "machine/machine.hpp"
 
 namespace cake {
@@ -201,13 +202,23 @@ TEST(Locality, MutationIsolationKeepsOtherCodesClean)
     }
 }
 
-TEST(Locality, GotoIrIsRejectedUpFront)
+TEST(Locality, GotoPlanIsAnalysed)
 {
+    // The GOTO plan is a block order like any other: the analyzer takes
+    // its carry-over rule (only the B panel carried) and predicts its
+    // traffic byte-exactly, C revisited once per later kc pass.
     const MachineSpec machine = intel_i9_10900k();
-    const ScheduleIR goto_ir = schedir::extract_goto_ir(
-        {500, 500, 500}, goto_default_blocking(machine, 6, 16),
-        machine.cores, 6, 16);
-    EXPECT_THROW(locality::analyze_locality(goto_ir), Error);
+    const ScheduleIR goto_ir = schedir::extract_cake_ir(
+        {500, 500, 500}, goto_plan_params(machine, machine.cores, 6, 16),
+        ScheduleKind::kGoto, Exec::kSerial);
+    const LocalityReport rep = locality::analyze_locality(goto_ir);
+    EXPECT_TRUE(rep.ok()) << rep.codes();
+    const schedir::IoTotals io = schedir::io_totals(goto_ir);
+    EXPECT_EQ(rep.predicted.reads(), io.reads());
+    EXPECT_EQ(rep.predicted.writes(), io.writes());
+    EXPECT_EQ(rep.predicted.c_reload_read,
+              static_cast<std::uint64_t>(500 * 500 * 4)
+                  * static_cast<std::uint64_t>(goto_ir.kb - 1));
 }
 
 }  // namespace

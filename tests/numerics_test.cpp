@@ -120,6 +120,35 @@ TEST(FpError, GotoBoundCountsKcPasses)
     EXPECT_GT(four.rel_bound, one.rel_bound);
 }
 
+TEST(FpError, GotoBoundIsTheGotoPlanBound)
+{
+    // goto_error_bound forwards to plan_error_bound of the GOTO plan: the
+    // same chain and bound for every Table-2 machine, shape, precision and
+    // beta, edge remainders in M, N and K included.
+    for (const MachineSpec& machine : table2_machines()) {
+        const CbBlockParams params =
+            goto_plan_params(machine, machine.cores, 6, 16);
+        for (const GemmShape& shape :
+             {GemmShape{2000, 2000, 2000}, GemmShape{8000, 256, 2048},
+              GemmShape{3000, 3000, 96}, GemmShape{700, 200, 400},
+              GemmShape{64, 64, 1000}}) {
+            for (const DtypeDesc* dtype : {&dtype_f32(), &dtype_f64()}) {
+                for (const bool beta : {false, true}) {
+                    const PlanErrorBound g =
+                        goto_error_bound(shape, params.kc, *dtype, beta);
+                    const PlanErrorBound p = plan_error_bound(
+                        shape, params, ScheduleKind::kGoto, *dtype, beta);
+                    EXPECT_EQ(g.chain.segments, p.chain.segments)
+                        << machine.name;
+                    EXPECT_EQ(g.chain.segments,
+                              (shape.k + params.kc - 1) / params.kc);
+                    EXPECT_EQ(g.rel_bound, p.rel_bound) << machine.name;
+                }
+            }
+        }
+    }
+}
+
 TEST(FpError, Int8StaticAccumulatorRange)
 {
     // 127 * 127 per product; i32 holds ceil short of 2^31 / 16129 terms.
@@ -400,23 +429,26 @@ schedir::ScheduleIR small_ir(schedir::Exec exec,
     const MachineSpec machine = intel_i9_10900k();
     TilingOptions topts;
     topts.mc = 48;
-    const GemmShape shape{1000, 1000, 200};
-    if (exec == schedir::Exec::kGoto) {
-        return schedir::extract_goto_ir(
-            shape, goto_default_blocking(machine, 6, 16), machine.cores, 6,
-            16);
-    }
     const CbBlockParams params =
         compute_cb_block(machine, machine.cores, 6, 16, topts);
-    return schedir::extract_cake_ir(shape, params, kind, exec);
+    return schedir::extract_cake_ir({1000, 1000, 200}, params, kind, exec);
+}
+
+/// The same shape under the GOTO plan: GOTO's blocking, the kGoto order,
+/// overlap off.
+schedir::ScheduleIR goto_small_ir()
+{
+    const MachineSpec machine = intel_i9_10900k();
+    return schedir::extract_cake_ir(
+        {1000, 1000, 200}, goto_plan_params(machine, machine.cores, 6, 16),
+        ScheduleKind::kGoto, schedir::Exec::kSerial);
 }
 
 TEST(NumericsVerifier, CleanIrVerifiesCleanOnEveryExecutor)
 {
-    for (const schedir::Exec exec :
-         {schedir::Exec::kSerial, schedir::Exec::kPipelined,
-          schedir::Exec::kGoto}) {
-        const auto ir = small_ir(exec);
+    for (const auto& ir :
+         {small_ir(schedir::Exec::kSerial), small_ir(schedir::Exec::kPipelined),
+          goto_small_ir()}) {
         const auto report = numerics::verify_numerics(ir, dtype_f32());
         EXPECT_TRUE(report.ok()) << report.codes();
         EXPECT_EQ(report.ir_fma_depth, 200);
@@ -464,19 +496,20 @@ TEST(NumericsVerifier, EveryMutationCaughtWithItsCode)
                 << report.codes() << "]";
         }
     }
-    // GOTO has no generation turnover to drop; the other two apply.
-    auto g1 = small_ir(schedir::Exec::kGoto);
+    // The GOTO plan retires its columns once per kc pass, so all three
+    // apply.
+    auto g1 = goto_small_ir();
     EXPECT_EQ(numerics::apply_numerics_mutation(g1, NumMutation::kDeepenAccum),
               "NUM_CHAIN");
     EXPECT_TRUE(numerics::verify_numerics(g1, dtype_f32()).has("NUM_CHAIN"));
-    auto g2 = small_ir(schedir::Exec::kGoto);
+    auto g2 = goto_small_ir();
     EXPECT_EQ(numerics::apply_numerics_mutation(g2, NumMutation::kLyingDtype),
               "NUM_DTYPE");
     EXPECT_TRUE(numerics::verify_numerics(g2, dtype_f32()).has("NUM_DTYPE"));
-    auto g3 = small_ir(schedir::Exec::kGoto);
-    EXPECT_THROW(numerics::apply_numerics_mutation(
-                     g3, NumMutation::kDropTurnover),
-                 Error);
+    auto g3 = goto_small_ir();
+    EXPECT_EQ(numerics::apply_numerics_mutation(g3, NumMutation::kDropTurnover),
+              "NUM_TURNOVER");
+    EXPECT_TRUE(numerics::verify_numerics(g3, dtype_f32()).has("NUM_TURNOVER"));
 }
 
 TEST(NumericsVerifier, NInnermostIrCarriesItsSegments)

@@ -48,6 +48,17 @@ CbBlockParams preset_params(int p = 0)
                             topts);
 }
 
+/// The IR of the GOTO plan on the Intel preset: GOTO's blocking, the kGoto
+/// order, overlap off.
+ScheduleIR goto_plan_ir(const GemmShape& shape, bool accumulate = false)
+{
+    const MachineSpec machine = intel_i9_10900k();
+    return schedir::extract_cake_ir(
+        shape, goto_plan_params(machine, machine.cores, 6, 16),
+        ScheduleKind::kGoto, Exec::kSerial, /*use_prepacked=*/false,
+        accumulate);
+}
+
 using CakeConfig = std::tuple<ScheduleKind, Exec>;
 
 class CleanIrTest : public ::testing::TestWithParam<CakeConfig> {};
@@ -80,8 +91,7 @@ TEST(SchedirGoto, CleanIrVerifies)
 {
     const MachineSpec machine = intel_i9_10900k();
     const GotoBlocking blocking = goto_default_blocking(machine, 6, 16);
-    const ScheduleIR ir = schedir::extract_goto_ir(
-        GemmShape{1000, 1000, 600}, blocking, machine.cores, 6, 16);
+    const ScheduleIR ir = goto_plan_ir(GemmShape{1000, 1000, 600});
     const VerifyReport report = schedir::verify_schedule_ir(ir);
     EXPECT_TRUE(report.ok()) << report.codes();
     EXPECT_EQ(ir.expected_accums, (600 + blocking.kc - 1) / blocking.kc);
@@ -89,10 +99,8 @@ TEST(SchedirGoto, CleanIrVerifies)
 
 TEST(SchedirGoto, AccumulateModeVerifies)
 {
-    const MachineSpec machine = intel_i9_10900k();
-    const ScheduleIR ir = schedir::extract_goto_ir(
-        GemmShape{600, 800, 300}, goto_default_blocking(machine, 6, 16),
-        machine.cores, 6, 16, /*accumulate=*/true);
+    const ScheduleIR ir =
+        goto_plan_ir(GemmShape{600, 800, 300}, /*accumulate=*/true);
     EXPECT_TRUE(schedir::verify_schedule_ir(ir).ok());
 }
 
@@ -115,14 +123,8 @@ TEST(SchedirCake, PrepackedAndBetaVariantsVerify)
 
 ScheduleIR mutation_subject(Exec exec)
 {
-    const GemmShape shape{1000, 1000, 200};
-    if (exec == Exec::kGoto) {
-        const MachineSpec machine = intel_i9_10900k();
-        return schedir::extract_goto_ir(
-            shape, goto_default_blocking(machine, 6, 16), machine.cores, 6,
-            16);
-    }
-    return schedir::extract_cake_ir(shape, preset_params(),
+    return schedir::extract_cake_ir(GemmShape{1000, 1000, 200},
+                                    preset_params(),
                                     ScheduleKind::kKFirstSerpentine, exec);
 }
 
@@ -170,25 +172,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MutationSites, SerialAndGotoRejectLostAndDuplicatedUpdates)
 {
-    for (const Exec exec : {Exec::kSerial, Exec::kGoto}) {
+    for (const bool goto_plan : {false, true}) {
         for (const Mutation m : {Mutation::kDropOp, Mutation::kDupOp}) {
-            ScheduleIR ir = mutation_subject(exec);
+            ScheduleIR ir = goto_plan ? goto_plan_ir(GemmShape{1000, 1000, 200})
+                                      : mutation_subject(Exec::kSerial);
             const std::string code = schedir::apply_mutation(ir, m);
             EXPECT_EQ(code, "IR_COVER");
             EXPECT_TRUE(schedir::verify_schedule_ir(ir).has(code))
-                << schedir::exec_name(exec);
+                << (goto_plan ? "goto plan" : "serial");
         }
     }
 }
 
 TEST(MutationSites, InapplicableMutationThrows)
 {
-    // GOTO has no flush ops and no double buffers: those mutations have
-    // no site and must refuse rather than silently no-op.
-    ScheduleIR ir = mutation_subject(Exec::kGoto);
-    EXPECT_THROW(schedir::apply_mutation(ir, Mutation::kDropFlush), Error);
+    // The GOTO plan runs with overlap off, so it has no double buffer to
+    // shrink: that mutation has no site and must refuse rather than
+    // silently no-op. Its kc passes do retire C bands, so dropping one is
+    // a lost update.
+    ScheduleIR ir = goto_plan_ir(GemmShape{1000, 1000, 200});
     EXPECT_THROW(schedir::apply_mutation(ir, Mutation::kShrinkGeneration),
                  Error);
+    EXPECT_EQ(schedir::apply_mutation(ir, Mutation::kDropFlush), "IR_COVER");
+    EXPECT_TRUE(schedir::verify_schedule_ir(ir).has("IR_COVER"));
 }
 
 // ------------------------------------------- IO model vs runtime counters
@@ -320,10 +326,16 @@ TEST(IoAgainstRuntime, GotoStatsMatchIr)
     gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
     const GotoStats& stats = gemm.stats();
 
+    // The GOTO plan the context ran, rebuilt from its reported blocking.
     const MicroKernel& kernel = best_microkernel();
-    const ScheduleIR ir = schedir::extract_goto_ir(
-        GemmShape{m, n, k}, GotoBlocking{stats.mc, stats.kc, stats.nc}, 4,
-        kernel.mr, kernel.nr);
+    TilingOptions topts;
+    topts.mc = stats.mc;
+    topts.kc = stats.kc;
+    topts.nc = stats.nc;
+    const ScheduleIR ir = schedir::extract_cake_ir(
+        GemmShape{m, n, k},
+        compute_cb_block(host_machine(), 4, kernel.mr, kernel.nr, topts),
+        ScheduleKind::kGoto, Exec::kSerial);
     ASSERT_TRUE(schedir::verify_schedule_ir(ir).ok());
 
     const schedir::IoTotals io = schedir::io_totals(ir);
@@ -476,9 +488,10 @@ TEST(MemsimCrossCheck, CakeExactForEverySchedule)
 TEST(MemsimCrossCheck, GotoExact)
 {
     const MachineSpec machine = arm_cortex_a53();
-    const ScheduleIR ir = schedir::extract_goto_ir(
-        GemmShape{300, 260, 200}, goto_default_blocking(machine, 6, 16),
-        machine.cores, 6, 16);
+    const ScheduleIR ir = schedir::extract_cake_ir(
+        GemmShape{300, 260, 200},
+        goto_plan_params(machine, machine.cores, 6, 16), ScheduleKind::kGoto,
+        Exec::kSerial);
     const VerifyReport report = schedir::cross_check_memsim(ir);
     EXPECT_TRUE(report.ok()) << report.codes();
 }

@@ -106,11 +106,14 @@ TEST_P(ScheduleGridTest, TrafficRankingMatchesPaper)
     // variant refetches at turns; N-innermost spills partial results.
     const auto [mb, nb, kb] = GetParam();
     const auto serp =
-        schedule_traffic(build_schedule(ScheduleKind::kKFirstSerpentine, mb, nb, kb));
+        schedule_traffic(ScheduleKind::kKFirstSerpentine,
+                         build_schedule(ScheduleKind::kKFirstSerpentine, mb, nb, kb));
     const auto noflip =
-        schedule_traffic(build_schedule(ScheduleKind::kKFirstNoFlip, mb, nb, kb));
+        schedule_traffic(ScheduleKind::kKFirstNoFlip,
+                         build_schedule(ScheduleKind::kKFirstNoFlip, mb, nb, kb));
     const auto ninner =
-        schedule_traffic(build_schedule(ScheduleKind::kNInnermost, mb, nb, kb));
+        schedule_traffic(ScheduleKind::kNInnermost,
+                         build_schedule(ScheduleKind::kNInnermost, mb, nb, kb));
 
     EXPECT_EQ(serp.c_spills, 0) << "K-first never spills partial results";
     EXPECT_LE(serp.a_fetches + serp.b_fetches,
@@ -179,7 +182,7 @@ TEST(Schedule, RegistryNamesRoundTripAndAreUnique)
     // parse back to the kind, no two kinds may share a name, and the
     // registry must contain every kind name the consumers can meet.
     const auto& kinds = all_schedule_kinds();
-    EXPECT_EQ(kinds.size(), 5u);
+    EXPECT_EQ(kinds.size(), 6u);
     std::set<std::string> names;
     for (const ScheduleKind kind : kinds) {
         const char* name = schedule_kind_name(kind);
@@ -341,7 +344,8 @@ TEST(SchedulePropertySweep, HilbertIsGridAdjacentAndFullySharing)
             EXPECT_EQ(count_shared_steps(order),
                       static_cast<index_t>(order.size()) - 1)
                 << mb << "x" << nb << "x" << kb;
-            EXPECT_EQ(schedule_traffic(order).c_spills, 0);
+            EXPECT_EQ(schedule_traffic(ScheduleKind::kHilbert, order).c_spills,
+                      0);
         }
     }
 }
@@ -422,7 +426,7 @@ TEST(ScheduleTraffic, HandDerivedSmallCase)
     const auto order =
         build_schedule(ScheduleKind::kKFirstSerpentine, 2, 1, 2);
     ASSERT_EQ(order.size(), 4u);
-    const auto t = schedule_traffic(order);
+    const auto t = schedule_traffic(ScheduleKind::kKFirstSerpentine, order);
     // A surfaces: (0,0),(0,1),(1,1),(1,0) all distinct -> 4 fetches.
     EXPECT_EQ(t.a_fetches, 4);
     // B surfaces: (k,n) = (0,0),(1,0),(1,0)->shared,(0,0) -> 3 fetches.

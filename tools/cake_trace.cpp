@@ -1,7 +1,7 @@
 // cake_trace: run one GEMM under the src/obs tracer and explain where the
 // time went, from a single command.
 //
-// Runs a chosen executor (serial / pipelined CB-block, or GOTO) on a
+// Runs the CAKE executor with overlap off or on, or on the GOTO plan, on a
 // Table-2 machine preset and shape, records every work-item span into the
 // per-worker ring buffers, then:
 //   * writes a Perfetto/chrome://tracing JSON trace (--out),
@@ -9,7 +9,7 @@
 //     barrier-wait stall table, and an ASCII overlap timeline,
 //   * cross-checks the trace against CakeStats: per-worker
 //     pack/compute span totals divided by p must agree with the
-//     stats' phase seconds (the executors time the same windows).
+//     stats' phase seconds (the executor times the same windows).
 //
 // Usage:
 //   cake_trace --preset intel-i9 --shape square --exec pipelined
@@ -138,26 +138,23 @@ int run(const Options& opt)
     a.fill_random(rng);
     b.fill_random(rng);
 
-    const bool is_goto = opt.exec == "goto";
+    // GOTO is a plan of the same executor: its options, one context.
     cake::CakeOptions copts;
-    copts.p = p;
-    copts.machine = machine;
-    copts.exec = opt.exec == "serial" ? cake::CakeExec::kSerial
-                                      : cake::CakeExec::kPipelined;
-    cake::GotoOptions gopts;
-    gopts.p = p;
-    gopts.machine = machine;
-
+    if (opt.exec == "goto") {
+        cake::GotoOptions gopts;
+        gopts.p = p;
+        gopts.machine = machine;
+        copts = cake::goto_cake_options<T>(gopts);
+    } else {
+        copts.p = p;
+        copts.machine = machine;
+        copts.exec = opt.exec == "serial" ? cake::CakeExec::kSerial
+                                          : cake::CakeExec::kPipelined;
+    }
     cake::CakeGemmT<T> cake_gemm(pool, copts);
-    cake::GotoGemmT<T> goto_gemm(pool, gopts);
     auto multiply = [&]() {
-        if (is_goto) {
-            goto_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
-                               s.m, s.n, s.k);
-        } else {
-            cake_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
-                               s.m, s.n, s.k);
-        }
+        cake_gemm.multiply(a.data(), s.k, b.data(), s.n, out.data(), s.n,
+                           s.m, s.n, s.k);
     };
 
     // Warm-up untraced: spins up the pool, faults in the matrices and
@@ -200,41 +197,31 @@ int run(const Options& opt)
     std::cout << "--- metrics ---\n";
     cake::obs::metrics_table(snapshots).print(std::cout);
 
-    // Trace <-> stats cross-check. The pipelined executor's CakeStats
-    // phase seconds are aggregate per-worker busy time / p, and the spans
-    // wrap the same work-item windows, so the two must agree closely.
-    // The serial executor's stats are wall-phase times (p workers run
-    // concurrently inside each phase), so spans/p only match when worker
-    // busy time is balanced; GOTO stats likewise. Printed for every
-    // executor; enforced for the pipelined one.
+    // Trace <-> stats cross-check. CakeStats phase seconds are aggregate
+    // per-worker busy time / p, with overlap on or off and on every plan,
+    // and the spans wrap the same work-item windows, so the two must agree
+    // closely.
+    const cake::CakeStats& st = cake_gemm.stats();
+    const int workers = std::max(p, 1);
+    const PhaseAgreement rows[] = {
+        {"pack", st.pack_seconds,
+         report.phase_total_s(cake::obs::Phase::kPack) / workers},
+        {"compute", st.compute_seconds,
+         report.phase_total_s(cake::obs::Phase::kCompute) / workers},
+    };
     bool agree = true;
-    if (!is_goto) {
-        const cake::CakeStats& st = cake_gemm.stats();
-        const int workers = std::max(p, 1);
-        const PhaseAgreement rows[] = {
-            {"pack", st.pack_seconds,
-             report.phase_total_s(cake::obs::Phase::kPack) / workers},
-            {"compute", st.compute_seconds,
-             report.phase_total_s(cake::obs::Phase::kCompute) / workers},
-        };
-        cake::Table cmp({"phase", "stats_s", "trace_s/p", "rel_err"});
-        for (const PhaseAgreement& row : rows) {
-            cmp.add_row({row.phase, cake::format_number(row.stats_s, 6),
-                         cake::format_number(row.trace_s, 6),
-                         cake::format_number(row.rel_err(), 4)});
-            if (opt.exec == "pipelined" && row.stats_s > 1e-4
-                && row.rel_err() > 0.05) {
-                agree = false;
-            }
-        }
-        std::cout << "\n--- CakeStats agreement (spans/p vs stats) ---\n";
-        cmp.print(std::cout);
-        if (opt.exec == "pipelined") {
-            std::cout << (agree ? "agreement: OK (<= 5% on phases > 0.1 ms)"
-                                : "agreement: MISMATCH (> 5%)")
-                      << "\n";
-        }
+    cake::Table cmp({"phase", "stats_s", "trace_s/p", "rel_err"});
+    for (const PhaseAgreement& row : rows) {
+        cmp.add_row({row.phase, cake::format_number(row.stats_s, 6),
+                     cake::format_number(row.trace_s, 6),
+                     cake::format_number(row.rel_err(), 4)});
+        if (row.stats_s > 1e-4 && row.rel_err() > 0.05) agree = false;
     }
+    std::cout << "\n--- CakeStats agreement (spans/p vs stats) ---\n";
+    cmp.print(std::cout);
+    std::cout << (agree ? "agreement: OK (<= 5% on phases > 0.1 ms)"
+                        : "agreement: MISMATCH (> 5%)")
+              << "\n";
 
     // Export: build the JSON once, validate it, then write it out.
     std::ostringstream json;

@@ -1,7 +1,8 @@
 // cake_verify: schedule-IR extraction + symbolic dataflow verification.
 //
-// Extracts the declarative schedule IR of a CAKE (serial or pipelined) or
-// GOTO multiply — a dry run, no arithmetic — and statically proves exact
+// Extracts the declarative schedule IR of a CAKE multiply (overlap off or
+// on, any schedule kind, or the GOTO plan) — a dry run, no arithmetic —
+// and statically proves exact
 // cover, race freedom, double-buffer lifetime safety and the paper's Eq.-2
 // IO accounting, cross-checking the byte totals against the src/memsim
 // address stream. Exit code 0 iff every verified plan is clean; each
@@ -10,6 +11,7 @@
 // Usage:
 //   cake_verify --machine intel --shape 2000x2000x2000 --exec pipelined
 //   cake_verify --kind ninner --exec serial --f64
+//   cake_verify --exec goto   (the GOTO plan: GOTO blocking, kGoto, serial)
 //   cake_verify --sweep       (Table-2 presets x kinds x executors)
 //   cake_verify --mutations   (every corruption rejected with its code)
 //
@@ -35,7 +37,6 @@
 // binary.
 //   cake_verify --kernels [--sweep]      (all registered kernels)
 //   cake_verify --kernels --mutations    (kernel-IR corruptions rejected)
-#include <algorithm>
 #include <cstdio>
 #include <initializer_list>
 #include <iostream>
@@ -74,6 +75,7 @@ struct Options {
     std::optional<index_t> mc;
     cake::ScheduleKind kind = cake::ScheduleKind::kKFirstSerpentine;
     Exec exec = Exec::kPipelined;
+    bool goto_plan = false;  // --exec goto: GOTO's blocking, kGoto, serial
     bool memsim = false;
     bool sweep = false;
     bool mutations = false;
@@ -87,7 +89,7 @@ constexpr const char* kUsage =
     "usage: cake_verify [--machine intel|amd|arm|host] [--p N]\n"
     "                   [--mr N] [--nr N] [--shape MxNxK] [--f64]\n"
     "                   [--mc N]\n"
-    "                   [--kind serpentine|noflip|ninner|hilbert|morton]\n"
+    "                   [--kind serpentine|noflip|ninner|hilbert|morton|goto]\n"
     "                   [--exec serial|pipelined|goto] [--memsim]\n"
     "                   [--sweep] [--mutations]\n"
     "                   [--numerics [--dtype f32|f64|f16|bf16|i8]]\n"
@@ -134,7 +136,7 @@ Options parse_args(const cake::cli::Args& cli)
             } else if (v == "pipelined") {
                 opt.exec = Exec::kPipelined;
             } else if (v == "goto") {
-                opt.exec = Exec::kGoto;
+                opt.goto_plan = true;
             } else {
                 cli.error("unknown --exec '" + v + "'");
             }
@@ -161,24 +163,38 @@ Options parse_args(const cake::cli::Args& cli)
             cli.error("unknown argument '" + arg + "'");
         }
     }
+    if (opt.goto_plan) {
+        opt.kind = cake::ScheduleKind::kGoto;
+        opt.exec = Exec::kSerial;
+    }
     return opt;
 }
 
-/// "<machine>  <dtype>  MxNxK  [<kind>  ]<exec>": the kind is omitted for
-/// GOTO, which has no CB-block order.
+/// "<machine>  <dtype>  MxNxK  <kind>  <exec>", or "... goto-plan" for
+/// the GOTO plan (GOTO's own blocking rather than the solved CB block).
 std::string plan_label(const std::string& machine, const DtypeDesc& dtype,
                        const cake::GemmShape& shape, cake::ScheduleKind kind,
-                       Exec exec)
+                       Exec exec, bool goto_plan = false)
 {
     std::string label = machine;
     label += std::string("  ") + dtype.name + "  ";
     label += std::to_string(shape.m) + "x" + std::to_string(shape.n) + "x"
         + std::to_string(shape.k);
-    if (exec != Exec::kGoto) {
-        label += std::string("  ") + cake::schedule_kind_name(kind);
-    }
+    if (goto_plan) return label + "  goto-plan";
+    label += std::string("  ") + cake::schedule_kind_name(kind);
     label += std::string("  ") + cake::schedir::exec_name(exec);
     return label;
+}
+
+/// The IR of the GOTO plan on `machine`: GOTO's blocking
+/// (goto_plan_params), the kGoto order, overlap off.
+ScheduleIR goto_plan_ir(const cake::MachineSpec& machine, int p, index_t mr,
+                        index_t nr, const cake::GemmShape& shape,
+                        index_t elem_bytes)
+{
+    return cake::schedir::extract_cake_ir(
+        shape, cake::goto_plan_params(machine, p, mr, nr, elem_bytes),
+        cake::ScheduleKind::kGoto, Exec::kSerial);
 }
 
 // --- Per-IR checks: one PASS/FAIL line plus the coded issues -------------
@@ -263,40 +279,51 @@ using CheckFn = bool (*)(const std::string& label, const ScheduleIR& ir,
                          const DtypeDesc& dtype, bool with_memsim);
 
 /// One IR-level verification pass: its per-IR check, its mutation gate
-/// and the three facts that shape its sweep.
+/// and the two facts that shape its sweep.
 struct Pass {
     CheckFn check;
     bool (*mutations)();
-    /// Precisions the sweep covers on both CAKE executors ...
+    /// Precisions the sweep covers, on every plan.
     std::vector<const DtypeDesc*> dtypes;
-    /// ... and those that also get a GOTO plan (empty: CAKE-only pass).
-    std::vector<const DtypeDesc*> goto_dtypes;
     /// Chain to the memsim address stream on the shallow-K f32 cells (the
-    /// CAKE serial plan and GOTO), where the full replay is cheap.
+    /// serial plans and the GOTO plan), where the full replay is cheap.
     bool memsim = false;
 };
 
 // --- Mutation gates --------------------------------------------------------
 
-/// Small multi-column grid (forced mc) so every mutation has a site:
-/// several C columns (write-back turnovers), several bands per step,
-/// kb >= 2 (double-buffer handoffs) and p workers.
-ScheduleIR mutation_subject(Exec exec)
+/// The plans the mutation gates corrupt: the serpentine CB-block plan with
+/// overlap off and on, and the GOTO plan.
+enum class Subject { kSerial, kPipelined, kGoto };
+
+const char* subject_name(Subject subject)
+{
+    switch (subject) {
+    case Subject::kSerial: return "serial";
+    case Subject::kPipelined: return "pipelined";
+    case Subject::kGoto: return "goto-plan";
+    }
+    return "?";
+}
+
+/// Small multi-column grid (forced mc; four workers for the GOTO plan) so
+/// every mutation has a site: several C columns (write-back turnovers),
+/// several bands per step, kb >= 2 (double-buffer handoffs) and p
+/// workers.
+ScheduleIR mutation_subject(Subject subject)
 {
     const cake::MachineSpec machine = cake::intel_i9_10900k();
     cake::TilingOptions topts;
     topts.mc = 48;
     const cake::GemmShape shape{1000, 1000, 200};
-    if (exec == Exec::kGoto) {
-        return cake::schedir::extract_goto_ir(
-            shape, goto_default_blocking(machine, 6, 16), machine.cores, 6,
-            16);
+    if (subject == Subject::kGoto) {
+        return goto_plan_ir(machine, 4, 6, 16, shape, 4);
     }
     const cake::CbBlockParams params =
         cake::compute_cb_block(machine, machine.cores, 6, 16, topts);
-    return cake::schedir::extract_cake_ir(shape, params,
-                                          cake::ScheduleKind::kKFirstSerpentine,
-                                          exec);
+    return cake::schedir::extract_cake_ir(
+        shape, params, cake::ScheduleKind::kKFirstSerpentine,
+        subject == Subject::kSerial ? Exec::kSerial : Exec::kPipelined);
 }
 
 /// Corrupt `ir` with `mutate` (which returns the code it plants), re-check
@@ -319,29 +346,29 @@ bool check_mutation(const std::string& subject, const char* mutation, Ir ir,
     return rejected;
 }
 
-/// The uncorrupted subject IRs of `execs` must check clean under `check`.
-bool clean_subjects(CheckFn check, std::initializer_list<Exec> execs)
+/// The uncorrupted subject IRs must check clean under `check`.
+bool clean_subjects(CheckFn check, std::initializer_list<Subject> subjects)
 {
     bool all_ok = true;
-    for (const Exec exec : execs) {
-        all_ok &= check(std::string("clean ") + cake::schedir::exec_name(exec),
-                        mutation_subject(exec), cake::dtype_f32(), false);
+    for (const Subject subject : subjects) {
+        all_ok &= check(std::string("clean ") + subject_name(subject),
+                        mutation_subject(subject), cake::dtype_f32(), false);
     }
     return all_ok;
 }
 
 /// Every dataflow mutation applied to a fresh pipelined IR (plus the
-/// exec-agnostic ones to serial and GOTO IRs), each rejected with its
-/// specific code.
+/// exec-agnostic ones to the serial and GOTO plans), each rejected with
+/// its specific code.
 bool dataflow_mutations()
 {
     using cake::schedir::Mutation;
     bool all_ok = clean_subjects(
-        verify_one, {Exec::kSerial, Exec::kPipelined, Exec::kGoto});
-    auto check = [](Exec exec, Mutation m) {
+        verify_one, {Subject::kSerial, Subject::kPipelined, Subject::kGoto});
+    auto check = [](Subject subject, Mutation m) {
         return check_mutation(
-            cake::schedir::exec_name(exec), cake::schedir::mutation_name(m),
-            mutation_subject(exec),
+            subject_name(subject), cake::schedir::mutation_name(m),
+            mutation_subject(subject),
             [m](ScheduleIR& ir) {
                 return cake::schedir::apply_mutation(ir, m);
             },
@@ -351,27 +378,26 @@ bool dataflow_mutations()
          {Mutation::kDropOp, Mutation::kDupOp, Mutation::kReorderAccum,
           Mutation::kOverlapBands, Mutation::kSplitWriteback,
           Mutation::kShrinkGeneration, Mutation::kDropFlush}) {
-        all_ok &= check(Exec::kPipelined, m);
+        all_ok &= check(Subject::kPipelined, m);
     }
     for (const Mutation m : {Mutation::kDropOp, Mutation::kDupOp}) {
-        all_ok &= check(Exec::kSerial, m);
-        all_ok &= check(Exec::kGoto, m);
+        all_ok &= check(Subject::kSerial, m);
+        all_ok &= check(Subject::kGoto, m);
     }
     return all_ok;
 }
 
 /// Every numerics corruption rejected with its specific code on every
-/// executor that has a site for it.
+/// subject plan.
 bool numerics_mutations()
 {
     using cake::numerics::NumMutation;
     bool all_ok = clean_subjects(
-        numerics_one, {Exec::kSerial, Exec::kPipelined, Exec::kGoto});
-    auto check = [](Exec exec, NumMutation m) {
+        numerics_one, {Subject::kSerial, Subject::kPipelined, Subject::kGoto});
+    auto check = [](Subject subject, NumMutation m) {
         return check_mutation(
-            cake::schedir::exec_name(exec),
-            cake::numerics::num_mutation_name(m),
-            mutation_subject(exec),
+            subject_name(subject), cake::numerics::num_mutation_name(m),
+            mutation_subject(subject),
             [m](ScheduleIR& ir) {
                 return cake::numerics::apply_numerics_mutation(ir, m);
             },
@@ -379,32 +405,32 @@ bool numerics_mutations()
                 return cake::numerics::verify_numerics(ir, cake::dtype_f32());
             });
     };
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined, Exec::kGoto}) {
-        all_ok &= check(exec, NumMutation::kDeepenAccum);
-        all_ok &= check(exec, NumMutation::kLyingDtype);
-    }
-    // Generation turnover only exists on the CAKE executors (GOTO streams
-    // C straight to the user surface — apply_numerics_mutation throws).
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
-        all_ok &= check(exec, NumMutation::kDropTurnover);
+    for (const Subject subject :
+         {Subject::kSerial, Subject::kPipelined, Subject::kGoto}) {
+        for (const NumMutation m :
+             {NumMutation::kDeepenAccum, NumMutation::kLyingDtype,
+              NumMutation::kDropTurnover}) {
+            all_ok &= check(subject, m);
+        }
     }
     return all_ok;
 }
 
-/// Every locality corruption rejected with its specific code on both CAKE
-/// executors (the analyzer is CAKE-only; GOTO has no block order).
+/// Every locality corruption rejected with its specific code on every
+/// subject plan.
 bool locality_mutations()
 {
     using cake::locality::LocMutation;
-    bool all_ok =
-        clean_subjects(locality_one, {Exec::kSerial, Exec::kPipelined});
-    for (const Exec exec : {Exec::kSerial, Exec::kPipelined}) {
+    bool all_ok = clean_subjects(
+        locality_one, {Subject::kSerial, Subject::kPipelined, Subject::kGoto});
+    for (const Subject subject :
+         {Subject::kSerial, Subject::kPipelined, Subject::kGoto}) {
         for (const LocMutation m :
              {LocMutation::kTwistOrder, LocMutation::kSkewFetch,
               LocMutation::kPhantomFetch, LocMutation::kInflateFlush}) {
             all_ok &= check_mutation(
-                cake::schedir::exec_name(exec),
-                cake::locality::loc_mutation_name(m), mutation_subject(exec),
+                subject_name(subject), cake::locality::loc_mutation_name(m),
+                mutation_subject(subject),
                 [m](ScheduleIR& ir) {
                     return cake::locality::apply_locality_mutation(ir, m);
                 },
@@ -420,30 +446,28 @@ bool locality_mutations()
 Pass dataflow_pass()
 {
     return {verify_one, dataflow_mutations,
-            {&cake::dtype_f32(), &cake::dtype_f64()},
-            // the GOTO trace layer is f32-fixed
-            {&cake::dtype_f32()},
-            true};
+            {&cake::dtype_f32(), &cake::dtype_f64()}, true};
 }
 
 Pass numerics_pass()
 {
-    const std::vector<const DtypeDesc*> all = {
-        &cake::dtype_f32(), &cake::dtype_f64(), &cake::dtype_i8()};
-    return {numerics_one, numerics_mutations, all, all, false};
+    return {numerics_one,
+            numerics_mutations,
+            {&cake::dtype_f32(), &cake::dtype_f64(), &cake::dtype_i8()},
+            false};
 }
 
 Pass locality_pass()
 {
     return {locality_one, locality_mutations,
-            {&cake::dtype_f32(), &cake::dtype_f64()}, {}, true};
+            {&cake::dtype_f32(), &cake::dtype_f64()}, true};
 }
 
 // --- Sweep and single-plan mode ---------------------------------------------
 
 /// Every Table-2 preset x the pass's precisions x the sweep corpus x every
-/// registered schedule kind x both CAKE executors, plus one GOTO plan per
-/// shape for the precisions the pass runs GOTO on.
+/// registered schedule kind x overlap off and on, plus the GOTO plan per
+/// shape.
 bool run_sweep(const Pass& pass)
 {
     const std::vector<cake::ScheduleKind>& kinds = cake::all_schedule_kinds();
@@ -456,10 +480,6 @@ bool run_sweep(const Pass& pass)
             const index_t nr = cake::cli::sweep_nr(dtype->elem_bytes);
             const cake::CbBlockParams params = cake::compute_cb_block(
                 machine, machine.cores, mr, nr, topts);
-            const bool with_goto =
-                std::find(pass.goto_dtypes.begin(), pass.goto_dtypes.end(),
-                          dtype)
-                != pass.goto_dtypes.end();
             for (const cake::GemmShape& shape : cake::cli::kSweepShapes) {
                 const bool memsim_here = pass.memsim
                     && dtype == &cake::dtype_f32() && shape.k == 96;
@@ -476,16 +496,13 @@ bool run_sweep(const Pass& pass)
                             *dtype, memsim_here && exec == Exec::kSerial);
                     }
                 }
-                if (with_goto) {
-                    all_ok &= pass.check(
-                        plan_label(machine.name, *dtype, shape, kinds[0],
-                                   Exec::kGoto),
-                        cake::schedir::extract_goto_ir(
-                            shape, goto_default_blocking(machine, mr, nr),
-                            machine.cores, mr, nr, /*accumulate=*/false,
-                            dtype->elem_bytes),
-                        *dtype, memsim_here);
-                }
+                all_ok &= pass.check(
+                    plan_label(machine.name, *dtype, shape,
+                               cake::ScheduleKind::kGoto, Exec::kSerial,
+                               /*goto_plan=*/true),
+                    goto_plan_ir(machine, machine.cores, mr, nr, shape,
+                                 dtype->elem_bytes),
+                    *dtype, memsim_here);
             }
         }
     }
@@ -494,21 +511,16 @@ bool run_sweep(const Pass& pass)
 
 /// The one plan the flags select: --dtype (else --f64) picks the
 /// precision, --memsim chains f32 plans to the address stream.
-bool run_single(const Pass& pass, const Options& opt,
-                const cake::cli::Args& cli)
+bool run_single(const Pass& pass, const Options& opt)
 {
-    if (opt.exec == Exec::kGoto && pass.goto_dtypes.empty()) {
-        cli.error("--locality requires a CAKE exec (serial|pipelined)");
-    }
     const cake::MachineSpec machine = cake::machine_by_name(opt.machine);
     const int p = opt.p > 0 ? opt.p : machine.cores;
     const DtypeDesc& dtype = *cake::find_dtype(
         opt.dtype.empty() ? (opt.f64 ? "f64" : "f32") : opt.dtype);
     ScheduleIR ir;
-    if (opt.exec == Exec::kGoto) {
-        ir = cake::schedir::extract_goto_ir(
-            opt.shape, goto_default_blocking(machine, opt.mr, opt.nr), p,
-            opt.mr, opt.nr, /*accumulate=*/false, dtype.elem_bytes);
+    if (opt.goto_plan) {
+        ir = goto_plan_ir(machine, p, opt.mr, opt.nr, opt.shape,
+                          dtype.elem_bytes);
     } else {
         cake::TilingOptions topts;
         topts.elem_bytes = dtype.elem_bytes;
@@ -518,9 +530,10 @@ bool run_single(const Pass& pass, const Options& opt,
         ir = cake::schedir::extract_cake_ir(opt.shape, params, opt.kind,
                                             opt.exec);
     }
-    return pass.check(
-        plan_label(machine.name, dtype, opt.shape, opt.kind, opt.exec), ir,
-        dtype, pass.memsim && opt.memsim && &dtype == &cake::dtype_f32());
+    return pass.check(plan_label(machine.name, dtype, opt.shape, opt.kind,
+                                 opt.exec, opt.goto_plan),
+                      ir, dtype,
+                      pass.memsim && opt.memsim && &dtype == &cake::dtype_f32());
 }
 
 // --- Kernel-IR static verification (--kernels) --------------------------
@@ -615,7 +628,7 @@ int main(int argc, char** argv)
                                              : dataflow_pass();
             ok = opt.sweep        ? run_sweep(pass)
                  : opt.mutations  ? pass.mutations()
-                                  : run_single(pass, opt, cli);
+                                  : run_single(pass, opt);
         }
     } catch (const std::exception& e) {
         std::cerr << "cake_verify: " << e.what() << "\n";
