@@ -19,6 +19,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm_int8.hpp"
+#include "gotoblas/goto_gemm.hpp"
 #include "kernel/registry.hpp"
 #include "threading/thread_pool.hpp"
 
@@ -310,6 +311,48 @@ TEST(RaceCheckExecutor, Int8MultiplyIsRaceCleanInBothOverlapModes)
     }
     EXPECT_EQ(racecheck::race_count(), races_before);
     EXPECT_EQ(c[0], c[1]);
+}
+
+TEST(RaceCheckExecutor, EveryScheduleKindIsRaceCleanInBothOverlapModes)
+{
+    // Every registered kind, GOTO's order included, runs the one executor
+    // race-clean with perturbed claims, and overlap on agrees bit for bit
+    // with overlap off on the same plan. The GOTO plan itself (GOTO's
+    // blocking, overlap off) runs race-clean too.
+    TrapGuard trap;
+    const index_t m = 96, n = 48, k = 48;
+    Rng rng(13);
+    Matrix a(m, k);
+    Matrix b(k, n);
+    a.fill_random(rng);
+    b.fill_random(rng);
+    const std::uint64_t races_before = racecheck::race_count();
+    for (const ScheduleKind kind : all_schedule_kinds()) {
+        Matrix c[2] = {Matrix(m, n), Matrix(m, n)};
+        for (const CakeExec exec : {CakeExec::kSerial, CakeExec::kPipelined}) {
+            CakeOptions options = small_options(exec);
+            options.schedule = kind;
+            schedshake::configure(9, 85);
+            CakeGemm gemm(test_pool(), options);
+            Matrix& out = c[exec == CakeExec::kPipelined];
+            gemm.multiply(a.data(), k, b.data(), n, out.data(), n, m, n, k);
+            schedshake::disable();
+        }
+        EXPECT_EQ(std::memcmp(c[0].data(), c[1].data(),
+                              static_cast<std::size_t>(m) * n
+                                  * sizeof(float)),
+                  0)
+            << schedule_kind_name(kind);
+    }
+    GotoOptions goto_options;
+    goto_options.mc = best_microkernel().mr * 2;
+    goto_options.nc = best_microkernel().nr * 2;
+    schedshake::configure(9, 85);
+    Matrix c(m, n);
+    GotoGemm gemm(test_pool(), goto_options);
+    gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+    schedshake::disable();
+    EXPECT_EQ(racecheck::race_count(), races_before);
 }
 
 #else  // !CAKE_RACECHECK_ENABLED
