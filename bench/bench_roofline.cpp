@@ -23,12 +23,12 @@ namespace {
 using namespace cake;
 
 /// GOTO's whole-problem arithmetic intensity for a large square MM:
-/// flops / DRAM bytes from the traffic walker.
+/// flops / DRAM bytes of the GOTO plan.
 double goto_ai(const MachineSpec& m, index_t size)
 {
-    const GotoBlocking blocking = goto_default_blocking(m, 6, 16);
     const GemmShape shape{size, size, size};
-    const auto traffic = model::goto_traffic(shape, blocking.mc, blocking.nc);
+    const auto traffic = model::cake_traffic(
+        shape, goto_plan_params(m, m.cores, 6, 16), ScheduleKind::kGoto);
     return shape.flops() / static_cast<double>(traffic.total_bytes());
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/verify.hpp"
 #include "common/error.hpp"
 
 namespace cake {
@@ -18,11 +19,6 @@ using schedir::OpKind;
 using schedir::ScheduleIR;
 using schedir::TileOp;
 using schedir::TileSpan;
-
-index_t clip(index_t coord, index_t blk, index_t total)
-{
-    return std::min(blk, total - coord * blk);
-}
 
 /// Surface identity in the combined reference stream: A surfaces are
 /// (m, k), B surfaces (k, n), partial-C surfaces the (m, n) column.
@@ -60,12 +56,6 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
         cf.levels.push_back(std::move(ls));
     }
 
-    // Each surface at its stored width (A and B as stored, C at the
-    // accumulator width).
-    const OperandBytes w = ir.bytes.or_uniform(ir.elem_bytes);
-    const auto ea = static_cast<std::uint64_t>(w.a);
-    const auto eb = static_cast<std::uint64_t>(w.b);
-    const auto ec = static_cast<std::uint64_t>(w.c);
     const auto col_of = [&](const BlockCoord& c) { return c.m * ir.nb + c.n; };
 
     // Byte-weighted LRU stack over the combined surface stream; MRU at
@@ -106,84 +96,43 @@ ClosedForm walk_order(const ScheduleIR& ir, const CacheHierarchy& caches)
         stack.push_back({type, id, bytes});
     };
 
-    // Partial-C eviction state: a column is refetched iff it was flushed
-    // by an earlier column switch (same law check_io_model re-derives).
-    std::vector<char> flushed(static_cast<std::size_t>(ir.mb * ir.nb), 0);
-    bool entered_flushed = false;
-
+    // Fetches and reloads: the closed-form Eq.-2 walk IR_IO_MODEL reads.
+    const schedir::IoModel io = schedir::io_model(ir);
+    cf.predicted = io.predicted;
     for (std::size_t i = 0; i < ir.order.size(); ++i) {
         const BlockCoord& cur = ir.order[i];
-        const SurfaceSharing sh = i == 0
-            ? SurfaceSharing{}
-            : carried_surfaces(ir.schedule, ir.order[i - 1], cur);
-        const auto mi = static_cast<std::uint64_t>(
-            clip(cur.m, ir.params.m_blk, ir.shape.m));
-        const auto ni = static_cast<std::uint64_t>(
-            clip(cur.n, ir.params.n_blk, ir.shape.n));
-        const auto ki = static_cast<std::uint64_t>(
-            clip(cur.k, ir.params.k_blk, ir.shape.k));
-        const std::uint64_t a_bytes = mi * ki * ea;
-        const std::uint64_t b_bytes = ki * ni * eb;
-        const std::uint64_t c_bytes = mi * ni * ec;
+        const schedir::IoModelStep& st = io.steps[i];
 
         Transition tr;
         tr.step = static_cast<index_t>(i);
-        if (sh.a) {
-            tr.shared_bytes += a_bytes;
+        if (st.carried.a) {
+            tr.shared_bytes += st.a_bytes;
         } else {
-            cf.predicted.a_read += a_bytes;
-            tr.predicted_fetch += a_bytes;
+            tr.predicted_fetch += st.a_bytes;
             cf.a_fetch_steps.insert(tr.step);
         }
-        if (sh.b) {
-            tr.shared_bytes += b_bytes;
+        if (st.carried.b) {
+            tr.shared_bytes += st.b_bytes;
         } else {
-            cf.predicted.b_read += b_bytes;
-            tr.predicted_fetch += b_bytes;
+            tr.predicted_fetch += st.b_bytes;
             cf.b_fetch_steps.insert(tr.step);
         }
-        if (sh.c) {
-            tr.shared_bytes += c_bytes;
-        } else {
-            if (i > 0) {
-                const BlockCoord& prev = ir.order[i - 1];
-                const auto pm = static_cast<std::uint64_t>(
-                    clip(prev.m, ir.params.m_blk, ir.shape.m));
-                const auto pn = static_cast<std::uint64_t>(
-                    clip(prev.n, ir.params.n_blk, ir.shape.n));
-                cf.predicted.c_write += pm * pn * ec;
-                if (!entered_flushed && ir.beta_nonzero) {
-                    cf.predicted.c_rmw_read += pm * pn * ec;
-                }
-                flushed[static_cast<std::size_t>(col_of(prev))] = 1;
-            }
-            entered_flushed =
-                flushed[static_cast<std::size_t>(col_of(cur))] != 0;
-            if (entered_flushed) {
-                cf.predicted.c_reload_read += c_bytes;
-                tr.predicted_fetch += c_bytes;
-                cf.reload_steps.insert(tr.step);
-            }
+        if (st.carried.c) {
+            tr.shared_bytes += st.c_bytes;
+        } else if (st.reload) {
+            tr.predicted_fetch += st.c_bytes;
+            cf.reload_steps.insert(tr.step);
         }
-        if (i > 0 && (sh.a || sh.b || sh.c)) ++cf.shared_transitions;
+        if (i > 0 && (st.carried.a || st.carried.b || st.carried.c)) {
+            ++cf.shared_transitions;
+        }
         cf.shared_bytes += tr.shared_bytes;
 
-        touch(kSurfA, cur.m * ir.kb + cur.k, a_bytes);
-        touch(kSurfB, cur.k * ir.nb + cur.n, b_bytes);
-        touch(kSurfC, col_of(cur), c_bytes);
+        touch(kSurfA, cur.m * ir.kb + cur.k, st.a_bytes);
+        touch(kSurfB, cur.k * ir.nb + cur.n, st.b_bytes);
+        touch(kSurfC, col_of(cur), st.c_bytes);
 
         cf.transitions.push_back(tr);
-    }
-    if (!ir.order.empty()) {
-        const BlockCoord& last = ir.order.back();
-        const auto pm = static_cast<std::uint64_t>(
-            clip(last.m, ir.params.m_blk, ir.shape.m));
-        const auto pn = static_cast<std::uint64_t>(
-            clip(last.n, ir.params.n_blk, ir.shape.n));
-        cf.predicted.c_write += pm * pn * ec;
-        if (!entered_flushed && ir.beta_nonzero) {
-            cf.predicted.c_rmw_read += pm * pn * ec;
-        }
     }
     return cf;
 }

@@ -33,9 +33,10 @@
 // Like the rest of cake::schedir this is analysis-only: compiled into the
 // cake_schedir library (tests/tools configurations only) and the release
 // nm gate proves no cake::locality symbol reaches release objects. The
-// release-side schedule decision rule (model::recommend_schedule) keeps
-// its own independent derivation; this analyzer exists to prove that
-// derivation honest.
+// release-side schedule decision rule (model::recommend_schedule) reads
+// build_block_plan; this analyzer's closed form (schedir::io_model, shared
+// with IR_IO_MODEL) is derived independently of that plan, so a clean
+// report proves the plan honest.
 #pragma once
 
 #include <array>

@@ -395,72 +395,19 @@ index_t clip(index_t coord, index_t blk, index_t total)
     return std::min(blk, total - coord * blk);
 }
 
-/// IR_IO_MODEL: re-derive the paper's surface-traffic model (Eq. 2 rules:
-/// fetch a surface iff the schedule does not carry it over; spill partial
-/// C and refetch on revisit) directly from the block order, independently
-/// of build_block_plan, and require byte-exact agreement. Also require the
-/// IR's fetch-event counts to match schedule_traffic's surface counts.
+/// IR_IO_MODEL: require byte-exact agreement between the IR's summed
+/// traffic and the closed-form walk of the block order (io_model), which
+/// is independent of build_block_plan. Also require the IR's fetch-event
+/// counts to match schedule_traffic's surface counts.
 void check_io_model(const ScheduleIR& ir, VerifyReport& report)
 {
     IssueSink sink{report};
     const IoTotals got = io_totals(ir);
-    IoTotals want;
-
-    // Each surface at its stored width (A and B as stored, C at the
-    // accumulator width).
-    const OperandBytes width = ir.bytes.or_uniform(ir.elem_bytes);
-    const auto ea = static_cast<std::uint64_t>(width.a);
-    const auto eb = static_cast<std::uint64_t>(width.b);
-    const auto ec = static_cast<std::uint64_t>(width.c);
-    const auto col_of = [&](const BlockCoord& c) { return c.m * ir.nb + c.n; };
-    std::vector<char> flushed(static_cast<std::size_t>(ir.mb * ir.nb), 0);
-    bool entered_flushed = false;
-    index_t reloads = 0;
-    for (std::size_t i = 0; i < ir.order.size(); ++i) {
-        const BlockCoord& cur = ir.order[i];
-        const SurfaceSharing sh = i == 0
-            ? SurfaceSharing{}
-            : carried_surfaces(ir.schedule, ir.order[i - 1], cur);
-        const auto mi = static_cast<std::uint64_t>(
-            clip(cur.m, ir.params.m_blk, ir.shape.m));
-        const auto ni = static_cast<std::uint64_t>(
-            clip(cur.n, ir.params.n_blk, ir.shape.n));
-        const auto ki = static_cast<std::uint64_t>(
-            clip(cur.k, ir.params.k_blk, ir.shape.k));
-        if (!sh.a) want.a_read += mi * ki * ea;
-        if (!sh.b) want.b_read += ki * ni * eb;
-        if (!sh.c) {
-            if (i > 0) {
-                const BlockCoord& prev = ir.order[i - 1];
-                const auto pm = static_cast<std::uint64_t>(
-                    clip(prev.m, ir.params.m_blk, ir.shape.m));
-                const auto pn = static_cast<std::uint64_t>(
-                    clip(prev.n, ir.params.n_blk, ir.shape.n));
-                want.c_write += pm * pn * ec;
-                if (!entered_flushed && ir.beta_nonzero) {
-                    want.c_rmw_read += pm * pn * ec;
-                }
-                flushed[static_cast<std::size_t>(col_of(prev))] = 1;
-            }
-            entered_flushed =
-                flushed[static_cast<std::size_t>(col_of(cur))] != 0;
-            if (entered_flushed) {
-                want.c_reload_read += mi * ni * ec;
-                ++reloads;
-            }
-        }
-    }
-    if (!ir.order.empty()) {
-        const BlockCoord& last = ir.order.back();
-        const auto pm = static_cast<std::uint64_t>(
-            clip(last.m, ir.params.m_blk, ir.shape.m));
-        const auto pn = static_cast<std::uint64_t>(
-            clip(last.n, ir.params.n_blk, ir.shape.n));
-        want.c_write += pm * pn * ec;
-        if (!entered_flushed && ir.beta_nonzero) {
-            want.c_rmw_read += pm * pn * ec;
-        }
-    }
+    const IoModel model = io_model(ir);
+    const IoTotals& want = model.predicted;
+    const auto reloads = static_cast<index_t>(
+        std::count_if(model.steps.begin(), model.steps.end(),
+                      [](const IoModelStep& st) { return st.reload; }));
 
     // Fetch-EVENT counts against the abstract schedule ranking.
     const ScheduleTraffic traffic = schedule_traffic(ir.schedule, ir.order);
@@ -563,6 +510,58 @@ void check_constbw(const ScheduleIR& ir, VerifyReport& report)
 }
 
 }  // namespace
+
+IoModel io_model(const ScheduleIR& ir)
+{
+    IoModel model;
+    IoTotals& t = model.predicted;
+    // Each surface at its stored width (A and B as stored, C at the
+    // accumulator width).
+    const OperandBytes width = ir.bytes.or_uniform(ir.elem_bytes);
+    const auto col_of = [&](const BlockCoord& c) {
+        return static_cast<std::size_t>(c.m * ir.nb + c.n);
+    };
+    std::vector<char> flushed(static_cast<std::size_t>(ir.mb * ir.nb), 0);
+    bool entered_flushed = false;
+    // A visit writes its column back once when it ends, reading it first
+    // iff it is a first visit under beta != 0 (a revisit's read is its
+    // reload).
+    const auto retire = [&](std::uint64_t c_bytes) {
+        t.c_write += c_bytes;
+        if (!entered_flushed && ir.beta_nonzero) t.c_rmw_read += c_bytes;
+    };
+    model.steps.reserve(ir.order.size());
+    for (std::size_t i = 0; i < ir.order.size(); ++i) {
+        const BlockCoord& cur = ir.order[i];
+        const auto mi = static_cast<std::uint64_t>(
+            clip(cur.m, ir.params.m_blk, ir.shape.m));
+        const auto ni = static_cast<std::uint64_t>(
+            clip(cur.n, ir.params.n_blk, ir.shape.n));
+        const auto ki = static_cast<std::uint64_t>(
+            clip(cur.k, ir.params.k_blk, ir.shape.k));
+        IoModelStep st;
+        st.a_bytes = mi * ki * static_cast<std::uint64_t>(width.a);
+        st.b_bytes = ki * ni * static_cast<std::uint64_t>(width.b);
+        st.c_bytes = mi * ni * static_cast<std::uint64_t>(width.c);
+        if (i > 0) {
+            st.carried = carried_surfaces(ir.schedule, ir.order[i - 1], cur);
+        }
+        if (!st.carried.a) t.a_read += st.a_bytes;
+        if (!st.carried.b) t.b_read += st.b_bytes;
+        if (!st.carried.c) {
+            if (i > 0) {
+                retire(model.steps.back().c_bytes);
+                flushed[col_of(ir.order[i - 1])] = 1;
+            }
+            entered_flushed = flushed[col_of(cur)] != 0;
+            st.reload = entered_flushed;
+            if (st.reload) t.c_reload_read += st.c_bytes;
+        }
+        model.steps.push_back(st);
+    }
+    if (!model.steps.empty()) retire(model.steps.back().c_bytes);
+    return model;
+}
 
 VerifyReport verify_schedule_ir(const ScheduleIR& ir)
 {

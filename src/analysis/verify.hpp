@@ -30,6 +30,7 @@
 //                  address stream for the same plan (cross_check_memsim)
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,29 @@
 
 namespace cake {
 namespace schedir {
+
+/// One schedule step of the closed-form traffic walk.
+struct IoModelStep {
+    SurfaceSharing carried;  ///< what the kind carries over from step - 1
+    std::uint64_t a_bytes = 0;  ///< the step's A surface, stored width
+    std::uint64_t b_bytes = 0;  ///< the step's B surface, stored width
+    std::uint64_t c_bytes = 0;  ///< the step's C surface, accumulator width
+    /// The step opens a visit of a column an earlier visit retired: its
+    /// partial C is refetched.
+    bool reload = false;
+};
+
+/// The paper's surface-traffic model (Eq. 2: fetch a surface iff the
+/// schedule does not carry it over; spill partial C at a column switch
+/// and refetch it on a revisit), walked over ir.order with the kind's
+/// carry-over rule, edge blocks clipped — independently of
+/// build_block_plan. IR_IO_MODEL and the locality analyzer's laws both
+/// read this one walk.
+struct IoModel {
+    IoTotals predicted;
+    std::vector<IoModelStep> steps;  ///< one per ir.order entry
+};
+IoModel io_model(const ScheduleIR& ir);
 
 /// Violated obligations: each issue's message names the ops, buffers and
 /// byte counts involved.

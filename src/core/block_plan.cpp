@@ -99,6 +99,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             // Revisiting a retired column: its partial sum comes back from
             // external memory, once (N-innermost and GOTO only).
             stats.dram_read_bytes += c_bytes;
+            stats.c_read_bytes += c_bytes;
         }
         ++k_done[slot];
         ++stats.blocks_executed;
@@ -115,8 +116,12 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         // A first visit applies the caller's beta: a read-back iff beta
         // != 0. A revisit's one read-back is its reload above: the kernel
         // accumulates in place, so C is read once per visit.
-        if (!st.revisit && in.beta_nonzero) stats.dram_read_bytes += c_bytes;
-        if (k_done[slot] < in.kb) ++stats.c_partial_spills;
+        if (!st.revisit && in.beta_nonzero) {
+            stats.dram_read_bytes += c_bytes;
+            stats.c_read_bytes += c_bytes;
+        }
+        st.c_partial = k_done[slot] < in.kb;
+        if (st.c_partial) ++stats.c_partial_spills;
     }
     return plan;
 }

@@ -53,6 +53,9 @@ struct BlockStep {
     /// The column's visit ends with this step: the modelled traffic
     /// counts its write-back to external memory here.
     bool c_last = false;
+    /// c_last before the column's last K block: the write-back is a
+    /// partial spill, not the finished result.
+    bool c_partial = false;
 };
 
 /// Stored width in bytes of each operand surface. The modelled traffic
@@ -82,6 +85,14 @@ struct BlockPlanStats {
     index_t c_partial_spills = 0;  ///< retirements before the last K block
     std::uint64_t dram_read_bytes = 0;
     std::uint64_t dram_write_bytes = 0;
+    /// The user-C share of dram_read_bytes: revisit reloads and first-visit
+    /// beta != 0 read-backs. Each is half of a read-modify-write round trip.
+    std::uint64_t c_read_bytes = 0;
+
+    [[nodiscard]] std::uint64_t total_bytes() const
+    {
+        return dram_read_bytes + dram_write_bytes;
+    }
 };
 
 /// The resolved plan for one multiply. The last step always has c_last

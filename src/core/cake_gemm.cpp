@@ -558,13 +558,15 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     stats_.dram_read_bytes = plan.stats.dram_read_bytes;
     stats_.dram_write_bytes = plan.stats.dram_write_bytes;
 
+    // Pack buffers hold the largest block of this call, not of the plan:
+    // a block never spans more than the call's m rows or n columns.
     const index_t depth = detail::packed_depth<T>(params.k_blk);
     pack_a_[0].ensure(static_cast<std::size_t>(
-        round_up(params.m_blk, kernel_.mr) * depth));
+        round_up(std::min(params.m_blk, m), kernel_.mr) * depth));
     if (call.overlap) pack_a_[1].ensure(pack_a_[0].size());
     if (prepacked == nullptr) {
         pack_b_[0].ensure(static_cast<std::size_t>(
-            depth * round_up(params.n_blk, kernel_.nr)));
+            depth * round_up(std::min(params.n_blk, n), kernel_.nr)));
         if (call.overlap) pack_b_[1].ensure(pack_b_[0].size());
     }
 

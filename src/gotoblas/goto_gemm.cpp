@@ -12,7 +12,7 @@ namespace {
 /// Square mc = kc from the deepest private cache, exactly as the CAKE
 /// solver does (§4.4: both algorithms reuse square A sub-blocks in L2).
 index_t square_l2_block(const MachineSpec& machine, index_t mr,
-                        double fraction)
+                        double fraction, index_t elem_bytes)
 {
     // Deepest private level below the LLC (same rule as the CAKE solver).
     const auto& levels = machine.caches.levels;
@@ -21,25 +21,27 @@ index_t square_l2_block(const MachineSpec& machine, index_t mr,
         if (levels[i].shared_by_cores == 1) priv = &levels[i];
     }
     const CacheLevel& l2 = priv != nullptr ? *priv : levels.front();
-    const double budget_floats =
-        fraction * static_cast<double>(l2.size_bytes) / sizeof(float);
-    auto mc = static_cast<index_t>(std::sqrt(std::max(budget_floats, 1.0)));
+    const double budget_elems = fraction
+        * static_cast<double>(l2.size_bytes)
+        / static_cast<double>(elem_bytes);
+    auto mc = static_cast<index_t>(std::sqrt(std::max(budget_elems, 1.0)));
     return std::max<index_t>(mc / mr * mr, mr);
 }
 
 }  // namespace
 
 GotoBlocking goto_default_blocking(const MachineSpec& machine, index_t mr,
-                                   index_t nr)
+                                   index_t nr, index_t elem_bytes)
 {
+    CAKE_CHECK(elem_bytes >= 1);
     GotoBlocking blocking;
-    blocking.mc = square_l2_block(machine, mr, /*fraction=*/0.5);
+    blocking.mc = square_l2_block(machine, mr, /*fraction=*/0.5, elem_bytes);
     blocking.kc = blocking.mc;
     // GOTO fills the LLC with the kc x nc B panel (§4.4).
-    const double llc_floats =
-        0.9 * static_cast<double>(machine.llc_bytes()) / sizeof(float);
+    const double llc_elems = 0.9 * static_cast<double>(machine.llc_bytes())
+        / static_cast<double>(elem_bytes);
     blocking.nc = static_cast<index_t>(
-        llc_floats / static_cast<double>(blocking.kc));
+        llc_elems / static_cast<double>(blocking.kc));
     blocking.nc = std::max<index_t>(blocking.nc / nr * nr, nr);
     return blocking;
 }
@@ -47,7 +49,8 @@ GotoBlocking goto_default_blocking(const MachineSpec& machine, index_t mr,
 CbBlockParams goto_plan_params(const MachineSpec& machine, int p, index_t mr,
                                index_t nr, index_t elem_bytes)
 {
-    const GotoBlocking blocking = goto_default_blocking(machine, mr, nr);
+    const GotoBlocking blocking =
+        goto_default_blocking(machine, mr, nr, elem_bytes);
     TilingOptions topts;
     topts.mc = blocking.mc;
     topts.kc = blocking.kc;
@@ -64,8 +67,8 @@ CakeOptions goto_cake_options(const GotoOptions& options)
         : best_microkernel_of<T>();
     CakeOptions cake;
     cake.machine = options.machine ? *options.machine : host_machine();
-    const GotoBlocking defaults =
-        goto_default_blocking(*cake.machine, kernel.mr, kernel.nr);
+    const GotoBlocking defaults = goto_default_blocking(
+        *cake.machine, kernel.mr, kernel.nr, static_cast<index_t>(sizeof(T)));
     cake.p = options.p;
     cake.mc = options.mc.value_or(defaults.mc);
     cake.kc = cake.mc;

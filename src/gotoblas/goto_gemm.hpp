@@ -37,9 +37,10 @@ struct GotoBlocking {
     index_t nc = 0;
 };
 
-/// Default GOTO blocking for `machine` and an mr x nr micro-kernel.
+/// Default GOTO blocking for `machine`, an mr x nr micro-kernel and
+/// `elem_bytes`-wide elements (4 = f32, 8 = f64).
 GotoBlocking goto_default_blocking(const MachineSpec& machine, index_t mr,
-                                   index_t nr);
+                                   index_t nr, index_t elem_bytes = 4);
 
 /// The CB-block geometry of the default GOTO plan on `machine`: blocks of
 /// (p*mc) x kc x nc from goto_default_blocking, for an mr x nr kernel and

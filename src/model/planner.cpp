@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/block_plan.hpp"
+#include "pack/pack.hpp"
 
 namespace cake {
 namespace model {
@@ -12,34 +13,19 @@ namespace model {
 std::vector<ScheduleTrafficRow> schedule_traffic_table(
     const GemmShape& shape, const CbBlockParams& params)
 {
-    // Grid extents: same ceil-divide as the executors and fperror.
-    const auto grid = [](index_t extent, index_t blk) {
-        if (blk < 1) return index_t{1};
-        const index_t b = (extent + blk - 1) / blk;
-        return b < 1 ? index_t{1} : b;
-    };
-    BlockPlanInputs in;
-    in.params = params;
-    in.m = shape.m;
-    in.n = shape.n;
-    in.k = shape.k;
-    in.ldc = shape.n;
-    in.nb = grid(shape.n, params.n_blk);
-    in.kb = grid(shape.k, params.k_blk);
-    const index_t mb = grid(shape.m, params.m_blk);
-
     std::vector<ScheduleTrafficRow> rows;
     rows.reserve(all_schedule_kinds().size());
     for (const ScheduleKind kind : all_schedule_kinds()) {
-        const auto order = build_schedule(kind, mb, in.nb, in.kb,
-                                          /*n_outermost=*/shape.n >= shape.m);
+        const BlockPlanInputs in = plan_inputs(shape, params, kind);
+        const auto order =
+            build_schedule(kind, ceil_div(shape.m, params.m_blk), in.nb,
+                           in.kb, /*n_outermost=*/shape.n >= shape.m);
         // build_block_plan is the executors' own accounting — the ranking
         // ranks exactly the traffic the runtime would incur.
         const BlockPlan plan = build_block_plan(order, in);
         ScheduleTrafficRow row;
         row.schedule = kind;
-        row.dram_bytes =
-            plan.stats.dram_read_bytes + plan.stats.dram_write_bytes;
+        row.dram_bytes = plan.stats.total_bytes();
         row.shared_steps = count_shared_steps(order);
         row.c_spills = plan.stats.c_partial_spills;
         rows.push_back(row);

@@ -58,9 +58,9 @@ CakePlan recommend_tuned_plan(const MachineSpec& machine,
 
 /// Closed-form DRAM traffic of one schedule kind at a solved geometry:
 /// the Eq. 2 fetch/spill walk of build_block_plan, byte-weighted with
-/// edge-block clipping and beta = 0 — the same totals the schedule IR's
-/// IR_IO_MODEL rewalk and the locality analyzer's LOC_TRAFFIC prediction
-/// pin byte-exactly (src/analysis/locality.hpp).
+/// edge-block clipping and beta = 0 — the same totals the verifiers'
+/// independent closed form (schedir::io_model, read by IR_IO_MODEL and
+/// LOC_TRAFFIC) pins byte-exactly (src/analysis/verify.hpp).
 struct ScheduleTrafficRow {
     ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;
     std::uint64_t dram_bytes = 0;  ///< external reads + writes

@@ -5,13 +5,15 @@
 // The prediction takes the three resource limits the paper analyses —
 // compute throughput, external (DRAM) bandwidth, and internal (LLC<->core)
 // bandwidth — computes the time each would impose, and takes the maximum
-// (block IO overlaps compute by CB-block construction, §2.1).
+// (block IO overlaps compute by CB-block construction, §2.1). Every byte
+// count reads build_block_plan, the plan the executor runs.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "common/types.hpp"
+#include "core/block_plan.hpp"
 #include "core/schedule.hpp"
 #include "core/tiling.hpp"
 #include "machine/machine.hpp"
@@ -19,35 +21,36 @@
 namespace cake {
 namespace model {
 
-/// External-memory traffic of a full CAKE run, from walking the actual
-/// block schedule with surface sharing (mirrors CakeGemm's bookkeeping;
-/// tests assert the two agree exactly).
-struct TrafficSummary {
-    std::uint64_t dram_read_bytes = 0;
-    std::uint64_t dram_write_bytes = 0;
-    /// Subset of the above that is partial-result read-modify-write
-    /// round-trip traffic — charged at MachineSpec::rmw_bw_gbs() because
-    /// RMW streams run latency-bound on some memory systems (§4.1).
-    std::uint64_t c_rmw_bytes = 0;
-    index_t a_packs = 0;
-    index_t b_packs = 0;
-    index_t c_flushes = 0;
-
-    [[nodiscard]] std::uint64_t total_bytes() const
-    {
-        return dram_read_bytes + dram_write_bytes;
-    }
-};
-
-/// Walk the CB-block schedule for `shape` and tally external traffic.
-TrafficSummary cake_traffic(const GemmShape& shape,
+/// Inputs of the block plan the executor builds for `shape` under
+/// `params` and `kind`: operands stored at params.elem_bytes, beta != 0
+/// iff `accumulate`, overlap off (the traffic does not depend on it).
+/// Shared by every consumer of the model's plans.
+BlockPlanInputs plan_inputs(const GemmShape& shape,
                             const CbBlockParams& params,
                             ScheduleKind kind = ScheduleKind::kKFirstSerpentine,
                             bool accumulate = false);
 
-/// Tally GOTO's external traffic for `shape` with panel sizes mc=kc, nc.
-TrafficSummary goto_traffic(const GemmShape& shape, index_t mc, index_t nc,
+/// External-memory traffic of a full run of `kind` (GOTO's too, with its
+/// goto_plan_params geometry): the stats of the plan the executor would
+/// run, all zero for an empty shape.
+BlockPlanStats cake_traffic(const GemmShape& shape,
+                            const CbBlockParams& params,
+                            ScheduleKind kind = ScheduleKind::kKFirstSerpentine,
                             bool accumulate = false);
+
+/// Register-tile shape assumed by the model (the paper's BLIS kernels are
+/// AVX2-class 6x16).
+struct KernelShape {
+    index_t mr = 6;
+    index_t nr = 16;
+};
+
+/// Internal (LLC <-> core) traffic in bytes for a macro-kernel sweep over
+/// an mi x ni x ki block: every micro-kernel call streams a B sliver from
+/// the LLC and reads+writes its C tile there; the A surface crosses once
+/// into the private cache.
+double block_internal_bytes(index_t mi, index_t ni, index_t ki,
+                            const KernelShape& kernel);
 
 /// Performance prediction for one configuration.
 struct Prediction {
@@ -63,19 +66,13 @@ struct Prediction {
     CbBlockParams cake_params;        ///< populated for CAKE predictions
 };
 
-/// Register-tile shape assumed by the model (the paper's BLIS kernels are
-/// AVX2-class 6x16).
-struct KernelShape {
-    index_t mr = 6;
-    index_t nr = 16;
-};
-
 /// Predict a CAKE run of `shape` on `machine` with `p` cores.
 Prediction predict_cake(const MachineSpec& machine, int p,
                         const GemmShape& shape, KernelShape kernel = {},
                         const TilingOptions& topts = {});
 
-/// Predict a GOTO run (the MKL/ARMPL/OpenBLAS stand-in).
+/// Predict a GOTO run (the MKL/ARMPL/OpenBLAS stand-in): the kGoto plan
+/// over goto_plan_params.
 Prediction predict_goto(const MachineSpec& machine, int p,
                         const GemmShape& shape, KernelShape kernel = {});
 

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "core/block_plan.hpp"
 #include "gotoblas/goto_gemm.hpp"
 #include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
@@ -16,8 +17,6 @@
 namespace cake {
 namespace sim {
 namespace {
-
-constexpr double kF = sizeof(float);
 
 index_t block_extent(index_t idx, index_t blk, index_t total)
 {
@@ -38,19 +37,6 @@ double tile_seconds(const MachineSpec& machine, index_t mr, index_t nr,
         * static_cast<double>(ki) / (machine.core_gflops * 1e9);
 }
 
-/// Internal (local memory <-> cores) bytes of a block's macro-kernel sweep.
-double internal_bytes(index_t mi, index_t ni, index_t ki, index_t mr,
-                      index_t nr)
-{
-    const double calls = static_cast<double>(ceil_div(mi, mr))
-        * static_cast<double>(ceil_div(ni, nr));
-    return (calls
-                * (static_cast<double>(ki) * static_cast<double>(nr)
-                   + 2.0 * static_cast<double>(mr) * static_cast<double>(nr))
-            + static_cast<double>(mi) * static_cast<double>(ki))
-        * kF;
-}
-
 /// One pipeline macro-step: the packets to fetch before compute can start,
 /// the compute duration on the core grid, and the packets to drain after.
 struct Step {
@@ -60,94 +46,72 @@ struct Step {
     BlockCoord coord;   ///< grid coordinates (functional mode)
 };
 
+/// The CAKE pipeline is the executor's own plan (build_block_plan over
+/// the layered order): one step per block, fetching what the plan fetches
+/// and draining each column visit where the plan retires it.
 std::vector<Step> build_cake_steps(const SimConfig& config,
                                    const CbBlockParams& params)
 {
     const GemmShape& shape = config.shape;
     const MachineSpec& machine = config.machine;
-    const index_t mb = ceil_div(shape.m, params.m_blk);
-    const index_t nb = ceil_div(shape.n, params.n_blk);
-    const index_t kb = ceil_div(shape.k, params.k_blk);
+    const BlockPlanInputs in =
+        model::plan_inputs(shape, params, config.schedule);
     const auto order = build_layered_schedule(
-        config.schedule, mb, nb, kb, std::max<index_t>(config.k_layers, 1),
+        config.schedule, ceil_div(shape.m, params.m_blk), in.nb, in.kb,
+        std::max<index_t>(config.k_layers, 1),
         /*n_outermost=*/shape.n >= shape.m);
+    const BlockPlan plan = build_block_plan(order, in);
+    const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
 
     std::vector<Step> steps;
-    steps.reserve(order.size());
-    std::vector<char> flushed(static_cast<std::size_t>(mb * nb), 0);
-    std::vector<index_t> k_done(static_cast<std::size_t>(mb * nb), 0);
+    steps.reserve(plan.steps.size());
     std::uint64_t next_id = 0;
-    BlockCoord last{-1, -1, -1};
-    bool have_last = false;
-    index_t cur_mi = 0, cur_ni = 0;
-
-    for (std::size_t idx = 0; idx < order.size(); ++idx) {
-        const BlockCoord& coord = order[idx];
-        const index_t mi = block_extent(coord.m, params.m_blk, shape.m);
-        const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
-        const index_t ki = block_extent(coord.k, params.k_blk, shape.k);
-
+    for (const BlockStep& st : plan.steps) {
+        const auto mi = static_cast<std::uint64_t>(st.mi);
+        const auto ni = static_cast<std::uint64_t>(st.ni);
+        const auto ki = static_cast<std::uint64_t>(st.ki);
         Step step;
-        if (!(have_last && last.m == coord.m && last.k == coord.k)) {
-            step.fetch.push_back({next_id++, PacketKind::kSurfaceA, coord,
-                                  f32_bytes(mi * ki)});
+        step.coord = st.coord;
+        if (st.pack_a) {
+            step.fetch.push_back({next_id++, PacketKind::kSurfaceA, st.coord,
+                                  mi * ki * elem});
         }
-        if (!(have_last && last.k == coord.k && last.n == coord.n)) {
-            step.fetch.push_back({next_id++, PacketKind::kSurfaceB, coord,
-                                  f32_bytes(ki * ni)});
+        if (st.b_fresh) {
+            step.fetch.push_back({next_id++, PacketKind::kSurfaceB, st.coord,
+                                  ki * ni * elem});
         }
-        if (!(have_last && last.m == coord.m && last.n == coord.n)) {
-            if (have_last) {
-                // The departing (m, n) surface drains to DRAM: complete if
-                // its K reduction finished (always true under the K-first
-                // serpentine schedule), partial otherwise — partial spills
-                // are RMW round trips charged at the slower RMW rate.
-                const auto& prev = order[idx - 1];
-                const std::size_t slot =
-                    static_cast<std::size_t>(prev.m * nb + prev.n);
-                const bool complete = k_done[slot] == kb;
-                steps.back().drain.push_back(
-                    {next_id++,
-                     complete ? PacketKind::kResultC : PacketKind::kPartialC,
-                     prev, f32_bytes(cur_mi * cur_ni)});
-                flushed[slot] = 1;
-            }
-            const std::size_t slot =
-                static_cast<std::size_t>(coord.m * nb + coord.n);
-            if (flushed[slot] != 0) {
-                // Revisit of a spilled surface (non-K-first ablation only).
-                step.fetch.push_back(
-                    {next_id++, PacketKind::kPartialC, coord,
-                     f32_bytes(mi * ni)});
-            }
-            cur_mi = mi;
-            cur_ni = ni;
+        if (st.c_change && st.revisit) {
+            // Revisit of a spilled surface (non-K-first ablations, GOTO).
+            step.fetch.push_back({next_id++, PacketKind::kPartialC, st.coord,
+                                  mi * ni * elem});
         }
 
         // Busiest core's row band: mc for full blocks; edge blocks split
         // their rows evenly across cores (mirrors the driver).
         const index_t band = std::min<index_t>(
             params.mc,
-            round_up(ceil_div(mi, static_cast<index_t>(config.p)),
+            round_up(ceil_div(st.mi, static_cast<index_t>(config.p)),
                      params.mr));
         const double core_time = static_cast<double>(ceil_div(band, params.mr))
-            * static_cast<double>(ceil_div(ni, params.nr))
-            * tile_seconds(machine, params.mr, params.nr, ki);
+            * static_cast<double>(ceil_div(st.ni, params.nr))
+            * tile_seconds(machine, params.mr, params.nr, st.ki);
         const double int_time =
-            internal_bytes(mi, ni, ki, params.mr, params.nr)
+            model::block_internal_bytes(st.mi, st.ni, st.ki,
+                                        {params.mr, params.nr})
             / (machine.internal_bw_at(config.p) * 1e9);
         step.compute_seconds = std::max(core_time, int_time);
-        step.coord = coord;
 
+        if (st.c_last) {
+            // The column's visit ends: its surface drains to DRAM,
+            // complete if its K reduction finished (always true under the
+            // K-first serpentine), partial otherwise — partial spills are
+            // RMW round trips charged at the slower RMW rate.
+            step.drain.push_back(
+                {next_id++,
+                 st.c_partial ? PacketKind::kPartialC : PacketKind::kResultC,
+                 st.coord, mi * ni * elem});
+        }
         steps.push_back(std::move(step));
-        ++k_done[static_cast<std::size_t>(coord.m * nb + coord.n)];
-        last = coord;
-        have_last = true;
-    }
-    if (have_last && !steps.empty()) {
-        steps.back().drain.push_back(
-            {next_id++, PacketKind::kResultC, last,
-             f32_bytes(cur_mi * cur_ni)});
     }
     return steps;
 }
@@ -200,8 +164,8 @@ std::vector<Step> build_goto_steps(const SimConfig& config)
                 * tile_seconds(machine, config.kernel.mr, config.kernel.nr,
                                kcur);
             const double int_time =
-                internal_bytes(shape.m, ncur, kcur, config.kernel.mr,
-                               config.kernel.nr)
+                model::block_internal_bytes(shape.m, ncur, kcur,
+                                            config.kernel)
                 / (machine.internal_bw_at(p) * 1e9);
             step.compute_seconds = std::max(core_time, int_time);
             steps.push_back(std::move(step));

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "analysis/verify.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
@@ -45,10 +46,8 @@ TEST_P(FuzzSeedTest, RandomConfigurationMatchesOracle)
     options.p = static_cast<int>(1 + rng.next_below(4));
     options.mc =
         best_microkernel().mr * static_cast<index_t>(1 + rng.next_below(3));
-    const ScheduleKind kinds[] = {ScheduleKind::kKFirstSerpentine,
-                                  ScheduleKind::kKFirstNoFlip,
-                                  ScheduleKind::kNInnermost};
-    options.schedule = kinds[rng.next_below(3)];
+    const std::vector<ScheduleKind>& kinds = all_schedule_kinds();
+    options.schedule = kinds[rng.next_below(kinds.size())];
     const bool use_alpha_override = rng.next_below(2) == 0;
     if (use_alpha_override)
         options.alpha = 1.0 + static_cast<double>(rng.next_below(3));
@@ -59,11 +58,18 @@ TEST_P(FuzzSeedTest, RandomConfigurationMatchesOracle)
         << "m=" << m << " n=" << n << " k=" << k << " p=" << options.p
         << " schedule=" << schedule_kind_name(options.schedule);
 
-    // Driver traffic must equal the model walker bit for bit.
+    // Driver traffic must equal the model's plan bit for bit, and that
+    // plan's IR the closed-form Eq.-2 walk.
     const auto traffic = model::cake_traffic(
         GemmShape{m, n, k}, stats.params, options.schedule);
     EXPECT_EQ(stats.dram_read_bytes, traffic.dram_read_bytes);
     EXPECT_EQ(stats.dram_write_bytes, traffic.dram_write_bytes);
+    const schedir::VerifyReport report =
+        schedir::verify_schedule_ir(schedir::extract_cake_ir(
+            GemmShape{m, n, k}, stats.params, options.schedule,
+            stats.pipelined ? schedir::Exec::kPipelined
+                            : schedir::Exec::kSerial));
+    EXPECT_FALSE(report.has("IR_IO_MODEL")) << report.codes();
 }
 
 TEST_P(FuzzSeedTest, RandomScaledTransposedGemm)

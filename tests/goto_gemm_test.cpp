@@ -1,9 +1,12 @@
 // GOTO baseline correctness and stats tests.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <string>
 #include <tuple>
 
+#include "common/checked.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "gotoblas/goto_gemm.hpp"
@@ -104,6 +107,51 @@ TEST(GotoGemm, DefaultBlockingFitsCaches)
         EXPECT_LE(static_cast<std::size_t>(blocking.kc * blocking.nc)
                       * sizeof(float),
                   m.llc_bytes());
+    }
+}
+
+TEST(GotoGemm, DoubleBlockingFitsTheLlcAtItsWidth)
+{
+    // GotoGemmD sizes its kc x nc B panel for 8-byte elements: it fills
+    // at most the 0.9 LLC share GOTO targets (§4.4).
+    for (const MachineSpec& m : table2_machines()) {
+        GotoOptions options;
+        options.machine = m;
+        GotoGemmD gemm(test_pool(), options);
+        MatrixD a(8, 8);
+        MatrixD b(8, 8);
+        MatrixD c(8, 8);
+        gemm.multiply(a.data(), 8, b.data(), 8, c.data(), 8, 8, 8, 8);
+        const GotoStats& s = gemm.stats();
+        EXPECT_LE(static_cast<double>(s.kc * s.nc) * sizeof(double),
+                  0.9 * static_cast<double>(m.llc_bytes()))
+            << m.name << " kc=" << s.kc << " nc=" << s.nc;
+    }
+}
+
+TEST(GotoGemm, PackBuffersFollowTheCallNotTheBlocking)
+{
+    // A default GOTO context sizes nc to fill the host LLC; an n = 64 call
+    // must still reserve a B panel of 64 columns, not nc. CAKE_CHECKED
+    // builds poison-fill every pack buffer, so there an oversized panel
+    // shows as resident memory (this process's high-water mark, so the
+    // check is sharpest when the test runs alone, as ctest runs it).
+    const auto max_rss_kb = [] {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        return usage.ru_maxrss;
+    };
+    const long before = max_rss_kb();
+    const index_t m = 64, n = 64, k = 64;
+    Matrix a(m, k);
+    Matrix b(k, n);
+    Matrix c(m, n);
+    GotoGemm gemm(test_pool());
+    gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+    const long growth_kb = max_rss_kb() - before;
+    if (CAKE_CHECKED_ENABLED) {
+        EXPECT_LT(growth_kb, 64 * 1024)
+            << "nc=" << gemm.stats().nc << " kc=" << gemm.stats().kc;
     }
 }
 

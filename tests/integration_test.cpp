@@ -3,6 +3,7 @@
 // pipelines (chained GEMMs as in DNN inference).
 #include <gtest/gtest.h>
 
+#include "analysis/verify.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
@@ -54,10 +55,20 @@ TEST(Integration, RandomShapesAllEnginesAgree)
     }
 }
 
+/// The IR of the plan of `kind` over `params` carries exactly the traffic
+/// of the closed-form Eq.-2 walk, which is independent of build_block_plan.
+void expect_io_model_clean(const GemmShape& shape, const CbBlockParams& params,
+                           ScheduleKind kind, schedir::Exec exec)
+{
+    const schedir::VerifyReport report = schedir::verify_schedule_ir(
+        schedir::extract_cake_ir(shape, params, kind, exec));
+    EXPECT_FALSE(report.has("IR_IO_MODEL")) << report.codes();
+}
+
 TEST(Integration, DriverStatsMatchModelTraffic)
 {
-    // The load-bearing equivalence: the model walker used for Fig. 8-12
-    // predictions must tally exactly the traffic the real driver reports.
+    // The model's traffic is the driver's own plan, so the stats must agree
+    // exactly; the IR check ties that plan to the paper's closed form.
     Rng rng(7);
     const GemmShape shape{190, 230, 140};
     Matrix a(shape.m, shape.k);
@@ -80,6 +91,10 @@ TEST(Integration, DriverStatsMatchModelTraffic)
     EXPECT_EQ(stats.a_packs, traffic.a_packs);
     EXPECT_EQ(stats.b_packs, traffic.b_packs);
     EXPECT_EQ(stats.c_flushes, traffic.c_flushes);
+    expect_io_model_clean(shape, stats.params,
+                          ScheduleKind::kKFirstSerpentine,
+                          stats.pipelined ? schedir::Exec::kPipelined
+                                          : schedir::Exec::kSerial);
 }
 
 TEST(Integration, GotoStatsMatchModelTraffic)
@@ -99,9 +114,21 @@ TEST(Integration, GotoStatsMatchModelTraffic)
     goto_sgemm(a.data(), b.data(), c.data(), shape.m, shape.n, shape.k,
                test_pool(), options, &stats);
 
-    const auto traffic = model::goto_traffic(shape, stats.mc, stats.nc);
+    // The GOTO plan's geometry: goto_plan_params with the overrides, on the
+    // whole pool (GotoOptions::p = 0).
+    TilingOptions topts;
+    topts.mc = stats.mc;
+    topts.kc = stats.kc;
+    topts.nc = stats.nc;
+    const CbBlockParams params =
+        compute_cb_block(host_machine(), test_pool().size(),
+                         best_microkernel().mr, best_microkernel().nr, topts);
+    const auto traffic =
+        model::cake_traffic(shape, params, ScheduleKind::kGoto);
     EXPECT_EQ(stats.dram_read_bytes, traffic.dram_read_bytes);
     EXPECT_EQ(stats.dram_write_bytes, traffic.dram_write_bytes);
+    expect_io_model_clean(shape, params, ScheduleKind::kGoto,
+                          schedir::Exec::kSerial);
 }
 
 TEST(Integration, ChainedGemmsMimicDnnInference)

@@ -132,9 +132,22 @@ TEST(Traffic, CakeWritesCExactlyOnce)
 
 TEST(Traffic, GotoCTrafficScalesWithKPasses)
 {
+    // The GOTO plan at p = 1: mc x kc x nc blocks with mc = kc.
+    auto goto_params = [](index_t kc, index_t nc) {
+        CbBlockParams params;
+        params.p = 1;
+        params.mr = 6;
+        params.nr = 16;
+        params.mc = params.kc = kc;
+        params.m_blk = params.k_blk = kc;
+        params.n_blk = nc;
+        return params;
+    };
     const GemmShape shape{512, 512, 512};
-    const auto few = model::goto_traffic(shape, 256, 512);
-    const auto many = model::goto_traffic(shape, 64, 512);
+    const auto few = model::cake_traffic(shape, goto_params(256, 512),
+                                         ScheduleKind::kGoto);
+    const auto many = model::cake_traffic(shape, goto_params(64, 512),
+                                          ScheduleKind::kGoto);
     EXPECT_EQ(few.dram_write_bytes,
               static_cast<std::uint64_t>(512) * 512 * 2 * sizeof(float));
     EXPECT_EQ(many.dram_write_bytes,
@@ -150,8 +163,8 @@ TEST(Traffic, CakeBeatsGotoOnDramBytes)
     const GemmShape shape{4608, 4608, 4608};
     const auto params = compute_cb_block(intel, 10, 6, 16);
     const auto cake = model::cake_traffic(shape, params);
-    const GotoBlocking blocking = goto_default_blocking(intel, 6, 16);
-    const auto gto = model::goto_traffic(shape, blocking.mc, blocking.nc);
+    const auto gto = model::cake_traffic(
+        shape, goto_plan_params(intel, 10, 6, 16), ScheduleKind::kGoto);
     EXPECT_LT(cake.total_bytes(), gto.total_bytes());
 }
 
@@ -194,11 +207,12 @@ TEST(Roofline, Table2OperatingPointsArePinned)
         // bench_roofline's problem size: DRAM-resident on every machine.
         const index_t size = m.dram_gib < 2 ? 3000 : 23040;
         const GemmShape shape{size, size, size};
-        const GotoBlocking blocking = goto_default_blocking(m, 6, 16);
         const double goto_ai =
             shape.flops()
             / static_cast<double>(
-                model::goto_traffic(shape, blocking.mc, blocking.nc)
+                model::cake_traffic(shape,
+                                    goto_plan_params(m, m.cores, 6, 16),
+                                    ScheduleKind::kGoto)
                     .total_bytes());
         const double cake_ai =
             shape.flops()

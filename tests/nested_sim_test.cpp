@@ -86,17 +86,26 @@ TEST(SimVsModel, ThroughputPredictionsAgree)
 TEST(SimVsModel, DramTrafficIdentical)
 {
     // Packets in the simulator carry exactly the bytes the traffic model
-    // tallies (they are built from the same schedule walk).
+    // tallies (both read the executor's plan), for every schedule kind, on
+    // a square shape and on a one-band shape (m <= m_blk), where GOTO's
+    // carry-over rule differs most from the plain sharing rule.
     const MachineSpec intel = intel_i9_10900k();
-    const GemmShape shape{2304, 2304, 2304};
-    sim::SimConfig config;
-    config.machine = intel;
-    config.p = 4;
-    config.shape = shape;
-    const auto sim_result = sim::simulate(config);
-    const auto traffic =
-        model::cake_traffic(shape, sim_result.params);
-    EXPECT_EQ(sim_result.dram_bytes, traffic.total_bytes());
+    for (const GemmShape& shape :
+         {GemmShape{2304, 2304, 2304}, GemmShape{64, 2304, 2304}}) {
+        for (const ScheduleKind kind : all_schedule_kinds()) {
+            sim::SimConfig config;
+            config.machine = intel;
+            config.p = 4;
+            config.shape = shape;
+            config.schedule = kind;
+            const auto sim_result = sim::simulate(config);
+            const auto traffic =
+                model::cake_traffic(shape, sim_result.params, kind);
+            EXPECT_EQ(sim_result.dram_bytes, traffic.total_bytes())
+                << schedule_kind_name(kind) << " " << shape.m << "x"
+                << shape.n << "x" << shape.k;
+        }
+    }
 }
 
 }  // namespace

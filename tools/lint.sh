@@ -49,6 +49,13 @@
 #     runner and its checked-build operand contract cannot drift. The
 #     ledger-only int8 forwards of kernel/kernel_int8.hpp are also
 #     flagged anywhere but there and bench/ledger/.
+#   * a hand walk of the block order — a carried_surfaces() call outside
+#     the files that own the carry-over rule (src/core/{schedule,
+#     block_plan,fperror}), the verifiers' one closed-form walk
+#     (src/analysis/verify.cpp), the numerics chain walk, memsim's
+#     address stream and the tests. Everything else reads
+#     build_block_plan, so a second copy of the §2.2 fetch rule cannot
+#     drift from the plan the executor runs.
 #   * a stale allowlist entry — every ^path alternative of every *_allow
 #     regex below must match a tracked file, so an exemption cannot
 #     outlive the code it was granted for. An empty regex, or an empty
@@ -125,6 +132,7 @@ json_reader='struct JsonValue { double number = 0; };\n'
 kernel_struct='struct Fp16MicroKernel { int mr = 0; };\n'
 kernel_fn='using Fp16KernelFn = void (*)(long);\n'
 ledger_use='inline int lint_probe() { return best_int8_microkernel().mr; }\n'
+walk_use='#include "core/schedule.hpp"\ninline bool lint_probe(cake::BlockCoord a, cake::BlockCoord b) { return cake::carried_surfaces(cake::ScheduleKind::kGoto, a, b).c; }\n'
 case "${1:-}" in
   # Rule 4 (raw-atomic ban) fires under src/core, not in allowlisted src/obs.
   --probe-rule4) probe 4 "fires under src/core, allows src/obs" \
@@ -163,6 +171,12 @@ case "${1:-}" in
     flag src/core/lint_rule10_probe_tmp.hpp "${kernel_fn}" \
     flag tools/lint_rule10_probe_tmp.hpp "${ledger_use}" \
     allow "" "" ;;
+  # Rule 12 (no hand walk of the block order) fires under src/model and
+  # src/sim, not in the test tree; the clean tree lints clean.
+  --probe-rule12) probe 12 "fires under src/model and src/sim, allows tests/" \
+    flag src/model/lint_rule12_probe_tmp.hpp "${walk_use}" \
+    flag src/sim/lint_rule12_probe_tmp.hpp "${walk_use}" \
+    allow tests/lint_rule12_probe_tmp.hpp "${walk_use}" ;;
   # Rule 11 (stale allowlist entries) fires on a copy of this script that
   # carries an entry naming no file; the clean tree lints clean.
   --probe-stale-allow) allow_probe "a stale entry" "stale allowlist entry" \
@@ -324,6 +338,19 @@ $(scan '(^|[^A-Za-z0-9_])(Int8MicroKernel|best_int8_microkernel|run_int8_tile)([
 out="$(echo "${out}" | sed '/^$/d')"
 [[ -z "${out}" ]] \
   || fail_rule "second micro-kernel registry outside src/kernel/{microkernel.hpp,registry.*} (register a MicroKernelT<F> of a KernelFamily instead), or a ledger-only int8 forward outside bench/ledger/" "${out}"
+
+# 12. A hand walk of the block order: carried_surfaces() is called only
+# where the carry-over rule is defined or consumed once — the plan, the
+# verifiers' closed form, the numerics chain walk, memsim's stream and
+# the tests. Traffic models and simulators read build_block_plan.
+walk_allow='^src/core/(schedule|block_plan|fperror)\.(hpp|cpp)$|^src/analysis/verify\.cpp$|^src/analysis/numerics\.cpp$|^src/memsim/trace\.cpp$|^tests/'
+walk_files=()
+for f in "${files[@]}"; do
+  [[ "${f}" =~ ${walk_allow} ]] || walk_files+=("${f}")
+done
+out="$(scan '(^|[^_[:alnum:]])carried_surfaces[[:space:]]*\(' "${walk_files[@]}")"
+[[ -z "${out}" ]] \
+  || fail_rule "hand walk of the block order (carried_surfaces outside the plan, the verifiers' closed form, numerics, memsim and tests: read build_block_plan instead)" "${out}"
 
 # 11. Stale allowlist entries: every ^path alternative of every *_allow
 # regex above must match a tracked file (outside a git checkout, a
