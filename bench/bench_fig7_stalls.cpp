@@ -238,8 +238,10 @@ int main(int argc, char** argv)
                "wall time\n(pack + compute + stall ~= total); with "
                "overlap on, overlap eff > 0\nreports the share of packing "
                "co-issued with compute (hidden from the\ncritical path "
-               "when spare hardware threads exist); see bench_pipeline "
-               "for\nthe shape sweep and overlap-on/off totals.\n";
+               "when spare hardware threads exist); the benchmark "
+               "ledger's\ncore.overlap_eff, core.serial_gflops and "
+               "threading.team_gflops\ncompare overlap off and on over "
+               "its workloads (bench/ledger).\n";
     }
     return 0;
 }

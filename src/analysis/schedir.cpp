@@ -60,16 +60,14 @@ struct IrBuilder {
 
     void next_phase() { ++ir.num_phases; }
 
-    TileOp& add_op(OpKind kind, index_t step, const BlockCoord& block,
-                   int worker, index_t seq = 0)
+    /// A dynamically claimed op (worker -1) of the current phase.
+    TileOp& add_op(OpKind kind, index_t step, const BlockCoord& block)
     {
         TileOp op;
         op.kind = kind;
         op.phase = ir.num_phases - 1;
         op.step = step;
         op.block = block;
-        op.worker = worker;
-        op.seq = seq;
         ir.ops.push_back(std::move(op));
         return ir.ops.back();
     }
@@ -121,24 +119,14 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     ir.kb = ceil_div(shape.k, params.k_blk);
     ir.elem_bytes = params.elem_bytes;
     ir.bytes = bytes;
-    ir.n_outermost = shape.n >= shape.m;
     ir.use_prepacked = use_prepacked;
     ir.beta_nonzero = beta_nonzero;
     ir.expected_accums = ir.kb;
-    ir.order = build_schedule(kind, ir.mb, ir.nb, ir.kb, ir.n_outermost);
+    ir.order = block_order(kind, shape, params);
 
     // The SAME plan the executor consumes (core/block_plan.cpp).
-    BlockPlanInputs pin;
-    pin.params = params;
-    pin.schedule = kind;
-    pin.m = shape.m;
-    pin.n = shape.n;
-    pin.k = shape.k;
-    pin.ldc = shape.n;
-    pin.nb = ir.nb;
-    pin.kb = ir.kb;
+    BlockPlanInputs pin = plan_inputs(shape, params, kind, beta_nonzero);
     pin.use_prepacked = use_prepacked;
-    pin.beta_nonzero = beta_nonzero;
     pin.double_buffer = overlap;
     pin.bytes = bytes;
     const BlockPlan plan = build_block_plan(ir.order, pin);
@@ -174,11 +162,10 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // --- shared op emitters -------------------------------------------
     // Pack a range of mr slivers of step st's A surface (sliver-indexed
     // rows of the packed-A panel; element rows of user A).
-    auto emit_pack_a = [&](const BlockStep& st, index_t s0, index_t s1,
-                           int worker) {
+    auto emit_pack_a = [&](const BlockStep& st, index_t s0, index_t s1) {
         const index_t r0 = s0 * mr;
         const index_t r1 = std::min(st.mi, s1 * mr);
-        TileOp& op = b.add_op(OpKind::kPackA, st.step, st.coord, worker);
+        TileOp& op = b.add_op(OpKind::kPackA, st.step, st.coord);
         op.spans.push_back(make_span(kBufUserA, 0, 0, Access::kRead,
                                      st.m0 + r0, st.m0 + r1, st.k0,
                                      st.k0 + st.ki));
@@ -188,11 +175,10 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
         op.dram_read_bytes = static_cast<std::uint64_t>(r1 - r0)
             * static_cast<std::uint64_t>(st.ki) * a_elem;
     };
-    auto emit_pack_b = [&](const BlockStep& st, index_t s0, index_t s1,
-                           int worker) {
+    auto emit_pack_b = [&](const BlockStep& st, index_t s0, index_t s1) {
         const index_t c0 = s0 * nr;
         const index_t c1 = std::min(st.ni, s1 * nr);
-        TileOp& op = b.add_op(OpKind::kPackB, st.step, st.coord, worker);
+        TileOp& op = b.add_op(OpKind::kPackB, st.step, st.coord);
         op.spans.push_back(make_span(kBufUserB, 0, 0, Access::kRead, st.k0,
                                      st.k0 + st.ki, st.n0 + c0, st.n0 + c1));
         op.spans.push_back(make_span(
@@ -204,7 +190,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     // Prepacked B: no pack work, but the panel still streams from
     // external memory once per fresh surface.
     auto emit_stream_b = [&](const BlockStep& st) {
-        TileOp& op = b.add_op(OpKind::kStreamB, st.step, st.coord, -1);
+        TileOp& op = b.add_op(OpKind::kStreamB, st.step, st.coord);
         op.spans.push_back(make_span(kBufUserB, 0, 0, Access::kRead, st.k0,
                                      st.k0 + st.ki, st.n0,
                                      st.n0 + st.ni));
@@ -221,7 +207,7 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
     auto emit_compute = [&](const BlockStep& st, index_t band) {
         const index_t r0 = band * mr;
         const index_t r1 = std::min(st.mi, r0 + mr);
-        TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord, -1);
+        TileOp& op = b.add_op(OpKind::kCompute, st.step, st.coord);
         op.item = band;
         op.spans.push_back(make_span(
             kBufPackA, st.a_slot, a_gen_of[static_cast<std::size_t>(st.step)],
@@ -252,40 +238,31 @@ ScheduleIR extract_cake_ir(const GemmShape& shape,
 
     // Step st's fresh A/B surfaces as pack-group work items.
     auto emit_packs = [&](const BlockStep& st) {
-        if (st.pack_a) {
-            const index_t slivers = ceil_div(st.mi, mr);
-            for (index_t s0 = 0; s0 < slivers; s0 += kPackAGroup) {
-                emit_pack_a(st, s0, std::min(slivers, s0 + kPackAGroup), -1);
-            }
+        for (index_t i = 0; i < st.a_items; ++i) {
+            emit_pack_a(st, i * kPackAGroup,
+                        std::min(st.bands, (i + 1) * kPackAGroup));
         }
-        if (st.pack_b) {
-            const index_t slivers = ceil_div(st.ni, nr);
-            for (index_t s0 = 0; s0 < slivers; s0 += kPackBGroup) {
-                emit_pack_b(st, s0, std::min(slivers, s0 + kPackBGroup), -1);
-            }
+        const index_t b_slivers = ceil_div(st.ni, nr);
+        for (index_t i = 0; i < st.b_items; ++i) {
+            emit_pack_b(st, i * kPackBGroup,
+                        std::min(b_slivers, (i + 1) * kPackBGroup));
         }
     };
 
     // Persistent team, dynamically claimed work items (worker = -1),
-    // spin-barrier phase boundaries. Mirrors run_block_loop's phase
-    // structure exactly: the pipeline fill, then per step, with overlap
-    // off, a pack phase for step t and a main phase computing step t
-    // (and, with overlap on, packing step t+1).
-    b.next_phase();  // pipeline fill
-    emit_packs(plan.steps[0]);
-    for (index_t t = 0; t < steps; ++t) {
-        const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-        if (!overlap && t > 0 && (st.pack_a || st.pack_b)) {
-            b.next_phase();  // overlap off: pack step t
-            emit_packs(st);
+    // spin-barrier phase boundaries: one IR phase per plan phase, the
+    // phases run_block_loop runs. Pack items come first, as in the
+    // executor.
+    for (const BlockPhase& ph : plan.phases) {
+        b.next_phase();
+        if (ph.pack >= 0) {
+            emit_packs(plan.steps[static_cast<std::size_t>(ph.pack)]);
         }
-        b.next_phase();  // main: compute step t
-        // Pack items first, as in the executor.
-        if (overlap && t + 1 < steps) {
-            emit_packs(plan.steps[static_cast<std::size_t>(t + 1)]);
-        }
+        if (ph.compute < 0) continue;
+        const BlockStep& st =
+            plan.steps[static_cast<std::size_t>(ph.compute)];
         if (use_prepacked && st.b_fresh) emit_stream_b(st);
-        for (index_t band = 0; band < ceil_div(st.mi, mr); ++band) {
+        for (index_t band = 0; band < st.bands; ++band) {
             emit_compute(st, band);
         }
     }

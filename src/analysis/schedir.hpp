@@ -4,11 +4,11 @@
 // executing a single FMA.
 //
 // The extractor replays the exact decision data the runtime consumes:
-// build_schedule + build_block_plan (src/core/block_plan.cpp), the same
-// BlockPlan CakeGemmT's one executor iterates for every kernel family and
+// block_order + build_block_plan (src/core/block_plan.cpp), the same
+// BlockPlan CakeGemmT's one executor runs for every kernel family and
 // every schedule kind (GOTO is ScheduleKind::kGoto run with overlap off),
-// including double-buffer slot assignment and the work-item grouping
-// constants (kPackAGroup/kPackBGroup).
+// including double-buffer slot assignment, the work items of each step
+// and the team's phase list: one IR phase per BlockPlan::phases entry.
 // A property proven of this IR is therefore a property of the schedule
 // the runtime executes, for ALL interleavings — not just the ones a
 // fuzzer happened to run. The verifier lives in src/analysis/verify.hpp.
@@ -104,7 +104,6 @@ struct ScheduleIR {
     index_t mb = 0, nb = 0, kb = 0;  ///< CB-block grid
     index_t elem_bytes = 4;
     OperandBytes bytes;  ///< stored A/B/C widths the traffic counts
-    bool n_outermost = true;
     bool use_prepacked = false;
     bool beta_nonzero = false;
     index_t expected_accums = 0;  ///< accumulations per user-C element
@@ -115,9 +114,10 @@ struct ScheduleIR {
 };
 
 /// Extract the IR of a CAKE multiply: the executor's persistent-team
-/// stream (pipeline fill, then one main compute phase per step whose
-/// bands accumulate in place in user C). A GOTO IR is this extraction of
-/// the GOTO plan: goto_plan_params, ScheduleKind::kGoto, Exec::kSerial.
+/// stream, one phase per entry of the plan's phase list (pipeline fill,
+/// then one compute phase per step whose bands accumulate in place in
+/// user C). A GOTO IR is this extraction of the GOTO plan:
+/// goto_plan_params, ScheduleKind::kGoto, Exec::kSerial.
 /// Exec::kPipelined co-issues pack(t+1) with compute(t) into
 /// double-buffered pack slots; Exec::kSerial packs step t in a phase of
 /// its own before computing it, single-buffered. `bytes` gives the stored

@@ -204,9 +204,7 @@ AuditReport audit_cb_plan(const MachineSpec& machine, int p, index_t mr,
     }
 
     // --- Schedule covers the grid exactly once, sharing as promised. -----
-    const std::vector<BlockCoord> order =
-        build_schedule(schedule, report.grid_mb, report.grid_nb,
-                       report.grid_kb, /*n_outermost=*/shape.n >= shape.m);
+    const std::vector<BlockCoord> order = block_order(schedule, shape, cb);
     const index_t grid_size =
         report.grid_mb * report.grid_nb * report.grid_kb;
     if (static_cast<index_t>(order.size()) != grid_size) {

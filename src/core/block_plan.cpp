@@ -3,8 +3,26 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "pack/pack.hpp"
 
 namespace cake {
+
+BlockPlanInputs plan_inputs(const GemmShape& shape,
+                            const CbBlockParams& params, ScheduleKind kind,
+                            bool beta_nonzero)
+{
+    BlockPlanInputs in;
+    in.params = params;
+    in.schedule = kind;
+    in.m = shape.m;
+    in.n = shape.n;
+    in.k = shape.k;
+    in.ldc = shape.n;
+    in.nb = ceil_div(shape.n, params.n_blk);
+    in.kb = ceil_div(shape.k, params.k_blk);
+    in.beta_nonzero = beta_nonzero;
+    return in;
+}
 
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in)
@@ -12,6 +30,7 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
     CAKE_CHECK(!order.empty());
     CAKE_CHECK(in.m >= 1 && in.n >= 1 && in.k >= 1);
     CAKE_CHECK(in.nb >= 1 && in.kb >= 1 && in.ldc >= in.n);
+    CAKE_CHECK(in.params.mr >= 1 && in.params.nr >= 1);
 
     const CbBlockParams& params = in.params;
     const OperandBytes bytes = in.bytes.or_uniform(params.elem_bytes);
@@ -89,6 +108,12 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
             }
         }
 
+        st.bands = ceil_div(st.mi, params.mr);
+        if (st.pack_a) st.a_items = ceil_div(st.bands, kPackAGroup);
+        if (st.pack_b) {
+            st.b_items = ceil_div(ceil_div(st.ni, params.nr), kPackBGroup);
+        }
+
         st.c_change = !shared.c;
         const std::size_t slot =
             static_cast<std::size_t>(st.coord.m * in.nb + st.coord.n);
@@ -122,6 +147,21 @@ BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
         }
         st.c_partial = k_done[slot] < in.kb;
         if (st.c_partial) ++stats.c_partial_spills;
+    }
+
+    // The team's phases: the pipeline fill packs step 0; with overlap on
+    // each step's phase also packs the next step into the other halves,
+    // with it off every later fetch is a phase of its own.
+    plan.phases.reserve(static_cast<std::size_t>(2 * steps));
+    plan.phases.push_back({0, -1});
+    for (index_t t = 0; t < steps; ++t) {
+        const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
+        if (in.double_buffer) {
+            plan.phases.push_back({t + 1 < steps ? t + 1 : -1, t});
+            continue;
+        }
+        if (t > 0 && (st.pack_a || st.pack_b)) plan.phases.push_back({t, -1});
+        plan.phases.push_back({-1, t});
     }
     return plan;
 }

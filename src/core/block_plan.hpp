@@ -1,17 +1,18 @@
 // The CB-block execution plan: the per-step decisions (which surfaces to
-// fetch, which double-buffer half holds them, whether a step opens a visit
-// of its C column, applying beta to user C, and whether it retires the
-// column) derived once, up front, as a pure function of the block
-// schedule and the tiling parameters.
+// fetch, which double-buffer half holds them, how many work items each
+// takes, whether a step opens a visit of its C column, applying beta to
+// user C, and whether it retires the column) and the team's barrier-
+// delimited phases, derived once, up front, as a pure function of the
+// block order (core/schedule's block_order) and the tiling parameters.
 //
-// The one block-loop executor in src/core/cake_gemm.cpp consumes this plan
-// for every kernel family — with double-buffering disabled (every slot
-// stays 0) when overlap is off, with slots alternating on each fresh fetch
-// when it is on — and the schedule-IR extractor in src/analysis/schedir.cpp
-// replays the *same* plan to emit the tile operations it verifies. That
-// sharing is the point: the verifier proves properties of the data
-// structure the runtime actually executes, not of a parallel
-// reimplementation that could drift.
+// The one block-loop executor in src/core/cake_gemm.cpp runs the plan's
+// phases for every kernel family — single-buffered with the pack of each
+// fetching step in a phase of its own when overlap is off, double-buffered
+// with pack(t+1) co-issued with compute(t) when it is on — and the
+// schedule-IR extractor in src/analysis/schedir.cpp emits one IR phase per
+// plan phase from the *same* plan. That sharing is the point: the verifier
+// proves properties of the data structure the runtime actually executes,
+// not of a parallel reimplementation that could drift.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,17 @@ struct BlockStep {
     /// c_last before the column's last K block: the write-back is a
     /// partial spill, not the finished result.
     bool c_partial = false;
+    /// Work items: pack-A groups of kPackAGroup mr slivers (0 unless
+    /// pack_a), pack-B groups of kPackBGroup nr slivers (0 unless pack_b)
+    /// and mr compute bands.
+    index_t a_items = 0, b_items = 0, bands = 0;
+};
+
+/// One barrier-delimited phase of the team: the pack items of step
+/// `pack`, then the compute bands of step `compute` (-1: none).
+struct BlockPhase {
+    index_t pack = -1;
+    index_t compute = -1;
 };
 
 /// Stored width in bytes of each operand surface. The modelled traffic
@@ -96,9 +108,14 @@ struct BlockPlanStats {
 };
 
 /// The resolved plan for one multiply. The last step always has c_last
-/// set: it retires the last live column.
+/// set: it retires the last live column. `phases` is the team's phase
+/// list: the pipeline fill packs step 0; then, with double_buffer, one
+/// phase per step t computes t while packing t + 1 (1 + steps phases);
+/// without it, every step t > 0 that packs gets a pack-only phase right
+/// before the phase computing it.
 struct BlockPlan {
     std::vector<BlockStep> steps;
+    std::vector<BlockPhase> phases;
     BlockPlanStats stats;
 };
 
@@ -119,9 +136,19 @@ struct BlockPlanInputs {
     OperandBytes bytes;          ///< stored operand widths (traffic model)
 };
 
+/// The inputs of the plan of a multiply of `shape` under `params` and
+/// `kind`: the grid of block_order, packed C (ldc = n), beta != 0 iff
+/// `beta_nonzero`, no prepacked B, overlap off and every operand at
+/// params.elem_bytes. Callers override the policy fields that differ.
+BlockPlanInputs plan_inputs(const GemmShape& shape,
+                            const CbBlockParams& params,
+                            ScheduleKind kind = ScheduleKind::kKFirstSerpentine,
+                            bool beta_nonzero = false);
+
 /// Derive the execution plan for `order`. Every decision the executor
-/// makes per step — surface sharing, slot assignment, column visits,
-/// DRAM traffic accounting — is resolved here, in schedule order.
+/// makes per step — surface sharing, slot assignment, work items, column
+/// visits, DRAM traffic accounting — and its phase list are resolved
+/// here, in schedule order.
 BlockPlan build_block_plan(const std::vector<BlockCoord>& order,
                            const BlockPlanInputs& in);
 

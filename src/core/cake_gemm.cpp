@@ -278,7 +278,6 @@ struct GemmCall {
     C alpha = 1, beta = 0;
     const PackedB<T>* prepacked = nullptr;
     bool ta = false, tb = false;
-    bool overlap = true;  ///< co-issue pack(t+1) with compute(t)
     CbBlockParams params;
     const BlockPlan* plan = nullptr;  ///< resolved per-step decisions
 };
@@ -519,37 +518,27 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     call.prepacked = prepacked;
     call.ta = ta;
     call.tb = tb;
-    call.overlap = exec_overlaps(exec, params.p);
     call.params = params;
-    stats_.grid_mb = ceil_div(m, params.m_blk);
-    stats_.grid_nb = ceil_div(n, params.n_blk);
-    stats_.grid_kb = ceil_div(k, params.k_blk);
+    const bool overlap = exec_overlaps(exec, params.p);
 
-    // §2.2: when M > N the M dimension runs outermost so the larger B
-    // surface is reused before A.
-    const std::vector<BlockCoord> order =
-        build_schedule(schedule, stats_.grid_mb, stats_.grid_nb,
-                       stats_.grid_kb, /*n_outermost=*/n >= m);
-
-    // Resolve the whole block loop up front: surface sharing, pack-slot
-    // assignment, column visits and the modelled DRAM traffic are pure
-    // functions of the schedule (src/core/block_plan.cpp). The executor
-    // and the schedule-IR extractor consume this same plan.
-    BlockPlanInputs plan_in;
-    plan_in.params = params;
-    plan_in.schedule = schedule;
-    plan_in.m = m;
-    plan_in.n = n;
-    plan_in.k = k;
+    // Resolve the whole block loop up front: the block order, surface
+    // sharing, pack-slot assignment, work items, the team's phases,
+    // column visits and the modelled DRAM traffic are pure functions of
+    // the schedule (src/core/block_plan.cpp). The executor and the
+    // schedule-IR extractor consume this same plan.
+    const GemmShape shape{m, n, k};
+    BlockPlanInputs plan_in = plan_inputs(shape, params, schedule,
+                                          /*beta_nonzero=*/beta_s != C(0));
     plan_in.ldc = ldc;
-    plan_in.nb = stats_.grid_nb;
-    plan_in.kb = stats_.grid_kb;
     plan_in.use_prepacked = prepacked != nullptr;
-    plan_in.beta_nonzero = beta_s != C(0);
-    plan_in.double_buffer = call.overlap;
+    plan_in.double_buffer = overlap;
     plan_in.bytes = Ops::stored;
-    const BlockPlan plan = build_block_plan(order, plan_in);
+    const BlockPlan plan =
+        build_block_plan(block_order(schedule, shape, params), plan_in);
     call.plan = &plan;
+    stats_.grid_mb = ceil_div(m, params.m_blk);
+    stats_.grid_nb = plan_in.nb;
+    stats_.grid_kb = plan_in.kb;
     stats_.blocks_executed = plan.stats.blocks_executed;
     stats_.a_packs = plan.stats.a_packs;
     stats_.b_packs = plan.stats.b_packs;
@@ -557,17 +546,21 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     stats_.c_partial_spills = plan.stats.c_partial_spills;
     stats_.dram_read_bytes = plan.stats.dram_read_bytes;
     stats_.dram_write_bytes = plan.stats.dram_write_bytes;
+    stats_.pipelined = overlap;
+    stats_.phases = static_cast<int>(plan.phases.size());
 
     // Pack buffers hold the largest block of this call, not of the plan:
-    // a block never spans more than the call's m rows or n columns.
-    const index_t depth = detail::packed_depth<T>(params.k_blk);
+    // a block never spans more than the call's m rows, n columns or k
+    // depth.
+    const index_t depth =
+        detail::packed_depth<T>(std::min(params.k_blk, k));
     pack_a_[0].ensure(static_cast<std::size_t>(
         round_up(std::min(params.m_blk, m), kernel_.mr) * depth));
-    if (call.overlap) pack_a_[1].ensure(pack_a_[0].size());
+    if (overlap) pack_a_[1].ensure(pack_a_[0].size());
     if (prepacked == nullptr) {
         pack_b_[0].ensure(static_cast<std::size_t>(
             depth * round_up(std::min(params.n_blk, n), kernel_.nr)));
-        if (call.overlap) pack_b_[1].ensure(pack_b_[0].size());
+        if (overlap) pack_b_[1].ensure(pack_b_[0].size());
     }
 
     run_block_loop(call);
@@ -587,10 +580,11 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 
 // ---------------------------------------------------------------------------
 // The block-loop executor: one persistent team for the whole block loop,
-// for every kernel family and every schedule kind, GOTO's included. With
-// overlap on (CakeExec::kPipelined, or kAuto with p >= 2), while the team
-// computes block i it also packs the surfaces of block i+1 that
-// carried_surfaces() says are not carried over, into the
+// for every kernel family and every schedule kind, GOTO's included. The
+// team runs the plan's phases (BlockPlan::phases) in order, one barrier
+// after each. With overlap on (CakeExec::kPipelined, or kAuto with
+// p >= 2), while the team computes block i it also packs the surfaces of
+// block i+1 that carried_surfaces() says are not carried over, into the
 // other half of the double-buffered panel storage — so after pipeline
 // fill, packing IO runs concurrently with compute instead of on the
 // critical path (paper §2, Fig. 7). With overlap off (CakeExec::kSerial,
@@ -601,9 +595,9 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 // user C, the column's first K block applying beta and later blocks
 // accumulating (paper §3: partial C stays in local memory until its K
 // range is done — on a CPU that is the cache, where the block's user-C
-// rows already sit). Phases inside the team are separated
-// by spin barriers; work within a phase is claimed in mr/nr-sliver items
-// off an atomic counter so edge blocks never leave cores idle.
+// rows already sit). Work within a phase is claimed in
+// mr/nr-sliver items off an atomic counter so edge blocks never leave
+// cores idle.
 // ---------------------------------------------------------------------------
 template <typename T>
 void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
@@ -614,14 +608,10 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     const index_t mr = kernel_.mr;
     const index_t nr = kernel_.nr;
     const bool use_prepacked = call.prepacked != nullptr;
-    const bool overlap = call.overlap;
-
-    // ---- Step plan (src/core/block_plan.cpp). Buffer slots, pack needs
-    // and column visits are pure functions of the schedule, resolved
-    // up front by build_block_plan; the team below only claims and
-    // executes work items.
+    // Step and phase plan (src/core/block_plan.cpp): buffer slots, pack
+    // needs, work items, phases and column visits are resolved up front by
+    // build_block_plan; the team below only claims and executes items.
     const BlockPlan& plan = *call.plan;
-    const auto steps = static_cast<index_t>(plan.steps.size());
 
     // ---- Team execution.
     const MicroKernelT<T> kernel = kernel_;
@@ -670,7 +660,6 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
     std::vector<double> worker_pack(static_cast<std::size_t>(p), 0.0);
     std::vector<double> worker_compute(static_cast<std::size_t>(p), 0.0);
     std::vector<double> worker_hidden(static_cast<std::size_t>(p), 0.0);
-    int phases = 0;
 
     Timer team_timer;
     pool_.run_team(p, [&](TeamContext& team, int tid) {
@@ -727,8 +716,8 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
         // One group of mr slivers of step st's A surface into its half.
         auto pack_a_item = [&](const BlockStep& st, index_t item) {
             schedshake::interleave_point(schedshake::Point::kPackItem);
-            const index_t s_end = std::min(ceil_div(st.mi, mr),
-                                           (item + 1) * kPackAGroup);
+            const index_t s_end =
+                std::min(st.bands, (item + 1) * kPackAGroup);
             racecheck::region_access_range(
                 rc_pa_ids[st.a_slot], item * kPackAGroup, s_end,
                 racecheck::AccessKind::kWrite,
@@ -816,82 +805,57 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
             }
         };
 
-        auto pack_items_of = [&](const BlockStep* st) {
-            const index_t na = st != nullptr && st->pack_a
-                ? ceil_div(ceil_div(st->mi, mr), kPackAGroup)
-                : 0;
-            const index_t nbv = st != nullptr && st->pack_b
-                ? ceil_div(ceil_div(st->ni, nr), kPackBGroup)
-                : 0;
-            return std::pair<index_t, index_t>{na, nbv};
-        };
         // `co_issued`: the item runs in a phase that also carries compute
         // items, i.e. the pipeline kept this fetch off the critical path
         // (it overlaps with compute whenever spare hardware threads exist).
         // Always false with overlap off.
-        auto do_pack_item = [&](const BlockStep& st, index_t na, index_t item,
+        auto do_pack_item = [&](const BlockStep& st, index_t item,
                                 bool co_issued) {
-            const bool is_a = item < na;
+            const bool is_a = item < st.a_items;
             const double d = timed_item(
                 is_a ? "pack.A" : "pack.B", obs::Phase::kPack, st,
-                is_a ? item : item - na, [&] {
+                is_a ? item : item - st.a_items, [&] {
                     if (is_a) {
                         pack_a_item(st, item);
                     } else {
-                        pack_b_item(st, item - na);
+                        pack_b_item(st, item - st.a_items);
                     }
                 });
             pack_s += d;
             if (co_issued) hidden_s += d;
         };
 
-        // Pipeline fill: pack block 0's surfaces.
-        {
-            const BlockStep& s0 = plan.steps[0];
-            const auto [na, nbv] = pack_items_of(&s0);
-            run_phase(na + nbv, [&](index_t item) {
-                do_pack_item(s0, na, item, /*co_issued=*/false);
-            });
-        }
-
-        for (index_t t = 0; t < steps; ++t) {
-            const BlockStep& st = plan.steps[static_cast<std::size_t>(t)];
-            if (!overlap && t > 0) {
-                // Overlap off: fetch block t's own non-shared surfaces in
-                // a phase of their own, exposed on the critical path.
-                const auto [na, nbv] = pack_items_of(&st);
-                if (na + nbv > 0) {
-                    run_phase(na + nbv, [&](index_t item) {
-                        do_pack_item(st, na, item, /*co_issued=*/false);
-                    });
-                }
+        // Pack items come first in a phase's index space so the next
+        // block's DRAM fetch starts immediately and spreads over the
+        // block's compute time (the constant-bandwidth property, §3).
+        for (const BlockPhase& ph : plan.phases) {
+            const BlockStep* pk = ph.pack < 0
+                ? nullptr
+                : &plan.steps[static_cast<std::size_t>(ph.pack)];
+            const BlockStep* st = ph.compute < 0
+                ? nullptr
+                : &plan.steps[static_cast<std::size_t>(ph.compute)];
+            const index_t packs =
+                pk == nullptr ? 0 : pk->a_items + pk->b_items;
+            index_t bands = 0;
+            const B* pb = nullptr;
+            if (st != nullptr) {
+                bands = st->bands;
+                pb = use_prepacked
+                    ? call.prepacked->panel(st->coord.k, st->coord.n)
+                    : pb_slots[st->b_slot];
             }
-            // Main phase: compute block t — with overlap on, while packing
-            // block t+1's non-shared surfaces into the other buffer halves.
-            // Pack items come first in the index space so the next block's
-            // DRAM fetch starts immediately and spreads over the block's
-            // compute time (the constant-bandwidth property, §3).
-            const BlockStep* next = overlap && t + 1 < steps
-                ? &plan.steps[static_cast<std::size_t>(t + 1)]
-                : nullptr;
-            const auto [na, nbv] = pack_items_of(next);
-            const index_t bands = ceil_div(st.mi, mr);
-            const B* pb = use_prepacked
-                ? call.prepacked->panel(st.coord.k, st.coord.n)
-                : pb_slots[st.b_slot];
-            run_phase(na + nbv + bands, [&](index_t item) {
-                if (item < na + nbv) {
-                    do_pack_item(*next, na, item, /*co_issued=*/true);
+            run_phase(packs + bands, [&](index_t item) {
+                if (item < packs) {
+                    do_pack_item(*pk, item, /*co_issued=*/st != nullptr);
                     return;
                 }
-                const index_t band = item - na - nbv;
-                compute_s +=
-                    timed_item("compute", obs::Phase::kCompute, st, band,
-                               [&] { compute_item(st, pb, band); });
+                compute_s += timed_item(
+                    "compute", obs::Phase::kCompute, *st, item - packs,
+                    [&] { compute_item(*st, pb, item - packs); });
             });
         }
 
-        if (tid == 0) phases = static_cast<int>(phase);
         worker_pack[static_cast<std::size_t>(tid)] = pack_s;
         worker_compute[static_cast<std::size_t>(tid)] = compute_s;
         worker_hidden[static_cast<std::size_t>(tid)] = hidden_s;
@@ -910,8 +874,6 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
         std::max(0.0, team_wall - (pack_total + compute_total) / p);
     stats_.overlap_efficiency =
         pack_total > 0 ? hidden_total / pack_total : 0.0;
-    stats_.pipelined = overlap;
-    stats_.phases = phases;
 }
 
 template class CakeGemmT<float>;

@@ -111,10 +111,11 @@ struct CakeStats {
     /// this multiply actually applied (i.e. the plan deviates from the
     /// pure analytic §4.3 configuration because of the tuning cache).
     bool tuned = false;
-    /// Barrier-delimited team phases the block loop ran: the pipeline
-    /// fill, one main phase per step and, with overlap off, a pack phase
-    /// per later step that fetches. The schedule IR's num_phases. An int
-    /// in the tail padding after the flags, so CakeStats keeps its size.
+    /// Barrier-delimited team phases the block loop ran: the size of the
+    /// plan's phase list (BlockPlan::phases — the pipeline fill, one phase
+    /// per step and, with overlap off, a pack phase per later step that
+    /// fetches). The schedule IR's num_phases. An int in the tail padding
+    /// after the flags, so CakeStats keeps its size.
     int phases = 0;
 
     /// Achieved throughput for `shape` in GFLOP/s.

@@ -108,17 +108,9 @@ PlanErrorBound plan_error_bound(const GemmShape& shape,
                                 ScheduleKind schedule, const DtypeDesc& dtype,
                                 bool beta_nonzero)
 {
-    // Grid extents, same derivation as the executors (ceil-divide each
-    // GEMM extent by its block extent, floor 1 so degenerate inputs still
-    // yield a well-formed one-block schedule).
-    const auto grid = [](index_t extent, index_t blk) {
-        if (blk < 1) return index_t{1};
-        const index_t b = (extent + blk - 1) / blk;
-        return b < 1 ? index_t{1} : b;
-    };
-    const auto order = build_schedule(
-        schedule, grid(shape.m, params.m_blk), grid(shape.n, params.n_blk),
-        grid(shape.k, params.k_blk), /*n_outermost=*/shape.n >= shape.m);
+    // The executor's block order; degenerate inputs (k = 0, or GOTO's
+    // unset m and n extents) get its well-formed one-block order.
+    const auto order = block_order(schedule, shape, params);
     AccumChain chain;
     chain.fma_depth = shape.k;
     chain.segments = max_schedule_segments(schedule, order);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "pack/pack.hpp"
 
 namespace cake {
 namespace {
@@ -275,6 +276,21 @@ std::vector<BlockCoord> build_layered_schedule(ScheduleKind kind, index_t mb,
         }
     }
     return result;
+}
+
+std::vector<BlockCoord> block_order(ScheduleKind kind, const GemmShape& shape,
+                                    const CbBlockParams& params,
+                                    index_t k_layers)
+{
+    const auto grid = [](index_t extent, index_t blk) {
+        return blk < 1 ? index_t{1}
+                       : std::max<index_t>(ceil_div(extent, blk), 1);
+    };
+    return build_layered_schedule(kind, grid(shape.m, params.m_blk),
+                                  grid(shape.n, params.n_blk),
+                                  grid(shape.k, params.k_blk),
+                                  std::max<index_t>(k_layers, 1),
+                                  /*n_outermost=*/shape.n >= shape.m);
 }
 
 SurfaceSharing shared_surfaces(const BlockCoord& prev, const BlockCoord& next)

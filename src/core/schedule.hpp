@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/tiling.hpp"
 
 namespace cake {
 
@@ -90,6 +91,19 @@ std::vector<BlockCoord> build_layered_schedule(ScheduleKind kind, index_t mb,
                                                index_t nb, index_t kb,
                                                index_t k_layers,
                                                bool n_outermost = true);
+
+/// THE block order of a multiply of `shape` under `params`: `kind` over
+/// the ceil(m / m_blk) x ceil(n / n_blk) x ceil(k / k_blk) grid, with
+/// the §2.2 orientation (N outermost iff n >= m, so when M > N the larger
+/// B surface is reused before A), layered over `k_layers` K slabs when
+/// more than one (build_layered_schedule). An empty extent or an unset
+/// (< 1) block extent counts one block, so degenerate inputs still get a
+/// well-formed one-block order (fperror bounds k = 0 calls). The
+/// executor, the IR extractor, the traffic model, the simulators, memsim,
+/// fperror and the auditor all take their order from here.
+std::vector<BlockCoord> block_order(ScheduleKind kind, const GemmShape& shape,
+                                    const CbBlockParams& params,
+                                    index_t k_layers = 1);
 
 /// Surfaces shared between consecutive schedule entries `prev` and `next`.
 SurfaceSharing shared_surfaces(const BlockCoord& prev, const BlockCoord& next);

@@ -33,9 +33,7 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
 
     const index_t mb = ceil_div(shape.m, params.m_blk);
     const index_t nb = ceil_div(shape.n, params.n_blk);
-    const index_t kb = ceil_div(shape.k, params.k_blk);
-    const auto order =
-        build_schedule(kind, mb, nb, kb, /*n_outermost=*/shape.n >= shape.m);
+    const auto order = block_order(kind, shape, params);
 
     std::vector<char> visited(static_cast<std::size_t>(mb * nb), 0);
 

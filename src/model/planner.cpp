@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "core/block_plan.hpp"
-#include "pack/pack.hpp"
 
 namespace cake {
 namespace model {
@@ -16,13 +15,11 @@ std::vector<ScheduleTrafficRow> schedule_traffic_table(
     std::vector<ScheduleTrafficRow> rows;
     rows.reserve(all_schedule_kinds().size());
     for (const ScheduleKind kind : all_schedule_kinds()) {
-        const BlockPlanInputs in = plan_inputs(shape, params, kind);
-        const auto order =
-            build_schedule(kind, ceil_div(shape.m, params.m_blk), in.nb,
-                           in.kb, /*n_outermost=*/shape.n >= shape.m);
+        const auto order = block_order(kind, shape, params);
         // build_block_plan is the executors' own accounting — the ranking
         // ranks exactly the traffic the runtime would incur.
-        const BlockPlan plan = build_block_plan(order, in);
+        const BlockPlan plan =
+            build_block_plan(order, plan_inputs(shape, params, kind));
         ScheduleTrafficRow row;
         row.schedule = kind;
         row.dram_bytes = plan.stats.total_bytes();

@@ -9,46 +9,14 @@
 namespace cake {
 namespace model {
 
-BlockPlanInputs plan_inputs(const GemmShape& shape,
-                            const CbBlockParams& params, ScheduleKind kind,
-                            bool accumulate)
-{
-    BlockPlanInputs in;
-    in.params = params;
-    in.schedule = kind;
-    in.m = shape.m;
-    in.n = shape.n;
-    in.k = shape.k;
-    in.ldc = shape.n;
-    in.nb = ceil_div(shape.n, params.n_blk);
-    in.kb = ceil_div(shape.k, params.k_blk);
-    in.beta_nonzero = accumulate;
-    return in;
-}
-
-namespace {
-
-/// build_block_plan over build_schedule(kind, ...): the plan the executor
-/// would run for the non-empty `shape`.
-BlockPlan model_plan(const GemmShape& shape, const CbBlockParams& params,
-                     ScheduleKind kind, bool accumulate = false)
-{
-    const BlockPlanInputs in = plan_inputs(shape, params, kind, accumulate);
-    // §2.2: when M > N the M dimension runs outermost (as the executor).
-    const auto order =
-        build_schedule(kind, ceil_div(shape.m, params.m_blk), in.nb, in.kb,
-                       /*n_outermost=*/shape.n >= shape.m);
-    return build_block_plan(order, in);
-}
-
-}  // namespace
-
 BlockPlanStats cake_traffic(const GemmShape& shape,
                             const CbBlockParams& params, ScheduleKind kind,
                             bool accumulate)
 {
     if (shape.m == 0 || shape.n == 0 || shape.k == 0) return {};
-    return model_plan(shape, params, kind, accumulate).stats;
+    return build_block_plan(block_order(kind, shape, params),
+                            plan_inputs(shape, params, kind, accumulate))
+        .stats;
 }
 
 double block_internal_bytes(index_t mi, index_t ni, index_t ki,
@@ -96,8 +64,10 @@ Prediction predict_plan(const MachineSpec& machine, int p,
                         const CbBlockParams& params, ScheduleKind kind)
 {
     const bool empty = shape.m == 0 || shape.n == 0 || shape.k == 0;
-    const BlockPlan plan =
-        empty ? BlockPlan{} : model_plan(shape, params, kind);
+    const BlockPlan plan = empty
+        ? BlockPlan{}
+        : build_block_plan(block_order(kind, shape, params),
+                           plan_inputs(shape, params, kind));
     double internal = 0;
     for (const BlockStep& st : plan.steps) {
         internal += block_internal_bytes(st.mi, st.ni, st.ki, kernel);

@@ -21,15 +21,6 @@
 namespace cake {
 namespace model {
 
-/// Inputs of the block plan the executor builds for `shape` under
-/// `params` and `kind`: operands stored at params.elem_bytes, beta != 0
-/// iff `accumulate`, overlap off (the traffic does not depend on it).
-/// Shared by every consumer of the model's plans.
-BlockPlanInputs plan_inputs(const GemmShape& shape,
-                            const CbBlockParams& params,
-                            ScheduleKind kind = ScheduleKind::kKFirstSerpentine,
-                            bool accumulate = false);
-
 /// External-memory traffic of a full run of `kind` (GOTO's too, with its
 /// goto_plan_params geometry): the stats of the plan the executor would
 /// run, all zero for an empty shape.

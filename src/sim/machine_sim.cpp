@@ -54,13 +54,9 @@ std::vector<Step> build_cake_steps(const SimConfig& config,
 {
     const GemmShape& shape = config.shape;
     const MachineSpec& machine = config.machine;
-    const BlockPlanInputs in =
-        model::plan_inputs(shape, params, config.schedule);
-    const auto order = build_layered_schedule(
-        config.schedule, ceil_div(shape.m, params.m_blk), in.nb, in.kb,
-        std::max<index_t>(config.k_layers, 1),
-        /*n_outermost=*/shape.n >= shape.m);
-    const BlockPlan plan = build_block_plan(order, in);
+    const BlockPlan plan = build_block_plan(
+        block_order(config.schedule, shape, params, config.k_layers),
+        plan_inputs(shape, params, config.schedule));
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
 
     std::vector<Step> steps;
@@ -446,13 +442,7 @@ double validate_schedule_numerics(const GemmShape& shape,
     b.fill_random(rng);
     Matrix c(shape.m, shape.n);  // zero-initialised
 
-    const index_t mb = ceil_div(shape.m, params.m_blk);
-    const index_t nb = ceil_div(shape.n, params.n_blk);
-    const index_t kb = ceil_div(shape.k, params.k_blk);
-    const auto order =
-        build_schedule(kind, mb, nb, kb, /*n_outermost=*/shape.n >= shape.m);
-
-    for (const BlockCoord& coord : order) {
+    for (const BlockCoord& coord : block_order(kind, shape, params)) {
         const index_t mi = block_extent(coord.m, params.m_blk, shape.m);
         const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
         const index_t ki = block_extent(coord.k, params.k_blk, shape.k);

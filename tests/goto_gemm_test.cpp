@@ -131,27 +131,32 @@ TEST(GotoGemm, DoubleBlockingFitsTheLlcAtItsWidth)
 
 TEST(GotoGemm, PackBuffersFollowTheCallNotTheBlocking)
 {
-    // A default GOTO context sizes nc to fill the host LLC; an n = 64 call
-    // must still reserve a B panel of 64 columns, not nc. CAKE_CHECKED
+    // A default GOTO context sizes nc to fill the host LLC and kc to fill
+    // the L2; an n = 64 call must still reserve a B panel of 64 columns,
+    // not nc, and a k = 8 call panels 8 rows deep, not kc. CAKE_CHECKED
     // builds poison-fill every pack buffer, so there an oversized panel
     // shows as resident memory (this process's high-water mark, so the
-    // check is sharpest when the test runs alone, as ctest runs it).
+    // check is sharpest when the test runs alone, as ctest runs it). The
+    // wide shallow call's own operands take about 36 MB.
     const auto max_rss_kb = [] {
         rusage usage{};
         getrusage(RUSAGE_SELF, &usage);
         return usage.ru_maxrss;
     };
-    const long before = max_rss_kb();
-    const index_t m = 64, n = 64, k = 64;
-    Matrix a(m, k);
-    Matrix b(k, n);
-    Matrix c(m, n);
-    GotoGemm gemm(test_pool());
-    gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
-    const long growth_kb = max_rss_kb() - before;
-    if (CAKE_CHECKED_ENABLED) {
-        EXPECT_LT(growth_kb, 64 * 1024)
-            << "nc=" << gemm.stats().nc << " kc=" << gemm.stats().kc;
+    const index_t shapes[][3] = {{64, 64, 64}, {64, 131072, 8}};
+    for (const auto& [m, n, k] : shapes) {
+        const long before = max_rss_kb();
+        Matrix a(m, k);
+        Matrix b(k, n);
+        Matrix c(m, n);
+        GotoGemm gemm(test_pool());
+        gemm.multiply(a.data(), k, b.data(), n, c.data(), n, m, n, k);
+        const long growth_kb = max_rss_kb() - before;
+        if (CAKE_CHECKED_ENABLED) {
+            EXPECT_LT(growth_kb, 64 * 1024)
+                << m << "x" << n << "x" << k << ": nc=" << gemm.stats().nc
+                << " kc=" << gemm.stats().kc;
+        }
     }
 }
 

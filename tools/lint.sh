@@ -56,6 +56,11 @@
 #     address stream and the tests. Everything else reads
 #     build_block_plan, so a second copy of the §2.2 fetch rule cannot
 #     drift from the plan the executor runs.
+#   * a second place that orients the block grid — a build_schedule() or
+#     build_layered_schedule() call in src/ or tools/ outside
+#     src/core/schedule.{hpp,cpp}. Library code and tools take their order
+#     from block_order(), which owns the grid ceil-divs and the §2.2
+#     orientation; tests, benches and examples may build explicit orders.
 #   * a stale allowlist entry — every ^path alternative of every *_allow
 #     regex below must match a tracked file, so an exemption cannot
 #     outlive the code it was granted for. An empty regex, or an empty
@@ -132,6 +137,8 @@ json_reader='struct JsonValue { double number = 0; };\n'
 kernel_struct='struct Fp16MicroKernel { int mr = 0; };\n'
 kernel_fn='using Fp16KernelFn = void (*)(long);\n'
 ledger_use='inline int lint_probe() { return best_int8_microkernel().mr; }\n'
+order_use='#include "core/schedule.hpp"\ninline auto lint_probe() { return cake::build_schedule(cake::ScheduleKind::kGoto, 1, 1, 1); }\n'
+layered_use='#include "core/schedule.hpp"\ninline auto lint_probe() { return cake::build_layered_schedule(cake::ScheduleKind::kGoto, 1, 1, 2, 2); }\n'
 walk_use='#include "core/schedule.hpp"\ninline bool lint_probe(cake::BlockCoord a, cake::BlockCoord b) { return cake::carried_surfaces(cake::ScheduleKind::kGoto, a, b).c; }\n'
 case "${1:-}" in
   # Rule 4 (raw-atomic ban) fires under src/core, not in allowlisted src/obs.
@@ -177,6 +184,12 @@ case "${1:-}" in
     flag src/model/lint_rule12_probe_tmp.hpp "${walk_use}" \
     flag src/sim/lint_rule12_probe_tmp.hpp "${walk_use}" \
     allow tests/lint_rule12_probe_tmp.hpp "${walk_use}" ;;
+  # Rule 13 (one block orientation) fires on a build_schedule or
+  # build_layered_schedule call under src/ and tools/, not in bench/.
+  --probe-rule13) probe 13 "fires under src/model and tools/, allows bench/" \
+    flag src/model/lint_rule13_probe_tmp.hpp "${order_use}" \
+    flag tools/lint_rule13_probe_tmp.hpp "${layered_use}" \
+    allow bench/lint_rule13_probe_tmp.hpp "${order_use}" ;;
   # Rule 11 (stale allowlist entries) fires on a copy of this script that
   # carries an entry naming no file; the clean tree lints clean.
   --probe-stale-allow) allow_probe "a stale entry" "stale allowlist entry" \
@@ -249,7 +262,7 @@ out="$(scan '\(\s*(const[[:space:]]+)?(float|double|int8_t|int32_t|char|void)[[:
 # and lock-free metric cells; see src/obs/trace.cpp), benches and
 # threading tests; extending it is a review decision.
 # (std::this_thread is fine anywhere: yield/sleep are not synchronisation.)
-sync_allow='^src/threading/|^src/analysis/|^src/obs/|^src/machine/machine\.cpp$|^src/machine/bw_probe\.cpp$|^src/core/batched\.cpp$|^src/core/cake_gemm\.cpp$|^tests/threading_test\.cpp$|^tests/misc_test\.cpp$|^bench/bench_pipeline\.cpp$'
+sync_allow='^src/threading/|^src/analysis/|^src/obs/|^src/machine/machine\.cpp$|^src/machine/bw_probe\.cpp$|^src/core/batched\.cpp$|^src/core/cake_gemm\.cpp$|^tests/threading_test\.cpp$|^tests/misc_test\.cpp$'
 sync_files=()
 for f in "${files[@]}"; do
   [[ "${f}" =~ ${sync_allow} ]] || sync_files+=("${f}")
@@ -351,6 +364,20 @@ done
 out="$(scan '(^|[^_[:alnum:]])carried_surfaces[[:space:]]*\(' "${walk_files[@]}")"
 [[ -z "${out}" ]] \
   || fail_rule "hand walk of the block order (carried_surfaces outside the plan, the verifiers' closed form, numerics, memsim and tests: read build_block_plan instead)" "${out}"
+
+# 13. A second place that orients the block grid: build_schedule and
+# build_layered_schedule are called in src/ and tools/ only by
+# src/core/schedule.cpp's block_order. Tests, benches and examples may
+# build explicit orders.
+order_allow='^src/core/schedule\.(hpp|cpp)$'
+order_files=()
+for f in "${files[@]}"; do
+  [[ "${f}" =~ ^(src|tools)/ && ! "${f}" =~ ${order_allow} ]] \
+    && order_files+=("${f}")
+done
+out="$(scan '(^|[^_[:alnum:]])build_(layered_)?schedule[[:space:]]*\(' "${order_files[@]}")"
+[[ -z "${out}" ]] \
+  || fail_rule "block order built outside src/core/schedule (call block_order, which owns the grid and the §2.2 orientation)" "${out}"
 
 # 11. Stale allowlist entries: every ^path alternative of every *_allow
 # regex above must match a tracked file (outside a git checkout, a
