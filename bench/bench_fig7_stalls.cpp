@@ -161,7 +161,12 @@ int main(int argc, char** argv)
         const int p = host_machine().cores;
         ThreadPool pool(p);
         Rng rng(1);
-        const GemmShape shape{1024, 1024, 256};
+        // Five CB blocks along K at p = 4 on a 4-core host (cake_audit
+        // --machine host --p 4 --mr 14 --nr 32 --shape 1024x1024x2048:
+        // block 2016x2016x504, grid 1x1x5), so overlap on has blocks to
+        // pack while others compute; a single-block shape packs only the
+        // pipeline fill and always reads overlap eff 0.
+        const GemmShape shape{1024, 1024, 2048};
         Matrix a(shape.m, shape.k);
         Matrix b(shape.k, shape.n);
         a.fill_random(rng);
@@ -181,7 +186,7 @@ int main(int argc, char** argv)
             return {format_number(trace.barrier_s / p * 1e3, 4), trace.path};
         };
         auto run_cake = [&](const char* label, const char* key,
-                            CakeExec exec) {
+                            CakeExec exec) -> double {
             CakeOptions opts;
             opts.exec = exec;
             CakeGemm gemm(pool, opts);
@@ -205,9 +210,11 @@ int main(int argc, char** argv)
                            format_number(s.total_seconds * 1e3, 4),
                            format_number(s.overlap_efficiency, 3), barrier,
                            path});
+            return s.overlap_efficiency;
         };
         run_cake("CAKE overlap off", "cake_serial", CakeExec::kSerial);
-        run_cake("CAKE overlap on", "cake_pipelined", CakeExec::kPipelined);
+        const double overlap_eff = run_cake(
+            "CAKE overlap on", "cake_pipelined", CakeExec::kPipelined);
         {
             GotoGemm gemm(pool);
             gemm.multiply(a.data(), shape.k, b.data(), shape.n, out.data(),
@@ -242,6 +249,14 @@ int main(int argc, char** argv)
                "ledger's\ncore.overlap_eff, core.serial_gflops and "
                "threading.team_gflops\ncompare overlap off and on over "
                "its workloads (bench/ledger).\n";
+        if (!(overlap_eff > 0)) {
+            std::cout << "Shape check FAILED: CAKE overlap on reports "
+                         "overlap eff 0, so no packing ran beside compute.\n";
+            return 1;
+        }
+        std::cout << "Shape check holds: CAKE overlap on co-issued "
+                  << format_number(overlap_eff, 3)
+                  << " of its packing with compute.\n";
     }
     return 0;
 }

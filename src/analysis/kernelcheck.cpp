@@ -268,7 +268,9 @@ struct FingerprintFamily {
 template <>
 struct FingerprintFamily<U8S8S32> {
     using Acc = std::int64_t;
-    static constexpr Round rounds[] = {{1, false}, {2, true}, {5, false}};
+    // 17 k-quads span two 64-deep AMX chunks, the second one partial.
+    static constexpr Round rounds[] = {
+        {1, false}, {2, true}, {5, false}, {17, false}};
     static constexpr index_t edge_tile_steps = 2;
     static std::uint8_t a_val(index_t i, index_t r, bool edge)
     {
@@ -303,80 +305,101 @@ typename FingerprintFamily<F>::Acc ir_expected(const KernelIr& ir,
     return sum;
 }
 
-/// The entry's own sliver packers must reproduce the formula-built slivers
-/// `a` (mr lanes) and `b` (nr lanes) byte for byte from a padded source:
-/// A and B^T through gather_sliver, A^T and B through copy_sliver, each
-/// with every lane live and with the last lane dead (zero-padded), and
-/// must leave a sentinel tail past the sliver untouched. The first
-/// mismatch raises KIR_BINARY naming the packer; returns false then.
-template <typename T>
-bool packers_agree(const KernelIr& ir, const MicroKernelT<T>& kernel,
-                   index_t steps, const AlignedBuffer<T>& a,
-                   const AlignedBuffer<T>& b, KernelReport& report)
+/// One of the entry's own sliver packers must reproduce its layout
+/// formula byte for byte from a padded source: `width` lanes over k K
+/// elements, lane i at depth p holding value(i, p) and landing at
+/// offset(i, p), zero elsewhere up to the packed depth, once with every
+/// lane live and once with the last lane dead, and a sentinel tail past
+/// the sliver untouched. Each run is made over two sentinel fills, so an
+/// element the packer never writes shows whatever its expected value. The
+/// first mismatch raises KIR_BINARY naming the packer; returns false then.
+template <typename E, typename Offset, typename Value>
+bool packer_agrees(const KernelIr& ir, const char* name, SliverFnT<E> fn,
+                   bool lanes_strided, index_t width, index_t k,
+                   index_t depth, const Offset& offset, const Value& value,
+                   KernelReport& report)
 {
-    struct Packer {
-        const char* name;
-        SliverFnT<T> fn;
-        bool lanes_strided;
-        index_t width;
-        const AlignedBuffer<T>& image;
-    };
-    const Packer packers[] = {
-        {"gather_sliver (A)", kernel.gather_sliver, true, ir.mr, a},
-        {"copy_sliver (A^T)", kernel.copy_sliver, false, ir.mr, a},
-        {"copy_sliver (B)", kernel.copy_sliver, false, ir.nr, b},
-        {"gather_sliver (B^T)", kernel.gather_sliver, true, ir.nr, b},
-    };
-    for (const Packer& pk : packers) {
-        if (pk.fn == nullptr) {
-            add_issue(report, "KIR_BINARY",
-                      "kernel '" + ir.kernel + "' has no " + pk.name
-                          + " packer");
-            return false;
-        }
-        const index_t width = pk.width;
-        const index_t ld = (pk.lanes_strided ? steps : width) + 3;
-        const index_t lane_step = pk.lanes_strided ? ld : 1;
-        const index_t depth_step = pk.lanes_strided ? 1 : ld;
-        std::vector<T> src(
-            static_cast<std::size_t>((pk.lanes_strided ? width : steps) * ld),
-            T(-1));
-        for (index_t p = 0; p < steps; ++p)
-            for (index_t i = 0; i < width; ++i)
-                src[static_cast<std::size_t>(i * lane_step + p * depth_step)] =
-                    pk.image[static_cast<std::size_t>(p * width + i)];
-        // One zmm of sentinels past the sliver catches a full-vector store
-        // where fewer lanes are meant.
-        constexpr index_t kTail = 64 / sizeof(T);
-        const T sentinel = T(-987654);
-        const index_t size = width * steps;
-        AlignedBuffer<T> out(static_cast<std::size_t>(size + kTail));
-        for (const index_t live : {width, width - 1}) {
+    if (fn == nullptr) {
+        add_issue(report, "KIR_BINARY",
+                  "kernel '" + ir.kernel + "' has no " + name + " packer");
+        return false;
+    }
+    const index_t ld = (lanes_strided ? k : width) + 3;
+    const index_t lane_step = lanes_strided ? ld : 1;
+    const index_t depth_step = lanes_strided ? 1 : ld;
+    std::vector<E> src(
+        static_cast<std::size_t>((lanes_strided ? width : k) * ld), E(-1));
+    for (index_t p = 0; p < k; ++p)
+        for (index_t i = 0; i < width; ++i)
+            src[static_cast<std::size_t>(i * lane_step + p * depth_step)] =
+                value(i, p);
+    // One zmm of sentinels past the sliver catches a full-vector store
+    // where fewer lanes are meant.
+    constexpr index_t kTail = 64 / static_cast<index_t>(sizeof(E));
+    const index_t size = width * depth;
+    AlignedBuffer<E> out(static_cast<std::size_t>(size + kTail));
+    std::vector<E> want(static_cast<std::size_t>(size));
+    for (const index_t live : {width, width - 1}) {
+        std::fill(want.begin(), want.end(), E(0));
+        for (index_t p = 0; p < k; ++p)
+            for (index_t i = 0; i < live; ++i)
+                want[static_cast<std::size_t>(offset(i, p))] = value(i, p);
+        for (const E sentinel : {static_cast<E>(-987654), static_cast<E>(77)}) {
             std::fill(out.data(), out.data() + size + kTail, sentinel);
-            pk.fn(src.data(), ld, live, steps, width, out.data());
+            fn(src.data(), ld, live, k, width, out.data());
             for (index_t e = 0; e < size + kTail; ++e) {
-                const index_t p = e / width;
-                const index_t i = e % width;
                 const auto at = static_cast<std::size_t>(e);
-                const T want = e >= size ? sentinel
-                    : i < live           ? pk.image[at]
-                                         : T(0);
-                if (std::memcmp(&out[at], &want, sizeof(T)) == 0) continue;
+                const E expect = e >= size ? sentinel : want[at];
+                if (std::memcmp(&out[at], &expect, sizeof(E)) == 0) continue;
                 std::ostringstream msg;
-                msg << "kernel '" << ir.kernel << "' packer " << pk.name;
+                msg << "kernel '" << ir.kernel << "' packer " << name;
                 if (e >= size) {
                     msg << " wrote element " << e - size
                         << " past the sliver end";
                 } else {
-                    msg << " disagrees with the layout formula at lane " << i
-                        << ", depth " << p;
+                    msg << " disagrees with the layout formula at packed"
+                        << " element " << e;
                 }
-                msg << " (live=" << live << ", kc=" << steps << "): packed "
-                    << out[at] << ", want " << want;
+                msg << " (live=" << live << ", k=" << k << "): packed "
+                    << +out[at] << ", want " << +expect;
                 add_issue(report, "KIR_BINARY", msg.str());
                 return false;
             }
         }
+    }
+    return true;
+}
+
+/// Every packer of the entry against its layout at k K elements: A and,
+/// for float, B^T through gather_sliver; B and, for float, A^T through
+/// copy_sliver.
+template <typename F>
+bool packers_agree(const KernelIr& ir, const MicroKernelT<F>& kernel,
+                   index_t k, bool edge, KernelReport& report)
+{
+    using Data = FingerprintFamily<F>;
+    const index_t depth = kernel.packed_depth(k);
+    const index_t mr = ir.mr;
+    const index_t nr = ir.nr;
+    auto a_off = [&](index_t i, index_t p) {
+        return kernel.a_offset(mr, i, p);
+    };
+    auto b_off = [&](index_t j, index_t p) {
+        return kernel.b_offset(nr, j, p);
+    };
+    auto a_val = [&](index_t i, index_t p) { return Data::a_val(i, p, edge); };
+    auto b_val = [&](index_t j, index_t p) { return Data::b_val(p, j, edge); };
+    if (!packer_agrees(ir, "gather_sliver (A)", kernel.gather_sliver, true,
+                       mr, k, depth, a_off, a_val, report)
+        || !packer_agrees(ir, "copy_sliver (B)", kernel.copy_sliver, false,
+                          nr, k, depth, b_off, b_val, report)) {
+        return false;
+    }
+    if constexpr (std::is_floating_point_v<F>) {
+        return packer_agrees(ir, "copy_sliver (A^T)", kernel.copy_sliver,
+                             false, mr, k, depth, a_off, a_val, report)
+            && packer_agrees(ir, "gather_sliver (B^T)", kernel.gather_sliver,
+                             true, nr, k, depth, b_off, b_val, report);
     }
     return true;
 }
@@ -469,23 +492,22 @@ void fingerprint(const KernelIr& ir, const MicroKernelT<F>& kernel,
     for (const Round round : Data::rounds) {
         const index_t steps = round.steps;
         const bool edge = round.edge_values;
+        // The slivers in the entry's own layout, zero-padded to its
+        // packed depth (the kernel may read all of it).
+        const index_t packed = kernel.packed_depth(steps * s);
         AlignedBuffer<typename Fam::A> a(
-            static_cast<std::size_t>(mr * steps * s));
+            static_cast<std::size_t>(mr * packed), true);
         AlignedBuffer<typename Fam::B> b(
-            static_cast<std::size_t>(nr * steps * s));
-        for (index_t q = 0; q < steps; ++q) {
+            static_cast<std::size_t>(nr * packed), true);
+        for (index_t r = 0; r < steps * s; ++r) {
             for (index_t i = 0; i < mr; ++i)
-                for (index_t d = 0; d < s; ++d)
-                    a[static_cast<std::size_t>(q * mr * s + i * s + d)] =
-                        Data::a_val(i, q * s + d, edge);
+                a[static_cast<std::size_t>(kernel.a_offset(mr, i, r))] =
+                    Data::a_val(i, r, edge);
             for (index_t j = 0; j < nr; ++j)
-                for (index_t d = 0; d < s; ++d)
-                    b[static_cast<std::size_t>(q * nr * s + j * s + d)] =
-                        Data::b_val(q * s + d, j, edge);
+                b[static_cast<std::size_t>(kernel.b_offset(nr, j, r))] =
+                    Data::b_val(r, j, edge);
         }
-        if constexpr (std::is_floating_point_v<F>) {
-            if (!packers_agree(ir, kernel, steps, a, b, report)) return;
-        }
+        if (!packers_agree(ir, kernel, steps * s, edge, report)) return;
         // Expected tile from the IR's term algebra (cover is exact — the
         // symbolic pass ran clean before fingerprinting).
         std::vector<Acc> expected(static_cast<std::size_t>(mr * nr), 0);
@@ -663,6 +685,13 @@ std::string apply_kernel_mutation(KernelIr& ir, KirMutation m)
                     ir.acc_regs + 1,
                     ir.reg_budget - ir.a_regs - ir.b_regs - ir.tmp_regs
                         - ir.const_regs + 1);
+            } else if (ir.acc_storage == KirAccStorage::kTileRows) {
+                // One whole tile past the file.
+                ir.acc_regs = std::max(
+                    ir.acc_regs + kKirTileRows,
+                    (ir.reg_budget - ir.a_regs - ir.b_regs - ir.tmp_regs
+                     - ir.const_regs + 1)
+                        * kKirTileRows);
             } else {
                 ir.acc_regs =
                     kKirStackTileBudgetBytes / ir.acc_elem_bytes() + 1;

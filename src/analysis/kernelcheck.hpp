@@ -45,11 +45,12 @@
 // every m in 1..mr, n at the store-mask boundaries (1, lanes - 1, lanes,
 // lanes + 1, nr - 1, nr), overwrite and accumulate, into a C whose gap
 // columns past nr hold a sentinel (KIR_BINARY on any mismatch, or on any
-// write outside the live tile). The float and double entries' sliver
-// packers are pinned the same way: the fingerprint's source panels, packed
-// through gather_sliver (A, B^T) and copy_sliver (A^T, B), must equal the
-// layout-formula slivers byte for byte, also with a dead last lane
-// (KIR_BINARY naming the packer). This is the same design as
+// write outside the live tile). The panels are built in the entry's own
+// layout (MicroKernelT::a_offset / b_offset, zero to its packed depth),
+// and every entry's sliver packers are pinned the same way: the same
+// values packed through gather_sliver (A, and for float B^T) and
+// copy_sliver (B, and for float A^T) must equal that layout byte for
+// byte, also with a dead last lane (KIR_BINARY naming the packer). This is the same design as
 // schedir's cross_check_memsim: the symbolic object is only trusted
 // because it is pinned to the executable artifact.
 //

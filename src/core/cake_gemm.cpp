@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pack/pack.hpp"
-#include "pack/pack_int8.hpp"
 
 namespace cake {
 
@@ -75,17 +74,14 @@ void publish_cake_stats(const CakeStats& s)
 
 namespace detail {
 
-/// Compile-time operations of a kernel family beyond its kernel: pack
-/// layout, solver width and K limit. Kernel lookup and the tile runner are
-/// the registry's, shared by every family (kernel/registry.hpp). The block
-/// loop is written once against this interface; f32 and f64 share the
-/// generic template, the quantized u8 x s8 -> s32 family specialises it
-/// below.
+/// Compile-time operations of a kernel family beyond its kernel: solver
+/// width, stored widths and K limit. Kernel lookup, the packed layout and
+/// the tile runner are the registry entry's, shared by every family
+/// (kernel/registry.hpp, pack/pack.hpp). The block loop is written once
+/// against this interface; f32 and f64 share the generic template, the
+/// quantized u8 x s8 -> s32 family specialises it below.
 template <typename T>
 struct FamilyOps : KernelFamily<T> {
-    using typename KernelFamily<T>::A;
-    using typename KernelFamily<T>::B;
-
     /// Element width the §4.3 solver sizes blocks with.
     static constexpr index_t solver_elem_bytes = sizeof(T);
     /// PlanRequest::elem_bytes: the tuning-cache dtype bucket.
@@ -96,31 +92,6 @@ struct FamilyOps : KernelFamily<T> {
 
     /// No K limit: floating-point accumulators cannot overflow.
     static void check_k(index_t) {}
-
-    /// Pack rows [r0, r0 + rows) x K [k0, k0 + ki) of op(A).
-    static void pack_a(bool ta, const A* a, index_t lda, index_t r0,
-                       index_t k0, index_t rows, index_t ki, index_t mr,
-                       A* dst)
-    {
-        if (ta) {
-            pack_a_panel_transposed(a + k0 * lda + r0, lda, rows, ki, mr,
-                                    dst);
-        } else {
-            pack_a_panel(a + r0 * lda + k0, lda, rows, ki, mr, dst);
-        }
-    }
-    /// Pack K [k0, k0 + ki) x columns [c0, c0 + cols) of op(B).
-    static void pack_b(bool tb, const B* b, index_t ldb, index_t k0,
-                       index_t c0, index_t ki, index_t cols, index_t nr,
-                       B* dst)
-    {
-        if (tb) {
-            pack_b_panel_transposed(b + c0 * ldb + k0, ldb, ki, cols, nr,
-                                    dst);
-        } else {
-            pack_b_panel(b + k0 * ldb + c0, ldb, ki, cols, nr, dst);
-        }
-    }
 };
 
 template <>
@@ -147,27 +118,28 @@ struct FamilyOps<U8S8S32> : KernelFamily<U8S8S32> {
             throw Error(os.str());
         }
     }
-
-    // Transposed operands are refused at construction, so ta/tb is false.
-    static void pack_a(bool, const A* a, index_t lda, index_t r0,
-                       index_t k0, index_t rows, index_t ki, index_t mr,
-                       A* dst)
-    {
-        pack_a_panel_int8(a + r0 * lda + k0, lda, rows, ki, mr, dst);
-    }
-    static void pack_b(bool, const B* b, index_t ldb, index_t k0, index_t c0,
-                       index_t ki, index_t cols, index_t nr, B* dst)
-    {
-        pack_b_panel_int8(b + k0 * ldb + c0, ldb, ki, cols, nr, dst);
-    }
 };
 
-/// Packed elements per sliver row of a ki-deep block: ki padded to whole
-/// kernel k-steps (k-quads for int8).
+/// Pack rows [r0, r0 + rows) x K [k0, k0 + ki) of op(A) with `kernel`.
 template <typename T>
-index_t packed_depth(index_t ki)
+void pack_a_rows(const MicroKernelT<T>& kernel, bool ta,
+                 const typename KernelFamily<T>::A* a, index_t lda,
+                 index_t r0, index_t k0, index_t rows, index_t ki,
+                 typename KernelFamily<T>::A* dst)
 {
-    return KernelFamily<T>::k_step * kernel_steps<T>(ki);
+    pack_a_slivers(kernel, ta, ta ? a + k0 * lda + r0 : a + r0 * lda + k0,
+                   lda, rows, ki, kernel.mr, dst);
+}
+
+/// Pack K [k0, k0 + ki) x columns [c0, c0 + cols) of op(B) with `kernel`.
+template <typename T>
+void pack_b_cols(const MicroKernelT<T>& kernel, bool tb,
+                 const typename KernelFamily<T>::B* b, index_t ldb,
+                 index_t k0, index_t c0, index_t ki, index_t cols,
+                 typename KernelFamily<T>::B* dst)
+{
+    pack_b_slivers(kernel, tb, tb ? b + c0 * ldb + k0 : b + k0 * ldb + c0,
+                   ldb, ki, cols, kernel.nr, dst);
 }
 
 /// run_tile for the alpha/beta pairs the kernel cannot apply itself: the
@@ -352,9 +324,10 @@ PackedB<T> CakeGemmT<T>::pack_weights(const B* b, index_t ldb, index_t k,
     packed.n_ = n;
     packed.kb_ = ceil_div(k, packed.params_.k_blk);
     packed.nb_ = ceil_div(n, packed.params_.n_blk);
+    // A panel is never deeper than k nor wider than n.
     packed.stride_ = static_cast<std::size_t>(
-        detail::packed_depth<T>(packed.params_.k_blk)
-        * round_up(packed.params_.n_blk, kernel_.nr));
+        kernel_.packed_depth(std::min(packed.params_.k_blk, k))
+        * round_up(std::min(packed.params_.n_blk, n), kernel_.nr));
     packed.data_ = AlignedBuffer<B>(
         static_cast<std::size_t>(packed.kb_ * packed.nb_) * packed.stride_);
 
@@ -364,12 +337,12 @@ PackedB<T> CakeGemmT<T>::pack_weights(const B* b, index_t ldb, index_t k,
         for (index_t slot = lo; slot < hi; ++slot) {
             const index_t k0 = (slot / packed.nb_) * packed.params_.k_blk;
             const index_t n0 = (slot % packed.nb_) * packed.params_.n_blk;
-            Ops::pack_b(tb, b, ldb, k0, n0,
-                        std::min(packed.params_.k_blk, k - k0),
-                        std::min(packed.params_.n_blk, n - n0), kernel_.nr,
-                        packed.data_.data()
-                            + static_cast<std::size_t>(slot)
-                                * packed.stride_);
+            detail::pack_b_cols(kernel_, tb, b, ldb, k0, n0,
+                                std::min(packed.params_.k_blk, k - k0),
+                                std::min(packed.params_.n_blk, n - n0),
+                                packed.data_.data()
+                                    + static_cast<std::size_t>(slot)
+                                        * packed.stride_);
         }
     });
     packed.verify_canaries();
@@ -552,8 +525,7 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
     // Pack buffers hold the largest block of this call, not of the plan:
     // a block never spans more than the call's m rows, n columns or k
     // depth.
-    const index_t depth =
-        detail::packed_depth<T>(std::min(params.k_blk, k));
+    const index_t depth = kernel_.packed_depth(std::min(params.k_blk, k));
     pack_a_[0].ensure(static_cast<std::size_t>(
         round_up(std::min(params.m_blk, m), kernel_.mr) * depth));
     if (overlap) pack_a_[1].ensure(pack_a_[0].size());
@@ -602,7 +574,6 @@ void CakeGemmT<T>::multiply_impl(const A* a, index_t lda, const B* b,
 template <typename T>
 void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
 {
-    using Ops = detail::FamilyOps<T>;
     const CbBlockParams& params = call.params;
     const int p = params.p;
     const index_t mr = kernel_.mr;
@@ -723,14 +694,15 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 racecheck::AccessKind::kWrite,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kPack});
-            const index_t depth = detail::packed_depth<T>(st.ki);
+            const index_t depth = kernel.packed_depth(st.ki);
             for (index_t s = item * kPackAGroup; s < s_end; ++s) {
                 const index_t r0 = s * mr;
                 require_extent(r0 * depth, mr * depth, pa_cap,
                                "packed-A sliver");
-                Ops::pack_a(call.ta, call.a, call.lda, st.m0 + r0, st.k0,
-                            std::min(mr, st.mi - r0), st.ki, mr,
-                            pa_slots[st.a_slot] + r0 * depth);
+                detail::pack_a_rows(kernel, call.ta, call.a, call.lda,
+                                    st.m0 + r0, st.k0,
+                                    std::min(mr, st.mi - r0), st.ki,
+                                    pa_slots[st.a_slot] + r0 * depth);
             }
         };
         // One group of nr slivers of step st's B surface into its half.
@@ -743,14 +715,15 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
                 racecheck::AccessKind::kWrite,
                 {st.step, st.coord.m, st.coord.n, st.coord.k,
                  racecheck::Phase::kPack});
-            const index_t depth = detail::packed_depth<T>(st.ki);
+            const index_t depth = kernel.packed_depth(st.ki);
             for (index_t s = item * kPackBGroup; s < s_end; ++s) {
                 const index_t c0 = s * nr;
                 require_extent(c0 * depth, nr * depth, pb_cap,
                                "packed-B sliver");
-                Ops::pack_b(call.tb, call.b, call.ldb, st.k0, st.n0 + c0,
-                            st.ki, std::min(nr, st.ni - c0), nr,
-                            pb_slots[st.b_slot] + c0 * depth);
+                detail::pack_b_cols(kernel, call.tb, call.b, call.ldb,
+                                    st.k0, st.n0 + c0, st.ki,
+                                    std::min(nr, st.ni - c0),
+                                    pb_slots[st.b_slot] + c0 * depth);
             }
         };
         // One mr row band of step st's block computation, in place in
@@ -781,7 +754,7 @@ void CakeGemmT<T>::run_block_loop(const detail::GemmCall<T>& call)
             }
             const C beta = st.c_change && !st.revisit ? call.beta : C(1);
             const index_t c_band = (st.m0 + r) * call.ldc + st.n0;
-            const index_t depth = detail::packed_depth<T>(st.ki);
+            const index_t depth = kernel.packed_depth(st.ki);
             require_extent(r * depth, mr * depth, pa_cap,
                            "compute A sliver");
             const A* a_sliver = pa_slots[st.a_slot] + r * depth;

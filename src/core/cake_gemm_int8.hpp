@@ -6,8 +6,8 @@
 // which is exactly the lever §3's analysis pulls (elem_bytes enters the
 // solver).
 //
-// Differences from CakeGemm: the micro-kernel and the k-quad pack layout
-// are the int8 family's (kernel/kernel_int8.hpp, pack/pack_int8.hpp);
+// Differences from CakeGemm: the micro-kernel and its packed layout are
+// an int8 registry entry's (kernel/kernel_int8.hpp);
 // transposed operands are refused at construction; there is no
 // multiply_scaled (C = A*B, or C += A*B with options.accumulate); and a
 // multiply whose K exceeds int8_safe_k() (core/fperror.hpp), where the
@@ -16,7 +16,7 @@
 //
 // The A contract: every A value lies in [0, 127] (quantize_unsigned maps
 // into that range). A multiply that meets a larger A value throws a coded
-// [I8_A_RANGE] Error from the A packer, under every kernel; C is then
+// [I8_A_RANGE] Error from the A pack walk, under every kernel; C is then
 // unspecified, and the context stays usable.
 #pragma once
 

@@ -26,12 +26,17 @@ struct KernelFamily {
     using B = F;
     using C = F;
     /// K elements one kernel depth step folds: a kernel's depth argument
-    /// counts steps, so its packed slivers are k_step-padded in K.
+    /// counts steps. Each registry entry pads its packed slivers in K to
+    /// its own granule, a multiple of k_step (MicroKernelT::k_granule).
     static constexpr index_t k_step = 1;
     /// Dtype name shared by KernelIr, DtypeDesc and the tuning cache.
     static constexpr const char* name = sizeof(F) == 4 ? "f32" : "f64";
-    /// True if this family's kernel of `isa` can run on this CPU.
-    static bool isa_ok(Isa isa) { return isa_supported(isa); }
+    /// True if this family's kernel of `isa` can run on this CPU. AMX
+    /// tiles are int8-only: the float families have no kAmx entry.
+    static bool isa_ok(Isa isa)
+    {
+        return isa != Isa::kAmx && isa_supported(isa);
+    }
 };
 
 template <>
@@ -46,7 +51,9 @@ struct KernelFamily<U8S8S32> {
     /// Stricter than isa_supported for AVX-512: the 8x32 kernel is
     /// vpdpbusd on zmm, so it needs AVX-512BW and AVX-512 VNNI, not just
     /// the F foundation. An AVX-512BW host without VNNI (Skylake-SP/X)
-    /// runs int8 on the AVX2 kernel.
+    /// runs int8 on the AVX2 kernel. kAmx is isa_supported's rule: CPUID,
+    /// XCR0 and the process's tile-data permission; a host without any
+    /// of them runs int8 on the VNNI kernel.
     static bool isa_ok(Isa isa)
     {
         return isa == Isa::kAvx512

@@ -3,19 +3,27 @@
 // motivates. The kernels are the MicroKernelT<U8S8S32> entries of the one
 // registry (kernel/registry.hpp). They follow the x86 integer dot-product
 // idiom: the reduction dimension is processed in groups of four, the
-// family's k_step. The AVX-512 kernel folds a k-quad with one vpdpbusd
-// (AVX-512 VNNI); the AVX2 kernel with vpmaddubsw + vpmaddwd + vpaddd.
+// family's k_step, and `steps` counts these k-quads. The AMX kernel folds
+// 16 k-quads of a 16 x 16 tile per tdpbusd; the AVX-512 kernel a k-quad
+// with one vpdpbusd (AVX-512 VNNI); the AVX2 kernel with vpmaddubsw +
+// vpmaddwd + vpaddd.
 //
-// Packed layouts (kq = round_up(kc, 4) / 4 k-quads):
-//   A (uint8): a[q*mr*4 + i*4 + j] = A(i, 4q + j), zero-padded in k and m.
-//   B (int8):  b[q*nr*4 + jj*4 + j] = B(4q + j, jj), zero-padded.
+// The packed layout belongs to each entry (kernel/microkernel.hpp): its
+// gather_sliver packs u8 A, its copy_sliver packs s8 B, and its K granule
+// sets the packed depth D. The k-quad entries (granule 4, D =
+// round_up(kc, 4)) pack
+//   A (uint8): a[q*mr*4 + i*4 + j] = A(i, 4q + j), zero-padded in k and m,
+//   B (int8):  b[q*nr*4 + jj*4 + j] = B(4q + j, jj), zero-padded;
+// the AMX entry (granule 64, D = round_up(kc, 64)) keeps that B layout
+// and packs A in 64-deep chunks of 64 contiguous K bytes per row,
+//   a[c*mr*64 + i*64 + j] = A(i, 64c + j).
 // C is int32, row-major with leading dimension ldc.
 //
 // Range note: the AVX2 kernel's vpmaddubsw saturates its int16 pair sums,
-// so it is exact only while every A value is <= 127; vpdpbusd and the
-// scalar kernel are exact over the full u8 range. One contract holds for
-// every kernel, so results never depend on the ISA: A must lie in
-// [0, 127] (cake::quantize_unsigned maps into it), and the A packer
+// so it is exact only while every A value is <= 127; tdpbusd, vpdpbusd
+// and the scalar kernel are exact over the full u8 range. One contract
+// holds for every kernel, so results never depend on the ISA: A must lie
+// in [0, 127] (cake::quantize_unsigned maps into it), and the sliver walk
 // refuses anything larger with a coded [I8_A_RANGE] error.
 #pragma once
 

@@ -117,7 +117,8 @@ void avx2_int8_ukr(index_t kq, const std::uint8_t* a, const std::int8_t* b,
 MicroKernelT<U8S8S32> avx2_int8_microkernel()
 {
     return {"avx2_int8_4x16", Isa::kAvx2, kMr, kNr, &avx2_int8_ukr,
-            &simd_edge::kernel<YmmS32>};
+            &simd_edge::kernel<YmmS32>, &gather_quads_scalar,
+            &copy_quads_scalar, /*k_granule=*/4};
 }
 
 }  // namespace cake

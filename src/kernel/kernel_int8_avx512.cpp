@@ -223,7 +223,8 @@ void avx512_vnni_int8_edge(index_t kq, const std::uint8_t* a,
 MicroKernelT<U8S8S32> avx512_int8_microkernel()
 {
     return {"avx512_vnni_int8_8x32", Isa::kAvx512, kMr, kNr,
-            &avx512_vnni_int8_ukr, &avx512_vnni_int8_edge};
+            &avx512_vnni_int8_ukr, &avx512_vnni_int8_edge,
+            &gather_quads_scalar, &copy_quads_scalar, /*k_granule=*/4};
 }
 
 }  // namespace cake

@@ -93,6 +93,15 @@ std::vector<KernelIr> build_all_irs()
                                KirAccStorage::kRegisters, 1, 2, /*tmp=*/0,
                                /*const=*/0, 32));
 #endif
+#if defined(CAKE_HAVE_AMX_KERNEL)
+    // Tile form: 64 accumulator tile rows (4 C tiles) + 2 A tiles + 2 B
+    // tiles = 8 of 8. Per k-quad step each C row takes one 16-lane dot of
+    // its A row against one B tile; tdpbusd folds 16 such steps.
+    irs.push_back(row_panel_ir("amx_int8_32x32", "i8", Isa::kAmx, 32, 32,
+                               /*lanes=*/16, /*quad=*/4,
+                               KirAccStorage::kTileRows, /*a=*/2, /*b=*/2,
+                               /*tmp=*/0, /*const=*/0, /*budget=*/8));
+#endif
     return irs;
 }
 
@@ -130,12 +139,15 @@ const KernelIr* kernel_ir_for(const std::string& name)
 
 bool kir_spill_free(const KernelIr& ir, std::string* why)
 {
-    if (ir.acc_storage == KirAccStorage::kRegisters) {
+    if (ir.acc_storage != KirAccStorage::kStackTile) {
         if (ir.regs_used() > ir.reg_budget) {
             if (why != nullptr) {
+                const char* unit = ir.acc_storage == KirAccStorage::kTileRows
+                    ? " tiles ("
+                    : " registers (";
                 *why = "kernel '" + ir.kernel + "' needs "
-                    + std::to_string(ir.regs_used()) + " registers ("
-                    + std::to_string(ir.acc_regs) + " acc + "
+                    + std::to_string(ir.regs_used()) + unit
+                    + std::to_string(ir.acc_units()) + " acc + "
                     + std::to_string(ir.a_regs) + " A + "
                     + std::to_string(ir.b_regs) + " B + "
                     + std::to_string(ir.tmp_regs + ir.const_regs)

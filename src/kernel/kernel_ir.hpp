@@ -21,7 +21,11 @@
 //                      architectural budget (16 ymm, 32 zmm), or — for the
 //                      compiler-scheduled scalar kernels — a stack-resident
 //                      accumulator tile that must stay L1-trivial
-//                      (kKirStackTileBudgetBytes);
+//                      (kKirStackTileBudgetBytes), or — for the AMX tile
+//                      kernel — the tile form: each accumulator is one
+//                      tile row of `lanes` i32 (kKirTileRows rows per
+//                      tile), A and B count whole tiles, and the budget is
+//                      the 8-tile file;
 //   * chain depth    — declared sequential updates per accumulator per
 //                      k-step, the quantity the static throughput bound
 //                      (model/kernel_peak.hpp) divides FMA latency by;
@@ -63,7 +67,12 @@ struct KirStore {
 enum class KirAccStorage {
     kRegisters,  ///< SIMD kernels: one architectural register per acc slot
     kStackTile,  ///< scalar kernels: compiler-scheduled stack tile
+    kTileRows,   ///< AMX: one tile row per acc slot, kKirTileRows per tile
 };
+
+/// Rows of one AMX tile: tile-form accumulators are counted in tile rows
+/// and fill whole tiles.
+inline constexpr int kKirTileRows = 16;
 
 /// Stack-resident accumulator tiles must fit comfortably in L1 alongside
 /// the streamed panels; a scalar kernel whose declared tile exceeds this
@@ -85,7 +94,7 @@ struct KernelIr {
     int b_regs = 0;      ///< B-stream registers live inside one step
     int tmp_regs = 0;    ///< per-step temporaries (AVX2 int8 products)
     int const_regs = 0;  ///< loop-invariant constants (AVX2 int8 `ones`)
-    int reg_budget = 0;  ///< architectural vector registers of the ISA
+    int reg_budget = 0;  ///< architectural vector registers (or tiles)
     /// Declared sequential updates of one accumulator per k-step; the
     /// verifier re-derives this from `fmas` and rejects a mismatch
     /// (KIR_THROUGHPUT), so the throughput bound cannot be gamed.
@@ -104,10 +113,19 @@ struct KernelIr {
         return family == "f64" ? 8 : 4;
     }
 
-    /// Registers simultaneously live in the steady-state k-loop.
+    /// Accumulator registers, or in the tile form whole tiles.
+    [[nodiscard]] int acc_units() const
+    {
+        return acc_storage == KirAccStorage::kTileRows
+            ? (acc_regs + kKirTileRows - 1) / kKirTileRows
+            : acc_regs;
+    }
+
+    /// Registers (tiles in the tile form) simultaneously live in the
+    /// steady-state k-loop.
     [[nodiscard]] int regs_used() const
     {
-        return acc_regs + a_regs + b_regs + tmp_regs + const_regs;
+        return acc_units() + a_regs + b_regs + tmp_regs + const_regs;
     }
 };
 

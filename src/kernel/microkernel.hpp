@@ -4,25 +4,31 @@
 //
 // A micro-kernel computes C(mr x nr) (+)= A_panel * B_panel over `steps`
 // depth steps of the family's s = k_step K elements each (1 for float and
-// double, 4 for the int8 k-quads):
-//   * A_panel is packed column-major by step:
-//       a[q*mr*s + i*s + d] = A(i, q*s + d)
-//   * B_panel is packed row-major by step:
-//       b[q*nr*s + j*s + d] = B(q*s + d, j)
+// double, 4 for the int8 k-quads). The packed layout belongs to the
+// registry entry: with its K granule g (k_granule, a multiple of s) a
+// k-deep sliver pair is D = round_up(k, g) deep, zero past k, and
+//   * A_panel holds g K elements of a row contiguously:
+//       a[(p/g)*mr*g + i*g + p%g] = A(i, p)
+//   * B_panel holds s K elements of a column contiguously:
+//       b[(p/s)*nr*s + j*s + p%s] = B(p, j)
 //   * C is an mr x nr tile inside a row-major matrix with leading dim ldc.
-// For s = 1 these are a[p*mr + i] = A(i, p) and b[p*nr + j] = B(p, j).
+// For g = s = 1 these are a[p*mr + i] = A(i, p) and b[p*nr + j] = B(p, j).
+// g is 1 for the float entries, 4 for the int8 k-quad entries and 64 for
+// the AMX entry, whose A tile rows are 64 contiguous K bytes; a kernel
+// may read the whole D-deep sliver, so the zero padding is part of the
+// contract (MicroKernelT::a_offset / b_offset / packed_depth).
 //
-// The float and double entries also own the packing of those slivers
-// (BLIS's packm-per-kernel design): src/pack walks a panel sliver by sliver
-// and hands each one to the dispatched entry's gather_sliver or
-// copy_sliver, so SIMD packers live next to the kernels they feed. Both
-// write one sliver of `width` lanes and `k` depth steps,
-//   out[p*width + i] = source lane i at depth p   (i < live, p < k),
-// and zero for live <= i < width. gather_sliver reads lane i from the
-// strided source row src[i*ld + p] (op(A) = A, and op(B) = B^T);
-// copy_sliver reads it from the contiguous row src[p*ld + i] (op(B) = B,
-// and op(A) = A^T). The int8 entries leave both null: their k-quad
-// layout is packed by pack_*_panel_int8 (pack/pack_int8.hpp).
+// Every entry also owns the packing of those slivers (BLIS's
+// packm-per-kernel design): src/pack walks a panel sliver by sliver and
+// hands each one to the dispatched entry's gather_sliver or copy_sliver,
+// so SIMD packers live next to the kernels they feed. Both write one
+// sliver of `width` lanes over `k` K elements in the entry's layout above
+// (mr or nr replaced by width), D deep and zero for live <= i < width.
+// gather_sliver reads lane i from the strided source row src[i*ld + p]
+// (op(A) = A, and for float op(B) = B^T); copy_sliver reads it from the
+// contiguous row src[p*ld + i] (op(B) = B, and for float op(A) = A^T).
+// The int8 family packs no transposed operand, so its gather_sliver packs
+// u8 A and its copy_sliver s8 B.
 //
 // Every entry has two compute entry points on the same packed slivers:
 // `fn` updates the full mr x nr tile, and `edge` only its live m x n
@@ -31,8 +37,11 @@
 // accumulator rows fixed at compile time (a table indexed by m - 1) and
 // C loads and stores masked to n columns, so an edge tile runs at the
 // kernel's rate instead of as a full tile plus a copy. run_microkernel_tile
-// picks one of the two. Kernels exist for every family at every ISA level.
+// picks one of the two. Kernels exist for every family at every ISA level
+// but kAmx, which only the int8 family has.
 #pragma once
+
+#include <cstdint>
 
 #include "common/checked.hpp"
 #include "common/types.hpp"
@@ -61,8 +70,9 @@ using EdgeKernelFnT = void (*)(index_t steps,
 
 /// Signature shared by the sliver packers (see the header comment):
 /// pack `live` source lanes (lane step `ld` for gather_sliver, depth step
-/// `ld` for copy_sliver) over `k` depth steps into `out`, zero-padded to
-/// `width` lanes. `out` holds width*k elements.
+/// `ld` for copy_sliver) over `k` K elements into `out`, zero-padded to
+/// `width` lanes and to the entry's packed depth D. `out` holds width*D
+/// elements.
 template <typename T>
 using SliverFnT = void (*)(const T* src, index_t ld, index_t live, index_t k,
                            index_t width, T* out);
@@ -78,10 +88,32 @@ struct MicroKernelT {
     MicroKernelFnT<F> fn = nullptr;
     /// Partial tiles: C is read and written only in the live m x n corner.
     EdgeKernelFnT<F> edge = nullptr;
-    /// Sliver packers (null for int8): lanes strided / contiguous in the
-    /// source.
+    /// Sliver packers: lanes strided (A; float B^T) / contiguous (B;
+    /// float A^T) in the source.
     SliverFnT<typename KernelFamily<F>::A> gather_sliver = nullptr;
-    SliverFnT<typename KernelFamily<F>::A> copy_sliver = nullptr;
+    SliverFnT<typename KernelFamily<F>::B> copy_sliver = nullptr;
+    /// K padding granule g of the packed slivers, a multiple of the
+    /// family's k_step; also the K elements of one A row stored
+    /// contiguously (see the header comment).
+    index_t k_granule = 1;
+
+    /// Packed depth D of a k-deep sliver: k padded to the granule.
+    [[nodiscard]] index_t packed_depth(index_t k) const
+    {
+        return (k + k_granule - 1) / k_granule * k_granule;
+    }
+    /// Offset of A(i, p) in a packed A sliver `width` rows wide.
+    [[nodiscard]] index_t a_offset(index_t width, index_t i, index_t p) const
+    {
+        return p / k_granule * width * k_granule + i * k_granule
+            + p % k_granule;
+    }
+    /// Offset of B(p, j) in a packed B sliver `width` columns wide.
+    [[nodiscard]] index_t b_offset(index_t width, index_t j, index_t p) const
+    {
+        constexpr index_t s = KernelFamily<F>::k_step;
+        return p / s * width * s + j * s + p % s;
+    }
 };
 
 /// The portable sliver packers: the defaults every float and double entry
@@ -93,12 +125,19 @@ template <typename T>
 void copy_sliver_scalar(const T* src, index_t ld, index_t live, index_t k,
                         index_t width, T* out);
 
+/// The portable int8 k-quad sliver packers (granule 4), which the VNNI,
+/// AVX2 and scalar int8 entries name: u8 A rows and s8 B rows.
+void gather_quads_scalar(const std::uint8_t* src, index_t ld, index_t live,
+                         index_t k, index_t width, std::uint8_t* out);
+void copy_quads_scalar(const std::int8_t* src, index_t ld, index_t live,
+                       index_t k, index_t width, std::int8_t* out);
+
 using MicroKernel = MicroKernelT<float>;
 using MicroKernelD = MicroKernelT<double>;
 
-/// Upper bound on mr * nr over every kernel of every family (the AVX-512
-/// f32 kernel's 14 x 32), so a caller can hold one C tile on the stack.
-inline constexpr index_t kMaxTileElems = 14 * 32;
+/// Upper bound on mr * nr over every kernel of every family (the AMX int8
+/// kernel's 32 x 32), so a caller can hold one C tile on the stack.
+inline constexpr index_t kMaxTileElems = 32 * 32;
 
 /// Scalar reference kernels (always available). The int8 one is exact
 /// over the full u8 x s8 input range.
@@ -119,6 +158,11 @@ MicroKernelT<U8S8S32> avx2_int8_microkernel();
 MicroKernel avx512_microkernel();
 MicroKernelD avx512_microkernel_f64();
 MicroKernelT<U8S8S32> avx512_int8_microkernel();
+#endif
+
+#if defined(CAKE_HAVE_AMX_KERNEL)
+/// 32x32 AMX int8 kernel: a 2 x 2 grid of 16 x 16 i32 tiles (tdpbusd).
+MicroKernelT<U8S8S32> amx_int8_microkernel();
 #endif
 
 /// Run a (possibly partial) m x n tile, m <= mr, n <= nr, `steps` deep:

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -22,7 +23,7 @@ const std::vector<MicroKernelD>& all_microkernels_of<double>();
 template <>
 const std::vector<MicroKernelT<U8S8S32>>& all_microkernels_of<U8S8S32>();
 
-/// Deterministic dispatch order: widest vector ISA first (avx512 > avx2 >
+/// Deterministic dispatch order: widest ISA first (amx > avx512 > avx2 >
 /// scalar), ties broken by name. std::sort is not stable, so without the
 /// name tie-break two same-ISA kernels would dispatch in an order that
 /// depends on registry iteration — this comparator pins it.
@@ -53,8 +54,15 @@ std::vector<MicroKernelT<F>> supported_microkernels_of()
 template <typename F>
 const MicroKernelT<F>& microkernel_for_of(Isa isa);
 
-/// The preferred kernel of family F for this CPU. Honours the
-/// CAKE_FORCE_ISA environment variable ("scalar" | "avx2" | "avx512").
+/// The kernel of family F a CAKE_FORCE_ISA value ("scalar" | "avx2" |
+/// "avx512" | "amx") selects. An unknown value, or a level the host cannot
+/// run, throws [FORCE_ISA]. "amx" is an int8-only level: the f32 and f64
+/// families run their AVX-512 entry under it.
+template <typename F>
+const MicroKernelT<F>& forced_microkernel_of(const std::string& value);
+
+/// The preferred kernel of family F for this CPU: the widest supported
+/// entry, or forced_microkernel_of(CAKE_FORCE_ISA) when that is set.
 template <typename F>
 const MicroKernelT<F>& best_microkernel_of();
 

@@ -60,16 +60,26 @@ KernelSelfTestResult test_kernel(const MicroKernelT<F>& kernel, index_t kc,
     result.kernel = kernel.name;
     result.family = Fam::name;
 
-    // K elements the packed slivers hold: kc padded to whole k-steps.
+    // The slivers hold `steps` whole k-steps of data, zero-padded to the
+    // entry's packed depth (its kernel may read all of it).
     const index_t s = Fam::k_step;
     const index_t steps = kernel_steps<F>(kc);
     const index_t depth = steps * s;
+    const index_t packed = kernel.packed_depth(depth);
     AlignedBuffer<typename Fam::A> a(
-        static_cast<std::size_t>(kernel.mr * depth));
+        static_cast<std::size_t>(kernel.mr * packed), true);
     AlignedBuffer<typename Fam::B> b(
-        static_cast<std::size_t>(kernel.nr * depth));
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = Data::a_val(rng);
-    for (std::size_t i = 0; i < b.size(); ++i) b[i] = Data::b_val(rng);
+        static_cast<std::size_t>(kernel.nr * packed), true);
+    auto a_at = [&](index_t i, index_t p) -> typename Fam::A& {
+        return a[static_cast<std::size_t>(kernel.a_offset(kernel.mr, i, p))];
+    };
+    auto b_at = [&](index_t j, index_t p) -> typename Fam::B& {
+        return b[static_cast<std::size_t>(kernel.b_offset(kernel.nr, j, p))];
+    };
+    for (index_t p = 0; p < depth; ++p) {
+        for (index_t i = 0; i < kernel.mr; ++i) a_at(i, p) = Data::a_val(rng);
+        for (index_t j = 0; j < kernel.nr; ++j) b_at(j, p) = Data::b_val(rng);
+    }
 
     AlignedBuffer<typename Fam::C> c(
         static_cast<std::size_t>(kernel.mr * kernel.nr), true);
@@ -79,14 +89,9 @@ KernelSelfTestResult test_kernel(const MicroKernelT<F>& kernel, index_t kc,
     for (index_t i = 0; i < kernel.mr; ++i) {
         for (index_t j = 0; j < kernel.nr; ++j) {
             typename Data::Ref acc = 0;
-            for (index_t r = 0; r < depth; ++r) {
-                const index_t q = r / s;
-                const index_t d = r % s;
-                acc += static_cast<typename Data::Ref>(
-                           a[static_cast<std::size_t>(q * kernel.mr * s
-                                                      + i * s + d)])
-                    * b[static_cast<std::size_t>(q * kernel.nr * s + j * s
-                                                 + d)];
+            for (index_t p = 0; p < depth; ++p) {
+                acc += static_cast<typename Data::Ref>(a_at(i, p))
+                    * b_at(j, p);
             }
             worst = std::max(
                 worst,

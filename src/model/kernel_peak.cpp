@@ -33,6 +33,15 @@ KirPipeModel kir_pipe_model(const KernelIr& ir)
     return scalar ? KirPipeModel{4, 1} : KirPipeModel{4, 2};
 }
 
+namespace {
+
+/// tdpbusd on Sapphire Rapids (uops.info): one per 16 cycles, 52 cycles
+/// from its C tile in to its C tile out.
+constexpr double kTdpbusdCycles = 16;
+constexpr double kTdpbusdLatency = 52;
+
+}  // namespace
+
 KernelPeakRow kernel_peak_row(const KernelIr& ir)
 {
     KernelPeakRow row;
@@ -45,6 +54,22 @@ KernelPeakRow kernel_peak_row(const KernelIr& ir)
     row.regs_used = ir.regs_used();
     row.reg_budget = ir.reg_budget;
     row.chain_updates = ir.chain_updates;
+    if (ir.acc_storage == KirAccStorage::kTileRows) {
+        // Tile form: one tdpbusd updates a whole C tile, kKirTileRows rows
+        // of `lanes` over kKirTileRows k-steps, so each C tile is one
+        // chain. The tile unit issues one tdpbusd per kTdpbusdCycles and
+        // needs latency / issue-interval chains in flight.
+        row.independent_chains = ir.chain_updates > 0
+            ? static_cast<double>(ir.acc_units()) / ir.chain_updates
+            : 0.0;
+        row.utilization = std::min(
+            1.0, row.independent_chains / (kTdpbusdLatency / kTdpbusdCycles));
+        const double ops_per_tdpbusd =
+            2.0 * kKirTileRows * ir.lanes * ir.quad * kKirTileRows;
+        row.ops_per_cycle =
+            ops_per_tdpbusd / kTdpbusdCycles * row.utilization;
+        return row;
+    }
     const KirPipeModel pipe = kir_pipe_model(ir);
     row.independent_chains = ir.chain_updates > 0
         ? static_cast<double>(ir.acc_regs) / ir.chain_updates

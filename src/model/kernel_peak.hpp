@@ -18,7 +18,9 @@
 //     2 * lanes * quad * (P / fma_uops) * utilisation
 //
 // (2 for multiply+add; quad > 1 for the int8 dot-quad kernels, whose
-// "flops" are int ops). The pipe constants (kir_pipe_model) are a
+// "flops" are int ops). The AMX tile form (KirAccStorage::kTileRows) has
+// one chain per C tile instead: tdpbusd's issue interval and latency
+// give its utilisation, and one tdpbusd is 16 x lanes x 64 multiply-adds. The pipe constants (kir_pipe_model) are a
 // deliberate coarse model, an upper bound, not a prediction: real kernels
 // also pay loads, broadcasts and loop overhead. The verifier
 // (KIR_THROUGHPUT) pins chain_updates to the IR's actual dataflow and

@@ -4,21 +4,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/checked.hpp"
 #include "common/error.hpp"
 #include "kernel/registry.hpp"
 #include "obs/metrics.hpp"
 
-// Every routine below (the float/double templates and the int8 k-quad
-// packers) is written against cake::Span: in CAKE_CHECKED builds each
-// sliver slice is bounds-checked against the packed-panel capacity
-// contract (and source reads against the extent the lda/ldb contract
-// implies); in release builds Span<T> is T* and the code compiles to
-// exactly the raw pointer arithmetic it always was. The float/double
-// slivers themselves are written by the dispatched kernel's packers
-// (best_microkernel_of<T>(), which honours CAKE_FORCE_ISA); the int8
-// k-quad loops stay here.
+// Every routine below is written against cake::Span: in CAKE_CHECKED
+// builds each sliver slice is bounds-checked against the packed-panel
+// capacity contract (and source reads against the extent the lda/ldb
+// contract implies); in release builds Span<T> is T* and the code
+// compiles to exactly the raw pointer arithmetic it always was. The
+// slivers themselves, of every family, are written by a registry entry's
+// packers: the executor's own kernel, or for the panel-level entry points
+// the dispatched one (best_microkernel_of, which honours CAKE_FORCE_ISA).
 
 namespace cake {
 namespace {
@@ -47,22 +47,61 @@ void note_pack(bool is_a, index_t rows, index_t cols,
                                 * elem_bytes);
 }
 
-/// The sliver walk shared by the four float/double panel packers: cut
-/// `lanes` source lanes into ceil(lanes / width) slivers of `width` lanes
-/// and `k` depth steps, and hand each to the kernel-owned packer `fn`
-/// (kernel/microkernel.hpp). Lane i at depth p of the source is
-/// src[i*ld + p] when `lanes_strided` (gather_sliver), else src[p*ld + i]
-/// (copy_sliver). Sliver s fills out[s*width*k, (s+1)*width*k).
+/// True if any byte of p[0, n) has bit 7 set: a u8 value above 127.
+inline bool or_scan_above_127(const std::uint8_t* p, std::size_t n)
+{
+    std::uint64_t seen = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, p + i, sizeof word);
+        seen |= word;
+    }
+    for (; i < n; ++i) seen |= p[i];
+    return (seen & 0x8080808080808080u) != 0;
+}
+
+/// or_scan_above_127 compiled for AVX-512: GCC ORs a zmm per load, about
+/// 3x the baseline SSE2 loop's rate.
+[[gnu::target("avx512f,avx512bw")]] bool or_scan_above_127_avx512(
+    const std::uint8_t* p, std::size_t n)
+{
+    return or_scan_above_127(p, n);
+}
+
+/// [I8_A_RANGE]: true if a packed u8 A sliver holds a value above 127.
+/// The sliver was just written, so it is read back from L1; with the
+/// AVX-512 loop the check costs a few percent of an int8 A pack. (A plain
+/// branch, not a target_clones ifunc: the ifunc resolver runs before the
+/// thread sanitizer's runtime is up and crashes TSan builds.)
+bool any_above_127(const std::uint8_t* p, std::size_t n)
+{
+    return cpu_features().avx512bw ? or_scan_above_127_avx512(p, n)
+                                   : or_scan_above_127(p, n);
+}
+
+/// The one sliver walk of every family: cut `lanes` source lanes into
+/// ceil(lanes / width) slivers of `width` lanes over `k` K elements, and
+/// hand each to the kernel-owned packer `fn` (kernel/microkernel.hpp),
+/// which writes it `depth` deep (the entry's packed depth of k). Lane i
+/// at depth p of the source is src[i*ld + p] when `lanes_strided`
+/// (gather_sliver), else src[p*ld + i] (copy_sliver). Sliver s fills
+/// out[s*width*depth, (s+1)*width*depth). A u8 operand is int8 A, whose
+/// values must lie in [0, 127] for every kernel (kernel_int8.hpp): each
+/// sliver is checked as it is packed, and a value above 127 throws a
+/// coded [I8_A_RANGE] Error (`out` is then unspecified).
 template <typename T>
 void pack_slivers(SliverFnT<T> fn, const T* src, index_t ld,
-                  bool lanes_strided, index_t lanes, index_t k, index_t width,
-                  T* out, const char* src_what, const char* out_what)
+                  bool lanes_strided, index_t lanes, index_t k, index_t depth,
+                  index_t width, T* out, const char* src_what,
+                  const char* out_what)
 {
     if (k == 0) return;  // the packed panel is empty
     const index_t lane_step = lanes_strided ? ld : 1;
     const index_t depth_step = lanes_strided ? 1 : ld;
     Span<T> out_sp = make_span(
-        out, static_cast<std::size_t>(round_up(lanes, width) * k), out_what);
+        out, static_cast<std::size_t>(round_up(lanes, width) * depth),
+        out_what);
     Span<const T> src_sp = make_span(
         src,
         lanes_strided ? strided_extent(lanes, k, ld)
@@ -71,91 +110,104 @@ void pack_slivers(SliverFnT<T> fn, const T* src, index_t ld,
     for (index_t s = 0; s < ceil_div(lanes, width); ++s) {
         const index_t lane0 = s * width;
         const index_t live = std::min(width, lanes - lane0);
-        Span<T> dst = span_slice(out_sp, s * width * k, width * k);
+        Span<T> dst = span_slice(out_sp, s * width * depth, width * depth);
         Span<const T> sliver =
             span_slice(src_sp, lane0 * lane_step,
                        (live - 1) * lane_step + (k - 1) * depth_step + 1);
         fn(span_data(sliver), ld, live, k, width, span_data(dst));
-    }
-}
-
-/// Whole k-quads of one int8 A sliver: a quad of a live row is one 4-byte
-/// word of the source row, so quad q of the sliver is `live` words stored
-/// contiguously at out + q * mr * 4, then zeros for the dead rows. Returns
-/// the OR of every word copied. Rows = 8 fixes live = mr = 8 at compile
-/// time for full slivers of the 8-row kernel: the row loop then unrolls
-/// and GCC vectorises across quads (about 6% end to end on square_i8 over
-/// the runtime count, Rows = 0, which serves every other sliver).
-template <index_t Rows>
-std::uint32_t copy_a_quads(const std::uint8_t* __restrict src, index_t lda,
-                           index_t live, index_t quads, index_t mr,
-                           std::uint8_t* __restrict out)
-{
-    const index_t n = Rows > 0 ? Rows : live;
-    const index_t rows = Rows > 0 ? Rows : mr;
-    std::uint32_t seen = 0;
-    for (index_t q = 0; q < quads; ++q) {
-        std::uint8_t* quad = out + q * rows * 4;
-        for (index_t i = 0; i < n; ++i) {
-            std::uint32_t word;
-            std::memcpy(&word, src + i * lda + 4 * q, 4);
-            seen |= word;
-            std::memcpy(quad + i * 4, &word, 4);
+        if constexpr (std::is_same_v<T, std::uint8_t>) {
+            if (any_above_127(span_data(dst),
+                              static_cast<std::size_t>(width * depth))) {
+                throw Error(
+                    "[I8_A_RANGE] int8 multiply with an A value above 127: "
+                    "the u8 A operand must lie in [0, 127] "
+                    "(quantize_unsigned maps into it)");
+            }
         }
-        for (index_t i = n; i < rows; ++i) std::memset(quad + i * 4, 0, 4);
     }
-    return seen;
 }
 
 }  // namespace
+
+template <typename F>
+void pack_a_slivers(const MicroKernelT<F>& kernel, bool transposed,
+                    const typename KernelFamily<F>::A* a, index_t lda,
+                    index_t m, index_t k, index_t mr,
+                    typename KernelFamily<F>::A* out)
+{
+    using A = typename KernelFamily<F>::A;
+    CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= (transposed ? m : k));
+    note_pack(/*is_a=*/true, m, k, sizeof(A));
+    const index_t depth = kernel.packed_depth(k);
+    if constexpr (std::is_same_v<A, typename KernelFamily<F>::B>) {
+        if (transposed) {
+            // Source is k x m: element (i, p) of the logical A block reads
+            // a[p * lda + i], which is unit-stride in i — the transposed
+            // pack is actually the cheap direction for A.
+            pack_slivers(kernel.copy_sliver, a, lda, /*lanes_strided=*/false,
+                         m, k, depth, mr, out, "A^T block",
+                         "packed-A panel (transposed source)");
+            return;
+        }
+    } else {
+        CAKE_CHECK_MSG(!transposed, "transposed int8 A is not packed");
+    }
+    pack_slivers(kernel.gather_sliver, a, lda, /*lanes_strided=*/true, m, k,
+                 depth, mr, out, "A block", "packed-A panel");
+}
+
+template <typename F>
+void pack_b_slivers(const MicroKernelT<F>& kernel, bool transposed,
+                    const typename KernelFamily<F>::B* b, index_t ldb,
+                    index_t k, index_t n, index_t nr,
+                    typename KernelFamily<F>::B* out)
+{
+    using B = typename KernelFamily<F>::B;
+    CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= (transposed ? k : n));
+    note_pack(/*is_a=*/false, k, n, sizeof(B));
+    const index_t depth = kernel.packed_depth(k);
+    if constexpr (std::is_same_v<B, typename KernelFamily<F>::A>) {
+        if (transposed) {
+            // Source is n x k: element (p, j) of the logical B block reads
+            // b[j * ldb + p] — strided in j, the expensive direction.
+            pack_slivers(kernel.gather_sliver, b, ldb, /*lanes_strided=*/true,
+                         n, k, depth, nr, out, "B^T block",
+                         "packed-B panel (transposed source)");
+            return;
+        }
+    } else {
+        CAKE_CHECK_MSG(!transposed, "transposed int8 B is not packed");
+    }
+    pack_slivers(kernel.copy_sliver, b, ldb, /*lanes_strided=*/false, n, k,
+                 depth, nr, out, "B block", "packed-B panel");
+}
 
 template <typename T>
 void pack_a_panel(const T* a, index_t lda, index_t m, index_t k, index_t mr,
                   T* out)
 {
-    CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= k);
-    note_pack(/*is_a=*/true, m, k, sizeof(T));
-    pack_slivers(best_microkernel_of<T>().gather_sliver, a, lda,
-                 /*lanes_strided=*/true, m, k, mr, out, "A block",
-                 "packed-A panel");
+    pack_a_slivers(best_microkernel_of<T>(), false, a, lda, m, k, mr, out);
 }
 
 template <typename T>
 void pack_a_panel_transposed(const T* a, index_t lda, index_t m, index_t k,
                              index_t mr, T* out)
 {
-    // Source is k x m (row-major, lda >= m): element (i, p) of the logical
-    // A block reads a[p * lda + i], which is unit-stride in i — the
-    // transposed pack is actually the cheap direction for A.
-    CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= m);
-    note_pack(/*is_a=*/true, m, k, sizeof(T));
-    pack_slivers(best_microkernel_of<T>().copy_sliver, a, lda,
-                 /*lanes_strided=*/false, m, k, mr, out, "A^T block",
-                 "packed-A panel (transposed source)");
+    pack_a_slivers(best_microkernel_of<T>(), true, a, lda, m, k, mr, out);
 }
 
 template <typename T>
 void pack_b_panel(const T* b, index_t ldb, index_t k, index_t n, index_t nr,
                   T* out)
 {
-    CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= n);
-    note_pack(/*is_a=*/false, k, n, sizeof(T));
-    pack_slivers(best_microkernel_of<T>().copy_sliver, b, ldb,
-                 /*lanes_strided=*/false, n, k, nr, out, "B block",
-                 "packed-B panel");
+    pack_b_slivers(best_microkernel_of<T>(), false, b, ldb, k, n, nr, out);
 }
 
 template <typename T>
 void pack_b_panel_transposed(const T* b, index_t ldb, index_t k, index_t n,
                              index_t nr, T* out)
 {
-    // Source is n x k (row-major, ldb >= k): element (p, j) of the logical
-    // B block reads b[j * ldb + p] — strided in j, the expensive direction.
-    CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= k);
-    note_pack(/*is_a=*/false, k, n, sizeof(T));
-    pack_slivers(best_microkernel_of<T>().gather_sliver, b, ldb,
-                 /*lanes_strided=*/true, n, k, nr, out, "B^T block",
-                 "packed-B panel (transposed source)");
+    pack_b_slivers(best_microkernel_of<T>(), true, b, ldb, k, n, nr, out);
 }
 
 template <typename T>
@@ -212,109 +264,38 @@ T packed_b_at(const T* packed, index_t k, index_t n, index_t nr, index_t p,
 void pack_a_panel_int8(const std::uint8_t* a, index_t lda, index_t m,
                        index_t k, index_t mr, std::uint8_t* out)
 {
-    CAKE_CHECK(m >= 0 && k >= 0 && mr > 0 && lda >= k);
-    note_pack(/*is_a=*/true, m, k, sizeof(std::uint8_t));
-    const index_t slivers = ceil_div(m, mr);
-    const index_t kq = int8_kq(k);
-    const index_t full_quads = k / 4;
-    if (kq == 0) return;  // the packed panel is empty
-    Span<std::uint8_t> out_sp = make_span(
-        out, static_cast<std::size_t>(packed_a_int8_size(m, k, mr)),
-        "packed-A int8 panel");
-    Span<const std::uint8_t> a_sp =
-        make_span(a, strided_extent(m, k, lda), "A int8 block");
-    // OR of every A byte read: bit 7 of any byte means a value > 127.
-    std::uint32_t seen = 0;
-    for (index_t s = 0; s < slivers; ++s) {
-        Span<std::uint8_t> dst = span_slice(out_sp, s * mr * kq * 4,
-                                            mr * kq * 4);
-        const index_t row0 = s * mr;
-        const index_t live = std::min(mr, m - row0);
-        Span<const std::uint8_t> rows =
-            span_slice(a_sp, row0 * lda, (live - 1) * lda + k);
-        const std::uint8_t* src = span_data(
-            span_slice(rows, 0, (live - 1) * lda + 4 * full_quads));
-        std::uint8_t* whole = span_data(
-            span_slice(dst, 0, full_quads * mr * 4));
-        if (live == mr && mr == 8) {
-            seen |= copy_a_quads<8>(src, lda, live, full_quads, mr, whole);
-        } else {
-            seen |= copy_a_quads<0>(src, lda, live, full_quads, mr, whole);
-        }
-        if (full_quads < kq) {
-            Span<std::uint8_t> quad =
-                span_slice(dst, full_quads * mr * 4, mr * 4);
-            for (index_t i = 0; i < mr; ++i) {
-                for (index_t j = 0; j < 4; ++j) {
-                    const index_t kk = 4 * full_quads + j;
-                    quad[i * 4 + j] = (i < live && kk < k)
-                        ? rows[i * lda + kk]
-                        : std::uint8_t{0};
-                    seen |= quad[i * 4 + j];
-                }
-            }
-        }
-    }
-    if ((seen & 0x80808080u) != 0) {
-        throw Error(
-            "[I8_A_RANGE] int8 multiply with an A value above 127: the u8 A "
-            "operand must lie in [0, 127] (quantize_unsigned maps into it)");
-    }
+    pack_a_slivers(best_microkernel_of<U8S8S32>(), false, a, lda, m, k, mr,
+                   out);
 }
 
 void pack_b_panel_int8(const std::int8_t* b, index_t ldb, index_t k,
                        index_t n, index_t nr, std::int8_t* out)
 {
-    CAKE_CHECK(k >= 0 && n >= 0 && nr > 0 && ldb >= n);
-    note_pack(/*is_a=*/false, k, n, sizeof(std::int8_t));
-    const index_t slivers = ceil_div(n, nr);
-    const index_t kq = int8_kq(k);
-    Span<std::int8_t> out_sp = make_span(
-        out, static_cast<std::size_t>(packed_b_int8_size(k, n, nr)),
-        "packed-B int8 panel");
-    Span<const std::int8_t> b_sp =
-        make_span(b, strided_extent(k, n, ldb), "B int8 block");
-    for (index_t t = 0; t < slivers; ++t) {
-        Span<std::int8_t> dst = span_slice(out_sp, t * nr * kq * 4,
-                                           nr * kq * 4);
-        const index_t col0 = t * nr;
-        const index_t live = std::min(nr, n - col0);
-        for (index_t q = 0; q < kq; ++q) {
-            Span<std::int8_t> quad = span_slice(dst, q * nr * 4, nr * 4);
-            const index_t k0 = 4 * q;
-            if (live == nr && k0 + 4 <= k) {
-                // A full quad of a full sliver: interleave four source
-                // rows. The packed panel never aliases B, and saying so
-                // lets GCC drop its per-quad overlap checks (about twice
-                // the speed).
-                const std::int8_t* __restrict r0 =
-                    span_data(span_slice(b_sp, k0 * ldb + col0, nr));
-                const std::int8_t* __restrict r1 =
-                    span_data(span_slice(b_sp, (k0 + 1) * ldb + col0, nr));
-                const std::int8_t* __restrict r2 =
-                    span_data(span_slice(b_sp, (k0 + 2) * ldb + col0, nr));
-                const std::int8_t* __restrict r3 =
-                    span_data(span_slice(b_sp, (k0 + 3) * ldb + col0, nr));
-                std::int8_t* __restrict o = span_data(quad);
-                for (index_t jj = 0; jj < nr; ++jj) {
-                    o[jj * 4 + 0] = r0[jj];
-                    o[jj * 4 + 1] = r1[jj];
-                    o[jj * 4 + 2] = r2[jj];
-                    o[jj * 4 + 3] = r3[jj];
-                }
-                continue;
-            }
-            for (index_t jj = 0; jj < nr; ++jj) {
-                for (index_t j = 0; j < 4; ++j) {
-                    const index_t kk = k0 + j;
-                    quad[jj * 4 + j] = (jj < live && kk < k)
-                        ? b_sp[kk * ldb + col0 + jj]
-                        : std::int8_t{0};
-                }
-            }
-        }
-    }
+    pack_b_slivers(best_microkernel_of<U8S8S32>(), false, b, ldb, k, n, nr,
+                   out);
 }
+
+index_t packed_a_int8_size(index_t m, index_t k, index_t mr)
+{
+    return round_up(m, mr) * best_microkernel_of<U8S8S32>().packed_depth(k);
+}
+
+index_t packed_b_int8_size(index_t k, index_t n, index_t nr)
+{
+    return best_microkernel_of<U8S8S32>().packed_depth(k) * round_up(n, nr);
+}
+
+#define CAKE_PACK_SLIVERS(F)                                                \
+    template void pack_a_slivers<F>(                                        \
+        const MicroKernelT<F>&, bool, const KernelFamily<F>::A*, index_t,   \
+        index_t, index_t, index_t, KernelFamily<F>::A*);                    \
+    template void pack_b_slivers<F>(                                        \
+        const MicroKernelT<F>&, bool, const KernelFamily<F>::B*, index_t,   \
+        index_t, index_t, index_t, KernelFamily<F>::B*);
+CAKE_PACK_SLIVERS(float)
+CAKE_PACK_SLIVERS(double)
+CAKE_PACK_SLIVERS(U8S8S32)
+#undef CAKE_PACK_SLIVERS
 
 template void pack_a_panel<float>(const float*, index_t, index_t, index_t,
                                   index_t, float*);

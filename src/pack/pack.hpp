@@ -3,26 +3,30 @@
 // cache self-interference is avoided (paper §5.2.1).
 //
 // Packed-A layout ("mr slivers"): the m x k block is cut into ceil(m/mr)
-// horizontal slivers of mr rows. Sliver s occupies a contiguous region of
-// mr*k elements ordered k-major: out[s*mr*k + p*mr + i] = A(s*mr + i, p).
-// Rows past m are zero.
+// horizontal slivers of mr rows, each mr*D elements where D is the packing
+// entry's packed depth of k (kernel/microkernel.hpp; D = k for float and
+// double). Packed-B layout ("nr slivers"): the k x n block is cut into
+// ceil(n/nr) vertical slivers of nr columns, nr*D elements each. Within a
+// sliver the layout is the registry entry's own (MicroKernelT::a_offset /
+// b_offset); for float and double it is
+//   out[s*mr*k + p*mr + i] = A(s*mr + i, p)
+//   out[t*nr*k + p*nr + j] = B(p, t*nr + j).
+// Rows and columns past the block, and depth past k, are zero.
 //
-// Packed-B layout ("nr slivers"): the k x n block is cut into ceil(n/nr)
-// vertical slivers of nr columns. Sliver t occupies nr*k elements:
-// out[t*nr*k + p*nr + j] = B(p, t*nr + j). Columns past n are zero.
-//
-// Every routine is templated over the element type (float for sgemm,
-// double for dgemm) with explicit instantiations in pack.cpp. This module
-// owns the panel walk and its checks; the sliver layout loops are the
-// dispatched micro-kernel's own gather_sliver / copy_sliver
-// (kernel/microkernel.hpp), so the SIMD packers live beside the kernels
-// and one mr / nr never has two packing paths. The layout is the same
-// whichever entry packs, so any mr / nr may be passed here.
+// This module owns the one panel walk of every family and its checks
+// (Span slices, CAKE_CHECK, the pack.* counters and int8's
+// [I8_A_RANGE]); the sliver layout loops are the registry entry's own
+// gather_sliver / copy_sliver, so the SIMD packers live beside the kernels
+// and one entry never has two packing paths. pack_a_slivers /
+// pack_b_slivers take the entry explicitly (the executor passes its own
+// kernel); the panel-level float/double routines below pack with the
+// dispatched entry, whose layout is the same for any mr / nr.
 #pragma once
 
 #include <cstdint>
 
 #include "common/types.hpp"
+#include "kernel/microkernel.hpp"
 
 namespace cake {
 
@@ -49,6 +53,27 @@ constexpr index_t packed_b_size(index_t k, index_t n, index_t nr)
 {
     return k * round_up(n, nr);
 }
+
+/// Pack op(A)'s m x k block with `kernel`'s packers into `mr`-row slivers
+/// of its layout, kernel.packed_depth(k) deep. `a` is row-major with
+/// leading dimension lda >= k, or, when `transposed`, addresses A^T
+/// (element (i, p) at a[p * lda + i], lda >= m; float families only). An
+/// int8 A value above 127 throws [I8_A_RANGE].
+template <typename F>
+void pack_a_slivers(const MicroKernelT<F>& kernel, bool transposed,
+                    const typename KernelFamily<F>::A* a, index_t lda,
+                    index_t m, index_t k, index_t mr,
+                    typename KernelFamily<F>::A* out);
+
+/// Pack op(B)'s k x n block with `kernel`'s packers into `nr`-column
+/// slivers of its layout, kernel.packed_depth(k) deep. `b` is row-major
+/// with ldb >= n, or, when `transposed`, addresses B^T (element (p, j) at
+/// b[j * ldb + p], ldb >= k; float families only).
+template <typename F>
+void pack_b_slivers(const MicroKernelT<F>& kernel, bool transposed,
+                    const typename KernelFamily<F>::B* b, index_t ldb,
+                    index_t k, index_t n, index_t nr,
+                    typename KernelFamily<F>::B* out);
 
 /// Pack the m x k sub-matrix at `a` (row-major, leading dimension lda >= k)
 /// into mr-sliver format at `out` (capacity >= packed_a_size(m, k, mr)).

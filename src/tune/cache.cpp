@@ -60,7 +60,7 @@ std::optional<CakeExec> parse_exec_name(const std::string& name)
 
 std::optional<Isa> parse_isa_name(const std::string& name)
 {
-    for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    for (const Isa isa : kAllIsas) {
         if (name == isa_name(isa)) return isa;
     }
     return {};

@@ -20,7 +20,6 @@
 #include "kernel/microkernel.hpp"
 #include "kernel/registry.hpp"
 #include "pack/pack.hpp"
-#include "pack/pack_int8.hpp"
 
 namespace cake {
 namespace {
@@ -140,8 +139,7 @@ TEST(CheckedTest, UndersizedPackBufferIsCaughtByCanary)
     // pack_a_panel writes packed_a_size(mc, kc, mr) elements; hand it a
     // buffer 8 elements short and the tail of the pack lands in the back
     // guard (the 64-byte guard absorbs the overrun, so this is safe to
-    // execute and deterministically detected on verify). The int8 k-quad
-    // packer obeys the same contract.
+    // execute and deterministically detected on verify).
     const index_t mc = 12, kc = 8, mr = 6;
     const index_t need = packed_a_size(mc, kc, mr);
     ASSERT_EQ(need, 96);
@@ -151,43 +149,37 @@ TEST(CheckedTest, UndersizedPackBufferIsCaughtByCanary)
     EXPECT_THROW(packed.verify_canaries("undersized packed-A"),
                  CheckedError);
 
-    const index_t need_i8 = packed_a_int8_size(mc, kc, mr);
-    ASSERT_EQ(need_i8, 96);
-    AlignedBuffer<std::uint8_t> a_i8(static_cast<std::size_t>(mc * kc),
-                                     /*zero=*/true);
-    AlignedBuffer<std::uint8_t> packed_i8(
-        static_cast<std::size_t>(need_i8 - 8));
-    pack_a_panel_int8(a_i8.data(), /*lda=*/kc, mc, kc, mr, packed_i8.data());
-    EXPECT_THROW(packed_i8.verify_canaries("undersized int8 packed-A"),
-                 CheckedError);
-
-    // The int8 shapes below take the packers' fast paths (k a multiple of
-    // 4, full slivers): the 8-row A word copy (the shape above has mr = 6
-    // and runs the runtime-count copy) and the B four-row interleave, so
-    // an overrun there still lands in the guard.
-    const index_t m8 = 16, mr8 = 8;
-    const index_t need_a8_i8 = packed_a_int8_size(m8, kc, mr8);
-    ASSERT_EQ(need_a8_i8, 128);
-    AlignedBuffer<std::uint8_t> a8_i8(static_cast<std::size_t>(m8 * kc),
-                                      /*zero=*/true);
-    AlignedBuffer<std::uint8_t> packed_a8_i8(
-        static_cast<std::size_t>(need_a8_i8 - 8));
-    pack_a_panel_int8(a8_i8.data(), /*lda=*/kc, m8, kc, mr8,
-                      packed_a8_i8.data());
-    EXPECT_THROW(packed_a8_i8.verify_canaries("undersized 8-row packed-A"),
-                 CheckedError);
-
-    const index_t kb = 8, nb = 32, nr = 16;
-    const index_t need_b_i8 = packed_b_int8_size(kb, nb, nr);
-    ASSERT_EQ(need_b_i8, 256);
-    AlignedBuffer<std::int8_t> b_i8(static_cast<std::size_t>(kb * nb),
-                                    /*zero=*/true);
-    AlignedBuffer<std::int8_t> packed_b_i8(
-        static_cast<std::size_t>(need_b_i8 - 8));
-    pack_b_panel_int8(b_i8.data(), /*ldb=*/nb, kb, nb, nr,
-                      packed_b_i8.data());
-    EXPECT_THROW(packed_b_i8.verify_canaries("undersized int8 packed-B"),
-                 CheckedError);
+    // Every supported int8 entry's packers obey the same contract, AMX's
+    // 64-byte rows included: an A panel of full slivers (the 8-row word
+    // copy of the k-quad packer), one ending in a partial sliver (the
+    // runtime-count copy), and a B panel of full k-quads (the four-row
+    // interleave), each handed a buffer 8 bytes short.
+    for (const MicroKernelT<U8S8S32>& kernel :
+         supported_microkernels_of<U8S8S32>()) {
+        SCOPED_TRACE(kernel.name);
+        const index_t depth = kernel.packed_depth(kc);
+        for (const index_t rows : {2 * kernel.mr, kernel.mr + 3}) {
+            const index_t need = round_up(rows, kernel.mr) * depth;
+            AlignedBuffer<std::uint8_t> a_i8(
+                static_cast<std::size_t>(rows * kc), /*zero=*/true);
+            AlignedBuffer<std::uint8_t> packed_i8(
+                static_cast<std::size_t>(need - 8));
+            pack_a_slivers(kernel, false, a_i8.data(), /*lda=*/kc, rows, kc,
+                           kernel.mr, packed_i8.data());
+            EXPECT_THROW(packed_i8.verify_canaries("undersized int8 packed-A"),
+                         CheckedError);
+        }
+        const index_t nb = 2 * kernel.nr;
+        const index_t need_b = depth * nb;
+        AlignedBuffer<std::int8_t> b_i8(static_cast<std::size_t>(kc * nb),
+                                        /*zero=*/true);
+        AlignedBuffer<std::int8_t> packed_b_i8(
+            static_cast<std::size_t>(need_b - 8));
+        pack_b_slivers(kernel, false, b_i8.data(), /*ldb=*/nb, kc, nb,
+                       kernel.nr, packed_b_i8.data());
+        EXPECT_THROW(packed_b_i8.verify_canaries("undersized int8 packed-B"),
+                     CheckedError);
+    }
 }
 
 /// Zeroed packed panels, C tile and scratch for one `steps`-deep call of
@@ -196,8 +188,12 @@ template <typename F>
 struct TileOperands {
     using Fam = KernelFamily<F>;
     TileOperands(const MicroKernelT<F>& k, index_t steps, std::size_t spare)
-        : a(static_cast<std::size_t>(k.mr * steps * Fam::k_step), true),
-          b(static_cast<std::size_t>(k.nr * steps * Fam::k_step), true),
+        : a(static_cast<std::size_t>(
+                k.mr * k.packed_depth(steps * Fam::k_step)),
+            true),
+          b(static_cast<std::size_t>(
+                k.nr * k.packed_depth(steps * Fam::k_step)),
+            true),
           c(static_cast<std::size_t>(k.mr * k.nr), true),
           scratch(static_cast<std::size_t>(k.mr * k.nr) + spare, true)
     {

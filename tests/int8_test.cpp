@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -16,7 +17,7 @@
 #include "kernel/registry.hpp"
 #include "kernel/selftest.hpp"
 #include "machine/machine.hpp"
-#include "pack/pack_int8.hpp"
+#include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
 
 namespace cake {
@@ -59,39 +60,42 @@ void fill_random_s8(std::vector<std::int8_t>& v, Rng& rng)
             static_cast<int>(rng.next_below(255)) - 127);  // [-127,127]
 }
 
-// The pack round trips cover every branch of the k-quad packers: whole
-// quads (the word-copy / four-row interleave fast paths), the k % 4 tail
-// quad, dead rows / partial slivers, and padded leading dimensions.
-constexpr index_t kRoundTripDepths[] = {1, 3, 12, 13, 14, 15};
+// The pack round trips pin every supported int8 entry's own packers,
+// through the one sliver walk, to that entry's layout formula
+// (MicroKernelT::a_offset / b_offset, zero past k up to its packed
+// depth): whole k-quads (the word-copy / four-row interleave fast paths),
+// the k % 4 tail quad, whole and partial 64-deep AMX chunks, dead rows /
+// partial slivers, and padded leading dimensions.
+constexpr index_t kRoundTripDepths[] = {1, 3, 13, 63, 64, 65, 129};
 
 TEST(Int8Pack, QuadLayoutRoundTrip)
 {
     Rng rng(101);
-    for (const index_t mr : {4, 8}) {
+    for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
+        const index_t mr = kernel.mr;
         for (const index_t k : kRoundTripDepths) {
+            const index_t depth = kernel.packed_depth(k);
             for (const index_t m : {2 * mr, 2 * mr + 3}) {
                 for (const index_t pad : {0, 5}) {
                     SCOPED_TRACE(::testing::Message()
-                                 << "mr=" << mr << " m=" << m << " k=" << k
+                                 << kernel.name << " m=" << m << " k=" << k
                                  << " lda=" << k + pad);
                     const index_t lda = k + pad;
                     std::vector<std::uint8_t> a(
                         static_cast<std::size_t>(m * lda));
                     fill_random_u8(a, rng);
                     std::vector<std::uint8_t> packed(
-                        static_cast<std::size_t>(packed_a_int8_size(m, k, mr)),
+                        static_cast<std::size_t>(round_up(m, mr) * depth),
                         0xEE);
-                    pack_a_panel_int8(a.data(), lda, m, k, mr, packed.data());
+                    pack_a_slivers(kernel, false, a.data(), lda, m, k, mr,
+                                   packed.data());
 
-                    const index_t kq = int8_kq(k);
                     for (index_t i = 0; i < round_up(m, mr); ++i) {
-                        for (index_t kk = 0; kk < kq * 4; ++kk) {
-                            const index_t s = i / mr, ii = i % mr,
-                                          q = kk / 4, j = kk % 4;
+                        for (index_t kk = 0; kk < depth; ++kk) {
                             const std::uint8_t got =
                                 packed[static_cast<std::size_t>(
-                                    s * mr * kq * 4 + q * mr * 4 + ii * 4
-                                    + j)];
+                                    i / mr * mr * depth
+                                    + kernel.a_offset(mr, i % mr, kk))];
                             const std::uint8_t expected = (i < m && kk < k)
                                 ? a[static_cast<std::size_t>(i * lda + kk)]
                                 : 0;
@@ -108,31 +112,31 @@ TEST(Int8Pack, QuadLayoutRoundTrip)
 TEST(Int8Pack, BQuadLayoutRoundTrip)
 {
     Rng rng(102);
-    for (const index_t nr : {16, 32}) {
+    for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
+        const index_t nr = kernel.nr;
         for (const index_t k : kRoundTripDepths) {
+            const index_t depth = kernel.packed_depth(k);
             for (const index_t n : {2 * nr, 2 * nr + 3}) {
                 for (const index_t pad : {0, 7}) {
                     SCOPED_TRACE(::testing::Message()
-                                 << "nr=" << nr << " n=" << n << " k=" << k
+                                 << kernel.name << " n=" << n << " k=" << k
                                  << " ldb=" << n + pad);
                     const index_t ldb = n + pad;
                     std::vector<std::int8_t> b(
                         static_cast<std::size_t>(k * ldb));
                     fill_random_s8(b, rng);
                     std::vector<std::int8_t> packed(
-                        static_cast<std::size_t>(packed_b_int8_size(k, n, nr)),
+                        static_cast<std::size_t>(depth * round_up(n, nr)),
                         0x7E);
-                    pack_b_panel_int8(b.data(), ldb, k, n, nr, packed.data());
+                    pack_b_slivers(kernel, false, b.data(), ldb, k, n, nr,
+                                   packed.data());
 
-                    const index_t kq = int8_kq(k);
                     for (index_t jj = 0; jj < round_up(n, nr); ++jj) {
-                        for (index_t kk = 0; kk < kq * 4; ++kk) {
-                            const index_t t = jj / nr, j2 = jj % nr,
-                                          q = kk / 4, j = kk % 4;
+                        for (index_t kk = 0; kk < depth; ++kk) {
                             const std::int8_t got =
                                 packed[static_cast<std::size_t>(
-                                    t * nr * kq * 4 + q * nr * 4 + j2 * 4
-                                    + j)];
+                                    jj / nr * nr * depth
+                                    + kernel.b_offset(nr, jj % nr, kk))];
                             const std::int8_t expected = (jj < n && kk < k)
                                 ? b[static_cast<std::size_t>(kk * ldb + jj)]
                                 : 0;
@@ -148,22 +152,30 @@ TEST(Int8Pack, BQuadLayoutRoundTrip)
 
 TEST(Int8Pack, RefusesAAbove127InWholeAndTailQuads)
 {
-    // [I8_A_RANGE]: the A packer refuses a value past 127 wherever it sits,
-    // in a whole quad (the word-copy path) or in the k % 4 tail quad.
-    const index_t m = 5, k = 14, mr = 4;
-    for (const int bad : {128, 255}) {
-        for (const index_t at : {index_t{2 * k + 5}, index_t{4 * k + 13}}) {
-            std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k), 127);
-            a[static_cast<std::size_t>(at)] = static_cast<std::uint8_t>(bad);
-            std::vector<std::uint8_t> packed(
-                static_cast<std::size_t>(packed_a_int8_size(m, k, mr)));
-            try {
-                pack_a_panel_int8(a.data(), k, m, k, mr, packed.data());
-                FAIL() << "A = " << bad << " at " << at << " must be refused";
-            } catch (const Error& e) {
-                EXPECT_NE(std::string(e.what()).find("[I8_A_RANGE]"),
-                          std::string::npos)
-                    << e.what();
+    // [I8_A_RANGE]: the sliver walk refuses a value past 127 wherever it
+    // sits, in a whole quad (the word-copy path) or in the k % 4 tail
+    // quad, under every supported entry's packer.
+    const index_t m = 5, k = 14;
+    for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
+        for (const int bad : {128, 255}) {
+            for (const index_t at :
+                 {index_t{2 * k + 5}, index_t{4 * k + 13}}) {
+                std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k),
+                                            127);
+                a[static_cast<std::size_t>(at)] =
+                    static_cast<std::uint8_t>(bad);
+                std::vector<std::uint8_t> packed(static_cast<std::size_t>(
+                    round_up(m, kernel.mr) * kernel.packed_depth(k)));
+                try {
+                    pack_a_slivers(kernel, false, a.data(), k, m, k,
+                                   kernel.mr, packed.data());
+                    FAIL() << kernel.name << ": A = " << bad << " at " << at
+                           << " must be refused";
+                } catch (const Error& e) {
+                    EXPECT_NE(std::string(e.what()).find("[I8_A_RANGE]"),
+                              std::string::npos)
+                        << e.what();
+                }
             }
         }
     }
@@ -171,46 +183,48 @@ TEST(Int8Pack, RefusesAAbove127InWholeAndTailQuads)
 
 TEST(Int8Kernel, BestKernelMatchesScalarExactly)
 {
+    // The dispatched kernel on slivers in its own layout, zero-padded to
+    // its packed depth, against the exact int64 sum.
     const Int8Kernel& best = best_microkernel_of<U8S8S32>();
-    const Int8Kernel scalar = scalar_int8_microkernel();
     Rng rng(103);
 
-    for (index_t kq : {1, 2, 7, 48}) {
-        std::vector<std::uint8_t> a(
-            static_cast<std::size_t>(best.mr * kq * 4));
-        std::vector<std::int8_t> b(
-            static_cast<std::size_t>(best.nr * kq * 4));
-        fill_random_u8(a, rng);
-        fill_random_s8(b, rng);
-        // 64-byte aligned copies for the SIMD loads.
-        AlignedBuffer<std::uint8_t> aa(a.size());
-        AlignedBuffer<std::int8_t> ab(b.size());
-        std::copy(a.begin(), a.end(), aa.data());
-        std::copy(b.begin(), b.end(), ab.data());
+    for (index_t kq : {1, 2, 7, 16, 17, 48}) {
+        const index_t depth = kq * 4;
+        const index_t packed = best.packed_depth(depth);
+        // 64-byte aligned slivers for the SIMD and tile loads.
+        AlignedBuffer<std::uint8_t> aa(
+            static_cast<std::size_t>(best.mr * packed), true);
+        AlignedBuffer<std::int8_t> ab(
+            static_cast<std::size_t>(best.nr * packed), true);
+        for (index_t p = 0; p < depth; ++p) {
+            for (index_t i = 0; i < best.mr; ++i)
+                aa[static_cast<std::size_t>(best.a_offset(best.mr, i, p))] =
+                    static_cast<std::uint8_t>(rng.next_below(128));
+            for (index_t j = 0; j < best.nr; ++j)
+                ab[static_cast<std::size_t>(best.b_offset(best.nr, j, p))] =
+                    static_cast<std::int8_t>(
+                        static_cast<int>(rng.next_below(255)) - 127);
+        }
 
         std::vector<std::int32_t> c_best(
             static_cast<std::size_t>(best.mr * best.nr), -1);
         best.fn(kq, aa.data(), ab.data(), c_best.data(), best.nr, false);
 
-        // Scalar reference computed per 4x4 sub-tile of the best kernel's
-        // tile: easier to just recompute with the exact formula.
         for (index_t i = 0; i < best.mr; ++i) {
             for (index_t j = 0; j < best.nr; ++j) {
                 std::int64_t acc = 0;
-                for (index_t q = 0; q < kq; ++q)
-                    for (index_t d = 0; d < 4; ++d)
-                        acc += static_cast<std::int64_t>(
-                                   aa[static_cast<std::size_t>(
-                                       q * best.mr * 4 + i * 4 + d)])
-                            * ab[static_cast<std::size_t>(
-                                q * best.nr * 4 + j * 4 + d)];
+                for (index_t p = 0; p < depth; ++p)
+                    acc += static_cast<std::int64_t>(
+                               aa[static_cast<std::size_t>(
+                                   best.a_offset(best.mr, i, p))])
+                        * ab[static_cast<std::size_t>(
+                            best.b_offset(best.nr, j, p))];
                 ASSERT_EQ(c_best[static_cast<std::size_t>(i * best.nr + j)],
                           static_cast<std::int32_t>(acc))
                     << best.name << " kq=" << kq << " (" << i << "," << j
                     << ")";
             }
         }
-        (void)scalar;
     }
 }
 
@@ -330,6 +344,63 @@ TEST(Int8Gemm, PrepackedMatchesRegular)
     EXPECT_THROW(
         gemm2.multiply_prepacked(a.data(), k, packed, c_pre.data(), n, m),
         Error);
+}
+
+TEST(Int8Gemm, PrepackedMatchesMultiplyOnEdgeShapesUnderEveryKernel)
+{
+    // Every supported int8 entry, AMX included: prepacked B (panels sized
+    // by the weights, in the entry's layout and packed depth) equals the
+    // per-call multiply and the int64 oracle on shapes off every tile,
+    // block and 64-deep chunk multiple, with accumulate off and on, at
+    // p = 1 and p = 4.
+    Rng rng(111);
+    for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
+        for (const auto& [m, n, k] : {std::tuple<index_t, index_t, index_t>{
+                                         1, 1, 1},
+                                     {9, 33, 5},
+                                     {45, 70, 65},
+                                     {70, 100, 200}}) {
+            for (const auto& [accumulate, p] :
+                 {std::pair{false, 1}, {true, 1}, {false, 4}, {true, 4}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << kernel.name << " m=" << m << " n=" << n
+                             << " k=" << k << " accumulate=" << accumulate
+                             << " p=" << p);
+                std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
+                std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+                fill_random_u8(a, rng);
+                fill_random_s8(b, rng);
+                const auto oracle = int_oracle(a, b, m, n, k);
+                CakeOptions options;
+                options.isa = kernel.isa;
+                options.mc = kernel.mr * 2;
+                options.accumulate = accumulate;
+                options.p = p;
+                CakeGemmInt8 gemm(test_pool(), options);
+                const PackedBInt8 packed =
+                    gemm.pack_weights(b.data(), n, k, n);
+                EXPECT_LE(packed.panel_stride(),
+                          static_cast<std::size_t>(
+                              kernel.packed_depth(k)
+                              * round_up(n, kernel.nr)));
+                std::vector<std::int32_t> c_pre(
+                    static_cast<std::size_t>(m * n), 3);
+                std::vector<std::int32_t> c_reg = c_pre;
+                gemm.multiply_prepacked(a.data(), k, packed, c_pre.data(), n,
+                                        m);
+                gemm.multiply(a.data(), k, b.data(), n, c_reg.data(), n, m,
+                              n, k);
+                EXPECT_EQ(c_pre, c_reg);
+                for (index_t i = 0; i < m * n; ++i) {
+                    ASSERT_EQ(static_cast<std::int64_t>(
+                                  c_pre[static_cast<std::size_t>(i)]),
+                              oracle[static_cast<std::size_t>(i)]
+                                  + (accumulate ? 3 : 0))
+                        << "idx=" << i;
+                }
+            }
+        }
+    }
 }
 
 TEST(Int8Gemm, RefusesKPastSafeRangeAndStaysUsable)
@@ -492,7 +563,7 @@ TEST(Int8Gemm, TunedPlanKeyedByStoredWidthAndGatedByInt8Isa)
     const auto oracle = int_oracle(a, b, m, n, k);
     const Int8Kernel& best = best_microkernel_of<U8S8S32>();
 
-    for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    for (const Isa isa : kAllIsas) {
         std::optional<Int8Kernel> runnable;
         for (const Int8Kernel& kernel : supported_microkernels_of<U8S8S32>()) {
             if (kernel.isa == isa) runnable = kernel;
@@ -505,7 +576,7 @@ TEST(Int8Gemm, TunedPlanKeyedByStoredWidthAndGatedByInt8Isa)
         plan.isa = isa;
         const RecordingPlanSource source(plan);
         CakeOptions options;
-        options.mc = 16;  // a multiple of every int8 kernel's mr
+        options.mc = 32;  // a multiple of every int8 kernel's mr
         options.plan_source = &source;
         CakeGemmInt8 gemm(test_pool(), options);
         std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
@@ -595,16 +666,22 @@ TEST(Int8Kernel, SaturationEdgeExactAtTileBoundaries)
     const index_t kq = 3;
     for (const Int8Kernel& k : supported_microkernels_of<U8S8S32>()) {
         const index_t mr = k.mr, nr = k.nr;
-        AlignedBuffer<std::uint8_t> a(static_cast<std::size_t>(mr * kq * 4));
-        AlignedBuffer<std::int8_t> b(static_cast<std::size_t>(nr * kq * 4));
-        for (std::size_t i = 0; i < a.size(); ++i) a[i] = 127;
-        for (index_t q = 0; q < kq; ++q)
+        const index_t packed = k.packed_depth(kq * 4);
+        AlignedBuffer<std::uint8_t> a(static_cast<std::size_t>(mr * packed),
+                                      true);
+        AlignedBuffer<std::int8_t> b(static_cast<std::size_t>(nr * packed),
+                                     true);
+        auto b_at = [&](index_t j, index_t p) -> std::int8_t& {
+            return b[static_cast<std::size_t>(k.b_offset(nr, j, p))];
+        };
+        for (index_t p = 0; p < kq * 4; ++p) {
+            for (index_t i = 0; i < mr; ++i)
+                a[static_cast<std::size_t>(k.a_offset(mr, i, p))] = 127;
             for (index_t j = 0; j < nr; ++j)
-                for (index_t d = 0; d < 4; ++d)
-                    b[static_cast<std::size_t>(q * nr * 4 + j * 4 + d)] =
-                        (j + d) % 2 == 0
-                            ? static_cast<std::int8_t>(-128)
-                            : static_cast<std::int8_t>(127);
+                b_at(j, p) = (j + p % 4) % 2 == 0
+                    ? static_cast<std::int8_t>(-128)
+                    : static_cast<std::int8_t>(127);
+        }
 
         const index_t m = mr > 1 ? mr - 1 : mr;
         const index_t n = nr > 1 ? nr - 1 : nr;
@@ -625,11 +702,7 @@ TEST(Int8Kernel, SaturationEdgeExactAtTileBoundaries)
                     continue;
                 }
                 std::int64_t want = 0;
-                for (index_t q = 0; q < kq; ++q)
-                    for (index_t d = 0; d < 4; ++d)
-                        want += 127LL
-                            * b[static_cast<std::size_t>(
-                                q * nr * 4 + j * 4 + d)];
+                for (index_t p = 0; p < kq * 4; ++p) want += 127LL * b_at(j, p);
                 ASSERT_EQ(static_cast<std::int64_t>(got), want)
                     << k.name << " C(" << i << "," << j << ")";
             }

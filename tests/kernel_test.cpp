@@ -105,24 +105,31 @@ INSTANTIATE_TEST_SUITE_P(
             + "_kc" + std::to_string(std::get<1>(info.param));
     });
 
-/// Packed slivers of family F at values its kernels take exactly: floats
-/// in [-1, 1); int8 A in [0, 127] (the packer's contract) and B in
-/// [-128, 127].
+/// Packed slivers of family F in entry k's own layout, `depth` K
+/// elements of data and zero up to k's packed depth, at values its kernels
+/// take exactly: floats in [-1, 1); int8 A in [0, 127] (the packer's
+/// contract) and B in [-128, 127].
 template <typename F>
-void fill_slivers(AlignedBuffer<typename KernelFamily<F>::A>& a,
+void fill_slivers(const MicroKernelT<F>& k, index_t depth,
+                  AlignedBuffer<typename KernelFamily<F>::A>& a,
                   AlignedBuffer<typename KernelFamily<F>::B>& b, Rng& rng)
 {
-    if constexpr (std::is_floating_point_v<F>) {
-        for (std::size_t i = 0; i < a.size(); ++i)
-            a[i] = static_cast<F>(rng.next_float(-1, 1));
-        for (std::size_t i = 0; i < b.size(); ++i)
-            b[i] = static_cast<F>(rng.next_float(-1, 1));
-    } else {
-        for (std::size_t i = 0; i < a.size(); ++i)
-            a[i] = static_cast<std::uint8_t>(rng.next_below(128));
-        for (std::size_t i = 0; i < b.size(); ++i)
-            b[i] = static_cast<std::int8_t>(
-                static_cast<int>(rng.next_below(256)) - 128);
+    using A = typename KernelFamily<F>::A;
+    using B = typename KernelFamily<F>::B;
+    for (index_t p = 0; p < depth; ++p) {
+        for (index_t i = 0; i < k.mr; ++i) {
+            a[static_cast<std::size_t>(k.a_offset(k.mr, i, p))] =
+                std::is_floating_point_v<F>
+                ? static_cast<A>(rng.next_float(-1, 1))
+                : static_cast<A>(rng.next_below(128));
+        }
+        for (index_t j = 0; j < k.nr; ++j) {
+            b[static_cast<std::size_t>(k.b_offset(k.nr, j, p))] =
+                std::is_floating_point_v<F>
+                ? static_cast<B>(rng.next_float(-1, 1))
+                : static_cast<B>(static_cast<int>(rng.next_below(256))
+                                 - 128);
+        }
     }
 }
 
@@ -176,23 +183,22 @@ TEST(KernelEdge, PartialTilesMatchOracle)
             SCOPED_TRACE(k.name);
             ASSERT_NE(k.edge, nullptr);
             Rng rng(77);
+            // The entry's own layout, zero-padded to its packed depth.
+            const index_t packed = k.packed_depth(depth);
             AlignedBuffer<typename Fam::A> a(
-                static_cast<std::size_t>(k.mr * depth));
+                static_cast<std::size_t>(k.mr * packed), true);
             AlignedBuffer<typename Fam::B> b(
-                static_cast<std::size_t>(k.nr * depth));
-            fill_slivers<F>(a, b, rng);
-            // Packed layout: a[q*mr*s + i*s + d], b[q*nr*s + j*s + d].
+                static_cast<std::size_t>(k.nr * packed), true);
+            fill_slivers<F>(k, depth, a, b, rng);
             std::vector<double> oracle(static_cast<std::size_t>(k.mr * k.nr));
             for (index_t i = 0; i < k.mr; ++i)
                 for (index_t j = 0; j < k.nr; ++j)
-                    for (index_t q = 0; q < steps; ++q)
-                        for (index_t d = 0; d < Fam::k_step; ++d)
-                            oracle[static_cast<std::size_t>(i * k.nr + j)] +=
-                                static_cast<double>(a[static_cast<std::size_t>(
-                                    (q * k.mr + i) * Fam::k_step + d)])
-                                * static_cast<double>(
-                                    b[static_cast<std::size_t>(
-                                        (q * k.nr + j) * Fam::k_step + d)]);
+                    for (index_t p = 0; p < depth; ++p)
+                        oracle[static_cast<std::size_t>(i * k.nr + j)] +=
+                            static_cast<double>(a[static_cast<std::size_t>(
+                                k.a_offset(k.mr, i, p))])
+                            * static_cast<double>(b[static_cast<std::size_t>(
+                                k.b_offset(k.nr, j, p))]);
 
             const index_t ldc = k.nr + 3;
             AlignedBuffer<C> c(static_cast<std::size_t>(k.mr * ldc));
@@ -269,7 +275,7 @@ TEST(KernelRegistry, EveryEntryFitsTheStackTile)
 
 TEST(KernelRegistry, IsaNamesRoundTrip)
 {
-    for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    for (const Isa isa : kAllIsas) {
         EXPECT_EQ(parse_isa(isa_name(isa)), isa);
     }
     EXPECT_THROW(parse_isa("neon"), Error);
@@ -314,6 +320,7 @@ TEST(CpuFeatures, ForcedIsaRejectsUnknownValuesWithCodedError)
     EXPECT_EQ(parse_forced_isa("scalar"), Isa::kScalar);
     EXPECT_EQ(parse_forced_isa("avx2"), Isa::kAvx2);
     EXPECT_EQ(parse_forced_isa("avx512"), Isa::kAvx512);
+    EXPECT_EQ(parse_forced_isa("amx"), Isa::kAmx);
     try {
         parse_forced_isa("avx1024");
         FAIL() << "unknown CAKE_FORCE_ISA value must throw";
@@ -323,7 +330,81 @@ TEST(CpuFeatures, ForcedIsaRejectsUnknownValuesWithCodedError)
             << e.what();
         EXPECT_NE(std::string(e.what()).find("avx1024"), std::string::npos)
             << e.what();
+        EXPECT_NE(std::string(e.what()).find("amx"), std::string::npos)
+            << e.what();
     }
+}
+
+TEST(CpuFeatures, AmxNeedsCpuidXcr0AndPermission)
+{
+    // AMX runs only when the CPU reports AMX-TILE and AMX-INT8, the OS
+    // saves tile state (XCR0 bits 17 and 18) and the process was granted
+    // tile data; lacking any one, the int8 family runs on VNNI or below.
+    constexpr std::uint64_t kTiles = (1ull << 17) | (1ull << 18);
+    EXPECT_TRUE(amx_usable(true, true, kTiles | 0xE7, true));
+    EXPECT_FALSE(amx_usable(false, true, kTiles, true));
+    EXPECT_FALSE(amx_usable(true, false, kTiles, true));
+    EXPECT_FALSE(amx_usable(true, true, 1ull << 17, true));
+    EXPECT_FALSE(amx_usable(true, true, 1ull << 18, true));
+    EXPECT_FALSE(amx_usable(true, true, kTiles, false));
+    EXPECT_EQ(KernelFamily<U8S8S32>::isa_ok(Isa::kAmx),
+              isa_supported(Isa::kAmx));
+    EXPECT_FALSE(KernelFamily<float>::isa_ok(Isa::kAmx));
+    EXPECT_FALSE(KernelFamily<double>::isa_ok(Isa::kAmx));
+    for (const auto& k : supported_microkernels_of<U8S8S32>()) {
+        if (k.isa == Isa::kAmx) {
+            EXPECT_TRUE(isa_supported(Isa::kAmx));
+        }
+    }
+}
+
+TEST(CpuFeatures, ForcedIsaSelectsThatLevelOrRefusesIt)
+{
+    // Every level this host runs selects its entry (AMX is int8-only: the
+    // float families run AVX-512 under it); a level it cannot run is a
+    // coded [FORCE_ISA] error, never a silent fallback.
+    for (const Isa isa : kAllIsas) {
+        for_each_kernel_family([&]<typename F>() {
+            SCOPED_TRACE(std::string(KernelFamily<F>::name) + " "
+                         + isa_name(isa));
+            if (!isa_supported(isa)) {
+                try {
+                    forced_microkernel_of<F>(isa_name(isa));
+                    FAIL() << "an unrunnable forced level must throw";
+                } catch (const Error& e) {
+                    EXPECT_NE(std::string(e.what()).find("[FORCE_ISA]"),
+                              std::string::npos)
+                        << e.what();
+                }
+                return;
+            }
+            const Isa want = isa == Isa::kAmx && !KernelFamily<F>::isa_ok(isa)
+                ? Isa::kAvx512
+                : isa;
+            if (!KernelFamily<F>::isa_ok(want)) return;  // e.g. no VNNI
+            EXPECT_EQ(forced_microkernel_of<F>(isa_name(isa)).isa, want);
+        });
+    }
+}
+
+TEST(KernelRegistry, EveryEntryDeclaresItsGranule)
+{
+    // The K padding granule sets each entry's packed depth: 1 for the
+    // float entries, 4 for the int8 k-quad entries and 64 for AMX, and
+    // always a multiple of the family's k_step.
+    for_each_microkernel([](const auto& k) {
+        using F = typename std::decay_t<decltype(k)>::Family;
+        EXPECT_EQ(k.k_granule % KernelFamily<F>::k_step, 0) << k.name;
+        const index_t want = std::is_floating_point_v<F> ? 1
+            : k.isa == Isa::kAmx                         ? 64
+                                                         : 4;
+        EXPECT_EQ(k.k_granule, want) << k.name;
+        EXPECT_NE(k.gather_sliver, nullptr) << k.name;
+        EXPECT_NE(k.copy_sliver, nullptr) << k.name;
+        EXPECT_EQ(k.packed_depth(1), k.k_granule) << k.name;
+        EXPECT_EQ(k.packed_depth(2 * k.k_granule), 2 * k.k_granule)
+            << k.name;
+    });
 }
 
 TEST(KernelRegistry, SupportedOrderingHasDeterministicTieBreak)

@@ -302,6 +302,9 @@ TEST(KernelPeak, EveryCompiledKernelRowIsPinned)
         {"avx512_14x32", Isa::kAvx512, 16, 31, 1, 1, 64},
         {"avx512_14x16_f64", Isa::kAvx512, 8, 31, 1, 1, 32},
         {"avx512_vnni_int8_8x32", Isa::kAvx512, 16, 19, 1, 1, 256},
+        // Tile form: 4 C + 2 A + 2 B tiles; one tdpbusd (16 x 16 x 64
+        // multiply-adds) per 16 cycles.
+        {"amx_int8_32x32", Isa::kAmx, 16, 8, 1, 1, 2048},
     };
     const std::vector<cake::model::KernelPeakRow> rows =
         cake::model::kernel_peak_table();

@@ -1,10 +1,13 @@
 // Tests for pre-packed weights and the kernel self-test harness.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/cake_gemm.hpp"
 #include "kernel/selftest.hpp"
+#include "pack/pack.hpp"
 #include "ref/naive_gemm.hpp"
 
 namespace cake {
@@ -147,6 +150,50 @@ TEST(Prepacked, DoublePrecision)
     MatrixD c(m, n);
     gemm.multiply_prepacked(a.data(), k, packed, c.data(), n, m);
     EXPECT_LE(max_abs_diff(c, oracle_gemm(a, b)), dgemm_tolerance(k));
+}
+
+TEST(Prepacked, PanelStrideFollowsTheWeights)
+{
+    // A panel is never deeper than k nor wider than n: the 8 x 64 weight
+    // matrix of a default context gets one panel of the entry's packed
+    // depth of 8 rows by 64 columns rounded to nr, not a k_blk x n_blk
+    // slot of the plan.
+    const index_t k = 8, n = 64;
+    Matrix b(k, n);
+    Rng rng(406);
+    b.fill_random(rng);
+    CakeGemm gemm(test_pool());
+    const PackedBF packed = gemm.pack_weights(b.data(), n, k, n);
+    const MicroKernel& kernel = best_microkernel();
+    EXPECT_LE(packed.panel_stride(),
+              static_cast<std::size_t>(kernel.packed_depth(k)
+                                       * round_up(n, kernel.nr)));
+}
+
+TEST(Prepacked, MatchesMultiplyOnEdgeShapes)
+{
+    // Shapes with m, n and k off every block and tile multiple, and ones
+    // smaller than one block: the prepacked panels (sized by the weights)
+    // and the per-call ones must give the same C bit for bit.
+    Rng rng(407);
+    for (const auto& [m, n, k] : {std::tuple<index_t, index_t, index_t>{
+                                     1, 1, 1},
+                                 {7, 33, 5},
+                                 {45, 17, 70},
+                                 {90, 129, 200}}) {
+        Matrix a(m, k);
+        Matrix b(k, n);
+        a.fill_random(rng);
+        b.fill_random(rng);
+        CakeGemm gemm(test_pool(), small_blocks());
+        const PackedBF packed = gemm.pack_weights(b.data(), n, k, n);
+        Matrix c_pre(m, n);
+        gemm.multiply_prepacked(a.data(), k, packed, c_pre.data(), n, m);
+        Matrix c_reg(m, n);
+        gemm.multiply(a.data(), k, b.data(), n, c_reg.data(), n, m, n, k);
+        EXPECT_EQ(max_abs_diff(c_pre, c_reg), 0.0)
+            << "m=" << m << " n=" << n << " k=" << k;
+    }
 }
 
 TEST(KernelSelfTest, AllSupportedKernelsPass)

@@ -47,8 +47,10 @@
 #     src/kernel/{microkernel.hpp,registry.*} — every kernel family is a
 #     MicroKernelT<F> in the one registry, so dispatch, the edge-tile
 #     runner and its checked-build operand contract cannot drift. The
-#     ledger-only int8 forwards of kernel/kernel_int8.hpp are also
-#     flagged anywhere but there and bench/ledger/.
+#     ledger-only int8 forwards of kernel/kernel_int8.hpp and
+#     pack/pack_int8.hpp are also flagged anywhere but there (and
+#     pack.cpp, which defines the pack forwards) and bench/ledger/:
+#     every other caller packs through a registry entry's own packers.
 #   * a hand walk of the block order — a carried_surfaces() call outside
 #     the files that own the carry-over rule (src/core/{schedule,
 #     block_plan,fperror}), the verifiers' one closed-form walk
@@ -137,6 +139,7 @@ json_reader='struct JsonValue { double number = 0; };\n'
 kernel_struct='struct Fp16MicroKernel { int mr = 0; };\n'
 kernel_fn='using Fp16KernelFn = void (*)(long);\n'
 ledger_use='inline int lint_probe() { return best_int8_microkernel().mr; }\n'
+pack_forward_use='inline long lint_probe() { return packed_a_int8_size(8, 8, 8); }\n'
 order_use='#include "core/schedule.hpp"\ninline auto lint_probe() { return cake::build_schedule(cake::ScheduleKind::kGoto, 1, 1, 1); }\n'
 layered_use='#include "core/schedule.hpp"\ninline auto lint_probe() { return cake::build_layered_schedule(cake::ScheduleKind::kGoto, 1, 1, 2, 2); }\n'
 walk_use='#include "core/schedule.hpp"\ninline bool lint_probe(cake::BlockCoord a, cake::BlockCoord b) { return cake::carried_surfaces(cake::ScheduleKind::kGoto, a, b).c; }\n'
@@ -171,12 +174,13 @@ case "${1:-}" in
     flag bench/lint_rule9_probe_tmp.hpp "${json_reader}" \
     allow "" "" ;;
   # Rule 10 (one micro-kernel registry) fires on a kernel struct, a
-  # kernel-fn typedef and a ledger-forward use outside their files; the
-  # clean tree, which holds the one registry, lints clean.
-  --probe-rule10) probe 10 "fires under src/core and tools/, the clean tree passes" \
+  # kernel-fn typedef and a ledger-forward use (kernel or pack) outside
+  # their files; the clean tree, which holds the one registry, lints clean.
+  --probe-rule10) probe 10 "fires under src/core, tools/ and tests/, the clean tree passes" \
     flag src/core/lint_rule10_probe_tmp.hpp "${kernel_struct}" \
     flag src/core/lint_rule10_probe_tmp.hpp "${kernel_fn}" \
     flag tools/lint_rule10_probe_tmp.hpp "${ledger_use}" \
+    flag tests/lint_rule10_probe_tmp.hpp "${pack_forward_use}" \
     allow "" "" ;;
   # Rule 12 (no hand walk of the block order) fires under src/model and
   # src/sim, not in the test tree; the clean tree lints clean.
@@ -334,20 +338,21 @@ out="$(scan 'struct[[:space:]]+JsonValue|JsonParser|detail_json' "${json_files[@
 
 # 10. A second micro-kernel registry outside src/kernel/microkernel.hpp and
 # src/kernel/registry.*: every kernel family is a MicroKernelT<F> there.
-# The three ledger-only int8 names live in src/kernel/kernel_int8.hpp and
-# are used by bench/ledger/ alone.
+# The ledger-only int8 names live in src/kernel/kernel_int8.hpp and
+# src/pack/pack_int8.hpp (defined in src/pack/pack.cpp) and are used by
+# bench/ledger/ alone.
 registry_allow='^src/kernel/microkernel\.hpp$|^src/kernel/registry\.(hpp|cpp)$'
 registry_files=()
 for f in "${files[@]}"; do
   [[ "${f}" =~ ${registry_allow} ]] || registry_files+=("${f}")
 done
-ledger_allow='^src/kernel/kernel_int8\.hpp$|^bench/ledger/'
+ledger_allow='^src/kernel/kernel_int8\.hpp$|^src/pack/pack_int8\.hpp$|^src/pack/pack\.cpp$|^bench/ledger/'
 ledger_files=()
 for f in "${files[@]}"; do
   [[ "${f}" =~ ${ledger_allow} ]] || ledger_files+=("${f}")
 done
 out="$(scan 'struct[[:space:]]+[A-Za-z0-9_]*MicroKernel[A-Za-z0-9_]*([^A-Za-z0-9_]|$)|(using[[:space:]]+[A-Za-z0-9_]*KernelFn[A-Za-z0-9_]*[[:space:]]*=)|typedef[^;]*KernelFn|all_[a-z0-9_]+_microkernels([^A-Za-z0-9_]|$)' "${registry_files[@]}")
-$(scan '(^|[^A-Za-z0-9_])(Int8MicroKernel|best_int8_microkernel|run_int8_tile)([^A-Za-z0-9_]|$)' "${ledger_files[@]}")"
+$(scan '(^|[^A-Za-z0-9_])(Int8MicroKernel|best_int8_microkernel|run_int8_tile|pack_[ab]_panel_int8|packed_[ab]_int8_size|int8_kq)([^A-Za-z0-9_]|$)' "${ledger_files[@]}")"
 out="$(echo "${out}" | sed '/^$/d')"
 [[ -z "${out}" ]] \
   || fail_rule "second micro-kernel registry outside src/kernel/{microkernel.hpp,registry.*} (register a MicroKernelT<F> of a KernelFamily instead), or a ledger-only int8 forward outside bench/ledger/" "${out}"
