@@ -9,8 +9,9 @@
 //      ARMPL performs ~2.5x more DRAM requests.
 //
 // The paper measures 10000^2 (Intel) and 3000^2 (ARM) with PMU counters;
-// we replay the identical schedules through the line-accurate cache
-// simulator at proportionally scaled sizes (the hierarchy is simulated at
+// we replay the executor's CAKE plan and its GOTO plan (goto_plan_params,
+// ScheduleKind::kGoto) through the line-accurate cache simulator at
+// proportionally scaled sizes (the hierarchy is simulated at
 // full size, so per-level hit *shares* are preserved).
 // Section (d) complements the simulation with *measured* host numbers: the
 // wall-clock phase attribution (pack / compute / stall seconds) reported
@@ -133,8 +134,8 @@ int main(int argc, char** argv)
         memsim::HierarchySim goto_sim(intel, 4);
         goto_sim.set_regions(regions());
         memsim::HierarchySink goto_sink(goto_sim);
-        memsim::trace_goto(shape, goto_default_blocking(intel, 6, 16), 4, 6,
-                           16, /*elem_bytes=*/4, goto_sink);
+        memsim::trace_cake(shape, goto_plan_params(intel, 4, 6, 16),
+                           ScheduleKind::kGoto, goto_sink);
 
         Table table({"region", "CAKE DRAM fills (K)", "GOTO DRAM fills (K)"});
         const auto cake_rows = cake_sim.dram_accesses_by_region();

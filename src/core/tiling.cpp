@@ -58,6 +58,17 @@ std::size_t private_cache_bytes(const MachineSpec& machine)
     return private_cache(machine).size_bytes;
 }
 
+index_t square_private_block(const MachineSpec& machine, index_t mr,
+                             double fraction, index_t elem_bytes)
+{
+    const double budget_elems = fraction
+        * static_cast<double>(private_cache(machine).size_bytes)
+        / static_cast<double>(elem_bytes);
+    const auto mc =
+        static_cast<index_t>(std::sqrt(std::max(budget_elems, 1.0)));
+    return std::max<index_t>(mc / mr * mr, mr);
+}
+
 std::size_t CbBlockParams::surface_bytes() const
 {
     const auto a = static_cast<std::size_t>(m_blk) * k_blk;
@@ -135,12 +146,8 @@ CbBlockParams compute_cb_block(const MachineSpec& machine, int p, index_t mr,
         CAKE_CHECK_MSG(mc >= mr && mc % mr == 0,
                        "mc override must be a positive multiple of mr");
     } else {
-        const auto& l2 = private_cache(machine);
-        const double budget_elems = opts.l2_fraction
-            * static_cast<double>(l2.size_bytes)
-            / static_cast<double>(opts.elem_bytes);
-        mc = static_cast<index_t>(std::sqrt(std::max(budget_elems, 1.0)));
-        mc = std::max<index_t>(mc / mr * mr, mr);
+        mc = square_private_block(machine, mr, opts.l2_fraction,
+                                  opts.elem_bytes);
     }
     if (opts.kc) {
         CAKE_CHECK_MSG(*opts.kc >= 1, "kc override must be >= 1");

@@ -96,4 +96,12 @@ double required_dram_bw_gbs(const MachineSpec& machine,
 /// auditor (src/core/audit) can re-derive the residency inequality.
 std::size_t private_cache_bytes(const MachineSpec& machine);
 
+/// The square per-core sub-block edge mc = kc that fills `fraction` of
+/// the private cache with `elem_bytes`-wide elements (§4.1, §4.2),
+/// rounded down to a multiple of mr and at least mr. Step 1 of
+/// compute_cb_block; GOTO's blocking uses the same rule (§4.4: both
+/// algorithms reuse square A sub-blocks in the private cache).
+index_t square_private_block(const MachineSpec& machine, index_t mr,
+                             double fraction, index_t elem_bytes);
+
 }  // namespace cake

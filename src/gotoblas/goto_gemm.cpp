@@ -1,41 +1,19 @@
 #include "gotoblas/goto_gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "pack/pack.hpp"
 
 namespace cake {
-namespace {
-
-/// Square mc = kc from the deepest private cache, exactly as the CAKE
-/// solver does (§4.4: both algorithms reuse square A sub-blocks in L2).
-index_t square_l2_block(const MachineSpec& machine, index_t mr,
-                        double fraction, index_t elem_bytes)
-{
-    // Deepest private level below the LLC (same rule as the CAKE solver).
-    const auto& levels = machine.caches.levels;
-    const CacheLevel* priv = nullptr;
-    for (std::size_t i = 0; i + 1 < levels.size(); ++i) {
-        if (levels[i].shared_by_cores == 1) priv = &levels[i];
-    }
-    const CacheLevel& l2 = priv != nullptr ? *priv : levels.front();
-    const double budget_elems = fraction
-        * static_cast<double>(l2.size_bytes)
-        / static_cast<double>(elem_bytes);
-    auto mc = static_cast<index_t>(std::sqrt(std::max(budget_elems, 1.0)));
-    return std::max<index_t>(mc / mr * mr, mr);
-}
-
-}  // namespace
 
 GotoBlocking goto_default_blocking(const MachineSpec& machine, index_t mr,
                                    index_t nr, index_t elem_bytes)
 {
     CAKE_CHECK(elem_bytes >= 1);
     GotoBlocking blocking;
-    blocking.mc = square_l2_block(machine, mr, /*fraction=*/0.5, elem_bytes);
+    blocking.mc =
+        square_private_block(machine, mr, /*fraction=*/0.5, elem_bytes);
     blocking.kc = blocking.mc;
     // GOTO fills the LLC with the kc x nc B panel (§4.4).
     const double llc_elems = 0.9 * static_cast<double>(machine.llc_bytes())

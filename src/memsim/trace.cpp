@@ -3,20 +3,34 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/error.hpp"
+#include "gotoblas/goto_gemm.hpp"
 #include "pack/pack.hpp"
 
 namespace cake {
 namespace memsim {
 namespace {
 
-// Element width of the naive-ijk TLB study trace (f32). The CAKE and
-// GOTO traces scale by the caller's element width instead.
+// Element width of the naive-ijk TLB study trace (f32). trace_cake
+// scales by the plan's element width instead.
 constexpr std::uint32_t kF = sizeof(float);
 
 index_t block_extent(index_t idx, index_t blk, index_t total)
 {
     return std::min(blk, total - idx * blk);
+}
+
+/// Build a hierarchy for `machine`/`p`, trace the plan, replay, report.
+TraceReport replay(const MachineSpec& machine, int p, const GemmShape& shape,
+                   const CbBlockParams& params, ScheduleKind kind)
+{
+    HierarchySim sim(machine, p);
+    HierarchySink sink(sim);
+    trace_cake(shape, params, kind, sink);
+    TraceReport report;
+    report.counters = sim.counters();
+    report.stalls = attribute_stalls(report.counters);
+    report.line_bytes = sim.line_bytes();
+    return report;
 }
 
 }  // namespace
@@ -132,105 +146,6 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
     }
 }
 
-void trace_goto(const GemmShape& shape, const GotoBlocking& blocking, int p,
-                index_t mr, index_t nr, index_t elem_bytes, TraceSink& sink,
-                const AddressMap& map)
-{
-    if (shape.m == 0 || shape.n == 0 || shape.k == 0) return;
-    CAKE_CHECK(p >= 1);
-    CAKE_CHECK(elem_bytes >= 1);
-    // Shadows the file-scope f32 constant: this trace is width-aware.
-    const auto kF = static_cast<std::uint64_t>(elem_bytes);
-    const index_t mc = blocking.mc;
-    const index_t kc = blocking.kc;
-    const index_t nc = blocking.nc;
-    // Each core packs its own A block into a private region.
-    const std::uint64_t pack_a_stride =
-        static_cast<std::uint64_t>(packed_a_size(mc, kc, mr)) * kF;
-
-    for (index_t jc = 0; jc < shape.n; jc += nc) {
-        const index_t ncur = std::min(nc, shape.n - jc);
-        for (index_t pc = 0; pc < shape.k; pc += kc) {
-            const index_t kcur = std::min(kc, shape.k - pc);
-            const bool acc = pc > 0;
-
-            // B panel pack (parallelised row-wise in the driver).
-            for (index_t q = 0; q < kcur; ++q) {
-                const int core = static_cast<int>(q % p);
-                sink.access(core,
-                            map.b
-                                + static_cast<std::uint64_t>(
-                                      (pc + q) * shape.n + jc)
-                                    * kF,
-                            static_cast<std::uint32_t>(ncur * kF), false);
-                sink.access(core,
-                            map.pack_b + static_cast<std::uint64_t>(q * ncur) * kF,
-                            static_cast<std::uint32_t>(ncur * kF), true);
-            }
-
-            for (int core = 0; core < p; ++core) {
-                const std::uint64_t pa =
-                    map.pack_a + static_cast<std::uint64_t>(core) * pack_a_stride;
-                for (index_t ic = core * mc; ic < shape.m;
-                     ic += static_cast<index_t>(p) * mc) {
-                    const index_t mcur = std::min(mc, shape.m - ic);
-                    // Private A block pack.
-                    for (index_t r = 0; r < mcur; ++r) {
-                        sink.access(core,
-                                    map.a
-                                        + static_cast<std::uint64_t>(
-                                              (ic + r) * shape.k + pc)
-                                            * kF,
-                                    static_cast<std::uint32_t>(kcur * kF),
-                                    false);
-                        sink.access(core,
-                                    pa + static_cast<std::uint64_t>(r * kcur) * kF,
-                                    static_cast<std::uint32_t>(kcur * kF),
-                                    true);
-                    }
-                    // Macro-kernel: C tiles stream to user (external) memory.
-                    for (index_t ir = 0; ir < mcur; ir += mr) {
-                        const index_t mrows = std::min(mr, mcur - ir);
-                        const std::uint64_t a_sliver = pa
-                            + static_cast<std::uint64_t>((ir / mr) * mr * kcur)
-                                * kF;
-                        for (index_t jr = 0; jr < ncur; jr += nr) {
-                            const index_t ncols = std::min(nr, ncur - jr);
-                            const std::uint64_t b_sliver = map.pack_b
-                                + static_cast<std::uint64_t>(
-                                      (jr / nr) * nr * kcur)
-                                    * kF;
-                            sink.access(core, a_sliver,
-                                        static_cast<std::uint32_t>(
-                                            mr * kcur * kF),
-                                        false);
-                            sink.access(core, b_sliver,
-                                        static_cast<std::uint32_t>(
-                                            nr * kcur * kF),
-                                        false);
-                            for (index_t i = 0; i < mrows; ++i) {
-                                const std::uint64_t crow = map.c
-                                    + static_cast<std::uint64_t>(
-                                          (ic + ir + i) * shape.n + jc + jr)
-                                        * kF;
-                                if (acc)
-                                    sink.access(core, crow,
-                                                static_cast<std::uint32_t>(
-                                                    ncols * kF),
-                                                false);
-                                sink.access(core, crow,
-                                            static_cast<std::uint32_t>(
-                                                ncols * kF),
-                                            true);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 void trace_naive_ijk(const GemmShape& shape, TraceSink& sink,
                      const AddressMap& map)
 {
@@ -262,29 +177,15 @@ TraceReport simulate_cake_memory(const MachineSpec& machine, int p,
                                  ScheduleKind kind)
 {
     // The model's kernel shape: AVX2-class 6x16 (paper's BLIS kernels).
-    const CbBlockParams params = compute_cb_block(machine, p, 6, 16, topts);
-    HierarchySim sim(machine, p);
-    HierarchySink sink(sim);
-    trace_cake(shape, params, kind, sink);
-    TraceReport report;
-    report.counters = sim.counters();
-    report.stalls = attribute_stalls(report.counters);
-    report.line_bytes = sim.line_bytes();
-    return report;
+    return replay(machine, p, shape, compute_cb_block(machine, p, 6, 16, topts),
+                  kind);
 }
 
 TraceReport simulate_goto_memory(const MachineSpec& machine, int p,
                                  const GemmShape& shape)
 {
-    const GotoBlocking blocking = goto_default_blocking(machine, 6, 16);
-    HierarchySim sim(machine, p);
-    HierarchySink sink(sim);
-    trace_goto(shape, blocking, p, 6, 16, /*elem_bytes=*/4, sink);
-    TraceReport report;
-    report.counters = sim.counters();
-    report.stalls = attribute_stalls(report.counters);
-    report.line_bytes = sim.line_bytes();
-    return report;
+    return replay(machine, p, shape, goto_plan_params(machine, p, 6, 16),
+                  ScheduleKind::kGoto);
 }
 
 }  // namespace memsim

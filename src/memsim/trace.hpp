@@ -1,9 +1,9 @@
 // Memory-access trace generation: walks the CAKE executor's block loop
 // (any schedule kind and its carry-over rule, the same packing and
-// micro-kernel tile order) and the GOTO algorithm's loop nest as the
-// paper describes it (one private A block per core), emitting the
-// address stream each worker core would issue, and
-// replays it through the cache-hierarchy simulator. This reproduces what
+// micro-kernel tile order), emitting the address stream each worker core
+// would issue, and replays it through the cache-hierarchy simulator. The
+// GOTO baseline is the executor's GOTO plan (goto_plan_params under
+// ScheduleKind::kGoto), so the same walk traces it. This reproduces what
 // the paper measures with PMU counters: per-level hits, DRAM accesses and
 // stall attribution (Fig. 7) and average DRAM bandwidth (Figs. 10a-12a).
 #pragma once
@@ -12,7 +12,6 @@
 
 #include "core/schedule.hpp"
 #include "core/tiling.hpp"
-#include "gotoblas/goto_gemm.hpp"
 #include "memsim/cache_sim.hpp"
 
 namespace cake {
@@ -59,19 +58,6 @@ void trace_cake(const GemmShape& shape, const CbBlockParams& params,
                 ScheduleKind kind, TraceSink& sink,
                 const AddressMap& map = {});
 
-/// Emit the access stream of the GOTO algorithm with `p` cores (B panel
-/// packing, per-core A packing, micro-kernel sweeps streaming C to user
-/// memory): each core packs and computes its own ic blocks back to back
-/// in a private A region. `mr` x `nr` is the register-tile shape of the
-/// micro-kernel; `elem_bytes` is the element width the addresses are
-/// scaled by. The CAKE executor's run of the GOTO plan is
-/// trace_cake(..., ScheduleKind::kGoto, ...); it hands the short last M
-/// block to the whole team and interleaves the cores' blocks, so its
-/// cache behaviour differs from this stream.
-void trace_goto(const GemmShape& shape, const GotoBlocking& blocking, int p,
-                index_t mr, index_t nr, index_t elem_bytes, TraceSink& sink,
-                const AddressMap& map = {});
-
 /// Emit the access stream of an UNPACKED inner-product GEMM (i-j-k loop
 /// reading a column of B per output element). The column walk strides
 /// shape.n elements, touching a new page per element once the row size
@@ -100,7 +86,9 @@ TraceReport simulate_cake_memory(const MachineSpec& machine, int p,
                                  ScheduleKind kind =
                                      ScheduleKind::kKFirstSerpentine);
 
-/// Same for the GOTO baseline.
+/// Same for the GOTO baseline: trace_cake of the GOTO plan
+/// (goto_plan_params for a 6x16 kernel, ScheduleKind::kGoto), the stream
+/// the executor issues for GOTO.
 TraceReport simulate_goto_memory(const MachineSpec& machine, int p,
                                  const GemmShape& shape);
 

@@ -23,12 +23,6 @@ index_t block_extent(index_t idx, index_t blk, index_t total)
     return std::min(blk, total - idx * blk);
 }
 
-/// Packet payload in bytes for `elems` f32 elements.
-std::uint64_t f32_bytes(index_t elems)
-{
-    return static_cast<std::uint64_t>(elems) * sizeof(float);
-}
-
 /// Seconds for one core to run one mr x nr x ki micro-kernel call.
 double tile_seconds(const MachineSpec& machine, index_t mr, index_t nr,
                     index_t ki)
@@ -46,17 +40,18 @@ struct Step {
     BlockCoord coord;   ///< grid coordinates (functional mode)
 };
 
-/// The CAKE pipeline is the executor's own plan (build_block_plan over
-/// the layered order): one step per block, fetching what the plan fetches
-/// and draining each column visit where the plan retires it.
+/// The pipeline is the executor's own plan (build_block_plan over the
+/// layered order of `kind`): one step per block, fetching what the plan
+/// fetches and draining each column visit where the plan retires it.
 std::vector<Step> build_cake_steps(const SimConfig& config,
-                                   const CbBlockParams& params)
+                                   const CbBlockParams& params,
+                                   ScheduleKind kind, index_t k_layers)
 {
     const GemmShape& shape = config.shape;
     const MachineSpec& machine = config.machine;
-    const BlockPlan plan = build_block_plan(
-        block_order(config.schedule, shape, params, config.k_layers),
-        plan_inputs(shape, params, config.schedule));
+    const BlockPlan plan =
+        build_block_plan(block_order(kind, shape, params, k_layers),
+                         plan_inputs(shape, params, kind));
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
 
     std::vector<Step> steps;
@@ -108,64 +103,6 @@ std::vector<Step> build_cake_steps(const SimConfig& config,
                  st.coord, mi * ni * elem});
         }
         steps.push_back(std::move(step));
-    }
-    return steps;
-}
-
-std::vector<Step> build_goto_steps(const SimConfig& config)
-{
-    const GemmShape& shape = config.shape;
-    const MachineSpec& machine = config.machine;
-    const GotoBlocking blocking = goto_default_blocking(
-        machine, config.kernel.mr, config.kernel.nr);
-    const index_t mc = blocking.mc;
-    const index_t kc = blocking.kc;
-    const index_t nc = blocking.nc;
-    const int p = config.p;
-
-    std::vector<Step> steps;
-    std::uint64_t next_id = 0;
-    index_t kidx = 0;
-    for (index_t jc = 0; jc < shape.n; jc += nc) {
-        const index_t ncur = std::min(nc, shape.n - jc);
-        kidx = 0;
-        for (index_t pc = 0; pc < shape.k; pc += kc, ++kidx) {
-            const index_t kcur = std::min(kc, shape.k - pc);
-            const bool acc = pc > 0;
-            Step step;
-            const BlockCoord coord{0, jc / nc, kidx};
-            step.fetch.push_back({next_id++, PacketKind::kSurfaceB, coord,
-                                  f32_bytes(kcur * ncur)});
-            step.fetch.push_back({next_id++, PacketKind::kSurfaceA, coord,
-                                  f32_bytes(shape.m * kcur)});
-            if (acc) {
-                step.fetch.push_back({next_id++, PacketKind::kPartialC, coord,
-                                      f32_bytes(shape.m * ncur)});
-            }
-            // Partial C streams back out every pass — the traffic CAKE
-            // eliminates (§4.4).
-            step.drain.push_back(
-                {next_id++,
-                 pc + kc >= shape.k ? PacketKind::kResultC
-                                    : PacketKind::kPartialC,
-                 coord, f32_bytes(shape.m * ncur)});
-
-            // Busiest core handles ceil(blocks/p) A blocks of this pass.
-            const index_t a_blocks = ceil_div(shape.m, mc);
-            const index_t per_core = ceil_div(a_blocks, p);
-            const double core_time = static_cast<double>(per_core)
-                * static_cast<double>(ceil_div(std::min(mc, shape.m),
-                                               config.kernel.mr))
-                * static_cast<double>(ceil_div(ncur, config.kernel.nr))
-                * tile_seconds(machine, config.kernel.mr, config.kernel.nr,
-                               kcur);
-            const double int_time =
-                model::block_internal_bytes(shape.m, ncur, kcur,
-                                            config.kernel)
-                / (machine.internal_bw_at(p) * 1e9);
-            step.compute_seconds = std::max(core_time, int_time);
-            steps.push_back(std::move(step));
-        }
     }
     return steps;
 }
@@ -322,16 +259,22 @@ SimResult run_pipeline(const SimConfig& config, std::vector<Step> steps,
     return result;
 }
 
+/// The algorithm only selects the plan: CAKE's solved blocks under the
+/// configured schedule and K layers, or GOTO's plan (goto_plan_params,
+/// ScheduleKind::kGoto, one layer), the one the executor runs for GOTO.
 std::vector<Step> build_steps(const SimConfig& config, SimResult& result)
 {
+    const model::KernelShape& kernel = config.kernel;
     if (config.algorithm == Algorithm::kGoto) {
-        return build_goto_steps(config);
+        result.params =
+            goto_plan_params(config.machine, config.p, kernel.mr, kernel.nr);
+        return build_cake_steps(config, result.params, ScheduleKind::kGoto,
+                                /*k_layers=*/1);
     }
-    const CbBlockParams params =
-        compute_cb_block(config.machine, config.p, config.kernel.mr,
-                         config.kernel.nr, config.topts);
-    result.params = params;
-    return build_cake_steps(config, params);
+    result.params = compute_cb_block(config.machine, config.p, kernel.mr,
+                                     kernel.nr, config.topts);
+    return build_cake_steps(config, result.params, config.schedule,
+                            config.k_layers);
 }
 
 }  // namespace
@@ -346,8 +289,6 @@ SimResult simulate(const SimConfig& config)
     const CbBlockParams params = result.params;
 
     if (config.validate_data) {
-        CAKE_CHECK_MSG(config.algorithm == Algorithm::kCake,
-                       "functional validation supports the CAKE pipeline");
         // Real operands travel with the simulation: each compute event
         // executes its block's partial product, as in the paper's §6.2
         // simulator ("to validate the correctness of the CB block design

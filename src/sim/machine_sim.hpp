@@ -5,10 +5,15 @@
 // (Figs. 9-12) that a single-core host cannot run natively, and validates
 // the block schedule's numerical correctness on real data.
 //
+// Both algorithms run the executor's block plan: CAKE's solved CB blocks
+// under the configured schedule, or GOTO's plan (goto_plan_params under
+// ScheduleKind::kGoto). The algorithm selects the plan and nothing else.
+//
 // Pipeline model: CB blocks execute sequentially on the core grid while
 // the next block's IO surfaces stream in (double buffering, §2.1: "the IO
 // time for the three surfaces will match the computation time of the
-// block, allowing IO to overlap computation").
+// block, allowing IO to overlap computation"). GOTO's plan is
+// double-buffered here too, although the executor runs it overlap off.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +28,7 @@
 namespace cake {
 namespace sim {
 
-/// Which algorithm's pipeline to simulate.
+/// Which algorithm's plan to simulate.
 enum class Algorithm {
     kCake,
     kGoto,
@@ -35,8 +40,8 @@ struct SimConfig {
     int p = 1;
     GemmShape shape;
     model::KernelShape kernel;  ///< register tile (default 6x16)
-    TilingOptions topts;
-    ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;
+    TilingOptions topts;  ///< CAKE only
+    ScheduleKind schedule = ScheduleKind::kKFirstSerpentine;  ///< CAKE only
     /// 2.5D-style decomposition (CAKE only): split the K grid into this
     /// many contiguous layers and run the (M, N) traversal once per layer
     /// (build_layered_schedule). 1 = the plain 2D schedule. The multi-core
@@ -47,11 +52,11 @@ struct SimConfig {
     /// Optional: record every fetch/compute/drain interval for Chrome-trace
     /// export (sim/timeline.hpp). Not owned.
     Timeline* timeline = nullptr;
-    /// Functional mode (CAKE only): blocks carry real data — each compute-
-    /// completion event performs the block's actual partial product, as
-    /// the paper's SystemC simulator did, and SimResult::max_abs_error
-    /// reports the final deviation from a float64 oracle. Use small
-    /// shapes; the naive per-block math is O(M*N*K).
+    /// Functional mode: blocks carry real data — each compute-completion
+    /// event performs the block's actual partial product, as the paper's
+    /// SystemC simulator did, and SimResult::max_abs_error reports the
+    /// final deviation from a float64 oracle. Use small shapes; the naive
+    /// per-block math is O(M*N*K).
     bool validate_data = false;
     std::uint64_t validate_seed = 42;
 };
@@ -65,7 +70,7 @@ struct SimResult {
     double dram_busy_frac = 0;        ///< DRAM channel occupancy
     double core_busy_frac = 0;        ///< core-grid occupancy
     index_t steps = 0;                ///< pipeline macro-steps executed
-    CbBlockParams params;             ///< CAKE geometry (when applicable)
+    CbBlockParams params;             ///< the simulated plan's geometry
     PacketCounters packets;           ///< per-kind packet accounting
     /// Functional mode only: max |C - oracle| after the simulated run.
     double max_abs_error = 0;

@@ -3,6 +3,7 @@
 // and multi-tenant co-scheduling on a shared DRAM channel (§6.1).
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "machine/bw_probe.hpp"
 #include "machine/machine.hpp"
 #include "memsim/cache_sim.hpp"

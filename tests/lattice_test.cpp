@@ -106,15 +106,21 @@ TEST(FunctionalSim, PipelineCarriesRealDataCorrectly)
     }
 }
 
-TEST(FunctionalSim, RejectsGotoMode)
+TEST(FunctionalSim, GotoPlanCarriesRealDataCorrectly)
 {
+    // GOTO is a plan of the same pipeline, so its block order gets the
+    // same functional check: several (p*mc)-row blocks per kc pass, C
+    // re-read every pass.
     sim::SimConfig config;
     config.machine = arm_cortex_a53();
-    config.p = 1;
-    config.shape = {64, 64, 64};
+    config.p = 4;
+    config.shape = {200, 300, 500};
     config.algorithm = sim::Algorithm::kGoto;
     config.validate_data = true;
-    EXPECT_THROW(sim::simulate(config), Error);
+    const auto result = sim::simulate(config);
+    ASSERT_LT(result.params.m_blk, config.shape.m);
+    EXPECT_GT(result.steps, 1);
+    EXPECT_LE(result.max_abs_error, gemm_tolerance(config.shape.k));
 }
 
 }  // namespace
