@@ -1,6 +1,7 @@
 #include "sim/channel.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -30,8 +31,7 @@ Channel::Channel(EventQueue& queue, double bytes_per_second, std::string name,
                                                     << " needs bandwidth > 0");
 }
 
-Channel::Interval Channel::transfer(double ready, const Packet& packet,
-                                    std::function<void(double)> on_delivered)
+Channel::Interval Channel::transfer(double ready, const Packet& packet)
 {
     const double start = std::max({ready, busy_until_, queue_.now()});
     const double rate = packet.kind == PacketKind::kPartialC
@@ -42,9 +42,6 @@ Channel::Interval Channel::transfer(double ready, const Packet& packet,
     busy_until_ = end;
     busy_seconds_ += duration;
     counters_.record(packet);
-    if (on_delivered) {
-        queue_.schedule(end, [end, cb = std::move(on_delivered)] { cb(end); });
-    }
     return {start, end};
 }
 

@@ -1,7 +1,6 @@
 // Bandwidth-limited channels connecting simulated modules.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "sim/event.hpp"
@@ -27,10 +26,9 @@ public:
     };
 
     /// Enqueue `packet` for transfer, starting no earlier than `ready`.
-    /// `on_delivered(t)` fires at completion time t. Returns the transfer's
-    /// channel-occupancy interval (known immediately under FIFO service).
-    Interval transfer(double ready, const Packet& packet,
-                      std::function<void(double)> on_delivered = {});
+    /// Returns the transfer's channel-occupancy interval (known
+    /// immediately under FIFO service).
+    Interval transfer(double ready, const Packet& packet);
 
     [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
     [[nodiscard]] double busy_until() const { return busy_until_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,11 +19,6 @@ namespace cake {
 namespace sim {
 namespace {
 
-index_t block_extent(index_t idx, index_t blk, index_t total)
-{
-    return std::min(blk, total - idx * blk);
-}
-
 /// Seconds for one core to run one mr x nr x ki micro-kernel call.
 double tile_seconds(const MachineSpec& machine, index_t mr, index_t nr,
                     index_t ki)
@@ -31,38 +27,74 @@ double tile_seconds(const MachineSpec& machine, index_t mr, index_t nr,
         * static_cast<double>(ki) / (machine.core_gflops * 1e9);
 }
 
-/// One pipeline macro-step: the packets to fetch before compute can start,
-/// the compute duration on the core grid, and the packets to drain after.
-struct Step {
-    std::vector<Packet> fetch;
-    std::vector<Packet> drain;
-    double compute_seconds = 0;
-    BlockCoord coord;   ///< grid coordinates (functional mode)
+/// Random A and B of one shape with a zeroed C: the functional payload
+/// that blocks accumulate into, checked against a float64 oracle.
+struct Operands {
+    Matrix a, b, c;
+
+    Operands(const GemmShape& shape, std::uint64_t seed)
+        : a(shape.m, shape.k), b(shape.k, shape.n), c(shape.m, shape.n)
+    {
+        Rng rng(seed);
+        a.fill_random(rng);
+        b.fill_random(rng);
+    }
+
+    /// Add block `st`'s partial product into its tile of C.
+    void accumulate(const BlockStep& st)
+    {
+        naive_sgemm(a.data() + st.m0 * a.cols() + st.k0, a.cols(),
+                    b.data() + st.k0 * b.cols() + st.n0, b.cols(),
+                    c.data() + st.m0 * c.cols() + st.n0, c.cols(), st.mi,
+                    st.ni, st.ki, /*accumulate=*/true);
+    }
+
+    [[nodiscard]] double error() const
+    {
+        return max_abs_diff(c, oracle_gemm(a, b));
+    }
 };
 
-/// The pipeline is the executor's own plan (build_block_plan over the
-/// layered order of `kind`): one step per block, fetching what the plan
-/// fetches and draining each column visit where the plan retires it.
-std::vector<Step> build_cake_steps(const SimConfig& config,
-                                   const CbBlockParams& params,
-                                   ScheduleKind kind, index_t k_layers)
+/// One plan step as the simulator times it: the surfaces the phase that
+/// packs it fetches, the reload and core-grid time of the phase that
+/// computes it, and the drain issued when that compute ends.
+struct Step {
+    BlockStep block;
+    std::vector<Packet> fetch;   ///< A/B surfaces (pack phase)
+    std::vector<Packet> reload;  ///< a revisit's partial C (compute phase)
+    std::vector<Packet> drain;   ///< the column's write-back
+    double compute_seconds = 0;
+};
+
+/// The executor's plan in simulator terms: its steps and its phases.
+struct SimPlan {
+    std::vector<Step> steps;
+    std::vector<BlockPhase> phases;
+};
+
+/// The executor's own plan (build_block_plan over the layered order of
+/// `kind`, double-buffered iff `overlap`): each step fetches what the plan
+/// fetches and drains each column visit where the plan retires it.
+SimPlan build_sim_plan(const SimConfig& config, const CbBlockParams& params,
+                       ScheduleKind kind, index_t k_layers, bool overlap)
 {
     const GemmShape& shape = config.shape;
     const MachineSpec& machine = config.machine;
-    const BlockPlan plan =
-        build_block_plan(block_order(kind, shape, params, k_layers),
-                         plan_inputs(shape, params, kind));
+    BlockPlanInputs in = plan_inputs(shape, params, kind);
+    in.double_buffer = overlap;
+    BlockPlan plan =
+        build_block_plan(block_order(kind, shape, params, k_layers), in);
     const auto elem = static_cast<std::uint64_t>(params.elem_bytes);
 
-    std::vector<Step> steps;
-    steps.reserve(plan.steps.size());
+    SimPlan sim{{}, std::move(plan.phases)};
+    sim.steps.reserve(plan.steps.size());
     std::uint64_t next_id = 0;
     for (const BlockStep& st : plan.steps) {
         const auto mi = static_cast<std::uint64_t>(st.mi);
         const auto ni = static_cast<std::uint64_t>(st.ni);
         const auto ki = static_cast<std::uint64_t>(st.ki);
         Step step;
-        step.coord = st.coord;
+        step.block = st;
         if (st.pack_a) {
             step.fetch.push_back({next_id++, PacketKind::kSurfaceA, st.coord,
                                   mi * ki * elem});
@@ -72,9 +104,11 @@ std::vector<Step> build_cake_steps(const SimConfig& config,
                                   ki * ni * elem});
         }
         if (st.c_change && st.revisit) {
-            // Revisit of a spilled surface (non-K-first ablations, GOTO).
-            step.fetch.push_back({next_id++, PacketKind::kPartialC, st.coord,
-                                  mi * ni * elem});
+            // Revisit of a spilled surface (non-K-first ablations, GOTO):
+            // the compute items accumulate straight into user C, so the
+            // reload belongs to the compute step, not the pack step.
+            step.reload.push_back({next_id++, PacketKind::kPartialC,
+                                   st.coord, mi * ni * elem});
         }
 
         // Busiest core's row band: mc for full blocks; edge blocks split
@@ -102,36 +136,35 @@ std::vector<Step> build_cake_steps(const SimConfig& config,
                  st.c_partial ? PacketKind::kPartialC : PacketKind::kResultC,
                  st.coord, mi * ni * elem});
         }
-        steps.push_back(std::move(step));
+        sim.steps.push_back(std::move(step));
     }
-    return steps;
+    return sim;
 }
 
-/// Event-driven execution of one step stream on its own core grid: fetch
-/// of step i+1 overlaps compute of step i (double buffering); drains
-/// occupy the DRAM channel but do not stall the pipeline. Several
-/// Pipelines may share one Channel (multi-tenant mode).
+/// Event-driven run of one plan on its own core grid, one BlockPhase at a
+/// time. A phase issues its pack step's surface fetches, its compute
+/// step's reload and its compute together, and ends, at the team's
+/// barrier, when all are done: fetch + compute when the plan packs in
+/// phases of their own (overlap off), max(fetch, compute) when it packs
+/// step t + 1 beside compute(t). Drains are issued at compute end and take
+/// channel time but never stall the next phase. Several Pipelines may
+/// share one Channel (multi-tenant mode).
 class Pipeline {
 public:
-    using StepExecutor = std::function<void(const Step&)>;
+    using StepExecutor = std::function<void(const BlockStep&)>;
 
-    Pipeline(EventQueue& queue, Channel& dram, std::vector<Step> steps,
-             Timeline* timeline = nullptr, int tenant = 0,
-             StepExecutor executor = {})
-        : queue_(queue), dram_(dram), steps_(std::move(steps)),
-          io_done_(steps_.size(), 0), timeline_(timeline), tenant_(tenant),
+    Pipeline(EventQueue& queue, Channel& dram, SimPlan plan,
+             Timeline* timeline, int tenant, StepExecutor executor)
+        : queue_(queue), dram_(dram), plan_(std::move(plan)),
+          timeline_(timeline), tenant_(tenant),
           executor_(std::move(executor))
     {
     }
 
-    /// Schedule the pipeline's first fetch at the current simulation time.
+    /// Schedule the first phase at the current simulation time.
     void start()
     {
-        if (steps_.empty()) {
-            finish_time_ = queue_.now();
-            return;
-        }
-        queue_.schedule(queue_.now(), [this] { issue_io(0); });
+        queue_.schedule(queue_.now(), [this] { run_phase(0); });
     }
 
     [[nodiscard]] double finish_time() const { return finish_time_; }
@@ -142,87 +175,73 @@ public:
     [[nodiscard]] const PacketCounters& packets() const { return packets_; }
     [[nodiscard]] index_t steps() const
     {
-        return static_cast<index_t>(steps_.size());
+        return static_cast<index_t>(plan_.steps.size());
     }
 
 private:
-    void issue_io(std::size_t i)
+    const Step& step(index_t i) const
     {
-        if (i >= steps_.size()) return;
-        if (steps_[i].fetch.empty()) {
-            io_done_[i] = 1;
-            try_start_compute(i);
-            return;
-        }
-        const std::size_t last_pkt = steps_[i].fetch.size() - 1;
-        for (std::size_t j = 0; j < steps_[i].fetch.size(); ++j) {
-            const Packet& pkt = steps_[i].fetch[j];
-            packets_.record(pkt);
-            Channel::Interval iv;
-            if (j == last_pkt) {
-                iv = dram_.transfer(queue_.now(), pkt, [this, i](double) {
-                    io_done_[i] = 1;
-                    try_start_compute(i);
-                });
-            } else {
-                iv = dram_.transfer(queue_.now(), pkt);
-            }
-            if (timeline_ != nullptr) {
-                timeline_->record({SliceKind::kFetch, tenant_,
-                                   static_cast<std::int64_t>(i), pkt.kind,
-                                   iv.start, iv.end});
-            }
-        }
+        return plan_.steps[static_cast<std::size_t>(i)];
     }
 
-    void try_start_compute(std::size_t i)
+    /// Put step `i`'s `pkts` on the channel now; returns when the last
+    /// one lands (FIFO service fixes that at issue).
+    double transfer(const std::vector<Packet>& pkts, SliceKind kind,
+                    index_t i)
     {
-        if (i != next_compute_ || core_busy_ || io_done_[i] == 0) return;
-        core_busy_ = true;
-        const double duration = steps_[i].compute_seconds;
-        core_busy_seconds_ += duration;
-        // Double buffering: the next step's surfaces start streaming as
-        // soon as this step's compute begins (its buffers are now free).
-        issue_io(i + 1);
-        if (timeline_ != nullptr) {
-            timeline_->record({SliceKind::kCompute, tenant_,
-                               static_cast<std::int64_t>(i),
-                               PacketKind::kSurfaceA, queue_.now(),
-                               queue_.now() + duration});
+        double end = queue_.now();
+        for (const Packet& pkt : pkts) {
+            packets_.record(pkt);
+            const Channel::Interval iv = dram_.transfer(queue_.now(), pkt);
+            end = std::max(end, iv.end);
+            if (timeline_ != nullptr) {
+                timeline_->record({kind, tenant_, i, pkt.kind, iv.start,
+                                   iv.end});
+            }
         }
-        queue_.schedule(queue_.now() + duration, [this, i] {
-            core_busy_ = false;
-            // Functional payload: the block's real math runs exactly when
-            // the simulated computation completes.
-            if (executor_) executor_(steps_[i]);
-            double drained = queue_.now();
-            for (const Packet& pkt : steps_[i].drain) {
-                packets_.record(pkt);
-                const Channel::Interval iv =
-                    dram_.transfer(queue_.now(), pkt);
-                drained = std::max(drained, iv.end);
-                if (timeline_ != nullptr) {
-                    timeline_->record({SliceKind::kDrain, tenant_,
-                                       static_cast<std::int64_t>(i),
-                                       pkt.kind, iv.start, iv.end});
-                }
+        return end;
+    }
+
+    void run_phase(std::size_t ph)
+    {
+        const double now = queue_.now();
+        if (ph == plan_.phases.size()) {
+            finish_time_ = std::max(now, drained_);
+            return;
+        }
+        const BlockPhase& phase = plan_.phases[ph];
+        double end = now;
+        if (phase.pack >= 0) {
+            end = transfer(step(phase.pack).fetch, SliceKind::kFetch,
+                           phase.pack);
+        }
+        if (phase.compute >= 0) {
+            const index_t c = phase.compute;
+            const double duration = step(c).compute_seconds;
+            end = std::max({end, now + duration,
+                            transfer(step(c).reload, SliceKind::kFetch, c)});
+            core_busy_seconds_ += duration;
+            if (timeline_ != nullptr) {
+                timeline_->record({SliceKind::kCompute, tenant_, c,
+                                   PacketKind::kSurfaceA, now,
+                                   now + duration});
             }
-            ++next_compute_;
-            if (next_compute_ < steps_.size()) {
-                try_start_compute(next_compute_);
-            } else {
-                finish_time_ = drained;
-            }
-        });
+            queue_.schedule(now + duration, [this, c] {
+                // Functional payload: the block's real math runs exactly
+                // when the simulated computation completes.
+                if (executor_) executor_(step(c).block);
+                drained_ = std::max(
+                    drained_, transfer(step(c).drain, SliceKind::kDrain, c));
+            });
+        }
+        queue_.schedule(end, [this, ph] { run_phase(ph + 1); });
     }
 
     EventQueue& queue_;
     Channel& dram_;
-    std::vector<Step> steps_;
-    std::vector<char> io_done_;
-    std::size_t next_compute_ = 0;
-    bool core_busy_ = false;
+    SimPlan plan_;
     double core_busy_seconds_ = 0;
+    double drained_ = 0;
     double finish_time_ = 0;
     PacketCounters packets_;
     Timeline* timeline_ = nullptr;
@@ -230,122 +249,52 @@ private:
     StepExecutor executor_;
 };
 
-SimResult run_pipeline(const SimConfig& config, std::vector<Step> steps,
-                       Pipeline::StepExecutor executor = {})
-{
-    SimResult result;
-    result.steps = static_cast<index_t>(steps.size());
-    if (steps.empty()) return result;
-
-    EventQueue queue;
-    Channel dram(queue, config.machine.dram_bw_gbs * 1e9, "dram",
-                 config.machine.rmw_bw_gbs() * 1e9);
-    Pipeline pipeline(queue, dram, std::move(steps), config.timeline, 0,
-                      std::move(executor));
-    pipeline.start();
-    const double end = queue.run_all();
-    // The channel may still be draining the final result packets.
-    const double finish = std::max({end, dram.busy_until(),
-                                    pipeline.finish_time()});
-
-    result.seconds = finish;
-    result.gflops = config.shape.flops() / finish / 1e9;
-    result.packets = pipeline.packets();
-    result.dram_bytes = result.packets.total_bytes();
-    result.avg_dram_bw_gbs =
-        static_cast<double>(result.dram_bytes) / finish / 1e9;
-    result.dram_busy_frac = dram.busy_seconds() / finish;
-    result.core_busy_frac = pipeline.core_busy_seconds() / finish;
-    return result;
-}
-
 /// The algorithm only selects the plan: CAKE's solved blocks under the
-/// configured schedule and K layers, or GOTO's plan (goto_plan_params,
-/// ScheduleKind::kGoto, one layer), the one the executor runs for GOTO.
-std::vector<Step> build_steps(const SimConfig& config, SimResult& result)
+/// configured schedule and K layers, overlap on; or GOTO's plan
+/// (goto_plan_params, ScheduleKind::kGoto, one layer), overlap off — the
+/// plans the executor runs for each.
+SimPlan select_plan(const SimConfig& config, SimResult& result)
 {
     const model::KernelShape& kernel = config.kernel;
     if (config.algorithm == Algorithm::kGoto) {
         result.params =
             goto_plan_params(config.machine, config.p, kernel.mr, kernel.nr);
-        return build_cake_steps(config, result.params, ScheduleKind::kGoto,
-                                /*k_layers=*/1);
+        return build_sim_plan(config, result.params, ScheduleKind::kGoto,
+                              /*k_layers=*/1, /*overlap=*/false);
     }
     result.params = compute_cb_block(config.machine, config.p, kernel.mr,
                                      kernel.nr, config.topts);
-    return build_cake_steps(config, result.params, config.schedule,
-                            config.k_layers);
+    return build_sim_plan(config, result.params, config.schedule,
+                          config.k_layers, /*overlap=*/true);
 }
 
-}  // namespace
-
-SimResult simulate(const SimConfig& config)
-{
-    CAKE_CHECK(config.p >= 1);
-    CAKE_CHECK(config.shape.m > 0 && config.shape.n > 0 && config.shape.k > 0);
-
-    SimResult result;
-    std::vector<Step> steps = build_steps(config, result);
-    const CbBlockParams params = result.params;
-
-    if (config.validate_data) {
-        // Real operands travel with the simulation: each compute event
-        // executes its block's partial product, as in the paper's §6.2
-        // simulator ("to validate the correctness of the CB block design
-        // and execution schedule").
-        Rng rng(config.validate_seed);
-        const GemmShape& shape = config.shape;
-        Matrix a(shape.m, shape.k);
-        Matrix b(shape.k, shape.n);
-        a.fill_random(rng);
-        b.fill_random(rng);
-        Matrix c(shape.m, shape.n);
-
-        auto executor = [&, params](const Step& step) {
-            const index_t m0 = step.coord.m * params.m_blk;
-            const index_t n0 = step.coord.n * params.n_blk;
-            const index_t k0 = step.coord.k * params.k_blk;
-            const index_t mi = std::min(params.m_blk, shape.m - m0);
-            const index_t ni = std::min(params.n_blk, shape.n - n0);
-            const index_t ki = std::min(params.k_blk, shape.k - k0);
-            naive_sgemm(a.data() + m0 * shape.k + k0, shape.k,
-                        b.data() + k0 * shape.n + n0, shape.n,
-                        c.data() + m0 * shape.n + n0, shape.n, mi, ni, ki,
-                        /*accumulate=*/true);
-        };
-        result = run_pipeline(config, std::move(steps), executor);
-        result.params = params;
-        result.max_abs_error = max_abs_diff(c, oracle_gemm(a, b));
-        return result;
-    }
-
-    result = run_pipeline(config, std::move(steps));
-    result.params = params;
-    return result;
-}
-
-MultiTenantResult simulate_shared_dram(const std::vector<SimConfig>& configs,
-                                       Timeline* timeline)
+/// Run every tenant's plan on its own core grid against one DRAM channel
+/// and fill each tenant's result over its own span. `executor` (functional
+/// mode) sees every tenant's computed blocks.
+MultiTenantResult run_tenants(const std::vector<SimConfig>& configs,
+                              Timeline* timeline,
+                              const Pipeline::StepExecutor& executor = {})
 {
     CAKE_CHECK(!configs.empty());
+    const MachineSpec& machine = configs.front().machine;
     for (const SimConfig& config : configs) {
         CAKE_CHECK(config.p >= 1);
-        CAKE_CHECK_MSG(config.machine.name == configs.front().machine.name,
+        CAKE_CHECK(config.shape.m > 0 && config.shape.n > 0
+                   && config.shape.k > 0);
+        CAKE_CHECK_MSG(config.machine.name == machine.name,
                        "all tenants must share one machine");
     }
 
     EventQueue queue;
-    Channel dram(queue, configs.front().machine.dram_bw_gbs * 1e9,
-                 "dram-shared", configs.front().machine.rmw_bw_gbs() * 1e9);
-
+    Channel dram(queue, machine.dram_bw_gbs * 1e9, "dram",
+                 machine.rmw_bw_gbs() * 1e9);
     MultiTenantResult result;
     result.tenants.resize(configs.size());
     std::vector<std::unique_ptr<Pipeline>> pipelines;
     for (std::size_t t = 0; t < configs.size(); ++t) {
-        std::vector<Step> steps =
-            build_steps(configs[t], result.tenants[t]);
         pipelines.push_back(std::make_unique<Pipeline>(
-            queue, dram, std::move(steps), timeline, static_cast<int>(t)));
+            queue, dram, select_plan(configs[t], result.tenants[t]),
+            timeline, static_cast<int>(t), executor));
     }
     for (auto& p : pipelines) p->start();
     queue.run_all();
@@ -353,17 +302,16 @@ MultiTenantResult simulate_shared_dram(const std::vector<SimConfig>& configs,
     double total_flops = 0;
     for (std::size_t t = 0; t < configs.size(); ++t) {
         SimResult& tenant = result.tenants[t];
-        const double finish =
-            std::max(pipelines[t]->finish_time(), 1e-12);
+        const Pipeline& pipeline = *pipelines[t];
+        const double finish = std::max(pipeline.finish_time(), 1e-12);
         tenant.seconds = finish;
-        tenant.steps = pipelines[t]->steps();
-        tenant.packets = pipelines[t]->packets();
+        tenant.steps = pipeline.steps();
+        tenant.packets = pipeline.packets();
         tenant.dram_bytes = tenant.packets.total_bytes();
         tenant.gflops = configs[t].shape.flops() / finish / 1e9;
         tenant.avg_dram_bw_gbs =
             static_cast<double>(tenant.dram_bytes) / finish / 1e9;
-        tenant.core_busy_frac =
-            pipelines[t]->core_busy_seconds() / finish;
+        tenant.core_busy_frac = pipeline.core_busy_seconds() / finish;
         result.makespan = std::max(result.makespan, finish);
         total_flops += configs[t].shape.flops();
     }
@@ -372,30 +320,43 @@ MultiTenantResult simulate_shared_dram(const std::vector<SimConfig>& configs,
     return result;
 }
 
+}  // namespace
+
+SimResult simulate(const SimConfig& config)
+{
+    // Functional mode: real operands travel with the simulation and each
+    // compute event executes its block's partial product, as in the
+    // paper's §6.2 simulator ("to validate the correctness of the CB block
+    // design and execution schedule").
+    std::optional<Operands> ops;
+    Pipeline::StepExecutor executor;
+    if (config.validate_data) {
+        ops.emplace(config.shape, config.validate_seed);
+        executor = [&ops](const BlockStep& st) { ops->accumulate(st); };
+    }
+    const MultiTenantResult run =
+        run_tenants({config}, config.timeline, executor);
+    SimResult result = run.tenants.front();
+    result.dram_busy_frac = run.dram_busy_frac;
+    if (ops) result.max_abs_error = ops->error();
+    return result;
+}
+
+MultiTenantResult simulate_shared_dram(const std::vector<SimConfig>& configs,
+                                       Timeline* timeline)
+{
+    return run_tenants(configs, timeline);
+}
+
 double validate_schedule_numerics(const GemmShape& shape,
                                   const CbBlockParams& params,
                                   ScheduleKind kind, std::uint64_t seed)
 {
-    Rng rng(seed);
-    Matrix a(shape.m, shape.k);
-    Matrix b(shape.k, shape.n);
-    a.fill_random(rng);
-    b.fill_random(rng);
-    Matrix c(shape.m, shape.n);  // zero-initialised
-
-    for (const BlockCoord& coord : block_order(kind, shape, params)) {
-        const index_t mi = block_extent(coord.m, params.m_blk, shape.m);
-        const index_t ni = block_extent(coord.n, params.n_blk, shape.n);
-        const index_t ki = block_extent(coord.k, params.k_blk, shape.k);
-        const index_t m0 = coord.m * params.m_blk;
-        const index_t n0 = coord.n * params.n_blk;
-        const index_t k0 = coord.k * params.k_blk;
-        naive_sgemm(a.data() + m0 * shape.k + k0, shape.k,
-                    b.data() + k0 * shape.n + n0, shape.n,
-                    c.data() + m0 * shape.n + n0, shape.n, mi, ni, ki,
-                    /*accumulate=*/true);
-    }
-    return max_abs_diff(c, oracle_gemm(a, b));
+    Operands ops(shape, seed);
+    const BlockPlan plan = build_block_plan(block_order(kind, shape, params),
+                                            plan_inputs(shape, params, kind));
+    for (const BlockStep& st : plan.steps) ops.accumulate(st);
+    return ops.error();
 }
 
 }  // namespace sim

@@ -5,15 +5,21 @@
 // (Figs. 9-12) that a single-core host cannot run natively, and validates
 // the block schedule's numerical correctness on real data.
 //
-// Both algorithms run the executor's block plan: CAKE's solved CB blocks
-// under the configured schedule, or GOTO's plan (goto_plan_params under
-// ScheduleKind::kGoto). The algorithm selects the plan and nothing else.
+// Both algorithms run the executor's block plan and its phases: CAKE's
+// solved CB blocks under the configured schedule, overlap on, or GOTO's
+// plan (goto_plan_params under ScheduleKind::kGoto), overlap off. The
+// algorithm selects the plan and nothing else.
 //
-// Pipeline model: CB blocks execute sequentially on the core grid while
-// the next block's IO surfaces stream in (double buffering, §2.1: "the IO
-// time for the three surfaces will match the computation time of the
-// block, allowing IO to overlap computation"). GOTO's plan is
-// double-buffered here too, although the executor runs it overlap off.
+// Timing model: the core grid steps through BlockPlan::phases. A phase
+// starts its pack step's surface fetches and its compute step together and
+// ends, at the team's barrier, when both are done. CAKE packs step t + 1
+// beside compute(t) (§2.1: "the IO time for the three surfaces will match
+// the computation time of the block, allowing IO to overlap computation"),
+// so a phase takes max(fetch, compute); GOTO packs in phases of its own,
+// so each fetch sits on the critical path (fetch + compute). CAKE overlaps
+// here at p = 1 too, where the host's CakeExec::kAuto runs overlap off:
+// the simulated channel moves data without a core, while a host pack
+// needs one.
 #pragma once
 
 #include <cstdint>

@@ -60,10 +60,8 @@ TEST(Channel, SerialisesByBandwidth)
     sim::Channel ch(q, 100.0, "test");  // 100 bytes/s
     sim::Packet p1{1, sim::PacketKind::kSurfaceA, {}, 200};
     sim::Packet p2{2, sim::PacketKind::kSurfaceB, {}, 100};
-    double t1 = 0, t2 = 0;
-    ch.transfer(0.0, p1, [&](double t) { t1 = t; });
-    ch.transfer(0.0, p2, [&](double t) { t2 = t; });
-    q.run_all();
+    const double t1 = ch.transfer(0.0, p1).end;
+    const double t2 = ch.transfer(0.0, p2).end;
     EXPECT_DOUBLE_EQ(t1, 2.0);
     EXPECT_DOUBLE_EQ(t2, 3.0);  // queued behind p1
     EXPECT_DOUBLE_EQ(ch.busy_seconds(), 3.0);
@@ -75,10 +73,7 @@ TEST(Channel, ReadyTimeDelaysStart)
     sim::EventQueue q;
     sim::Channel ch(q, 100.0, "test");
     sim::Packet p{1, sim::PacketKind::kResultC, {}, 100};
-    double done = 0;
-    ch.transfer(5.0, p, [&](double t) { done = t; });
-    q.run_all();
-    EXPECT_DOUBLE_EQ(done, 6.0);
+    EXPECT_DOUBLE_EQ(ch.transfer(5.0, p).end, 6.0);
 }
 
 TEST(Simulate, ConstantBandwidthProperty)
@@ -170,6 +165,45 @@ TEST(Simulate, ThroughputNeverExceedsPeak)
         const auto r = sim::simulate(config);
         EXPECT_LE(r.gflops, m.peak_gflops(m.cores) * (1 + 1e-9)) << m.name;
         EXPECT_LE(r.avg_dram_bw_gbs, m.dram_bw_gbs * (1 + 1e-9)) << m.name;
+    }
+}
+
+/// Whether any A/B surface fetch overlaps a compute slice of its tenant.
+bool surface_fetch_overlaps_compute(const sim::Timeline& timeline)
+{
+    for (const sim::Slice& f : timeline.slices()) {
+        if (f.kind != sim::SliceKind::kFetch
+            || (f.packet != sim::PacketKind::kSurfaceA
+                && f.packet != sim::PacketKind::kSurfaceB)) {
+            continue;
+        }
+        for (const sim::Slice& c : timeline.slices()) {
+            if (c.kind == sim::SliceKind::kCompute && c.tenant == f.tenant
+                && f.start < c.end && c.start < f.end) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+TEST(Simulate, PhasesFollowEachPlansOverlap)
+{
+    // The simulator steps through the plan's phases: GOTO's plan packs
+    // overlap off, so its surface fetches sit between computes; CAKE's
+    // packs step t + 1 beside compute(t).
+    for (const sim::Algorithm algo :
+         {sim::Algorithm::kGoto, sim::Algorithm::kCake}) {
+        sim::Timeline timeline;
+        sim::SimConfig config;
+        config.machine = intel_i9_10900k();
+        config.p = 10;
+        config.shape = {2000, 2000, 2000};
+        config.algorithm = algo;
+        config.timeline = &timeline;
+        sim::simulate(config);
+        EXPECT_EQ(surface_fetch_overlaps_compute(timeline),
+                  algo == sim::Algorithm::kCake);
     }
 }
 

@@ -21,8 +21,10 @@ int main()
     std::cout << "  avx2+fma : " << (f.avx2 ? "yes" : "no") << "\n"
               << "  avx512f  : " << (f.avx512f ? "yes" : "no") << "\n"
               << "  avx512bw : " << (f.avx512bw ? "yes" : "no") << "\n"
-              << "  avx512_vnni : " << (f.avx512vnni ? "yes" : "no")
-              << "\n\n";
+              << "  avx512_vnni : " << (f.avx512vnni ? "yes" : "no") << "\n"
+              << "  amx      : " << (f.amx ? "yes" : "no")
+              << "  (needs CPUID AMX-TILE and AMX-INT8, XCR0 tile state "
+                 "and granted tile data)\n\n";
 
     std::cout << "=== Cache hierarchy (detected) ===\n";
     for (const CacheLevel& l : detect_host_caches().levels) {
